@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .symx import EvalError, ParseError, Frame, SymxError, compile_fn, to_str
+from .symx import EvalError, ParseError, Frame, SymxError, compile_fns, to_str
 from .diffgeo import VectorField, lie_bracket
 from .flags import (DEFAULT_RANK_TOL, SystemSpec, check_condition1,
                     compute_flags)
@@ -495,10 +495,9 @@ def _simulation_sections(spec, real, traj, v, cfg: RunConfig):
     chart = real.chart
     xs = chart.x_frame.states
     params = spec.bound_params(cfg.seed)
-    fwd = [compile_fn(e, xs, params) for e in chart.forward]
-    cols = [traj.x[:, i] for i in range(len(xs))]
-    zhat = np.column_stack([np.broadcast_to(fn(cols), traj.t.shape)
-                            for fn in fwd])
+    fwd = compile_fns(chart.forward, xs, params)
+    zhat = np.column_stack([np.broadcast_to(c, traj.t.shape) for c in
+                            fwd([traj.x[:, i] for i in range(len(xs))])])
     scale = np.maximum(1.0, np.max(np.abs(traj.z), axis=0))
     agreement = float(np.max(np.abs(zhat - traj.z) / scale))
     sim_sec = {

@@ -3,13 +3,18 @@
 Everything here treats the symbolic pipeline as a black box and checks
 it with arithmetic: finite-difference bracket stencils, twin closed-
 loop integrations in x- and z-coordinates, and reconstruction of the
-full state and input history from the flat output alone. Fixed-step
-RK4 throughout; no adaptive solver, so runs are bit-reproducible.
+full state and input history from the flat output alone.
+
+Fixed-step RK4 throughout; no adaptive solver, so runs are bit-
+reproducible. Each integration runs on generated code: one function
+per RK4 step that evaluates v(t), the feedback u = alpha + beta v and
+every right-hand-side row on plain floats, unrolled over the
+components, with the float operations of the textbook step on
+component arrays in their order.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -23,6 +28,7 @@ from .symx import (
     Point,
     Sym,
     compile_fn,
+    compile_fns,
     diff,
     eval_at,
     free_symbols,
@@ -121,11 +127,13 @@ class VSignal:
         return normalize(e)
 
     def values(self, t: np.ndarray) -> np.ndarray:
-        f1 = compile_fn(self.v1, ("t",))
-        f2 = compile_fn(self.v2, ("t",))
-        t = np.asarray(t, dtype=float)
-        return np.column_stack([np.broadcast_to(f1([t]), t.shape),
-                                np.broadcast_to(f2([t]), t.shape)])
+        fn = compile_fns((self.v1, self.v2), ("t",))
+        return _columns(fn, [np.asarray(t, dtype=float)])
+
+
+# rows of a history held as Python floats at once, in _integrate and
+# Trajectory.to_csv: bounds the memory of a long run
+_BLOCK = 256
 
 
 @dataclass
@@ -153,13 +161,15 @@ class Trajectory:
         n = self.n
         header = (["t"] + [f"z{i}" for i in range(1, n + 1)]
                   + [f"x{i}" for i in range(1, n + 1)] + ["v1", "v2", "u1", "u2"])
+        # the bytes csv.writer gives for these fields: no quoting, CRLF
+        line = ",".join(["%.17g"] * len(header)) + "\r\n"
+        cols = (self.t, self.z, self.x, self.v, self.u)
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for k in range(len(self.t)):
-                row = ([self.t[k]] + list(self.z[k]) + list(self.x[k])
-                       + list(self.v[k]) + list(self.u[k]))
-                w.writerow([f"{val:.17g}" for val in row])
+            fh.write(",".join(header) + "\r\n")
+            for start in range(0, len(self.t), _BLOCK):
+                block = np.column_stack([c[start:start + _BLOCK]
+                                         for c in cols]).tolist()
+                fh.writelines(line % tuple(row) for row in block)
 
 
 def fd_bracket(X: VectorField, Y: VectorField, q: Point,
@@ -192,30 +202,103 @@ def fd_bracket(X: VectorField, Y: VectorField, q: Point,
     return jac(Y) @ vals(X, base) - jac(X) @ vals(Y, base)
 
 
-def _rk4(rhs: Callable[[float, np.ndarray], np.ndarray], y0: Sequence[float],
-         t: np.ndarray,
-         on_node: Callable[[int, float, np.ndarray], None] | None = None
-         ) -> np.ndarray:
-    y = np.asarray(y0, dtype=float)
-    out = np.empty((len(t), len(y)))
-    out[0] = y
-    if on_node is not None:
-        on_node(0, float(t[0]), y)
-    for k in range(len(t) - 1):
-        tk, h = float(t[k]), float(t[k + 1] - t[k])
-        # divergence surfaces as the non-finite check, not as numpy warnings
-        with np.errstate(all="ignore"):
-            k1 = rhs(tk, y)
-            k2 = rhs(tk + h / 2, y + h / 2 * k1)
-            k3 = rhs(tk + h / 2, y + h / 2 * k2)
-            k4 = rhs(tk + h, y + h * k3)
-            y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise HarnessError(f"non-finite state at t = {t[k + 1]:.6g}")
-        out[k + 1] = y
+# Names the generated closed-loop code binds; none is a spec identifier.
+_T, _H, _HALF, _SIXTH = Sym("@t"), Sym("@h"), Sym("@h/2"), Sym("@h/6")
+_V1, _V2, _U1, _U2 = Sym("@v1"), Sym("@v2"), Sym("@u1"), Sym("@u2")
+
+
+def _rk4_step(states: Sequence[str], v: VSignal,
+              lets: Sequence[tuple[str, Expr]], rows: Sequence[Expr],
+              params: dict[str, float]) -> Callable:
+    """One classic RK4 step of dy/dt = rows as a single generated
+    function, unrolled over the components.
+
+    rows are expressions in the states, the inputs "@v1", "@v2" at the
+    stage time, and the names lets binds, in order, before them. The
+    step maps (t, h, *y) to (*y(t + h), *lets at (t, y)). Its float
+    operations are those of the textbook step on component arrays,
+
+        k1 = f(t, y)                  k2 = f(t + h/2, y + (h/2) k1)
+        k3 = f(t + h/2, y + (h/2) k2)  k4 = f(t + h, y + h k3)
+        y(t + h) = y + (h/6) (((k1 + 2 k2) + 2 k3) + k4),
+
+    in that order, so a run gives the same floats bit for bit. Stages 2
+    and 3 share their time and with it the values of v.
+    """
+    binds: list[tuple[str, Expr]] = [(_HALF.name, _H / 2)]
+    ks: list[list[Expr]] = []
+    env: dict[str, Expr] = {}
+    # (stage time, or None to reuse the last; coefficient of the last k)
+    for s, (ts, coef) in enumerate(((_T, None), (_T + _HALF, _HALF),
+                                    (None, _HALF), (_T + _H, _H))):
+        if ts is not None:
+            for sym, e in ((_V1, v.v1), (_V2, v.v2)):
+                binds.append((f"{sym.name}.{s}", subst(e, {"t": ts})))
+                env[sym.name] = Sym(f"{sym.name}.{s}")
+        for i, y in enumerate(states):
+            if coef is None:
+                env[y] = Sym(y)
+            else:
+                binds.append((f"{y}.{s}", Sym(y) + coef * ks[-1][i]))
+                env[y] = Sym(f"{y}.{s}")
+        for name, e in lets:
+            binds.append((f"{name}.{s}", subst(e, env)))
+            env[name] = Sym(f"{name}.{s}")
+        ks.append([])
+        for i, row in enumerate(rows):
+            binds.append((f"@k{s}.{i}", subst(row, env)))
+            ks[-1].append(Sym(f"@k{s}.{i}"))
+    binds.append((_SIXTH.name, _H / 6))
+    k1, k2, k3, k4 = ks
+    outs = [Sym(y) + _SIXTH * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i])
+            for i, y in enumerate(states)]
+    outs += [Sym(f"{name}.0") for name, _ in lets]
+    return compile_fns(outs, (_T.name, _H.name) + tuple(states), params,
+                       binds)
+
+
+def _numpy_call(fn: Callable, args: tuple) -> tuple:
+    """fn(args) on Python floats, which raise on a division by zero or
+    an overflowing power where numpy scalars give inf or nan; such a
+    call is redone on numpy scalars, so it returns what numpy would."""
+    try:
+        return fn(args)
+    except (ZeroDivisionError, OverflowError):
+        return fn(tuple(map(np.float64, args)))
+
+
+def _integrate(step: Callable, y0: Sequence[float], t: np.ndarray,
+               on_node: Callable[[float, tuple], None] | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-step RK4 over the grid t with a step from _rk4_step.
+
+    Returns the state history and, one row per step, the extra values
+    the step returns after the state.
+    """
+    n = len(y0)
+    grid = t.tolist()
+    y = tuple(y0)
+    blocks, rows = [], []
+    # divergence surfaces as the non-finite check, not as numpy warnings
+    with np.errstate(all="ignore"):
         if on_node is not None:
-            on_node(k + 1, float(t[k + 1]), y)
-    return out
+            on_node(grid[0], y)
+        for k in range(len(grid) - 1):
+            tk = grid[k]
+            out = _numpy_call(step, (tk, grid[k + 1] - tk) + y)
+            y = out[:n]
+            if not all(map(math.isfinite, y)):
+                raise HarnessError(f"non-finite state at t = {t[k + 1]:.6g}")
+            rows.append(out)
+            if len(rows) == _BLOCK:
+                blocks.append(np.array(rows, dtype=float))
+                rows = []
+            if on_node is not None:
+                on_node(grid[k + 1], y)
+    if rows:
+        blocks.append(np.array(rows, dtype=float))
+    hist = np.concatenate(blocks)
+    return np.vstack([np.asarray(y0, dtype=float), hist[:, :n]]), hist[:, n:]
 
 
 def _grid(T: float, dt: float) -> np.ndarray:
@@ -235,13 +318,25 @@ def _bound_all_params(real: TriangularRealization,
     return params
 
 
+def _inputs(real: TriangularRealization) -> list[Expr]:
+    """u = alpha + beta v as expressions in the x-states, "@v1" and
+    "@v2", each summed as (alpha_j + beta_j1 v1) + beta_j2 v2."""
+    fb = real.feedback
+    return [a + b1 * _V1 + b2 * _V2
+            for a, (b1, b2) in zip(fb.alpha, fb.beta)]
+
+
+def _columns(fn: Callable, cols: list[np.ndarray]) -> np.ndarray:
+    """One call of a compile_fns function over columns, as a matrix."""
+    npts = cols[0].shape
+    return np.column_stack([np.broadcast_to(c, npts) for c in fn(cols)])
+
+
 def _x_from_z(chart: Chart, z: np.ndarray,
               params: dict[str, float]) -> np.ndarray:
-    """Map a z-history through the inverse chart (rowwise)."""
-    fns = [compile_fn(c, chart.z_frame.states, params) for c in chart.inverse]
-    cols = [z[:, j] for j in range(z.shape[1])]
-    return np.column_stack([np.broadcast_to(f(cols), z.shape[:1])
-                            for f in fns])
+    """Map a z-history through the inverse chart."""
+    fn = compile_fns(chart.inverse, chart.z_frame.states, params)
+    return _columns(fn, [z[:, j] for j in range(z.shape[1])])
 
 
 def simulate(real: TriangularRealization, z0: Point, v: VSignal,
@@ -264,27 +359,16 @@ def simulate(real: TriangularRealization, z0: Point, v: VSignal,
     params = _bound_all_params(real, dict(z0.params))
     zs = chart.z_frame.states
 
-    phi_fns = [compile_fn(p, zs, params) for p in real.phis]
-    reg_fns = [compile_fn(r, zs + ("v1",), params) for r in real.regularity]
-    v1_fn = compile_fn(v.v1, ("t",))
-    v2_fn = compile_fn(v.v2, ("t",))
-
-    def rhs_z(tk: float, z: np.ndarray) -> np.ndarray:
-        v1, v2 = v1_fn([tk]), v2_fn([tk])
-        dz = np.empty(n)
-        for i in range(n - 2):
-            dz[i] = phi_fns[i](z) + z[i + 1] * v1
-        dz[n - 2] = v2
-        dz[n - 1] = v1
-        return dz
-
+    rows_z = [real.phis[i] + Sym(zs[i + 1]) * _V1 for i in range(n - 2)]
+    step_z = _rk4_step(zs, v, (), rows_z + [_V2, _V1], params)
+    reg = compile_fns(real.regularity, (_T.name,) + zs, params,
+                      (("v1", subst(v.v1, {"t": _T})),))
     min_reg = math.inf
 
-    def monitor(_k: int, tk: float, z: np.ndarray) -> None:
+    def monitor(tk: float, z: tuple) -> None:
         nonlocal min_reg
-        v1 = v1_fn([tk])
-        for i, rf in enumerate(reg_fns):
-            val = abs(rf(list(z) + [v1]))
+        for i, r in enumerate(_numpy_call(reg, (tk,) + z)):
+            val = abs(r)
             min_reg = min(min_reg, val)
             if val < reg_threshold:
                 raise RegularityError(
@@ -292,80 +376,29 @@ def simulate(real: TriangularRealization, z0: Point, v: VSignal,
                     f"at t = {tk:.6g}", t=tk, index=i + 1)
 
     t = _grid(T, dt)
-    ztraj = _rk4(rhs_z, list(z0.coords), t, on_node=monitor)
+    ztraj, _ = _integrate(step_z, z0.coords, t, on_node=monitor)
 
-    if chart.inverse is not None:
-        env = dict(zip(zs, z0.coords))
-        env.update(params)
-        x0 = [eval_at(c, env) for c in chart.inverse]
-    else:
-        x0 = list(_invert_chart_point(chart, np.asarray(z0.coords), params))
+    env = dict(zip(zs, z0.coords))
+    env.update(params)
+    x0 = [eval_at(c, env) for c in chart.inverse]
 
     sys_ = real.system
     xs = chart.x_frame.states
-    f_fns = [compile_fn(c, xs, params) for c in sys_.f.components]
-    g1_fns = [compile_fn(c, xs, params) for c in sys_.g1.components]
-    g2_fns = [compile_fn(c, xs, params) for c in sys_.g2.components]
-    a_fns = [compile_fn(a, xs, params) for a in real.feedback.alpha]
-    b_fns = [[compile_fn(b, xs, params) for b in row]
-             for row in real.feedback.beta]
+    rows_x = [f + g1 * _U1 + g2 * _U2 for f, g1, g2 in
+              zip(sys_.f.components, sys_.g1.components, sys_.g2.components)]
+    step_x = _rk4_step(xs, v, tuple(zip((_U1.name, _U2.name), _inputs(real))),
+                       rows_x, params)
+    xtraj, uhist = _integrate(step_x, x0, t)
+    # each step returns u at its start; a zero-length step from the last
+    # node gives u there
+    with np.errstate(all="ignore"):
+        u_end = _numpy_call(step_x, (float(t[-1]), 0.0)
+                            + tuple(xtraj[-1].tolist()))[n:]
+    uvals = np.vstack([uhist, np.asarray(u_end, dtype=float)])
 
-    def inputs(tk: float, x: np.ndarray) -> np.ndarray:
-        v1, v2 = v1_fn([tk]), v2_fn([tk])
-        return np.array([
-            a_fns[0](x) + b_fns[0][0](x) * v1 + b_fns[0][1](x) * v2,
-            a_fns[1](x) + b_fns[1][0](x) * v1 + b_fns[1][1](x) * v2,
-        ])
-
-    def rhs_x(tk: float, x: np.ndarray) -> np.ndarray:
-        u1, u2 = inputs(tk, x)
-        return np.array([f_fns[i](x) + g1_fns[i](x) * u1 + g2_fns[i](x) * u2
-                         for i in range(n)])
-
-    xtraj = _rk4(rhs_x, x0, t)
-    vvals = v.values(t)
-    uvals = np.array([inputs(float(t[k]), xtraj[k]) for k in range(len(t))])
-
-    return Trajectory(t=t, z=ztraj, x=xtraj, v=vvals, u=uvals,
+    return Trajectory(t=t, z=ztraj, x=xtraj, v=v.values(t), u=uvals,
                       meta={"min_abs_regularity": float(min_reg),
                             "dt": dt, "horizon": T})
-
-
-def _invert_chart_point(chart: Chart, z_target: np.ndarray,
-                        params: dict[str, float],
-                        guess: np.ndarray | None = None) -> np.ndarray:
-    """Damped Newton solve of forward(x) = z_target; fallback for
-    charts without a closed-form inverse."""
-    states = chart.x_frame.states
-    fwd = [compile_fn(c, states, params) for c in chart.forward]
-    jac = [[compile_fn(diff(c, s), states, params) for s in states]
-           for c in chart.forward]
-    x = np.array(z_target if guess is None else guess, dtype=float)
-
-    def residual(xv: np.ndarray) -> np.ndarray:
-        return np.array([f(xv) for f in fwd]) - z_target
-
-    r = residual(x)
-    for _ in range(100):
-        if np.linalg.norm(r) < 1e-12:
-            return x
-        J = np.array([[jf(x) for jf in row] for row in jac])
-        try:
-            step = np.linalg.solve(J, r)
-        except np.linalg.LinAlgError as exc:
-            raise HarnessError("singular Jacobian while inverting the "
-                               "chart numerically") from exc
-        lam = 1.0
-        while lam > 1e-8:
-            cand = x - lam * step
-            rc = residual(cand)
-            if np.all(np.isfinite(rc)) and np.linalg.norm(rc) < np.linalg.norm(r):
-                x, r = cand, rc
-                break
-            lam /= 2
-        else:
-            raise HarnessError("numeric chart inversion stalled")
-    raise HarnessError("numeric chart inversion did not converge")
 
 
 # --- flat-output reconstruction -------------------------------------
@@ -630,15 +663,8 @@ def reconstruct(real: TriangularRealization, flat: FlatSignal,
     if chart.inverse is not None:
         x = _x_from_z(chart, z, params)
         xs = chart.x_frame.states
-        xcols = [x[:, j] for j in range(n)]
-        a_val = [np.broadcast_to(compile_fn(a, xs, params)(xcols), (npts,))
-                 for a in real.feedback.alpha]
-        b_val = [[np.broadcast_to(compile_fn(b, xs, params)(xcols), (npts,))
-                  for b in row] for row in real.feedback.beta]
-        u = np.column_stack([
-            a_val[0] + b_val[0][0] * v[:, 0] + b_val[0][1] * v[:, 1],
-            a_val[1] + b_val[1][0] * v[:, 0] + b_val[1][1] * v[:, 1],
-        ])
+        fn = compile_fns(_inputs(real), xs + (_V1.name, _V2.name), params)
+        u = _columns(fn, [x[:, j] for j in range(n)] + [v[:, 0], v[:, 1]])
 
     return Trajectory(t=t.copy(), z=z, x=x, v=v, u=u,
                       meta={"reconstructed": True})

@@ -769,17 +769,25 @@ def eval_at(e: Expr, at: "Point | Mapping[str, float]") -> float:
     return val
 
 
-def compile_fn(e: Expr, order: Sequence[str],
-               consts: Mapping[str, float] | None = None) -> Callable:
-    """Compile to a function of a coordinate vector for hot loops.
+def _kernel(ufunc) -> Callable:
+    """A numpy function that returns a Python float for a Python float,
+    so scalar generated code stays on plain floats; the value is
+    numpy's either way."""
+    def kernel(x):
+        r = ufunc(x)
+        return float(r) if type(x) is float else r
+    return kernel
 
-    order maps v[i] to symbol names; consts are inlined numerically.
-    The generated code uses numpy scalar functions, so it also maps
-    over arrays elementwise. No zero-division guard: callers check
-    finiteness of the results.
-    """
+
+_KERNELS = {f"_{name}": _kernel(getattr(np, name)) for name in FUNCTIONS}
+
+
+def _generate(exprs: Sequence[Expr], order: Sequence[str],
+              consts: Mapping[str, float] | None,
+              lets: Sequence[tuple[str, Expr]], single: bool) -> Callable:
     consts = dict(consts or {})
-    idx = {name: i for i, name in enumerate(order)}
+    args = [f"_v{i}" for i in range(len(order))]
+    names = dict(zip(order, args))
 
     def emit(n: Expr) -> str:
         if isinstance(n, Const):
@@ -788,8 +796,8 @@ def compile_fn(e: Expr, order: Sequence[str],
                 return f"({v.numerator})" if v < 0 else str(v.numerator)
             return f"({v.numerator}/{v.denominator})"
         if isinstance(n, Sym):
-            if n.name in idx:
-                return f"v[{idx[n.name]}]"
+            if n.name in names:
+                return names[n.name]
             if n.name in consts:
                 return repr(float(consts[n.name]))
             raise EvalError(f"unbound symbol '{n.name}' in compile_fn")
@@ -807,9 +815,46 @@ def compile_fn(e: Expr, order: Sequence[str],
             return f"_{n.fn}({emit(n.arg)})"
         raise TypeError(f"not an Expr: {n!r}")
 
-    code = f"lambda v: {emit(e)}"
-    glob = {"_sin": np.sin, "_cos": np.cos, "_exp": np.exp, "_sqrt": np.sqrt}
-    return eval(code, glob)  # noqa: S307 (generated from a trusted tree)
+    lines = ["def _fn(v):"]
+    if args:
+        lines.append(f"    {', '.join(args)}, = v")
+    for j, (name, e) in enumerate(lets):
+        if name in names:
+            raise ValueError(f"let name '{name}' is already bound")
+        lines.append(f"    _l{j} = {emit(e)}")
+        names[name] = f"_l{j}"
+    outs = [emit(e) for e in exprs]
+    lines.append(f"    return {outs[0]}" if single
+                 else f"    return ({''.join(o + ', ' for o in outs)})")
+    scope = dict(_KERNELS)
+    exec("\n".join(lines), scope)  # noqa: S102 (generated from trusted trees)
+    # popped, so that the function and its globals form no reference cycle
+    return scope.pop("_fn")
+
+
+def compile_fns(exprs: Sequence[Expr], order: Sequence[str],
+                consts: Mapping[str, float] | None = None,
+                lets: Sequence[tuple[str, Expr]] = ()) -> Callable:
+    """Compile several expressions into one function for hot loops.
+
+    The function takes v, one value per name in order, and returns the
+    tuple of the expressions' values. lets are (name, expression)
+    bindings evaluated once, in sequence, before the outputs; each may
+    use order, consts and the lets before it, and the outputs may use
+    them all. consts are inlined numerically. Every operation is
+    emitted in tree order with Python operators and numpy's scalar
+    functions, so the function maps over arrays elementwise and, on
+    scalars, gives the same floats as evaluating each tree on its own.
+    No zero-division guard: callers check finiteness of the results.
+    """
+    return _generate(exprs, order, consts, lets, single=False)
+
+
+def compile_fn(e: Expr, order: Sequence[str],
+               consts: Mapping[str, float] | None = None) -> Callable:
+    """The one-expression case of compile_fns: returns the value, not
+    a tuple."""
+    return _generate((e,), order, consts, (), single=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,120 @@
+"""Reference implementations the generated harness code is checked
+against: closed-loop stepping with numpy component arrays and one
+compiled lambda per expression, and the csv.writer trajectory export.
+
+simulate here performs the same float operations, in the same order,
+as flatcheck.harness.simulate, so the two must agree bit for bit.
+"""
+
+import csv
+import math
+
+import numpy as np
+
+from flatcheck.harness import (HarnessError, RegularityError, Trajectory,
+                               _bound_all_params, _grid)
+from flatcheck.symx import compile_fn, eval_at
+
+
+def rk4(rhs, y0, t, on_node=None):
+    y = np.asarray(y0, dtype=float)
+    out = np.empty((len(t), len(y)))
+    out[0] = y
+    if on_node is not None:
+        on_node(0, float(t[0]), y)
+    for k in range(len(t) - 1):
+        tk, h = float(t[k]), float(t[k + 1] - t[k])
+        with np.errstate(all="ignore"):
+            k1 = rhs(tk, y)
+            k2 = rhs(tk + h / 2, y + h / 2 * k1)
+            k3 = rhs(tk + h / 2, y + h / 2 * k2)
+            k4 = rhs(tk + h, y + h * k3)
+            y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not np.all(np.isfinite(y)):
+            raise HarnessError(f"non-finite state at t = {t[k + 1]:.6g}")
+        out[k + 1] = y
+        if on_node is not None:
+            on_node(k + 1, float(t[k + 1]), y)
+    return out
+
+
+def simulate(real, z0, v, T, dt, reg_threshold=1e-3):
+    n = real.n
+    chart = real.chart
+    params = _bound_all_params(real, dict(z0.params))
+    zs = chart.z_frame.states
+
+    phi_fns = [compile_fn(p, zs, params) for p in real.phis]
+    reg_fns = [compile_fn(r, zs + ("v1",), params) for r in real.regularity]
+    v1_fn = compile_fn(v.v1, ("t",))
+    v2_fn = compile_fn(v.v2, ("t",))
+
+    def rhs_z(tk, z):
+        v1, v2 = v1_fn([tk]), v2_fn([tk])
+        dz = np.empty(n)
+        for i in range(n - 2):
+            dz[i] = phi_fns[i](z) + z[i + 1] * v1
+        dz[n - 2] = v2
+        dz[n - 1] = v1
+        return dz
+
+    min_reg = math.inf
+
+    def monitor(_k, tk, z):
+        nonlocal min_reg
+        v1 = v1_fn([tk])
+        for i, rf in enumerate(reg_fns):
+            val = abs(rf(list(z) + [v1]))
+            min_reg = min(min_reg, val)
+            if val < reg_threshold:
+                raise RegularityError(
+                    f"regularity |r_{i + 1}| = {val:.3e} < {reg_threshold} "
+                    f"at t = {tk:.6g}", t=tk, index=i + 1)
+
+    t = _grid(T, dt)
+    ztraj = rk4(rhs_z, list(z0.coords), t, on_node=monitor)
+
+    env = dict(zip(zs, z0.coords))
+    env.update(params)
+    x0 = [eval_at(c, env) for c in chart.inverse]
+
+    sys_ = real.system
+    xs = chart.x_frame.states
+    f_fns = [compile_fn(c, xs, params) for c in sys_.f.components]
+    g1_fns = [compile_fn(c, xs, params) for c in sys_.g1.components]
+    g2_fns = [compile_fn(c, xs, params) for c in sys_.g2.components]
+    a_fns = [compile_fn(a, xs, params) for a in real.feedback.alpha]
+    b_fns = [[compile_fn(b, xs, params) for b in row]
+             for row in real.feedback.beta]
+
+    def inputs(tk, x):
+        v1, v2 = v1_fn([tk]), v2_fn([tk])
+        return np.array([
+            a_fns[0](x) + b_fns[0][0](x) * v1 + b_fns[0][1](x) * v2,
+            a_fns[1](x) + b_fns[1][0](x) * v1 + b_fns[1][1](x) * v2,
+        ])
+
+    def rhs_x(tk, x):
+        u1, u2 = inputs(tk, x)
+        return np.array([f_fns[i](x) + g1_fns[i](x) * u1 + g2_fns[i](x) * u2
+                         for i in range(n)])
+
+    xtraj = rk4(rhs_x, x0, t)
+    vvals = v.values(t)
+    uvals = np.array([inputs(float(t[k]), xtraj[k]) for k in range(len(t))])
+    return Trajectory(t=t, z=ztraj, x=xtraj, v=vvals, u=uvals,
+                      meta={"min_abs_regularity": float(min_reg),
+                            "dt": dt, "horizon": T})
+
+
+def write_csv(traj, path):
+    n = traj.n
+    header = (["t"] + [f"z{i}" for i in range(1, n + 1)]
+              + [f"x{i}" for i in range(1, n + 1)] + ["v1", "v2", "u1", "u2"])
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for k in range(len(traj.t)):
+            row = ([traj.t[k]] + list(traj.z[k]) + list(traj.x[k])
+                   + list(traj.v[k]) + list(traj.u[k]))
+            w.writerow([f"{val:.17g}" for val in row])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,9 @@ from flatcheck.harness import (FlatSignal, HarnessError, RegularityError,
 from flatcheck.triangular import extract_triangular
 from flatcheck.chained import Chart
 
+import harness_reference
 import systems
+from conftest import realize
 
 
 def test_fd_bracket_second_order_convergence():
@@ -131,11 +135,55 @@ def test_simulate_routes_agree_through_chart(example1_real):
 def test_simulate_stops_at_regularity_loss(example1_real):
     zf = example1_real.chart.z_frame
     v = VSignal.from_strings("cos(3*t)", "0")
+    run = dict(z0=zf.point([0.1, 0.1, 0.0, 0.1]), v=v, T=1.0, dt=1e-3,
+               reg_threshold=0.05)
     with pytest.raises(RegularityError) as exc:
-        simulate(example1_real, zf.point([0.1, 0.1, 0.0, 0.1]), v,
-                 T=1.0, dt=1e-3, reg_threshold=0.05)
+        simulate(example1_real, **run)
     assert 0.4 < exc.value.t < 0.6
     assert exc.value.index in (1, 2)
+    with pytest.raises(RegularityError) as ref:
+        harness_reference.simulate(example1_real, **run)
+    assert (exc.value.t, exc.value.index) == (ref.value.t, ref.value.index)
+
+
+@pytest.fixture(scope="module")
+def chained6_real():
+    return realize(systems.chained(6))
+
+
+REFERENCE_Z0 = {"example1": [0.1, 0.1, 0.0, 0.1], "motor": [0.2, 0.1, 0.05],
+                "chained4": [0.1, 0.2, 0.3, 0.4],
+                "chained6": [0.1, 0.2, 0.3, 0.4, -0.1, 0.2]}
+
+
+@pytest.mark.parametrize("name", REFERENCE_Z0)
+def test_simulate_matches_reference_stepping(request, name):
+    # the generated steps do the reference's float operations in its
+    # order, so the runs agree bit for bit, not just closely
+    real = request.getfixturevalue(f"{name}_real")
+    v = VSignal.from_strings("1 + sin(2*t)/4", "sin(t)/2")
+    z0 = real.chart.z_frame.point(REFERENCE_Z0[name])
+    got = simulate(real, z0, v, T=1.0, dt=1e-3)
+    want = harness_reference.simulate(real, z0, v, T=1.0, dt=1e-3)
+    for f in ("t", "z", "x", "v", "u"):
+        assert np.array_equal(getattr(got, f), getattr(want, f)), f
+    assert got.meta == want.meta
+
+
+@pytest.mark.parametrize("drift, z1", [("x1^2", 1.0), ("1/x1", 0.0)])
+def test_simulate_finite_time_escape(drift, z1):
+    # z1' = z1^2 + z2 escapes before t = 1; z1' = 1/z1 starts at a pole.
+    # Python floats raise OverflowError and ZeroDivisionError on these
+    # where numpy returns inf, and neither may leak out of simulate.
+    base = systems.chained(4)
+    fr = base.frame
+    f = VectorField(fr, (parse(drift, fr),) + base.f.components[1:])
+    spec = dataclasses.replace(base, f=f)
+    real = realize(spec, tuple(parse(s, fr) for s in fr.states))
+    z0 = real.chart.z_frame.point([z1, 0.0, 0.0, 0.0])
+    v = VSignal.from_strings("1", "0")
+    with pytest.raises(HarnessError, match="non-finite state at t = "):
+        simulate(real, z0, v, T=2.0, dt=1e-2)
 
 
 def test_simulate_needs_symbolic_route(example1_spec, example1_real):
@@ -151,7 +199,6 @@ def test_simulate_needs_symbolic_route(example1_spec, example1_real):
 
 
 def test_simulate_motor_requires_param_values(motor_real):
-    import dataclasses
     bare = dataclasses.replace(motor_real, system=systems.motor({}))
     z0 = motor_real.chart.z_frame.point([0.1, 0.1, 0.1])
     with pytest.raises(HarnessError, match="unbound parameters"):
@@ -175,6 +222,26 @@ def test_trajectory_csv_round_trip(tmp_path, chained4_real):
     bare = Trajectory(t=traj.t, z=traj.z, x=None, v=traj.v, u=None)
     with pytest.raises(HarnessError, match="lacks x/u"):
         bare.to_csv(str(tmp_path / "bare.csv"))
+
+
+
+def test_trajectory_csv_bytes_match_csv_writer(tmp_path, motor_real):
+    z0 = motor_real.chart.z_frame.point([0.2, 0.1, 0.05])
+    v = VSignal.from_strings("1 + sin(2*t)/4", "sin(t)/2")
+    runs = [simulate(motor_real, z0, v, T=0.5, dt=1e-2)]
+    # formatting corner cases: signed zero, non-finite values, extremes
+    # and an integer-valued input column
+    odd = np.array([[-0.0, np.nan, np.inf],
+                    [-np.inf, 1e-310, 1.7976931348623157e308],
+                    [1 / 3, -2.5e-17, 12345678.9]])
+    runs.append(Trajectory(t=np.array([0.0, 0.5, 1.0]), z=odd, x=-odd,
+                           v=np.array([[1, 0], [2, -3], [0, 7]]),
+                           u=odd[:, :2]))
+    for k, traj in enumerate(runs):
+        path, ref = tmp_path / f"run{k}.csv", tmp_path / f"ref{k}.csv"
+        traj.to_csv(str(path))
+        harness_reference.write_csv(traj, str(ref))
+        assert path.read_bytes() == ref.read_bytes()
 
 
 def test_flat_signal_matches_trajectory(chained4_real):

@@ -8,7 +8,8 @@ import hypothesis.strategies as st
 
 from flatcheck.symx import (Add, Call, Const, Div, EvalError, Frame, Mul,
                             ParseError, PivotError, Pow, Sub, Sym, SymxError,
-                            UnsampleableDomainError, ZERO, compile_fn, diff,
+                            UnsampleableDomainError, ZERO, compile_fn,
+                            compile_fns, diff,
                             equiv, eval_at, free_symbols, is_zero,
                             linear_decompose, normalize, nullspace_exprs,
                             parse, polynomial_terms, pow_expr, rref_exprs,
@@ -185,6 +186,32 @@ def test_compile_fn_matches_eval_at(a, b):
     f = compile_fn(e, ("x1", "x2"))
     assert f([a, b]) == pytest.approx(eval_at(e, {"x1": a, "x2": b}),
                                       rel=1e-12, abs=1e-12)
+
+
+def test_compile_fns_matches_compile_fn_per_output():
+    exprs = [P("sin(x1)*x2 + exp(x2/4)"), P("x1^3/(x2^2 + 1)"), P("2")]
+    order = ("x1", "x2")
+    f = compile_fns(exprs, order)
+    cols = [np.linspace(-2.0, 2.0, 7), np.linspace(0.5, 1.5, 7)]
+    for got, e in zip(f(cols), exprs):
+        assert np.array_equal(got, compile_fn(e, order)(cols))
+    point = (0.3, -1.7)
+    vals = f(point)
+    assert vals == tuple(compile_fn(e, order)(point) for e in exprs)
+    # numpy's kernels, handed back as plain floats for plain floats
+    assert type(vals[0]) is float and vals[0] == float(
+        np.sin(np.float64(0.3)) * -1.7 + np.exp(np.float64(-1.7 / 4)))
+
+
+def test_compile_fns_lets_bind_in_order():
+    lets = [("w", P("x1*x2")), ("w2", Sym("w") * Sym("w") + P("x3"))]
+    f = compile_fns([Sym("w2") - Sym("w"), Sym("w")], ("x1", "x2", "x3"),
+                    lets=lets)
+    assert f((2.0, 3.0, 1.0)) == (31.0, 6.0)
+    with pytest.raises(ValueError, match="already bound"):
+        compile_fns([P("x1")], ("x1",), lets=[("x1", P("2"))])
+    with pytest.raises(EvalError, match="unbound symbol 'w'"):
+        compile_fns([Sym("w")], ("x1",), lets=[("v", Sym("w"))])
 
 
 # --- equivalence ------------------------------------------------------------

@@ -7,22 +7,24 @@ symbolic elimination, the pointwise Cauchy characteristic space
 its annihilator C_q (the retracting space), and the containment
 L_f(lam^i)|_q in C_q that the flatness test requires.
 
-A_q and C_q are numeric (per point); the containment check tries an
-exact route first: when the sampled C_q all equal the span of a fixed
-subset of coordinate differentials, membership reduces to symbolic
-vanishing of the complementary coefficients.
+The exterior derivatives d(lam^i) are symbolic and built once per
+level, with the annihilator; A_q and C_q are numeric (per point) and
+only evaluate them. The containment check tries an exact route first:
+when the sampled C_q all equal the span of a fixed subset of
+coordinate differentials, membership reduces to symbolic vanishing of
+the complementary coefficients.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .diffgeo import (OneForm, exterior_derivative_1form, interior_product,
+from .diffgeo import (OneForm, TwoForm, exterior_derivative_1form,
                       lie_derivative_1form)
 from .flags import DEFAULT_RANK_TOL, FlagTable, SystemSpec, _rank
-from .symx import (Expr, Point, SymxError, ZERO, eval_at, normalize,
+from .symx import (Point, SymxError, ZERO, eval_at, normalize,
                    nullspace_exprs)
 
 DEFAULT_PROJ_TOL = 1e-8
@@ -34,9 +36,13 @@ class AnnihilatorError(SymxError):
 
 @dataclass(frozen=True)
 class Codistribution:
-    """Symbolic generators of (G_k)^perp with their provenance level."""
+    """Symbolic generators of (G_k)^perp with their provenance level.
+
+    differentials[i] is d(generators[i]).
+    """
 
     generators: tuple[OneForm, ...]
+    differentials: tuple[TwoForm, ...]
     level: int
 
     @property
@@ -108,7 +114,8 @@ def annihilator(table: FlagTable, k: int,
         raise AnnihilatorError(
             f"expected {n - 2 - k} annihilator generators, got {len(basis)}")
     forms = tuple(OneForm(spec.frame, tuple(b)) for b in basis)
-    return Codistribution(forms, k)
+    return Codistribution(
+        forms, tuple(exterior_derivative_1form(w) for w in forms), k)
 
 
 def cauchy_space(cod: Codistribution, q: Point,
@@ -127,8 +134,7 @@ def cauchy_space(cod: Codistribution, q: Point,
     # projector onto the orthogonal complement of span{lam^i_q}
     proj = np.eye(n) - omega.T @ np.linalg.pinv(omega.T)
     blocks = [omega]
-    for w in cod.generators:
-        dw = exterior_derivative_1form(w)
+    for dw in cod.differentials:
         dmat = np.zeros((n, n))
         for (i, j), c in dw.coefficients.items():
             val = eval_at(c, q)

@@ -156,13 +156,12 @@ def _min_term(e: Expr, states) -> tuple[tuple, Expr]:
     return key, terms[key]
 
 
-def _solve_identity(eqs: list[Expr], unknowns: list[str], states,
+def _solve_identity(eq_rows: list[list[tuple[list[Expr], Expr]]],
+                    unknowns: list[str],
                     ref_env) -> tuple[list[Expr], list[list[Expr]]] | None:
-    rows, rhs = [], []
-    for e in eqs:
-        for row, r in _identity_rows(e, unknowns, states):
-            rows.append(row)
-            rhs.append(r)
+    """Solve the stacked _identity_rows of several equations."""
+    rows = [row for rows_e in eq_rows for row, _ in rows_e]
+    rhs = [r for rows_e in eq_rows for _, r in rows_e]
     if not rows:
         basis = []
         for i in range(len(unknowns)):
@@ -192,21 +191,20 @@ def find_output_pair(spec: SystemSpec, degree: int = 2,
     for nm, mono in zip(names, monos):
         ansatz = ansatz + Sym(nm) * _mono_expr(mono)
     denv = ref_points[0].env()
+    grads = [normalize(diff(ansatz, x)) for x in states]
 
-    def coeff_exprs(h: Expr) -> list[Expr]:
-        return [normalize(diff(h, x)) for x in states]
-
-    def pair_with(vf: VectorField, h: Expr) -> Expr:
-        grads = coeff_exprs(h)
+    def pair_with(vf: VectorField) -> Expr:
         acc: Expr = ZERO
         for c, comp in zip(grads, vf.components):
             acc = acc + c * comp
         return acc
 
-    # h1: <dh1, X> = 0 on Delta_1 and L_{g1}h1 = 1
-    eqs1 = [pair_with(X, ansatz) for X in delta1]
-    eqs1.append(pair_with(spec.g1, ansatz) - ONE_E)
-    sol1 = _solve_identity(eqs1, names, states, denv)
+    # h1: <dh1, X> = 0 on Delta_1 and L_{g1}h1 = 1; Delta_2 is a
+    # prefix of Delta_1, so its rows are shared
+    delta_rows = [_identity_rows(pair_with(X), names, states)
+                  for X in delta1]
+    unit_rows = _identity_rows(pair_with(spec.g1) - ONE_E, names, states)
+    sol1 = _solve_identity(delta_rows + [unit_rows], names, denv)
     if sol1 is None:
         raise ChainedError(f"no h1 with unit pairing at degree {degree}")
     part1, null1 = sol1
@@ -219,8 +217,7 @@ def find_output_pair(spec: SystemSpec, degree: int = 2,
         raise ChainedError(f"h1 solution space trivial at degree {degree}")
 
     # h2: <dh2, X> = 0 on Delta_2, any nonzero solution
-    eqs2 = [pair_with(X, ansatz) for X in delta2]
-    sol2 = _solve_identity(eqs2, names, states, denv)
+    sol2 = _solve_identity(delta_rows[:len(delta2)], names, denv)
     part2, null2 = sol2 if sol2 is not None else ([], [])
     h2_cands = [_assemble(names, monos, vec) for vec in null2]
     for i in range(len(null2)):

@@ -768,6 +768,11 @@ def main(argv=None) -> int:
             HarnessError, ValueError) as e:
         print(f"flatcheck: error: {e}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # the expression walkers recurse once per tree level
+        print("flatcheck: error: expression nested too deeply for the "
+              "recursion limit (RecursionError)", file=sys.stderr)
+        return 2
 
     sys.stdout.write(report.render())
     json_path = cfg.json_path

@@ -89,12 +89,10 @@ class LevelRecord:
 
 @dataclass
 class FlagTable:
-    """Flag generators up to level n-2 plus evaluated dimension records."""
+    """Flag generators up to level n-2."""
 
     spec: SystemSpec
     levels: list[LevelRecord]
-    dim_records: list[tuple[tuple[float, ...], list[int], list[int]]] = \
-        field(default_factory=list)
 
     @property
     def depth(self) -> int:
@@ -207,7 +205,6 @@ def dims_at(table: FlagTable, q: Point,
         gm = np.array([v.values(q) for _, v in rec.g_generators])
         dims_f.append(_rank(fm, tol))
         dims_g.append(_rank(gm, tol))
-    table.dim_records.append((q.coords, dims_f, dims_g))
     return dims_f, dims_g
 
 

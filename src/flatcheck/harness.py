@@ -120,11 +120,19 @@ class VSignal:
     def from_strings(cls, s1: str, s2: str) -> "VSignal":
         return cls(parse(s1, T_FRAME), parse(s2, T_FRAME))
 
+    def jets(self, which: int, depth: int) -> list[Expr]:
+        """d^k v_which / dt^k for k = 0..depth, each normalized.
+
+        Normalizing after every diff keeps each step's input small: an
+        unnormalized tree grows about tenfold per order.
+        """
+        out = [normalize((self.v1, self.v2)[which - 1])]
+        for _ in range(depth):
+            out.append(normalize(diff(out[-1], "t")))
+        return out
+
     def derivative(self, which: int, order: int) -> Expr:
-        e = (self.v1, self.v2)[which - 1]
-        for _ in range(order):
-            e = diff(e, "t")
-        return normalize(e)
+        return self.jets(which, order)[order]
 
     def values(self, t: np.ndarray) -> np.ndarray:
         fn = compile_fns((self.v1, self.v2), ("t",))
@@ -461,16 +469,12 @@ class FlatSignal:
                 succ[vnames[j][k]] = Sym(vnames[j][k + 1])
 
         order = list(zs) + vnames[0] + vnames[1]
-        vjets = np.empty((len(traj.t), 2, depth + 1))
-        for j in (1, 2):
-            for k in range(depth + 1):
-                fn = compile_fn(v.derivative(j, k), ("t",))
-                vjets[:, j - 1, k] = np.broadcast_to(fn([traj.t]),
-                                                     traj.t.shape)
+        vfn = compile_fns(v.jets(1, depth) + v.jets(2, depth), ("t",))
+        # constant integer jets would give int64 columns, which wrap
+        vjets = _columns(vfn, [traj.t]).astype(float, copy=False)
 
         cols = [traj.z[:, i] for i in range(n)]
-        cols += [vjets[:, 0, k] for k in range(depth + 1)]
-        cols += [vjets[:, 1, k] for k in range(depth + 1)]
+        cols += [vjets[:, k] for k in range(2 * depth + 2)]
 
         jets = {}
         for name, base in (("y1", zs[0]), ("y2", zs[n - 1])):

@@ -106,22 +106,8 @@ def _hat_drift(spec: SystemSpec, fb: FeedbackMatrix) -> VectorField:
     return VectorField(spec.frame, comps)
 
 
-def _witness(e: Expr, chart: Chart, points: list[Point]) -> tuple[Point, float]:
-    """Sample point where |e| (a z-expression) is largest; e is pulled
-    back through the forward chart for evaluation."""
-    pulled = subst(e, dict(zip(chart.z_frame.states, chart.forward)))
-    best, best_val = points[0], 0.0
-    for q in points:
-        try:
-            v = abs(eval_at(pulled, q))
-        except Exception:
-            continue
-        if v > best_val:
-            best, best_val = q, v
-    return best, best_val
-
-
-def _witness_x(e: Expr, points: list[Point]) -> tuple[Point, float]:
+def _witness(e: Expr, points: list[Point]) -> tuple[Point, float]:
+    """Sample point where |e| (an x-expression) is largest."""
     best, best_val = points[0], 0.0
     for q in points:
         try:
@@ -146,7 +132,7 @@ def _check_dependence_symbolic(phis: tuple[Expr, ...], chart: Chart,
         d = normalize(diff(phis[i - 1], zs[j - 1]))
         if is_zero(d):
             continue
-        q, val = _witness(d, chart, points)
+        q, val = _witness(subst(d, dict(zip(zs, chart.forward))), points)
         raise TriangularError(
             f"triangular structure violated: dphi_{i}/dz_{j} = "
             f"{to_str(d)} != 0 (|value| = {val:.3e} at x = "
@@ -164,9 +150,12 @@ def _check_dependence_numeric(phis_x: tuple[Expr, ...], chart: Chart,
     grads = [[diff(p, s) for s in states] for p in phis_x]
     for q in points:
         J = np.array([[eval_at(e, q) for e in row] for row in jac])
+        gzs: dict[int, np.ndarray] = {}  # row i, evaluated on first use
         for i, j in _forbidden_pairs(n):
-            gx = np.array([eval_at(e, q) for e in grads[i - 1]])
-            gz = np.linalg.solve(J.T, gx)
+            if i not in gzs:
+                gx = np.array([eval_at(e, q) for e in grads[i - 1]])
+                gzs[i] = np.linalg.solve(J.T, gx)
+            gz = gzs[i]
             scale = 1.0 + float(np.linalg.norm(gz))
             if abs(gz[j - 1]) > tol * scale:
                 raise TriangularError(
@@ -201,7 +190,7 @@ def extract_triangular(spec: SystemSpec, chart: Chart,
     for label, idx in (("n", n - 1), ("n-1", n - 2)):
         e = normalize(lie_derivative_fn(fhat, chart.forward[idx]))
         if not is_zero(e):
-            q, val = _witness_x(e, points)
+            q, val = _witness(e, points)
             raise TriangularError(
                 f"drift cancellation failed in row {label}: "
                 f"<dz_{label}, fhat> = {to_str(e)} "

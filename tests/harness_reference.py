@@ -1,9 +1,11 @@
 """Reference implementations the generated harness code is checked
 against: closed-loop stepping with numpy component arrays and one
-compiled lambda per expression, and the csv.writer trajectory export.
+compiled lambda per expression, the csv.writer trajectory export, and
+flat-output jets with each v(t) derivative taken from scratch.
 
 simulate here performs the same float operations, in the same order,
-as flatcheck.harness.simulate, so the two must agree bit for bit.
+as flatcheck.harness.simulate, so the two must agree bit for bit;
+flat_signal likewise agrees with FlatSignal.from_trajectory.
 """
 
 import csv
@@ -11,9 +13,10 @@ import math
 
 import numpy as np
 
-from flatcheck.harness import (HarnessError, RegularityError, Trajectory,
-                               _bound_all_params, _grid)
-from flatcheck.symx import compile_fn, eval_at
+from flatcheck.harness import (FlatSignal, HarnessError, RegularityError,
+                               Trajectory, _bound_all_params, _grid,
+                               _jet_name, _total_derivative)
+from flatcheck.symx import Sym, compile_fn, diff, eval_at, normalize
 
 
 def rk4(rhs, y0, t, on_node=None):
@@ -118,3 +121,58 @@ def write_csv(traj, path):
             row = ([traj.t[k]] + list(traj.z[k]) + list(traj.x[k])
                    + list(traj.v[k]) + list(traj.u[k]))
             w.writerow([f"{val:.17g}" for val in row])
+
+
+def v_derivative(v, which, order):
+    """d^order v_which / dt^order: order raw diffs, one normalize."""
+    e = (v.v1, v.v2)[which - 1]
+    for _ in range(order):
+        e = diff(e, "t")
+    return normalize(e)
+
+
+def flat_signal(real, traj, v):
+    n = real.n
+    depth = n - 1
+    zs = real.chart.z_frame.states
+    params = _bound_all_params(real, {})
+
+    vnames = [[_jet_name(f"v{j}", k) for k in range(depth + 1)]
+              for j in (1, 2)]
+    succ = {}
+    v1_0, v2_0 = Sym(vnames[0][0]), Sym(vnames[1][0])
+    for i in range(n):
+        if i < n - 2:
+            rhs = normalize(real.phis[i] + Sym(zs[i + 1]) * v1_0)
+        elif i == n - 2:
+            rhs = v2_0
+        else:
+            rhs = v1_0
+        succ[zs[i]] = rhs
+    for j in (0, 1):
+        for k in range(depth):
+            succ[vnames[j][k]] = Sym(vnames[j][k + 1])
+
+    order = list(zs) + vnames[0] + vnames[1]
+    vjets = np.empty((len(traj.t), 2, depth + 1))
+    for j in (1, 2):
+        for k in range(depth + 1):
+            fn = compile_fn(v_derivative(v, j, k), ("t",))
+            vjets[:, j - 1, k] = np.broadcast_to(fn([traj.t]), traj.t.shape)
+
+    cols = [traj.z[:, i] for i in range(n)]
+    cols += [vjets[:, 0, k] for k in range(depth + 1)]
+    cols += [vjets[:, 1, k] for k in range(depth + 1)]
+
+    jets = {}
+    for name, base in (("y1", zs[0]), ("y2", zs[n - 1])):
+        stack = np.empty((len(traj.t), depth + 1))
+        e = Sym(base)
+        for m in range(depth + 1):
+            fn = compile_fn(e, order, params)
+            stack[:, m] = np.broadcast_to(fn(cols), traj.t.shape)
+            if m < depth:
+                e = _total_derivative(e, succ)
+        jets[name] = stack
+    return FlatSignal(t=traj.t.copy(), y1_jets=jets["y1"],
+                      y2_jets=jets["y2"])

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+import flatcheck.cauchy
+import flatcheck.diffgeo
 from flatcheck.symx import eval_at
-from flatcheck.cauchy import (AnnihilatorError, annihilator, cauchy_space,
+from flatcheck.cauchy import (AnnihilatorError, CharacteristicSpaces,
+                              _nullspace_numeric, annihilator, cauchy_space,
                               check_condition2, span_residual)
-from flatcheck.flags import compute_flags
+from flatcheck.diffgeo import exterior_derivative_1form
+from flatcheck.flags import _rank, compute_flags
 
 import systems
 
@@ -15,6 +19,28 @@ def _points(spec, count, seed=9):
     return [spec.frame.point(
         [float(rng.uniform(lo, hi)) for lo, hi in spec.sample_box()], params)
         for _ in range(count)]
+
+
+def _reference_cauchy_space(cod, q, tol=1e-8):
+    """cauchy_space with d(lam) rebuilt from the generators at each
+    point, the way it was computed before the codistribution carried
+    its differentials."""
+    n = cod.frame.n
+    omega = np.array([w.values(q) for w in cod.generators])
+    assert _rank(omega, tol) == omega.shape[0]
+    proj = np.eye(n) - omega.T @ np.linalg.pinv(omega.T)
+    blocks = [omega]
+    for w in cod.generators:
+        dw = exterior_derivative_1form(w)
+        dmat = np.zeros((n, n))
+        for (i, j), c in dw.coefficients.items():
+            val = eval_at(c, q)
+            dmat[i, j] = val
+            dmat[j, i] = -val
+        blocks.append(proj @ dmat.T)
+    a_basis = _nullspace_numeric(np.vstack(blocks), n, tol)
+    c_basis = _nullspace_numeric(a_basis, n, tol)
+    return CharacteristicSpaces(q, a_basis, c_basis)
 
 
 def test_span_residual_basics():
@@ -64,6 +90,46 @@ def test_characteristic_space_dims_and_span(n):
                 e = np.zeros(n)
                 e[i] = 1.0
                 assert span_residual(e, sp.c_basis) <= 1e-10
+
+
+@pytest.mark.parametrize("name", ["example1", "chained6"])
+def test_cauchy_space_matches_reference(name, example1_spec):
+    spec = example1_spec if name == "example1" else systems.chained(6)
+    table = compute_flags(spec)
+    pts = _points(spec, 12)
+    for k in range(1, spec.n - 2):
+        cod = annihilator(table, k, pts[:5])
+        assert cod.differentials == tuple(
+            exterior_derivative_1form(w) for w in cod.generators)
+        for q in pts:
+            got = cauchy_space(cod, q)
+            want = _reference_cauchy_space(cod, q)
+            assert np.array_equal(got.a_basis, want.a_basis)
+            assert np.array_equal(got.c_basis, want.c_basis)
+
+
+def test_cauchy_space_reuses_the_differentials(monkeypatch):
+    spec = systems.chained(5)
+    table = compute_flags(spec)
+    pts = _points(spec, 4)
+    cods = [annihilator(table, k, pts[:3]) for k in range(1, spec.n - 2)]
+    calls = []
+
+    def counting(w):
+        calls.append(w)
+        return exterior_derivative_1form(w)
+
+    monkeypatch.setattr(flatcheck.cauchy, "exterior_derivative_1form",
+                        counting)
+    monkeypatch.setattr(flatcheck.diffgeo, "exterior_derivative_1form",
+                        counting)
+    for cod in cods:
+        for q in pts:
+            cauchy_space(cod, q)
+    assert calls == []
+    # the counter does see annihilator build them, one per generator
+    cod = annihilator(table, 1, pts[:3])
+    assert len(calls) == len(cod.generators) == spec.n - 3
 
 
 def test_condition2_example1_passes(example1_spec):

@@ -143,6 +143,17 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "flatcheck: error:" in err
 
 
+def test_main_deep_expression_is_a_named_error(tmp_path, capsys):
+    # a flat sum of 3000 terms nests deeper than the recursion limit
+    deep = " + ".join(["x1"] * 3000)
+    path = _write(tmp_path, BASE.replace("f = 0, 0, 0, 0",
+                                         f"f = {deep}, 0, 0, 0"))
+    assert main(["check", path, "--samples", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("flatcheck: error:")
+    assert "RecursionError" in err and "Traceback" not in err
+
+
 def test_main_json_shape(tmp_path):
     out = tmp_path / "report.json"
     code = main(["check", str(SPEC_DIR / "example1.spec"),

@@ -3,11 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from flatcheck.symx import Frame, compile_fn, parse
+from flatcheck.symx import Frame, compile_fn, normalize, parse
 from flatcheck.diffgeo import VectorField, lie_bracket
 from flatcheck.harness import (FlatSignal, HarnessError, RegularityError,
-                               SampleBox, Trajectory, VSignal, fd_bracket,
-                               reconstruct, simulate)
+                               SampleBox, T_FRAME, Trajectory, VSignal,
+                               fd_bracket, reconstruct, simulate)
 from flatcheck.triangular import extract_triangular
 from flatcheck.chained import Chart
 
@@ -100,6 +100,26 @@ def test_vsignal_exact_derivatives():
     vals = VSignal.from_strings("1", "t").values(ts)
     assert vals.shape == (50, 2)
     assert np.allclose(vals[:, 0], 1.0) and np.allclose(vals[:, 1], ts)
+
+
+@pytest.mark.parametrize("which, closed_form", [
+    (1, "1024*sin(2*t)"), (2, "sin(t)/2")])
+def test_vsignal_high_order_derivative(which, closed_form):
+    # raw diff trees grow about tenfold per order, so order 12 is only
+    # reachable when every step is normalized
+    v = VSignal.from_strings("1 + sin(2*t)/4", "sin(t)/2")
+    got = v.derivative(which, 12)
+    assert got == normalize(parse(closed_form, T_FRAME))
+
+
+@pytest.mark.parametrize("s", ["1 + sin(2*t)/4", "sin(t)/2", "t^3 - t",
+                               "1/(1 + t^2)", "exp(t)/(1 + t)", "1", "0"])
+def test_vsignal_jets_match_single_normalize(s):
+    v = VSignal.from_strings(s, "0")
+    jets = v.jets(1, 4)
+    assert len(jets) == 5
+    for k, e in enumerate(jets):
+        assert e == harness_reference.v_derivative(v, 1, k)
 
 
 def test_simulate_grid_must_divide(chained4_real):
@@ -253,6 +273,23 @@ def test_flat_signal_matches_trajectory(chained4_real):
     assert np.allclose(flat.y2_jets[:, 0], traj.z[:, 3], atol=1e-12)
     # dz4/dt = v1 exactly
     assert np.allclose(flat.y2_jets[:, 1], traj.v[:, 0], atol=1e-12)
+
+
+@pytest.mark.parametrize("name, v1, v2", [
+    ("example1", "1 + sin(2*t)/4", "sin(t)/2"),
+    ("chained4", "1 + sin(2*t)/4", "sin(t)/2"),
+    ("chained6", "1 + sin(2*t)/4", "sin(t)/2"),
+    # integer jets: v1^2 exceeds int64, so the jets must be floats
+    ("chained4", "4000000000", "0")])
+def test_flat_signal_matches_reference_jets(request, name, v1, v2):
+    real = request.getfixturevalue(f"{name}_real")
+    z0 = real.chart.z_frame.point(REFERENCE_Z0[name])
+    v = VSignal.from_strings(v1, v2)
+    traj = simulate(real, z0, v, T=0.5, dt=1e-2)
+    got = FlatSignal.from_trajectory(real, traj, v)
+    want = harness_reference.flat_signal(real, traj, v)
+    for f in ("t", "y1_jets", "y2_jets"):
+        assert np.array_equal(getattr(got, f), getattr(want, f)), f
 
 
 def test_flat_signal_from_samples_spline():

@@ -186,7 +186,8 @@ def check_condition2(spec: SystemSpec, table: FlagTable,
     all_pass = True
     for k in range(1, n - 2):
         cod = annihilator(table, k, points[:5])
-        lf = [lie_derivative_1form(spec.f, w) for w in cod.generators]
+        lf = [lie_derivative_1form(spec.f, w, dw)
+              for w, dw in zip(cod.generators, cod.differentials)]
         spaces = [cauchy_space(cod, q, tol) for q in points]
         entry: dict = {"k": k,
                        "dim_A": spaces[0].dim_a, "dim_C": spaces[0].dim_c,

@@ -81,7 +81,6 @@ class RunConfig:
     degree: int = 2
     rank_tol: float = DEFAULT_RANK_TOL
     proj_tol: float = DEFAULT_PROJ_TOL
-    equiv_tol: float = 1e-9
     reg_threshold: float = DEFAULT_REG_THRESHOLD
     dt: float = 1e-3
     horizon: float = 1.0
@@ -90,8 +89,8 @@ class RunConfig:
     force: bool = False
 
     def __post_init__(self):
-        for name in ("rank_tol", "proj_tol", "equiv_tol", "reg_threshold",
-                     "dt", "horizon"):
+        for name in ("rank_tol", "proj_tol", "reg_threshold", "dt",
+                     "horizon"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.degree < 1:
@@ -308,7 +307,6 @@ def _provenance(cfg: RunConfig) -> dict:
         "tolerances": {
             "rank_tol": cfg.rank_tol,
             "proj_tol": cfg.proj_tol,
-            "equiv_tol": cfg.equiv_tol,
             "reg_threshold": cfg.reg_threshold,
             "bracket_fd_tol": BRACKET_FD_TOL,
             "sim_agreement_tol": SIM_AGREEMENT_TOL,

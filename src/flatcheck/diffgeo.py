@@ -66,7 +66,8 @@ class VectorField:
         return all(normalize(x) == ZERO for x in self.components)
 
     def values(self, at: Point) -> np.ndarray:
-        return np.array([eval_at(x, at) for x in self.components])
+        env = at.env()
+        return np.array([eval_at(x, env) for x in self.components])
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,8 @@ class OneForm:
         return all(normalize(x) == ZERO for x in self.coefficients)
 
     def values(self, at: Point) -> np.ndarray:
-        return np.array([eval_at(x, at) for x in self.coefficients])
+        env = at.env()
+        return np.array([eval_at(x, env) for x in self.coefficients])
 
 
 @dataclass(frozen=True)
@@ -219,9 +221,13 @@ def interior_product(X: VectorField, w: "OneForm | TwoForm"):
     return OneForm(frame, tuple(comps))
 
 
-def lie_derivative_1form(X: VectorField, w: OneForm) -> OneForm:
-    """L_X w by Cartan's formula i_X dw + d(i_X w)."""
+def lie_derivative_1form(X: VectorField, w: OneForm,
+                        dw: TwoForm | None = None) -> OneForm:
+    """L_X w by Cartan's formula i_X dw + d(i_X w). Pass dw when d(w)
+    is already built; it is computed otherwise."""
     frame = _same_chart(X, w)
-    inner = interior_product(X, exterior_derivative_1form(w))
+    if dw is None:
+        dw = exterior_derivative_1form(w)
+    inner = interior_product(X, dw)
     outer = exterior_derivative_fn(interior_product(X, w), frame)
     return inner + outer

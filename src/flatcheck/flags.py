@@ -2,10 +2,18 @@
 
 Builds the nested generator families
   P_0 = Q_0 = {g1, g2},
-  P_{k+1} = brackets [Y, W] with Y in P_0 and W in P_k,
+  P_k = the Lyndon brackets of length k+1 in g1, g2,
   Q_{k+1} = brackets of pairs from the union of Q_0..Q_k,
 spans F_k = span(P_0 + ... + P_k), G_k = G_{k-1} + span(Q_k), and
 checks the rank condition dim F_k(q) = dim G_k(q) = 2 + k at points.
+
+F_k is meant as the span of all brackets of length <= k+1. The
+Lyndon brackets of length m are a basis of the degree-m part of the
+free Lie algebra on two letters, so every other bracket of length m
+(in particular every iterated [Y, W] with Y in P_0) is an integer
+combination of them; bracketing vector fields is linear over
+constants, so the span is the same with 2, 1, 2, 3, 6, 9, 18, ...
+words per level instead of 2^(k+1).
 
 Q_k grows combinatorially, so after each level the Q generators that
 are pointwise dependent on the retained ones (at a seeded reference
@@ -17,12 +25,11 @@ recomputed: they contribute nothing new to the span.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .diffgeo import VectorField, lie_bracket
-from .symx import Const, Expr, Frame, Mul, Point, SymxError, ZERO, normalize
+from .symx import Expr, Frame, Point
 
 DEFAULT_RANK_TOL = 1e-9
 
@@ -120,14 +127,36 @@ def _reference_points(spec: SystemSpec, seed: int = 7,
     return pts
 
 
+def _lyndon(length: int) -> list[str]:
+    """Lyndon words of the given length over "12", in lexicographic
+    order, by Duval's generation of all Lyndon words up to a length."""
+    out = []
+    w = [0]
+    while w:
+        if len(w) == length:
+            out.append("".join("12"[c] for c in w))
+        m = len(w)
+        while len(w) < length:
+            w.append(w[-m])
+        while w and w[-1] == 1:
+            w.pop()
+        if w:
+            w[-1] += 1
+    return out
+
+
 def compute_flags(spec: SystemSpec, rank_tol: float = DEFAULT_RANK_TOL,
                   seed: int = 7) -> FlagTable:
     """Generator tables of F_k and G_k for 0 <= k <= n-2.
 
-    P words are generated exhaustively (their count doubles per level
-    by construction); Q words are generated from the retained pool
-    only, one bracket per unordered pair touching the newest level.
-    Identically zero generators never enter the span lists.
+    The P words of level k are the Lyndon words of length k+1 over
+    {g1, g2}, each bracketed by its standard factorization (the right
+    factor is the longest proper Lyndon suffix). Q words are generated
+    from the retained pool only, one bracket per unordered pair
+    touching the newest level. Every bracket word is built once: P and
+    Q share one word -> field map, and a word with a zero factor is
+    zero without bracketing. Identically zero generators never enter
+    the span lists.
     """
     frame = spec.frame
     depth = frame.n - 2
@@ -138,26 +167,38 @@ def compute_flags(spec: SystemSpec, rank_tol: float = DEFAULT_RANK_TOL,
     def values(vf: VectorField) -> list[np.ndarray]:
         return [vf.values(q) for q in refs]
 
-    # Lie flag: left-iterated bracket words, kept unpruned.
-    p_level = list(base)
+    # bracket word -> its field, None when identically zero
+    fields: dict[str, VectorField | None] = {
+        w: None if v.is_zero() else v for w, v in base}
+
+    def bracket(a: str, b: str) -> tuple[str, VectorField | None]:
+        word = f"[{a},{b}]"
+        if word not in fields:
+            va, vb = fields[a], fields[b]
+            br = None if va is None or vb is None else lie_bracket(va, vb)
+            fields[word] = None if br is None or br.is_zero() else br
+        return word, fields[word]
+
+    # Lie flag: Lyndon letters ("112") -> bracket word ("[g1,[g1,g2]]")
+    lyndon = {"1": "g1", "2": "g2"}
     f_cum: list[tuple[str, VectorField]] = [
-        (w, v) for w, v in base if not v.is_zero()]
+        (w, v) for w, v in base if fields[w] is not None]
     levels = [LevelRecord(list(f_cum), [], len(base), len(base), [])]
 
     # Derived flag pool: retained representatives with their level tags.
     pool: list[tuple[str, VectorField, int]] = [
-        (w, v, 0) for w, v in base if not v.is_zero()]
+        (w, v, 0) for w, v in f_cum]
     pool_vals: list[list[np.ndarray]] = [values(v) for _, v, _ in pool]
     g_cum = [(w, v) for w, v, _ in pool]
 
     for k in range(1, depth + 1):
-        new_p = []
-        for yw, yv in base:
-            for w, v in p_level:
-                new_p.append((f"[{yw},{w}]", lie_bracket(yv, v)))
-        p_count = len(new_p)
-        p_level = new_p
-        f_cum = f_cum + [(w, v) for w, v in new_p if not v.is_zero()]
+        words = _lyndon(k + 1)
+        for lw in words:
+            cut = next(i for i in range(1, len(lw)) if lw[i:] in lyndon)
+            word, v = bracket(lyndon[lw[:cut]], lyndon[lw[cut:]])
+            lyndon[lw] = word
+            if v is not None:
+                f_cum.append((word, v))
 
         candidates = []
         for i in range(len(pool)):
@@ -167,11 +208,8 @@ def compute_flags(spec: SystemSpec, rank_tol: float = DEFAULT_RANK_TOL,
         q_count = len(candidates)
         dropped: list[str] = []
         for i, j in candidates:
-            wi, vi, _ = pool[i]
-            wj, vj, _ = pool[j]
-            word = f"[{wi},{wj}]"
-            br = lie_bracket(vi, vj)
-            if br.is_zero():
+            word, br = bracket(pool[i][0], pool[j][0])
+            if br is None:
                 dropped.append(word)
                 continue
             br_vals = values(br)
@@ -188,7 +226,7 @@ def compute_flags(spec: SystemSpec, rank_tol: float = DEFAULT_RANK_TOL,
             else:
                 dropped.append(word)
         g_cum = [(w, v) for w, v, _ in pool]
-        levels.append(LevelRecord(list(f_cum), list(g_cum), p_count,
+        levels.append(LevelRecord(list(f_cum), list(g_cum), len(words),
                                   q_count, dropped))
 
     # Level 0 shares the G generator list with the pool's level-0 slice.
@@ -198,13 +236,23 @@ def compute_flags(spec: SystemSpec, rank_tol: float = DEFAULT_RANK_TOL,
 
 def dims_at(table: FlagTable, q: Point,
             tol: float = DEFAULT_RANK_TOL) -> tuple[list[int], list[int]]:
-    """Numeric ranks of the F_k and G_k generator matrices at q."""
+    """Numeric ranks of the F_k and G_k generator matrices at q.
+
+    The levels are cumulative and share generators (g1, g2 and [g1,g2]
+    sit in both flags), so each distinct bracket word is evaluated once.
+    """
+    vals: dict[str, np.ndarray] = {}
+
+    def rank(gens: list[tuple[str, VectorField]]) -> int:
+        for w, v in gens:
+            if w not in vals:
+                vals[w] = v.values(q)
+        return _rank(np.array([vals[w] for w, _ in gens]), tol)
+
     dims_f, dims_g = [], []
     for rec in table.levels:
-        fm = np.array([v.values(q) for _, v in rec.f_generators])
-        gm = np.array([v.values(q) for _, v in rec.g_generators])
-        dims_f.append(_rank(fm, tol))
-        dims_g.append(_rank(gm, tol))
+        dims_f.append(rank(rec.f_generators))
+        dims_g.append(rank(rec.g_generators))
     return dims_f, dims_g
 
 
@@ -236,21 +284,3 @@ def check_condition1(spec: SystemSpec, points: list[Point],
     return {"pass": first_failure is None, "expected": expected,
             "points_checked": len(points), "per_point": per_point,
             "first_failure": first_failure}
-
-
-def feedback_flags(spec: SystemSpec, beta) -> FlagTable:
-    """Flags of the feedback-transformed control pair.
-
-    beta is a 2x2 matrix of Exprs; row i gives the coefficients of the
-    transformed field beta[i][0]*g1 + beta[i][1]*g2. Its determinant
-    must not vanish identically.
-    """
-    det = normalize(beta[0][0] * beta[1][1] - beta[0][1] * beta[1][0])
-    if det == ZERO:
-        raise SymxError("feedback matrix determinant is identically zero")
-    gt1 = spec.g1.scale(beta[0][0]) + spec.g2.scale(beta[0][1])
-    gt2 = spec.g1.scale(beta[1][0]) + spec.g2.scale(beta[1][1])
-    new_spec = SystemSpec(spec.frame, spec.f, gt1, gt2,
-                          param_values=dict(spec.param_values),
-                          box=spec.box)
-    return compute_flags(new_spec)

@@ -477,6 +477,13 @@ def diff(e: Expr, v: str) -> Expr:
 # sorted tuple of (atom key, exponent) pairs; the empty tuple is the
 # constant monomial. Atom keys are symbol names or rendered kernel
 # strings like "sin(x1)" whose arguments are already canonical.
+#
+# _ratform cross-multiplies by the denominators in every Add, Sub, Mul
+# and Div, and almost every denominator is the unit polynomial. _p_mul
+# returns the other operand as it is when one operand is the unit (the
+# same polynomial, since c*1 == c and m*() == m), so those products cost
+# nothing. The helpers never mutate their arguments, which is what makes
+# sharing the operand safe.
 # ---------------------------------------------------------------------------
 
 Mono = tuple[tuple[str, int], ...]
@@ -512,6 +519,10 @@ def _p_neg(p: Poly) -> Poly:
 
 
 def _p_mul(p: Poly, q: Poly) -> Poly:
+    if len(q) == 1 and q.get(()) == 1:
+        return p
+    if len(p) == 1 and p.get(()) == 1:
+        return q
     out: Poly = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():

@@ -155,3 +155,24 @@ def test_condition2_perturbed_drift_fails():
     assert res["verdict"] == "fail"
     lv = res["levels"][0]
     assert lv["max_residual"] > 1e-3
+
+
+@pytest.mark.parametrize("name", ["example1", "chained6"])
+def test_condition2_builds_each_differential_once(monkeypatch, name):
+    spec = systems.example1() if name == "example1" else systems.chained(6)
+    table = compute_flags(spec)
+    pts = _points(spec, 6)
+    want = check_condition2(spec, table, pts)
+    calls = []
+
+    def counting(w):
+        calls.append(w)
+        return exterior_derivative_1form(w)
+
+    monkeypatch.setattr(flatcheck.cauchy, "exterior_derivative_1form",
+                        counting)
+    monkeypatch.setattr(flatcheck.diffgeo, "exterior_derivative_1form",
+                        counting)
+    assert check_condition2(spec, table, pts) == want
+    # one d(lam) per annihilator generator, over all levels
+    assert len(calls) == sum(spec.n - 2 - k for k in range(1, spec.n - 2))

@@ -134,6 +134,13 @@ def test_cartan_formula_for_1forms():
         assert is_zero(Sub(lhs.coefficients[i], want))
 
 
+
+def test_lie_derivative_1form_with_given_differential():
+    X = VF("x2^2", "x1", "x3*x1")
+    w = OneForm(FR3, (P("x3/(1 + x1^2)"), P("x1*x2"), P("1")))
+    assert lie_derivative_1form(X, w, exterior_derivative_1form(w)) == \
+        lie_derivative_1form(X, w)
+
 def test_coordinate_differential_pairs_with_basis():
     w = coordinate_differential(FR3, 1)
     for i in range(3):

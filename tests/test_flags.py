@@ -6,10 +6,13 @@ from fractions import Fraction
 
 from flatcheck.symx import Const, Frame, SymxError, parse
 from flatcheck.diffgeo import VectorField, basis_vector
-from flatcheck.flags import (SystemSpec, check_condition1, compute_flags,
-                             dims_at, feedback_flags)
+from flatcheck import diffgeo, flags
+from flatcheck.flags import (SystemSpec, _lyndon, check_condition1,
+                             compute_flags, dims_at)
 
+import flags_reference
 import systems
+from flags_reference import feedback_flags
 
 
 def _points(spec, count, seed=3):
@@ -104,3 +107,100 @@ def test_bound_params_deterministic_and_complete():
 
 def test_sample_box_default_unit_cube(example1_spec):
     assert example1_spec.sample_box() == ((-1.0, 1.0),) * 4
+
+
+def _witt(length: int) -> int:
+    """Number of Lyndon words of the given length over two letters."""
+    def mobius(d):
+        out, m, p = 1, d, 2
+        while p * p <= m:
+            if m % p == 0:
+                m //= p
+                if m % p == 0:
+                    return 0
+                out = -out
+            p += 1
+        return -out if m > 1 else out
+    return sum(mobius(d) * 2 ** (length // d)
+               for d in range(1, length + 1) if length % d == 0) // length
+
+
+@pytest.mark.parametrize("length", range(2, 9))
+def test_lyndon_words_match_witt_counts(length):
+    words = _lyndon(length)
+    assert len(words) == _witt(length)
+    assert len(set(words)) == len(words)
+    for w in words:
+        assert set(w) <= {"1", "2"} and len(w) == length
+        assert all(w < w[i:] + w[:i] for i in range(1, length))
+
+
+def test_p_word_count_is_the_lyndon_count():
+    table = compute_flags(systems.chained(8))
+    assert [lv.p_word_count for lv in table.levels] == [2, 1, 2, 3, 6, 9, 18]
+
+
+_FLAG_SYSTEMS = {
+    "example1": systems.example1, "motor": systems.motor,
+    "chained4": lambda: systems.chained(4),
+    "chained5": lambda: systems.chained(5),
+    "chained6": lambda: systems.chained(6),
+    "chained7": lambda: systems.chained(7),
+    "involutive": systems.involutive,
+    "perturbed_example1": systems.perturbed_example1,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FLAG_SYSTEMS))
+def test_lyndon_flags_match_left_normed_reference(name):
+    spec = _FLAG_SYSTEMS[name]()
+    table = compute_flags(spec)
+    ref = flags_reference.compute_flags(spec)
+    for lv, rv in zip(table.levels, ref.levels, strict=True):
+        assert [w for w, _ in lv.g_generators] == \
+            [w for w, _ in rv.g_generators]
+        assert [v for _, v in lv.g_generators] == \
+            [v for _, v in rv.g_generators]
+        assert lv.q_word_count == rv.q_word_count
+        assert lv.q_dropped_words == rv.q_dropped_words
+    for q in _points(spec, 50, seed=17):
+        assert dims_at(table, q) == flags_reference.dims_at(ref, q)
+
+
+def test_each_bracket_is_built_once(monkeypatch):
+    pairs = []
+    real = flags.lie_bracket
+
+    def counting(X, Y):
+        pairs.append((id(X), id(Y)))
+        return real(X, Y)
+
+    monkeypatch.setattr(flags, "lie_bracket", counting)
+    table = compute_flags(systems.chained(6))
+    assert len(pairs) == len(set(pairs))
+    last = table.levels[-1]
+    p_fields = dict(last.f_generators)
+    q_fields = dict(last.g_generators)
+    shared = p_fields.keys() & q_fields.keys()
+    assert {"g1", "g2", "[g1,g2]", "[g1,[g1,g2]]"} <= shared
+    assert all(p_fields[w] is q_fields[w] for w in shared)
+
+
+@pytest.mark.parametrize("name", ["example1", "chained8"])
+def test_dims_at_evaluates_each_generator_once(monkeypatch, name):
+    spec = systems.example1() if name == "example1" else systems.chained(8)
+    table = compute_flags(spec)
+    calls = []
+    real = diffgeo.VectorField.values
+
+    def counting(self, at):
+        calls.append(self)
+        return real(self, at)
+
+    monkeypatch.setattr(diffgeo.VectorField, "values", counting)
+    points = _points(spec, 3)
+    for q in points:
+        dims_at(table, q)
+    words = {w for lv in table.levels
+             for w, _ in lv.f_generators + lv.g_generators}
+    assert len(calls) == len(words) * len(points)

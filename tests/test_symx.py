@@ -15,6 +15,8 @@ from flatcheck.symx import (Add, Call, Const, Div, EvalError, Frame, Mul,
                             parse, polynomial_terms, pow_expr, rref_exprs,
                             solve_affine_exprs, subst, to_str)
 
+import symx_reference
+
 FR = Frame("x", ("x1", "x2", "x3"), ())
 
 
@@ -126,6 +128,72 @@ def test_normalize_preserves_values(e, a, b):
 def test_to_str_reparses_to_same_function(e):
     back = parse(to_str(e), Frame("x", ("x1", "x2"), ()))
     assert is_zero(Sub(e, back))
+
+
+@given(_expr)
+@settings(max_examples=80, deadline=None)
+def test_normalize_matches_reference_product(e):
+    assert normalize(e) == symx_reference.normalize(e)
+
+
+_small = st.recursive(_leaf, lambda s: st.tuples(s, s).flatmap(_combine),
+                      max_leaves=3)
+
+
+def _same_tree(a, b) -> bool:
+    """Structural equality without recursion: a normal form of a long
+    sum can be a chain deeper than the recursion limit."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, (Add, Sub, Mul, Div)):
+            stack += [(x.a, y.a), (x.b, y.b)]
+        elif isinstance(x, Pow):
+            if x.exp != y.exp:
+                return False
+            stack.append((x.base, y.base))
+        elif isinstance(x, Call):
+            if x.fn != y.fn:
+                return False
+            stack.append((x.arg, y.arg))
+        elif x != y:
+            return False
+    return True
+
+
+@st.composite
+def _long_sum(draw):
+    """A chain of 20-40 terms: products, quotients, negative powers, sin
+    and exp. At most three quotients, so that the product of their
+    denominators stays small enough to test quickly."""
+    acc, quotients = None, 0
+    for _ in range(draw(st.integers(20, 40))):
+        a, b = draw(_small), draw(_small)
+        kind = draw(st.sampled_from(["poly", "div", "pow", "sin", "exp"]))
+        if kind in ("div", "pow"):
+            quotients += 1
+            if quotients > 3:
+                kind = "poly"
+        if kind == "poly":
+            t = Mul(a, b)
+        elif kind == "div":
+            t = Div(a, Add(Mul(b, b), Const(Fraction(1))))
+        elif kind == "pow":
+            t = Pow(Add(Mul(b, b), Const(Fraction(2))), -draw(st.integers(1, 2)))
+        elif kind == "sin":
+            t = Mul(a, Call("sin", b))
+        else:
+            t = Call("exp", Add(a, b))
+        acc = t if acc is None else draw(st.sampled_from([Add, Sub]))(acc, t)
+    return acc
+
+
+@given(_long_sum())
+@settings(max_examples=20, deadline=None)
+def test_normalize_of_long_sums_matches_reference_product(e):
+    assert _same_tree(normalize(e), symx_reference.normalize(e))
 
 
 # --- differentiation --------------------------------------------------------

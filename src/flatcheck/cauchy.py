@@ -24,8 +24,7 @@ import numpy as np
 from .diffgeo import (OneForm, TwoForm, exterior_derivative_1form,
                       lie_derivative_1form)
 from .flags import DEFAULT_RANK_TOL, FlagTable, SystemSpec, _rank
-from .symx import (Point, SymxError, ZERO, eval_at, normalize,
-                   nullspace_exprs)
+from .symx import Point, SymxError, ZERO, normalize, nullspace_exprs
 
 DEFAULT_PROJ_TOL = 1e-8
 
@@ -133,15 +132,8 @@ def cauchy_space(cod: Codistribution, q: Point,
             f"annihilator generators dependent at {tuple(q.coords)}")
     # projector onto the orthogonal complement of span{lam^i_q}
     proj = np.eye(n) - omega.T @ np.linalg.pinv(omega.T)
-    blocks = [omega]
-    for dw in cod.differentials:
-        dmat = np.zeros((n, n))
-        for (i, j), c in dw.coefficients.items():
-            val = eval_at(c, q)
-            dmat[i, j] = val
-            dmat[j, i] = -val
-        # rows X with (X^T dmat) P = 0, i.e. (P dmat^T) X = 0
-        blocks.append(proj @ dmat.T)
+    # rows X with (X^T dmat) P = 0, i.e. (P dmat^T) X = 0
+    blocks = [omega] + [proj @ dw.values(q).T for dw in cod.differentials]
     a_basis = _nullspace_numeric(np.vstack(blocks), n, tol)
     c_basis = _nullspace_numeric(a_basis, n, tol)
     return CharacteristicSpaces(q, a_basis, c_basis)
@@ -211,8 +203,8 @@ def check_condition2(spec: SystemSpec, table: FlagTable,
             for sp_q, q in zip(spaces, points):
                 worst = 0.0
                 for w in lf:
-                    val = np.array([eval_at(c, q) for c in w.coefficients])
-                    worst = max(worst, span_residual(val, sp_q.c_basis))
+                    worst = max(worst, span_residual(w.values(q),
+                                                     sp_q.c_basis))
                 residuals.append(worst)
             entry["method"] = "numeric"
             entry["residuals"] = residuals

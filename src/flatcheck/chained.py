@@ -18,13 +18,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .diffgeo import VectorField, lie_bracket, lie_derivative_fn
 from .flags import SystemSpec, _reference_points
 from .symx import (Const, Div, Expr, Frame, Mul, Point, Sub, Sym, SymxError,
-                   ZERO, ONE_E, diff, eval_at, free_symbols, linear_decompose,
+                   ZERO, ONE_E, diff, free_symbols, linear_decompose,
                    normalize, polynomial_terms, solve_affine_exprs, subst)
 
 JACOBIAN_TOL = 1e-8
@@ -62,8 +63,15 @@ class Chart:
         mapping = dict(zip(self.x_frame.states, self.inverse))
         return normalize(subst(e, mapping))
 
+    @cached_property
+    def _forward_fn(self):
+        return self.x_frame.evaluator(self.forward)
+
     def forward_values(self, q: Point) -> np.ndarray:
-        return np.array([eval_at(c, q) for c in self.forward])
+        if q.frame != self.x_frame:
+            raise ChainedError(f"point in chart '{q.frame.name}', chart "
+                               f"maps from '{self.x_frame.name}'")
+        return np.array(self._forward_fn(q.coords, q.params))
 
 
 @dataclass(frozen=True)
@@ -72,17 +80,6 @@ class FeedbackMatrix:
 
     beta: tuple[tuple[Expr, Expr], tuple[Expr, Expr]]
     alpha: tuple[Expr, Expr]
-
-    def det(self) -> Expr:
-        b = self.beta
-        return normalize(b[0][0] * b[1][1] - b[0][1] * b[1][0])
-
-    def inverse_beta(self) -> tuple[tuple[Expr, Expr], tuple[Expr, Expr]]:
-        b, d = self.beta, self.det()
-        return ((normalize(Div(b[1][1], d)),
-                 normalize(Div(Mul(Const(Fraction(-1)), b[0][1]), d))),
-                (normalize(Div(Mul(Const(Fraction(-1)), b[1][0]), d)),
-                 normalize(Div(b[0][0], d))))
 
 
 def control_pair(spec: SystemSpec, fb: FeedbackMatrix
@@ -328,11 +325,10 @@ def build_chart(source: "OutputPair | Chart | tuple[Expr, ...]",
     if len(forward) != n:
         raise ChainedError(f"chart has {len(forward)} components, need {n}")
 
-    jac = [[diff(zi, xj) for xj in frame.states] for zi in forward]
-    dets = []
-    for q in ref_points:
-        jq = np.array([[eval_at(e, q) for e in row] for row in jac])
-        dets.append(float(np.linalg.det(jq)))
+    jac = frame.evaluator([diff(zi, xj) for zi in forward
+                           for xj in frame.states])
+    dets = [float(np.linalg.det(np.reshape(jac(q.coords, q.params), (n, n))))
+            for q in ref_points]
     if all(abs(d) <= JACOBIAN_TOL for d in dets):
         raise ChainedError("chart Jacobian singular at all reference points")
     if any(abs(d) <= JACOBIAN_TOL for d in dets):
@@ -386,24 +382,22 @@ def verify_chained(chart: Chart, fb: FeedbackMatrix, spec: SystemSpec,
 
     if sample_points is None:
         sample_points = _reference_points(spec)
+    pushes = chart.x_frame.evaluator(push1 + push2)
+    targets = zf.evaluator(target1 + target2)
     checked = 0
     for q in sample_points:
         try:
-            zq = chart.forward_values(q)
-            env = dict(zip(zf.states, zq))
-            env.update(q.params)
-            for i in range(n):
-                for push, target, nm in ((push1, target1, "g1hat"),
-                                         (push2, target2, "g2hat")):
-                    got = eval_at(push[i], q)
-                    want = eval_at(target[i], env)
-                    if abs(got - want) > tol * (1.0 + abs(want)):
-                        mismatches.append(
-                            {"field": nm, "component": i,
-                             "at": [float(c) for c in q.coords],
-                             "got": got, "want": want})
+            got = pushes(q.coords, q.params)
+            want = targets(chart.forward_values(q), q.params)
         except SymxError:
             continue
+        for i in range(n):
+            for k, nm in ((i, "g1hat"), (n + i, "g2hat")):
+                if abs(got[k] - want[k]) > tol * (1.0 + abs(want[k])):
+                    mismatches.append(
+                        {"field": nm, "component": i,
+                         "at": [float(c) for c in q.coords],
+                         "got": got[k], "want": want[k]})
         checked += 1
     if checked == 0:
         raise ChainedError("numeric verification inconclusive: "

@@ -81,7 +81,6 @@ class RunConfig:
     degree: int = 2
     rank_tol: float = DEFAULT_RANK_TOL
     proj_tol: float = DEFAULT_PROJ_TOL
-    reg_threshold: float = DEFAULT_REG_THRESHOLD
     dt: float = 1e-3
     horizon: float = 1.0
     out: str | None = None
@@ -89,8 +88,7 @@ class RunConfig:
     force: bool = False
 
     def __post_init__(self):
-        for name in ("rank_tol", "proj_tol", "reg_threshold", "dt",
-                     "horizon"):
+        for name in ("rank_tol", "proj_tol", "dt", "horizon"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.degree < 1:
@@ -307,7 +305,7 @@ def _provenance(cfg: RunConfig) -> dict:
         "tolerances": {
             "rank_tol": cfg.rank_tol,
             "proj_tol": cfg.proj_tol,
-            "reg_threshold": cfg.reg_threshold,
+            "reg_threshold": DEFAULT_REG_THRESHOLD,
             "bracket_fd_tol": BRACKET_FD_TOL,
             "sim_agreement_tol": SIM_AGREEMENT_TOL,
             "round_trip_tol": ROUND_TRIP_TOL,
@@ -332,11 +330,11 @@ def _sample_points(spec: SystemSpec, cfg: RunConfig):
     good = []
     for q in pts:
         try:
-            vals = (spec.f.values(q), spec.g1.values(q), spec.g2.values(q))
-        except (EvalError, ZeroDivisionError):
+            for vf in (spec.f, spec.g1, spec.g2):
+                vf.values(q)
+        except EvalError:
             continue
-        if all(np.all(np.isfinite(v)) for v in vals):
-            good.append(q)
+        good.append(q)
     return good, len(pts) - len(good)
 
 
@@ -508,7 +506,7 @@ def _simulation_sections(spec, real, traj, v, cfg: RunConfig):
     }
 
     flat = FlatSignal.from_trajectory(real, traj, v)
-    rec = reconstruct(real, flat, reg_threshold=cfg.reg_threshold)
+    rec = reconstruct(real, flat)
     errors = {}
     for name, a, b in (("z", rec.z, traj.z), ("x", rec.x, traj.x),
                        ("v", rec.v, traj.v), ("u", rec.u, traj.u)):
@@ -534,8 +532,7 @@ def _verify_into(data, spec, real, chart, fb, sim, cfg, points):
         return None
     z0, v = _resolve_sim(spec, real, sim, cfg)
     try:
-        traj = simulate(real, z0, v, T=cfg.horizon, dt=cfg.dt,
-                        reg_threshold=cfg.reg_threshold)
+        traj = simulate(real, z0, v, T=cfg.horizon, dt=cfg.dt)
         sim_sec, rt_sec, rec = _simulation_sections(spec, real, traj, v, cfg)
     except RegularityError as e:
         raise HarnessError(f"simulation left the regular region: {e}")

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .symx import (Const, Expr, Mul, Point, Sub, SymxError, ZERO, diff,
-                   eval_at, normalize, Frame, ONE_E)
+                   normalize, Frame, ONE_E)
 
 
 class ChartError(SymxError):
@@ -65,9 +66,15 @@ class VectorField:
     def is_zero(self) -> bool:
         return all(normalize(x) == ZERO for x in self.components)
 
+    @cached_property
+    def evaluator(self):
+        """Compiled components, built on first use: (coords, params) ->
+        tuple of values, with symx's evaluation contract."""
+        return self.frame.evaluator(self.components)
+
     def values(self, at: Point) -> np.ndarray:
-        env = at.env()
-        return np.array([eval_at(x, env) for x in self.components])
+        _same_chart(self, at)
+        return np.array(self.evaluator(at.coords, at.params))
 
 
 @dataclass(frozen=True)
@@ -100,9 +107,14 @@ class OneForm:
     def is_zero(self) -> bool:
         return all(normalize(x) == ZERO for x in self.coefficients)
 
+    @cached_property
+    def evaluator(self):
+        """As VectorField.evaluator, over the coefficients."""
+        return self.frame.evaluator(self.coefficients)
+
     def values(self, at: Point) -> np.ndarray:
-        env = at.env()
-        return np.array([eval_at(x, env) for x in self.coefficients])
+        _same_chart(self, at)
+        return np.array(self.evaluator(at.coords, at.params))
 
 
 @dataclass(frozen=True)
@@ -132,16 +144,25 @@ class TwoForm:
     def is_zero(self) -> bool:
         return all(normalize(c) == ZERO for c in self.coefficients.values())
 
+    @cached_property
+    def evaluator(self):
+        """As VectorField.evaluator, over the stored coefficients."""
+        return self.frame.evaluator(tuple(self.coefficients.values()))
+
+    def values(self, at: Point) -> np.ndarray:
+        """The antisymmetric n x n coefficient matrix at a point."""
+        _same_chart(self, at)
+        mat = np.zeros((self.frame.n, self.frame.n))
+        for (i, j), val in zip(self.coefficients,
+                               self.evaluator(at.coords, at.params)):
+            mat[i, j] = val
+            mat[j, i] = -val
+        return mat
+
 
 def basis_vector(frame: Frame, i: int) -> VectorField:
     """The coordinate field d/dx_i."""
     return VectorField(frame, tuple(
-        ONE_E if j == i else ZERO for j in range(frame.n)))
-
-
-def coordinate_differential(frame: Frame, i: int) -> OneForm:
-    """The coordinate one-form dx_i."""
-    return OneForm(frame, tuple(
         ONE_E if j == i else ZERO for j in range(frame.n)))
 
 

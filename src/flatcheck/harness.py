@@ -23,6 +23,7 @@ import numpy as np
 
 from .symx import (
     ZERO,
+    EvalError,
     Expr,
     Frame,
     Point,
@@ -30,7 +31,7 @@ from .symx import (
     compile_fn,
     compile_fns,
     diff,
-    eval_at,
+    evaluator,
     free_symbols,
     linear_decompose,
     normalize,
@@ -62,17 +63,12 @@ class RegularityError(HarnessError):
 
 @dataclass(frozen=True)
 class SampleBox:
-    """Seeded uniform sampler over a coordinate box.
-
-    reject, when given, returns True for points to discard (e.g. near
-    a denominator's zero set); rejected draws are replaced so the
-    output always has `count` points. Deterministic for a fixed seed.
-    """
+    """Seeded uniform sampler over a coordinate box: `count` points,
+    deterministic for a fixed seed."""
 
     bounds: tuple[tuple[float, float], ...]
     count: int
     seed: int = 0
-    reject: Callable[[Point], bool] | None = None
 
     def __post_init__(self):
         if self.count < 1:
@@ -86,22 +82,9 @@ class SampleBox:
         if len(self.bounds) != frame.n:
             raise ValueError("box dimension does not match the frame")
         rng = np.random.default_rng(self.seed)
-        params = dict(params or {})
-        out: list[Point] = []
-        attempts = 0
-        cap = max(50 * self.count, 100)
-        while len(out) < self.count:
-            if attempts >= cap:
-                raise HarnessError(
-                    f"sampling rejected too often ({attempts} attempts "
-                    f"for {self.count} points)")
-            attempts += 1
-            coords = [float(rng.uniform(lo, hi)) for lo, hi in self.bounds]
-            q = frame.point(coords, params)
-            if self.reject is not None and self.reject(q):
-                continue
-            out.append(q)
-        return out
+        return [frame.point([float(rng.uniform(lo, hi))
+                             for lo, hi in self.bounds], params)
+                for _ in range(self.count)]
 
 
 @dataclass(frozen=True)
@@ -185,18 +168,16 @@ def fd_bracket(X: VectorField, Y: VectorField, q: Point,
     """Central-difference [X, Y](q) = J_Y(q) X(q) - J_X(q) Y(q)."""
     if X.frame is not Y.frame and X.frame.name != Y.frame.name:
         raise HarnessError("bracket operands live in different charts")
-    frame = X.frame
-    n = frame.n
+    n = X.frame.n
     base = np.asarray(q.coords, dtype=float)
 
     def vals(F: VectorField, coords: np.ndarray) -> np.ndarray:
-        env = dict(zip(frame.states, coords))
-        env.update(q.params)
+        at = coords.tolist()
         try:
-            return np.array([eval_at(c, env) for c in F.components])
-        except Exception as exc:
+            return np.array(F.evaluator(at, q.params))
+        except EvalError as exc:
             raise HarnessError(
-                f"evaluation failure in the stencil at {tuple(coords)}: "
+                f"evaluation failure in the stencil at {tuple(at)}: "
                 f"{exc}") from exc
 
     def jac(F: VectorField) -> np.ndarray:
@@ -386,9 +367,7 @@ def simulate(real: TriangularRealization, z0: Point, v: VSignal,
     t = _grid(T, dt)
     ztraj, _ = _integrate(step_z, z0.coords, t, on_node=monitor)
 
-    env = dict(zip(zs, z0.coords))
-    env.update(params)
-    x0 = [eval_at(c, env) for c in chart.inverse]
+    x0 = evaluator(chart.inverse, zs, params)(z0.coords)
 
     sys_ = real.system
     xs = chart.x_frame.states
@@ -470,8 +449,7 @@ class FlatSignal:
 
         order = list(zs) + vnames[0] + vnames[1]
         vfn = compile_fns(v.jets(1, depth) + v.jets(2, depth), ("t",))
-        # constant integer jets would give int64 columns, which wrap
-        vjets = _columns(vfn, [traj.t]).astype(float, copy=False)
+        vjets = _columns(vfn, [traj.t])
 
         cols = [traj.z[:, i] for i in range(n)]
         cols += [vjets[:, k] for k in range(2 * depth + 2)]

@@ -3,16 +3,21 @@
 Immutable expression trees over declared state variables and parameters,
 with exact rational constants. Provides parsing from a small infix
 grammar, exact differentiation, an expanded rational normal form that
-decides zero for polynomial and rational expressions, numeric
-evaluation, and seeded probabilistic equivalence testing.
+decides zero for polynomial and rational expressions, and numeric
+evaluation.
 
 The normal form keeps a single numerator and denominator, each an
 expanded multivariate polynomial with monomials in a fixed graded
 order and a monic denominator. Transcendental subexpressions (sin,
 cos, exp, sqrt) are treated as opaque atoms keyed by their normalized
 argument, so zero recognition is exact precisely on the rational part
-of the algebra; equivalence involving transcendentals falls back to
-seeded sampling.
+of the algebra.
+
+Numeric evaluation has one path: trees are compiled to Python source
+(compile_fns, compile_fn) that computes in floats with Python's
+operators and numpy's sin, cos, exp and sqrt. evaluator and eval_at
+call it one point at a time under one error contract: division by
+zero, overflow, domain errors and non-finite values raise EvalError.
 """
 
 from __future__ import annotations
@@ -40,10 +45,6 @@ class ParseError(SymxError):
 class EvalError(SymxError):
     """Numeric evaluation failed: unbound symbol, division by zero or
     a domain/overflow error."""
-
-
-class UnsampleableDomainError(SymxError):
-    """Every sampled point was rejected during equivalence testing."""
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +250,28 @@ class Frame:
               params: Mapping[str, float] | None = None) -> "Point":
         return Point(self, tuple(float(c) for c in coords),
                      dict(params or {}))
+
+    def evaluator(self, exprs: Sequence[Expr]
+                  ) -> Callable[[Sequence[float], Mapping[str, float]],
+                                tuple[float, ...]]:
+        """symx.evaluator over this chart: the function takes the state
+        coordinates in order and the parameter bindings, and returns the
+        expressions' values. Only the parameters the expressions use
+        must be bound; a missing one raises EvalError.
+        """
+        used = frozenset().union(*map(free_symbols, exprs))
+        params = tuple(p for p in self.params if p in used)
+        fn = evaluator(exprs, self.states + params)
+
+        def at(coords: Sequence[float],
+               bindings: Mapping[str, float]) -> tuple[float, ...]:
+            try:
+                values = [bindings[p] for p in params]
+            except KeyError as exc:
+                raise EvalError(f"unbound symbol '{exc.args[0]}'") from None
+            return fn((*coords, *values))
+
+        return at
 
 
 @dataclass(frozen=True, eq=False)
@@ -715,70 +738,9 @@ def is_zero(e: Expr) -> bool:
     return normalize(e) == ZERO
 
 
-def has_kernels(e: Expr) -> bool:
-    if isinstance(e, Call):
-        return True
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return has_kernels(e.a) or has_kernels(e.b)
-    if isinstance(e, Pow):
-        return has_kernels(e.base)
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
-
-_MATH_FN = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
-            "sqrt": math.sqrt}
-
-
-def _eval_raw(e: Expr, env: Mapping[str, float]) -> float:
-    if isinstance(e, Const):
-        return float(e.value)
-    if isinstance(e, Sym):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise EvalError(f"unbound symbol '{e.name}'") from None
-    if isinstance(e, Add):
-        return _eval_raw(e.a, env) + _eval_raw(e.b, env)
-    if isinstance(e, Sub):
-        return _eval_raw(e.a, env) - _eval_raw(e.b, env)
-    if isinstance(e, Mul):
-        return _eval_raw(e.a, env) * _eval_raw(e.b, env)
-    if isinstance(e, Div):
-        den = _eval_raw(e.b, env)
-        try:
-            return _eval_raw(e.a, env) / den
-        except ZeroDivisionError:
-            raise EvalError("division by zero") from None
-    if isinstance(e, Pow):
-        try:
-            return _eval_raw(e.base, env) ** e.exp
-        except (ZeroDivisionError, OverflowError) as exc:
-            raise EvalError(str(exc)) from None
-    if isinstance(e, Call):
-        x = _eval_raw(e.arg, env)
-        try:
-            return _MATH_FN[e.fn](x)
-        except (ValueError, OverflowError) as exc:
-            raise EvalError(f"{e.fn}: {exc}") from None
-    raise TypeError(f"not an Expr: {e!r}")
-
-
-def eval_at(e: Expr, at: "Point | Mapping[str, float]") -> float:
-    """Evaluate at a point (or a plain symbol-to-value mapping).
-
-    Deterministic for fixed bindings. Division by zero, domain errors
-    and non-finite results raise EvalError instead of leaking NaN.
-    """
-    env = at.env() if isinstance(at, Point) else at
-    val = _eval_raw(e, env)
-    if not math.isfinite(val):
-        raise EvalError("non-finite value")
-    return val
-
 
 def _kernel(ufunc) -> Callable:
     """A numpy function that returns a Python float for a Python float,
@@ -792,55 +754,71 @@ def _kernel(ufunc) -> Callable:
 
 _KERNELS = {f"_{name}": _kernel(getattr(np, name)) for name in FUNCTIONS}
 
+_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+
+# Deepest nesting in one generated expression; a deeper subexpression
+# is bound to a local first. CPython rejects more than 200 nested
+# parentheses, and its compiler recurses once per nesting level.
+_MAX_NEST = 50
+
+
+def _literal(x: float) -> str:
+    return f"({x!r})" if x < 0 else repr(x)
+
 
 def _generate(exprs: Sequence[Expr], order: Sequence[str],
               consts: Mapping[str, float] | None,
-              lets: Sequence[tuple[str, Expr]], single: bool) -> Callable:
+              lets: Sequence[tuple[str, Expr]], single: bool
+              ) -> tuple[Callable, bool]:
+    """The generated function, and whether it calls a kernel."""
     consts = dict(consts or {})
     args = [f"_v{i}" for i in range(len(order))]
     names = dict(zip(order, args))
-
-    def emit(n: Expr) -> str:
-        if isinstance(n, Const):
-            v = n.value
-            if v.denominator == 1:
-                return f"({v.numerator})" if v < 0 else str(v.numerator)
-            return f"({v.numerator}/{v.denominator})"
-        if isinstance(n, Sym):
-            if n.name in names:
-                return names[n.name]
-            if n.name in consts:
-                return repr(float(consts[n.name]))
-            raise EvalError(f"unbound symbol '{n.name}' in compile_fn")
-        if isinstance(n, Add):
-            return f"({emit(n.a)} + {emit(n.b)})"
-        if isinstance(n, Sub):
-            return f"({emit(n.a)} - {emit(n.b)})"
-        if isinstance(n, Mul):
-            return f"({emit(n.a)} * {emit(n.b)})"
-        if isinstance(n, Div):
-            return f"({emit(n.a)} / {emit(n.b)})"
-        if isinstance(n, Pow):
-            return f"({emit(n.base)} ** {n.exp})"
-        if isinstance(n, Call):
-            return f"_{n.fn}({emit(n.arg)})"
-        raise TypeError(f"not an Expr: {n!r}")
-
     lines = ["def _fn(v):"]
     if args:
         lines.append(f"    {', '.join(args)}, = v")
+    kernels = False
+
+    def emit(n: Expr) -> tuple[str, int]:
+        nonlocal kernels
+        if isinstance(n, Const):
+            return _literal(float(n.value)), 0
+        if isinstance(n, Sym):
+            if n.name in names:
+                return names[n.name], 0
+            if n.name in consts:
+                return _literal(float(consts[n.name])), 0
+            raise EvalError(f"unbound symbol '{n.name}' in compile_fn")
+        if isinstance(n, Pow):
+            base, depth = emit(n.base)
+            text = f"({base} ** {n.exp})"
+        elif isinstance(n, Call):
+            kernels = True
+            arg, depth = emit(n.arg)
+            text = f"_{n.fn}({arg})"
+        elif type(n) in _OPS:
+            (a, da), (b, db) = emit(n.a), emit(n.b)
+            text, depth = f"({a} {_OPS[type(n)]} {b})", max(da, db)
+        else:
+            raise TypeError(f"not an Expr: {n!r}")
+        if depth + 1 < _MAX_NEST:
+            return text, depth + 1
+        tmp = f"_t{len(lines)}"
+        lines.append(f"    {tmp} = {text}")
+        return tmp, 0
+
     for j, (name, e) in enumerate(lets):
         if name in names:
             raise ValueError(f"let name '{name}' is already bound")
-        lines.append(f"    _l{j} = {emit(e)}")
+        lines.append(f"    _l{j} = {emit(e)[0]}")
         names[name] = f"_l{j}"
-    outs = [emit(e) for e in exprs]
+    outs = [emit(e)[0] for e in exprs]
     lines.append(f"    return {outs[0]}" if single
                  else f"    return ({''.join(o + ', ' for o in outs)})")
     scope = dict(_KERNELS)
     exec("\n".join(lines), scope)  # noqa: S102 (generated from trusted trees)
     # popped, so that the function and its globals form no reference cycle
-    return scope.pop("_fn")
+    return scope.pop("_fn"), kernels
 
 
 def compile_fns(exprs: Sequence[Expr], order: Sequence[str],
@@ -856,57 +834,59 @@ def compile_fns(exprs: Sequence[Expr], order: Sequence[str],
     emitted in tree order with Python operators and numpy's scalar
     functions, so the function maps over arrays elementwise and, on
     scalars, gives the same floats as evaluating each tree on its own.
-    No zero-division guard: callers check finiteness of the results.
+    It has no error contract of its own: on Python floats a division by
+    zero raises ZeroDivisionError, on arrays it gives inf or nan.
+    evaluator adds the contract.
     """
-    return _generate(exprs, order, consts, lets, single=False)
+    return _generate(exprs, order, consts, lets, single=False)[0]
 
 
 def compile_fn(e: Expr, order: Sequence[str],
                consts: Mapping[str, float] | None = None) -> Callable:
     """The one-expression case of compile_fns: returns the value, not
     a tuple."""
-    return _generate((e,), order, consts, (), single=True)
+    return _generate((e,), order, consts, (), single=True)[0]
 
 
-# ---------------------------------------------------------------------------
-# Equivalence
-# ---------------------------------------------------------------------------
+def evaluator(exprs: Sequence[Expr], order: Sequence[str],
+              consts: Mapping[str, float] | None = None
+              ) -> Callable[[Iterable[float]], tuple[float, ...]]:
+    """compile_fns for pointwise evaluation, under the error contract.
 
-def equiv(a: Expr, b: Expr, trials: int = 50, seed: int = 0,
-          tol: float = 1e-9) -> bool:
-    """Decide whether two expressions agree as functions.
-
-    Purely rational pairs are decided exactly by the normal form of the
-    difference. Pairs involving transcendental kernels fall back to
-    sampling: true iff |a-b| <= tol*(1+|a|) at `trials` accepted random
-    points, drawn uniformly from [-2, 2] per symbol with a generator
-    seeded by `seed`; points where either side fails to evaluate are
-    rejected and resampled.
+    The function takes one value per name in order, converted to a
+    Python float, and returns the tuple of the expressions' values.
+    Division by zero, overflow, a kernel's domain error (sqrt of a
+    negative, say) and a non-finite value raise EvalError; numpy's
+    kernels raise instead of warning, so nothing reaches stderr.
     """
-    if is_zero(Sub(a, b)):
-        return True
-    if not (has_kernels(a) or has_kernels(b)):
-        return False
-    syms = sorted(free_symbols(a) | free_symbols(b))
-    rng = np.random.default_rng(seed)
-    accepted = 0
-    attempts = 0
-    limit = max(50 * trials, 100)
-    while accepted < trials:
-        attempts += 1
-        if attempts > limit:
-            raise UnsampleableDomainError(
-                f"rejected {attempts} sample points; domain looks empty")
-        env = {s: float(rng.uniform(-2.0, 2.0)) for s in syms}
+    fn, kernels = _generate(exprs, order, consts, (), single=False)
+
+    def evaluate(values: Iterable[float]) -> tuple[float, ...]:
+        args = tuple(map(float, values))
         try:
-            va = eval_at(a, env)
-            vb = eval_at(b, env)
-        except EvalError:
-            continue
-        if not abs(va - vb) <= tol * (1.0 + abs(va)):
-            return False
-        accepted += 1
-    return True
+            if kernels:
+                with np.errstate(divide="raise", over="raise",
+                                 invalid="raise"):
+                    out = fn(args)
+            else:
+                out = fn(args)
+        except (ZeroDivisionError, OverflowError, FloatingPointError) as exc:
+            raise EvalError(str(exc)) from None
+        if not all(map(math.isfinite, out)):
+            raise EvalError("non-finite value")
+        return out
+
+    return evaluate
+
+
+def eval_at(e: Expr, at: "Point | Mapping[str, float]") -> float:
+    """Evaluate one expression at a point (or a plain symbol-to-value
+    mapping): the one-expression, one-point case of evaluator, for
+    one-off sites. Deterministic for fixed bindings; errors as in
+    evaluator, and an unbound symbol raises EvalError too.
+    """
+    env = at.env() if isinstance(at, Point) else at
+    return evaluator((e,), tuple(env))(env.values())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -961,22 +941,26 @@ class PivotError(SymxError):
 
 
 def _pivot_row(rows, col, start, ref_env, tol=1e-12):
+    cands = [i for i in range(start, len(rows)) if rows[i][col] != ZERO]
+    if not cands or ref_env is None:
+        return cands[0] if cands else None
+    entries = [rows[i][col] for i in cands]
+    try:
+        mags = [abs(x) for x in
+                evaluator(entries, tuple(ref_env))(ref_env.values())]
+    except EvalError:
+        # an entry that fails at the reference point counts as zero
+        mags = []
+        for entry in entries:
+            try:
+                mags.append(abs(eval_at(entry, ref_env)))
+            except EvalError:
+                mags.append(0.0)
     best, best_mag = None, 0.0
-    seen_nonzero = False
-    for i in range(start, len(rows)):
-        entry = rows[i][col]
-        if entry == ZERO:
-            continue
-        seen_nonzero = True
-        if ref_env is None:
-            return i
-        try:
-            mag = abs(eval_at(entry, ref_env))
-        except EvalError:
-            mag = 0.0
+    for i, mag in zip(cands, mags):
         if mag > best_mag:
             best, best_mag = i, mag
-    if seen_nonzero and (best is None or best_mag <= tol):
+    if best is None or best_mag <= tol:
         raise PivotError(f"pivot in column {col} vanishes at the reference point")
     return best
 

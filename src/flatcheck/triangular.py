@@ -17,12 +17,12 @@ import numpy as np
 
 from .symx import (
     Const,
+    EvalError,
     Expr,
     Frame,
     Point,
     Sym,
     diff,
-    eval_at,
     free_symbols,
     is_zero,
     normalize,
@@ -109,10 +109,11 @@ def _hat_drift(spec: SystemSpec, fb: FeedbackMatrix) -> VectorField:
 def _witness(e: Expr, points: list[Point]) -> tuple[Point, float]:
     """Sample point where |e| (an x-expression) is largest."""
     best, best_val = points[0], 0.0
+    fn = points[0].frame.evaluator((e,))
     for q in points:
         try:
-            v = abs(eval_at(e, q))
-        except Exception:
+            v = abs(fn(q.coords, q.params)[0])
+        except EvalError:
             continue
         if v > best_val:
             best, best_val = q, v
@@ -146,15 +147,18 @@ def _check_dependence_numeric(phis_x: tuple[Expr, ...], chart: Chart,
     against."""
     n = len(chart.forward)
     states = chart.x_frame.states
-    jac = [[diff(c, s) for s in states] for c in chart.forward]
-    grads = [[diff(p, s) for s in states] for p in phis_x]
+    pairs = _forbidden_pairs(n)
+    rows = sorted({i for i, _ in pairs})  # the phi rows the pairs name
+    # one function for the chart Jacobian, then each row's gradient
+    fn = chart.x_frame.evaluator(
+        [diff(c, s) for c in chart.forward for s in states]
+        + [diff(phis_x[i - 1], s) for i in rows for s in states])
     for q in points:
-        J = np.array([[eval_at(e, q) for e in row] for row in jac])
-        gzs: dict[int, np.ndarray] = {}  # row i, evaluated on first use
-        for i, j in _forbidden_pairs(n):
-            if i not in gzs:
-                gx = np.array([eval_at(e, q) for e in grads[i - 1]])
-                gzs[i] = np.linalg.solve(J.T, gx)
+        vals = np.array(fn(q.coords, q.params)).reshape(-1, n)
+        Jt = vals[:n].T
+        gzs = {i: np.linalg.solve(Jt, vals[n + r])
+               for r, i in enumerate(rows)}
+        for i, j in pairs:
             gz = gzs[i]
             scale = 1.0 + float(np.linalg.norm(gz))
             if abs(gz[j - 1]) > tol * scale:

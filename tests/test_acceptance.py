@@ -13,7 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from flatcheck.symx import Sub, compile_fn, equiv, eval_at, is_zero, parse
+from flatcheck.symx import Sub, compile_fn, eval_at, is_zero, parse
 from flatcheck.diffgeo import lie_bracket, lie_derivative_1form
 from flatcheck.flags import check_condition1, compute_flags
 from flatcheck.cauchy import (annihilator, cauchy_space, check_condition2,
@@ -27,6 +27,7 @@ from flatcheck.cli import RunConfig, cmd_check, cmd_verify, load_spec
 
 import systems
 from conftest import SPEC_DIR
+from symx_reference import equiv
 
 
 @pytest.fixture

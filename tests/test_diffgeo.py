@@ -6,7 +6,7 @@ from fractions import Fraction
 from flatcheck.symx import (Add, Const, Frame, Mul, Sub, is_zero, normalize,
                             parse)
 from flatcheck.diffgeo import (ChartError, OneForm, VectorField, basis_vector,
-                               coordinate_differential, exterior_derivative_fn,
+                               exterior_derivative_fn,
                                exterior_derivative_1form, interior_product,
                                lie_bracket, lie_derivative_fn,
                                lie_derivative_1form, wedge)
@@ -140,6 +140,13 @@ def test_lie_derivative_1form_with_given_differential():
     w = OneForm(FR3, (P("x3/(1 + x1^2)"), P("x1*x2"), P("1")))
     assert lie_derivative_1form(X, w, exterior_derivative_1form(w)) == \
         lie_derivative_1form(X, w)
+
+
+def coordinate_differential(frame, i):
+    """The coordinate one-form dx_i."""
+    return OneForm(frame, tuple(P("1") if j == i else P("0")
+                                for j in range(frame.n)))
+
 
 def test_coordinate_differential_pairs_with_basis():
     w = coordinate_differential(FR3, 1)

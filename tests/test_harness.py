@@ -70,15 +70,6 @@ def test_sample_box_deterministic_and_rejecting():
     other = SampleBox(bounds=box.bounds, count=20, seed=4).points(fr)
     assert [p.coords for p in other] != [p.coords for p in a]
 
-    half = SampleBox(bounds=box.bounds, count=20, seed=3,
-                     reject=lambda q: q.coords[0] < 0).points(fr)
-    assert all(p.coords[0] >= 0 for p in half) and len(half) == 20
-
-    never = SampleBox(bounds=box.bounds, count=2, seed=0,
-                      reject=lambda q: True)
-    with pytest.raises(HarnessError, match="rejected too often"):
-        never.points(fr)
-
 
 def test_sample_box_validation():
     with pytest.raises(ValueError, match="positive"):

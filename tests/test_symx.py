@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -8,14 +9,14 @@ import hypothesis.strategies as st
 
 from flatcheck.symx import (Add, Call, Const, Div, EvalError, Frame, Mul,
                             ParseError, PivotError, Pow, Sub, Sym, SymxError,
-                            UnsampleableDomainError, ZERO, compile_fn,
-                            compile_fns, diff,
-                            equiv, eval_at, free_symbols, is_zero,
+                            ZERO, compile_fn, compile_fns, diff, eval_at,
+                            evaluator, free_symbols, is_zero,
                             linear_decompose, normalize, nullspace_exprs,
                             parse, polynomial_terms, pow_expr, rref_exprs,
                             solve_affine_exprs, subst, to_str)
 
 import symx_reference
+from symx_reference import UnsampleableDomainError, equiv
 
 FR = Frame("x", ("x1", "x2", "x3"), ())
 
@@ -282,6 +283,84 @@ def test_compile_fns_lets_bind_in_order():
         compile_fns([Sym("w")], ("x1",), lets=[("v", Sym("w"))])
 
 
+def test_compile_fn_parenthesizes_negative_consts():
+    # -0.5 ** 2 would parse as -(0.5 ** 2)
+    f = compile_fn(Pow(Sym("a"), 2), ("x1",), {"a": -0.5})
+    assert f([1.0]) == 0.25
+
+
+# --- the evaluation contract -------------------------------------------------
+
+_num = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 3),
+                     Fraction(-7, 2), Fraction(10) ** 30]),
+    st.integers(-5, 5).map(Fraction))
+
+
+def _rational(kernels):
+    leaf = st.one_of(_num.map(Const), st.sampled_from([Sym("x1"), Sym("x2")]))
+
+    def grow(s):
+        return st.one_of(
+            st.tuples(st.sampled_from([Add, Sub, Mul, Div]), s, s).map(
+                lambda t: t[0](t[1], t[2])),
+            st.tuples(s, st.integers(-3, 4)).map(lambda t: Pow(*t)),
+            *([st.tuples(st.sampled_from(["sin", "cos", "exp", "sqrt"]),
+                         s).map(lambda t: Call(*t))] if kernels else []))
+
+    return st.recursive(leaf, grow, max_leaves=10)
+
+
+_value = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.floats(-3, 3),
+                   st.sampled_from([0.0, -0.0, 1e200, -1e-200, 710.0]))
+
+
+def _same_or_both_fail(e, env, fns):
+    try:
+        want = symx_reference.eval_at(e, env, fns)
+    except EvalError:
+        with pytest.raises(EvalError):
+            eval_at(e, env)
+        return
+    assert eval_at(e, env).hex() == want.hex()
+
+
+@given(_rational(kernels=False), _value, _value)
+@settings(max_examples=300, deadline=None)
+def test_eval_at_matches_tree_walker_bit_for_bit(e, a, b):
+    _same_or_both_fail(e, {"x1": a, "x2": b}, symx_reference.MATH_FNS)
+
+
+@given(_rational(kernels=True), _value, _value)
+@settings(max_examples=300, deadline=None)
+def test_eval_at_kernels_are_numpys(e, a, b):
+    _same_or_both_fail(e, {"x1": a, "x2": b}, symx_reference.NUMPY_FNS)
+
+
+@pytest.mark.parametrize("text, x1", [("1/x1", 0.0), ("x1^-2", 0.0),
+                                      ("sqrt(x1)", -1.0),
+                                      ("exp(x1)", 1000.0),
+                                      ("x1^2", 1e200)])
+def test_eval_errors_raise_eval_error_silently(text, x1):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvalError):
+            eval_at(P(text), {"x1": x1})
+        with pytest.raises(EvalError):
+            evaluator([P("x1"), P(text)], ("x1",))([x1])
+
+
+def test_eval_at_deep_sum_matches_tree_walker():
+    # 300 nested sums: deeper than CPython's 200 nested parentheses
+    e = Sym("x1")
+    for k in range(300):
+        e = Add(e, Mul(Const(Fraction(1, k + 2)), Sym("x2")))
+    env = {"x1": 0.1, "x2": -0.7}
+    assert eval_at(e, env) == symx_reference.eval_at(e, env)
+    assert compile_fn(e, ("x1", "x2"))([0.1, -0.7]) == eval_at(e, env)
+
+
 # --- equivalence ------------------------------------------------------------
 
 def test_equiv_exact_for_rational_pairs():
@@ -344,6 +423,13 @@ def test_solve_affine_inconsistent_returns_none():
 def test_pivot_error_when_reference_degenerate():
     with pytest.raises(PivotError):
         rref_exprs([[P("x1")]], ref_env={"x1": 0.0})
+
+
+def test_pivot_skips_entry_failing_at_reference():
+    # 1/x1 cannot be evaluated at x1 = 0, so the x2 row is the pivot
+    rows, pivots = rref_exprs([[P("1/x1")], [P("x2")]],
+                              ref_env={"x1": 0.0, "x2": 2.0})
+    assert pivots == [0] and rows[0][0] == P("x2")
 
 
 def test_linear_decompose():

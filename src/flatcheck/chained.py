@@ -26,7 +26,8 @@ from .diffgeo import VectorField, lie_bracket, lie_derivative_fn
 from .flags import SystemSpec, _reference_points
 from .symx import (Const, Div, Expr, Frame, Mul, Point, Sub, Sym, SymxError,
                    ZERO, ONE_E, diff, free_symbols, linear_decompose,
-                   normalize, polynomial_terms, solve_affine_exprs, subst)
+                   normalize, numerator_terms, polynomial_terms,
+                   solve_affine_exprs, subst)
 
 JACOBIAN_TOL = 1e-8
 
@@ -120,20 +121,25 @@ def _mono_expr(mono) -> Expr:
 def _identity_rows(e: Expr, unknowns: list[str], states) -> list[tuple[list[Expr], Expr]]:
     """Rows (coefficients over the unknowns, rhs) forcing e = 0 identically.
 
-    e must be affine in the unknowns; its normalized numerator is split
-    by state monomials and each coefficient contributes one row over
-    the parameter field.
+    e must be affine in the unknowns. Its normalized numerator is split
+    by state monomials, and each one contributes the row that makes its
+    coefficient vanish: the unknowns' coefficients, read off the
+    numerator's terms, against minus the terms free of them.
     """
-    num = normalize(e)
-    if isinstance(num, Div):
-        num = num.a
-    rows = []
-    for _, coeff in sorted(polynomial_terms(num, states).items(),
-                           key=lambda kv: (sum(x for _, x in kv[0]), kv[0])):
-        cmap, rest = linear_decompose(coeff, unknowns)
-        row = [cmap.get(u, ZERO) for u in unknowns]
-        rows.append((row, normalize(Mul(Const(Fraction(-1)), rest))))
-    return rows
+    index = {u: k for k, u in enumerate(unknowns)}
+    rows: dict[tuple, tuple[list[Expr], Expr]] = {}
+    for mono, coeff in numerator_terms(e, (*states, *unknowns)).items():
+        key = tuple((a, k) for a, k in mono if a not in index)
+        row = rows.setdefault(key, ([ZERO] * len(unknowns), ZERO))[0]
+        linear = [(a, k) for a, k in mono if a in index]
+        if not linear:
+            rows[key] = (row, normalize(Mul(Const(Fraction(-1)), coeff)))
+        elif len(linear) == 1 and linear[0][1] == 1:
+            row[index[linear[0][0]]] = coeff
+        else:
+            raise SymxError("expression is not affine in the unknowns")
+    return [rows[key] for key in
+            sorted(rows, key=lambda m: (sum(x for _, x in m), m))]
 
 
 def _ansatz_names(frame: Frame, count: int) -> list[str]:

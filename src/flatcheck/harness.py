@@ -456,13 +456,12 @@ class FlatSignal:
 
         jets = {}
         for name, base in (("y1", zs[0]), ("y2", zs[n - 1])):
+            orders: list[Expr] = [Sym(base)]
+            for _ in range(depth):
+                orders.append(_total_derivative(orders[-1], succ))
             stack = np.empty((len(traj.t), depth + 1))
-            e: Expr = Sym(base)
-            for m in range(depth + 1):
-                fn = compile_fn(e, order, params)
-                stack[:, m] = np.broadcast_to(fn(cols), traj.t.shape)
-                if m < depth:
-                    e = _total_derivative(e, succ)
+            for m, col in enumerate(compile_fns(orders, order, params)(cols)):
+                stack[:, m] = np.broadcast_to(col, traj.t.shape)
             jets[name] = stack
         return cls(t=traj.t.copy(), y1_jets=jets["y1"], y2_jets=jets["y2"])
 

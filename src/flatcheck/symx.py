@@ -18,6 +18,12 @@ Numeric evaluation has one path: trees are compiled to Python source
 operators and numpy's sin, cos, exp and sqrt. evaluator and eval_at
 call it one point at a time under one error contract: division by
 zero, overflow, domain errors and non-finite values raise EvalError.
+
+Linear algebra over the rational-function field (rref_exprs,
+nullspace_exprs, solve_affine_exprs) takes and returns trees but
+eliminates on the normal form's (numerator, denominator) polynomial
+pairs: each entry is converted in once and each result out once, and
+every entry equals normalize of the tree the update stands for.
 """
 
 from __future__ import annotations
@@ -511,8 +517,10 @@ def diff(e: Expr, v: str) -> Expr:
 
 Mono = tuple[tuple[str, int], ...]
 Poly = dict[Mono, Fraction]
+Pair = tuple[Poly, Poly]  # numerator, denominator
 
 _P_ONE: Poly = {(): Fraction(1)}
+_ZERO_PAIR: Pair = ({}, _P_ONE)
 
 
 def _mono_mul(m1: Mono, m2: Mono) -> Mono:
@@ -705,6 +713,40 @@ def _poly_to_expr(p: Poly, atoms: dict[str, Expr]) -> Expr:
     return acc
 
 
+def _is_one(p: Poly) -> bool:
+    return len(p) == 1 and p.get(()) == 1
+
+
+def _canon(num: Poly, den: Poly) -> Pair:
+    """The pair behind normalize's tree: zero as ({}, 1), the shared
+    monomial content divided out, a constant quotient as (c, 1),
+    otherwise a monic denominator. A pair with a unit denominator is
+    already all of that. Zero and unit denominators come back as the
+    shared _ZERO_PAIR and _P_ONE, so a large sparse matrix of pairs
+    holds no copy of either."""
+    if not num:
+        return _ZERO_PAIR
+    if _is_one(den):
+        return num, _P_ONE
+    num, den = _cancel_content(num, den)
+    ratio = _constant_ratio(num, den)
+    if ratio is not None:
+        return {(): ratio}, _P_ONE
+    lc = den[max(den, key=_mono_key)]
+    if lc != 1:
+        num = _p_scale(num, 1 / lc)
+        den = _p_scale(den, 1 / lc)
+    return num, den
+
+
+def _pair_to_expr(num: Poly, den: Poly, atoms: dict[str, Expr]) -> Expr:
+    """The tree of a pair from _canon."""
+    num_e = _poly_to_expr(num, atoms)
+    if _is_one(den):
+        return num_e
+    return Div(num_e, _poly_to_expr(den, atoms))
+
+
 def normalize(e: Expr) -> Expr:
     """Expanded rational normal form.
 
@@ -715,22 +757,7 @@ def normalize(e: Expr) -> Expr:
     normalize(e) structurally.
     """
     atoms: dict[str, Expr] = {}
-    num, den = _ratform(e, atoms)
-    if not num:
-        return ZERO
-    num, den = _cancel_content(num, den)
-    ratio = _constant_ratio(num, den)
-    if ratio is not None:
-        return Const(ratio)
-    lead = max(den, key=_mono_key)
-    lc = den[lead]
-    if lc != 1:
-        num = _p_scale(num, 1 / lc)
-        den = _p_scale(den, 1 / lc)
-    num_e = _poly_to_expr(num, atoms)
-    if den == _P_ONE:
-        return num_e
-    return Div(num_e, _poly_to_expr(den, atoms))
+    return _pair_to_expr(*_canon(*_ratform(e, atoms)), atoms)
 
 
 def is_zero(e: Expr) -> bool:
@@ -928,11 +955,29 @@ def to_str(e: Expr) -> str:
 # ---------------------------------------------------------------------------
 # Linear algebra over the rational-function field
 #
-# Entries are Exprs; elimination is fraction-free (each update is
-# pivot*row - entry*pivot_row, normalized), so polynomial entries stay
-# polynomial. Pivots must be symbolically nonzero and are picked by
-# largest magnitude at a numeric reference environment when one is
-# given, matching the convention used for annihilator construction.
+# Entries are Exprs at the interface and (num, den) Poly pairs inside.
+# Each entry is converted once on the way in, by _ratform and _canon,
+# into the pair behind its normal form. Trees are built only for the
+# pivot candidates of a column that must be evaluated and for the
+# entries returned.
+#
+# Elimination is fraction-free: row i becomes piv*row_i - e*pivot_row,
+# e being row i's entry in the pivot column, so polynomial entries stay
+# polynomial. Each new entry is the pair _ratform gives for the tree
+# Sub(Mul(piv, a), Mul(e, b)) over the normal forms of its operands,
+# (pn*an*ed*bd - en*bn*pd*ad, pd*ad*ed*bd), put through _canon; so it
+# is the pair of normalize of that tree. normalize has no gcd and is
+# not canonical, so a different but equal fraction (dropping pd*ad when
+# a is zero, say) would print differently; the only short cut taken is
+# that an entry with a and b both zero stays zero. Solution entries
+# follow Div(Mul(Const(-1), x), p) the same way.
+#
+# Pivots must be symbolically nonzero and are picked by largest
+# magnitude at a numeric reference environment when one is given,
+# matching the convention used for annihilator construction. A pivot
+# choice and an update in column j read only the pivot column and
+# column j, so eliminating [A | -b] also eliminates A: its first
+# columns are A's reduced rows.
 # ---------------------------------------------------------------------------
 
 class PivotError(SymxError):
@@ -940,22 +985,34 @@ class PivotError(SymxError):
     reference point."""
 
 
-def _pivot_row(rows, col, start, ref_env, tol=1e-12):
-    cands = [i for i in range(start, len(rows)) if rows[i][col] != ZERO]
+def _pairs_in(matrix: Sequence[Sequence[Expr]],
+              atoms: dict[str, Expr]) -> list[list[Pair]]:
+    return [[_canon(*_ratform(x, atoms)) for x in row] for row in matrix]
+
+
+def _pivot_row(rows: list[list[Pair]], col: int, start: int, ref_env,
+               atoms: dict[str, Expr], tol=1e-12):
+    cands = [i for i in range(start, len(rows)) if rows[i][col][0]]
     if not cands or ref_env is None:
         return cands[0] if cands else None
-    entries = [rows[i][col] for i in cands]
-    try:
-        mags = [abs(x) for x in
-                evaluator(entries, tuple(ref_env))(ref_env.values())]
-    except EvalError:
-        # an entry that fails at the reference point counts as zero
-        mags = []
-        for entry in entries:
-            try:
-                mags.append(abs(eval_at(entry, ref_env)))
-            except EvalError:
-                mags.append(0.0)
+    pairs = [rows[i][col] for i in cands]
+    if all(_is_one(den) and () in num and len(num) == 1
+           for num, den in pairs):
+        # constants: the floats an evaluator's literals would hold
+        mags = [abs(float(num[()])) for num, _ in pairs]
+    else:
+        entries = [_pair_to_expr(*p, atoms) for p in pairs]
+        try:
+            mags = [abs(x) for x in
+                    evaluator(entries, tuple(ref_env))(ref_env.values())]
+        except EvalError:
+            # an entry that fails at the reference point counts as zero
+            mags = []
+            for entry in entries:
+                try:
+                    mags.append(abs(eval_at(entry, ref_env)))
+                except EvalError:
+                    mags.append(0.0)
     best, best_mag = None, 0.0
     for i, mag in zip(cands, mags):
         if mag > best_mag:
@@ -965,37 +1022,77 @@ def _pivot_row(rows, col, start, ref_env, tol=1e-12):
     return best
 
 
+def _update(piv: Pair, e: Pair, a: Pair, b: Pair) -> Pair:
+    """The pair of normalize(Sub(Mul(piv, a), Mul(e, b)))."""
+    (an, ad), (bn, bd) = a, b
+    if not an and not bn:
+        return _ZERO_PAIR
+    (pn, pd), (en, ed) = piv, e
+    pad, ebd = _p_mul(pd, ad), _p_mul(ed, bd)
+    num = _p_add(_p_mul(_p_mul(pn, an), ebd),
+                 _p_neg(_p_mul(_p_mul(en, bn), pad)))
+    return _canon(num, _p_mul(pad, ebd))
+
+
+def _eliminate(rows: list[list[Pair]], ref_env,
+               atoms: dict[str, Expr]) -> list[int]:
+    """Reduce rows in place; returns the pivot columns."""
+    pivots: list[int] = []
+    r = 0
+    for c in range(len(rows[0])):
+        if r >= len(rows):
+            break
+        i = _pivot_row(rows, c, r, ref_env, atoms)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        prow = rows[r]
+        piv = prow[c]
+        for i, row in enumerate(rows):
+            if i == r or not row[c][0]:
+                continue
+            e = row[c]
+            rows[i] = [_update(piv, e, a, b) for a, b in zip(row, prow)]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def _solution_entry(x: Pair, p: Pair, atoms: dict[str, Expr]) -> Expr:
+    """normalize(Div(Mul(Const(-1), x), p)), from the pairs of x and p."""
+    (xn, xd), (pn, pd) = x, p
+    return _pair_to_expr(*_canon(_p_mul(_p_neg(xn), pd), _p_mul(xd, pn)),
+                         atoms)
+
+
+def _null_basis(rows: list[list[Pair]], pivots: list[int], ncols: int,
+                atoms: dict[str, Expr]) -> list[list[Expr]]:
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v: list[Expr] = [ZERO] * ncols
+        v[fc] = ONE_E
+        for r, pc in enumerate(pivots):
+            v[pc] = _solution_entry(rows[r][fc], rows[r][pc], atoms)
+        basis.append(v)
+    return basis
+
+
 def rref_exprs(matrix: Sequence[Sequence[Expr]],
                ref_env: Mapping[str, float] | None = None
                ) -> tuple[list[list[Expr]], list[int]]:
     """Fraction-free reduced row echelon form over the expression field.
 
-    Returns the reduced rows (pivot entries not rescaled to 1) and the
-    pivot column indices.
+    Returns the reduced rows (pivot entries not rescaled to 1), each
+    entry normalized, and the pivot column indices.
     """
-    rows = [[normalize(x) for x in row] for row in matrix]
+    atoms: dict[str, Expr] = {}
+    rows = _pairs_in(matrix, atoms)
     if not rows:
         return [], []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r >= len(rows):
-            break
-        i = _pivot_row(rows, c, r, ref_env)
-        if i is None:
-            continue
-        rows[r], rows[i] = rows[i], rows[r]
-        piv = rows[r][c]
-        for i in range(len(rows)):
-            if i == r or rows[i][c] == ZERO:
-                continue
-            e = rows[i][c]
-            rows[i] = [normalize(Sub(Mul(piv, rows[i][j]), Mul(e, rows[r][j])))
-                       for j in range(ncols)]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
+    pivots = _eliminate(rows, ref_env, atoms)
+    return [[_pair_to_expr(*x, atoms) for x in row] for row in rows], pivots
 
 
 def nullspace_exprs(matrix: Sequence[Sequence[Expr]],
@@ -1008,18 +1105,10 @@ def nullspace_exprs(matrix: Sequence[Sequence[Expr]],
     """
     if not matrix:
         return []
-    ncols = len(matrix[0])
-    rows, pivots = rref_exprs(matrix, ref_env)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v: list[Expr] = [ZERO] * ncols
-        v[fc] = ONE_E
-        for r, pc in enumerate(pivots):
-            v[pc] = normalize(Div(Mul(Const(Fraction(-1)), rows[r][fc]),
-                                  rows[r][pc]))
-        basis.append(v)
-    return basis
+    atoms: dict[str, Expr] = {}
+    rows = _pairs_in(matrix, atoms)
+    pivots = _eliminate(rows, ref_env, atoms)
+    return _null_basis(rows, pivots, len(matrix[0]), atoms)
 
 
 def solve_affine_exprs(matrix: Sequence[Sequence[Expr]],
@@ -1030,20 +1119,21 @@ def solve_affine_exprs(matrix: Sequence[Sequence[Expr]],
 
     Returns (particular solution with free coordinates set to 0,
     nullspace basis of A), or None when the system is inconsistent.
+    One elimination of [A | -b] gives both.
     """
     if not matrix:
         return [], []
     ncols = len(matrix[0])
-    aug = [list(row) + [Mul(Const(Fraction(-1)), rhs[i])]
-           for i, row in enumerate(matrix)]
-    rows, pivots = rref_exprs(aug, ref_env)
+    atoms: dict[str, Expr] = {}
+    rows = _pairs_in([list(row) + [Mul(Const(Fraction(-1)), rhs[i])]
+                      for i, row in enumerate(matrix)], atoms)
+    pivots = _eliminate(rows, ref_env, atoms)
     if ncols in pivots:
         return None
     part: list[Expr] = [ZERO] * ncols
     for r, pc in enumerate(pivots):
-        part[pc] = normalize(Div(Mul(Const(Fraction(-1)), rows[r][ncols]),
-                                 rows[r][pc]))
-    return part, nullspace_exprs(matrix, ref_env)
+        part[pc] = _solution_entry(rows[r][ncols], rows[r][pc], atoms)
+    return part, _null_basis(rows, pivots, ncols, atoms)
 
 
 def linear_decompose(e: Expr, unknowns: Sequence[str]
@@ -1069,6 +1159,17 @@ def linear_decompose(e: Expr, unknowns: Sequence[str]
     return coeffs, rest
 
 
+def _split_terms(num: Poly, split: set[str]) -> dict[Mono, Poly]:
+    """num grouped by its monomials in the split atoms: {monomial in
+    split: coefficient polynomial over the other atoms}."""
+    groups: dict[Mono, Poly] = {}
+    for mono, coef in num.items():
+        key = tuple((a, k) for a, k in mono if a in split)
+        rest = tuple((a, k) for a, k in mono if a not in split)
+        groups.setdefault(key, {})[rest] = coef
+    return groups
+
+
 def polynomial_terms(e: Expr, split_on: Iterable[str]
                      ) -> dict[Mono, Expr]:
     """Group a polynomial expression by monomials in the given symbols.
@@ -1085,19 +1186,20 @@ def polynomial_terms(e: Expr, split_on: Iterable[str]
         if any(a in split for a, _ in m):
             raise SymxError("denominator involves split symbols")
     den_e = _poly_to_expr(den, atoms) if den != _P_ONE else None
-    groups: dict[Mono, Poly] = {}
-    for mono, coef in num.items():
-        key = tuple((a, k) for a, k in mono if a in split)
-        rest = tuple((a, k) for a, k in mono if a not in split)
-        g = groups.setdefault(key, {})
-        g[rest] = g.get(rest, Fraction(0)) + coef
     out: dict[Mono, Expr] = {}
-    for key, poly in groups.items():
-        poly = {m: c for m, c in poly.items() if c}
-        if not poly:
-            continue
+    for key, poly in _split_terms(num, split).items():
         ce = _poly_to_expr(poly, atoms)
         if den_e is not None:
             ce = normalize(Div(ce, den_e))
         out[key] = ce
     return out
+
+
+def numerator_terms(e: Expr, split_on: Iterable[str]
+                    ) -> dict[Mono, Expr]:
+    """polynomial_terms of the numerator of normalize(e), read off its
+    pair without building the normal form's tree."""
+    atoms: dict[str, Expr] = {}
+    num, _ = _canon(*_ratform(e, atoms))
+    return {key: _poly_to_expr(poly, atoms)
+            for key, poly in _split_terms(num, set(split_on)).items()}

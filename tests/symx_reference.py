@@ -10,7 +10,13 @@ Reference implementations that tests compare the library against:
   evaluation went through generated code, kept to show that the
   generated code computes the same floats and raises EvalError at the
   same points. Its kernels are math's by default; `NUMPY_FNS` gives it
-  numpy's, which the library uses.
+  numpy's, which the library uses;
+- the tree route of the exact linear algebra, which normalized an
+  expression tree for every entry update and solved A x = b by
+  eliminating [A | -b] and then A again, and the identity rows of the
+  output-pair search built with polynomial_terms and linear_decompose,
+  kept to show that elimination on (num, den) pairs returns the same
+  trees and raises PivotError on the same inputs.
 
 And `equiv`, a probabilistic equivalence test only tests use.
 """
@@ -21,11 +27,12 @@ from fractions import Fraction
 import numpy as np
 
 from flatcheck.symx import (Add, Call, Const, Div, EvalError, FUNCTIONS, Mul,
-                            Pow, Sub, Sym, SymxError, ZERO, _P_ONE,
-                            _cancel_content, _constant_ratio, _mono_key,
-                            _mono_mul, _p_add, _p_neg, _p_scale,
-                            _poly_to_expr, eval_at as lib_eval_at,
-                            free_symbols, is_zero, to_str)
+                            ONE_E, PivotError, Pow, Sub, Sym, SymxError,
+                            ZERO, _P_ONE, _cancel_content, _constant_ratio,
+                            _mono_key, _mono_mul, _p_add, _p_neg, _p_scale,
+                            _poly_to_expr, eval_at as lib_eval_at, evaluator,
+                            free_symbols, is_zero, linear_decompose,
+                            polynomial_terms, to_str)
 
 
 def p_mul(p, q):
@@ -173,6 +180,105 @@ def eval_at(e, env, fns=MATH_FNS):
     if not math.isfinite(val):
         raise EvalError("non-finite value")
     return val
+
+
+# --- the tree route of the linear algebra --------------------------------------
+
+def pivot_row(rows, col, start, ref_env, tol=1e-12):
+    cands = [i for i in range(start, len(rows)) if rows[i][col] != ZERO]
+    if not cands or ref_env is None:
+        return cands[0] if cands else None
+    entries = [rows[i][col] for i in cands]
+    try:
+        mags = [abs(x) for x in
+                evaluator(entries, tuple(ref_env))(ref_env.values())]
+    except EvalError:
+        mags = []
+        for entry in entries:
+            try:
+                mags.append(abs(lib_eval_at(entry, ref_env)))
+            except EvalError:
+                mags.append(0.0)
+    best, best_mag = None, 0.0
+    for i, mag in zip(cands, mags):
+        if mag > best_mag:
+            best, best_mag = i, mag
+    if best is None or best_mag <= tol:
+        raise PivotError(f"pivot in column {col} vanishes at the reference point")
+    return best
+
+
+def rref_exprs(matrix, ref_env=None):
+    rows = [[normalize(x) for x in row] for row in matrix]
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= len(rows):
+            break
+        i = pivot_row(rows, c, r, ref_env)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        piv = rows[r][c]
+        for i in range(len(rows)):
+            if i == r or rows[i][c] == ZERO:
+                continue
+            e = rows[i][c]
+            rows[i] = [normalize(Sub(Mul(piv, rows[i][j]), Mul(e, rows[r][j])))
+                       for j in range(ncols)]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def nullspace_exprs(matrix, ref_env=None):
+    if not matrix:
+        return []
+    ncols = len(matrix[0])
+    rows, pivots = rref_exprs(matrix, ref_env)
+    basis = []
+    for fc in [c for c in range(ncols) if c not in pivots]:
+        v = [ZERO] * ncols
+        v[fc] = ONE_E
+        for r, pc in enumerate(pivots):
+            v[pc] = normalize(Div(Mul(Const(Fraction(-1)), rows[r][fc]),
+                                  rows[r][pc]))
+        basis.append(v)
+    return basis
+
+
+def solve_affine_exprs(matrix, rhs, ref_env=None):
+    if not matrix:
+        return [], []
+    ncols = len(matrix[0])
+    aug = [list(row) + [Mul(Const(Fraction(-1)), rhs[i])]
+           for i, row in enumerate(matrix)]
+    rows, pivots = rref_exprs(aug, ref_env)
+    if ncols in pivots:
+        return None
+    part = [ZERO] * ncols
+    for r, pc in enumerate(pivots):
+        part[pc] = normalize(Div(Mul(Const(Fraction(-1)), rows[r][ncols]),
+                                 rows[r][pc]))
+    return part, nullspace_exprs(matrix, ref_env)
+
+
+def identity_rows(e, unknowns, states):
+    """chained._identity_rows by way of polynomial_terms and
+    linear_decompose on the normalized numerator's tree."""
+    num = normalize(e)
+    if isinstance(num, Div):
+        num = num.a
+    rows = []
+    for _, coeff in sorted(polynomial_terms(num, states).items(),
+                           key=lambda kv: (sum(x for _, x in kv[0]), kv[0])):
+        cmap, rest = linear_decompose(coeff, unknowns)
+        row = [cmap.get(u, ZERO) for u in unknowns]
+        rows.append((row, normalize(Mul(Const(Fraction(-1)), rest))))
+    return rows
 
 
 # --- equivalence ---------------------------------------------------------------

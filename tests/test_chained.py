@@ -2,15 +2,18 @@ import pytest
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
-from flatcheck.symx import (Const, Div, Mul, Sub, Sym, is_zero, normalize,
-                            parse, subst)
+from flatcheck.symx import (Add, Call, Const, Div, Mul, Sub, Sym, is_zero,
+                            normalize, parse, subst)
 from flatcheck.diffgeo import basis_vector
 from flatcheck.flags import SystemSpec
 from flatcheck.chained import (ChainedError, Chart, FeedbackMatrix,
-                               build_chart, control_pair, find_output_pair,
-                               verify_chained)
+                               _identity_rows, build_chart, control_pair,
+                               find_output_pair, verify_chained)
 
+import symx_reference
 import systems
 from symx_reference import equiv
 
@@ -28,6 +31,29 @@ def test_output_pair_motor_matches_references(motor_spec):
     fr = motor_spec.frame
     assert equiv(pair.h1, parse(systems.MOTOR_H1, fr))
     assert equiv(pair.h2, parse(systems.MOTOR_H2, fr))
+
+
+_coeff = st.recursive(
+    st.one_of(st.integers(-2, 2).map(lambda k: Const(Fraction(k))),
+              st.sampled_from([Sym("x1"), Sym("x2"), Sym("p"),
+                               Call("sin", Sym("x1"))])),
+    lambda s: st.tuples(s, s).flatmap(lambda t: st.sampled_from(
+        [Add(*t), Sub(*t), Mul(*t),
+         Div(t[0], Add(Mul(t[1], t[1]), Const(Fraction(1))))])),
+    max_leaves=4)
+
+
+@given(st.lists(_coeff, min_size=4, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_identity_rows_match_tree_route(parts):
+    # e = A0*c0_ + A1*c1_ + A2*c2_ + B, affine in the unknowns, with a
+    # parameter, a sin atom and denominators in the coefficients
+    unknowns = ["c0_", "c1_", "c2_"]
+    e = parts[3]
+    for u, a in zip(unknowns, parts):
+        e = Add(e, Mul(a, Sym(u)))
+    assert (_identity_rows(e, unknowns, ("x1", "x2"))
+            == symx_reference.identity_rows(e, unknowns, ("x1", "x2")))
 
 
 def test_output_pair_search_fails_cleanly():

@@ -224,6 +224,53 @@ def test_transform_example1_golden_strings():
     assert rep.data["verdicts"]["construction"] == "ok"
 
 
+CHAINED6 = """\
+n = 6
+states = x1 x2 x3 x4 x5 x6
+f = 0, 0, 0, 0, 0, 0
+g1 = x2, x3, x4, x5, 0, 1
+g2 = 0, 0, 0, 0, 1, 0
+"""
+
+
+def test_transform_motor_golden_strings():
+    # the output pair comes from the ansatz search, so these strings pin
+    # the exact elimination's printed results, not just their values
+    rep = cmd_transform(_cfg(SPEC_DIR / "motor.spec", command="transform"))
+    sec = rep.data["construction"]
+    assert sec["source"] == "output-pair search at degree 2"
+    assert sec["chart"] == ["(-M*n_p*x2*x3 + J*M*R*x1)/(J*L)",
+                            "(-2*M^2*R*n_p*x3)/(J*L^2)",
+                            "L*x2/(M*R)"]
+    assert sec["flat_output"]["y"] == ["(-M*n_p*x2*x3 + J*M*R*x1)/(J*L)",
+                                       "L*x2/(M*R)"]
+    assert sec["inverse"] == ["(-(1/2)*L*z2*z3 + L*z1)/(M*R)",
+                              "M*R*z3/L",
+                              "(-(1/2)*J*L^2*z2)/(M^2*R*n_p)"]
+    assert sec["beta"] == [["1", "0"],
+                           ["0", "(-(1/2)*J*L^3)/(M^3*R^2*n_p)"]]
+    assert sec["alpha"] == ["(L*n_p*x1*x3 + R*x2)/(M*R)",
+                            "(-L*n_p*x1*x2 + R*x3)/(M*R)"]
+    assert sec["alpha_bar"] == [
+        "(L*n_p*x1*x3 + R*x2)/(M*R)",
+        "(2*L*M^2*R*n_p^2*x1*x2 - 2*M^2*R^2*n_p*x3)/(J*L^3)"]
+    assert rep.data["verdicts"]["construction"] == "ok"
+
+
+def test_transform_chained6_forced_golden_strings(tmp_path):
+    rep = cmd_transform(_cfg(_write(tmp_path, CHAINED6),
+                             command="transform", force=True))
+    sec = rep.data["construction"]
+    assert sec["source"] == "output-pair search at degree 2"
+    assert sec["chart"] == ["x1", "x2", "x3", "x4", "x5", "x6"]
+    assert sec["flat_output"]["y"] == ["x1", "x6"]
+    assert sec["inverse"] == ["z1", "z2", "z3", "z4", "z5", "z6"]
+    assert sec["beta"] == [["1", "0"], ["0", "1"]]
+    assert sec["alpha"] == ["0", "0"]
+    assert sec["alpha_bar"] == ["0", "0"]
+    assert rep.data["verdicts"]["construction"] == "ok"
+
+
 def test_verify_flags_wrong_user_beta(tmp_path):
     text = (SPEC_DIR / "example1.spec").read_text()
     path = _write(tmp_path, text + "beta = 1, 0, 0, 1\n")

@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from flatcheck import symx
 from flatcheck.symx import (Add, Call, Const, Div, EvalError, Frame, Mul,
                             ParseError, PivotError, Pow, Sub, Sym, SymxError,
-                            ZERO, compile_fn, compile_fns, diff, eval_at,
+                            ZERO, _canon, _ratform, compile_fn, compile_fns,
+                            diff, eval_at,
                             evaluator, free_symbols, is_zero,
                             linear_decompose, normalize, nullspace_exprs,
                             parse, polynomial_terms, pow_expr, rref_exprs,
@@ -316,6 +318,17 @@ _value = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                    st.sampled_from([0.0, -0.0, 1e200, -1e-200, 710.0]))
 
 
+@given(_rational(kernels=True))
+@settings(max_examples=200, deadline=None)
+def test_ratform_of_normal_form_is_the_canonical_pair(e):
+    # the pair invariant the exact elimination rests on
+    try:
+        want = _canon(*_ratform(e, {}))
+    except SymxError:
+        return
+    assert _ratform(normalize(e), {}) == want
+
+
 def _same_or_both_fail(e, env, fns):
     try:
         want = symx_reference.eval_at(e, env, fns)
@@ -430,6 +443,112 @@ def test_pivot_skips_entry_failing_at_reference():
     rows, pivots = rref_exprs([[P("1/x1")], [P("x2")]],
                               ref_env={"x1": 0.0, "x2": 2.0})
     assert pivots == [0] and rows[0][0] == P("x2")
+
+
+def test_pivot_on_constant_column_compiles_nothing(monkeypatch):
+    def no_compiling(*args, **kwargs):
+        raise AssertionError("a constant column was compiled")
+
+    matrix = [[P("1"), P("2")], [P("-3"), P("1/2")]]
+    want = symx_reference.rref_exprs(matrix, {"x1": 0.5})
+    monkeypatch.setattr(symx, "evaluator", no_compiling)
+    assert rref_exprs(matrix, {"x1": 0.5}) == want
+    # -3 has the larger magnitude, so its row was the first pivot row
+    # (picking the 1 would have left 13/2 here)
+    assert want[0][0][0] == Const(Fraction(39, 2))
+
+
+def test_pivot_on_oversized_constant_overflows():
+    with pytest.raises(OverflowError):
+        rref_exprs([[Const(Fraction(10) ** 400)]], ref_env={"x1": 0.0})
+
+
+# --- elimination on pairs against the tree route -------------------------------
+
+_la_leaf = st.one_of(
+    st.integers(-2, 2).map(lambda k: Const(Fraction(k))),
+    st.sampled_from([Sym("x1"), Sym("x2"), Sym("p"), Call("sin", Sym("x1"))]))
+
+
+def _la_combine(children):
+    a, b = children
+    return st.sampled_from([Add(a, b), Sub(a, b), Mul(a, b),
+                            Div(a, Add(Mul(b, b), Const(Fraction(1)))),
+                            Div(a, Sym("x1"))])
+
+
+_la_entry = st.recursive(_la_leaf,
+                         lambda s: st.tuples(s, s).flatmap(_la_combine),
+                         max_leaves=3)
+
+
+@st.composite
+def _la_system(draw):
+    """A 1-2 by 1-3 system (A, b); sometimes with one more row, k times
+    the first, so that A is rank-deficient, and its b entry either k
+    times the first (consistent) or that plus 1 (inconsistent)."""
+    nrows, ncols = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    matrix = [[draw(_la_entry) for _ in range(ncols)] for _ in range(nrows)]
+    rhs = [draw(_la_entry) for _ in range(nrows)]
+    if draw(st.booleans()):
+        k = draw(_la_entry)
+        matrix.append([Mul(k, x) for x in matrix[0]])
+        rhs.append(draw(st.sampled_from(
+            [Mul(k, rhs[0]), Add(Mul(k, rhs[0]), Const(Fraction(1)))])))
+    return matrix, rhs
+
+
+# None picks the first nonzero candidate; zeros make pivots vanish and
+# x1 = 0 makes the 1/x1 entries fail at the reference point
+_la_env = st.one_of(
+    st.none(),
+    st.fixed_dictionaries({"x1": st.sampled_from([0.0, 0.5, -1.25]),
+                           "x2": st.sampled_from([0.0, 2.0]),
+                           "p": st.sampled_from([0.0, 1.5])}))
+
+_SIN_P = [[Call("sin", Sym("x1")), Sym("p")],
+          [Mul(Const(Fraction(2)), Call("sin", Sym("x1"))),
+           Mul(Const(Fraction(2)), Sym("p"))]]
+_LA_ENV = {"x1": 0.5, "x2": 2.0, "p": 1.5}
+
+
+def _same_outcome(lib, ref):
+    try:
+        want = ref()
+    except PivotError:
+        with pytest.raises(PivotError):
+            lib()
+        return
+    assert lib() == want
+
+
+@given(_la_system(), _la_env)
+@example((_SIN_P, [Sym("x2"), Const(Fraction(1))]), _LA_ENV)
+@example(([[Sym("x1")]], [Sym("x2")]), {"x1": 0.0, "x2": 0.0, "p": 0.0})
+@settings(max_examples=150, deadline=None)
+def test_rref_matches_tree_route(system, env):
+    matrix, _ = system
+    _same_outcome(lambda: rref_exprs(matrix, env),
+                  lambda: symx_reference.rref_exprs(matrix, env))
+
+
+@given(_la_system(), _la_env)
+@example((_SIN_P, [Sym("x2"), Const(Fraction(1))]), _LA_ENV)
+@settings(max_examples=150, deadline=None)
+def test_nullspace_matches_tree_route(system, env):
+    matrix, _ = system
+    _same_outcome(lambda: nullspace_exprs(matrix, env),
+                  lambda: symx_reference.nullspace_exprs(matrix, env))
+
+
+@given(_la_system(), _la_env)
+@example((_SIN_P, [Sym("x2"), Mul(Const(Fraction(2)), Sym("x2"))]), _LA_ENV)
+@example((_SIN_P, [Sym("x2"), Const(Fraction(1))]), _LA_ENV)
+@settings(max_examples=150, deadline=None)
+def test_solve_affine_matches_tree_route(system, env):
+    matrix, rhs = system
+    _same_outcome(lambda: solve_affine_exprs(matrix, rhs, env),
+                  lambda: symx_reference.solve_affine_exprs(matrix, rhs, env))
 
 
 def test_linear_decompose():

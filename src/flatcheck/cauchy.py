@@ -23,7 +23,7 @@ import numpy as np
 
 from .diffgeo import (OneForm, TwoForm, exterior_derivative_1form,
                       lie_derivative_1form)
-from .flags import DEFAULT_RANK_TOL, FlagTable, SystemSpec, _rank
+from .flags import FlagTable, SystemSpec, _rank
 from .symx import Point, SymxError, ZERO, normalize, nullspace_exprs
 
 DEFAULT_PROJ_TOL = 1e-8
@@ -35,14 +35,13 @@ class AnnihilatorError(SymxError):
 
 @dataclass(frozen=True)
 class Codistribution:
-    """Symbolic generators of (G_k)^perp with their provenance level.
+    """Symbolic generators of (G_k)^perp.
 
     differentials[i] is d(generators[i]).
     """
 
     generators: tuple[OneForm, ...]
     differentials: tuple[TwoForm, ...]
-    level: int
 
     @property
     def frame(self):
@@ -53,7 +52,6 @@ class Codistribution:
 class CharacteristicSpaces:
     """Pointwise bases of A (vectors) and C (covectors) at one point."""
 
-    point: Point
     a_basis: np.ndarray  # dim_A x n, rows are tangent vectors
     c_basis: np.ndarray  # dim_C x n, rows are covectors
 
@@ -87,13 +85,13 @@ def _nullspace_numeric(mat: np.ndarray, n: int, tol: float) -> np.ndarray:
 
 
 def annihilator(table: FlagTable, k: int,
-                ref_points: list[Point],
-                rank_tol: float = DEFAULT_RANK_TOL) -> Codistribution:
+                ref_points: list[Point]) -> Codistribution:
     """Symbolic one-forms spanning the annihilator of G_k.
 
     Valid levels are 1 <= k <= n-3 (the drift test's range). Pivots of
     the symbolic elimination are chosen by magnitude at the first
-    reference point; dim G_k = 2+k is required at the reference points.
+    reference point; dim G_k = 2+k is required at the reference points,
+    ranked with the tolerance the table was built with.
     """
     spec = table.spec
     n = spec.n
@@ -103,7 +101,7 @@ def annihilator(table: FlagTable, k: int,
     gens = table.levels[k].g_generators
     for q in ref_points:
         mat = np.array([v.values(q) for _, v in gens])
-        if _rank(mat, rank_tol) != 2 + k:
+        if _rank(mat, table.rank_tol) != 2 + k:
             raise AnnihilatorError(
                 f"rank of G_{k} is not {2 + k} at reference point "
                 f"{tuple(q.coords)}")
@@ -114,7 +112,7 @@ def annihilator(table: FlagTable, k: int,
             f"expected {n - 2 - k} annihilator generators, got {len(basis)}")
     forms = tuple(OneForm(spec.frame, tuple(b)) for b in basis)
     return Codistribution(
-        forms, tuple(exterior_derivative_1form(w) for w in forms), k)
+        forms, tuple(exterior_derivative_1form(w) for w in forms))
 
 
 def cauchy_space(cod: Codistribution, q: Point,
@@ -136,7 +134,7 @@ def cauchy_space(cod: Codistribution, q: Point,
     blocks = [omega] + [proj @ dw.values(q).T for dw in cod.differentials]
     a_basis = _nullspace_numeric(np.vstack(blocks), n, tol)
     c_basis = _nullspace_numeric(a_basis, n, tol)
-    return CharacteristicSpaces(q, a_basis, c_basis)
+    return CharacteristicSpaces(a_basis, c_basis)
 
 
 def _constant_coordinate_pattern(spaces: list[CharacteristicSpaces],

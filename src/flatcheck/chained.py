@@ -30,6 +30,7 @@ from .symx import (Const, Div, Expr, Frame, Mul, Point, Sub, Sym, SymxError,
                    solve_affine_exprs, subst)
 
 JACOBIAN_TOL = 1e-8
+CHAINED_TOL = 1e-8  # relative tolerance of the numeric chained-form check
 
 
 class ChainedError(SymxError):
@@ -38,24 +39,21 @@ class ChainedError(SymxError):
 
 @dataclass(frozen=True)
 class OutputPair:
-    """Solved output functions with their ansatz metadata."""
+    """Solved output functions and the ansatz degree they came from."""
 
     h1: Expr
     h2: Expr
     degree: int
-    monomials: tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class Chart:
     """Forward chart z = phi(x), with inverse when solvable in sequence."""
 
-    name: str
     x_frame: Frame
     z_frame: Frame
     forward: tuple[Expr, ...]
     inverse: tuple[Expr, ...] | None
-    jacobian_dets: tuple[float, ...]
 
     def to_z(self, e: Expr) -> Expr:
         """Rewrite an x-expression in z-coordinates (needs the inverse)."""
@@ -175,16 +173,14 @@ def _solve_identity(eq_rows: list[list[tuple[list[Expr], Expr]]],
     return solve_affine_exprs(rows, rhs, ref_env)
 
 
-def find_output_pair(spec: SystemSpec, degree: int = 2,
-                     ref_points: list[Point] | None = None) -> OutputPair:
+def find_output_pair(spec: SystemSpec, degree: int = 2) -> OutputPair:
     """Search for (h1, h2) by undetermined coefficients up to degree.
 
     Candidates are tried in a deterministic order and each one must
     pass build_chart + verify_chained before being returned. Raises
     ChainedError when no candidate at this degree verifies.
     """
-    if ref_points is None:
-        ref_points = _reference_points(spec)
+    ref_points = _reference_points(spec)
     frame = spec.frame
     states = frame.states
     delta1, delta2 = _delta_chains(spec)
@@ -238,8 +234,7 @@ def find_output_pair(spec: SystemSpec, degree: int = 2,
         for h2 in h2_cands:
             _, k2 = _min_term(h2, states)
             scale = normalize(Div(ONE_E, Mul(k1, k2)))
-            pair = OutputPair(h1, normalize(Mul(scale, h2)), degree,
-                              tuple(str(_mono_expr(m)) for m in monos))
+            pair = OutputPair(h1, normalize(Mul(scale, h2)), degree)
             try:
                 chart, fb = build_chart(pair, spec, ref_points)
                 verified = verify_chained(chart, fb, spec, ref_points)["pass"]
@@ -303,7 +298,7 @@ def _invert_sequential(forward: tuple[Expr, ...], x_frame: Frame,
     return tuple(solved[x] for x in x_frame.states)
 
 
-def build_chart(source: "OutputPair | Chart | tuple[Expr, ...]",
+def build_chart(source: "OutputPair | tuple[Expr, ...]",
                 spec: SystemSpec,
                 ref_points: list[Point] | None = None
                 ) -> tuple[Chart, FeedbackMatrix]:
@@ -324,8 +319,6 @@ def build_chart(source: "OutputPair | Chart | tuple[Expr, ...]",
             zs.append(lie_derivative_fn(spec.g1, zs[-1]))
         zs.append(normalize(source.h1))
         forward = tuple(zs)
-    elif isinstance(source, Chart):
-        forward = source.forward
     else:
         forward = tuple(normalize(e) for e in source)
     if len(forward) != n:
@@ -342,7 +335,7 @@ def build_chart(source: "OutputPair | Chart | tuple[Expr, ...]",
 
     zf = _z_frame(frame)
     inverse = _invert_sequential(forward, frame, zf)
-    chart = Chart("chained", frame, zf, forward, inverse, tuple(dets))
+    chart = Chart(frame, zf, forward, inverse)
 
     pairing = [[lie_derivative_fn(g, h) for g in (spec.g1, spec.g2)]
                for h in (forward[n - 1], forward[n - 2])]
@@ -358,8 +351,7 @@ def build_chart(source: "OutputPair | Chart | tuple[Expr, ...]",
 
 
 def verify_chained(chart: Chart, fb: FeedbackMatrix, spec: SystemSpec,
-                   sample_points: list[Point] | None = None,
-                   tol: float = 1e-8) -> dict:
+                   sample_points: list[Point] | None = None) -> dict:
     """Push the transformed fields through the chart and compare with
     the chained pattern; symbolic when the inverse chart exists,
     else numeric at sample points."""
@@ -399,7 +391,7 @@ def verify_chained(chart: Chart, fb: FeedbackMatrix, spec: SystemSpec,
             continue
         for i in range(n):
             for k, nm in ((i, "g1hat"), (n + i, "g2hat")):
-                if abs(got[k] - want[k]) > tol * (1.0 + abs(want[k])):
+                if abs(got[k] - want[k]) > CHAINED_TOL * (1.0 + abs(want[k])):
                     mismatches.append(
                         {"field": nm, "component": i,
                          "at": [float(c) for c in q.coords],

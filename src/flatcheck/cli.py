@@ -10,10 +10,10 @@ A system spec is a flat ``key = value`` text file:
     g2 = 0, 0, 1, 0
 
 Optional keys: ``chart`` (n expressions), ``beta`` (4 expressions,
-row-major), ``h1``, ``h2``, ``box`` (n ``lo hi`` pairs, comma
-separated), ``param_values`` (``name=value`` tokens), and simulation
-extras ``z0`` (n transformed coordinates), ``v1``, ``v2`` (expressions
-in t). Blank lines and ``#`` comments are ignored.
+row-major), ``box`` (n ``lo hi`` pairs, comma separated),
+``param_values`` (``name=value`` tokens), and simulation extras ``z0``
+(n transformed coordinates), ``v1``, ``v2`` (expressions in t). Blank
+lines and ``#`` comments are ignored.
 
 The commands build on each other: ``check`` runs the two rank/containment
 conditions over a sampled box, ``transform`` adds chart and feedback
@@ -55,8 +55,8 @@ _V1_DEFAULT = "1 + sin(2*t)/4"
 _V2_DEFAULT = "sin(t)/2"
 
 _REQUIRED_KEYS = ("n", "states", "f", "g1", "g2")
-_KNOWN_KEYS = _REQUIRED_KEYS + ("params", "chart", "beta", "h1", "h2",
-                                "box", "param_values", "z0", "v1", "v2")
+_KNOWN_KEYS = _REQUIRED_KEYS + ("params", "chart", "beta", "box",
+                                "param_values", "z0", "v1", "v2")
 
 
 class SpecFileError(Exception):
@@ -177,11 +177,6 @@ def _load(path: str) -> tuple[SystemSpec, SimSetup]:
     if "beta" in entries:
         flat = _parse_exprs(frame, path, "beta", entries["beta"], 4)
         beta_exprs = ((flat[0], flat[1]), (flat[2], flat[3]))
-    h1 = h2 = None
-    if "h1" in entries:
-        h1 = _parse_exprs(frame, path, "h1", entries["h1"], 1)[0]
-    if "h2" in entries:
-        h2 = _parse_exprs(frame, path, "h2", entries["h2"], 1)[0]
 
     box = None
     if "box" in entries:
@@ -248,7 +243,7 @@ def _load(path: str) -> tuple[SystemSpec, SimSetup]:
         spec = SystemSpec(frame=frame, f=f, g1=g1, g2=g2,
                           param_values=param_values,
                           chart_exprs=chart_exprs, beta_exprs=beta_exprs,
-                          h1=h1, h2=h2, box=box)
+                          box=box)
     except ValueError as e:
         raise SpecFileError(f"{path}: {e}")
     return spec, SimSetup(z0=z0, v1=v1, v2=v2)

@@ -54,11 +54,6 @@ class VectorField:
         return VectorField(self.frame, tuple(
             normalize(a + b) for a, b in zip(self.components, other.components)))
 
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        _same_chart(self, other)
-        return VectorField(self.frame, tuple(
-            normalize(a - b) for a, b in zip(self.components, other.components)))
-
     def scale(self, c: Expr) -> "VectorField":
         return VectorField(self.frame, tuple(
             normalize(Mul(c, x)) for x in self.components))
@@ -95,18 +90,6 @@ class OneForm:
         return OneForm(self.frame, tuple(
             normalize(a + b) for a, b in zip(self.coefficients, other.coefficients)))
 
-    def __sub__(self, other: "OneForm") -> "OneForm":
-        _same_chart(self, other)
-        return OneForm(self.frame, tuple(
-            normalize(a - b) for a, b in zip(self.coefficients, other.coefficients)))
-
-    def scale(self, c: Expr) -> "OneForm":
-        return OneForm(self.frame, tuple(
-            normalize(Mul(c, x)) for x in self.coefficients))
-
-    def is_zero(self) -> bool:
-        return all(normalize(x) == ZERO for x in self.coefficients)
-
     @cached_property
     def evaluator(self):
         """As VectorField.evaluator, over the coefficients."""
@@ -140,9 +123,6 @@ class TwoForm:
             return self.coefficients.get((i, j), ZERO)
         c = self.coefficients.get((j, i), ZERO)
         return ZERO if c == ZERO else normalize(Mul(Const(Fraction(-1)), c))
-
-    def is_zero(self) -> bool:
-        return all(normalize(c) == ZERO for c in self.coefficients.values())
 
     @cached_property
     def evaluator(self):

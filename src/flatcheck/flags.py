@@ -45,8 +45,6 @@ class SystemSpec:
     param_values: dict[str, float] = field(default_factory=dict)
     chart_exprs: tuple[Expr, ...] | None = None
     beta_exprs: tuple[tuple[Expr, Expr], tuple[Expr, Expr]] | None = None
-    h1: Expr | None = None
-    h2: Expr | None = None
     box: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
@@ -96,10 +94,12 @@ class LevelRecord:
 
 @dataclass
 class FlagTable:
-    """Flag generators up to level n-2."""
+    """Flag generators up to level n-2, and the rank tolerance that
+    pruned them (ranks over the table's generators use it too)."""
 
     spec: SystemSpec
     levels: list[LevelRecord]
+    rank_tol: float
 
     @property
     def depth(self) -> int:
@@ -231,7 +231,7 @@ def compute_flags(spec: SystemSpec, rank_tol: float = DEFAULT_RANK_TOL,
 
     # Level 0 shares the G generator list with the pool's level-0 slice.
     levels[0].g_generators = [(w, v) for w, v, lv in pool if lv == 0]
-    return FlagTable(spec, levels)
+    return FlagTable(spec, levels, rank_tol)
 
 
 def dims_at(table: FlagTable, q: Point,

@@ -114,9 +114,6 @@ class VSignal:
             out.append(normalize(diff(out[-1], "t")))
         return out
 
-    def derivative(self, which: int, order: int) -> Expr:
-        return self.jets(which, order)[order]
-
     def values(self, t: np.ndarray) -> np.ndarray:
         fn = compile_fns((self.v1, self.v2), ("t",))
         return _columns(fn, [np.asarray(t, dtype=float)])
@@ -465,27 +462,9 @@ class FlatSignal:
             jets[name] = stack
         return cls(t=traj.t.copy(), y1_jets=jets["y1"], y2_jets=jets["y2"])
 
-    @classmethod
-    def from_samples(cls, t: np.ndarray, y1: np.ndarray, y2: np.ndarray,
-                     depth: int) -> "FlatSignal":
-        """Spline-differentiated stacks for external data. Documented
-        lower-accuracy path: noise amplifies with each order."""
-        from scipy.interpolate import make_interp_spline
-
-        t = np.asarray(t, dtype=float)
-        k = min(max(depth + 2, 3), 7)
-        stacks = []
-        for y in (y1, y2):
-            spl = make_interp_spline(t, np.asarray(y, dtype=float), k=k)
-            stacks.append(np.column_stack(
-                [spl.derivative(m)(t) if m else spl(t)
-                 for m in range(depth + 1)]))
-        return cls(t=t, y1_jets=stacks[0], y2_jets=stacks[1])
-
 
 def _newton_grid(F, dF, known_cols: list[np.ndarray], npts: int,
-                 level: int, t: np.ndarray,
-                 reg_threshold: float) -> np.ndarray:
+                 level: int, t: np.ndarray) -> np.ndarray:
     """Vectorized safeguarded Newton for the order-0 cascade equation.
 
     Starts from w = 0 everywhere and iterates w -= F/F'. Samples that
@@ -516,10 +495,11 @@ def _newton_grid(F, dF, known_cols: list[np.ndarray], npts: int,
 
     dv = np.broadcast_to(dF([w] + known_cols), (npts,))
     j = int(np.argmin(np.abs(dv)))
-    if abs(dv[j]) < reg_threshold:
+    if abs(dv[j]) < DEFAULT_REG_THRESHOLD:
         raise RegularityError(
-            f"regularity |r_{level}| = {abs(dv[j]):.3e} < {reg_threshold} "
-            f"at t = {t[j]:.6g}", t=float(t[j]), index=level)
+            f"regularity |r_{level}| = {abs(dv[j]):.3e} < "
+            f"{DEFAULT_REG_THRESHOLD} at t = {t[j]:.6g}",
+            t=float(t[j]), index=level)
     return w
 
 
@@ -549,15 +529,16 @@ def _bisect_expanding(fn, center: float, level: int, tj: float) -> float:
     return 0.5 * (a + b)
 
 
-def reconstruct(real: TriangularRealization, flat: FlatSignal,
-                reg_threshold: float = DEFAULT_REG_THRESHOLD) -> Trajectory:
+def reconstruct(real: TriangularRealization, flat: FlatSignal) -> Trajectory:
     """Recover the full state and inputs from the flat output alone.
 
     z_1 = y1 and z_n = y2 seed the cascade; level i then solves
     dz_i/dt = phi_i(z_1..z_{i+1}, z_n) + z_{i+1} v1 for z_{i+1}
     (safeguarded Newton at order 0, a linear solve with coefficient
     r_i for each higher derivative order), ending with v2 = dz_{n-1}.
-    The x/u history is attached when the chart inverts symbolically.
+    Raises RegularityError where some |r_i| is below
+    DEFAULT_REG_THRESHOLD. The x/u history is attached when the chart
+    inverts symbolically.
     """
     if real.phis is None:
         raise HarnessError("reconstruction needs z-coordinate drift rows")
@@ -615,8 +596,7 @@ def reconstruct(real: TriangularRealization, flat: FlatSignal,
                 def F(vcols, _f=Ffn, _tg=target):
                     return _f(vcols) - _tg
 
-                w_jets.append(_newton_grid(F, dFfn, cols, npts, i, t,
-                                           reg_threshold))
+                w_jets.append(_newton_grid(F, dFfn, cols, npts, i, t))
             else:
                 coeffs, rest = _affine_split(e, _jet_name(w, m))
                 cfn = compile_fn(coeffs, order, params)
@@ -627,10 +607,10 @@ def reconstruct(real: TriangularRealization, flat: FlatSignal,
                 target = jets[zs[i - 1]][m + 1]
                 cval = np.broadcast_to(cval, (npts,))
                 j = int(np.argmin(np.abs(cval)))
-                if abs(cval[j]) < reg_threshold:
+                if abs(cval[j]) < DEFAULT_REG_THRESHOLD:
                     raise RegularityError(
                         f"regularity |r_{i}| = {abs(cval[j]):.3e} < "
-                        f"{reg_threshold} at t = {t[j]:.6g}",
+                        f"{DEFAULT_REG_THRESHOLD} at t = {t[j]:.6g}",
                         t=float(t[j]), index=i)
                 w_jets.append((target - rval) / cval)
             if m < need:

@@ -246,12 +246,6 @@ class Frame:
     def parse(self, text: str) -> Expr:
         return parse(text, self)
 
-    def validate(self, e: Expr) -> None:
-        undeclared = free_symbols(e) - self.declared()
-        if undeclared:
-            raise SymxError(f"undeclared symbols in frame '{self.name}': "
-                            f"{sorted(undeclared)}")
-
     def point(self, coords: Sequence[float],
               params: Mapping[str, float] | None = None) -> "Point":
         return Point(self, tuple(float(c) for c in coords),
@@ -292,10 +286,6 @@ class Point:
         if len(self.coords) != self.frame.n:
             raise ValueError(f"point has {len(self.coords)} coordinates, "
                              f"frame '{self.frame.name}' has {self.frame.n}")
-
-    @property
-    def chart(self) -> str:
-        return self.frame.name
 
     def env(self) -> dict[str, float]:
         e = dict(zip(self.frame.states, self.coords))
@@ -985,13 +975,18 @@ class PivotError(SymxError):
     reference point."""
 
 
+# a pivot whose magnitude at the reference point is at most this
+# counts as vanishing there
+PIVOT_TOL = 1e-12
+
+
 def _pairs_in(matrix: Sequence[Sequence[Expr]],
               atoms: dict[str, Expr]) -> list[list[Pair]]:
     return [[_canon(*_ratform(x, atoms)) for x in row] for row in matrix]
 
 
 def _pivot_row(rows: list[list[Pair]], col: int, start: int, ref_env,
-               atoms: dict[str, Expr], tol=1e-12):
+               atoms: dict[str, Expr]):
     cands = [i for i in range(start, len(rows)) if rows[i][col][0]]
     if not cands or ref_env is None:
         return cands[0] if cands else None
@@ -1017,7 +1012,7 @@ def _pivot_row(rows: list[list[Pair]], col: int, start: int, ref_env,
     for i, mag in zip(cands, mags):
         if mag > best_mag:
             best, best_mag = i, mag
-    if best is None or best_mag <= tol:
+    if best is None or best_mag <= PIVOT_TOL:
         raise PivotError(f"pivot in column {col} vanishes at the reference point")
     return best
 
@@ -1140,22 +1135,27 @@ def linear_decompose(e: Expr, unknowns: Sequence[str]
                      ) -> tuple[dict[str, Expr], Expr]:
     """Write e as sum(c_u * u) + r with c_u and r free of the unknowns.
 
-    Raises SymxError if e is not affine in the unknowns.
+    c_u and r are read off the pair behind normalize(e): its numerator's
+    terms grouped by their monomial in the unknowns, each group over
+    the common denominator. Raises SymxError if e is not affine in the
+    unknowns: an unknown in the denominator, in a term of degree 2 or
+    more, or inside a kernel's argument.
     """
-    coeffs: dict[str, Expr] = {}
     uset = set(unknowns)
-    for u in unknowns:
-        c = normalize(diff(e, u))
-        if free_symbols(c) & uset:
-            raise SymxError(f"expression is not affine in '{u}'")
-        if c != ZERO:
-            coeffs[u] = c
-    rest = e
-    for u, c in coeffs.items():
-        rest = Sub(rest, Mul(c, Sym(u)))
-    rest = normalize(rest)
-    if free_symbols(rest) & uset:
+    atoms: dict[str, Expr] = {}
+    num, den = _canon(*_ratform(e, atoms))
+    kernels = {key for key, a in atoms.items()
+               if isinstance(a, Call) and free_symbols(a) & uset}
+    split = uset | kernels
+    if any(a in split for mono in den for a, _ in mono):
         raise SymxError("expression is not affine in the unknowns")
+    groups = _split_terms(num, split)
+    for key in groups:
+        if key and (len(key) > 1 or key[0][0] in kernels or key[0][1] > 1):
+            raise SymxError("expression is not affine in the unknowns")
+    coeffs = {u: _pair_to_expr(*_canon(groups[((u, 1),)], den), atoms)
+              for u in unknowns if ((u, 1),) in groups}
+    rest = _pair_to_expr(*_canon(groups.get((), {}), den), atoms)
     return coeffs, rest
 
 

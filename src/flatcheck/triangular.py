@@ -31,9 +31,10 @@ from .symx import (
 )
 from .diffgeo import VectorField, lie_derivative_fn
 from .flags import SystemSpec, _reference_points
-from .chained import Chart, ChainedError, FeedbackMatrix
+from .chained import Chart, FeedbackMatrix
 
-DEFAULT_DEP_TOL = 1e-8
+# relative tolerance of the numeric dependence check
+DEP_TOL = 1e-8
 
 
 class TriangularError(Exception):
@@ -141,7 +142,7 @@ def _check_dependence_symbolic(phis: tuple[Expr, ...], chart: Chart,
 
 
 def _check_dependence_numeric(phis_x: tuple[Expr, ...], chart: Chart,
-                              points: list[Point], tol: float) -> None:
+                              points: list[Point]) -> None:
     """Gradient projection: grad_z phi = J^{-T} grad_x (phi o chart),
     checked pointwise since there is nothing symbolic to differentiate
     against."""
@@ -161,7 +162,7 @@ def _check_dependence_numeric(phis_x: tuple[Expr, ...], chart: Chart,
         for i, j in pairs:
             gz = gzs[i]
             scale = 1.0 + float(np.linalg.norm(gz))
-            if abs(gz[j - 1]) > tol * scale:
+            if abs(gz[j - 1]) > DEP_TOL * scale:
                 raise TriangularError(
                     f"triangular structure violated: dphi_{i}/dz_{j} = "
                     f"{gz[j - 1]:.3e} at x = "
@@ -177,7 +178,6 @@ def _reg_frame(chart: Chart) -> Frame:
 
 def extract_triangular(spec: SystemSpec, chart: Chart,
                        fb: FeedbackMatrix,
-                       dep_tol: float = DEFAULT_DEP_TOL,
                        seed: int = 7) -> TriangularRealization:
     """Build the closed-loop drift and certify the triangular shape.
 
@@ -215,7 +215,7 @@ def extract_triangular(spec: SystemSpec, chart: Chart,
             normalize(v1 + diff(phis[i], zs[i + 1])) for i in range(n - 2))
     else:
         phis = None
-        _check_dependence_numeric(phis_x, chart, points, dep_tol)
+        _check_dependence_numeric(phis_x, chart, points)
         mode = "numeric"
         rf = None
         regularity = None

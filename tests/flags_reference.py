@@ -88,7 +88,7 @@ def compute_flags(spec: SystemSpec, rank_tol: float = DEFAULT_RANK_TOL,
 
     # Level 0 shares the G generator list with the pool's level-0 slice.
     levels[0].g_generators = [(w, v) for w, v, lv in pool if lv == 0]
-    return FlagTable(spec, levels)
+    return FlagTable(spec, levels, rank_tol)
 
 
 def dims_at(table: FlagTable, q: Point,

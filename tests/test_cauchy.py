@@ -40,7 +40,7 @@ def _reference_cauchy_space(cod, q, tol=1e-8):
         blocks.append(proj @ dmat.T)
     a_basis = _nullspace_numeric(np.vstack(blocks), n, tol)
     c_basis = _nullspace_numeric(a_basis, n, tol)
-    return CharacteristicSpaces(q, a_basis, c_basis)
+    return CharacteristicSpaces(a_basis, c_basis)
 
 
 def test_span_residual_basics():
@@ -62,6 +62,20 @@ def test_annihilator_kills_the_flag():
                 wv = np.array([eval_at(c, q) for c in w.coefficients])
                 for _, vf in table.levels[k].g_generators:
                     assert abs(wv @ vf.values(q)) < 1e-9
+
+
+def test_annihilator_ranks_with_the_table_tolerance(monkeypatch):
+    spec = systems.chained(5)
+    table = compute_flags(spec, rank_tol=1e-6)
+    tols = []
+
+    def spy(mat, tol):
+        tols.append(tol)
+        return _rank(mat, tol)
+
+    monkeypatch.setattr(flatcheck.cauchy, "_rank", spy)
+    annihilator(table, 1, _points(spec, 3))
+    assert tols == [1e-6] * 3
 
 
 def test_annihilator_rejects_out_of_range_level():

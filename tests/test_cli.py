@@ -63,6 +63,7 @@ def test_load_spec_motor_params():
      r"3 states declared but n = 4"),
     (lambda s: s.replace("x3 x4", "x3 x3"), r"repeated name"),
     (lambda s: s + "foo = 1\n", r"unknown key 'foo'"),
+    (lambda s: s + "h1 = x1\n", r"unknown key 'h1'"),
     (lambda s: s + "f = 0, 0, 0, 0\n", r"duplicate key 'f'"),
     (lambda s: s + "just some text\n", r"expected 'key = value'"),
     (lambda s: s.replace("f = 0, 0, 0, 0", "f = 0, 0, 0"),

@@ -562,6 +562,33 @@ def test_linear_decompose():
         linear_decompose(parse("u1^2", fr), ("u1",))
 
 
+def test_linear_decompose_kernel_over_a_polynomial():
+    # the kernel's argument has a non-monomial denominator, which must
+    # not come back as a factor over both the coefficient and the rest
+    fr = Frame("w", ("x1", "x2", "c0_"), ())
+    e = parse("sin(x1/(x2 + 1))*c0_ + x1", fr)
+    coeffs, rest = linear_decompose(e, ["c0_"])
+    assert to_str(coeffs["c0_"]) == "sin(x1/(x2 + 1))"
+    assert to_str(rest) == "x1"
+
+
+@pytest.mark.parametrize("text", [
+    "x1/u1 + u2", "(x1 + 1)/(u1 + 1)", "u1*u2 + x1", "x1*u1^3",
+    "sin(u1) + x1*u2", "u1*exp(x1 + u2)"])
+def test_linear_decompose_rejects_non_affine(text):
+    fr = Frame("w", ("x1", "u1", "u2"), ())
+    with pytest.raises(SymxError, match="not affine"):
+        linear_decompose(parse(text, fr), ("u1", "u2"))
+
+
+def test_linear_decompose_ignores_cancelled_kernels():
+    fr = Frame("w", ("x1", "u1"), ())
+    coeffs, rest = linear_decompose(parse("sin(u1) - sin(u1) + x1*u1", fr),
+                                    ("u1",))
+    assert coeffs == {"u1": parse("x1", fr)}
+    assert rest == ZERO
+
+
 def test_polynomial_terms_groups_by_monomial():
     terms = polynomial_terms(P("3*x1^2*x2 + x1*x3 + 5"), ("x1",))
     keys = set(terms)

@@ -8,8 +8,10 @@ its annihilator C_q (the retracting space), and the containment
 L_f(lam^i)|_q in C_q that the flatness test requires.
 
 The exterior derivatives d(lam^i) are symbolic and built once per
-level, with the annihilator; A_q and C_q are numeric (per point) and
-only evaluate them. The containment check tries an exact route first:
+level, with the annihilator; A_q and C_q are numeric and only evaluate
+them, point by point, before each linear-algebra step runs as one
+LAPACK call over a block of points. The containment check tries an
+exact route first:
 when the sampled C_q all equal the span of a fixed subset of
 coordinate differentials, membership reduces to symbolic vanishing of
 the complementary coefficients.
@@ -23,10 +25,13 @@ import numpy as np
 
 from .diffgeo import (OneForm, TwoForm, exterior_derivative_1form,
                       lie_derivative_1form)
-from .flags import FlagTable, SystemSpec, _rank
+from .flags import FlagTable, SystemSpec, _rank, _ranks
 from .symx import Point, SymxError, ZERO, normalize, nullspace_exprs
 
 DEFAULT_PROJ_TOL = 1e-8
+# Points per stacked call in cauchy_space: bounds the full SVD factors
+# held at once.
+_BLOCK = 32
 
 
 class AnnihilatorError(SymxError):
@@ -75,13 +80,13 @@ def span_residual(v: np.ndarray, basis: np.ndarray) -> float:
     return float(np.linalg.norm(v - basis.T @ coef)) / nv
 
 
-def _nullspace_numeric(mat: np.ndarray, n: int, tol: float) -> np.ndarray:
-    if mat.size == 0:
-        return np.eye(n)
-    _, s, vt = np.linalg.svd(mat)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > tol * smax)) if smax > 0.0 else 0
-    return vt[rank:]
+def _nullspaces(stack: np.ndarray, tol: float) -> list[np.ndarray]:
+    """Numeric nullspace basis (rows) of every matrix in a
+    (points, rows, n) stack, by one full SVD call; an empty matrix
+    gives the identity."""
+    _, s, vt = np.linalg.svd(stack)
+    ranks = np.sum(s > tol * s[:, :1], axis=1)
+    return [v[r:] for v, r in zip(vt, ranks)]
 
 
 def annihilator(table: FlagTable, k: int,
@@ -115,47 +120,81 @@ def annihilator(table: FlagTable, k: int,
         forms, tuple(exterior_derivative_1form(w) for w in forms))
 
 
-def cauchy_space(cod: Codistribution, q: Point,
-                 tol: float = DEFAULT_PROJ_TOL) -> CharacteristicSpaces:
-    """A and C at one point, by stacked numeric linear algebra.
+def cauchy_space(cod: Codistribution, points: list[Point],
+                 tol: float = DEFAULT_PROJ_TOL) -> list[CharacteristicSpaces]:
+    """A and C at each point, by stacked numeric linear algebra.
 
     A is the nullspace of [generator values; projected i_X d(lam)
-    rows]; C is the annihilator of A.
+    rows]; C is the annihilator of A. The first error in point order
+    raises: an evaluation error, or dependent generators at a point.
     """
+    spaces: list[CharacteristicSpaces] = []
+    for start in range(0, len(points), _BLOCK):
+        spaces += _cauchy_block(cod, points[start:start + _BLOCK], tol)
+    return spaces
+
+
+def _cauchy_block(cod: Codistribution, points: list[Point],
+                  tol: float) -> list[CharacteristicSpaces]:
     n = cod.frame.n
-    omega = np.array([w.values(q) for w in cod.generators])
-    m = omega.shape[0]
-    if _rank(omega, tol) != m:
+    m = len(cod.generators)
+    omega = np.empty((len(points), m, n))
+    dvals: list[list[tuple[float, ...]]] = [[] for _ in cod.differentials]
+    ranked, error = 0, None
+    for p, q in enumerate(points):
+        try:
+            for i, w in enumerate(cod.generators):
+                omega[p, i] = w.values(q)
+            ranked = p + 1
+            for dw, out in zip(cod.differentials, dvals):
+                out.append(dw.evaluator(q.coords, q.params))
+        except SymxError as exc:  # raised below, after earlier rank checks
+            error = exc
+            break
+    # the rank check at a point comes before its differentials
+    dependent = np.flatnonzero(_ranks(omega[:ranked], tol) != m)
+    if dependent.size:
         raise AnnihilatorError(
-            f"annihilator generators dependent at {tuple(q.coords)}")
+            "annihilator generators dependent at "
+            f"{tuple(points[dependent[0]].coords)}")
+    if error is not None:
+        raise error
+    # d(lam^i) as antisymmetric n x n matrices
+    dlam = np.zeros((len(points), m, n, n))
+    for i, (dw, vals) in enumerate(zip(cod.differentials, dvals)):
+        if dw.coefficients:
+            r, c = zip(*dw.coefficients)
+            dlam[:, i, r, c] = vals
+            dlam[:, i, c, r] = np.negative(vals)
     # projector onto the orthogonal complement of span{lam^i_q}
-    proj = np.eye(n) - omega.T @ np.linalg.pinv(omega.T)
+    omega_t = omega.swapaxes(1, 2)
+    proj = np.eye(n) - omega_t @ np.linalg.pinv(omega_t)
     # rows X with (X^T dmat) P = 0, i.e. (P dmat^T) X = 0
-    blocks = [omega] + [proj @ dw.values(q).T for dw in cod.differentials]
-    a_basis = _nullspace_numeric(np.vstack(blocks), n, tol)
-    c_basis = _nullspace_numeric(a_basis, n, tol)
-    return CharacteristicSpaces(a_basis, c_basis)
+    rows = (proj[:, None] @ dlam.swapaxes(2, 3)).reshape(len(points), -1, n)
+    a_bases = _nullspaces(np.concatenate([omega, rows], axis=1), tol)
+    # C: one more stacked SVD per dim A among the block's points
+    c_bases: dict[int, np.ndarray] = {}
+    for dim in {len(a) for a in a_bases}:
+        idx = [p for p, a in enumerate(a_bases) if len(a) == dim]
+        c_bases.update(zip(idx, _nullspaces(
+            np.stack([a_bases[p] for p in idx]), tol)))
+    return [CharacteristicSpaces(a, c_bases[p])
+            for p, a in enumerate(a_bases)]
 
 
-def _constant_coordinate_pattern(spaces: list[CharacteristicSpaces],
-                                 tol: float) -> list[int] | None:
+def _constant_coordinate_pattern(spaces: list[CharacteristicSpaces]
+                                 ) -> list[int] | None:
     """Indices S when every C_q equals span{dx_j : j in S}, else None."""
-    pattern: list[int] | None = None
-    for sp in spaces:
-        b = sp.c_basis
-        proj = b.T @ np.linalg.pinv(b.T)
-        diag = np.diagonal(proj)
-        s = [j for j in range(proj.shape[0]) if diag[j] > 0.5]
-        model = np.zeros_like(proj)
-        for j in s:
-            model[j, j] = 1.0
-        if np.max(np.abs(proj - model)) > 1e-6:
-            return None
-        if pattern is None:
-            pattern = s
-        elif pattern != s:
-            return None
-    return pattern
+    if len({sp.dim_c for sp in spaces}) != 1:
+        return None
+    b = np.stack([sp.c_basis for sp in spaces]).swapaxes(1, 2)
+    proj = b @ np.linalg.pinv(b)
+    keep = np.diagonal(proj, axis1=1, axis2=2) > 0.5
+    model = keep[:, :, None] * np.eye(proj.shape[1])
+    if np.any(np.max(np.abs(proj - model), axis=(1, 2)) > 1e-6) \
+            or np.any(keep != keep[0]):
+        return None
+    return [int(j) for j in np.flatnonzero(keep[0])]
 
 
 def check_condition2(spec: SystemSpec, table: FlagTable,
@@ -178,12 +217,12 @@ def check_condition2(spec: SystemSpec, table: FlagTable,
         cod = annihilator(table, k, points[:5])
         lf = [lie_derivative_1form(spec.f, w, dw)
               for w, dw in zip(cod.generators, cod.differentials)]
-        spaces = [cauchy_space(cod, q, tol) for q in points]
+        spaces = cauchy_space(cod, points, tol)
         entry: dict = {"k": k,
                        "dim_A": spaces[0].dim_a, "dim_C": spaces[0].dim_c,
                        "generators": [[str(c) for c in w.coefficients]
                                       for w in cod.generators]}
-        pattern = _constant_coordinate_pattern(spaces, tol)
+        pattern = _constant_coordinate_pattern(spaces)
         symbolic_ok = None
         if pattern is not None:
             complement = [j for j in range(n) if j not in pattern]

@@ -126,18 +126,9 @@ class TwoForm:
 
     @cached_property
     def evaluator(self):
-        """As VectorField.evaluator, over the stored coefficients."""
+        """As VectorField.evaluator, over the stored coefficients in
+        the order of the coefficients dict."""
         return self.frame.evaluator(tuple(self.coefficients.values()))
-
-    def values(self, at: Point) -> np.ndarray:
-        """The antisymmetric n x n coefficient matrix at a point."""
-        _same_chart(self, at)
-        mat = np.zeros((self.frame.n, self.frame.n))
-        for (i, j), val in zip(self.coefficients,
-                               self.evaluator(at.coords, at.params)):
-            mat[i, j] = val
-            mat[j, i] = -val
-        return mat
 
 
 def basis_vector(frame: Frame, i: int) -> VectorField:

@@ -106,13 +106,17 @@ class FlagTable:
         return len(self.levels) - 1
 
 
+def _ranks(stack: np.ndarray, tol: float) -> np.ndarray:
+    """Numeric rank of every matrix in a (points, rows, n) stack, by one
+    SVD call: the count of singular values above tol times the largest
+    (0 for a zero or empty matrix)."""
+    s = np.linalg.svd(stack, compute_uv=False)
+    return np.sum(s > tol * s[:, :1], axis=1)
+
+
 def _rank(mat: np.ndarray, tol: float) -> int:
-    if mat.size == 0:
-        return 0
-    s = np.linalg.svd(mat, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+    """The one-matrix case of _ranks."""
+    return int(_ranks(mat[None], tol)[0])
 
 
 def _reference_points(spec: SystemSpec, seed: int = 7,
@@ -234,26 +238,35 @@ def compute_flags(spec: SystemSpec, rank_tol: float = DEFAULT_RANK_TOL,
     return FlagTable(spec, levels, rank_tol)
 
 
-def dims_at(table: FlagTable, q: Point,
-            tol: float = DEFAULT_RANK_TOL) -> tuple[list[int], list[int]]:
-    """Numeric ranks of the F_k and G_k generator matrices at q.
+def dims_at(table: FlagTable, points: list[Point],
+            tol: float = DEFAULT_RANK_TOL
+            ) -> list[tuple[list[int], list[int]]]:
+    """Numeric ranks (dim F_k, dim G_k) of the generator matrices at
+    each point.
 
     The levels are cumulative and share generators (g1, g2 and [g1,g2]
-    sit in both flags), so each distinct bracket word is evaluated once.
+    sit in both flags), so each distinct bracket word is evaluated once
+    per point, point by point in level order; the first evaluation
+    error raises. Each level's matrices are then ranked over all points
+    with one SVD call.
     """
-    vals: dict[str, np.ndarray] = {}
-
-    def rank(gens: list[tuple[str, VectorField]]) -> int:
-        for w, v in gens:
-            if w not in vals:
-                vals[w] = v.values(q)
-        return _rank(np.array([vals[w] for w, _ in gens]), tol)
-
-    dims_f, dims_g = [], []
+    fields: dict[str, VectorField] = {}
     for rec in table.levels:
-        dims_f.append(rank(rec.f_generators))
-        dims_g.append(rank(rec.g_generators))
-    return dims_f, dims_g
+        for w, v in rec.f_generators + rec.g_generators:
+            fields.setdefault(w, v)
+    vals = {w: np.empty((len(points), table.spec.n)) for w in fields}
+    for p, q in enumerate(points):
+        for w, v in fields.items():
+            vals[w][p] = v.values(q)
+
+    def ranks(gens: list[tuple[str, VectorField]]) -> list[int]:
+        return _ranks(np.stack([vals[w] for w, _ in gens], axis=1),
+                      tol).tolist()
+
+    dims = [(ranks(rec.f_generators), ranks(rec.g_generators))
+            for rec in table.levels]
+    return [([f[p] for f, _ in dims], [g[p] for _, g in dims])
+            for p in range(len(points))]
 
 
 def check_condition1(spec: SystemSpec, points: list[Point],
@@ -261,7 +274,8 @@ def check_condition1(spec: SystemSpec, points: list[Point],
                      table: FlagTable | None = None) -> dict:
     """Rank condition dim F_k(q) = dim G_k(q) = 2 + k at every point.
 
-    Failures are report content, not exceptions.
+    The ranks come from one dims_at call over all points. Failures are
+    report content, not exceptions.
     """
     if not points:
         raise ValueError("need at least one point")
@@ -270,8 +284,8 @@ def check_condition1(spec: SystemSpec, points: list[Point],
     expected = [2 + k for k in range(len(table.levels))]
     per_point = []
     first_failure = None
-    for idx, q in enumerate(points):
-        df, dg = dims_at(table, q, tol)
+    for idx, (q, (df, dg)) in enumerate(zip(points,
+                                            dims_at(table, points, tol))):
         ok = df == expected and dg == expected
         per_point.append({"coords": [float(c) for c in q.coords],
                           "dim_F": df, "dim_G": dg, "pass": ok})

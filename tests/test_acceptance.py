@@ -142,8 +142,9 @@ def test_acceptance_4_chained_flags_and_spaces(gate):
             for k in range(1, n - 2):
                 cod = annihilator(table, k, pts[:5])
                 keep = list(range(n - 1 - k)) + [n - 1]
-                for q in pts:
-                    sp = cauchy_space(cod, q)
+                spaces = cauchy_space(cod, pts)
+                assert len(spaces) == len(pts)
+                for sp in spaces:
                     assert sp.dim_a == k and sp.dim_c == n - k
                     for j in keep:
                         e = np.zeros(n)
@@ -177,8 +178,7 @@ def test_acceptance_5_negative_controls(gate):
         cod = annihilator(table, 1, pts2[:5])
         lf = [lie_derivative_1form(pert.f, w) for w in cod.generators]
         jumps = 0
-        for q in pts2:
-            sp = cauchy_space(cod, q)
+        for q, sp in zip(pts2, cauchy_space(cod, pts2), strict=True):
             base = np.linalg.matrix_rank(sp.c_basis, tol=1e-8)
             rows = [np.array([eval_at(c, q) for c in w.coefficients])
                     for w in lf]

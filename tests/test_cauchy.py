@@ -3,11 +3,11 @@ import pytest
 
 import flatcheck.cauchy
 import flatcheck.diffgeo
-from flatcheck.symx import eval_at
+from flatcheck.symx import EvalError, eval_at
 from flatcheck.cauchy import (AnnihilatorError, CharacteristicSpaces,
-                              _nullspace_numeric, annihilator, cauchy_space,
-                              check_condition2, span_residual)
-from flatcheck.diffgeo import exterior_derivative_1form
+                              _constant_coordinate_pattern, annihilator,
+                              cauchy_space, check_condition2, span_residual)
+from flatcheck.diffgeo import OneForm, TwoForm, exterior_derivative_1form
 from flatcheck.flags import _rank, compute_flags
 
 import systems
@@ -21,10 +21,21 @@ def _points(spec, count, seed=9):
         for _ in range(count)]
 
 
+def _nullspace_numeric(mat, n, tol):
+    """Nullspace basis (rows) of one matrix, by its own full SVD."""
+    if mat.size == 0:
+        return np.eye(n)
+    _, s, vt = np.linalg.svd(mat)
+    smax = s[0] if s.size else 0.0
+    rank = int(np.sum(s > tol * smax)) if smax > 0.0 else 0
+    return vt[rank:]
+
+
 def _reference_cauchy_space(cod, q, tol=1e-8):
-    """cauchy_space with d(lam) rebuilt from the generators at each
-    point, the way it was computed before the codistribution carried
-    its differentials."""
+    """A and C at one point, each step its own LAPACK call, with d(lam)
+    rebuilt from the generators, the way it was computed before the
+    codistribution carried its differentials and before the points
+    were stacked."""
     n = cod.frame.n
     omega = np.array([w.values(q) for w in cod.generators])
     assert _rank(omega, tol) == omega.shape[0]
@@ -96,8 +107,9 @@ def test_characteristic_space_dims_and_span(n):
         # C should be spanned by the first n-1-k coordinate covectors
         # plus the last one
         keep = list(range(n - 1 - k)) + [n - 1]
-        for q in pts:
-            sp = cauchy_space(cod, q)
+        spaces = cauchy_space(cod, pts)
+        assert len(spaces) == len(pts)
+        for sp in spaces:
             assert sp.dim_a == k
             assert sp.dim_c == n - k
             for i in keep:
@@ -106,20 +118,30 @@ def test_characteristic_space_dims_and_span(n):
                 assert span_residual(e, sp.c_basis) <= 1e-10
 
 
-@pytest.mark.parametrize("name", ["example1", "chained6"])
-def test_cauchy_space_matches_reference(name, example1_spec):
-    spec = example1_spec if name == "example1" else systems.chained(6)
+_CAUCHY_SYSTEMS = {
+    "example1": systems.example1,
+    "chained6": lambda: systems.chained(6),
+    "chained8": lambda: systems.chained(8),
+    "perturbed_example1": systems.perturbed_example1,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CAUCHY_SYSTEMS))
+def test_cauchy_space_matches_reference(name):
+    spec = _CAUCHY_SYSTEMS[name]()
     table = compute_flags(spec)
-    pts = _points(spec, 12)
+    # more points than one stacked block, so a block boundary is crossed
+    pts = _points(spec, 2 * flatcheck.cauchy._BLOCK + 5)
     for k in range(1, spec.n - 2):
         cod = annihilator(table, k, pts[:5])
         assert cod.differentials == tuple(
             exterior_derivative_1form(w) for w in cod.generators)
-        for q in pts:
-            got = cauchy_space(cod, q)
+        got = cauchy_space(cod, pts)
+        assert len(got) == len(pts)
+        for sp, q in zip(got, pts):
             want = _reference_cauchy_space(cod, q)
-            assert np.array_equal(got.a_basis, want.a_basis)
-            assert np.array_equal(got.c_basis, want.c_basis)
+            assert np.array_equal(sp.a_basis, want.a_basis)
+            assert np.array_equal(sp.c_basis, want.c_basis)
 
 
 def test_cauchy_space_reuses_the_differentials(monkeypatch):
@@ -138,8 +160,7 @@ def test_cauchy_space_reuses_the_differentials(monkeypatch):
     monkeypatch.setattr(flatcheck.diffgeo, "exterior_derivative_1form",
                         counting)
     for cod in cods:
-        for q in pts:
-            cauchy_space(cod, q)
+        cauchy_space(cod, pts)
     assert calls == []
     # the counter does see annihilator build them, one per generator
     cod = annihilator(table, 1, pts[:3])
@@ -190,3 +211,110 @@ def test_condition2_builds_each_differential_once(monkeypatch, name):
     assert check_condition2(spec, table, pts) == want
     # one d(lam) per annihilator generator, over all levels
     assert len(calls) == sum(spec.n - 2 - k for k in range(1, spec.n - 2))
+
+
+def _pattern_reference(spaces):
+    """_constant_coordinate_pattern one point at a time."""
+    pattern = None
+    for sp in spaces:
+        b = sp.c_basis
+        proj = b.T @ np.linalg.pinv(b.T)
+        diag = np.diagonal(proj)
+        s = [j for j in range(proj.shape[0]) if diag[j] > 0.5]
+        model = np.zeros_like(proj)
+        for j in s:
+            model[j, j] = 1.0
+        if np.max(np.abs(proj - model)) > 1e-6:
+            return None
+        if pattern is None:
+            pattern = s
+        elif pattern != s:
+            return None
+    return pattern
+
+
+@pytest.mark.parametrize("name", sorted(_CAUCHY_SYSTEMS))
+def test_constant_coordinate_pattern_matches_reference(name):
+    spec = _CAUCHY_SYSTEMS[name]()
+    table = compute_flags(spec)
+    pts = _points(spec, 20)
+    for k in range(1, spec.n - 2):
+        spaces = cauchy_space(annihilator(table, k, pts[:5]), pts)
+        got = _constant_coordinate_pattern(spaces)
+        assert got == _pattern_reference(spaces)
+        assert got is None or all(type(j) is int for j in got)
+    n = spec.n
+    keep = list(range(n - 2)) + [n - 1]
+    coords = CharacteristicSpaces(np.eye(n)[[n - 2]], np.eye(n)[keep])
+    assert _constant_coordinate_pattern([coords] * 3) == keep
+    rotated = np.eye(n)[keep]
+    rotated[0] = (rotated[0] + np.eye(n)[n - 2]) / np.sqrt(2.0)
+    tilted = CharacteristicSpaces(np.eye(n)[[n - 2]], rotated)
+    assert _constant_coordinate_pattern([coords, tilted]) is None
+
+
+def test_constant_coordinate_pattern_needs_one_dimension():
+    n = 4
+    two = CharacteristicSpaces(np.eye(n)[[2, 3]], np.eye(n)[[0, 1]])
+    three = CharacteristicSpaces(np.eye(n)[[3]], np.eye(n)[[0, 1, 2]])
+    assert _constant_coordinate_pattern([two, two]) == [0, 1]
+    assert _constant_coordinate_pattern([two, three]) is None
+
+
+def _failing_at(monkeypatch, pts, dependent=(), bad_eval=(), bad_d=()):
+    """Generator values vanish at the points indexed by dependent, and
+    generator or differential evaluation raises EvalError at the points
+    indexed by bad_eval or bad_d."""
+    where = {pts[i].coords: i for i in range(len(pts))}
+    values = OneForm.values
+    evaluator = TwoForm.evaluator
+
+    def fake_values(self, at):
+        idx = where.get(at.coords)
+        if idx in bad_eval:
+            raise EvalError(f"generator fails at point {idx}")
+        out = values(self, at)
+        return out * 0.0 if idx in dependent else out
+
+    def fake_evaluator(self):
+        fn = evaluator.__get__(self)
+
+        def at(coords, params):
+            idx = where.get(tuple(coords))
+            if idx in bad_d:
+                raise EvalError(f"differential fails at point {idx}")
+            return fn(coords, params)
+        return at
+
+    monkeypatch.setattr(OneForm, "values", fake_values)
+    monkeypatch.setattr(TwoForm, "evaluator", property(fake_evaluator))
+
+
+@pytest.mark.parametrize("case", [
+    # (dependent points, generator-error points, differential-error
+    # points, the point whose error wins, which error)
+    ((2,), (4,), (), 2, "dependent"),
+    ((4,), (2,), (), 2, "generator"),
+    ((4,), (), (2,), 2, "differential"),
+    # at one point the rank check comes before the differentials
+    ((3,), (), (3,), 3, "dependent"),
+    # the second block's errors come after the first block's
+    ((40,), (), (36,), 36, "differential"),
+    ((36,), (40,), (), 36, "dependent"),
+])
+def test_condition2_first_error_in_point_order_wins(monkeypatch, case):
+    dependent, bad_eval, bad_d, first, kind = case
+    spec = systems.chained(6)
+    table = compute_flags(spec)
+    pts = _points(spec, 45)
+    assert flatcheck.cauchy._BLOCK <= 36
+    _failing_at(monkeypatch, pts, dependent, bad_eval, bad_d)
+    if kind == "dependent":
+        err = AnnihilatorError
+        msg = f"annihilator generators dependent at {tuple(pts[first].coords)}"
+    else:
+        err = EvalError
+        msg = f"{kind} fails at point {first}"
+    with pytest.raises(err) as info:
+        check_condition2(spec, table, pts)
+    assert str(info.value) == msg

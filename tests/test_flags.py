@@ -4,7 +4,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 from fractions import Fraction
 
-from flatcheck.symx import Const, Frame, SymxError, parse
+from flatcheck.symx import Const, EvalError, Frame, SymxError, parse
 from flatcheck.diffgeo import VectorField, basis_vector
 from flatcheck import diffgeo, flags
 from flatcheck.flags import (SystemSpec, _lyndon, check_condition1,
@@ -50,8 +50,7 @@ def test_involutive_pair_fails_at_k1_everywhere():
 def test_dims_at_single_point(chained4_spec):
     table = compute_flags(chained4_spec)
     q = chained4_spec.point([0.3, -0.2, 0.5, 0.1])
-    df, dg = dims_at(table, q)
-    assert df == [2, 3, 4] and dg == [2, 3, 4]
+    assert dims_at(table, [q]) == [([2, 3, 4], [2, 3, 4])]
 
 
 def test_flag_table_depth(motor_spec):
@@ -70,8 +69,8 @@ def test_constant_feedback_leaves_dims_invariant(a, b, c, d):
             (Const(Fraction(c)), Const(Fraction(d))))
     base = compute_flags(spec)
     mixed = feedback_flags(spec, beta)
-    for q in _points(spec, 3, seed=11):
-        assert dims_at(base, q) == dims_at(mixed, q)
+    pts = _points(spec, 3, seed=11)
+    assert dims_at(base, pts) == dims_at(mixed, pts)
 
 
 def test_feedback_flags_rejects_singular_matrix(chained4_spec):
@@ -163,8 +162,9 @@ def test_lyndon_flags_match_left_normed_reference(name):
             [v for _, v in rv.g_generators]
         assert lv.q_word_count == rv.q_word_count
         assert lv.q_dropped_words == rv.q_dropped_words
-    for q in _points(spec, 50, seed=17):
-        assert dims_at(table, q) == flags_reference.dims_at(ref, q)
+    pts = _points(spec, 50, seed=17)
+    assert dims_at(table, pts) == \
+        [flags_reference.dims_at(ref, q) for q in pts]
 
 
 def test_each_bracket_is_built_once(monkeypatch):
@@ -199,8 +199,78 @@ def test_dims_at_evaluates_each_generator_once(monkeypatch, name):
 
     monkeypatch.setattr(diffgeo.VectorField, "values", counting)
     points = _points(spec, 3)
-    for q in points:
-        dims_at(table, q)
+    dims_at(table, points)
     words = {w for lv in table.levels
              for w, _ in lv.f_generators + lv.g_generators}
     assert len(calls) == len(words) * len(points)
+
+
+def test_ranks_of_a_stack():
+    full = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+    stack = np.stack([np.zeros((2, 3)), full,
+                      np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]]),
+                      np.array([[1.0, 0.0, 0.0], [0.0, 1e-12, 0.0]]),
+                      np.array([[1.0, 0.0, 0.0], [0.0, 1e-8, 0.0]])])
+    assert flags._ranks(stack, 1e-9).tolist() == [0, 2, 1, 1, 2]
+    assert flags._ranks(np.zeros((4, 0, 3)), 1e-9).tolist() == [0] * 4
+    assert flags._rank(full, 1e-9) == 2
+    assert type(flags._rank(full, 1e-9)) is int
+    assert flags._rank(np.zeros((2, 3)), 1e-9) == 0
+
+
+_STACKED_SYSTEMS = {
+    "example1": systems.example1, "involutive": systems.involutive,
+    **{f"chained{n}": (lambda n=n: systems.chained(n)) for n in range(4, 9)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STACKED_SYSTEMS))
+def test_stacked_dims_match_per_point_ranks(name):
+    spec = _STACKED_SYSTEMS[name]()
+    table = compute_flags(spec)
+    pts = _points(spec, 40, seed=23)
+    got = dims_at(table, pts)
+    assert got == [flags_reference.dims_at(table, q) for q in pts]
+    assert all(type(d) is int for df, dg in got for d in df + dg)
+
+
+@pytest.mark.parametrize("case", [
+    # (level of the word, or the word itself; point index) pairs, and
+    # the pair whose error wins: a later-level field failing at an
+    # earlier point comes first ...
+    ({(3, 2), ("[g1,g2]", 3)}, (3, 2)),
+    # ... and at one point the lower level's field comes first
+    ({(3, 3), ("[g1,g2]", 3), (4, 5)}, ("[g1,g2]", 3)),
+])
+def test_dims_at_raises_at_the_first_failing_point(monkeypatch, case):
+    spec = systems.chained(6)
+    table = compute_flags(spec)
+    pts = _points(spec, 8)
+    where = {q.coords: i for i, q in enumerate(pts)}
+    fields = dict(table.levels[-1].f_generators + table.levels[-1].g_generators)
+
+    def word(key):  # a level's newest F word, or the word given
+        return table.levels[key].f_generators[-1][0] \
+            if isinstance(key, int) else key
+
+    failing, (first_key, first) = case
+    bad = {(id(fields[word(w)]), i) for w, i in failing}
+    real = diffgeo.VectorField.values
+
+    def failing_values(self, at):
+        if (id(self), where.get(at.coords)) in bad:
+            raise EvalError(f"{id(self)} fails at point {where[at.coords]}")
+        return real(self, at)
+
+    monkeypatch.setattr(diffgeo.VectorField, "values", failing_values)
+    with pytest.raises(EvalError) as want:
+        for q in pts:
+            flags_reference.dims_at(table, q)
+    with pytest.raises(EvalError) as got:
+        dims_at(table, pts)
+    assert str(got.value) == str(want.value)
+    assert str(got.value) == \
+        f"{id(fields[word(first_key)])} fails at point {first}"
+    with pytest.raises(EvalError) as c1:
+        check_condition1(spec, pts, table=table)
+    assert str(c1.value) == str(want.value)

@@ -1,0 +1,55 @@
+"""Platform guard for the stacked linear algebra of flags and cauchy.
+
+Both flatness conditions run one numpy.linalg call over a stack of
+points where a per-point loop would run one call per point, and the
+reports must not change by a bit. That holds only while numpy's
+stacked svd, pinv and matmul give each matrix exactly what the call
+on that matrix alone gives. Should a numpy or LAPACK build break
+this, these tests fail instead of reports drifting silently.
+"""
+
+import numpy as np
+import pytest
+
+# (points, rows, n): generator rows of F_k/G_k and lam, the stacked
+# [lam; P dlam^T] of cauchy_space up to n = 8 (5 + 5*8 = 45 rows), and
+# the A and C bases.
+SHAPES = [(100, 2, 4), (100, 9, 6), (100, 42, 8), (40, 3, 6), (100, 1, 8),
+          (100, 5, 8), (100, 45, 8), (100, 27, 6), (100, 2, 8), (100, 7, 8)]
+
+
+def _stack(shape, seed):
+    rng = np.random.default_rng(seed)
+    out = rng.standard_normal(shape)
+    # rank-deficient members, as flags and cauchy see them
+    out[::3, -1] = out[::3, 0] * 0.5
+    return out
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_stacked_svd_matches_per_matrix(shape):
+    stack = _stack(shape, 1)
+    s_only = np.linalg.svd(stack, compute_uv=False)
+    u, s, vt = np.linalg.svd(stack)
+    for p, mat in enumerate(stack):
+        assert np.array_equal(s_only[p], np.linalg.svd(mat, compute_uv=False))
+        u1, s1, vt1 = np.linalg.svd(mat)
+        assert np.array_equal(u[p], u1)
+        assert np.array_equal(s[p], s1)
+        assert np.array_equal(vt[p], vt1)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_stacked_pinv_and_matmul_match_per_matrix(shape):
+    # transposed like omega.T and c_basis.T in cauchy
+    stack = _stack(shape, 2).swapaxes(1, 2)
+    pinv = np.linalg.pinv(stack)
+    proj = stack @ pinv
+    n = stack.shape[1]
+    sq = _stack((len(stack), 3, n, n), 3)
+    moved = proj[:, None] @ sq.swapaxes(2, 3)
+    for p, mat in enumerate(stack):
+        assert np.array_equal(pinv[p], np.linalg.pinv(mat))
+        assert np.array_equal(proj[p], mat @ np.linalg.pinv(mat))
+        for i in range(3):
+            assert np.array_equal(moved[p, i], proj[p] @ sq[p, i].T)

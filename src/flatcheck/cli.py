@@ -453,12 +453,15 @@ def _bracket_oracle(spec: SystemSpec, points) -> dict:
     cases = ((spec.g1, spec.g2, b1, "[g1,g2]"),
              (spec.g1, b1, b2, "[g1,[g1,g2]]"),
              (spec.g2, b1, b3, "[g2,[g1,g2]]"))
+    # g1, g2 and b1 each enter two cases: one memo per point keeps
+    # their values and Jacobians there across the cases
+    memos = [{} for _ in points]
     worst = 0.0
     per = []
     for X, Y, sym, label in cases:
         m = 0.0
-        for q in points:
-            fd = fd_bracket(X, Y, q)
+        for q, memo in zip(points, memos):
+            fd = fd_bracket(X, Y, q, memo=memo)
             exact = sym.values(q)
             scale = max(1.0, float(np.max(np.abs(exact))))
             m = max(m, float(np.max(np.abs(fd - exact))) / scale)

@@ -30,7 +30,7 @@ class ChartError(SymxError):
 def _same_chart(*objs) -> Frame:
     frame = objs[0].frame
     for o in objs[1:]:
-        if o.frame != frame:
+        if o.frame is not frame and o.frame != frame:
             raise ChartError(
                 f"chart mismatch: '{frame.name}' vs '{o.frame.name}'")
     return frame

@@ -7,26 +7,34 @@ full state and input history from the flat output alone.
 
 Fixed-step RK4 throughout; no adaptive solver, so runs are bit-
 reproducible. Each integration runs on generated code: one function
-per RK4 step that evaluates v(t), the feedback u = alpha + beta v and
-every right-hand-side row on plain floats, unrolled over the
-components, with the float operations of the textbook step on
-component arrays in their order.
+per RK4 step that evaluates the feedback u = alpha + beta v and every
+right-hand-side row on plain floats, unrolled over the components,
+with the float operations of the textbook step on component arrays in
+their order. The input v does not depend on the state, so it is
+evaluated outside the step, at the stage times of a block of steps at
+once, and passed in.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .symx import (
     ZERO,
     EvalError,
+    Add,
+    Call,
+    Div,
     Expr,
     Frame,
+    Mul,
     Point,
+    Pow,
+    Sub,
     Sym,
     compile_fn,
     compile_fns,
@@ -119,8 +127,9 @@ class VSignal:
         return _columns(fn, [np.asarray(t, dtype=float)])
 
 
-# rows of a history held as Python floats at once, in _integrate and
-# Trajectory.to_csv: bounds the memory of a long run
+# rows of a history or of stage values held as Python floats at once,
+# in _stages, _integrate and Trajectory.to_csv: bounds the memory of a
+# long run
 _BLOCK = 256
 
 
@@ -161,12 +170,20 @@ class Trajectory:
 
 
 def fd_bracket(X: VectorField, Y: VectorField, q: Point,
-               h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Central-difference [X, Y](q) = J_Y(q) X(q) - J_X(q) Y(q)."""
+               h: float = DEFAULT_FD_STEP,
+               memo: dict | None = None) -> np.ndarray:
+    """Central-difference [X, Y](q) = J_Y(q) X(q) - J_X(q) Y(q).
+
+    memo, one dict per point q and step h, keeps the values and
+    Jacobians computed at q by field, so brackets that share a field
+    there evaluate it once. Whatever is not kept is computed in the
+    order J_Y, X, J_X, Y, the stencil of J column by column.
+    """
     if X.frame is not Y.frame and X.frame.name != Y.frame.name:
         raise HarnessError("bracket operands live in different charts")
     n = X.frame.n
     base = np.asarray(q.coords, dtype=float)
+    memo = {} if memo is None else memo
 
     def vals(F: VectorField, coords: np.ndarray) -> np.ndarray:
         at = coords.tolist()
@@ -177,32 +194,48 @@ def fd_bracket(X: VectorField, Y: VectorField, q: Point,
                 f"evaluation failure in the stencil at {tuple(at)}: "
                 f"{exc}") from exc
 
-    def jac(F: VectorField) -> np.ndarray:
-        J = np.empty((n, n))
-        for j in range(n):
-            step = np.zeros(n)
-            step[j] = h
-            J[:, j] = (vals(F, base + step) - vals(F, base - step)) / (2 * h)
-        return J
+    def value(F: VectorField) -> np.ndarray:
+        # keyed by identity: hashing a field hashes its whole trees
+        key = (id(F), "value")
+        if key not in memo:
+            memo[key] = vals(F, base)
+        return memo[key]
 
-    return jac(Y) @ vals(X, base) - jac(X) @ vals(Y, base)
+    def jac(F: VectorField) -> np.ndarray:
+        key = (id(F), "jac")
+        if key not in memo:
+            J = np.empty((n, n))
+            for j in range(n):
+                step = np.zeros(n)
+                step[j] = h
+                J[:, j] = (vals(F, base + step)
+                           - vals(F, base - step)) / (2 * h)
+            memo[key] = J
+        return memo[key]
+
+    return jac(Y) @ value(X) - jac(X) @ value(Y)
 
 
 # Names the generated closed-loop code binds; none is a spec identifier.
-_T, _H, _HALF, _SIXTH = Sym("@t"), Sym("@h"), Sym("@h/2"), Sym("@h/6")
+_H, _HALF, _SIXTH = Sym("@h"), Sym("@h/2"), Sym("@h/6")
 _V1, _V2, _U1, _U2 = Sym("@v1"), Sym("@v2"), Sym("@u1"), Sym("@u2")
+# the state-independent arguments of a step, in the order _stages gives
+# them: h, then v1 and v2 at t, t + h/2 and t + h (RK4 stages 0, 1, 3)
+_STAGE_ARGS = (_H.name, "@v1.0", "@v2.0", "@v1.1", "@v2.1", "@v1.3", "@v2.3")
 
 
-def _rk4_step(states: Sequence[str], v: VSignal,
-              lets: Sequence[tuple[str, Expr]], rows: Sequence[Expr],
-              params: dict[str, float]) -> Callable:
+def _rk4_step(states: Sequence[str], lets: Sequence[tuple[str, Expr]],
+              rows: Sequence[Expr], params: dict[str, float]) -> Callable:
     """One classic RK4 step of dy/dt = rows as a single generated
     function, unrolled over the components.
 
     rows are expressions in the states, the inputs "@v1", "@v2" at the
     stage time, and the names lets binds, in order, before them. The
-    step maps (t, h, *y) to (*y(t + h), *lets at (t, y)). Its float
-    operations are those of the textbook step on component arrays,
+    step maps (h, *v, *y) to (*y(t + h), *lets at (t, y)), where v is
+    v1 and v2 at t, at t + h/2 and at t + h, in that order: the row
+    _stages gives for the step. The step does not evaluate v itself.
+    Its float operations are those of the textbook step on component
+    arrays,
 
         k1 = f(t, y)                  k2 = f(t + h/2, y + (h/2) k1)
         k3 = f(t + h/2, y + (h/2) k2)  k4 = f(t + h, y + h k3)
@@ -214,13 +247,11 @@ def _rk4_step(states: Sequence[str], v: VSignal,
     binds: list[tuple[str, Expr]] = [(_HALF.name, _H / 2)]
     ks: list[list[Expr]] = []
     env: dict[str, Expr] = {}
-    # (stage time, or None to reuse the last; coefficient of the last k)
-    for s, (ts, coef) in enumerate(((_T, None), (_T + _HALF, _HALF),
-                                    (None, _HALF), (_T + _H, _H))):
-        if ts is not None:
-            for sym, e in ((_V1, v.v1), (_V2, v.v2)):
-                binds.append((f"{sym.name}.{s}", subst(e, {"t": ts})))
-                env[sym.name] = Sym(f"{sym.name}.{s}")
+    # (whether v takes new values, coefficient of the last k or None)
+    for s, (fresh, coef) in enumerate(((True, None), (True, _HALF),
+                                       (False, _HALF), (True, _H))):
+        if fresh:
+            env[_V1.name], env[_V2.name] = Sym(f"@v1.{s}"), Sym(f"@v2.{s}")
         for i, y in enumerate(states):
             if coef is None:
                 env[y] = Sym(y)
@@ -239,8 +270,7 @@ def _rk4_step(states: Sequence[str], v: VSignal,
     outs = [Sym(y) + _SIXTH * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i])
             for i, y in enumerate(states)]
     outs += [Sym(f"{name}.0") for name, _ in lets]
-    return compile_fns(outs, (_T.name, _H.name) + tuple(states), params,
-                       binds)
+    return compile_fns(outs, _STAGE_ARGS + tuple(states), params, binds)
 
 
 def _numpy_call(fn: Callable, args: tuple) -> tuple:
@@ -253,38 +283,88 @@ def _numpy_call(fn: Callable, args: tuple) -> tuple:
         return fn(tuple(map(np.float64, args)))
 
 
-def _integrate(step: Callable, y0: Sequence[float], t: np.ndarray,
-               on_node: Callable[[float, tuple], None] | None = None
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step RK4 over the grid t with a step from _rk4_step.
+def _has_power(*exprs: Expr) -> bool:
+    stack = list(exprs)
+    while stack:
+        n = stack.pop()
+        if isinstance(n, Pow):
+            return True
+        if isinstance(n, (Add, Sub, Mul, Div)):
+            stack += (n.a, n.b)
+        elif isinstance(n, Call):
+            stack.append(n.arg)
+    return False
 
-    Returns the state history and, one row per step, the extra values
-    the step returns after the state.
+
+def _stages(v: VSignal, t: np.ndarray) -> Iterator[tuple]:
+    """The state-independent arguments of every RK4 step over the grid
+    t, one row per step: h = t[k+1] - t[k], then v1 and v2 at t[k],
+    t[k] + h/2 and t[k] + h. These are the floats the textbook step
+    computes, so no value changes by moving v out of the step. A last
+    row, with h = 0, is for the zero-length step from the last node.
+
+    v is evaluated a block of _BLOCK steps at a time, in one vectorised
+    call per stage time. That gives the scalar floats only because
+    numpy's array kernels (sin, cos, exp, sqrt, ...) give the same bits
+    as on one float. Its array ** does not always give the bits of
+    Python's float **, so a signal with a power is evaluated one stage
+    time at a time instead.
+    """
+    fn = compile_fns((v.v1, v.v2), ("t",))
+    vectorised = not _has_power(v.v1, v.v2)
+    h = np.append(np.diff(t), 0.0)
+    for start in range(0, len(t), _BLOCK):
+        tk, hk = t[start:start + _BLOCK], h[start:start + _BLOCK]
+        cols: list = []
+        with np.errstate(all="ignore"):
+            for ts in (tk, tk + hk / 2, tk + hk):
+                if vectorised:
+                    cols += [np.broadcast_to(c, ts.shape).tolist()
+                             for c in fn([ts])]
+                else:
+                    cols += zip(*(_numpy_call(fn, (s,)) for s in ts.tolist()))
+        yield from zip(hk.tolist(), *cols)
+
+
+def _integrate(step: Callable, v: VSignal, y0: Sequence[float],
+               t: np.ndarray,
+               on_node: Callable[[float, tuple, tuple], None] | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-step RK4 over the grid t with a step from _rk4_step, under
+    the input v.
+
+    v is evaluated by _stages, outside the step; on_node(t[k], row,
+    y[k]) is called at every node k before the step from it, with that
+    step's row of _stages (v1 at t[k] is row[1]). Returns the state
+    history and, one row per node, the extra values the step returns
+    after the state; the last node's come from a zero-length step.
     """
     n = len(y0)
     grid = t.tolist()
+    last = len(grid) - 1
     y = tuple(y0)
     blocks, rows = [], []
     # divergence surfaces as the non-finite check, not as numpy warnings
     with np.errstate(all="ignore"):
-        if on_node is not None:
-            on_node(grid[0], y)
-        for k in range(len(grid) - 1):
-            tk = grid[k]
-            out = _numpy_call(step, (tk, grid[k + 1] - tk) + y)
-            y = out[:n]
-            if not all(map(math.isfinite, y)):
-                raise HarnessError(f"non-finite state at t = {t[k + 1]:.6g}")
+        for k, row in enumerate(_stages(v, t)):
+            if on_node is not None:
+                on_node(grid[k], row, y)
+            out = _numpy_call(step, row + y)
+            if k < last:
+                y = out[:n]
+                if not all(map(math.isfinite, y)):
+                    raise HarnessError(
+                        f"non-finite state at t = {t[k + 1]:.6g}")
             rows.append(out)
             if len(rows) == _BLOCK:
                 blocks.append(np.array(rows, dtype=float))
                 rows = []
-            if on_node is not None:
-                on_node(grid[k + 1], y)
     if rows:
         blocks.append(np.array(rows, dtype=float))
     hist = np.concatenate(blocks)
-    return np.vstack([np.asarray(y0, dtype=float), hist[:, :n]]), hist[:, n:]
+    # copied, so that the extras do not keep the states' rows alive
+    return (np.vstack([np.asarray(y0, dtype=float), hist[:last, :n]]),
+            hist[:, n:].copy())
 
 
 def _grid(T: float, dt: float) -> np.ndarray:
@@ -346,14 +426,13 @@ def simulate(real: TriangularRealization, z0: Point, v: VSignal,
     zs = chart.z_frame.states
 
     rows_z = [real.phis[i] + Sym(zs[i + 1]) * _V1 for i in range(n - 2)]
-    step_z = _rk4_step(zs, v, (), rows_z + [_V2, _V1], params)
-    reg = compile_fns(real.regularity, (_T.name,) + zs, params,
-                      (("v1", subst(v.v1, {"t": _T})),))
+    step_z = _rk4_step(zs, (), rows_z + [_V2, _V1], params)
+    reg = compile_fns(real.regularity, ("v1",) + zs, params)
     min_reg = math.inf
 
-    def monitor(tk: float, z: tuple) -> None:
+    def monitor(tk: float, row: tuple, z: tuple) -> None:
         nonlocal min_reg
-        for i, r in enumerate(_numpy_call(reg, (tk,) + z)):
+        for i, r in enumerate(_numpy_call(reg, row[1:2] + z)):
             val = abs(r)
             min_reg = min(min_reg, val)
             if val < reg_threshold:
@@ -362,7 +441,7 @@ def simulate(real: TriangularRealization, z0: Point, v: VSignal,
                     f"at t = {tk:.6g}", t=tk, index=i + 1)
 
     t = _grid(T, dt)
-    ztraj, _ = _integrate(step_z, z0.coords, t, on_node=monitor)
+    ztraj, _ = _integrate(step_z, v, z0.coords, t, on_node=monitor)
 
     x0 = evaluator(chart.inverse, zs, params)(z0.coords)
 
@@ -370,15 +449,10 @@ def simulate(real: TriangularRealization, z0: Point, v: VSignal,
     xs = chart.x_frame.states
     rows_x = [f + g1 * _U1 + g2 * _U2 for f, g1, g2 in
               zip(sys_.f.components, sys_.g1.components, sys_.g2.components)]
-    step_x = _rk4_step(xs, v, tuple(zip((_U1.name, _U2.name), _inputs(real))),
+    step_x = _rk4_step(xs, tuple(zip((_U1.name, _U2.name), _inputs(real))),
                        rows_x, params)
-    xtraj, uhist = _integrate(step_x, x0, t)
-    # each step returns u at its start; a zero-length step from the last
-    # node gives u there
-    with np.errstate(all="ignore"):
-        u_end = _numpy_call(step_x, (float(t[-1]), 0.0)
-                            + tuple(xtraj[-1].tolist()))[n:]
-    uvals = np.vstack([uhist, np.asarray(u_end, dtype=float)])
+    # each step returns u at its start, the zero-length one u at the end
+    xtraj, uvals = _integrate(step_x, v, x0, t)
 
     return Trajectory(t=t, z=ztraj, x=xtraj, v=v.values(t), u=uvals,
                       meta={"min_abs_regularity": float(min_reg),

@@ -1,7 +1,8 @@
 """Reference implementations the generated harness code is checked
 against: closed-loop stepping with numpy component arrays and one
-compiled lambda per expression, the csv.writer trajectory export, and
-flat-output jets with each v(t) derivative taken from scratch.
+compiled lambda per expression, the csv.writer trajectory export,
+flat-output jets with each v(t) derivative taken from scratch, and the
+bracket oracle with every case computing its own stencils.
 
 simulate here performs the same float operations, in the same order,
 as flatcheck.harness.simulate, so the two must agree bit for bit;
@@ -13,9 +14,10 @@ import math
 
 import numpy as np
 
+from flatcheck.diffgeo import lie_bracket
 from flatcheck.harness import (FlatSignal, HarnessError, RegularityError,
                                Trajectory, _bound_all_params, _grid,
-                               _jet_name, _total_derivative)
+                               _jet_name, _total_derivative, fd_bracket)
 from flatcheck.symx import Sym, compile_fn, diff, eval_at, normalize
 
 
@@ -176,3 +178,22 @@ def flat_signal(real, traj, v):
         jets[name] = stack
     return FlatSignal(t=traj.t.copy(), y1_jets=jets["y1"],
                       y2_jets=jets["y2"])
+
+
+def bracket_errors(spec, points):
+    """max_rel_error of the bracket oracle's three cases, in its
+    case-major order, with no memo: each case evaluates its own
+    Jacobians and base values at every point."""
+    b1 = lie_bracket(spec.g1, spec.g2)
+    cases = ((spec.g1, spec.g2, b1), (spec.g1, b1, lie_bracket(spec.g1, b1)),
+             (spec.g2, b1, lie_bracket(spec.g2, b1)))
+    out = []
+    for X, Y, B in cases:
+        m = 0.0
+        for q in points:
+            fd = fd_bracket(X, Y, q)
+            exact = B.values(q)
+            scale = max(1.0, float(np.max(np.abs(exact))))
+            m = max(m, float(np.max(np.abs(fd - exact))) / scale)
+        out.append(m)
+    return out

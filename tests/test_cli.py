@@ -1,12 +1,17 @@
 import json
 from pathlib import Path
 
+from collections import Counter
+
 import pytest
 
-from flatcheck.symx import Sub, is_zero, parse
-from flatcheck.cli import (RunConfig, SpecFileError, cmd_check,
-                           cmd_transform, load_spec, main)
+from flatcheck.symx import Frame, Sub, is_zero, parse
+from flatcheck.cli import (RunConfig, SpecFileError, _bracket_oracle,
+                           cmd_check, cmd_transform, load_spec, main)
+from flatcheck.diffgeo import lie_bracket
+from flatcheck.harness import SampleBox
 
+import harness_reference
 import systems
 from conftest import SPEC_DIR
 
@@ -283,3 +288,46 @@ def test_verify_flags_wrong_user_beta(tmp_path):
     assert not chained["pass"]
     assert any(m["field"] == "g1hat" for m in chained["mismatches"])
     assert data["verdicts"]["overall"] == "fail"
+
+
+@pytest.mark.parametrize("name", ["example1", "motor", "chained4", "chained6"])
+def test_bracket_oracle_matches_per_case_stencils(name):
+    spec = (systems.chained(int(name[-1])) if name.startswith("chained")
+            else getattr(systems, name)())
+    points = SampleBox(spec.sample_box(), 40, seed=5).points(
+        spec.frame, spec.bound_params(5))
+    got = _bracket_oracle(spec, points)
+    want = harness_reference.bracket_errors(spec, points)
+    assert [c["max_rel_error"] for c in got["per_bracket"]] == want
+    assert got["max_rel_error"] == max(want)
+    assert got["points_checked"] == len(points)
+
+
+def test_bracket_oracle_evaluates_each_stencil_once_per_point(monkeypatch):
+    # g1, g2 and [g1, g2] each enter two of the three cases; per point
+    # each gets one Jacobian (2n evaluations) and one base value, and
+    # the exact brackets one value each
+    calls = Counter()
+    make = Frame.evaluator
+
+    def counting(frame, exprs):
+        fn = make(frame, exprs)
+
+        def at(coords, bindings):
+            calls[tuple(exprs)] += 1
+            return fn(coords, bindings)
+        return at
+
+    monkeypatch.setattr(Frame, "evaluator", counting)
+    spec = systems.chained(4)
+    points = SampleBox(spec.sample_box(), 10, seed=1).points(spec.frame)
+    _bracket_oracle(spec, points)
+    b1 = lie_bracket(spec.g1, spec.g2)
+    n, p = spec.n, len(points)
+    assert calls == {
+        spec.g1.components: (2 * n + 1) * p,
+        spec.g2.components: (2 * n + 1) * p,
+        b1.components: (2 * n + 2) * p,
+        lie_bracket(spec.g1, b1).components: p,
+        lie_bracket(spec.g2, b1).components: p,
+    }

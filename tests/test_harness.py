@@ -1,4 +1,5 @@
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from flatcheck.symx import Frame, compile_fn, normalize, parse
 from flatcheck.diffgeo import VectorField, lie_bracket
 from flatcheck.harness import (FlatSignal, HarnessError, RegularityError,
                                SampleBox, T_FRAME, Trajectory, VSignal,
-                               fd_bracket, reconstruct, simulate)
+                               _grid, _stages, fd_bracket, reconstruct,
+                               simulate)
+from flatcheck.cli import _bracket_oracle
 from flatcheck.triangular import extract_triangular
 
 import harness_reference
@@ -56,6 +59,23 @@ def test_fd_bracket_reports_stencil_failure():
     Y = VectorField(fr, (parse("0", fr), parse("x1", fr)))
     with pytest.raises(HarnessError, match="stencil"):
         fd_bracket(X, Y, fr.point([1e-12, 0.0]))
+
+    # The oracle keeps each point's stencils across its three cases, and
+    # must still fail on the evaluation the per-case loop fails on. Here
+    # [g1, g2] = (0, x2/(2 sqrt(x1))) fails in the stencil of the first
+    # point, x1 = h - h = 0, but only the second case computes it there;
+    # the first case fails earlier, on g2 in the second point's stencil,
+    # x1 = h/2 - h < 0.
+    g1 = VectorField(fr, (parse("1", fr), parse("0", fr)))
+    g2 = VectorField(fr, (parse("0", fr), parse("x2*sqrt(x1)", fr)))
+    spec = types.SimpleNamespace(g1=g1, g2=g2)
+    points = [fr.point([1e-5, 1.0]), fr.point([5e-6, 1.0])]
+    second = r"stencil at \(-5e-06, 1.0\)"
+    with pytest.raises(HarnessError, match=second) as ref:
+        harness_reference.bracket_errors(spec, points)
+    with pytest.raises(HarnessError) as got:
+        _bracket_oracle(spec, points)
+    assert str(got.value) == str(ref.value)
 
 
 def test_sample_box_deterministic_and_rejecting():
@@ -178,6 +198,35 @@ def test_simulate_matches_reference_stepping(request, name):
     for f in ("t", "z", "x", "v", "u"):
         assert np.array_equal(getattr(got, f), getattr(want, f)), f
     assert got.meta == want.meta
+
+
+# the default input of every bundled spec, a signal with each kernel,
+# and one with powers, which numpy's array ** does not always round as
+# Python's float ** does
+STAGE_SIGNALS = [("1 + sin(2*t)/4", "sin(t)/2"),
+                 ("exp(-t)*cos(3*t)", "sqrt(1 + t)*sin(t) - 1/(2 + t)"),
+                 ("1 + t^3/2", "sin(t)^2 - t^2")]
+
+
+@pytest.mark.parametrize("s1, s2", STAGE_SIGNALS)
+def test_stage_values_match_scalar_evaluation(s1, s2):
+    # v is evaluated outside the RK4 step, a block of steps at a time;
+    # the step must get the floats it computed itself on one time: h,
+    # then v at t_k, t_k + h/2 and t_k + h, and for the zero-length
+    # step from the last node, h = 0
+    v = VSignal.from_strings(s1, s2)
+    t = _grid(1.0, 1e-4)
+    grid = t.tolist()
+    fns = [compile_fn(e, ("t",)) for e in (v.v1, v.v2)]
+    want = []
+    for k, tk in enumerate(grid):
+        h = grid[k + 1] - tk if k + 1 < len(grid) else 0.0
+        want.append([h] + [fn([s]) for s in (tk, tk + h / 2, tk + h)
+                           for fn in fns])
+    got = list(_stages(v, t))
+    assert len(got) == len(grid)
+    assert np.array_equal(np.array(got).view(np.uint64),
+                          np.array(want).view(np.uint64))
 
 
 @pytest.mark.parametrize("drift, z1", [("x1^2", 1.0), ("1/x1", 0.0)])

@@ -8,9 +8,10 @@ beta that turns (g1, g2) into the chained pair
   ghat1 = (z2, ..., z_{n-1}, 0, 1),  ghat2 = (0, ..., 0, 1, 0).
 
 The search is an undetermined-coefficient ansatz over polynomial
-monomials solved as a linear system over the parameter field; every
-candidate is accepted only after the chained structure is re-verified
-on the transformed fields, so the Delta recipe never has to be trusted.
+monomials solved as a linear system over the parameter field, built
+and solved on the normal form's polynomial pairs; every candidate is
+accepted only after the chained structure is re-verified on the
+transformed fields, so the Delta recipe never has to be trusted.
 """
 
 from __future__ import annotations
@@ -19,15 +20,18 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
 from .diffgeo import VectorField, lie_bracket, lie_derivative_fn
 from .flags import SystemSpec, _reference_points
-from .symx import (Const, Div, Expr, Frame, Mul, Point, Sub, Sym, SymxError,
-                   ZERO, ONE_E, diff, free_symbols, linear_decompose,
-                   normalize, numerator_terms, polynomial_terms,
-                   solve_affine_exprs, subst)
+from .symx import (Const, Div, Expr, Frame, Mono, Mul, Pair, Point, Poly,
+                   Sub, Sym, SymxError, ZERO, ONE_E, diff, free_symbols,
+                   linear_decompose, normalize, polynomial_terms,
+                   solve_affine_pairs, subst)
+from .symx import (_P_ONE, _ZERO_PAIR, _canon, _is_one, _mono_key, _p_add,
+                   _p_mul, _p_neg, _pair_to_expr, _ratform, _split_terms)
 
 JACOBIAN_TOL = 1e-8
 CHAINED_TOL = 1e-8  # relative tolerance of the numeric chained-form check
@@ -97,7 +101,7 @@ def _delta_chains(spec: SystemSpec) -> tuple[list[VectorField], list[VectorField
     return ads, ads[:-1]
 
 
-def _monomials(states: tuple[str, ...], degree: int) -> list[tuple[tuple[str, int], ...]]:
+def _monomials(states: tuple[str, ...], degree: int) -> list[Mono]:
     out = []
     for d in range(1, degree + 1):
         for combo in itertools.combinations_with_replacement(states, d):
@@ -108,36 +112,74 @@ def _monomials(states: tuple[str, ...], degree: int) -> list[tuple[tuple[str, in
     return out
 
 
-def _mono_expr(mono) -> Expr:
-    e: Expr | None = None
-    for name, k in mono:
-        factor = Sym(name) ** k
-        e = factor if e is None else Mul(e, factor)
-    return e if e is not None else ONE_E
+# The search runs on the (num, den) pairs of symx's normal form. Each
+# pair below is the one _canon(*_ratform(tree)) gives for the tree that
+# builds the same sum out of Add and Mul nodes, left-nested from ZERO:
+# the ansatz sum(c_k * m_k), its gradient, the pairings <dh, X> and the
+# candidates h. So every printed h is the tree normalize would give.
+
+def _ansatz_gradient(names: list[str], monos: list[Mono],
+                     states: tuple[str, ...]) -> list[Poly]:
+    """d/dx of the ansatz sum(c_k * m_k) for each state x, as
+    polynomials; each c_k is its own atom, so no two terms meet."""
+    grads = []
+    for x in states:
+        grad: Poly = {}
+        for name, mono in zip(names, monos):
+            powers = dict(mono)
+            k = powers.pop(x, 0)
+            if k:
+                if k > 1:
+                    powers[x] = k - 1
+                powers[name] = 1
+                grad[tuple(sorted(powers.items()))] = Fraction(k)
+        grads.append(grad)
+    return grads
 
 
-def _identity_rows(e: Expr, unknowns: list[str], states) -> list[tuple[list[Expr], Expr]]:
-    """Rows (coefficients over the unknowns, rhs) forcing e = 0 identically.
+def _combine(polys: list[Poly], pairs: list[Pair]) -> Pair:
+    """(num, den) of ZERO + p_0*q_0 + p_1*q_1 + ... as _ratform builds
+    it, for polynomials p_k and the trees of the pairs q_k: every term
+    cross-multiplied, over the product of the denominators. A term
+    with the pair of 0 leaves the sum as it is."""
+    num, den = {}, _P_ONE
+    for p, (qn, qd) in zip(polys, pairs):
+        if not qn and _is_one(qd):
+            continue
+        num = _p_add(_p_mul(num, qd), _p_mul(_p_mul(p, qn), den))
+        den = _p_mul(den, qd)
+    return num, den
 
-    e must be affine in the unknowns. Its normalized numerator is split
-    by state monomials, and each one contributes the row that makes its
-    coefficient vanish: the unknowns' coefficients, read off the
-    numerator's terms, against minus the terms free of them.
+
+def _add_pairs(a: Pair, b: Pair) -> Pair:
+    """The pair of normalize(Add(a, b)) for the trees of pairs a, b."""
+    (an, ad), (bn, bd) = a, b
+    return _canon(_p_add(_p_mul(an, bd), _p_mul(bn, ad)), _p_mul(ad, bd))
+
+
+def _identity_rows(num: Poly, unknowns: list[str],
+                   states: tuple[str, ...]) -> list[list[Pair]]:
+    """Rows [A | -b] forcing num = 0 identically in the states.
+
+    num must be affine in the unknowns. It is split by monomials in the
+    states and the unknowns, and each state monomial contributes the
+    row that makes its coefficient vanish: the unknowns' coefficients
+    against the terms free of them (-b, since A x + (-b) = 0). The
+    rows come in the graded order of their state monomials.
     """
     index = {u: k for k, u in enumerate(unknowns)}
-    rows: dict[tuple, tuple[list[Expr], Expr]] = {}
-    for mono, coeff in numerator_terms(e, (*states, *unknowns)).items():
+    rows: dict[Mono, list[Pair]] = {}
+    for mono, coeff in _split_terms(num, {*states, *unknowns}).items():
         key = tuple((a, k) for a, k in mono if a not in index)
-        row = rows.setdefault(key, ([ZERO] * len(unknowns), ZERO))[0]
+        row = rows.setdefault(key, [_ZERO_PAIR] * (len(unknowns) + 1))
         linear = [(a, k) for a, k in mono if a in index]
         if not linear:
-            rows[key] = (row, normalize(Mul(Const(Fraction(-1)), coeff)))
+            row[-1] = (coeff, _P_ONE)
         elif len(linear) == 1 and linear[0][1] == 1:
-            row[index[linear[0][0]]] = coeff
+            row[index[linear[0][0]]] = (coeff, _P_ONE)
         else:
             raise SymxError("expression is not affine in the unknowns")
-    return [rows[key] for key in
-            sorted(rows, key=lambda m: (sum(x for _, x in m), m))]
+    return [rows[key] for key in sorted(rows, key=_mono_key)]
 
 
 def _ansatz_names(frame: Frame, count: int) -> list[str]:
@@ -157,28 +199,22 @@ def _min_term(e: Expr, states) -> tuple[tuple, Expr]:
     return key, terms[key]
 
 
-def _solve_identity(eq_rows: list[list[tuple[list[Expr], Expr]]],
-                    unknowns: list[str],
-                    ref_env) -> tuple[list[Expr], list[list[Expr]]] | None:
-    """Solve the stacked _identity_rows of several equations."""
-    rows = [row for rows_e in eq_rows for row, _ in rows_e]
-    rhs = [r for rows_e in eq_rows for _, r in rows_e]
-    if not rows:
-        basis = []
-        for i in range(len(unknowns)):
-            v: list[Expr] = [ZERO] * len(unknowns)
-            v[i] = ONE_E
-            basis.append(v)
-        return [ZERO] * len(unknowns), basis
-    return solve_affine_exprs(rows, rhs, ref_env)
+def _replay(seen: list, rest: Iterator) -> Iterator:
+    """seen, then what is left of rest, kept in seen as it is drawn:
+    every pass yields the same items, and rest is drawn at most once."""
+    yield from seen
+    for item in rest:
+        seen.append(item)
+        yield item
 
 
 def find_output_pair(spec: SystemSpec, degree: int = 2) -> OutputPair:
     """Search for (h1, h2) by undetermined coefficients up to degree.
 
     Candidates are tried in a deterministic order and each one must
-    pass build_chart + verify_chained before being returned. Raises
-    ChainedError when no candidate at this degree verifies.
+    pass build_chart + verify_chained before being returned. They are
+    built as the search reaches them. Raises ChainedError when no
+    candidate at this degree verifies.
     """
     ref_points = _reference_points(spec)
     frame = spec.frame
@@ -186,52 +222,58 @@ def find_output_pair(spec: SystemSpec, degree: int = 2) -> OutputPair:
     delta1, delta2 = _delta_chains(spec)
     monos = _monomials(states, degree)
     names = _ansatz_names(frame, len(monos))
-    ansatz = ZERO
-    for nm, mono in zip(names, monos):
-        ansatz = ansatz + Sym(nm) * _mono_expr(mono)
     denv = ref_points[0].env()
-    grads = [normalize(diff(ansatz, x)) for x in states]
+    atoms: dict[str, Expr] = {x: Sym(x) for x in states}
+    grads = _ansatz_gradient(names, monos, states)
 
-    def pair_with(vf: VectorField) -> Expr:
-        acc: Expr = ZERO
-        for c, comp in zip(grads, vf.components):
-            acc = acc + c * comp
-        return acc
+    def rows(vf: VectorField, minus_one: bool = False) -> list[list[Pair]]:
+        # the rows of <dh, vf> (minus 1: Sub(pairing, ONE_E))
+        num, den = _combine(grads, [_ratform(c, atoms)
+                                    for c in vf.components])
+        if minus_one:
+            num = _p_add(num, _p_neg(den))
+        return _identity_rows(_canon(num, den)[0], names, states)
+
+    mono_polys = [{m: Fraction(1)} for m in monos]
+
+    def candidates(coeff_vectors) -> Iterator[Expr]:
+        for coeffs in coeff_vectors:
+            num, den = _canon(*_combine(mono_polys, coeffs))
+            if num:
+                yield _pair_to_expr(num, den, atoms)
 
     # h1: <dh1, X> = 0 on Delta_1 and L_{g1}h1 = 1; Delta_2 is a
     # prefix of Delta_1, so its rows are shared
-    delta_rows = [_identity_rows(pair_with(X), names, states)
-                  for X in delta1]
-    unit_rows = _identity_rows(pair_with(spec.g1) - ONE_E, names, states)
-    sol1 = _solve_identity(delta_rows + [unit_rows], names, denv)
+    delta_rows = [rows(X) for X in delta1]
+    unit_rows = rows(spec.g1, minus_one=True)
+    sol1 = solve_affine_pairs([r for rs in delta_rows + [unit_rows]
+                               for r in rs], len(names), denv, atoms)
     if sol1 is None:
         raise ChainedError(f"no h1 with unit pairing at degree {degree}")
     part1, null1 = sol1
-    h1_cands = [_assemble(names, monos, part1)]
-    for vec in null1[:4]:
-        h1_cands.append(_assemble(
-            names, monos, [normalize(a + b) for a, b in zip(part1, vec)]))
-    h1_cands = [h for h in h1_cands if h != ZERO]
-    if not h1_cands:
+    h1_rest = candidates(itertools.chain(
+        [part1], ([_add_pairs(a, b) for a, b in zip(part1, vec)]
+                  for vec in null1[:4])))
+    h1_seen = list(itertools.islice(h1_rest, 1))
+    if not h1_seen:
         raise ChainedError(f"h1 solution space trivial at degree {degree}")
 
     # h2: <dh2, X> = 0 on Delta_2, any nonzero solution
-    sol2 = _solve_identity(delta_rows[:len(delta2)], names, denv)
-    part2, null2 = sol2 if sol2 is not None else ([], [])
-    h2_cands = [_assemble(names, monos, vec) for vec in null2]
-    for i in range(len(null2)):
-        for j in range(i + 1, len(null2)):
-            h2_cands.append(_assemble(
-                names, monos,
-                [normalize(a + b) for a, b in zip(null2[i], null2[j])]))
-    h2_cands = [h for h in h2_cands if h != ZERO][:60]
-    if not h2_cands:
+    sol2 = solve_affine_pairs([r for rs in delta_rows[:len(delta2)]
+                               for r in rs], len(names), denv, atoms)
+    null2 = sol2[1] if sol2 is not None else []
+    h2_rest = itertools.islice(candidates(itertools.chain(
+        null2, ([_add_pairs(a, b) for a, b in zip(null2[i], null2[j])]
+                for i in range(len(null2))
+                for j in range(i + 1, len(null2))))), 60)
+    h2_seen = list(itertools.islice(h2_rest, 1))
+    if not h2_seen:
         raise ChainedError(
             f"output constraint system forces dh2 = 0 at degree {degree}")
 
-    for h1 in h1_cands:
+    for h1 in _replay(h1_seen, h1_rest):
         _, k1 = _min_term(h1, states)
-        for h2 in h2_cands:
+        for h2 in _replay(h2_seen, h2_rest):
             _, k2 = _min_term(h2, states)
             scale = normalize(Div(ONE_E, Mul(k1, k2)))
             pair = OutputPair(h1, normalize(Mul(scale, h2)), degree)
@@ -243,15 +285,6 @@ def find_output_pair(spec: SystemSpec, degree: int = 2) -> OutputPair:
             if verified:
                 return pair
     raise ChainedError(f"no output pair verified at degree {degree}")
-
-
-def _assemble(names, monos, coeffs) -> Expr:
-    acc: Expr = ZERO
-    for nm, mono, c in zip(names, monos, coeffs):
-        if c == ZERO:
-            continue
-        acc = acc + c * _mono_expr(mono)
-    return normalize(acc)
 
 
 def _z_frame(frame: Frame) -> Frame:

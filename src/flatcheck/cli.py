@@ -63,6 +63,19 @@ class SpecFileError(Exception):
     """Malformed spec file; the message carries path and line."""
 
 
+class OutputFileError(Exception):
+    """A report or trajectory file could not be written; the message
+    carries the path."""
+
+
+def _write_file(path: str, write) -> None:
+    """write(path), with an OSError turned into an OutputFileError."""
+    try:
+        write(path)
+    except OSError as e:
+        raise OutputFileError(f"{path}: {e.strerror or e}") from None
+
+
 @dataclass(frozen=True)
 class SimSetup:
     """Optional simulation start and inputs read from the spec file."""
@@ -578,7 +591,7 @@ def cmd_simulate(cfg: RunConfig) -> tuple[CheckReport, str]:
                            "no trajectory written")
     traj, _ = result
     out = cfg.out or f"{Path(cfg.spec_path).stem}.traj.csv"
-    traj.to_csv(out)
+    _write_file(out, traj.to_csv)
     data["verification"]["files"] = {"csv": out}
     return CheckReport(data), out
 
@@ -757,8 +770,15 @@ def main(argv=None) -> int:
             report = cmd_verify(cfg)
         else:
             report, _ = cmd_simulate(cfg)
-    except (SpecFileError, SymxError, ChainedError, TriangularError,
-            HarnessError, ValueError) as e:
+        sys.stdout.write(report.render())
+        json_path = cfg.json_path
+        if json_path is None and args.command == "simulate":
+            json_path = f"{Path(cfg.spec_path).stem}.report.json"
+        if json_path is not None:
+            _write_file(json_path, lambda p: Path(p).write_text(
+                report.to_json(), encoding="utf-8"))
+    except (SpecFileError, OutputFileError, SymxError, ChainedError,
+            TriangularError, HarnessError, ValueError) as e:
         print(f"flatcheck: error: {e}", file=sys.stderr)
         return 2
     except RecursionError:
@@ -766,13 +786,6 @@ def main(argv=None) -> int:
         print("flatcheck: error: expression nested too deeply for the "
               "recursion limit (RecursionError)", file=sys.stderr)
         return 2
-
-    sys.stdout.write(report.render())
-    json_path = cfg.json_path
-    if json_path is None and args.command == "simulate":
-        json_path = f"{Path(cfg.spec_path).stem}.report.json"
-    if json_path is not None:
-        Path(json_path).write_text(report.to_json(), encoding="utf-8")
     return _exit_code(report.data)
 
 

@@ -71,6 +71,12 @@ class VectorField:
         _same_chart(self, at)
         return np.array(self.evaluator(at.coords, at.params))
 
+    @cached_property
+    def _brackets(self) -> dict[int, tuple["VectorField", "VectorField"]]:
+        """lie_bracket's memo of [self, Y]: id(Y) -> (Y, [self, Y]).
+        An entry holds Y, so no other field can take its id meanwhile."""
+        return {}
+
 
 @dataclass(frozen=True)
 class OneForm:
@@ -138,7 +144,15 @@ def basis_vector(frame: Frame, i: int) -> VectorField:
 
 
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
-    """[X, Y], component i given by sum_j (X_j dY_i/dx_j - Y_j dX_i/dx_j)."""
+    """[X, Y], component i given by sum_j (X_j dY_i/dx_j - Y_j dX_i/dx_j).
+
+    X remembers the result for each Y by identity (hashing a field
+    would hash its trees), so the flags, the output-pair search and the
+    bracket oracle build a bracket they share once, and get one object.
+    """
+    hit = X._brackets.get(id(Y))
+    if hit is not None and hit[0] is Y:
+        return hit[1]
     frame = _same_chart(X, Y)
     comps = []
     for i in range(frame.n):
@@ -147,7 +161,9 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
             acc = acc + X.components[j] * diff(Y.components[i], xj) \
                       - Y.components[j] * diff(X.components[i], xj)
         comps.append(normalize(acc))
-    return VectorField(frame, tuple(comps))
+    bracket = VectorField(frame, tuple(comps))
+    X._brackets[id(Y)] = (Y, bracket)
+    return bracket
 
 
 def lie_derivative_fn(X: VectorField, h: Expr) -> Expr:

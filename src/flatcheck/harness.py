@@ -122,10 +122,6 @@ class VSignal:
             out.append(normalize(diff(out[-1], "t")))
         return out
 
-    def values(self, t: np.ndarray) -> np.ndarray:
-        fn = compile_fns((self.v1, self.v2), ("t",))
-        return _columns(fn, [np.asarray(t, dtype=float)])
-
 
 # rows of a history or of stage values held as Python floats at once,
 # in _stages, _integrate and Trajectory.to_csv: bounds the memory of a
@@ -222,6 +218,9 @@ _V1, _V2, _U1, _U2 = Sym("@v1"), Sym("@v2"), Sym("@u1"), Sym("@u2")
 # the state-independent arguments of a step, in the order _stages gives
 # them: h, then v1 and v2 at t, t + h/2 and t + h (RK4 stages 0, 1, 3)
 _STAGE_ARGS = (_H.name, "@v1.0", "@v2.0", "@v1.1", "@v2.1", "@v1.3", "@v2.3")
+# lets that make a step return v1 and v2 at its start as it got them,
+# so that Trajectory.v is the input the run was integrated with
+_V_AT_START = (("@v1@t", _V1), ("@v2@t", _V2))
 
 
 def _rk4_step(states: Sequence[str], lets: Sequence[tuple[str, Expr]],
@@ -426,7 +425,7 @@ def simulate(real: TriangularRealization, z0: Point, v: VSignal,
     zs = chart.z_frame.states
 
     rows_z = [real.phis[i] + Sym(zs[i + 1]) * _V1 for i in range(n - 2)]
-    step_z = _rk4_step(zs, (), rows_z + [_V2, _V1], params)
+    step_z = _rk4_step(zs, _V_AT_START, rows_z + [_V2, _V1], params)
     reg = compile_fns(real.regularity, ("v1",) + zs, params)
     min_reg = math.inf
 
@@ -441,7 +440,7 @@ def simulate(real: TriangularRealization, z0: Point, v: VSignal,
                     f"at t = {tk:.6g}", t=tk, index=i + 1)
 
     t = _grid(T, dt)
-    ztraj, _ = _integrate(step_z, v, z0.coords, t, on_node=monitor)
+    ztraj, vvals = _integrate(step_z, v, z0.coords, t, on_node=monitor)
 
     x0 = evaluator(chart.inverse, zs, params)(z0.coords)
 
@@ -454,7 +453,7 @@ def simulate(real: TriangularRealization, z0: Point, v: VSignal,
     # each step returns u at its start, the zero-length one u at the end
     xtraj, uvals = _integrate(step_x, v, x0, t)
 
-    return Trajectory(t=t, z=ztraj, x=xtraj, v=v.values(t), u=uvals,
+    return Trajectory(t=t, z=ztraj, x=xtraj, v=vvals, u=uvals,
                       meta={"min_abs_regularity": float(min_reg),
                             "dt": dt, "horizon": T})
 

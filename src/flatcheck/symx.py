@@ -19,11 +19,14 @@ operators and numpy's sin, cos, exp and sqrt. evaluator and eval_at
 call it one point at a time under one error contract: division by
 zero, overflow, domain errors and non-finite values raise EvalError.
 
-Linear algebra over the rational-function field (rref_exprs,
-nullspace_exprs, solve_affine_exprs) takes and returns trees but
-eliminates on the normal form's (numerator, denominator) polynomial
-pairs: each entry is converted in once and each result out once, and
-every entry equals normalize of the tree the update stands for.
+Linear algebra over the rational-function field eliminates on the
+normal form's (numerator, denominator) polynomial pairs, and every
+entry equals normalize of the tree the update stands for.
+rref_exprs, nullspace_exprs and solve_affine_exprs take and return
+trees: each entry is converted in once and each result out once.
+solve_affine_pairs, their common core, takes and returns pairs, so a
+caller that builds its system as pairs (the output-pair search in
+chained) never builds the trees at all.
 """
 
 from __future__ import annotations
@@ -511,6 +514,7 @@ Pair = tuple[Poly, Poly]  # numerator, denominator
 
 _P_ONE: Poly = {(): Fraction(1)}
 _ZERO_PAIR: Pair = ({}, _P_ONE)
+_ONE_PAIR: Pair = (_P_ONE, _P_ONE)
 
 
 def _mono_mul(m1: Mono, m2: Mono) -> Mono:
@@ -945,11 +949,13 @@ def to_str(e: Expr) -> str:
 # ---------------------------------------------------------------------------
 # Linear algebra over the rational-function field
 #
-# Entries are Exprs at the interface and (num, den) Poly pairs inside.
-# Each entry is converted once on the way in, by _ratform and _canon,
-# into the pair behind its normal form. Trees are built only for the
-# pivot candidates of a column that must be evaluated and for the
-# entries returned.
+# Entries are (num, den) Poly pairs inside. The tree interface
+# (rref_exprs, nullspace_exprs, solve_affine_exprs) converts each entry
+# once on the way in, by _ratform and _canon, into the pair behind its
+# normal form, and each result once on the way out. solve_affine_pairs
+# is entered with pairs and returns pairs. Either way trees are built
+# inside only for the pivot candidates of a column that must be
+# evaluated.
 #
 # Elimination is fraction-free: row i becomes piv*row_i - e*pivot_row,
 # e being row i's entry in the pivot column, so polynomial entries stay
@@ -960,7 +966,8 @@ def to_str(e: Expr) -> str:
 # not canonical, so a different but equal fraction (dropping pd*ad when
 # a is zero, say) would print differently; the only short cut taken is
 # that an entry with a and b both zero stays zero. Solution entries
-# follow Div(Mul(Const(-1), x), p) the same way.
+# follow Div(Mul(Const(-1), x), p) the same way, and a null basis
+# vector's free coordinate is the pair of 1.
 #
 # Pivots must be symbolically nonzero and are picked by largest
 # magnitude at a numeric reference environment when one is given,
@@ -1053,25 +1060,28 @@ def _eliminate(rows: list[list[Pair]], ref_env,
     return pivots
 
 
-def _solution_entry(x: Pair, p: Pair, atoms: dict[str, Expr]) -> Expr:
-    """normalize(Div(Mul(Const(-1), x), p)), from the pairs of x and p."""
+def _solution_pair(x: Pair, p: Pair) -> Pair:
+    """The pair of normalize(Div(Mul(Const(-1), x), p))."""
     (xn, xd), (pn, pd) = x, p
-    return _pair_to_expr(*_canon(_p_mul(_p_neg(xn), pd), _p_mul(xd, pn)),
-                         atoms)
+    return _canon(_p_mul(_p_neg(xn), pd), _p_mul(xd, pn))
 
 
-def _null_basis(rows: list[list[Pair]], pivots: list[int], ncols: int,
-                atoms: dict[str, Expr]) -> list[list[Expr]]:
+def _null_pairs(rows: list[list[Pair]], pivots: list[int],
+                ncols: int) -> list[list[Pair]]:
     basis = []
     for fc in range(ncols):
         if fc in pivots:
             continue
-        v: list[Expr] = [ZERO] * ncols
-        v[fc] = ONE_E
+        v = [_ZERO_PAIR] * ncols
+        v[fc] = _ONE_PAIR
         for r, pc in enumerate(pivots):
-            v[pc] = _solution_entry(rows[r][fc], rows[r][pc], atoms)
+            v[pc] = _solution_pair(rows[r][fc], rows[r][pc])
         basis.append(v)
     return basis
+
+
+def _exprs(pairs: Sequence[Pair], atoms: dict[str, Expr]) -> list[Expr]:
+    return [_pair_to_expr(*x, atoms) for x in pairs]
 
 
 def rref_exprs(matrix: Sequence[Sequence[Expr]],
@@ -1087,7 +1097,7 @@ def rref_exprs(matrix: Sequence[Sequence[Expr]],
     if not rows:
         return [], []
     pivots = _eliminate(rows, ref_env, atoms)
-    return [[_pair_to_expr(*x, atoms) for x in row] for row in rows], pivots
+    return [_exprs(row, atoms) for row in rows], pivots
 
 
 def nullspace_exprs(matrix: Sequence[Sequence[Expr]],
@@ -1103,7 +1113,30 @@ def nullspace_exprs(matrix: Sequence[Sequence[Expr]],
     atoms: dict[str, Expr] = {}
     rows = _pairs_in(matrix, atoms)
     pivots = _eliminate(rows, ref_env, atoms)
-    return _null_basis(rows, pivots, len(matrix[0]), atoms)
+    return [_exprs(v, atoms)
+            for v in _null_pairs(rows, pivots, len(matrix[0]))]
+
+
+def solve_affine_pairs(rows: Sequence[list[Pair]], ncols: int,
+                       ref_env: Mapping[str, float] | None,
+                       atoms: dict[str, Expr]
+                       ) -> tuple[list[Pair], list[list[Pair]]] | None:
+    """solve_affine_exprs on pairs: rows are [A | -b], ncols + 1 pairs
+    each, every one as _canon gives it, over atoms (which must name
+    every atom in them). rows itself is left as it is.
+
+    Returns the pairs of the particular solution, free coordinates 0,
+    and of the nullspace basis of A, or None when the system is
+    inconsistent. With no rows, that is 0 and the unit vectors.
+    """
+    rows = list(rows)
+    pivots = _eliminate(rows, ref_env, atoms) if rows else []
+    if ncols in pivots:
+        return None
+    part = [_ZERO_PAIR] * ncols
+    for r, pc in enumerate(pivots):
+        part[pc] = _solution_pair(rows[r][ncols], rows[r][pc])
+    return part, _null_pairs(rows, pivots, ncols)
 
 
 def solve_affine_exprs(matrix: Sequence[Sequence[Expr]],
@@ -1118,17 +1151,14 @@ def solve_affine_exprs(matrix: Sequence[Sequence[Expr]],
     """
     if not matrix:
         return [], []
-    ncols = len(matrix[0])
     atoms: dict[str, Expr] = {}
     rows = _pairs_in([list(row) + [Mul(Const(Fraction(-1)), rhs[i])]
                       for i, row in enumerate(matrix)], atoms)
-    pivots = _eliminate(rows, ref_env, atoms)
-    if ncols in pivots:
+    sol = solve_affine_pairs(rows, len(matrix[0]), ref_env, atoms)
+    if sol is None:
         return None
-    part: list[Expr] = [ZERO] * ncols
-    for r, pc in enumerate(pivots):
-        part[pc] = _solution_entry(rows[r][ncols], rows[r][pc], atoms)
-    return part, _null_basis(rows, pivots, ncols, atoms)
+    part, null = sol
+    return _exprs(part, atoms), [_exprs(v, atoms) for v in null]
 
 
 def linear_decompose(e: Expr, unknowns: Sequence[str]
@@ -1193,13 +1223,3 @@ def polynomial_terms(e: Expr, split_on: Iterable[str]
             ce = normalize(Div(ce, den_e))
         out[key] = ce
     return out
-
-
-def numerator_terms(e: Expr, split_on: Iterable[str]
-                    ) -> dict[Mono, Expr]:
-    """polynomial_terms of the numerator of normalize(e), read off its
-    pair without building the normal form's tree."""
-    atoms: dict[str, Expr] = {}
-    num, _ = _canon(*_ratform(e, atoms))
-    return {key: _poly_to_expr(poly, atoms)
-            for key, poly in _split_terms(num, set(split_on)).items()}

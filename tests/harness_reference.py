@@ -105,7 +105,8 @@ def simulate(real, z0, v, T, dt, reg_threshold=1e-3):
                          for i in range(n)])
 
     xtraj = rk4(rhs_x, x0, t)
-    vvals = v.values(t)
+    # v at each node on one float, as the step got it
+    vvals = np.array([[v1_fn([tk]), v2_fn([tk])] for tk in t.tolist()])
     uvals = np.array([inputs(float(t[k]), xtraj[k]) for k in range(len(t))])
     return Trajectory(t=t, z=ztraj, x=xtraj, v=vvals, u=uvals,
                       meta={"min_abs_regularity": float(min_reg),

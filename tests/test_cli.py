@@ -160,6 +160,21 @@ def test_main_deep_expression_is_a_named_error(tmp_path, capsys):
     assert "RecursionError" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, flag, name", [
+    ("check", "--json", "r.json"), ("simulate", "--out", "t.csv")])
+def test_main_unwritable_output_is_a_named_error(tmp_path, capsys, command,
+                                                 flag, name):
+    target = tmp_path / "missing" / name
+    spec = str(SPEC_DIR / "chained4.spec")
+    argv = [command, spec, "--samples", "10", flag, str(target)]
+    if command == "simulate":
+        argv += ["--json", str(tmp_path / "r.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"flatcheck: error: {target}: No such file or directory\n"
+    assert not target.exists()
+
+
 def test_main_json_shape(tmp_path):
     out = tmp_path / "report.json"
     code = main(["check", str(SPEC_DIR / "example1.spec"),

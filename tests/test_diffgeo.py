@@ -71,6 +71,29 @@ def test_reference_brackets():
     assert _vf_zero(lie_bracket(spec.g2, g3))
 
 
+def test_bracket_is_remembered_by_identity():
+    X = VF("x2", "x1*x3", "1")
+    Y = VF("x3^2", "x1", "x2")
+    first = lie_bracket(X, Y)
+    assert lie_bracket(X, Y) is first
+    # an equal but distinct Y gets its own, equal bracket, and a
+    # different field never gets Y's entry
+    twin = VF("x3^2", "x1", "x2")
+    assert twin == Y and twin is not Y
+    again = lie_bracket(X, twin)
+    assert again is not first and again == first
+    Z = VF("x1", "0", "x2^2")
+    other = lie_bracket(X, Z)
+    assert other is not first and other != first
+    assert lie_bracket(X, Y) is first and lie_bracket(X, Z) is other
+    # the memo is X's: [Y, X] is built on Y
+    assert lie_bracket(Y, X) is not first
+    # an entry is served only to the very field it was built for, even
+    # one filed under another field's id
+    X._brackets[id(twin)] = (Y, first)
+    assert lie_bracket(X, twin) is not first
+
+
 def test_lie_derivative_fn_leibniz():
     X = VF("x2", "sin(x1)", "x3")
     f, g = P("x1*x3"), P("x2^2 + 1")

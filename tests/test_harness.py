@@ -107,9 +107,6 @@ def test_vsignal_exact_derivatives():
     assert np.allclose(d1, 2 * np.cos(2 * ts), atol=1e-12)
     d2 = compile_fn(v.jets(2, 2)[2], ("t",))([ts])
     assert np.allclose(np.broadcast_to(d2, ts.shape), 2.0)
-    vals = VSignal.from_strings("1", "t").values(ts)
-    assert vals.shape == (50, 2)
-    assert np.allclose(vals[:, 0], 1.0) and np.allclose(vals[:, 1], ts)
 
 
 @pytest.mark.parametrize("which, closed_form", [
@@ -227,6 +224,26 @@ def test_stage_values_match_scalar_evaluation(s1, s2):
     assert len(got) == len(grid)
     assert np.array_equal(np.array(got).view(np.uint64),
                           np.array(want).view(np.uint64))
+
+
+def test_csv_inputs_are_the_integrated_inputs(tmp_path, chained4_real):
+    # the v1/v2 columns hold v as the RK4 steps got it, on one float per
+    # node; numpy's array ** would round some of these powers otherwise
+    s1, s2 = "1 + t^2/4 - t^3/8 + t^5/7", "sin(t)^2/2 + t^3/3"
+    v = VSignal.from_strings(s1, s2)
+    z0 = chained4_real.chart.z_frame.point([0.1, 0.2, 0.3, 0.4])
+    traj = simulate(chained4_real, z0, v, T=1.0, dt=1e-4)
+    path = tmp_path / "run.csv"
+    traj.to_csv(str(path))
+    lines = path.read_text().splitlines()
+    cols = lines[0].split(",")
+    got = np.array([[float(row.split(",")[cols.index(c)]) for c in
+                     ("v1", "v2")] for row in lines[1:]])
+    fns = [compile_fn(e, ("t",)) for e in (v.v1, v.v2)]
+    want = np.array([[fn([tk]) for fn in fns] for tk in traj.t.tolist()])
+    assert got.shape == (10001, 2)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(traj.v.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("drift, z1", [("x1^2", 1.0), ("1/x1", 0.0)])

@@ -11,7 +11,9 @@ The search is an undetermined-coefficient ansatz over polynomial
 monomials solved as a linear system over the parameter field, built
 and solved on the normal form's polynomial pairs; every candidate is
 accepted only after the chained structure is re-verified on the
-transformed fields, so the Delta recipe never has to be trusted.
+transformed fields, so the Delta recipe never has to be trusted. That
+check is exact and runs in x-coordinates: the chained pattern is
+pushed through the chart, so it needs no inverse chart.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .symx import (_P_ONE, _ZERO_PAIR, _canon, _is_one, _mono_key, _p_add,
                    _p_mul, _p_neg, _pair_to_expr, _ratform, _split_terms)
 
 JACOBIAN_TOL = 1e-8
-CHAINED_TOL = 1e-8  # relative tolerance of the numeric chained-form check
 
 
 class ChainedError(SymxError):
@@ -43,11 +44,10 @@ class ChainedError(SymxError):
 
 @dataclass(frozen=True)
 class OutputPair:
-    """Solved output functions and the ansatz degree they came from."""
+    """Solved output functions."""
 
     h1: Expr
     h2: Expr
-    degree: int
 
 
 @dataclass(frozen=True)
@@ -208,11 +208,13 @@ def _replay(seen: list, rest: Iterator) -> Iterator:
         yield item
 
 
-def find_output_pair(spec: SystemSpec, degree: int = 2) -> OutputPair:
+def find_output_pair(spec: SystemSpec, degree: int = 2
+                     ) -> tuple[OutputPair, Chart, FeedbackMatrix]:
     """Search for (h1, h2) by undetermined coefficients up to degree.
 
     Candidates are tried in a deterministic order and each one must
-    pass build_chart + verify_chained before being returned. They are
+    pass build_chart + verify_chained; the first that does is returned
+    with the chart and feedback it was verified with. Candidates are
     built as the search reaches them. Raises ChainedError when no
     candidate at this degree verifies.
     """
@@ -276,14 +278,13 @@ def find_output_pair(spec: SystemSpec, degree: int = 2) -> OutputPair:
         for h2 in _replay(h2_seen, h2_rest):
             _, k2 = _min_term(h2, states)
             scale = normalize(Div(ONE_E, Mul(k1, k2)))
-            pair = OutputPair(h1, normalize(Mul(scale, h2)), degree)
+            pair = OutputPair(h1, normalize(Mul(scale, h2)))
             try:
                 chart, fb = build_chart(pair, spec, ref_points)
-                verified = verify_chained(chart, fb, spec, ref_points)["pass"]
             except ChainedError:
                 continue
-            if verified:
-                return pair
+            if verify_chained(chart, fb, spec)["pass"]:
+                return pair, chart, fb
     raise ChainedError(f"no output pair verified at degree {degree}")
 
 
@@ -383,55 +384,23 @@ def build_chart(source: "OutputPair | tuple[Expr, ...]",
     return chart, FeedbackMatrix(beta, (ZERO, ZERO))
 
 
-def verify_chained(chart: Chart, fb: FeedbackMatrix, spec: SystemSpec,
-                   sample_points: list[Point] | None = None) -> dict:
-    """Push the transformed fields through the chart and compare with
-    the chained pattern; symbolic when the inverse chart exists,
-    else numeric at sample points."""
+def verify_chained(chart: Chart, fb: FeedbackMatrix,
+                   spec: SystemSpec) -> dict:
+    """Check the transformed fields against the chained pattern pushed
+    through the chart, exactly and in x-coordinates, so no inverse
+    chart is needed: <dz_i, ghat1> must be z_{i+1} (the x-expression
+    chart.forward[i]) for i <= n-2, then 0 and 1, and <dz_i, ghat2>
+    must be 0, except 1 at i = n-1 (1-based)."""
     n = spec.n
-    zf = chart.z_frame
     g1h, g2h = control_pair(spec, fb)
-    z_syms = [Sym(s) for s in zf.states]
-    target1 = list(z_syms[1:n - 1]) + [ZERO, ONE_E]
-    target2 = [ZERO] * (n - 2) + [ONE_E, ZERO]
-    push1 = [lie_derivative_fn(g1h, zi) for zi in chart.forward]
-    push2 = [lie_derivative_fn(g2h, zi) for zi in chart.forward]
-
+    wants = ((g1h, "g1hat", list(chart.forward[1:n - 1]) + [ZERO, ONE_E]),
+             (g2h, "g2hat", [ZERO] * (n - 2) + [ONE_E, ZERO]))
     mismatches = []
-    if chart.inverse is not None:
-        for i in range(n):
-            got1 = chart.to_z(push1[i])
-            got2 = chart.to_z(push2[i])
-            if normalize(Sub(got1, target1[i])) != ZERO:
-                mismatches.append({"field": "g1hat", "component": i,
-                                   "got": str(got1), "want": str(target1[i])})
-            if normalize(Sub(got2, target2[i])) != ZERO:
-                mismatches.append({"field": "g2hat", "component": i,
-                                   "got": str(got2), "want": str(target2[i])})
-        return {"pass": not mismatches, "mode": "symbolic",
-                "mismatches": mismatches}
-
-    if sample_points is None:
-        sample_points = _reference_points(spec)
-    pushes = chart.x_frame.evaluator(push1 + push2)
-    targets = zf.evaluator(target1 + target2)
-    checked = 0
-    for q in sample_points:
-        try:
-            got = pushes(q.coords, q.params)
-            want = targets(chart.forward_values(q), q.params)
-        except SymxError:
-            continue
-        for i in range(n):
-            for k, nm in ((i, "g1hat"), (n + i, "g2hat")):
-                if abs(got[k] - want[k]) > CHAINED_TOL * (1.0 + abs(want[k])):
-                    mismatches.append(
-                        {"field": nm, "component": i,
-                         "at": [float(c) for c in q.coords],
-                         "got": got[k], "want": want[k]})
-        checked += 1
-    if checked == 0:
-        raise ChainedError("numeric verification inconclusive: "
-                           "all sample points rejected")
-    return {"pass": not mismatches, "mode": "numeric",
-            "points_checked": checked, "mismatches": mismatches}
+    for i, zi in enumerate(chart.forward):
+        for g, name, want in wants:
+            got = lie_derivative_fn(g, zi)
+            if normalize(Sub(got, want[i])) != ZERO:
+                mismatches.append({"field": name, "component": i,
+                                   "got": str(got), "want": str(want[i])})
+    return {"pass": not mismatches, "mode": "symbolic",
+            "mismatches": mismatches}

@@ -393,23 +393,26 @@ def cmd_check(cfg: RunConfig) -> CheckReport:
 
 # --- transform -------------------------------------------------------------
 
-def _construct(spec: SystemSpec, cfg: RunConfig):
+def _construct(data: dict, spec: SystemSpec, cfg: RunConfig):
+    """The triangular realization, reported under "construction"."""
     if spec.chart_exprs is not None:
         chart, fb = build_chart(spec.chart_exprs, spec)
         source = "user chart"
     else:
-        pair = find_output_pair(spec, degree=cfg.degree)
-        chart, fb = build_chart(pair, spec)
-        source = f"output-pair search at degree {pair.degree}"
+        _, chart, fb = find_output_pair(spec, degree=cfg.degree)
+        source = f"output-pair search at degree {cfg.degree}"
     if spec.beta_exprs is not None:
         fb = FeedbackMatrix(beta=spec.beta_exprs, alpha=fb.alpha)
         source += ", user beta"
     fb = drift_feedback(spec, chart, fb)
     real = extract_triangular(spec, chart, fb, seed=cfg.seed)
-    return chart, fb, real, flat_output(real), source
+    data["construction"] = _construction_section(real, source)
+    return real
 
 
-def _construction_section(spec, chart, fb, real, fo, source) -> dict:
+def _construction_section(real, source: str) -> dict:
+    spec, chart, fb = real.system, real.chart, real.feedback
+    fo = flat_output(real)
     sec = {
         "source": source,
         "z_states": list(chart.z_frame.states),
@@ -441,17 +444,14 @@ def _construction_section(spec, chart, fb, real, fo, source) -> dict:
 
 def cmd_transform(cfg: RunConfig) -> CheckReport:
     spec = load_spec(cfg.spec_path)
-    data, points, _ = _run_check(spec, cfg)
+    data, _, _ = _run_check(spec, cfg)
     gate = data["verdicts"]["overall"]
     if gate in ("fail", "inconclusive") and not cfg.force:
         data["construction"] = {
             "skipped": f"check verdict is {gate}; use --force to override"}
         return CheckReport(data)
-    chart, fb, real, fo, source = _construct(spec, cfg)
-    data["construction"] = _construction_section(spec, chart, fb, real,
-                                                 fo, source)
-    chained = verify_chained(chart, fb, spec,
-                             sample_points=points[:20] or None)
+    real = _construct(data, spec, cfg)
+    chained = verify_chained(real.chart, real.feedback, spec)
     data["verification"]["chained_form"] = chained
     data["verdicts"]["construction"] = "ok" if chained["pass"] else "fail"
     return CheckReport(data)
@@ -484,8 +484,8 @@ def _bracket_oracle(spec: SystemSpec, points) -> dict:
             "points_checked": len(points), "per_bracket": per}
 
 
-def _resolve_sim(spec: SystemSpec, real, sim: SimSetup, cfg: RunConfig):
-    chart = real.chart
+def _resolve_sim(real, sim: SimSetup, cfg: RunConfig):
+    spec, chart = real.system, real.chart
     params = spec.bound_params(cfg.seed)
     if sim.z0 is not None:
         z0 = chart.z_frame.point(sim.z0, params)
@@ -498,10 +498,10 @@ def _resolve_sim(spec: SystemSpec, real, sim: SimSetup, cfg: RunConfig):
     return z0, v
 
 
-def _simulation_sections(spec, real, traj, v, cfg: RunConfig):
+def _simulation_sections(real, traj, v, cfg: RunConfig):
     chart = real.chart
     xs = chart.x_frame.states
-    params = spec.bound_params(cfg.seed)
+    params = real.system.bound_params(cfg.seed)
     fwd = compile_fns(chart.forward, xs, params)
     zhat = np.column_stack([np.broadcast_to(c, traj.t.shape) for c in
                             fwd([traj.x[:, i] for i in range(len(xs))])])
@@ -528,30 +528,31 @@ def _simulation_sections(spec, real, traj, v, cfg: RunConfig):
     worst = max(errors.values())
     rt_sec = {"max_rel_error": errors, "max_rel_overall": worst,
               "pass": worst <= ROUND_TRIP_TOL}
-    return sim_sec, rt_sec, rec
+    return sim_sec, rt_sec
 
 
-def _verify_into(data, spec, real, chart, fb, sim, cfg, points):
+def _verify_into(data, real, sim, cfg, points):
+    """The trajectory, or None when the chained-form check failed."""
     ver = data["verification"]
-    ver["brackets"] = _bracket_oracle(spec, points[:100])
-    ver["chained_form"] = verify_chained(chart, fb, spec,
-                                         sample_points=points[:20] or None)
+    ver["brackets"] = _bracket_oracle(real.system, points[:100])
+    ver["chained_form"] = verify_chained(real.chart, real.feedback,
+                                         real.system)
     if not ver["chained_form"]["pass"]:
         ver["simulation"] = {"skipped": "chained-form check failed"}
         ver["round_trip"] = {"skipped": "chained-form check failed"}
         data["verdicts"]["verification"] = "fail"
         return None
-    z0, v = _resolve_sim(spec, real, sim, cfg)
+    z0, v = _resolve_sim(real, sim, cfg)
     try:
         traj = simulate(real, z0, v, T=cfg.horizon, dt=cfg.dt)
-        sim_sec, rt_sec, rec = _simulation_sections(spec, real, traj, v, cfg)
+        sim_sec, rt_sec = _simulation_sections(real, traj, v, cfg)
     except RegularityError as e:
         raise HarnessError(f"simulation left the regular region: {e}")
     ver["simulation"] = sim_sec
     ver["round_trip"] = rt_sec
     ok = (ver["brackets"]["pass"] and sim_sec["pass"] and rt_sec["pass"])
     data["verdicts"]["verification"] = "pass" if ok else "fail"
-    return traj, rec
+    return traj
 
 
 def cmd_verify(cfg: RunConfig) -> CheckReport:
@@ -563,10 +564,8 @@ def cmd_verify(cfg: RunConfig) -> CheckReport:
             "skipped": f"check verdict is {gate}; use --force to override"}
         data["verdicts"]["verification"] = "skipped"
         return CheckReport(data)
-    chart, fb, real, fo, source = _construct(spec, cfg)
-    data["construction"] = _construction_section(spec, chart, fb, real,
-                                                 fo, source)
-    _verify_into(data, spec, real, chart, fb, sim, cfg, points)
+    real = _construct(data, spec, cfg)
+    _verify_into(data, real, sim, cfg, points)
     if data["verdicts"]["verification"] == "fail":
         data["verdicts"]["overall"] = "fail"
     return CheckReport(data)
@@ -580,16 +579,13 @@ def cmd_simulate(cfg: RunConfig) -> tuple[CheckReport, str]:
     spec, sim = _load(cfg.spec_path)
     data = _empty_report(cfg)
     data["verdicts"] = {"condition1": "skipped", "condition2": "skipped"}
-    chart, fb, real, fo, source = _construct(spec, cfg)
-    data["construction"] = _construction_section(spec, chart, fb, real,
-                                                 fo, source)
-    result = _verify_into(data, spec, real, chart, fb, sim, cfg,
-                          points=_sample_points(spec, cfg)[0])
+    real = _construct(data, spec, cfg)
+    traj = _verify_into(data, real, sim, cfg,
+                        points=_sample_points(spec, cfg)[0])
     data["verdicts"]["overall"] = data["verdicts"]["verification"]
-    if result is None:
+    if traj is None:
         raise ChainedError("chained-form verification failed; "
                            "no trajectory written")
-    traj, _ = result
     out = cfg.out or f"{Path(cfg.spec_path).stem}.traj.csv"
     _write_file(out, traj.to_csv)
     data["verification"]["files"] = {"csv": out}
@@ -724,18 +720,20 @@ def _build_parser() -> argparse.ArgumentParser:
                                  "constructed form"),
                       ("simulate", "simulate the closed loop and write "
                                    "trajectory CSV")):
-        p = sub.add_parser(name, help=doc)
-        p.add_argument("spec", help="system spec file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=100)
-        p.add_argument("--degree", type=int, default=2)
-        p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
-        p.add_argument("--proj-tol", type=float, default=DEFAULT_PROJ_TOL)
-        p.add_argument("--dt", type=float, default=1e-3)
-        p.add_argument("--horizon", type=float, default=1.0)
-        p.add_argument("--out", default=None,
-                       help="trajectory CSV path (simulate)")
-        p.add_argument("--json", dest="json_path", default=None,
+        # an option left out stays out of the namespace, so main's
+        # RunConfig(**vars(args)) takes its default from RunConfig
+        p = sub.add_parser(name, help=doc,
+                           argument_default=argparse.SUPPRESS)
+        p.add_argument("spec_path", metavar="spec", help="system spec file")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--samples", type=int)
+        p.add_argument("--degree", type=int)
+        p.add_argument("--rank-tol", type=float)
+        p.add_argument("--proj-tol", type=float)
+        p.add_argument("--dt", type=float)
+        p.add_argument("--horizon", type=float)
+        p.add_argument("--out", help="trajectory CSV path (simulate)")
+        p.add_argument("--json", dest="json_path",
                        help="write the JSON report here")
         if name in ("transform", "verify"):
             p.add_argument("--force", action="store_true",
@@ -755,24 +753,18 @@ def _exit_code(data: dict) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(spec_path=args.spec, command=args.command,
-                        seed=args.seed, samples=args.samples,
-                        degree=args.degree, rank_tol=args.rank_tol,
-                        proj_tol=args.proj_tol, dt=args.dt,
-                        horizon=args.horizon, out=args.out,
-                        json_path=args.json_path,
-                        force=getattr(args, "force", False))
-        if args.command == "check":
+        cfg = RunConfig(**vars(args))
+        if cfg.command == "check":
             report = cmd_check(cfg)
-        elif args.command == "transform":
+        elif cfg.command == "transform":
             report = cmd_transform(cfg)
-        elif args.command == "verify":
+        elif cfg.command == "verify":
             report = cmd_verify(cfg)
         else:
             report, _ = cmd_simulate(cfg)
         sys.stdout.write(report.render())
         json_path = cfg.json_path
-        if json_path is None and args.command == "simulate":
+        if json_path is None and cfg.command == "simulate":
             json_path = f"{Path(cfg.spec_path).stem}.report.json"
         if json_path is not None:
             _write_file(json_path, lambda p: Path(p).write_text(

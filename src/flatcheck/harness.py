@@ -518,11 +518,16 @@ class FlatSignal:
                 succ[vnames[j][k]] = Sym(vnames[j][k + 1])
 
         order = list(zs) + vnames[0] + vnames[1]
-        vfn = compile_fns(v.jets(1, depth) + v.jets(2, depth), ("t",))
+        # order 0 is the v the run was integrated with; the derivatives
+        # come from the jets of the signal's expressions
+        vfn = compile_fns(v.jets(1, depth)[1:] + v.jets(2, depth)[1:],
+                          ("t",))
         vjets = _columns(vfn, [traj.t])
 
         cols = [traj.z[:, i] for i in range(n)]
-        cols += [vjets[:, k] for k in range(2 * depth + 2)]
+        for j in (0, 1):
+            cols += [traj.v[:, j]] + [vjets[:, j * depth + k]
+                                      for k in range(depth)]
 
         jets = {}
         for name, base in (("y1", zs[0]), ("y2", zs[n - 1])):

@@ -159,7 +159,8 @@ def flat_signal(real, traj, v):
     order = list(zs) + vnames[0] + vnames[1]
     vjets = np.empty((len(traj.t), 2, depth + 1))
     for j in (1, 2):
-        for k in range(depth + 1):
+        vjets[:, j - 1, 0] = traj.v[:, j - 1]  # v as it was integrated
+        for k in range(1, depth + 1):
             fn = compile_fn(v_derivative(v, j, k), ("t",))
             vjets[:, j - 1, k] = np.broadcast_to(fn([traj.t]), traj.t.shape)
 

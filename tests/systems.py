@@ -107,3 +107,16 @@ def involutive() -> SystemSpec:
         g2=VectorField(fr, (parse("exp(x1)", fr), parse("exp(x1)", fr),
                             ZERO, ZERO)),
     )
+
+
+def disguised4() -> SystemSpec:
+    """The chained pair with drift phi_1 = z1*z4, pulled back through
+    z_i = x_i + x_{i+1}^2/2 (i = 1, 2), z3 = x3, z4 = x4."""
+    fr = Frame("d", ("x1", "x2", "x3", "x4"), ())
+    P = lambda comps: VectorField(fr, tuple(parse(s, fr) for s in comps))
+    return SystemSpec(
+        frame=fr,
+        f=P(("x2^2*x4/2 + x1*x4", "0", "0", "0")),
+        g1=P(("-x2*x3 + x3^2/2 + x2", "x3", "0", "1")),
+        g2=P(("x2*x3", "-x3", "1", "0")),
+    )

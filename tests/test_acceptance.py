@@ -89,8 +89,7 @@ def test_acceptance_2_motor_output_pair_search(gate, motor_spec):
         t0 = time.perf_counter()
         spec = motor_spec
         fr = spec.frame
-        pair = find_output_pair(spec, degree=2)
-        chart, fb = build_chart(pair, spec)
+        pair, chart, fb = find_output_pair(spec, degree=2)
         fb = drift_feedback(spec, chart, fb)
         real = extract_triangular(spec, chart, fb)
 

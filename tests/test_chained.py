@@ -16,21 +16,25 @@ from flatcheck.chained import (ChainedError, FeedbackMatrix,
                                _monomials, _replay, build_chart, control_pair,
                                find_output_pair, verify_chained)
 
+import chained_reference
 import symx_reference
 import systems
+from conftest import realize
 from symx_reference import equiv
 
 
 def test_output_pair_chained_is_identity_candidates(chained4_spec):
-    pair = find_output_pair(chained4_spec, degree=2)
+    pair, chart, fb = find_output_pair(chained4_spec, degree=2)
     fr = chained4_spec.frame
     assert is_zero(Sub(pair.h2, parse("x1", fr)))
     assert is_zero(Sub(pair.h1, parse("x4", fr)))
-    assert pair.degree == 2
+    # the chart and feedback returned are the ones built from the pair
+    built, built_fb = build_chart(pair, chained4_spec)
+    assert chart == built and fb == built_fb
 
 
 def test_output_pair_motor_matches_references(motor_spec):
-    pair = find_output_pair(motor_spec, degree=2)
+    pair, _, _ = find_output_pair(motor_spec, degree=2)
     fr = motor_spec.frame
     assert equiv(pair.h1, parse(systems.MOTOR_H1, fr))
     assert equiv(pair.h2, parse(systems.MOTOR_H2, fr))
@@ -146,7 +150,7 @@ OUTPUT_PAIRS = {
 def test_output_pair_golden(name):
     spec = (systems.motor() if name == "motor"
             else systems.chained(int(name[len("chained"):])))
-    pair = find_output_pair(spec, degree=2)
+    pair, _, _ = find_output_pair(spec, degree=2)
     assert (to_str(pair.h1), to_str(pair.h2)) == OUTPUT_PAIRS[name]
 
 
@@ -170,7 +174,7 @@ def test_build_chart_from_user_chart(example1_spec):
 
 
 def test_build_chart_motor_scaling(motor_spec):
-    chart, fb = build_chart(find_output_pair(motor_spec), motor_spec)
+    _, chart, fb = find_output_pair(motor_spec)
     fr = motor_spec.frame
     assert equiv(chart.forward[0], parse(systems.MOTOR_H2, fr))
     assert equiv(chart.forward[1], parse(systems.MOTOR_Z2, fr))
@@ -237,12 +241,59 @@ def test_verify_chained_flags_wrong_beta(example1_spec):
     assert all("component" in m for m in out["mismatches"])
 
 
-def test_verify_chained_numeric_route(example1_spec, example1_real):
+def test_verify_chained_needs_no_inverse(example1_spec, example1_real):
     chart = example1_real.chart
     blind = dataclasses.replace(chart, inverse=None)
-    out = verify_chained(blind, example1_real.feedback, example1_spec)
-    assert out["pass"] and out["mode"] == "numeric"
-    assert out["points_checked"] > 0
+    fr = example1_spec.frame
+    one, zero = parse("1", fr), parse("0", fr)
+    for fb in (example1_real.feedback,
+               FeedbackMatrix(beta=((one, zero), (zero, one)),
+                              alpha=example1_real.feedback.alpha)):
+        out = verify_chained(blind, fb, example1_spec)
+        assert out == verify_chained(chart, fb, example1_spec)
+        assert out["mode"] == "symbolic"
+
+
+def _wrong_betas(beta, fr):
+    """The feedback's beta and four wrong ones: identity, columns
+    swapped, doubled, second column negated."""
+    one, zero = parse("1", fr), parse("0", fr)
+    (a, b), (c, d) = beta
+    neg = lambda e: normalize(Mul(Const(Fraction(-1)), e))
+    dbl = lambda e: normalize(Mul(Const(Fraction(2)), e))
+    return {"own": beta,
+            "identity": ((one, zero), (zero, one)),
+            "swapped": ((b, a), (d, c)),
+            "doubled": ((dbl(a), dbl(b)), (dbl(c), dbl(d))),
+            "negated": ((a, neg(b)), (c, neg(d)))}
+
+
+@pytest.mark.parametrize("name", ["example1", "motor", "chained4",
+                                  "chained5", "chained6", "disguised4"])
+def test_verify_chained_agrees_with_z_route(name):
+    # the x-side check and the z-side reference (rewrite through the
+    # inverse, compare with the chained pattern) agree on the verdict
+    # and on which components mismatch, under right and wrong betas
+    if name.startswith("chained"):
+        spec = systems.chained(int(name[len("chained"):]))
+    else:
+        spec = getattr(systems, name)()
+    chart_exprs = (systems.example1_chart(spec) if name == "example1"
+                   else None)
+    real = realize(spec, chart_exprs)
+    assert real.chart.inverse is not None
+    verdicts = {}
+    for label, beta in _wrong_betas(real.feedback.beta, spec.frame).items():
+        fb = FeedbackMatrix(beta=beta, alpha=real.feedback.alpha)
+        got = verify_chained(real.chart, fb, spec)
+        want = chained_reference.verify_chained_z(real.chart, fb, spec)
+        assert got["pass"] == want["pass"], label
+        assert ({(m["field"], m["component"]) for m in got["mismatches"]}
+                == {(m["field"], m["component"])
+                    for m in want["mismatches"]}), label
+        verdicts[label] = got["pass"]
+    assert verdicts["own"]
+    assert not any(verdicts[k] for k in ("swapped", "doubled", "negated"))
 
 
 def test_chart_to_z_requires_inverse(example1_real):

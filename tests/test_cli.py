@@ -232,6 +232,32 @@ def test_transform_gate_and_force(tmp_path, capsys):
     assert "flatcheck: error:" in capsys.readouterr().err
 
 
+def test_verify_gate_skips_construction(tmp_path, capsys):
+    path = _write(tmp_path, INVOLUTIVE)
+    out = tmp_path / "v.json"
+    assert main(["verify", path, "--samples", "30",
+                 "--json", str(out)]) == 1
+    data = json.loads(out.read_text())
+    assert data["construction"] == {
+        "skipped": "check verdict is fail; use --force to override"}
+    assert data["verification"] == {}
+    assert data["verdicts"]["verification"] == "skipped"
+    assert "verification verdict: skipped" in capsys.readouterr().out
+
+
+def test_simulate_wrong_user_beta_writes_no_trajectory(tmp_path, capsys,
+                                                       monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    text = (SPEC_DIR / "example1.spec").read_text()
+    path = _write(tmp_path, text + "beta = 1, 0, 0, 1\n")
+    assert main(["simulate", path, "--samples", "30", "--horizon", "0.1",
+                 "--dt", "0.01"]) == 2
+    assert capsys.readouterr().err == (
+        "flatcheck: error: chained-form verification failed; "
+        "no trajectory written\n")
+    assert list(tmp_path.iterdir()) == [Path(path)]
+
+
 def test_transform_example1_golden_strings():
     rep = cmd_transform(_cfg(SPEC_DIR / "example1.spec",
                              command="transform"))

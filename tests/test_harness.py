@@ -8,8 +8,8 @@ from flatcheck.symx import Frame, compile_fn, normalize, parse
 from flatcheck.diffgeo import VectorField, lie_bracket
 from flatcheck.harness import (FlatSignal, HarnessError, RegularityError,
                                SampleBox, T_FRAME, Trajectory, VSignal,
-                               _grid, _stages, fd_bracket, reconstruct,
-                               simulate)
+                               _grid, _newton_grid, _stages, fd_bracket,
+                               reconstruct, simulate)
 from flatcheck.cli import _bracket_oracle
 from flatcheck.triangular import extract_triangular
 
@@ -318,15 +318,21 @@ def test_trajectory_csv_bytes_match_csv_writer(tmp_path, motor_real):
         assert path.read_bytes() == ref.read_bytes()
 
 
-def test_flat_signal_matches_trajectory(chained4_real):
-    z0 = chained4_real.chart.z_frame.point([0.1, 0.2, 0.3, 0.4])
-    v = VSignal.from_strings("1 + sin(2*t)/4", "sin(t)/2")
-    traj = simulate(chained4_real, z0, v, T=1.0, dt=1e-2)
-    flat = FlatSignal.from_trajectory(chained4_real, traj, v)
-    assert np.allclose(flat.y1_jets[:, 0], traj.z[:, 0], atol=1e-12)
-    assert np.allclose(flat.y2_jets[:, 0], traj.z[:, 3], atol=1e-12)
-    # dz4/dt = v1 exactly
-    assert np.allclose(flat.y2_jets[:, 1], traj.v[:, 0], atol=1e-12)
+def test_flat_signal_matches_trajectory(chained4_real, example1_real):
+    # the jets' order 0 is the run's z, and dz_n/dt is the v1 the run
+    # was integrated with, bit for bit; the normal form of 1 + t/3,
+    # (1/3)*t + 1, rounds differently at some grid points
+    for real, z0, v1 in ((chained4_real, [0.1, 0.2, 0.3, 0.4],
+                          "1 + sin(2*t)/4"),
+                         (example1_real, [0.1, 0.1, 0.0, 0.1], "1 + t/3")):
+        v = VSignal.from_strings(v1, "sin(t)/2")
+        traj = simulate(real, real.chart.z_frame.point(z0), v, T=1.0,
+                        dt=1e-3)
+        flat = FlatSignal.from_trajectory(real, traj, v)
+        assert np.array_equal(flat.y1_jets[:, 0], traj.z[:, 0])
+        assert np.array_equal(flat.y2_jets[:, 0], traj.z[:, 3])
+        assert np.array_equal(flat.y2_jets[:, 1], traj.v[:, 0])
+        assert np.array_equal(reconstruct(real, flat).v[:, 0], traj.v[:, 0])
 
 
 @pytest.mark.parametrize("name, v1, v2", [
@@ -344,6 +350,16 @@ def test_flat_signal_matches_reference_jets(request, name, v1, v2):
     want = harness_reference.flat_signal(real, traj, v)
     for f in ("t", "y1_jets", "y2_jets"):
         assert np.array_equal(getattr(got, f), getattr(want, f)), f
+
+
+def test_newton_grid_falls_back_to_bisection():
+    # Newton from 0 on w^3 - 2w + 2 cycles 0 -> 1 -> 0, so the root
+    # comes from the bisection on an expanding bracket
+    F = lambda cols: cols[0] ** 3 - 2 * cols[0] + 2
+    dF = lambda cols: 3 * cols[0] ** 2 - 2
+    w = _newton_grid(F, dF, [], 1, 1, np.array([0.0]))
+    assert w[0] == pytest.approx(-1.7692923542386314, abs=1e-12)
+    assert abs(F([w])[0]) < 1e-9
 
 
 def _round_trip(real, z0_coords, v, T=1.0, dt=1e-2):

@@ -422,14 +422,13 @@ def _construction_section(real, source: str) -> dict:
         "beta": [[to_str(b) for b in row] for row in fb.beta],
         "alpha": [to_str(a) for a in fb.alpha],
         "alpha_bar": [to_str(a) for a in drift_components(spec, chart)],
-        "dependence_mode": real.dependence_mode,
+        "dependence_mode": "symbolic",
         "flat_output": {
             "y": [to_str(fo["y"][0]), to_str(fo["y"][1])],
             "flat_indices": list(fo["flat_indices"]),
             "regularity_z": ([to_str(e) for e in fo["regularity_z"]]
                              if fo["regularity_z"] is not None else None),
-            "regularity_x": ([to_str(e) for e in fo["regularity_x"]]
-                             if fo["regularity_x"] is not None else None),
+            "regularity_x": [to_str(e) for e in fo["regularity_x"]],
             "parameter_dependence": fo["parameter_dependence"],
         },
     }
@@ -642,10 +641,9 @@ def _render(d: dict) -> str:
         if fo["regularity_z"] is not None:
             for i, expr in enumerate(fo["regularity_z"], start=1):
                 lines.append(f"  regularity r_{i}: {expr} != 0")
-        if fo["regularity_x"] is not None:
-            for i, expr in enumerate(fo["regularity_x"], start=1):
-                lines.append(f"  regularity r_{i} (original coords): "
-                             f"{expr} != 0")
+        for i, expr in enumerate(fo["regularity_x"], start=1):
+            lines.append(f"  regularity r_{i} (original coords): "
+                         f"{expr} != 0")
         dep = fo["parameter_dependence"]
         if any(dep.values()):
             lines.append("  parameter dependence: " + "; ".join(

@@ -24,6 +24,7 @@ recomputed: they contribute nothing new to the span.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +58,9 @@ class SystemSpec:
             raise ValueError("g1 and g2 are both identically zero")
         if self.box is not None:
             for lo, hi in self.box:
+                if not math.isfinite(hi - lo):  # also an infinite bound
+                    raise ValueError(f"box interval [{lo}, {hi}] is not "
+                                     "of finite width")
                 if not lo < hi:
                     raise ValueError(f"empty box interval [{lo}, {hi}]")
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .symx import (
+    ONE_E,
+    ZERO,
     Const,
     EvalError,
     Expr,
@@ -26,15 +26,12 @@ from .symx import (
     free_symbols,
     is_zero,
     normalize,
-    subst,
+    rref_exprs,
     to_str,
 )
 from .diffgeo import VectorField, lie_derivative_fn
 from .flags import SystemSpec, _reference_points
 from .chained import Chart, FeedbackMatrix
-
-# relative tolerance of the numeric dependence check
-DEP_TOL = 1e-8
 
 
 class TriangularError(Exception):
@@ -43,13 +40,15 @@ class TriangularError(Exception):
 
 @dataclass(frozen=True)
 class TriangularRealization:
-    """The closed-loop system in z-coordinates.
+    """The closed-loop system, certified in triangular form.
 
-    phis holds the drift rows 1..n-2 as z-expressions when the chart
-    admits a symbolic inverse, else None (the x-coordinate forms in
-    phis_x are always present). regularity[i] is the expression
+    phis_x holds the drift rows phi_1..phi_{n-2} in x-coordinates and
+    dphis_x[i] the x-expression of dphi_{i+1}/dz_{i+2}; both are always
+    present. phis (the same rows as z-expressions) and regularity[i] =
     v1 + dphi_{i+1}/dz_{i+2} over reg_frame, whose nonvanishing keeps
-    the flat-output jet map invertible.
+    the flat-output jet map invertible, serve presentation and
+    simulation only: phis, reg_frame and regularity are None exactly
+    when chart.inverse is None.
     """
 
     system: SystemSpec
@@ -57,9 +56,9 @@ class TriangularRealization:
     feedback: FeedbackMatrix
     phis: tuple[Expr, ...] | None
     phis_x: tuple[Expr, ...]
+    dphis_x: tuple[Expr, ...]
     reg_frame: Frame | None
     regularity: tuple[Expr, ...] | None
-    dependence_mode: str
 
     @property
     def n(self) -> int:
@@ -126,47 +125,42 @@ def _forbidden_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, n - 2) for j in range(i + 2, n)]
 
 
-def _check_dependence_symbolic(phis: tuple[Expr, ...], chart: Chart,
-                               points: list[Point]) -> None:
-    n = len(chart.forward)
-    zs = chart.z_frame.states
-    for i, j in _forbidden_pairs(n):
-        d = normalize(diff(phis[i - 1], zs[j - 1]))
-        if is_zero(d):
-            continue
-        q, val = _witness(subst(d, dict(zip(zs, chart.forward))), points)
-        raise TriangularError(
-            f"triangular structure violated: dphi_{i}/dz_{j} = "
-            f"{to_str(d)} != 0 (|value| = {val:.3e} at x = "
-            f"{tuple(round(c, 4) for c in q.coords)})")
+def _coordinate_fields(chart: Chart) -> list[list[Expr]]:
+    """The coordinate fields d/dz_j, j = 2..n-1, as x-components.
 
-
-def _check_dependence_numeric(phis_x: tuple[Expr, ...], chart: Chart,
-                              points: list[Point]) -> None:
-    """Gradient projection: grad_z phi = J^{-T} grad_x (phi o chart),
-    checked pointwise since there is nothing symbolic to differentiate
-    against."""
-    n = len(chart.forward)
+    They are columns 2..n-1 of J^{-1}, J = d(chart.forward)/dx, read
+    off one exact elimination of [J | e_2 ... e_{n-1}] whose pivots are
+    the first symbolically nonzero entries. build_chart refused any
+    chart whose J is singular at a sample point, so J is invertible
+    over the expression field and the pivot of row k is in column k.
+    """
     states = chart.x_frame.states
-    pairs = _forbidden_pairs(n)
-    rows = sorted({i for i, _ in pairs})  # the phi rows the pairs name
-    # one function for the chart Jacobian, then each row's gradient
-    fn = chart.x_frame.evaluator(
-        [diff(c, s) for c in chart.forward for s in states]
-        + [diff(phis_x[i - 1], s) for i in rows for s in states])
-    for q in points:
-        vals = np.array(fn(q.coords, q.params)).reshape(-1, n)
-        Jt = vals[:n].T
-        gzs = {i: np.linalg.solve(Jt, vals[n + r])
-               for r, i in enumerate(rows)}
-        for i, j in pairs:
-            gz = gzs[i]
-            scale = 1.0 + float(np.linalg.norm(gz))
-            if abs(gz[j - 1]) > DEP_TOL * scale:
-                raise TriangularError(
-                    f"triangular structure violated: dphi_{i}/dz_{j} = "
-                    f"{gz[j - 1]:.3e} at x = "
-                    f"{tuple(round(c, 4) for c in q.coords)}")
+    n = len(states)
+    aug = [[diff(z, s) for s in states]
+           + [ONE_E if r == j else ZERO for j in range(1, n - 1)]
+           for r, z in enumerate(chart.forward)]
+    rows, _ = rref_exprs(aug)
+    # row k reads p_k * (J^{-1} e_j)_k = rows[k][n + j - 2], p_k unscaled
+    return [[normalize(rows[k][n + c] / rows[k][k]) for k in range(n)]
+            for c in range(n - 2)]
+
+
+def _z_derivatives(phis_x: tuple[Expr, ...], chart: Chart
+                   ) -> dict[tuple[int, int], Expr]:
+    """dphi_i/dz_j as x-expressions, 1-based, for i + 1 <= j <= n - 1:
+    the forbidden pairs and the regularity terms dphi_i/dz_{i+1}. Each
+    is the x-gradient of phi_i applied to the coordinate field d/dz_j."""
+    states = chart.x_frame.states
+    n = len(states)
+    fields = _coordinate_fields(chart)
+    out = {}
+    for i, phi in enumerate(phis_x, start=1):
+        grad = [normalize(diff(phi, s)) for s in states]
+        for j in range(i + 1, n):
+            out[i, j] = normalize(sum(
+                (g * c for g, c in zip(grad, fields[j - 2]) if c != ZERO),
+                ZERO))
+    return out
 
 
 def _reg_frame(chart: Chart) -> Frame:
@@ -181,12 +175,15 @@ def extract_triangular(spec: SystemSpec, chart: Chart,
                        seed: int = 7) -> TriangularRealization:
     """Build the closed-loop drift and certify the triangular shape.
 
-    The two cancellation identities L_fhat z_n = L_fhat z_{n-1} = 0
-    are checked exactly in x-coordinates, so they need no inverse
-    chart. The dependence check runs symbolically when the inverse is
-    available and by numeric gradient projection otherwise. A failure
-    names the violating entry and a witness point: it means the
+    Every decision is exact and made in x-coordinates, so none needs
+    the inverse chart: the two cancellation identities
+    L_fhat z_n = L_fhat z_{n-1} = 0, and the dependence condition,
+    where dphi_i/dz_j is the derivative of phi_i along the coordinate
+    field d/dz_j. The same derivatives give the x-regularity terms. A
+    failure names the violating entry and a witness point: it means the
     geometric conditions did not actually hold on the working region.
+    The inverse, when the chart has one, only rewrites the drift rows
+    and the regularity terms in z.
     """
     n = spec.n
     fhat = _hat_drift(spec, fb)
@@ -203,27 +200,29 @@ def extract_triangular(spec: SystemSpec, chart: Chart,
 
     phis_x = tuple(normalize(lie_derivative_fn(fhat, chart.forward[i]))
                    for i in range(n - 2))
+    ds = _z_derivatives(phis_x, chart)
+    for i, j in _forbidden_pairs(n):
+        d = ds[i, j]
+        if not is_zero(d):
+            q, val = _witness(d, points)
+            raise TriangularError(
+                f"triangular structure violated: dphi_{i}/dz_{j} = "
+                f"{to_str(d)} != 0 (|value| = {val:.3e} at x = "
+                f"{tuple(round(c, 4) for c in q.coords)})")
+    dphis_x = tuple(ds[i, i + 1] for i in range(1, n - 1))
 
+    phis = rf = regularity = None
     if chart.inverse is not None:
         phis = tuple(chart.to_z(p) for p in phis_x)
-        _check_dependence_symbolic(phis, chart, points)
-        mode = "symbolic"
         rf = _reg_frame(chart)
         v1 = Sym("v1")
         zs = chart.z_frame.states
         regularity = tuple(
             normalize(v1 + diff(phis[i], zs[i + 1])) for i in range(n - 2))
-    else:
-        phis = None
-        _check_dependence_numeric(phis_x, chart, points)
-        mode = "numeric"
-        rf = None
-        regularity = None
 
     return TriangularRealization(system=spec, chart=chart, feedback=fb,
-                                 phis=phis, phis_x=phis_x, reg_frame=rf,
-                                 regularity=regularity,
-                                 dependence_mode=mode)
+                                 phis=phis, phis_x=phis_x, dphis_x=dphis_x,
+                                 reg_frame=rf, regularity=regularity)
 
 
 def _param_scan(real: TriangularRealization) -> dict[str, list[str]]:
@@ -247,8 +246,8 @@ def _param_scan(real: TriangularRealization) -> dict[str, list[str]]:
 def flat_output(real: TriangularRealization) -> dict:
     """Report the flat output y = (z_1, z_n) and where it is valid.
 
-    Regularity conditions come out twice: over (z, v1), and with the
-    state rewritten through the chart when a symbolic inverse exists.
+    Regularity conditions come out twice: over (z, v1) when the chart
+    has a symbolic inverse, and always with the state in x-coordinates.
     In the second form only the state changes coordinates; the input
     slot is still the first transformed input, written u1 because the
     closed loop treats the drift-cancelled system as the plant. The
@@ -259,21 +258,14 @@ def flat_output(real: TriangularRealization) -> dict:
     n = real.n
     y = (chart.forward[0], chart.forward[n - 1])
 
-    regularity_x = None
-    frame_x_u = None
-    if real.regularity is not None:
-        xf = chart.x_frame
-        for name in ("u1", "u2"):
-            if name in xf.declared():
-                raise TriangularError(f"symbol {name} already taken "
-                                      "in the x-frame")
-        frame_x_u = Frame(xf.name + "_u", xf.states + ("u1", "u2"), xf.params)
-        u1 = Sym("u1")
-        fwd_map = dict(zip(chart.z_frame.states, chart.forward))
-        zs = chart.z_frame.states
-        regularity_x = tuple(
-            normalize(u1 + subst(diff(real.phis[i], zs[i + 1]), fwd_map))
-            for i in range(n - 2))
+    xf = chart.x_frame
+    for name in ("u1", "u2"):
+        if name in xf.declared():
+            raise TriangularError(f"symbol {name} already taken "
+                                  "in the x-frame")
+    frame_x_u = Frame(xf.name + "_u", xf.states + ("u1", "u2"), xf.params)
+    u1 = Sym("u1")
+    regularity_x = tuple(normalize(u1 + d) for d in real.dphis_x)
 
     return {
         "y": y,

@@ -120,3 +120,26 @@ def disguised4() -> SystemSpec:
         g1=P(("-x2*x3 + x3^2/2 + x2", "x3", "0", "1")),
         g2=P(("x2*x3", "-x3", "1", "0")),
     )
+
+
+CUBIC4_F1 = "(x1 + x1^3)*x4/(1 + 3*x1^2)"
+CUBIC4_F1_PERTURBED = "((x1 + x1^3)*x4 + x3)/(1 + 3*x1^2)"
+CUBIC4_CHART = ("x1 + x1^3", "x2", "x3", "x4")
+
+
+def cubic4(f1: str = CUBIC4_F1) -> SystemSpec:
+    """chained4 with drift phi_1 = z1*z4, pulled back through
+    z1 = x1 + x1^3 (z2..z4 = x2..x4): a chart with no sequential
+    inverse, since z1 is not affine in x1."""
+    fr = Frame("x", ("x1", "x2", "x3", "x4"), ())
+    P = lambda comps: VectorField(fr, tuple(parse(s, fr) for s in comps))
+    return SystemSpec(
+        frame=fr,
+        f=P((f1, "0", "0", "0")),
+        g1=P(("x2/(1 + 3*x1^2)", "x3", "0", "1")),
+        g2=basis_vector(fr, 2),
+    )
+
+
+def cubic4_chart(spec: SystemSpec):
+    return tuple(parse(s, spec.frame) for s in CUBIC4_CHART)

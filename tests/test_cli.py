@@ -15,6 +15,8 @@ import harness_reference
 import systems
 from conftest import SPEC_DIR
 
+TESTS_DIR = Path(__file__).resolve().parent
+
 BASE = """\
 n = 4
 states = x1 x2 x3 x4
@@ -81,6 +83,8 @@ def test_load_spec_motor_params():
      r"box has 3 intervals, expected n = 4"),
     (lambda s: s + "box = -1 1, -1 1, -1 1, 1\n", r"must be 'lo hi'"),
     (lambda s: s + "box = 1 -1, -1 1, -1 1, -1 1\n", r"box"),
+    (lambda s: s + "box = -1 1, -inf inf, -1 1, -1 1\n",
+     r"box interval \[-inf, inf\] is not of finite width"),
     (lambda s: s + "params = a\nparam_values = b=1\n",
      r"undeclared parameter 'b'"),
     (lambda s: s + "params = a\nparam_values = a\n",
@@ -147,6 +151,16 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["check", spec, "--dt", "0"]) == 2
     err = capsys.readouterr().err
     assert "flatcheck: error:" in err
+
+
+@pytest.mark.parametrize("box", ["-inf inf", "-1 1e400", "-1e308 1e308"])
+def test_main_non_finite_box_is_a_named_error(tmp_path, capsys, box):
+    # sampling such a box overflowed inside numpy before it was refused
+    path = _write(tmp_path, BASE + f"box = {box}, -1 1, -1 1, -1 1\n")
+    for command in ("check", "transform", "verify", "simulate"):
+        assert main([command, path, "--samples", "5"]) == 2, command
+        err = capsys.readouterr().err
+        assert "is not of finite width" in err and "Traceback" not in err
 
 
 def test_main_deep_expression_is_a_named_error(tmp_path, capsys):
@@ -269,6 +283,20 @@ def test_transform_example1_golden_strings():
     assert sec["closed_loop_drift"] == ["z1*z4", "z2", "0", "0"]
     assert sec["flat_output"]["y"] == ["x4", "x1"]
     assert rep.data["verdicts"]["construction"] == "ok"
+
+
+def test_transform_cubic4_needs_no_inverse(tmp_path):
+    # z1 = x1 + x1^3 has no sequential inverse; the triangular shape and
+    # the x-regularity are still decided exactly
+    out = tmp_path / "c.json"
+    assert main(["transform", str(TESTS_DIR / "cubic4.spec"), "--samples",
+                 "30", "--json", str(out)]) == 0
+    sec = json.loads(out.read_text())["construction"]
+    assert sec["inverse"] is None
+    assert sec["dependence_mode"] == "symbolic"
+    assert sec["flat_output"]["regularity_x"] == ["u1", "u1"]
+    assert sec["flat_output"]["regularity_z"] is None
+    assert len(sec["phi_x"]) == 2 and "phi" not in sec
 
 
 CHAINED6 = """\

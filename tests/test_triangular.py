@@ -2,15 +2,18 @@ import dataclasses
 
 import pytest
 
-from flatcheck.symx import Frame, Sub, is_zero, parse
-from flatcheck.diffgeo import VectorField, basis_vector
-from flatcheck.flags import SystemSpec
-from flatcheck.chained import FeedbackMatrix, build_chart
-from flatcheck.triangular import (TriangularError, drift_components,
-                                  drift_feedback, extract_triangular,
-                                  flat_output)
+from flatcheck.symx import (ONE_E, ZERO, Frame, Sub, diff, is_zero,
+                            normalize, parse, subst, to_str)
+from flatcheck.diffgeo import VectorField, basis_vector, lie_derivative_fn
+from flatcheck.flags import SystemSpec, _reference_points
+from flatcheck.chained import FeedbackMatrix, build_chart, find_output_pair
+from flatcheck.triangular import (TriangularError, _coordinate_fields,
+                                  _hat_drift, _z_derivatives,
+                                  drift_components, drift_feedback,
+                                  extract_triangular, flat_output)
 
 import systems
+import triangular_reference
 from conftest import realize
 from symx_reference import equiv
 
@@ -100,24 +103,92 @@ def test_perturbed_drift_breaks_dependence():
         extract_triangular(spec, chart, fb)
 
 
-def test_numeric_mode_without_inverse(example1_spec, example1_real):
+def test_dependence_check_needs_no_inverse(example1_spec, example1_real):
+    # the same chart without its inverse: the dependence check and the
+    # x-regularity are unchanged, only the z-side presentation is gone
     chart = _blind(example1_real.chart)
     real = extract_triangular(example1_spec, chart, example1_real.feedback)
-    assert real.dependence_mode == "numeric"
     assert real.phis is None
+    assert real.reg_frame is None
     assert real.regularity is None
     assert real.closed_loop_drift() is None
-    assert len(real.phis_x) == 2
+    assert real.phis_x == example1_real.phis_x
+    assert real.dphis_x == example1_real.dphis_x
     fo = flat_output(real)
-    assert fo["regularity_z"] is None and fo["regularity_x"] is None
+    assert fo["regularity_z"] is None
+    assert fo["regularity_x"] == flat_output(example1_real)["regularity_x"]
+    assert [to_str(r) for r in fo["regularity_x"]] == ["u1", "u1"]
 
 
-def test_numeric_mode_still_catches_violation():
+def test_blind_chart_catches_violation_exactly():
     spec = systems.perturbed_example1()
     chart, fb = build_chart(systems.example1_chart(spec), spec)
     fb = drift_feedback(spec, chart, fb)
-    with pytest.raises(TriangularError, match="dphi_1/dz_3"):
+    with pytest.raises(TriangularError, match=r"dphi_1/dz_3 = 1 != 0"):
         extract_triangular(spec, _blind(chart), fb)
+
+
+def test_cubic4_perturbed_names_exact_derivative():
+    # f1 gains x3/(1 + 3*x1^2), so phi_1 = z1*z4 + z3
+    spec = systems.cubic4(systems.CUBIC4_F1_PERTURBED)
+    with pytest.raises(TriangularError,
+                       match=r"dphi_1/dz_3 = 1 != 0 \(\|value\| = "):
+        realize(spec, systems.cubic4_chart(spec))
+
+
+def _case(name):
+    """A named system, its chart and the drift-cancelling feedback:
+    example1's own chart for the example1 pair, else the searched one."""
+    if name.startswith("chained"):
+        spec = systems.chained(int(name[len("chained"):]))
+    else:
+        spec = getattr(systems, name)()
+    if "example1" in name:
+        chart, fb = build_chart(systems.example1_chart(spec), spec)
+    else:
+        _, chart, fb = find_output_pair(spec)
+    return spec, chart, drift_feedback(spec, chart, fb)
+
+
+@pytest.mark.parametrize("name", ["example1", "perturbed_example1",
+                                  "chained4", "chained5", "chained6",
+                                  "disguised4"])
+def test_dependence_agrees_with_z_route(name):
+    spec, chart, fb = _case(name)
+    assert chart.inverse is not None
+    fhat = _hat_drift(spec, fb)
+    phis_x = tuple(normalize(lie_derivative_fn(fhat, z))
+                   for z in chart.forward[:spec.n - 2])
+    phis = tuple(chart.to_z(p) for p in phis_x)
+    got = _z_derivatives(phis_x, chart)
+    want = triangular_reference.forbidden_derivatives_z(phis, chart)
+    fwd = dict(zip(chart.z_frame.states, chart.forward))
+    for pair, d_z in want.items():
+        assert is_zero(got[pair]) == is_zero(d_z), pair
+        assert is_zero(Sub(subst(d_z, fwd), got[pair])), pair
+    points = _reference_points(spec, seed=7, count=25)
+    try:
+        triangular_reference.check_dependence_z(phis, chart, points)
+    except TriangularError as e:
+        with pytest.raises(TriangularError) as lib:
+            extract_triangular(spec, chart, fb)
+        assert str(lib.value).split(" = ")[0] == str(e).split(" = ")[0]
+    else:
+        extract_triangular(spec, chart, fb)
+
+
+@pytest.mark.parametrize("name", ["example1", "motor", "disguised4"])
+def test_coordinate_fields_invert_the_jacobian(name):
+    spec, chart, _ = _case(name)
+    states = chart.x_frame.states
+    fields = _coordinate_fields(chart)
+    assert len(fields) == spec.n - 2
+    for c, field in enumerate(fields):
+        j = c + 1  # 0-based index of z_{c+2}, the field's coordinate
+        for r, z in enumerate(chart.forward):
+            got = normalize(sum((diff(z, s) * x
+                                 for s, x in zip(states, field)), ZERO))
+            assert got == (ONE_E if r == j else ZERO), (c, r)
 
 
 def _chained4_with_param(pname):

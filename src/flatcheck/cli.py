@@ -28,7 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -269,22 +269,6 @@ def load_spec(path: str) -> SystemSpec:
 
 # --- report record ---------------------------------------------------------
 
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
 @dataclass
 class CheckReport:
     """One record, rendered as text for people and JSON for machines."""
@@ -292,7 +276,7 @@ class CheckReport:
     data: dict
 
     def to_json(self) -> str:
-        return json.dumps(_plain(self.data), indent=2, sort_keys=True) + "\n"
+        return json.dumps(self.data, indent=2, sort_keys=True) + "\n"
 
     def render(self) -> str:
         return _render(self.data)
@@ -334,7 +318,7 @@ def _empty_report(cfg: RunConfig) -> dict:
 
 def _sample_points(spec: SystemSpec, cfg: RunConfig):
     box = SampleBox(spec.sample_box(), cfg.samples, seed=cfg.seed)
-    pts = box.points(spec.frame, spec.bound_params(cfg.seed))
+    pts = box.points(spec.frame, spec.param_values)
     good = []
     for q in pts:
         try:
@@ -346,22 +330,22 @@ def _sample_points(spec: SystemSpec, cfg: RunConfig):
     return good, len(pts) - len(good)
 
 
-def _run_check(spec: SystemSpec, cfg: RunConfig):
-    """Shared first stage: sample, run both conditions, fill verdicts."""
-    data = _empty_report(cfg)
+def _check(data: dict, spec: SystemSpec, cfg: RunConfig) -> list:
+    """Sample, run both conditions and fill their sections and verdicts.
+    Returns the evaluable sample points, none when too few were."""
     points, rejected = _sample_points(spec, cfg)
     if len(points) < max(2, cfg.samples // 2):
         reason = (f"only {len(points)} of {cfg.samples} sampled points "
                   f"were evaluable")
-        data["verdicts"] = {"condition1": "inconclusive",
-                            "condition2": "inconclusive",
-                            "overall": "inconclusive"}
+        data["verdicts"].update(condition1="inconclusive",
+                                condition2="inconclusive",
+                                overall="inconclusive")
         data["condition1"] = {"reason": reason}
         data["condition2"] = {"reason": reason}
-        return data, [], None
+        return []
 
     table = compute_flags(spec, rank_tol=cfg.rank_tol, seed=cfg.seed)
-    c1 = check_condition1(spec, points, tol=cfg.rank_tol, table=table)
+    c1 = check_condition1(spec, points, table=table)
     c1["points_rejected"] = rejected
     try:
         c2 = check_condition2(spec, table, points, tol=cfg.proj_tol)
@@ -380,21 +364,15 @@ def _run_check(spec: SystemSpec, cfg: RunConfig):
         overall = "vacuous-2"
     else:
         overall = "pass"
-    data["verdicts"] = {"condition1": c1v, "condition2": c2v,
-                        "overall": overall}
-    return data, points, table
-
-
-def cmd_check(cfg: RunConfig) -> CheckReport:
-    spec = load_spec(cfg.spec_path)
-    data, _, _ = _run_check(spec, cfg)
-    return CheckReport(data)
+    data["verdicts"].update(condition1=c1v, condition2=c2v, overall=overall)
+    return points
 
 
 # --- transform -------------------------------------------------------------
 
 def _construct(data: dict, spec: SystemSpec, cfg: RunConfig):
-    """The triangular realization, reported under "construction"."""
+    """The triangular realization, reported under "construction", with
+    its chained-form check under "verification"."""
     if spec.chart_exprs is not None:
         chart, fb = build_chart(spec.chart_exprs, spec)
         source = "user chart"
@@ -407,6 +385,8 @@ def _construct(data: dict, spec: SystemSpec, cfg: RunConfig):
     fb = drift_feedback(spec, chart, fb)
     real = extract_triangular(spec, chart, fb, seed=cfg.seed)
     data["construction"] = _construction_section(real, source)
+    data["verification"]["chained_form"] = verify_chained(
+        real.chart, real.feedback, spec)
     return real
 
 
@@ -441,21 +421,6 @@ def _construction_section(real, source: str) -> dict:
     return sec
 
 
-def cmd_transform(cfg: RunConfig) -> CheckReport:
-    spec = load_spec(cfg.spec_path)
-    data, _, _ = _run_check(spec, cfg)
-    gate = data["verdicts"]["overall"]
-    if gate in ("fail", "inconclusive") and not cfg.force:
-        data["construction"] = {
-            "skipped": f"check verdict is {gate}; use --force to override"}
-        return CheckReport(data)
-    real = _construct(data, spec, cfg)
-    chained = verify_chained(real.chart, real.feedback, spec)
-    data["verification"]["chained_form"] = chained
-    data["verdicts"]["construction"] = "ok" if chained["pass"] else "fail"
-    return CheckReport(data)
-
-
 # --- verify / simulate -----------------------------------------------------
 
 def _bracket_oracle(spec: SystemSpec, points) -> dict:
@@ -483,9 +448,9 @@ def _bracket_oracle(spec: SystemSpec, points) -> dict:
             "points_checked": len(points), "per_bracket": per}
 
 
-def _resolve_sim(real, sim: SimSetup, cfg: RunConfig):
+def _resolve_sim(real, sim: SimSetup):
     spec, chart = real.system, real.chart
-    params = spec.bound_params(cfg.seed)
+    params = spec.param_values
     if sim.z0 is not None:
         z0 = chart.z_frame.point(sim.z0, params)
     else:
@@ -500,8 +465,7 @@ def _resolve_sim(real, sim: SimSetup, cfg: RunConfig):
 def _simulation_sections(real, traj, v, cfg: RunConfig):
     chart = real.chart
     xs = chart.x_frame.states
-    params = real.system.bound_params(cfg.seed)
-    fwd = compile_fns(chart.forward, xs, params)
+    fwd = compile_fns(chart.forward, xs, real.system.param_values)
     zhat = np.column_stack([np.broadcast_to(c, traj.t.shape) for c in
                             fwd([traj.x[:, i] for i in range(len(xs))])])
     scale = np.maximum(1.0, np.max(np.abs(traj.z), axis=0))
@@ -520,8 +484,6 @@ def _simulation_sections(real, traj, v, cfg: RunConfig):
     errors = {}
     for name, a, b in (("z", rec.z, traj.z), ("x", rec.x, traj.x),
                        ("v", rec.v, traj.v), ("u", rec.u, traj.u)):
-        if a is None or b is None:
-            continue
         sc = np.maximum(1.0, np.max(np.abs(b), axis=0))
         errors[name] = float(np.max(np.abs(a - b) / sc))
     worst = max(errors.values())
@@ -531,17 +493,16 @@ def _simulation_sections(real, traj, v, cfg: RunConfig):
 
 
 def _verify_into(data, real, sim, cfg, points):
-    """The trajectory, or None when the chained-form check failed."""
+    """The trajectory, or None when the chained-form check that
+    _construct recorded failed."""
     ver = data["verification"]
     ver["brackets"] = _bracket_oracle(real.system, points[:100])
-    ver["chained_form"] = verify_chained(real.chart, real.feedback,
-                                         real.system)
     if not ver["chained_form"]["pass"]:
         ver["simulation"] = {"skipped": "chained-form check failed"}
         ver["round_trip"] = {"skipped": "chained-form check failed"}
         data["verdicts"]["verification"] = "fail"
         return None
-    z0, v = _resolve_sim(real, sim, cfg)
+    z0, v = _resolve_sim(real, sim)
     try:
         traj = simulate(real, z0, v, T=cfg.horizon, dt=cfg.dt)
         sim_sec, rt_sec = _simulation_sections(real, traj, v, cfg)
@@ -554,41 +515,56 @@ def _verify_into(data, real, sim, cfg, points):
     return traj
 
 
-def cmd_verify(cfg: RunConfig) -> CheckReport:
-    spec, sim = _load(cfg.spec_path)
-    data, points, _ = _run_check(spec, cfg)
-    gate = data["verdicts"]["overall"]
-    if gate in ("fail", "inconclusive") and not cfg.force:
-        data["construction"] = {
-            "skipped": f"check verdict is {gate}; use --force to override"}
-        data["verdicts"]["verification"] = "skipped"
-        return CheckReport(data)
-    real = _construct(data, spec, cfg)
-    _verify_into(data, real, sim, cfg, points)
-    if data["verdicts"]["verification"] == "fail":
-        data["verdicts"]["overall"] = "fail"
-    return CheckReport(data)
+# --- the run ---------------------------------------------------------------
 
+def run(cfg: RunConfig) -> CheckReport:
+    """Load the spec and carry it through check, construction and
+    verification, stopping after the stage cfg.command names.
 
-def cmd_simulate(cfg: RunConfig) -> tuple[CheckReport, str]:
-    """Simulate, reconstruct, and write the trajectory CSV.
-
-    Returns the report and the CSV path written.
+    check, transform and verify are prefixes of that sequence; a failed
+    or inconclusive check stops the two that construct unless
+    cfg.force. simulate skips the check, verifies, and writes the
+    trajectory CSV.
     """
     spec, sim = _load(cfg.spec_path)
+    # parameters without a value are drawn here, once for every stage
+    spec = replace(spec, param_values=spec.bound_params(cfg.seed))
     data = _empty_report(cfg)
-    data["verdicts"] = {"condition1": "skipped", "condition2": "skipped"}
+    verdicts = data["verdicts"]
+    if cfg.command == "simulate":
+        verdicts.update(condition1="skipped", condition2="skipped")
+        points, _ = _sample_points(spec, cfg)
+    else:
+        points = _check(data, spec, cfg)
+        if cfg.command == "check":
+            return CheckReport(data)
+        gate = verdicts["overall"]
+        if gate in ("fail", "inconclusive") and not cfg.force:
+            data["construction"] = {
+                "skipped": f"check verdict is {gate}; use --force to override"}
+            if cfg.command == "verify":
+                verdicts["verification"] = "skipped"
+            return CheckReport(data)
+
     real = _construct(data, spec, cfg)
-    traj = _verify_into(data, real, sim, cfg,
-                        points=_sample_points(spec, cfg)[0])
-    data["verdicts"]["overall"] = data["verdicts"]["verification"]
+    if cfg.command == "transform":
+        ok = data["verification"]["chained_form"]["pass"]
+        verdicts["construction"] = "ok" if ok else "fail"
+        return CheckReport(data)
+
+    traj = _verify_into(data, real, sim, cfg, points)
+    # simulate has no check verdict, so its overall is the verification's
+    if verdicts["verification"] == "fail" or cfg.command == "simulate":
+        verdicts["overall"] = verdicts["verification"]
+    if cfg.command == "verify":
+        return CheckReport(data)
     if traj is None:
         raise ChainedError("chained-form verification failed; "
                            "no trajectory written")
     out = cfg.out or f"{Path(cfg.spec_path).stem}.traj.csv"
     _write_file(out, traj.to_csv)
     data["verification"]["files"] = {"csv": out}
-    return CheckReport(data), out
+    return CheckReport(data)
 
 
 # --- rendering -------------------------------------------------------------
@@ -596,25 +572,25 @@ def cmd_simulate(cfg: RunConfig) -> tuple[CheckReport, str]:
 def _render(d: dict) -> str:
     prov = d["provenance"]
     lines = [f"flatcheck {prov['command']}: {prov['spec']}"]
-    v = d.get("verdicts", {})
+    v = d["verdicts"]
 
-    c1 = d.get("condition1") or {}
+    c1 = d["condition1"]
     if "pass" in c1:
         lines.append(f"condition 1: {v['condition1']} "
                      f"(expected dims {c1['expected']}, "
                      f"{c1['points_checked']} points)")
-        if c1.get("first_failure"):
-            ff = c1["first_failure"]
+        ff = c1["first_failure"]
+        if ff:
             lines.append(f"  first failure: level k={ff['level']} "
                          f"dim F={ff['dim_F']} dim G={ff['dim_G']} "
                          f"expected {ff['expected']}")
     elif "reason" in c1:
         lines.append(f"condition 1: inconclusive ({c1['reason']})")
 
-    c2 = d.get("condition2") or {}
+    c2 = d["condition2"]
     if "verdict" in c2:
         lines.append(f"condition 2: {c2['verdict']}")
-        for lv in c2.get("levels", []):
+        for lv in c2["levels"]:
             lines.append(f"  k={lv['k']}: "
                          f"{'pass' if lv['pass'] else 'fail'} "
                          f"[{lv['method']}] max residual "
@@ -623,7 +599,7 @@ def _render(d: dict) -> str:
         if "reason" in c2:
             lines.append(f"  reason: {c2['reason']}")
 
-    con = d.get("construction") or {}
+    con = d["construction"]
     if "skipped" in con:
         lines.append(f"construction: skipped ({con['skipped']})")
     elif con:
@@ -634,7 +610,7 @@ def _render(d: dict) -> str:
             ", ".join(row) for row in con["beta"]) + "]")
         lines.append("  alpha = (" + ", ".join(con["alpha"]) + ")")
         key = "phi" if "phi" in con else "phi_x"
-        for i, expr in enumerate(con.get(key, []), start=1):
+        for i, expr in enumerate(con[key], start=1):
             lines.append(f"  phi_{i} = {expr}")
         fo = con["flat_output"]
         lines.append(f"  flat output: y = ({fo['y'][0]}, {fo['y'][1]})")
@@ -650,7 +626,7 @@ def _render(d: dict) -> str:
                 f"{k}: {', '.join(ps) if ps else 'none'}"
                 for k, ps in dep.items()))
 
-    ver = d.get("verification") or {}
+    ver = d["verification"]
     if ver:
         lines.append("verification:")
         if "brackets" in ver:
@@ -663,7 +639,7 @@ def _render(d: dict) -> str:
             ch = ver["chained_form"]
             lines.append(f"  chained form [{ch['mode']}]: "
                          f"{'pass' if ch['pass'] else 'fail'}")
-            for m in ch.get("mismatches", [])[:4]:
+            for m in ch["mismatches"][:4]:
                 lines.append(f"    {m['field']} component "
                              f"{m['component']}: got {m['got']}, "
                              f"want {m['want']}")
@@ -752,14 +728,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = RunConfig(**vars(args))
-        if cfg.command == "check":
-            report = cmd_check(cfg)
-        elif cfg.command == "transform":
-            report = cmd_transform(cfg)
-        elif cfg.command == "verify":
-            report = cmd_verify(cfg)
-        else:
-            report, _ = cmd_simulate(cfg)
+        report = run(cfg)
         sys.stdout.write(report.render())
         json_path = cfg.json_path
         if json_path is None and cfg.command == "simulate":

@@ -242,11 +242,10 @@ def compute_flags(spec: SystemSpec, rank_tol: float = DEFAULT_RANK_TOL,
     return FlagTable(spec, levels, rank_tol)
 
 
-def dims_at(table: FlagTable, points: list[Point],
-            tol: float = DEFAULT_RANK_TOL
+def dims_at(table: FlagTable, points: list[Point]
             ) -> list[tuple[list[int], list[int]]]:
     """Numeric ranks (dim F_k, dim G_k) of the generator matrices at
-    each point.
+    each point, with the table's rank tolerance.
 
     The levels are cumulative and share generators (g1, g2 and [g1,g2]
     sit in both flags), so each distinct bracket word is evaluated once
@@ -265,7 +264,7 @@ def dims_at(table: FlagTable, points: list[Point],
 
     def ranks(gens: list[tuple[str, VectorField]]) -> list[int]:
         return _ranks(np.stack([vals[w] for w, _ in gens], axis=1),
-                      tol).tolist()
+                      table.rank_tol).tolist()
 
     dims = [(ranks(rec.f_generators), ranks(rec.g_generators))
             for rec in table.levels]
@@ -274,22 +273,22 @@ def dims_at(table: FlagTable, points: list[Point],
 
 
 def check_condition1(spec: SystemSpec, points: list[Point],
-                     tol: float = DEFAULT_RANK_TOL,
                      table: FlagTable | None = None) -> dict:
     """Rank condition dim F_k(q) = dim G_k(q) = 2 + k at every point.
 
-    The ranks come from one dims_at call over all points. Failures are
-    report content, not exceptions.
+    The ranks come from one dims_at call over all points, with the
+    table's rank tolerance (compute_flags' default without a table).
+    Failures are report content, not exceptions.
     """
     if not points:
         raise ValueError("need at least one point")
     if table is None:
-        table = compute_flags(spec, rank_tol=tol)
+        table = compute_flags(spec)
     expected = [2 + k for k in range(len(table.levels))]
     per_point = []
     first_failure = None
     for idx, (q, (df, dg)) in enumerate(zip(points,
-                                            dims_at(table, points, tol))):
+                                            dims_at(table, points))):
         ok = df == expected and dg == expected
         per_point.append({"coords": [float(c) for c in q.coords],
                           "dim_F": df, "dim_G": dg, "pass": ok})

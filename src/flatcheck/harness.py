@@ -131,17 +131,13 @@ _BLOCK = 256
 
 @dataclass
 class Trajectory:
-    """Time grid plus state/input histories in both coordinate systems.
-
-    x and u may be None when the chart has no usable inverse; CSV
-    export requires the full record.
-    """
+    """Time grid plus state/input histories in both coordinate systems."""
 
     t: np.ndarray
     z: np.ndarray
-    x: np.ndarray | None
+    x: np.ndarray
     v: np.ndarray
-    u: np.ndarray | None
+    u: np.ndarray
     meta: dict = field(default_factory=dict)
 
     @property
@@ -149,8 +145,6 @@ class Trajectory:
         return self.z.shape[1]
 
     def to_csv(self, path: str) -> None:
-        if self.x is None or self.u is None:
-            raise HarnessError("trajectory lacks x/u data for CSV export")
         n = self.n
         header = (["t"] + [f"z{i}" for i in range(1, n + 1)]
                   + [f"x{i}" for i in range(1, n + 1)] + ["v1", "v2", "u1", "u2"])
@@ -615,8 +609,8 @@ def reconstruct(real: TriangularRealization, flat: FlatSignal) -> Trajectory:
     (safeguarded Newton at order 0, a linear solve with coefficient
     r_i for each higher derivative order), ending with v2 = dz_{n-1}.
     Raises RegularityError where some |r_i| is below
-    DEFAULT_REG_THRESHOLD. The x/u history is attached when the chart
-    inverts symbolically.
+    DEFAULT_REG_THRESHOLD. The x/u history comes through the inverse
+    chart, which exists whenever the z-drift rows do.
     """
     if real.phis is None:
         raise HarnessError("reconstruction needs z-coordinate drift rows")
@@ -698,12 +692,10 @@ def reconstruct(real: TriangularRealization, flat: FlatSignal) -> Trajectory:
     z = np.column_stack([jets[zs[i]][0] for i in range(n)])
     v = np.column_stack([jets["v1"][0], jets[zs[n - 2]][1]])
 
-    x = u = None
-    if chart.inverse is not None:
-        x = _x_from_z(chart, z, params)
-        xs = chart.x_frame.states
-        fn = compile_fns(_inputs(real), xs + (_V1.name, _V2.name), params)
-        u = _columns(fn, [x[:, j] for j in range(n)] + [v[:, 0], v[:, 1]])
+    x = _x_from_z(chart, z, params)
+    xs = chart.x_frame.states
+    fn = compile_fns(_inputs(real), xs + (_V1.name, _V2.name), params)
+    u = _columns(fn, [x[:, j] for j in range(n)] + [v[:, 0], v[:, 1]])
 
     return Trajectory(t=t.copy(), z=z, x=x, v=v, u=u,
                       meta={"reconstructed": True})

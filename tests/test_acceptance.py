@@ -23,7 +23,7 @@ from flatcheck.triangular import (drift_components, drift_feedback,
                                   extract_triangular, flat_output)
 from flatcheck.harness import (FlatSignal, SampleBox, VSignal, fd_bracket,
                                reconstruct, simulate)
-from flatcheck.cli import RunConfig, cmd_check, cmd_verify, load_spec
+from flatcheck.cli import RunConfig, load_spec, run
 
 import systems
 from conftest import SPEC_DIR
@@ -269,11 +269,11 @@ def test_acceptance_8_deterministic_reports(gate):
         mk = lambda cmd: RunConfig(
             spec_path=str(SPEC_DIR / "example1.spec"), command=cmd,
             seed=0, samples=100)
-        assert strip(cmd_check(mk("check")).to_json()) == \
-            strip(cmd_check(mk("check")).to_json())
+        assert strip(run(mk("check")).to_json()) == \
+            strip(run(mk("check")).to_json())
 
         vk = lambda: RunConfig(spec_path=str(SPEC_DIR / "chained4.spec"),
                                command="verify", seed=3, samples=40)
-        a, b = cmd_verify(vk()).to_json(), cmd_verify(vk()).to_json()
+        a, b = run(vk()).to_json(), run(vk()).to_json()
         assert strip(a) == strip(b)
         json.loads(a)

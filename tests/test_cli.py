@@ -7,7 +7,7 @@ import pytest
 
 from flatcheck.symx import Frame, Sub, is_zero, parse
 from flatcheck.cli import (RunConfig, SpecFileError, _bracket_oracle,
-                           cmd_check, cmd_transform, load_spec, main)
+                           load_spec, main, run)
 from flatcheck.diffgeo import lie_bracket
 from flatcheck.harness import SampleBox
 
@@ -123,13 +123,13 @@ def _cfg(path, command="check", **kw):
 
 
 def test_check_verdicts_across_systems(tmp_path):
-    rep = cmd_check(_cfg(SPEC_DIR / "example1.spec"))
+    rep = run(_cfg(SPEC_DIR / "example1.spec"))
     assert rep.verdicts == {"condition1": "pass", "condition2": "pass",
                               "overall": "pass"}
-    rep = cmd_check(_cfg(SPEC_DIR / "motor.spec"))
+    rep = run(_cfg(SPEC_DIR / "motor.spec"))
     assert rep.verdicts["condition2"] == "vacuous"
     assert rep.verdicts["overall"] == "vacuous-2"
-    rep = cmd_check(_cfg(_write(tmp_path, INVOLUTIVE)))
+    rep = run(_cfg(_write(tmp_path, INVOLUTIVE)))
     assert rep.verdicts["condition1"] == "fail"
     assert rep.verdicts["overall"] == "fail"
 
@@ -137,7 +137,7 @@ def test_check_verdicts_across_systems(tmp_path):
 def test_check_inconclusive_when_unsampleable(tmp_path):
     text = BASE.replace("f = 0, 0, 0, 0", "f = sqrt(x1 - 2), 0, 0, 0")
     text += "box = -1 1, -1 1, -1 1, -1 1\n"
-    rep = cmd_check(_cfg(_write(tmp_path, text), samples=10))
+    rep = run(_cfg(_write(tmp_path, text), samples=10))
     assert rep.verdicts["overall"] == "inconclusive"
     assert "evaluable" in rep.data["condition1"]["reason"]
 
@@ -203,8 +203,8 @@ def test_main_json_shape(tmp_path):
 
 def test_reports_identical_modulo_timestamp():
     cfg = _cfg(SPEC_DIR / "example1.spec", samples=15)
-    a = json.loads(cmd_check(cfg).to_json())
-    b = json.loads(cmd_check(cfg).to_json())
+    a = json.loads(run(cfg).to_json())
+    b = json.loads(run(cfg).to_json())
     del a["provenance"]["timestamp"], b["provenance"]["timestamp"]
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
@@ -273,8 +273,7 @@ def test_simulate_wrong_user_beta_writes_no_trajectory(tmp_path, capsys,
 
 
 def test_transform_example1_golden_strings():
-    rep = cmd_transform(_cfg(SPEC_DIR / "example1.spec",
-                             command="transform"))
+    rep = run(_cfg(SPEC_DIR / "example1.spec", command="transform"))
     sec = rep.data["construction"]
     assert sec["source"] == "user chart"
     assert sec["beta"] == [["1/(x4^2 + 1)", "0"], ["0", "1"]]
@@ -311,7 +310,7 @@ g2 = 0, 0, 0, 0, 1, 0
 def test_transform_motor_golden_strings():
     # the output pair comes from the ansatz search, so these strings pin
     # the exact elimination's printed results, not just their values
-    rep = cmd_transform(_cfg(SPEC_DIR / "motor.spec", command="transform"))
+    rep = run(_cfg(SPEC_DIR / "motor.spec", command="transform"))
     sec = rep.data["construction"]
     assert sec["source"] == "output-pair search at degree 2"
     assert sec["chart"] == ["(-M*n_p*x2*x3 + J*M*R*x1)/(J*L)",
@@ -333,8 +332,8 @@ def test_transform_motor_golden_strings():
 
 
 def test_transform_chained6_forced_golden_strings(tmp_path):
-    rep = cmd_transform(_cfg(_write(tmp_path, CHAINED6),
-                             command="transform", force=True))
+    rep = run(_cfg(_write(tmp_path, CHAINED6), command="transform",
+                   force=True))
     sec = rep.data["construction"]
     assert sec["source"] == "output-pair search at degree 2"
     assert sec["chart"] == ["x1", "x2", "x3", "x4", "x5", "x6"]
@@ -400,3 +399,83 @@ def test_bracket_oracle_evaluates_each_stencil_once_per_point(monkeypatch):
         lie_bracket(spec.g1, b1).components: p,
         lie_bracket(spec.g2, b1).components: p,
     }
+
+
+def _motor_without_param_values() -> str:
+    text = (SPEC_DIR / "motor.spec").read_text()
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith("param_values"))
+
+
+def test_unbound_params_are_drawn_once_for_every_command(tmp_path, capsys,
+                                                         monkeypatch):
+    # parameters without a value are drawn once per run from --seed; the
+    # simulation and the reconstruction read that same binding
+    monkeypatch.chdir(tmp_path)
+    path = _write(tmp_path, _motor_without_param_values(), name="motor.spec")
+    out = tmp_path / "v.json"
+    assert main(["verify", path, "--samples", "20", "--json", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["verdicts"]["verification"] == "pass"
+    assert data["verification"]["round_trip"]["pass"]
+    assert main(["simulate", path, "--samples", "20", "--horizon", "0.2",
+                 "--dt", "0.01"]) == 0
+    assert Path("motor.traj.csv").exists()
+    assert capsys.readouterr().err == ""
+
+
+def _leaf_types(obj, path="report"):
+    """(path, type) of every value in a report that is not a container;
+    every key must be a str."""
+    if type(obj) is dict:
+        for k, v in obj.items():
+            assert type(k) is str, f"{path}: key {k!r}"
+            yield from _leaf_types(v, f"{path}.{k}")
+    elif type(obj) is list:
+        for i, v in enumerate(obj):
+            yield from _leaf_types(v, f"{path}[{i}]")
+    else:
+        yield path, type(obj)
+
+
+COMMANDS = ("check", "transform", "verify", "simulate")
+
+
+@pytest.mark.parametrize("command, name, force", [
+    *((c, s, False) for s in ("example1", "motor", "chained4")
+      for c in COMMANDS),
+    # a failed check gates construction; forcing it on these two ends in
+    # a named error with no report, so the forced case is chained6
+    *((c, s, False) for s in ("perturbed_example1", "involutive")
+      for c in ("check", "transform", "verify")),
+    ("transform", "chained6", True)])
+def test_reports_hold_only_plain_values(tmp_path, command, name, force):
+    # to_json dumps the record as it is: a numpy scalar would not
+    # serialize, or would pass only as a float subclass
+    if name == "perturbed_example1":
+        path = _write(tmp_path, (SPEC_DIR / "example1.spec").read_text()
+                      .replace("x1*x4\n", "x1*x4 + x3\n"))
+    elif name in ("involutive", "chained6"):
+        path = _write(tmp_path, INVOLUTIVE if name == "involutive"
+                      else CHAINED6)
+    else:
+        path = SPEC_DIR / f"{name}.spec"
+    rep = run(_cfg(path, command, samples=20, force=force, horizon=0.1,
+                   dt=0.01, out=str(tmp_path / "t.csv")))
+    plain = (str, int, float, bool, type(None))
+    assert [(p, t) for p, t in _leaf_types(rep.data) if t not in plain] == []
+    assert json.loads(rep.to_json()) == rep.data
+
+
+@pytest.mark.parametrize("name", ["example1", "motor"])
+def test_commands_are_prefixes(name):
+    # transform runs check's stage unchanged, and verify transform's
+    check, transform, verify = (
+        run(_cfg(SPEC_DIR / f"{name}.spec", command)).data
+        for command in ("check", "transform", "verify"))
+    for sec in ("condition1", "condition2"):
+        assert transform[sec] == check[sec]
+        assert verify[sec] == check[sec]
+    assert verify["construction"] == transform["construction"]
+    assert (verify["verification"]["chained_form"]
+            == transform["verification"]["chained_form"])

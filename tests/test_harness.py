@@ -293,10 +293,6 @@ def test_trajectory_csv_round_trip(tmp_path, chained4_real):
     assert last[0] == traj.t[-1]
     assert np.allclose(last[1:5], traj.z[-1])
 
-    bare = Trajectory(t=traj.t, z=traj.z, x=None, v=traj.v, u=None)
-    with pytest.raises(HarnessError, match="lacks x/u"):
-        bare.to_csv(str(tmp_path / "bare.csv"))
-
 
 
 def test_trajectory_csv_bytes_match_csv_writer(tmp_path, motor_real):

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -102,8 +103,11 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("rank_tol", "proj_tol", "dt", "horizon"):
-            if not getattr(self, name) > 0:
+            value = getattr(self, name)
+            if not value > 0:
                 raise ValueError(f"{name} must be positive")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if self.degree < 1:
             raise ValueError("degree must be at least 1")
         if self.samples < 1:

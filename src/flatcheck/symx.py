@@ -103,6 +103,10 @@ class Expr:
     def __neg__(self):
         return Mul(Const(Fraction(-1)), self)
 
+    # (num, den, atoms) of a tree built by normalize or diff; see the
+    # "Normal form" notes below
+    _pair = None
+
     def __str__(self):
         return to_str(self)
 
@@ -458,26 +462,49 @@ def diff(e: Expr, v: str) -> Expr:
     """Exact partial derivative with respect to the symbol v.
 
     The result is a raw tree; callers normalize when a canonical form
-    is needed.
+    is needed. When e carries a pair and has no kernel atom, so does
+    the result: the pair _ratform computes by walking it, taken from
+    e's pair (N, D) by polynomial differentiation. That is (dN, 1)
+    when D is 1, else (dN*D - N*dD, D^2), unreduced as the walk leaves
+    it. normalize's trees are a polynomial tree or one Div of two, and
+    so are their derivatives, which is what makes those the walk's
+    pairs (see the "Normal form" notes).
     """
+    out = _diff(e, v)
+    stored = e._pair
+    if stored is not None:
+        num, den, atoms = stored
+        if not any(isinstance(a, Call) for a in atoms.values()):
+            dnum = _p_diff(num, v)
+            if _is_one(den):
+                pair = (dnum, _P_ONE, atoms)
+            else:
+                pair = (_p_add(_p_mul(dnum, den),
+                               _p_neg(_p_mul(num, _p_diff(den, v)))),
+                        _p_mul(den, den), atoms)
+            object.__setattr__(out, "_pair", pair)
+    return out
+
+
+def _diff(e: Expr, v: str) -> Expr:
     if isinstance(e, Const):
         return ZERO
     if isinstance(e, Sym):
         return ONE_E if e.name == v else ZERO
     if isinstance(e, Add):
-        return Add(diff(e.a, v), diff(e.b, v))
+        return Add(_diff(e.a, v), _diff(e.b, v))
     if isinstance(e, Sub):
-        return Sub(diff(e.a, v), diff(e.b, v))
+        return Sub(_diff(e.a, v), _diff(e.b, v))
     if isinstance(e, Mul):
-        return Add(Mul(diff(e.a, v), e.b), Mul(e.a, diff(e.b, v)))
+        return Add(Mul(_diff(e.a, v), e.b), Mul(e.a, _diff(e.b, v)))
     if isinstance(e, Div):
-        num = Sub(Mul(diff(e.a, v), e.b), Mul(e.a, diff(e.b, v)))
+        num = Sub(Mul(_diff(e.a, v), e.b), Mul(e.a, _diff(e.b, v)))
         return Div(num, Pow(e.b, 2))
     if isinstance(e, Pow):
-        dbase = diff(e.base, v)
+        dbase = _diff(e.base, v)
         return Mul(Mul(Const(Fraction(e.exp)), pow_expr(e.base, e.exp - 1)), dbase)
     if isinstance(e, Call):
-        darg = diff(e.arg, v)
+        darg = _diff(e.arg, v)
         if e.fn == "sin":
             outer = Call("cos", e.arg)
         elif e.fn == "cos":
@@ -506,6 +533,17 @@ def diff(e: Expr, v: str) -> Expr:
 # same polynomial, since c*1 == c and m*() == m), so those products cost
 # nothing. The helpers never mutate their arguments, which is what makes
 # sharing the operand safe.
+#
+# A tree that normalize returns carries the pair it was built from, as
+# (num, den, atoms) in its private _pair, atoms naming every atom the
+# pair uses; so does a tree that diff builds from one with no kernel
+# atom (see diff). The invariant: a stored pair is exactly what
+# _ratform computes by walking the tree, up to the order of the dict
+# entries, which nothing reads. _ratform returns it instead of walking,
+# so normal forms are not expanded again each time they enter a sum or
+# product. Leaves carry none, and stored pairs share their dicts with
+# each other and with _ratform's results, so no helper may mutate a
+# pair it is given.
 # ---------------------------------------------------------------------------
 
 Mono = tuple[tuple[str, int], ...]
@@ -531,7 +569,8 @@ def _mono_key(m: Mono):
 def _p_add(p: Poly, q: Poly) -> Poly:
     out = dict(p)
     for m, c in q.items():
-        nc = out.get(m, Fraction(0)) + c
+        nc = out.get(m)
+        nc = c if nc is None else nc + c
         if nc:
             out[m] = nc
         else:
@@ -552,7 +591,8 @@ def _p_mul(p: Poly, q: Poly) -> Poly:
     for m1, c1 in p.items():
         for m2, c2 in q.items():
             m = _mono_mul(m1, m2)
-            nc = out.get(m, Fraction(0)) + c1 * c2
+            nc = out.get(m)
+            nc = c1 * c2 if nc is None else nc + c1 * c2
             if nc:
                 out[m] = nc
             else:
@@ -566,8 +606,21 @@ def _p_scale(p: Poly, c: Fraction) -> Poly:
     return {m: v * c for m, v in p.items()}
 
 
+def _p_diff(p: Poly, v: str) -> Poly:
+    """d/dv of p; distinct monomials stay distinct, so no two terms
+    meet."""
+    out: Poly = {}
+    for m, c in p.items():
+        for i, (a, k) in enumerate(m):
+            if a == v:
+                rest = ((v, k - 1),) if k > 1 else ()
+                out[m[:i] + rest + m[i + 1:]] = c * k
+                break
+    return out
+
+
 def _p_pow(p: Poly, k: int) -> Poly:
-    out = dict(_P_ONE)
+    out = _P_ONE
     base = p
     while k:
         if k & 1:
@@ -579,10 +632,16 @@ def _p_pow(p: Poly, k: int) -> Poly:
 
 def _ratform(e: Expr, atoms: dict[str, Expr]) -> tuple[Poly, Poly]:
     if isinstance(e, Const):
-        return ({(): e.value} if e.value else {}), dict(_P_ONE)
+        return ({(): e.value} if e.value else {}), _P_ONE
     if isinstance(e, Sym):
         atoms.setdefault(e.name, e)
-        return {((e.name, 1),): Fraction(1)}, dict(_P_ONE)
+        return {((e.name, 1),): Fraction(1)}, _P_ONE
+    stored = getattr(e, "_pair", None)  # TypeError below for a non-Expr
+    if stored is not None:
+        num, den, used = stored
+        for key, a in used.items():
+            atoms.setdefault(key, a)
+        return num, den
     if isinstance(e, Add):
         pa, qa = _ratform(e.a, atoms)
         pb, qb = _ratform(e.b, atoms)
@@ -615,7 +674,7 @@ def _ratform(e: Expr, atoms: dict[str, Expr]) -> tuple[Poly, Poly]:
         arg = normalize(e.arg)
         key = f"{e.fn}({to_str(arg)})"
         atoms.setdefault(key, Call(e.fn, arg))
-        return {((key, 1),): Fraction(1)}, dict(_P_ONE)
+        return {((key, 1),): Fraction(1)}, _P_ONE
     raise TypeError(f"not an Expr: {e!r}")
 
 
@@ -748,10 +807,15 @@ def normalize(e: Expr) -> Expr:
     expanded polynomials over symbol and kernel atoms, the denominator
     is monic in the graded monomial order, and a zero numerator yields
     the constant 0. Idempotent: normalize(normalize(e)) equals
-    normalize(e) structurally.
+    normalize(e) structurally. The tree carries its pair (see the
+    "Normal form" notes), unless it is a single atom or constant.
     """
     atoms: dict[str, Expr] = {}
-    return _pair_to_expr(*_canon(*_ratform(e, atoms)), atoms)
+    num, den = _canon(*_ratform(e, atoms))
+    out = _pair_to_expr(num, den, atoms)
+    if not isinstance(out, (Const, Sym, Call)):
+        object.__setattr__(out, "_pair", (num, den, atoms))
+    return out
 
 
 def is_zero(e: Expr) -> bool:

@@ -163,6 +163,17 @@ def test_main_non_finite_box_is_a_named_error(tmp_path, capsys, box):
         assert "is not of finite width" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("option", ["--rank-tol", "--proj-tol", "--dt",
+                                    "--horizon"])
+def test_main_non_finite_setting_is_a_named_error(capsys, option):
+    # --horizon inf overflowed in the step count, as a traceback
+    spec = str(SPEC_DIR / "example1.spec")
+    assert main(["verify", spec, "--samples", "5", option, "inf"]) == 2
+    err = capsys.readouterr().err
+    name = option[2:].replace("-", "_")
+    assert err == f"flatcheck: error: {name} must be finite\n"
+
+
 def test_main_deep_expression_is_a_named_error(tmp_path, capsys):
     # a flat sum of 3000 terms nests deeper than the recursion limit
     deep = " + ".join(["x1"] * 3000)
@@ -465,6 +476,17 @@ def test_reports_hold_only_plain_values(tmp_path, command, name, force):
     plain = (str, int, float, bool, type(None))
     assert [(p, t) for p, t in _leaf_types(rep.data) if t not in plain] == []
     assert json.loads(rep.to_json()) == rep.data
+
+
+def test_transform_twice_gives_the_same_report():
+    # normal forms share their stored pairs across the whole run; a
+    # second run in the same process must not see the first one's
+    first, second = (run(_cfg(SPEC_DIR / "example1.spec", "transform")).data
+                     for _ in range(2))
+    for data in (first, second):
+        data["provenance"].pop("timestamp")
+    assert json.dumps(first, sort_keys=True) == json.dumps(second,
+                                                           sort_keys=True)
 
 
 @pytest.mark.parametrize("name", ["example1", "motor"])

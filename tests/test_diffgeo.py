@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -10,6 +12,7 @@ from flatcheck.diffgeo import (ChartError, OneForm, VectorField, basis_vector,
                                exterior_derivative_1form, interior_product,
                                lie_bracket, lie_derivative_fn,
                                lie_derivative_1form, wedge)
+from flatcheck.harness import _total_derivative
 
 import systems
 
@@ -92,6 +95,38 @@ def test_bracket_is_remembered_by_identity():
     # one filed under another field's id
     X._brackets[id(twin)] = (Y, first)
     assert lie_bracket(X, twin) is not first
+
+
+def _stored(exprs):
+    return [e._pair for e in exprs]
+
+
+def test_operations_leave_stored_pairs_as_they_were():
+    # stored pairs share their dicts, so an operation that mutated the
+    # pair of an input would corrupt every normal form sharing it
+    X = VectorField(FR3, tuple(normalize(P(c)) for c in
+                               ("x2/(x1^2 + 1)", "x1*x3 - 1", "x2^2")))
+    Y = VectorField(FR3, tuple(normalize(P(c)) for c in
+                               ("x3 - x1", "(x1 + x2)^2", "x1*x2")))
+    h = normalize(P("x1*x2^2/(x3^2 + 1) + x3"))
+    inputs = [*X.components, *Y.components, h]
+    assert all(p is not None for p in _stored(inputs))
+    before = copy.deepcopy(_stored(inputs))
+    lie_bracket(X, Y)
+    lie_bracket(Y, X)
+    lie_derivative_fn(X, h)
+    lie_derivative_fn(Y, h)
+    _total_derivative(h, dict(zip(FR3.states, X.components)))
+    assert _stored(inputs) == before
+    # again on results, whose pairs may share dicts with the inputs'
+    B = lie_bracket(Y, Y.scale(normalize(P("x1 + 1"))))
+    L = lie_derivative_fn(Y, h)
+    shared = [*B.components, L, *inputs]
+    before = copy.deepcopy(_stored(shared))
+    lie_bracket(B, Y)
+    lie_derivative_fn(B, L)
+    _total_derivative(L, dict(zip(FR3.states, B.components)))
+    assert _stored(shared) == before
 
 
 def test_lie_derivative_fn_leibniz():

@@ -225,6 +225,78 @@ def test_diff_of_exp_kernel():
     assert is_zero(Sub(diff(P("exp(2*x1)"), "x1"), P("2*exp(2*x1)")))
 
 
+# --- stored pairs ------------------------------------------------------------
+
+_coef = st.sampled_from([Fraction(k) for k in (-3, -2, -1, 1, 2, 3)]
+                        + [Fraction(1, 2), Fraction(-5, 3)])
+_poly = st.lists(st.tuples(_coef, st.integers(0, 2), st.integers(0, 2),
+                           st.integers(0, 1)), min_size=1, max_size=4).map(
+    lambda terms: sum((Mul(Const(c), Mul(Pow(Sym("x1"), i),
+                                         Mul(Pow(Sym("x2"), j),
+                                             Pow(Sym("x3"), k))))
+                       for c, i, j, k in terms), ZERO))
+
+
+def _bare(e):
+    """A structurally equal tree with no stored pair: every non-leaf
+    node is built anew."""
+    bare = subst(e, {})
+    assert bare == e and bare._pair is None
+    return bare
+
+
+def _walked(e):
+    return _ratform(_bare(e), {})
+
+
+def _assert_diff_pairs_exact(h):
+    # h is a normal form; the pairs stored on its first and second
+    # derivatives must be what walking those trees gives
+    for v in FR.states:
+        d = diff(h, v)
+        assert d._pair is not None
+        assert d._pair[:2] == _walked(d)
+        assert to_str(normalize(d)) == to_str(normalize(diff(_bare(h), v)))
+        for w in FR.states:
+            dd = diff(d, w)
+            assert dd._pair[:2] == _walked(dd)
+            assert to_str(normalize(dd)) == to_str(
+                normalize(diff(_bare(d), w)))
+
+
+@given(_poly, _poly, st.booleans())
+@settings(max_examples=60, deadline=None)
+@example(P("x1^2 + x2"), P("3*x2^2 + 2"), False)   # den != 1, not monic
+@example(P("x1^2*x3 - x1"), P("1"), False)          # polynomial
+def test_diff_pair_is_the_walk_of_its_tree(a, b, polynomial):
+    polynomial = polynomial or normalize(b) == ZERO
+    h = normalize(a if polynomial else Div(a, b))
+    if isinstance(h, (Const, Sym)):
+        assert h._pair is None
+        return
+    assert h._pair[:2] == _walked(h)
+    _assert_diff_pairs_exact(h)
+
+
+@pytest.mark.parametrize("text", ["sin(x1)*x2 + x3/(x1^2 + 1)",
+                                  "x2*exp(x3) - x1"])
+def test_diff_of_kernel_normal_form_stores_no_pair(text):
+    h = normalize(P(text))
+    assert h._pair is not None
+    for v in FR.states:
+        d = diff(h, v)
+        assert d._pair is None
+        assert to_str(normalize(d)) == to_str(normalize(diff(_bare(h), v)))
+
+
+def test_ratform_reads_a_stored_pair_without_walking():
+    h = normalize(P("(x1 + x2)^2/(x3 + 1)"))
+    atoms = {}
+    num, den = _ratform(h, atoms)
+    assert num is h._pair[0] and den is h._pair[1]
+    assert set(atoms) == {"x1", "x2", "x3"}
+
+
 # --- substitution and evaluation ---------------------------------------------
 
 def test_subst_and_free_symbols():

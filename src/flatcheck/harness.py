@@ -6,20 +6,20 @@ loop integrations in x- and z-coordinates, and reconstruction of the
 full state and input history from the flat output alone.
 
 Fixed-step RK4 throughout; no adaptive solver, so runs are bit-
-reproducible. Each integration runs on generated code: one function
-per RK4 step that evaluates the feedback u = alpha + beta v and every
-right-hand-side row on plain floats, unrolled over the components,
-with the float operations of the textbook step on component arrays in
-their order. The input v does not depend on the state, so it is
-evaluated outside the step, at the stage times of a block of steps at
-once, and passed in.
+reproducible. Each integration runs on generated code: one loop that
+takes a block of RK4 steps per call, with the state in local variables.
+Each step evaluates the feedback u = alpha + beta v, every right-hand-
+side row and, in z, the regularity r_i on plain floats, unrolled over
+the components, with the float operations of the textbook step on
+component arrays in their order. The input v does not depend on the
+state, so it is evaluated once at the grid's stage times and passed in.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -123,9 +123,9 @@ class VSignal:
         return out
 
 
-# rows of a history or of stage values held as Python floats at once,
-# in _stages, _integrate and Trajectory.to_csv: bounds the memory of a
-# long run
+# rows held as Python floats at once: the steps of one generated call
+# in _integrate, and the rows of one write in Trajectory.to_csv. Bounds
+# the memory of a long run
 _BLOCK = 256
 
 
@@ -155,8 +155,8 @@ class Trajectory:
             fh.write(",".join(header) + "\r\n")
             for start in range(0, len(self.t), _BLOCK):
                 block = np.column_stack([c[start:start + _BLOCK]
-                                         for c in cols]).tolist()
-                fh.writelines(line % tuple(row) for row in block)
+                                         for c in cols])
+                fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def fd_bracket(X: VectorField, Y: VectorField, q: Point,
@@ -212,23 +212,22 @@ _V1, _V2, _U1, _U2 = Sym("@v1"), Sym("@v2"), Sym("@u1"), Sym("@u2")
 # the state-independent arguments of a step, in the order _stages gives
 # them: h, then v1 and v2 at t, t + h/2 and t + h (RK4 stages 0, 1, 3)
 _STAGE_ARGS = (_H.name, "@v1.0", "@v2.0", "@v1.1", "@v2.1", "@v1.3", "@v2.3")
-# lets that make a step return v1 and v2 at its start as it got them,
-# so that Trajectory.v is the input the run was integrated with
-_V_AT_START = (("@v1@t", _V1), ("@v2@t", _V2))
 
 
 def _rk4_step(states: Sequence[str], lets: Sequence[tuple[str, Expr]],
-              rows: Sequence[Expr], params: dict[str, float]) -> Callable:
-    """One classic RK4 step of dy/dt = rows as a single generated
-    function, unrolled over the components.
+              rows: Sequence[Expr], starts: Sequence[Expr],
+              params: dict[str, float]) -> Callable:
+    """Classic RK4 steps of dy/dt = rows as one generated loop,
+    unrolled over the components.
 
     rows are expressions in the states, the inputs "@v1", "@v2" at the
-    stage time, and the names lets binds, in order, before them. The
-    step maps (h, *v, *y) to (*y(t + h), *lets at (t, y)), where v is
-    v1 and v2 at t, at t + h/2 and at t + h, in that order: the row
-    _stages gives for the step. The step does not evaluate v itself.
-    Its float operations are those of the textbook step on component
-    arrays,
+    stage time, and the names lets binds, in order, before them; starts
+    are expressions in the same names. The loop is compile_fns' loop
+    form fn(stages, y, out): for each row of stages, the row _stages
+    gives for a step (h, then v1 and v2 at t, at t + h/2 and at t + h),
+    it appends (*y(t + h), *starts at (t, y)) to out and steps on from
+    y(t + h). The steps do not evaluate v themselves. Their float
+    operations are those of the textbook step on component arrays,
 
         k1 = f(t, y)                  k2 = f(t + h/2, y + (h/2) k1)
         k3 = f(t + h/2, y + (h/2) k2)  k4 = f(t + h, y + h k3)
@@ -254,6 +253,8 @@ def _rk4_step(states: Sequence[str], lets: Sequence[tuple[str, Expr]],
         for name, e in lets:
             binds.append((f"{name}.{s}", subst(e, env)))
             env[name] = Sym(f"{name}.{s}")
+        if s == 0:
+            at_start = [subst(e, env) for e in starts]
         ks.append([])
         for i, row in enumerate(rows):
             binds.append((f"@k{s}.{i}", subst(row, env)))
@@ -262,8 +263,8 @@ def _rk4_step(states: Sequence[str], lets: Sequence[tuple[str, Expr]],
     k1, k2, k3, k4 = ks
     outs = [Sym(y) + _SIXTH * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i])
             for i, y in enumerate(states)]
-    outs += [Sym(f"{name}.0") for name, _ in lets]
-    return compile_fns(outs, _STAGE_ARGS + tuple(states), params, binds)
+    return compile_fns(outs + at_start, _STAGE_ARGS + tuple(states), params,
+                       binds, carry=len(states))
 
 
 def _numpy_call(fn: Callable, args: tuple) -> tuple:
@@ -289,71 +290,83 @@ def _has_power(*exprs: Expr) -> bool:
     return False
 
 
-def _stages(v: VSignal, t: np.ndarray) -> Iterator[tuple]:
+def _stages(v: VSignal, t: np.ndarray) -> np.ndarray:
     """The state-independent arguments of every RK4 step over the grid
     t, one row per step: h = t[k+1] - t[k], then v1 and v2 at t[k],
     t[k] + h/2 and t[k] + h. These are the floats the textbook step
     computes, so no value changes by moving v out of the step. A last
     row, with h = 0, is for the zero-length step from the last node.
+    Columns 1 and 2 are v(t[k]) as the steps get it.
 
-    v is evaluated a block of _BLOCK steps at a time, in one vectorised
-    call per stage time. That gives the scalar floats only because
-    numpy's array kernels (sin, cos, exp, sqrt, ...) give the same bits
-    as on one float. Its array ** does not always give the bits of
-    Python's float **, so a signal with a power is evaluated one stage
-    time at a time instead.
+    v is evaluated over the whole grid in one vectorised call per stage
+    time. That gives the scalar floats only because numpy's array
+    kernels (sin, cos, exp, sqrt, ...) give the same bits as on one
+    float. Its array ** does not always give the bits of Python's float
+    **, so a signal with a power is evaluated one stage time at a time
+    instead.
     """
     fn = compile_fns((v.v1, v.v2), ("t",))
     vectorised = not _has_power(v.v1, v.v2)
     h = np.append(np.diff(t), 0.0)
-    for start in range(0, len(t), _BLOCK):
-        tk, hk = t[start:start + _BLOCK], h[start:start + _BLOCK]
-        cols: list = []
-        with np.errstate(all="ignore"):
-            for ts in (tk, tk + hk / 2, tk + hk):
-                if vectorised:
-                    cols += [np.broadcast_to(c, ts.shape).tolist()
-                             for c in fn([ts])]
-                else:
-                    cols += zip(*(_numpy_call(fn, (s,)) for s in ts.tolist()))
-        yield from zip(hk.tolist(), *cols)
+    cols = [h]
+    with np.errstate(all="ignore"):
+        for ts in (t, t + h / 2, t + h):
+            if vectorised:
+                cols += [np.broadcast_to(c, ts.shape) for c in fn([ts])]
+            else:
+                cols += zip(*(_numpy_call(fn, (s,)) for s in ts.tolist()))
+    return np.column_stack(cols)
 
 
-def _integrate(step: Callable, v: VSignal, y0: Sequence[float],
-               t: np.ndarray,
-               on_node: Callable[[float, tuple, tuple], None] | None = None
+def _integrate(step: Callable, stages: np.ndarray, y0: Sequence[float],
+               t: np.ndarray, reg_threshold: float = 0.0
                ) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step RK4 over the grid t with a step from _rk4_step, under
-    the input v.
+    """Fixed-step RK4 over the grid t with a loop from _rk4_step on
+    the rows of _stages, one generated call per block of _BLOCK steps.
 
-    v is evaluated by _stages, outside the step; on_node(t[k], row,
-    y[k]) is called at every node k before the step from it, with that
-    step's row of _stages (v1 at t[k] is row[1]). Returns the state
-    history and, one row per node, the extra values the step returns
-    after the state; the last node's come from a zero-length step.
+    A step that raises ZeroDivisionError or OverflowError on Python
+    floats is rerun alone on numpy scalars, which give inf or nan
+    instead, and the block goes on after it. Each finished block is
+    checked in node order: at node k, an extra value of the step from
+    k (an r_i, in the z-run) with absolute value below reg_threshold
+    raises RegularityError, then a non-finite y[k+1] raises
+    HarnessError. Returns the state history and, one row per node,
+    the extra values the step returns after the state; the last node's
+    come from a zero-length step.
     """
     n = len(y0)
-    grid = t.tolist()
-    last = len(grid) - 1
-    y = tuple(y0)
-    blocks, rows = [], []
+    last = len(t) - 1
+    blocks, out = [], [tuple(y0)]
     # divergence surfaces as the non-finite check, not as numpy warnings
     with np.errstate(all="ignore"):
-        for k, row in enumerate(_stages(v, t)):
-            if on_node is not None:
-                on_node(grid[k], row, y)
-            out = _numpy_call(step, row + y)
-            if k < last:
-                y = out[:n]
-                if not all(map(math.isfinite, y)):
-                    raise HarnessError(
-                        f"non-finite state at t = {t[k + 1]:.6g}")
-            rows.append(out)
-            if len(rows) == _BLOCK:
-                blocks.append(np.array(rows, dtype=float))
-                rows = []
-    if rows:
-        blocks.append(np.array(rows, dtype=float))
+        for start in range(0, len(t), _BLOCK):
+            rows = stages[start:start + _BLOCK].tolist()
+            # out[0] is the row before the block, so out[-1][:n] is the
+            # state the next step starts from
+            out = [out[-1]]
+            while len(out) <= len(rows):
+                try:
+                    step(rows[len(out) - 1:], out[-1][:n], out)
+                except (ZeroDivisionError, OverflowError):
+                    step([tuple(map(np.float64, rows[len(out) - 1]))],
+                         tuple(map(np.float64, out[-1][:n])), out)
+            block = np.array(out[1:], dtype=float)
+            low = np.abs(block[:, n:]) < reg_threshold
+            bad = ~np.isfinite(block[:, :n]).all(axis=1)
+            bad[last - start:] = False
+            flagged = np.flatnonzero(low.any(axis=1) | bad)
+            if flagged.size:
+                k = int(flagged[0])
+                if low[k].any():
+                    i = int(np.argmax(low[k]))
+                    tk = float(t[start + k])
+                    raise RegularityError(
+                        f"regularity |r_{i + 1}| = {abs(block[k, n + i]):.3e}"
+                        f" < {reg_threshold} at t = {tk:.6g}",
+                        t=tk, index=i + 1)
+                raise HarnessError(
+                    f"non-finite state at t = {t[start + k + 1]:.6g}")
+            blocks.append(block)
     hist = np.concatenate(blocks)
     # copied, so that the extras do not keep the states' rows alive
     return (np.vstack([np.asarray(y0, dtype=float), hist[:last, :n]]),
@@ -419,22 +432,15 @@ def simulate(real: TriangularRealization, z0: Point, v: VSignal,
     zs = chart.z_frame.states
 
     rows_z = [real.phis[i] + Sym(zs[i + 1]) * _V1 for i in range(n - 2)]
-    step_z = _rk4_step(zs, _V_AT_START, rows_z + [_V2, _V1], params)
-    reg = compile_fns(real.regularity, ("v1",) + zs, params)
-    min_reg = math.inf
-
-    def monitor(tk: float, row: tuple, z: tuple) -> None:
-        nonlocal min_reg
-        for i, r in enumerate(_numpy_call(reg, row[1:2] + z)):
-            val = abs(r)
-            min_reg = min(min_reg, val)
-            if val < reg_threshold:
-                raise RegularityError(
-                    f"regularity |r_{i + 1}| = {val:.3e} < {reg_threshold} "
-                    f"at t = {tk:.6g}", t=tk, index=i + 1)
+    # each step returns the r_i at its start
+    regs = [subst(r, {"v1": _V1}) for r in real.regularity]
+    step_z = _rk4_step(zs, (), rows_z + [_V2, _V1], regs, params)
 
     t = _grid(T, dt)
-    ztraj, vvals = _integrate(step_z, v, z0.coords, t, on_node=monitor)
+    stages = _stages(v, t)
+    ztraj, rvals = _integrate(step_z, stages, z0.coords, t, reg_threshold)
+    # the least |r_i| over the nodes, where it is not nan
+    min_reg = np.fmin.reduce(np.abs(rvals), axis=None, initial=math.inf)
 
     x0 = evaluator(chart.inverse, zs, params)(z0.coords)
 
@@ -442,14 +448,14 @@ def simulate(real: TriangularRealization, z0: Point, v: VSignal,
     xs = chart.x_frame.states
     rows_x = [f + g1 * _U1 + g2 * _U2 for f, g1, g2 in
               zip(sys_.f.components, sys_.g1.components, sys_.g2.components)]
-    step_x = _rk4_step(xs, tuple(zip((_U1.name, _U2.name), _inputs(real))),
-                       rows_x, params)
     # each step returns u at its start, the zero-length one u at the end
-    xtraj, uvals = _integrate(step_x, v, x0, t)
+    step_x = _rk4_step(xs, tuple(zip((_U1.name, _U2.name), _inputs(real))),
+                       rows_x, (_U1, _U2), params)
+    xtraj, uvals = _integrate(step_x, stages, x0, t)
 
-    return Trajectory(t=t, z=ztraj, x=xtraj, v=vvals, u=uvals,
-                      meta={"min_abs_regularity": float(min_reg),
-                            "dt": dt, "horizon": T})
+    return Trajectory(t=t, z=ztraj, x=xtraj, v=stages[:, 1:3].copy(),
+                      u=uvals, meta={"min_abs_regularity": float(min_reg),
+                                     "dt": dt, "horizon": T})
 
 
 # --- flat-output reconstruction -------------------------------------

@@ -853,15 +853,23 @@ def _literal(x: float) -> str:
 
 def _generate(exprs: Sequence[Expr], order: Sequence[str],
               consts: Mapping[str, float] | None,
-              lets: Sequence[tuple[str, Expr]], single: bool
-              ) -> tuple[Callable, bool]:
-    """The generated function, and whether it calls a kernel."""
+              lets: Sequence[tuple[str, Expr]], single: bool,
+              carry: int = 0) -> tuple[Callable, bool]:
+    """The generated function, and whether it calls a kernel; with
+    carry, the loop form of compile_fns."""
     consts = dict(consts or {})
     args = [f"_v{i}" for i in range(len(order))]
     names = dict(zip(order, args))
-    lines = ["def _fn(v):"]
-    if args:
-        lines.append(f"    {', '.join(args)}, = v")
+    ind = "    "
+    if carry:
+        rows, carried = args[:-carry], args[-carry:]
+        lines = ["def _fn(rows, y, out):", f"{ind}{', '.join(carried)}, = y",
+                 f"{ind}for {''.join(a + ', ' for a in rows)}in rows:"]
+        ind += "    "
+    else:
+        lines = ["def _fn(v):"]
+        if args:
+            lines.append(f"{ind}{', '.join(args)}, = v")
     kernels = False
 
     def emit(n: Expr) -> tuple[str, int]:
@@ -889,17 +897,23 @@ def _generate(exprs: Sequence[Expr], order: Sequence[str],
         if depth + 1 < _MAX_NEST:
             return text, depth + 1
         tmp = f"_t{len(lines)}"
-        lines.append(f"    {tmp} = {text}")
+        lines.append(f"{ind}{tmp} = {text}")
         return tmp, 0
 
     for j, (name, e) in enumerate(lets):
         if name in names:
             raise ValueError(f"let name '{name}' is already bound")
-        lines.append(f"    _l{j} = {emit(e)[0]}")
+        lines.append(f"{ind}_l{j} = {emit(e)[0]}")
         names[name] = f"_l{j}"
     outs = [emit(e)[0] for e in exprs]
-    lines.append(f"    return {outs[0]}" if single
-                 else f"    return ({''.join(o + ', ' for o in outs)})")
+    tup = f"({''.join(o + ', ' for o in outs)})"
+    if carry:
+        # every output is computed before the carried names change
+        targets = carried + ["_"] * (len(exprs) - carry)
+        lines += [f"{ind}{', '.join(targets)}, = _o = {tup}",
+                  f"{ind}out.append(_o)"]
+    else:
+        lines.append(f"{ind}return {outs[0] if single else tup}")
     scope = dict(_KERNELS)
     exec("\n".join(lines), scope)  # noqa: S102 (generated from trusted trees)
     # popped, so that the function and its globals form no reference cycle
@@ -908,7 +922,8 @@ def _generate(exprs: Sequence[Expr], order: Sequence[str],
 
 def compile_fns(exprs: Sequence[Expr], order: Sequence[str],
                 consts: Mapping[str, float] | None = None,
-                lets: Sequence[tuple[str, Expr]] = ()) -> Callable:
+                lets: Sequence[tuple[str, Expr]] = (),
+                carry: int = 0) -> Callable:
     """Compile several expressions into one function for hot loops.
 
     The function takes v, one value per name in order, and returns the
@@ -922,8 +937,15 @@ def compile_fns(exprs: Sequence[Expr], order: Sequence[str],
     It has no error contract of its own: on Python floats a division by
     zero raises ZeroDivisionError, on arrays it gives inf or nan.
     evaluator adds the contract.
+
+    With carry = c > 0 it is a loop instead: fn(rows, y, out), where y
+    gives the last c names of order and each row of rows the others.
+    For each row in turn it appends the tuple of the outputs to out
+    and carries their first c values on as y, so one call steps a
+    recurrence over many rows with its state in local variables. An
+    exception leaves out holding the rows finished before it.
     """
-    return _generate(exprs, order, consts, lets, single=False)[0]
+    return _generate(exprs, order, consts, lets, False, carry)[0]
 
 
 def compile_fn(e: Expr, order: Sequence[str],

@@ -8,8 +8,8 @@ from flatcheck.symx import Frame, compile_fn, normalize, parse
 from flatcheck.diffgeo import VectorField, lie_bracket
 from flatcheck.harness import (FlatSignal, HarnessError, RegularityError,
                                SampleBox, T_FRAME, Trajectory, VSignal,
-                               _grid, _newton_grid, _stages, fd_bracket,
-                               reconstruct, simulate)
+                               _BLOCK, _grid, _newton_grid, _stages,
+                               fd_bracket, reconstruct, simulate)
 from flatcheck.cli import _bracket_oracle
 from flatcheck.triangular import extract_triangular
 
@@ -183,15 +183,21 @@ REFERENCE_Z0 = {"example1": [0.1, 0.1, 0.0, 0.1], "motor": [0.2, 0.1, 0.05],
                 "chained6": [0.1, 0.2, 0.3, 0.4, -0.1, 0.2]}
 
 
-@pytest.mark.parametrize("name", REFERENCE_Z0)
-def test_simulate_matches_reference_stepping(request, name):
+@pytest.mark.parametrize("name, steps", [
+    *(pytest.param(name, 1000, id=name) for name in REFERENCE_Z0),
+    # one block of _BLOCK steps, then a block with only the zero-length
+    # step from the last node, or with one step before it
+    *(pytest.param(name, steps, id=f"{name}-{steps}")
+      for name in ("example1", "motor") for steps in (255, 256, 257))])
+def test_simulate_matches_reference_stepping(request, name, steps):
     # the generated steps do the reference's float operations in its
     # order, so the runs agree bit for bit, not just closely
     real = request.getfixturevalue(f"{name}_real")
     v = VSignal.from_strings("1 + sin(2*t)/4", "sin(t)/2")
     z0 = real.chart.z_frame.point(REFERENCE_Z0[name])
-    got = simulate(real, z0, v, T=1.0, dt=1e-3)
-    want = harness_reference.simulate(real, z0, v, T=1.0, dt=1e-3)
+    got = simulate(real, z0, v, T=1.0, dt=1 / steps)
+    want = harness_reference.simulate(real, z0, v, T=1.0, dt=1 / steps)
+    assert len(got.t) == steps + 1
     for f in ("t", "z", "x", "v", "u"):
         assert np.array_equal(getattr(got, f), getattr(want, f)), f
     assert got.meta == want.meta
@@ -246,20 +252,96 @@ def test_csv_inputs_are_the_integrated_inputs(tmp_path, chained4_real):
     assert np.array_equal(traj.v.view(np.uint64), want.view(np.uint64))
 
 
+def _drift_real(drift):
+    """chained4 with the drift x1' = drift, in the identity chart: z = x,
+    phi_1 = drift and r_1 = v1 + d(drift)/dx2."""
+    base = systems.chained(4)
+    fr = base.frame
+    f = VectorField(fr, (parse(drift, fr),) + base.f.components[1:])
+    spec = dataclasses.replace(base, f=f)
+    return realize(spec, tuple(parse(s, fr) for s in fr.states))
+
+
+def _same_failure(real, z0, v, **run):
+    """simulate fails as the reference does: type, message, t, index."""
+    z0 = real.chart.z_frame.point(z0)
+    # the reference checks |r_i| outside numpy's errstate
+    with pytest.raises(HarnessError) as ref, np.errstate(all="ignore"):
+        harness_reference.simulate(real, z0, v, **run)
+    with pytest.raises(HarnessError) as got:
+        simulate(real, z0, v, **run)
+    assert type(got.value) is type(ref.value)
+    assert str(got.value) == str(ref.value)
+    assert (getattr(got.value, "t", None), getattr(got.value, "index", None)) \
+        == (getattr(ref.value, "t", None), getattr(ref.value, "index", None))
+    return ref.value
+
+
 @pytest.mark.parametrize("drift, z1", [("x1^2", 1.0), ("1/x1", 0.0)])
 def test_simulate_finite_time_escape(drift, z1):
     # z1' = z1^2 + z2 escapes before t = 1; z1' = 1/z1 starts at a pole.
     # Python floats raise OverflowError and ZeroDivisionError on these
     # where numpy returns inf, and neither may leak out of simulate.
-    base = systems.chained(4)
-    fr = base.frame
-    f = VectorField(fr, (parse(drift, fr),) + base.f.components[1:])
-    spec = dataclasses.replace(base, f=f)
-    real = realize(spec, tuple(parse(s, fr) for s in fr.states))
-    z0 = real.chart.z_frame.point([z1, 0.0, 0.0, 0.0])
-    v = VSignal.from_strings("1", "0")
-    with pytest.raises(HarnessError, match="non-finite state at t = "):
-        simulate(real, z0, v, T=2.0, dt=1e-2)
+    exc = _same_failure(_drift_real(drift), [z1, 0.0, 0.0, 0.0],
+                        VSignal.from_strings("1", "0"), T=2.0, dt=1e-2)
+    assert str(exc).startswith("non-finite state at t = ")
+
+
+_DYADIC = 2 ** -8  # RK4 steps z' = 1 and z' = 3 exactly with this dt
+
+# z1' = exp(z1) escapes at t = 1 from z1 = 0 and the state is first
+# non-finite at node 1001, with no exception on the way; while z2 = 0,
+# |r_1| = |1 - z4|. Every failing node below is mid-block, and the
+# last three runs put a regularity drop in the same block.
+MID_BLOCK_FAILURES = {
+    # k4 of the step from node 299 divides by z4 = 0 and y[300] is inf
+    "zero-division": ("1/x4", [0, 0, 0, -300 * _DYADIC], _DYADIC, 1e-3,
+                      HarnessError, 300),
+    "regularity": ("exp(x1) - x2*x4", [-5, 0, 0, 0], 1e-3, 1e-3,
+                   RegularityError, 1000),
+    "non-finite": ("exp(x1) - x2*x4", [0, 0, 0, -5], 1e-3, 1e-3,
+                   HarnessError, 1001),
+    "regularity-before-non-finite": ("exp(x1) - x2*x4", [0, 0, 0, 0],
+                                     1e-3, 3e-3, RegularityError, 998),
+    # |r_1| at node 1000 is checked before y[1001], from the same step
+    "regularity-at-the-step-to-non-finite": (
+        "exp(x1) - x2*x4", [0, 0, 0, 0], 1e-3, 5e-4, RegularityError, 1000),
+    # y[1001] is checked before |r_1| at node 1001
+    "non-finite-before-regularity": (
+        "exp(x1) - x2*x4", [0, 0, 0, -1e-3], 1e-3, 5e-4, HarnessError, 1001),
+}
+
+
+@pytest.mark.parametrize("case", MID_BLOCK_FAILURES)
+def test_simulate_mid_block_failure_matches_reference(case):
+    drift, z0, dt, threshold, kind, node = MID_BLOCK_FAILURES[case]
+    exc = _same_failure(_drift_real(drift), z0,
+                        VSignal.from_strings("1", "0"), T=2.0, dt=dt,
+                        reg_threshold=threshold)
+    t = _grid(2.0, dt)
+    assert type(exc) is kind
+    if kind is RegularityError:
+        assert exc.t == t[node]
+    else:
+        assert str(exc) == f"non-finite state at t = {t[node]:.6g}"
+        node -= 1  # made by the step from the node before
+    assert node % _BLOCK != 0
+
+
+def test_simulate_zero_division_mid_block_goes_on():
+    # phi_1 = |z2|, so r_1 = v1 + z2/sqrt(z2^2) is 0/0 where z2 = 0, at
+    # node 300 only. That step is rerun on numpy scalars, r_1 = nan is
+    # not a drop, and the run goes on as the reference's does.
+    real = _drift_real("sqrt(x2^2)")
+    z0 = real.chart.z_frame.point([0.0, -900 * _DYADIC, 1.0, 0.0])
+    v = VSignal.from_strings("3", "0")
+    got = simulate(real, z0, v, T=2.0, dt=_DYADIC)
+    with np.errstate(all="ignore"):
+        want = harness_reference.simulate(real, z0, v, T=2.0, dt=_DYADIC)
+    assert np.flatnonzero(got.z[:, 1] == 0).tolist() == [300]
+    for f in ("t", "z", "x", "v", "u"):
+        assert np.array_equal(getattr(got, f), getattr(want, f)), f
+    assert got.meta == want.meta
 
 
 def test_simulate_needs_symbolic_route(example1_spec, example1_real):
@@ -307,6 +389,14 @@ def test_trajectory_csv_bytes_match_csv_writer(tmp_path, motor_real):
     runs.append(Trajectory(t=np.array([0.0, 0.5, 1.0]), z=odd, x=-odd,
                            v=np.array([[1, 0], [2, -3], [0, 7]]),
                            u=odd[:, :2]))
+    # two full blocks of rows and a partial one
+    rng = np.random.default_rng(0)
+    rows = 2 * _BLOCK + 3
+    runs.append(Trajectory(t=np.linspace(0.0, 1.0, rows),
+                           z=rng.normal(size=(rows, 2)),
+                           x=rng.normal(size=(rows, 2)) * 1e9,
+                           v=rng.normal(size=(rows, 2)),
+                           u=rng.normal(size=(rows, 2)) * 1e-9))
     for k, traj in enumerate(runs):
         path, ref = tmp_path / f"run{k}.csv", tmp_path / f"ref{k}.csv"
         traj.to_csv(str(path))

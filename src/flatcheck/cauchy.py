@@ -9,9 +9,9 @@ L_f(lam^i)|_q in C_q that the flatness test requires.
 
 The exterior derivatives d(lam^i) are symbolic and built once per
 level, with the annihilator; A_q and C_q are numeric and only evaluate
-them, point by point, before each linear-algebra step runs as one
-LAPACK call over a block of points. The containment check tries an
-exact route first:
+them, each in one batch over a block of points, before each
+linear-algebra step runs as one LAPACK call over the block. The
+containment check tries an exact route first:
 when the sampled C_q all equal the span of a fixed subset of
 coordinate differentials, membership reduces to symbolic vanishing of
 the complementary coefficients.
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffgeo import (OneForm, TwoForm, exterior_derivative_1form,
-                      lie_derivative_1form)
+                      lie_derivative_1form, values_in_point_order)
 from .flags import FlagTable, SystemSpec, _rank, _ranks
 from .symx import Point, SymxError, ZERO, normalize, nullspace_exprs
 
@@ -104,12 +104,17 @@ def annihilator(table: FlagTable, k: int,
         raise AnnihilatorError(
             f"level {k} outside the valid range 1..{n - 3} for n={n}")
     gens = table.levels[k].g_generators
-    for q in ref_points:
-        mat = np.array([v.values(q) for _, v in gens])
+    vals, first = values_in_point_order([v for _, v in gens], ref_points)
+    # the rank check at each point before the failing one comes first
+    ranked = len(ref_points) if first is None else first[0]
+    for p in range(ranked):
+        mat = np.array([v[p] for v in vals])
         if _rank(mat, table.rank_tol) != 2 + k:
             raise AnnihilatorError(
                 f"rank of G_{k} is not {2 + k} at reference point "
-                f"{tuple(q.coords)}")
+                f"{tuple(ref_points[p].coords)}")
+    if first is not None:
+        raise first[2]
     rows = [list(v.components) for _, v in gens]
     basis = nullspace_exprs(rows, ref_points[0].env())
     if len(basis) != n - 2 - k:
@@ -138,34 +143,26 @@ def _cauchy_block(cod: Codistribution, points: list[Point],
                   tol: float) -> list[CharacteristicSpaces]:
     n = cod.frame.n
     m = len(cod.generators)
-    omega = np.empty((len(points), m, n))
-    dvals: list[list[tuple[float, ...]]] = [[] for _ in cod.differentials]
-    ranked, error = 0, None
-    for p, q in enumerate(points):
-        try:
-            for i, w in enumerate(cod.generators):
-                omega[p, i] = w.values(q)
-            ranked = p + 1
-            for dw, out in zip(cod.differentials, dvals):
-                out.append(dw.evaluator(q.coords, q.params))
-        except SymxError as exc:  # raised below, after earlier rank checks
-            error = exc
-            break
-    # the rank check at a point comes before its differentials
-    dependent = np.flatnonzero(_ranks(omega[:ranked], tol) != m)
+    vals, first = values_in_point_order(
+        cod.generators + cod.differentials, points)
+    # at each point the generators come first, then their rank check,
+    # then the differentials
+    ranked = len(points) if first is None else first[0] + (first[1] >= m)
+    omega = np.stack([v[:ranked] for v in vals[:m]], axis=1)
+    dependent = np.flatnonzero(_ranks(omega, tol) != m)
     if dependent.size:
         raise AnnihilatorError(
             "annihilator generators dependent at "
             f"{tuple(points[dependent[0]].coords)}")
-    if error is not None:
-        raise error
+    if first is not None:
+        raise first[2]
     # d(lam^i) as antisymmetric n x n matrices
     dlam = np.zeros((len(points), m, n, n))
-    for i, (dw, vals) in enumerate(zip(cod.differentials, dvals)):
+    for i, (dw, dv) in enumerate(zip(cod.differentials, vals[m:])):
         if dw.coefficients:
             r, c = zip(*dw.coefficients)
-            dlam[:, i, r, c] = vals
-            dlam[:, i, c, r] = np.negative(vals)
+            dlam[:, i, r, c] = dv
+            dlam[:, i, c, r] = np.negative(dv)
     # projector onto the orthogonal complement of span{lam^i_q}
     omega_t = omega.swapaxes(1, 2)
     proj = np.eye(n) - omega_t @ np.linalg.pinv(omega_t)
@@ -236,12 +233,14 @@ def check_condition2(spec: SystemSpec, table: FlagTable,
             entry["max_residual"] = 0.0
             entry["residuals"] = [0.0] * len(points)
         else:
+            lf_vals, first = values_in_point_order(lf, points)
+            if first is not None:
+                raise first[2]
             residuals = []
-            for sp_q, q in zip(spaces, points):
+            for p, sp_q in enumerate(spaces):
                 worst = 0.0
-                for w in lf:
-                    worst = max(worst, span_residual(w.values(q),
-                                                     sp_q.c_basis))
+                for v in lf_vals:
+                    worst = max(worst, span_residual(v[p], sp_q.c_basis))
                 residuals.append(worst)
             entry["method"] = "numeric"
             entry["residuals"] = residuals

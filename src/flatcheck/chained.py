@@ -30,8 +30,8 @@ from .diffgeo import VectorField, lie_bracket, lie_derivative_fn
 from .flags import SystemSpec, _reference_points
 from .symx import (Const, Div, Expr, Frame, Mono, Mul, Pair, Point, Poly,
                    Sub, Sym, SymxError, ZERO, ONE_E, diff, free_symbols,
-                   linear_decompose, normalize, polynomial_terms,
-                   solve_affine_pairs, subst)
+                   linear_decompose, normalize, point_rows,
+                   polynomial_terms, solve_affine_pairs, subst)
 from .symx import (_P_ONE, _ZERO_PAIR, _canon, _is_one, _mono_key, _p_add,
                    _p_mul, _p_neg, _pair_to_expr, _ratform, _split_terms)
 
@@ -74,7 +74,7 @@ class Chart:
         if q.frame != self.x_frame:
             raise ChainedError(f"point in chart '{q.frame.name}', chart "
                                f"maps from '{self.x_frame.name}'")
-        return np.array(self._forward_fn(q.coords, q.params))
+        return self._forward_fn([q.coords], q.params)[0]
 
 
 @dataclass(frozen=True)
@@ -360,8 +360,8 @@ def build_chart(source: "OutputPair | tuple[Expr, ...]",
 
     jac = frame.evaluator([diff(zi, xj) for zi in forward
                            for xj in frame.states])
-    dets = [float(np.linalg.det(np.reshape(jac(q.coords, q.params), (n, n))))
-            for q in ref_points]
+    dets = np.linalg.det(jac(*point_rows(ref_points)).reshape(
+        -1, n, n)).tolist()
     if all(abs(d) <= JACOBIAN_TOL for d in dets):
         raise ChainedError("chart Jacobian singular at all reference points")
     if any(abs(d) <= JACOBIAN_TOL for d in dets):

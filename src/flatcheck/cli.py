@@ -36,7 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .symx import EvalError, ParseError, Frame, SymxError, compile_fns, to_str
+from .symx import (EvalError, ParseError, Frame, SymxError, compile_fns,
+                   evaluable_rows, to_str)
 from .diffgeo import VectorField, lie_bracket
 from .flags import (DEFAULT_RANK_TOL, SystemSpec, check_condition1,
                     compute_flags)
@@ -322,16 +323,11 @@ def _empty_report(cfg: RunConfig) -> dict:
 
 def _sample_points(spec: SystemSpec, cfg: RunConfig):
     box = SampleBox(spec.sample_box(), cfg.samples, seed=cfg.seed)
-    pts = box.points(spec.frame, spec.param_values)
-    good = []
-    for q in pts:
-        try:
-            for vf in (spec.f, spec.g1, spec.g2):
-                vf.values(q)
-        except EvalError:
-            continue
-        good.append(q)
-    return good, len(pts) - len(good)
+    good = box.points(spec.frame, spec.param_values)
+    for vf in (spec.f, spec.g1, spec.g2):
+        kept, _ = evaluable_rows(vf.values, good)
+        good = [good[i] for i in kept]
+    return good, box.count - len(good)
 
 
 def _check(data: dict, spec: SystemSpec, cfg: RunConfig) -> list:
@@ -434,18 +430,24 @@ def _bracket_oracle(spec: SystemSpec, points) -> dict:
     cases = ((spec.g1, spec.g2, b1, "[g1,g2]"),
              (spec.g1, b1, b2, "[g1,[g1,g2]]"),
              (spec.g2, b1, b3, "[g2,[g1,g2]]"))
-    # g1, g2 and b1 each enter two cases: one memo per point keeps
-    # their values and Jacobians there across the cases
-    memos = [{} for _ in points]
+    # g1, g2 and b1 each enter two cases, and b1 is also the first
+    # case's exact bracket: one memo keeps every field's values and
+    # Jacobians at the points across the cases
+    memo: dict = {}
     worst = 0.0
     per = []
     for X, Y, sym, label in cases:
-        m = 0.0
-        for q, memo in zip(points, memos):
-            fd = fd_bracket(X, Y, q, memo=memo)
-            exact = sym.values(q)
-            scale = max(1.0, float(np.max(np.abs(exact))))
-            m = max(m, float(np.max(np.abs(fd - exact))) / scale)
+        try:
+            exact = memo[id(sym), "value"] = sym.values(points)
+        except EvalError as exc:
+            # a stencil failure at or before that point comes first
+            fd_bracket(X, Y, points[:exc.row + 1])
+            raise
+        fd = fd_bracket(X, Y, points, memo=memo)
+        scale = np.maximum(1.0, np.max(np.abs(exact), axis=1))
+        # per point as a Python max from 0.0, which skips a nan error
+        errs = np.max(np.abs(fd - exact), axis=1) / scale
+        m = max([0.0] + errs.tolist())
         per.append({"bracket": label, "max_rel_error": m})
         worst = max(worst, m)
     return {"pass": worst <= BRACKET_FD_TOL, "max_rel_error": worst,

@@ -16,11 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
-from .symx import (Const, Expr, Mul, Point, Sub, SymxError, ZERO, diff,
-                   normalize, Frame, ONE_E)
+from .symx import (Const, EvalError, Expr, Mul, Point, Sub, SymxError, ZERO,
+                   diff, normalize, Frame, ONE_E, point_rows)
 
 
 class ChartError(SymxError):
@@ -63,13 +64,16 @@ class VectorField:
 
     @cached_property
     def evaluator(self):
-        """Compiled components, built on first use: (coords, params) ->
-        tuple of values, with symx's evaluation contract."""
+        """Compiled components, built on first use: Frame.evaluator's
+        (coords, params) -> (points, n) array, with symx's batch
+        evaluation contract."""
         return self.frame.evaluator(self.components)
 
-    def values(self, at: Point) -> np.ndarray:
-        _same_chart(self, at)
-        return np.array(self.evaluator(at.coords, at.params))
+    def values(self, points: Sequence[Point]) -> np.ndarray:
+        """The components at each point, as a (points, n) array from
+        one batched call; the first failing point raises EvalError with
+        its row (symx.evaluator)."""
+        return _values(self, points)
 
     @cached_property
     def _brackets(self) -> dict[int, tuple["VectorField", "VectorField"]]:
@@ -101,9 +105,9 @@ class OneForm:
         """As VectorField.evaluator, over the coefficients."""
         return self.frame.evaluator(self.coefficients)
 
-    def values(self, at: Point) -> np.ndarray:
-        _same_chart(self, at)
-        return np.array(self.evaluator(at.coords, at.params))
+    def values(self, points: Sequence[Point]) -> np.ndarray:
+        """As VectorField.values, over the coefficients."""
+        return _values(self, points)
 
 
 @dataclass(frozen=True)
@@ -135,6 +139,36 @@ class TwoForm:
         """As VectorField.evaluator, over the stored coefficients in
         the order of the coefficients dict."""
         return self.frame.evaluator(tuple(self.coefficients.values()))
+
+    def values(self, points: Sequence[Point]) -> np.ndarray:
+        """As VectorField.values, over the stored coefficients."""
+        return _values(self, points)
+
+
+def _values(obj, points: Sequence[Point]) -> np.ndarray:
+    _same_chart(obj, *points)
+    return obj.evaluator(*point_rows(points))
+
+
+def values_in_point_order(objs: Sequence, points: Sequence[Point]
+                          ) -> tuple[list[np.ndarray],
+                                     tuple[int, int, EvalError] | None]:
+    """The values of each field or form at points, one batch each, and
+    the failure that evaluating point by point (at each point, objs in
+    order) meets first, as (row, index into objs, EvalError), or None.
+    Where an object fails, its entry holds the rows before its failure.
+    """
+    vals, first = [], None
+    for i, obj in enumerate(objs):
+        try:
+            vals.append(obj.values(points))
+        except EvalError as exc:
+            if exc.row is None:
+                raise
+            vals.append(exc.done)
+            if first is None or exc.row < first[0]:
+                first = (exc.row, i, exc)
+    return vals, first
 
 
 def basis_vector(frame: Frame, i: int) -> VectorField:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffgeo import VectorField, lie_bracket
+from .diffgeo import VectorField, lie_bracket, values_in_point_order
 from .symx import Expr, Frame, Point
 
 DEFAULT_RANK_TOL = 1e-9
@@ -172,9 +172,6 @@ def compute_flags(spec: SystemSpec, rank_tol: float = DEFAULT_RANK_TOL,
 
     base = [("g1", spec.g1), ("g2", spec.g2)]
 
-    def values(vf: VectorField) -> list[np.ndarray]:
-        return [vf.values(q) for q in refs]
-
     # bracket word -> its field, None when identically zero
     fields: dict[str, VectorField | None] = {
         w: None if v.is_zero() else v for w, v in base}
@@ -196,7 +193,7 @@ def compute_flags(spec: SystemSpec, rank_tol: float = DEFAULT_RANK_TOL,
     # Derived flag pool: retained representatives with their level tags.
     pool: list[tuple[str, VectorField, int]] = [
         (w, v, 0) for w, v in f_cum]
-    pool_vals: list[list[np.ndarray]] = [values(v) for _, v, _ in pool]
+    pool_vals: list[np.ndarray] = [v.values(refs) for _, v, _ in pool]
     g_cum = [(w, v) for w, v, _ in pool]
 
     for k in range(1, depth + 1):
@@ -220,7 +217,7 @@ def compute_flags(spec: SystemSpec, rank_tol: float = DEFAULT_RANK_TOL,
             if br is None:
                 dropped.append(word)
                 continue
-            br_vals = values(br)
+            br_vals = br.values(refs)
             adds_rank = False
             for r in range(len(refs)):
                 cur = np.array([pv[r] for pv in pool_vals])
@@ -248,19 +245,19 @@ def dims_at(table: FlagTable, points: list[Point]
     each point, with the table's rank tolerance.
 
     The levels are cumulative and share generators (g1, g2 and [g1,g2]
-    sit in both flags), so each distinct bracket word is evaluated once
-    per point, point by point in level order; the first evaluation
-    error raises. Each level's matrices are then ranked over all points
-    with one SVD call.
+    sit in both flags), so each distinct bracket word is evaluated once,
+    over all points in one batch; the evaluation error raised is the
+    first one point by point, in level order at each point. Each
+    level's matrices are then ranked over all points with one SVD call.
     """
     fields: dict[str, VectorField] = {}
     for rec in table.levels:
         for w, v in rec.f_generators + rec.g_generators:
             fields.setdefault(w, v)
-    vals = {w: np.empty((len(points), table.spec.n)) for w in fields}
-    for p, q in enumerate(points):
-        for w, v in fields.items():
-            vals[w][p] = v.values(q)
+    batches, first = values_in_point_order(list(fields.values()), points)
+    if first is not None:
+        raise first[2]
+    vals = dict(zip(fields, batches))
 
     def ranks(gens: list[tuple[str, VectorField]]) -> list[int]:
         return _ranks(np.stack([vals[w] for w, _ in gens], axis=1),

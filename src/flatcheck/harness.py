@@ -44,6 +44,7 @@ from .symx import (
     linear_decompose,
     normalize,
     parse,
+    point_rows,
     subst,
 )
 from .diffgeo import VectorField
@@ -87,12 +88,16 @@ class SampleBox:
 
     def points(self, frame: Frame,
                params: dict[str, float] | None = None) -> list[Point]:
+        """The points, drawn in one call: row by row, the same floats
+        as one scalar draw per coordinate. They share one bindings
+        dict."""
         if len(self.bounds) != frame.n:
             raise ValueError("box dimension does not match the frame")
-        rng = np.random.default_rng(self.seed)
-        return [frame.point([float(rng.uniform(lo, hi))
-                             for lo, hi in self.bounds], params)
-                for _ in range(self.count)]
+        lows, highs = np.array(self.bounds, dtype=float).reshape(-1, 2).T
+        rows = np.random.default_rng(self.seed).uniform(
+            lows, highs, size=(self.count, frame.n))
+        bindings = dict(params or {})
+        return [Point(frame, tuple(row), bindings) for row in rows.tolist()]
 
 
 @dataclass(frozen=True)
@@ -159,51 +164,68 @@ class Trajectory:
                 fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
-def fd_bracket(X: VectorField, Y: VectorField, q: Point,
+def fd_bracket(X: VectorField, Y: VectorField, points: Sequence[Point],
                h: float = DEFAULT_FD_STEP,
                memo: dict | None = None) -> np.ndarray:
-    """Central-difference [X, Y](q) = J_Y(q) X(q) - J_X(q) Y(q).
+    """Central-difference [X, Y] at each point: row p is
+    J_Y(q_p) X(q_p) - J_X(q_p) Y(q_p), as a (points, n) array.
 
-    memo, one dict per point q and step h, keeps the values and
-    Jacobians computed at q by field, so brackets that share a field
-    there evaluate it once. Whatever is not kept is computed in the
-    order J_Y, X, J_X, Y, the stencil of J column by column.
+    Each field's values come from one batched call over all points, and
+    each Jacobian column from two (base + h e_j and base - h e_j). memo,
+    one dict per point list and step h, keeps them by field, so
+    brackets that share a field evaluate it once; its (id(F), "value")
+    entry may also be filled by the caller with F.values(points). The
+    HarnessError raised is the stencil failure that the point-by-point
+    order meets first: points in turn, and at each J_Y column by
+    column, X, J_X, Y.
     """
     if X.frame is not Y.frame and X.frame.name != Y.frame.name:
         raise HarnessError("bracket operands live in different charts")
     n = X.frame.n
-    base = np.asarray(q.coords, dtype=float)
+    coords, params = point_rows(points)
+    base = np.array(coords, dtype=float).reshape(len(points), n)
     memo = {} if memo is None else memo
+    first = None  # (row, at, error) of the earliest failure
 
-    def vals(F: VectorField, coords: np.ndarray) -> np.ndarray:
-        at = coords.tolist()
+    def vals(F: VectorField, coords: np.ndarray) -> np.ndarray | None:
+        nonlocal first
         try:
-            return np.array(F.evaluator(at, q.params))
-        except EvalError as exc:
-            raise HarnessError(
-                f"evaluation failure in the stencil at {tuple(at)}: "
-                f"{exc}") from exc
+            return F.evaluator(coords, params)
+        except EvalError as exc:  # the first row at which F fails here
+            if first is None or exc.row < first[0]:
+                first = (exc.row, tuple(coords[exc.row].tolist()), exc)
+            return None
 
-    def value(F: VectorField) -> np.ndarray:
+    def value(F: VectorField) -> np.ndarray | None:
         # keyed by identity: hashing a field hashes its whole trees
         key = (id(F), "value")
         if key not in memo:
-            memo[key] = vals(F, base)
+            v = vals(F, base)
+            if v is None:
+                return None
+            memo[key] = v
         return memo[key]
 
-    def jac(F: VectorField) -> np.ndarray:
+    def jac(F: VectorField) -> np.ndarray | None:
         key = (id(F), "jac")
         if key not in memo:
-            J = np.empty((n, n))
-            for j in range(n):
-                step = np.zeros(n)
-                step[j] = h
-                J[:, j] = (vals(F, base + step)
-                           - vals(F, base - step)) / (2 * h)
-            memo[key] = J
+            # every column, as a later one may fail at an earlier point
+            cols = [(vals(F, base + e), vals(F, base - e))
+                    for e in np.eye(n) * h]
+            if any(v is None for col in cols for v in col):
+                return None
+            memo[key] = np.stack([(p - m) / (2 * h) for p, m in cols],
+                                 axis=2)
         return memo[key]
 
-    return jac(Y) @ value(X) - jac(X) @ value(Y)
+    parts = jac(Y), value(X), jac(X), value(Y)
+    if first is not None:
+        _, at, exc = first
+        raise HarnessError(f"evaluation failure in the stencil at {at}: "
+                           f"{exc}") from exc
+    JY, vX, JX, vY = parts
+    return (np.matmul(JY, vX[:, :, None])
+            - np.matmul(JX, vY[:, :, None]))[:, :, 0]
 
 
 # Names the generated closed-loop code binds; none is a spec identifier.
@@ -442,7 +464,7 @@ def simulate(real: TriangularRealization, z0: Point, v: VSignal,
     # the least |r_i| over the nodes, where it is not nan
     min_reg = np.fmin.reduce(np.abs(rvals), axis=None, initial=math.inf)
 
-    x0 = evaluator(chart.inverse, zs, params)(z0.coords)
+    x0 = evaluator(chart.inverse, zs, params)([z0.coords])[0].tolist()
 
     sys_ = real.system
     xs = chart.x_frame.states

@@ -15,9 +15,12 @@ of the algebra.
 
 Numeric evaluation has one path: trees are compiled to Python source
 (compile_fns, compile_fn) that computes in floats with Python's
-operators and numpy's sin, cos, exp and sqrt. evaluator and eval_at
-call it one point at a time under one error contract: division by
-zero, overflow, domain errors and non-finite values raise EvalError.
+operators and numpy's sin, cos, exp and sqrt. evaluator (and
+Frame.evaluator over a chart) compiles it as one loop over a batch of
+points, one row each, on Python floats, under one error contract:
+division by zero, overflow, domain errors and non-finite values raise
+EvalError naming the first failing row. A single point is a one-row
+batch; eval_at is that case for one expression.
 
 Linear algebra over the rational-function field eliminates on the
 normal form's (numerator, denominator) polynomial pairs, and every
@@ -31,7 +34,7 @@ chained) never builds the trees at all.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -53,7 +56,15 @@ class ParseError(SymxError):
 
 class EvalError(SymxError):
     """Numeric evaluation failed: unbound symbol, division by zero or
-    a domain/overflow error."""
+    a domain/overflow error. From a batch (evaluator), row is the index
+    of the first failing row and done the values of the rows before
+    it; both are None otherwise."""
+
+    def __init__(self, message: str, row: int | None = None,
+                 done: "np.ndarray | None" = None):
+        super().__init__(message)
+        self.row = row
+        self.done = done
 
 
 # ---------------------------------------------------------------------------
@@ -259,26 +270,51 @@ class Frame:
                      dict(params or {}))
 
     def evaluator(self, exprs: Sequence[Expr]
-                  ) -> Callable[[Sequence[float], Mapping[str, float]],
-                                tuple[float, ...]]:
+                  ) -> Callable[[np.ndarray | list, Mapping[str, float]],
+                                np.ndarray]:
         """symx.evaluator over this chart: the function takes the state
-        coordinates in order and the parameter bindings, and returns the
-        expressions' values. Only the parameters the expressions use
-        must be bound; a missing one raises EvalError.
+        coordinates of a batch of points, one row each (a float array,
+        or a list of rows of Python floats as point_rows gives), and
+        the parameter bindings they share, and returns the (points,
+        expressions) array of values under evaluator's contract. Only
+        the parameters the expressions use must be bound; a missing one
+        fails the first row.
         """
         used = frozenset().union(*map(free_symbols, exprs))
         params = tuple(p for p in self.params if p in used)
-        fn = evaluator(exprs, self.states + params)
+        fn, kernels = _generate(exprs, self.states + params, None, (),
+                                False, carry=0)
+        width = len(exprs)
 
-        def at(coords: Sequence[float],
-               bindings: Mapping[str, float]) -> tuple[float, ...]:
-            try:
-                values = [bindings[p] for p in params]
-            except KeyError as exc:
-                raise EvalError(f"unbound symbol '{exc.args[0]}'") from None
-            return fn((*coords, *values))
+        def evaluate(coords, bindings: Mapping[str, float]) -> np.ndarray:
+            rows = (coords.tolist() if isinstance(coords, np.ndarray)
+                    else coords)
+            if params and rows:
+                try:
+                    values = tuple(float(bindings[p]) for p in params)
+                except KeyError as exc:
+                    raise EvalError(f"unbound symbol '{exc.args[0]}'", 0,
+                                    np.empty((0, width))) from None
+                rows = [(*r, *values) for r in rows]
+            return _run_batch(fn, kernels, rows, width)
 
-        return at
+        return evaluate
+
+
+def point_rows(points: Sequence["Point"]
+               ) -> tuple[list[tuple[float, ...]], Mapping[str, float]]:
+    """The coordinates of points, one tuple each, and the parameter
+    bindings they all share: the arguments of a Frame.evaluator
+    function. Points that bind different parameter values raise
+    ValueError."""
+    if not points:
+        return [], {}
+    params = points[0].params
+    for q in points:
+        if q.params is not params and q.params != params:
+            raise ValueError("points in one batch bind different "
+                             "parameter values")
+    return [q.coords for q in points], params
 
 
 @dataclass(frozen=True, eq=False)
@@ -854,17 +890,20 @@ def _literal(x: float) -> str:
 def _generate(exprs: Sequence[Expr], order: Sequence[str],
               consts: Mapping[str, float] | None,
               lets: Sequence[tuple[str, Expr]], single: bool,
-              carry: int = 0) -> tuple[Callable, bool]:
+              carry: int | None = None) -> tuple[Callable, bool]:
     """The generated function, and whether it calls a kernel; with
-    carry, the loop form of compile_fns."""
+    carry, the loop form of compile_fns (carry = 0: fn(rows, out),
+    nothing carried)."""
     consts = dict(consts or {})
     args = [f"_v{i}" for i in range(len(order))]
     names = dict(zip(order, args))
     ind = "    "
-    if carry:
-        rows, carried = args[:-carry], args[-carry:]
-        lines = ["def _fn(rows, y, out):", f"{ind}{', '.join(carried)}, = y",
-                 f"{ind}for {''.join(a + ', ' for a in rows)}in rows:"]
+    if carry is not None:
+        rows, carried = args[:len(args) - carry], args[len(args) - carry:]
+        lines = (["def _fn(rows, y, out):", f"{ind}{', '.join(carried)}, = y"]
+                 if carry else ["def _fn(rows, out):"])
+        lines.append(f"{ind}for {''.join(a + ', ' for a in rows) or '_'} "
+                     "in rows:")
         ind += "    "
     else:
         lines = ["def _fn(v):"]
@@ -912,6 +951,8 @@ def _generate(exprs: Sequence[Expr], order: Sequence[str],
         targets = carried + ["_"] * (len(exprs) - carry)
         lines += [f"{ind}{', '.join(targets)}, = _o = {tup}",
                   f"{ind}out.append(_o)"]
+    elif carry is not None:
+        lines.append(f"{ind}out.append({tup})")
     else:
         lines.append(f"{ind}return {outs[0] if single else tup}")
     scope = dict(_KERNELS)
@@ -945,7 +986,7 @@ def compile_fns(exprs: Sequence[Expr], order: Sequence[str],
     recurrence over many rows with its state in local variables. An
     exception leaves out holding the rows finished before it.
     """
-    return _generate(exprs, order, consts, lets, False, carry)[0]
+    return _generate(exprs, order, consts, lets, False, carry or None)[0]
 
 
 def compile_fn(e: Expr, order: Sequence[str],
@@ -957,43 +998,85 @@ def compile_fn(e: Expr, order: Sequence[str],
 
 def evaluator(exprs: Sequence[Expr], order: Sequence[str],
               consts: Mapping[str, float] | None = None
-              ) -> Callable[[Iterable[float]], tuple[float, ...]]:
-    """compile_fns for pointwise evaluation, under the error contract.
+              ) -> Callable[[Iterable[Sequence[float]]], np.ndarray]:
+    """compile_fns for evaluation at a batch of points, under the error
+    contract.
 
-    The function takes one value per name in order, converted to a
-    Python float, and returns the tuple of the expressions' values.
-    Division by zero, overflow, a kernel's domain error (sqrt of a
-    negative, say) and a non-finite value raise EvalError; numpy's
-    kernels raise instead of warning, so nothing reaches stderr.
+    The function takes rows, one per point, each with one value per
+    name in order (converted to float64), and returns the (rows,
+    expressions) array of the values. One generated loop evaluates
+    every row on Python floats in tree order, so each value is the
+    float evaluating that row alone gives; a single point is a one-row
+    batch. The first failing row raises EvalError: division by zero,
+    overflow, a kernel's domain error (sqrt of a negative, say) or a
+    non-finite value; numpy's kernels raise instead of warning, so
+    nothing reaches stderr. The error's row is that row's index and its
+    done the values of the rows before it, so a caller that skips
+    failures resumes at the row after it.
     """
-    fn, kernels = _generate(exprs, order, consts, (), single=False)
+    fn, kernels = _generate(exprs, order, consts, (), False, carry=0)
+    width = len(exprs)
 
-    def evaluate(values: Iterable[float]) -> tuple[float, ...]:
-        args = tuple(map(float, values))
-        try:
-            if kernels:
-                with np.errstate(divide="raise", over="raise",
-                                 invalid="raise"):
-                    out = fn(args)
-            else:
-                out = fn(args)
-        except (ZeroDivisionError, OverflowError, FloatingPointError) as exc:
-            raise EvalError(str(exc)) from None
-        if not all(map(math.isfinite, out)):
-            raise EvalError("non-finite value")
-        return out
+    def evaluate(rows: Iterable[Sequence[float]]) -> np.ndarray:
+        rows = np.asarray(rows, dtype=float)
+        return _run_batch(fn, kernels, rows.tolist(), width)
 
     return evaluate
 
 
+def _run_batch(fn: Callable, kernels: bool, rows: list,
+               width: int) -> np.ndarray:
+    """One call of a carry-0 loop over rows of Python floats, under
+    evaluator's contract."""
+    out: list[tuple[float, ...]] = []
+    error = None
+    try:
+        if kernels:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                fn(rows, out)
+        else:
+            fn(rows, out)
+    except (ZeroDivisionError, OverflowError, FloatingPointError) as exc:
+        error = str(exc)  # the row len(out) raised it
+    vals = np.fromiter(itertools.chain.from_iterable(out), float,
+                       len(out) * width).reshape(len(out), width)
+    finite = np.isfinite(vals).all(axis=1)
+    if not finite.all():  # an earlier row gave inf or nan
+        row = int(np.argmin(finite))
+        raise EvalError("non-finite value", row, vals[:row])
+    if error is not None:
+        raise EvalError(error, len(out), vals)
+    return vals
+
+
+def evaluable_rows(evaluate: Callable[[Sequence], np.ndarray],
+                   rows: Sequence) -> tuple[list[int], np.ndarray]:
+    """A batch function under evaluator's contract over rows, resuming
+    after each failing row: the indices of the rows that evaluate, and
+    their values."""
+    kept, parts, start = [], [], 0
+    while True:
+        try:
+            parts.append(evaluate(rows[start:]))
+        except EvalError as exc:
+            if exc.row is None:
+                raise
+            parts.append(exc.done)
+            kept.extend(range(start, start + exc.row))
+            start += exc.row + 1
+        else:
+            kept.extend(range(start, len(rows)))
+            return kept, np.concatenate(parts)
+
+
 def eval_at(e: Expr, at: "Point | Mapping[str, float]") -> float:
     """Evaluate one expression at a point (or a plain symbol-to-value
-    mapping): the one-expression, one-point case of evaluator, for
+    mapping): the one-expression, one-row case of evaluator, for
     one-off sites. Deterministic for fixed bindings; errors as in
     evaluator, and an unbound symbol raises EvalError too.
     """
     env = at.env() if isinstance(at, Point) else at
-    return evaluator((e,), tuple(env))(env.values())[0]
+    return float(evaluator((e,), tuple(env))([list(env.values())])[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -1091,8 +1174,8 @@ def _pivot_row(rows: list[list[Pair]], col: int, start: int, ref_env,
     else:
         entries = [_pair_to_expr(*p, atoms) for p in pairs]
         try:
-            mags = [abs(x) for x in
-                    evaluator(entries, tuple(ref_env))(ref_env.values())]
+            mags = np.abs(evaluator(entries, tuple(ref_env))(
+                [list(ref_env.values())])[0]).tolist()
         except EvalError:
             # an entry that fails at the reference point counts as zero
             mags = []

@@ -13,19 +13,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .symx import (
     ONE_E,
     ZERO,
     Const,
-    EvalError,
     Expr,
     Frame,
     Point,
     Sym,
     diff,
+    evaluable_rows,
     free_symbols,
     is_zero,
     normalize,
+    point_rows,
     rref_exprs,
     to_str,
 )
@@ -108,15 +111,13 @@ def _hat_drift(spec: SystemSpec, fb: FeedbackMatrix) -> VectorField:
 
 def _witness(e: Expr, points: list[Point]) -> tuple[Point, float]:
     """Sample point where |e| (an x-expression) is largest."""
-    best, best_val = points[0], 0.0
     fn = points[0].frame.evaluator((e,))
-    for q in points:
-        try:
-            v = abs(fn(q.coords, q.params)[0])
-        except EvalError:
-            continue
+    coords, params = point_rows(points)
+    kept, vals = evaluable_rows(lambda rows: fn(rows, params), coords)
+    best, best_val = points[0], 0.0
+    for i, v in zip(kept, np.abs(vals[:, 0]).tolist()):
         if v > best_val:
-            best, best_val = q, v
+            best, best_val = points[i], v
     return best, best_val
 
 

@@ -31,7 +31,7 @@ def compute_flags(spec: SystemSpec, rank_tol: float = DEFAULT_RANK_TOL,
     base = [("g1", spec.g1), ("g2", spec.g2)]
 
     def values(vf: VectorField) -> list[np.ndarray]:
-        return [vf.values(q) for q in refs]
+        return [vf.values([q])[0] for q in refs]
 
     # Lie flag: left-iterated bracket words, kept unpruned.
     p_level = list(base)
@@ -96,8 +96,8 @@ def dims_at(table: FlagTable, q: Point,
     """Numeric ranks of the F_k and G_k generator matrices at q."""
     dims_f, dims_g = [], []
     for rec in table.levels:
-        fm = np.array([v.values(q) for _, v in rec.f_generators])
-        gm = np.array([v.values(q) for _, v in rec.g_generators])
+        fm = np.array([v.values([q])[0] for _, v in rec.f_generators])
+        gm = np.array([v.values([q])[0] for _, v in rec.g_generators])
         dims_f.append(_rank(fm, tol))
         dims_g.append(_rank(gm, tol))
     return dims_f, dims_g

@@ -2,7 +2,8 @@
 against: closed-loop stepping with numpy component arrays and one
 compiled lambda per expression, the csv.writer trajectory export,
 flat-output jets with each v(t) derivative taken from scratch, and the
-bracket oracle with every case computing its own stencils.
+bracket oracle with every case computing its own stencils, one point
+at a time.
 
 simulate here performs the same float operations, in the same order,
 as flatcheck.harness.simulate, so the two must agree bit for bit;
@@ -15,10 +16,11 @@ import math
 import numpy as np
 
 from flatcheck.diffgeo import lie_bracket
-from flatcheck.harness import (FlatSignal, HarnessError, RegularityError,
-                               Trajectory, _bound_all_params, _grid,
-                               _jet_name, _total_derivative, fd_bracket)
-from flatcheck.symx import Sym, compile_fn, diff, eval_at, normalize
+from flatcheck.harness import (DEFAULT_FD_STEP, FlatSignal, HarnessError,
+                               RegularityError, Trajectory,
+                               _bound_all_params, _grid, _jet_name,
+                               _total_derivative)
+from flatcheck.symx import EvalError, Sym, compile_fn, diff, eval_at, normalize
 
 
 def rk4(rhs, y0, t, on_node=None):
@@ -182,10 +184,39 @@ def flat_signal(real, traj, v):
                       y2_jets=jets["y2"])
 
 
+def fd_bracket(X, Y, q, h=DEFAULT_FD_STEP):
+    """Central-difference [X, Y](q) = J_Y(q) X(q) - J_X(q) Y(q) at one
+    point, every field evaluated as a one-row batch, in the order J_Y,
+    X, J_X, Y and the stencil of J column by column."""
+    if X.frame is not Y.frame and X.frame.name != Y.frame.name:
+        raise HarnessError("bracket operands live in different charts")
+    n = X.frame.n
+    base = np.asarray(q.coords, dtype=float)
+
+    def vals(F, coords):
+        at = coords.tolist()
+        try:
+            return F.evaluator([at], q.params)[0]
+        except EvalError as exc:
+            raise HarnessError(
+                f"evaluation failure in the stencil at {tuple(at)}: "
+                f"{exc}") from exc
+
+    def jac(F):
+        J = np.empty((n, n))
+        for j in range(n):
+            step = np.zeros(n)
+            step[j] = h
+            J[:, j] = (vals(F, base + step) - vals(F, base - step)) / (2 * h)
+        return J
+
+    return jac(Y) @ vals(X, base) - jac(X) @ vals(Y, base)
+
+
 def bracket_errors(spec, points):
     """max_rel_error of the bracket oracle's three cases, in its
     case-major order, with no memo: each case evaluates its own
-    Jacobians and base values at every point."""
+    Jacobians and base values at every point, one point at a time."""
     b1 = lie_bracket(spec.g1, spec.g2)
     cases = ((spec.g1, spec.g2, b1), (spec.g1, b1, lie_bracket(spec.g1, b1)),
              (spec.g2, b1, lie_bracket(spec.g2, b1)))
@@ -194,8 +225,18 @@ def bracket_errors(spec, points):
         m = 0.0
         for q in points:
             fd = fd_bracket(X, Y, q)
-            exact = B.values(q)
+            exact = B.values([q])[0]
             scale = max(1.0, float(np.max(np.abs(exact))))
             m = max(m, float(np.max(np.abs(fd - exact))) / scale)
         out.append(m)
     return out
+
+
+def bracket_section(spec, points, tol):
+    """The report's "brackets" section, from bracket_errors."""
+    errs = bracket_errors(spec, points)
+    labels = ("[g1,g2]", "[g1,[g1,g2]]", "[g2,[g1,g2]]")
+    return {"pass": max(errs) <= tol, "max_rel_error": max(errs),
+            "points_checked": len(points),
+            "per_bracket": [{"bracket": b, "max_rel_error": m}
+                            for b, m in zip(labels, errs)]}

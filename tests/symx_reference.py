@@ -30,7 +30,8 @@ from flatcheck.symx import (Add, Call, Const, Div, EvalError, FUNCTIONS, Mul,
                             ONE_E, PivotError, Pow, Sub, Sym, SymxError,
                             ZERO, _P_ONE, _cancel_content, _constant_ratio,
                             _mono_key, _mono_mul, _p_add, _p_neg, _p_scale,
-                            _poly_to_expr, eval_at as lib_eval_at, evaluator,
+                            _poly_to_expr, compile_fns,
+                            eval_at as lib_eval_at, evaluator,
                             free_symbols, is_zero, linear_decompose,
                             polynomial_terms, to_str)
 
@@ -174,6 +175,22 @@ def eval_raw(e, env, fns=MATH_FNS):
     raise TypeError(f"not an Expr: {e!r}")
 
 
+def evaluate_point(exprs, order, row, consts=None):
+    """The values at one point under the evaluation contract, computed
+    the way evaluator did before it took batches: one plain compile_fns
+    call on the row as Python floats, numpy's kernels raising, then the
+    finiteness check."""
+    fn = compile_fns(exprs, order, consts)
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            out = fn(tuple(map(float, row)))
+    except (ZeroDivisionError, OverflowError, FloatingPointError) as exc:
+        raise EvalError(str(exc)) from None
+    if not all(map(math.isfinite, out)):
+        raise EvalError("non-finite value")
+    return out
+
+
 def eval_at(e, env, fns=MATH_FNS):
     """Evaluate by walking the tree; EvalError as in symx.eval_at."""
     val = eval_raw(e, env, fns)
@@ -191,7 +208,8 @@ def pivot_row(rows, col, start, ref_env, tol=1e-12):
     entries = [rows[i][col] for i in cands]
     try:
         mags = [abs(x) for x in
-                evaluator(entries, tuple(ref_env))(ref_env.values())]
+                evaluator(entries, tuple(ref_env))(
+                    [list(ref_env.values())])[0].tolist()]
     except EvalError:
         mags = []
         for entry in entries:

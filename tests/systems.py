@@ -6,6 +6,8 @@ tests must compare against these rather than recompute them with the
 library under test.
 """
 
+from dataclasses import replace
+
 from flatcheck.symx import Frame, ZERO, parse
 from flatcheck.diffgeo import VectorField, basis_vector
 from flatcheck.flags import SystemSpec
@@ -95,6 +97,28 @@ def chained(n: int) -> SystemSpec:
         g1=VectorField(fr, tuple(comps)),
         g2=basis_vector(fr, n - 2),
     )
+
+
+# chained4 with drift sqrt(x1 + 1/2) in the last row. sqrt fails where
+# x1 < -1/2, so of the 100 points drawn in [-1, 1]^4 at seed 0 the
+# sample screen rejects these rows of the draw (read off the seed-0
+# draw by that inequality alone) and keeps the other 79 in draw order,
+# the first and last of them given here.
+SQRT4_F = ("0", "0", "0", "sqrt(x1 + 1/2)")
+SQRT4_REJECTED_ROWS = (5, 8, 12, 22, 23, 24, 27, 32, 38, 49, 53, 59, 60,
+                       62, 68, 74, 85, 91, 93, 94, 95)
+SQRT4_KEPT_FIRST = (0.2739233746429086, -0.4604265724722594,
+                    -0.9180529521276106, -0.9669447289429418)
+SQRT4_KEPT_LAST = (0.4964485501624898, -0.8266373537709144,
+                   -0.14828751941195684, -0.20649622569314952)
+
+
+def sqrt4() -> SystemSpec:
+    """chained(4) with the drift SQRT4_F, undefined where x1 < -1/2."""
+    spec = chained(4)
+    fr = spec.frame
+    return replace(spec, f=VectorField(fr, tuple(parse(s, fr)
+                                                 for s in SQRT4_F)))
 
 
 def involutive() -> SystemSpec:

@@ -158,7 +158,8 @@ def test_acceptance_5_negative_controls(gate):
         b1 = lie_bracket(inv.g1, inv.g2)
         for q in pts:
             stacked = np.column_stack(
-                [inv.g1.values(q), inv.g2.values(q), b1.values(q)])
+                [inv.g1.values([q])[0], inv.g2.values([q])[0],
+                 b1.values([q])[0]])
             assert np.linalg.matrix_rank(stacked, tol=1e-8) == 2
         c1 = check_condition1(inv, pts)
         assert not c1["pass"]
@@ -202,8 +203,8 @@ def test_acceptance_6_cross_validation(gate, example1_spec, motor_spec,
             for q in pts:
                 for X, Y, B in ((spec.g1, spec.g2, b1),
                                 (spec.g1, b1, b2), (spec.g2, b1, b3)):
-                    sym = B.values(q)
-                    fd = fd_bracket(X, Y, q)
+                    sym = B.values([q])[0]
+                    fd = fd_bracket(X, Y, [q])[0]
                     scale = max(1.0, float(np.max(np.abs(sym))))
                     assert np.max(np.abs(fd - sym)) / scale <= 1e-5
 

@@ -37,7 +37,7 @@ def _reference_cauchy_space(cod, q, tol=1e-8):
     codistribution carried its differentials and before the points
     were stacked."""
     n = cod.frame.n
-    omega = np.array([w.values(q) for w in cod.generators])
+    omega = np.array([w.values([q])[0] for w in cod.generators])
     assert _rank(omega, tol) == omega.shape[0]
     proj = np.eye(n) - omega.T @ np.linalg.pinv(omega.T)
     blocks = [omega]
@@ -72,7 +72,7 @@ def test_annihilator_kills_the_flag():
             for w in cod.generators:
                 wv = np.array([eval_at(c, q) for c in w.coefficients])
                 for _, vf in table.levels[k].g_generators:
-                    assert abs(wv @ vf.values(q)) < 1e-9
+                    assert abs(wv @ vf.values([q])[0]) < 1e-9
 
 
 def test_annihilator_ranks_with_the_table_tolerance(monkeypatch):
@@ -159,9 +159,20 @@ def test_cauchy_space_reuses_the_differentials(monkeypatch):
                         counting)
     monkeypatch.setattr(flatcheck.diffgeo, "exterior_derivative_1form",
                         counting)
+    batches = []
+    values = TwoForm.values
+
+    def counting_values(self, points):
+        batches.append((id(self), len(points)))
+        return values(self, points)
+
+    monkeypatch.setattr(TwoForm, "values", counting_values)
     for cod in cods:
         cauchy_space(cod, pts)
     assert calls == []
+    # each differential is evaluated in one batch over the block
+    assert batches == [(id(dw), len(pts)) for cod in cods
+                       for dw in cod.differentials]
     # the counter does see annihilator build them, one per generator
     cod = annihilator(table, 1, pts[:3])
     assert len(calls) == len(cod.generators) == spec.n - 3
@@ -263,31 +274,29 @@ def test_constant_coordinate_pattern_needs_one_dimension():
 
 def _failing_at(monkeypatch, pts, dependent=(), bad_eval=(), bad_d=()):
     """Generator values vanish at the points indexed by dependent, and
-    generator or differential evaluation raises EvalError at the points
-    indexed by bad_eval or bad_d."""
+    a generator or differential batch raises EvalError at the first of
+    its points indexed by bad_eval or bad_d, with that row and the
+    values of the rows before it."""
     where = {pts[i].coords: i for i in range(len(pts))}
-    values = OneForm.values
-    evaluator = TwoForm.evaluator
 
-    def fake_values(self, at):
-        idx = where.get(at.coords)
-        if idx in bad_eval:
-            raise EvalError(f"generator fails at point {idx}")
-        out = values(self, at)
-        return out * 0.0 if idx in dependent else out
+    def failing(cls, bad, what, zeroed=()):
+        real = cls.values
 
-    def fake_evaluator(self):
-        fn = evaluator.__get__(self)
+        def fake_values(self, points):
+            out = real(self, points)
+            for row, q in enumerate(points):
+                idx = where.get(q.coords)
+                if idx in bad:
+                    raise EvalError(f"{what} fails at point {idx}", row,
+                                    out[:row])
+                if idx in zeroed:
+                    out[row] *= 0.0
+            return out
 
-        def at(coords, params):
-            idx = where.get(tuple(coords))
-            if idx in bad_d:
-                raise EvalError(f"differential fails at point {idx}")
-            return fn(coords, params)
-        return at
+        monkeypatch.setattr(cls, "values", fake_values)
 
-    monkeypatch.setattr(OneForm, "values", fake_values)
-    monkeypatch.setattr(TwoForm, "evaluator", property(fake_evaluator))
+    failing(OneForm, bad_eval, "generator", dependent)
+    failing(TwoForm, bad_d, "differential")
 
 
 @pytest.mark.parametrize("case", [

@@ -3,11 +3,13 @@ from pathlib import Path
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from flatcheck.symx import Frame, Sub, is_zero, parse
-from flatcheck.cli import (RunConfig, SpecFileError, _bracket_oracle,
-                           load_spec, main, run)
+from flatcheck.cli import (BRACKET_FD_TOL, RunConfig, SpecFileError,
+                           _bracket_oracle, _sample_points, load_spec, main,
+                           run)
 from flatcheck.diffgeo import lie_bracket
 from flatcheck.harness import SampleBox
 
@@ -120,6 +122,36 @@ def test_run_config_validation():
 def _cfg(path, command="check", **kw):
     kw.setdefault("samples", 30)
     return RunConfig(spec_path=str(path), command=command, **kw)
+
+
+def test_sample_screen_rejects_where_the_drift_is_undefined(tmp_path):
+    # specs/chained4.spec with f = (0, 0, 0, sqrt(x1 + 1/2)): the screen
+    # skips each failing point and resumes after it
+    text = (SPEC_DIR / "chained4.spec").read_text()
+    assert "f = 0, 0, 0, 0\n" in text
+    path = _write(tmp_path, text.replace(
+        "f = 0, 0, 0, 0\n", f"f = {', '.join(systems.SQRT4_F)}\n"))
+    rng = np.random.default_rng(0)
+    draw = [tuple(float(rng.uniform(-1.0, 1.0)) for _ in range(4))
+            for _ in range(100)]
+    rejected = [i for i, c in enumerate(draw) if c[0] + 0.5 < 0.0]
+    assert tuple(rejected) == systems.SQRT4_REJECTED_ROWS
+    kept = [list(c) for i, c in enumerate(draw) if i not in rejected]
+    assert kept[0] == list(systems.SQRT4_KEPT_FIRST)
+    assert kept[-1] == list(systems.SQRT4_KEPT_LAST)
+
+    spec = systems.sqrt4()
+    good, count = _sample_points(spec, _cfg(path, samples=100, seed=0))
+    assert count == len(systems.SQRT4_REJECTED_ROWS) == 21
+    assert [list(q.coords) for q in good] == kept
+    for command in ("check", "verify"):
+        rep = run(_cfg(path, command=command, samples=100, seed=0))
+        c1 = rep.data["condition1"]
+        assert c1["points_rejected"] == 21
+        assert [p["coords"] for p in c1["per_point"]] == kept
+        assert rep.data["verdicts"]["overall"] == "pass"
+    assert rep.data["verdicts"]["verification"] == "pass"
+    assert rep.data["verification"]["brackets"]["points_checked"] == 79
 
 
 def test_check_verdicts_across_systems(tmp_path):
@@ -369,33 +401,38 @@ def test_verify_flags_wrong_user_beta(tmp_path):
     assert data["verdicts"]["overall"] == "fail"
 
 
-@pytest.mark.parametrize("name", ["example1", "motor", "chained4", "chained6"])
+@pytest.mark.parametrize("name", ["example1", "motor", "chained4", "chained5",
+                                  "chained6", "chained7", "chained8"])
 def test_bracket_oracle_matches_per_case_stencils(name):
+    # the batched oracle's whole section equals the one built from
+    # per-point stencils, bit for bit
     spec = (systems.chained(int(name[-1])) if name.startswith("chained")
             else getattr(systems, name)())
-    points = SampleBox(spec.sample_box(), 40, seed=5).points(
-        spec.frame, spec.bound_params(5))
-    got = _bracket_oracle(spec, points)
-    want = harness_reference.bracket_errors(spec, points)
-    assert [c["max_rel_error"] for c in got["per_bracket"]] == want
-    assert got["max_rel_error"] == max(want)
-    assert got["points_checked"] == len(points)
+    for seed in (5, 11):
+        points = SampleBox(spec.sample_box(), 40, seed=seed).points(
+            spec.frame, spec.bound_params(seed))
+        got = _bracket_oracle(spec, points)
+        assert got == harness_reference.bracket_section(spec, points,
+                                                        BRACKET_FD_TOL)
 
 
 def test_bracket_oracle_evaluates_each_stencil_once_per_point(monkeypatch):
-    # g1, g2 and [g1, g2] each enter two of the three cases; per point
-    # each gets one Jacobian (2n evaluations) and one base value, and
-    # the exact brackets one value each
+    # g1, g2 and [g1, g2] each enter two of the three cases; each gets
+    # one Jacobian (2n batched calls) and one base value over all
+    # points, and [g1, g2], the first case's exact bracket, is not
+    # evaluated again. Every call covers every point once.
     calls = Counter()
+    rows = Counter()
     make = Frame.evaluator
 
     def counting(frame, exprs):
         fn = make(frame, exprs)
 
-        def at(coords, bindings):
+        def batch(coords, bindings):
             calls[tuple(exprs)] += 1
+            rows[tuple(exprs)] += len(coords)
             return fn(coords, bindings)
-        return at
+        return batch
 
     monkeypatch.setattr(Frame, "evaluator", counting)
     spec = systems.chained(4)
@@ -403,13 +440,15 @@ def test_bracket_oracle_evaluates_each_stencil_once_per_point(monkeypatch):
     _bracket_oracle(spec, points)
     b1 = lie_bracket(spec.g1, spec.g2)
     n, p = spec.n, len(points)
-    assert calls == {
-        spec.g1.components: (2 * n + 1) * p,
-        spec.g2.components: (2 * n + 1) * p,
-        b1.components: (2 * n + 2) * p,
-        lie_bracket(spec.g1, b1).components: p,
-        lie_bracket(spec.g2, b1).components: p,
+    want = {
+        spec.g1.components: 2 * n + 1,
+        spec.g2.components: 2 * n + 1,
+        b1.components: 2 * n + 1,
+        lie_bracket(spec.g1, b1).components: 1,
+        lie_bracket(spec.g2, b1).components: 1,
     }
+    assert calls == want
+    assert rows == {k: c * p for k, c in want.items()}
 
 
 def _motor_without_param_values() -> str:

@@ -193,16 +193,18 @@ def test_dims_at_evaluates_each_generator_once(monkeypatch, name):
     calls = []
     real = diffgeo.VectorField.values
 
-    def counting(self, at):
-        calls.append(self)
-        return real(self, at)
+    def counting(self, points):
+        calls.append((id(self), len(points)))
+        return real(self, points)
 
     monkeypatch.setattr(diffgeo.VectorField, "values", counting)
     points = _points(spec, 3)
     dims_at(table, points)
-    words = {w for lv in table.levels
-             for w, _ in lv.f_generators + lv.g_generators}
-    assert len(calls) == len(words) * len(points)
+    words = {w: v for lv in table.levels
+             for w, v in lv.f_generators + lv.g_generators}
+    # one batch per distinct word, each over every point
+    assert sorted(calls) == sorted((id(v), len(points))
+                                   for v in words.values())
 
 
 def test_ranks_of_a_stack():
@@ -257,10 +259,14 @@ def test_dims_at_raises_at_the_first_failing_point(monkeypatch, case):
     bad = {(id(fields[word(w)]), i) for w, i in failing}
     real = diffgeo.VectorField.values
 
-    def failing_values(self, at):
-        if (id(self), where.get(at.coords)) in bad:
-            raise EvalError(f"{id(self)} fails at point {where[at.coords]}")
-        return real(self, at)
+    def failing_values(self, points):
+        # a batch fails at its first bad point, with the rows before it
+        out = real(self, points)
+        for row, q in enumerate(points):
+            if (id(self), where.get(q.coords)) in bad:
+                raise EvalError(f"{id(self)} fails at point {where[q.coords]}",
+                                row, out[:row])
+        return out
 
     monkeypatch.setattr(diffgeo.VectorField, "values", failing_values)
     with pytest.raises(EvalError) as want:

@@ -4,7 +4,7 @@ import types
 import numpy as np
 import pytest
 
-from flatcheck.symx import Frame, compile_fn, normalize, parse
+from flatcheck.symx import EvalError, Frame, compile_fn, normalize, parse
 from flatcheck.diffgeo import VectorField, lie_bracket
 from flatcheck.harness import (FlatSignal, HarnessError, RegularityError,
                                SampleBox, T_FRAME, Trajectory, VSignal,
@@ -29,7 +29,7 @@ def test_fd_bracket_second_order_convergence():
     q = fr.point([0.3, 0.7])
     exact = lie_bracket(X, Y)
     ex_vals = np.array([eval_at(c, q) for c in exact.components])
-    errs = [np.max(np.abs(fd_bracket(X, Y, q, h=h) - ex_vals))
+    errs = [np.max(np.abs(fd_bracket(X, Y, [q], h=h)[0] - ex_vals))
             for h in (1e-2, 1e-3, 1e-4)]
     assert errs[0] > errs[1] > errs[2]
     assert errs[1] < 0.05 * errs[0]
@@ -41,7 +41,7 @@ def test_fd_bracket_constant_fields_vanish():
     X = VectorField(fr, (P("2"), P("-1")))
     Y = VectorField(fr, (P("1/3"), P("5")))
     q = fr.point([0.7, -1.2])
-    assert np.max(np.abs(fd_bracket(X, Y, q))) < 1e-12
+    assert np.max(np.abs(fd_bracket(X, Y, [q]))) < 1e-12
 
 
 def test_fd_bracket_rejects_mixed_frames():
@@ -50,7 +50,7 @@ def test_fd_bracket_rejects_mixed_frames():
     X = VectorField(fr1, (parse("x2", fr1), parse("0", fr1)))
     Y = VectorField(fr2, (parse("0", fr2), parse("q1", fr2)))
     with pytest.raises(HarnessError, match="different charts"):
-        fd_bracket(X, Y, fr1.point([1.0, 1.0]))
+        fd_bracket(X, Y, [fr1.point([1.0, 1.0])])
 
 
 def test_fd_bracket_reports_stencil_failure():
@@ -58,7 +58,29 @@ def test_fd_bracket_reports_stencil_failure():
     X = VectorField(fr, (parse("sqrt(x1)", fr), parse("0", fr)))
     Y = VectorField(fr, (parse("0", fr), parse("x1", fr)))
     with pytest.raises(HarnessError, match="stencil"):
-        fd_bracket(X, Y, fr.point([1e-12, 0.0]))
+        fd_bracket(X, Y, [fr.point([1e-12, 0.0])])
+
+    # Over several points the error is the one the per-point loop meets
+    # first: points in turn, at each J_Y, X, J_X, Y. A later stage at an
+    # earlier point wins (J_X's stencil at the first point, x1 - h < 0,
+    # before X itself at the second), and at one point the earlier
+    # stage wins (X at x1 = -1 before J_X's stencil there).
+    # A later Jacobian column can fail at an earlier point: with
+    # X = (sqrt(x1) + sqrt(x2), 0), column 2's stencil fails at the
+    # first point and column 1's only at the second.
+    X2 = VectorField(fr, (parse("sqrt(x1) + sqrt(x2)", fr), parse("0", fr)))
+    for F, coords, at in (
+            (X, ([1e-6, 0.0], [-1.0, 0.0]), "(-9e-06, 0.0)"),
+            (X, ([0.5, 0.0], [-1.0, 0.0]), "(-1.0, 0.0)"),
+            (X2, ([0.5, 1e-6], [1e-6, 0.5]), "(0.5, -9e-06)")):
+        pts = [fr.point(c) for c in coords]
+        with pytest.raises(HarnessError) as ref:
+            for q in pts:
+                harness_reference.fd_bracket(F, Y, q)
+        with pytest.raises(HarnessError) as got:
+            fd_bracket(F, Y, pts)
+        assert str(got.value) == str(ref.value)
+        assert f"stencil at {at}:" in str(got.value)
 
     # The oracle keeps each point's stencils across its three cases, and
     # must still fail on the evaluation the per-case loop fails on. Here
@@ -78,6 +100,26 @@ def test_fd_bracket_reports_stencil_failure():
     assert str(got.value) == str(ref.value)
 
 
+def test_bracket_oracle_exact_bracket_failure_in_point_order():
+    # [g1, g2] = (0, x1/sqrt(x1^2 + x2^2)) fails at the origin, where
+    # every stencil evaluates, and g2's stencil fails at p1 (x2 - h <
+    # -1). The oracle must raise what the per-point loop meets first:
+    # at each point the stencils, then the exact bracket.
+    fr = Frame("x", ("x1", "x2"), ())
+    g1 = VectorField(fr, (parse("1", fr), parse("0", fr)))
+    g2 = VectorField(fr, (parse("0", fr),
+                          parse("sqrt(x1^2 + x2^2) + sqrt(x2 + 1)", fr)))
+    spec = types.SimpleNamespace(g1=g1, g2=g2)
+    p0, p1 = fr.point([0.0, 0.0]), fr.point([0.5, -1.0 + 1e-6])
+    for points, kind in (([p0, p1], EvalError), ([p1, p0], HarnessError)):
+        with pytest.raises(kind) as ref:
+            harness_reference.bracket_errors(spec, points)
+        with pytest.raises(kind) as got:
+            _bracket_oracle(spec, points)
+        assert type(got.value) is type(ref.value)
+        assert str(got.value) == str(ref.value)
+
+
 def test_sample_box_deterministic_and_rejecting():
     fr = Frame("x", ("x1", "x2"), ())
     box = SampleBox(bounds=((-1.0, 1.0), (0.0, 2.0)), count=20, seed=3)
@@ -88,6 +130,23 @@ def test_sample_box_deterministic_and_rejecting():
     assert all(-1 <= p.coords[0] <= 1 and 0 <= p.coords[1] <= 2 for p in a)
     other = SampleBox(bounds=box.bounds, count=20, seed=4).points(fr)
     assert [p.coords for p in other] != [p.coords for p in a]
+
+
+def test_sample_box_draws_one_scalar_per_coordinate():
+    # one vectorised draw gives, row by row, the floats of one scalar
+    # rng.uniform(lo, hi) per coordinate, on mixed boxes
+    fr = Frame("x", ("x1", "x2", "x3"), ("a",))
+    for seed in range(50):
+        spans = np.random.default_rng(1000 + seed).uniform(-50, 50, (3, 2))
+        bounds = tuple((float(min(r)), float(max(r))) for r in spans)
+        bounds = bounds[:2] + ((1e-3, 1e3),)
+        rng = np.random.default_rng(seed)
+        want = [tuple(float(rng.uniform(lo, hi)) for lo, hi in bounds)
+                for _ in range(40)]
+        pts = SampleBox(bounds, 40, seed=seed).points(fr, {"a": 2.0})
+        assert [q.coords for q in pts] == want
+        assert all(type(c) is float for q in pts for c in q.coords)
+        assert all(q.params == {"a": 2.0} and q.frame is fr for q in pts)
 
 
 def test_sample_box_validation():

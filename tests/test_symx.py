@@ -432,8 +432,119 @@ def test_eval_errors_raise_eval_error_silently(text, x1):
         warnings.simplefilter("error")
         with pytest.raises(EvalError):
             eval_at(P(text), {"x1": x1})
-        with pytest.raises(EvalError):
-            evaluator([P("x1"), P(text)], ("x1",))([x1])
+        with pytest.raises(EvalError) as info:
+            evaluator([P("x1"), P(text)], ("x1",))([[0.5], [x1]])
+        assert info.value.row == 1
+        assert info.value.done.tolist() == [[0.5, eval_at(P(text),
+                                                          {"x1": 0.5})]]
+
+
+def _point_by_point(exprs, order, rows, consts=None):
+    """Per row, its values or the EvalError message, evaluated alone."""
+    out = []
+    for row in rows:
+        try:
+            out.append(symx_reference.evaluate_point(exprs, order, row,
+                                                     consts))
+        except EvalError as exc:
+            out.append(str(exc))
+    return out
+
+
+def _hexes(rows):
+    return [[float(x).hex() for x in row] for row in rows]
+
+
+def _assert_batch_contract(evaluate, rows, want, width):
+    """evaluate(rows) against the per-row results want: equal values
+    bit for bit, or the first failing row with its message and the
+    rows before it; resuming after each failure gives every other
+    row's values."""
+    failing = [i for i, w in enumerate(want) if isinstance(w, str)]
+    if failing:
+        first = failing[0]
+        with pytest.raises(EvalError) as info:
+            evaluate(rows)
+        assert info.value.row == first
+        assert str(info.value) == want[first]
+        assert info.value.done.shape == (first, width)
+        assert _hexes(info.value.done) == _hexes(want[:first])
+    else:
+        got = evaluate(rows)
+        assert got.shape == (len(rows), width)
+        assert _hexes(got) == _hexes(want)
+    kept, vals = symx.evaluable_rows(evaluate, rows)
+    assert kept == [i for i in range(len(rows)) if i not in failing]
+    assert vals.shape == (len(kept), width)
+    assert _hexes(vals) == _hexes([want[i] for i in kept])
+
+
+_PFR = Frame("x", ("x1", "x2"), ("a",))
+_batch_tree = st.recursive(
+    st.one_of(_num.map(Const), st.sampled_from([Sym("x1"), Sym("x2"),
+                                                Sym("a")])),
+    lambda s: st.one_of(
+        st.tuples(st.sampled_from([Add, Sub, Mul, Div]), s, s).map(
+            lambda t: t[0](t[1], t[2])),
+        st.tuples(s, st.integers(-3, 4)).map(lambda t: Pow(*t)),
+        st.tuples(st.sampled_from(["sin", "cos", "exp", "sqrt"]), s).map(
+            lambda t: Call(*t))),
+    max_leaves=10)
+
+
+@given(st.lists(_batch_tree, min_size=1, max_size=3),
+       st.sampled_from([0, 1, 2, 7]).flatmap(lambda k: st.lists(
+           st.tuples(_value, _value), min_size=k, max_size=k)),
+       _value)
+@settings(max_examples=300, deadline=None)
+def test_batch_matches_point_by_point(exprs, coords, a):
+    # symx.evaluator with the parameter in each row, and Frame.evaluator
+    # with it bound once for the batch
+    order = ("x1", "x2", "a")
+    rows = [(x1, x2, a) for x1, x2 in coords]
+    want = _point_by_point(exprs, order, rows)
+    _assert_batch_contract(evaluator(exprs, order), rows, want, len(exprs))
+    fn = _PFR.evaluator(exprs)
+    _assert_batch_contract(lambda c: fn(c, {"a": a}), coords, want,
+                           len(exprs))
+    _assert_batch_contract(lambda c: fn(np.array(c).reshape(-1, 2),
+                                        {"a": a}), coords, want, len(exprs))
+
+
+@pytest.mark.parametrize("text, bad, message", [
+    ("1/x1", 0.0, "float division by zero"),
+    ("x1^4", 1e100, "(34, 'Numerical result out of range')"),
+    ("sqrt(x1)", -1.0, "invalid value encountered in sqrt"),
+    ("x1*x1", 1e200, "non-finite value"),
+])
+def test_batch_failure_kinds(text, bad, message):
+    # the failing row sits between good rows; the rows after it come
+    # out the same when a caller resumes
+    fn = evaluator([P("x1 + 1"), P(text)], ("x1",))
+    rows = [[0.5], [2.0], [bad], [3.0], [bad], [0.25]]
+    want = _point_by_point([P("x1 + 1"), P(text)], ("x1",), rows)
+    assert want[2] == want[4] == message
+    _assert_batch_contract(fn, rows, want, 2)
+    assert symx.evaluable_rows(fn, rows)[0] == [0, 1, 3, 5]
+
+
+def test_batch_non_finite_row_before_a_raising_row_comes_first():
+    # row 1 gives inf without raising; row 2 raises; row 1 fails first
+    exprs = [P("x1*x1"), P("1/x1")]
+    rows = [[1.0], [1e200], [0.0], [2.0]]
+    want = _point_by_point(exprs, ("x1",), rows)
+    assert want[1:3] == ["non-finite value", "float division by zero"]
+    _assert_batch_contract(evaluator(exprs, ("x1",)), rows, want, 2)
+
+
+def test_batch_of_no_rows_and_of_no_expressions():
+    assert evaluator([P("1/x1")], ("x1",))([]).shape == (0, 1)
+    assert evaluator([], ("x1",))([[1.0], [2.0]]).shape == (2, 0)
+    fn = _PFR.evaluator([parse("a*x1", _PFR)])
+    assert fn([], {}).shape == (0, 1)  # nothing to bind for no rows
+    with pytest.raises(EvalError, match="unbound symbol 'a'") as info:
+        fn([(1.0, 2.0)], {})
+    assert info.value.row == 0
 
 
 def test_eval_at_deep_sum_matches_tree_walker():

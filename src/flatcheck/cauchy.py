@@ -26,7 +26,7 @@ import numpy as np
 from .diffgeo import (OneForm, TwoForm, exterior_derivative_1form,
                       lie_derivative_1form, values_in_point_order)
 from .flags import FlagTable, SystemSpec, _rank, _ranks
-from .symx import Point, SymxError, ZERO, normalize, nullspace_exprs
+from .symx import Point, SymxError, is_zero, nullspace_exprs
 
 DEFAULT_PROJ_TOL = 1e-8
 # Points per stacked call in cauchy_space: bounds the full SVD factors
@@ -223,9 +223,8 @@ def check_condition2(spec: SystemSpec, table: FlagTable,
         symbolic_ok = None
         if pattern is not None:
             complement = [j for j in range(n) if j not in pattern]
-            symbolic_ok = all(
-                normalize(w.coefficients[j]) == ZERO
-                for w in lf for j in complement)
+            symbolic_ok = all(is_zero(w.coefficients[j])
+                              for w in lf for j in complement)
             entry["coordinate_coframe"] = pattern
         if symbolic_ok:
             entry["method"] = "symbolic"
@@ -236,12 +235,9 @@ def check_condition2(spec: SystemSpec, table: FlagTable,
             lf_vals, first = values_in_point_order(lf, points)
             if first is not None:
                 raise first[2]
-            residuals = []
-            for p, sp_q in enumerate(spaces):
-                worst = 0.0
-                for v in lf_vals:
-                    worst = max(worst, span_residual(v[p], sp_q.c_basis))
-                residuals.append(worst)
+            residuals = [max([0.0] + [span_residual(v[p], sp_q.c_basis)
+                                      for v in lf_vals])
+                         for p, sp_q in enumerate(spaces)]
             entry["method"] = "numeric"
             entry["residuals"] = residuals
             entry["max_residual"] = max(residuals)

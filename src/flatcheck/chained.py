@@ -32,8 +32,8 @@ from .symx import (Const, Div, Expr, Frame, Mono, Mul, Pair, Point, Poly,
                    Sub, Sym, SymxError, ZERO, ONE_E, diff, free_symbols,
                    linear_decompose, normalize, point_rows,
                    polynomial_terms, solve_affine_pairs, subst)
-from .symx import (_P_ONE, _ZERO_PAIR, _canon, _is_one, _mono_key, _p_add,
-                   _p_mul, _p_neg, _pair_to_expr, _ratform, _split_terms)
+from .symx import (_ONE_PAIR, _P_ONE, _ZERO_PAIR, _add, _canon, _mono_key,
+                   _mul, _pair_to_expr, _ratform, _split_terms, _sub)
 
 JACOBIAN_TOL = 1e-8
 
@@ -139,22 +139,11 @@ def _ansatz_gradient(names: list[str], monos: list[Mono],
 
 def _combine(polys: list[Poly], pairs: list[Pair]) -> Pair:
     """(num, den) of ZERO + p_0*q_0 + p_1*q_1 + ... as _ratform builds
-    it, for polynomials p_k and the trees of the pairs q_k: every term
-    cross-multiplied, over the product of the denominators. A term
-    with the pair of 0 leaves the sum as it is."""
-    num, den = {}, _P_ONE
-    for p, (qn, qd) in zip(polys, pairs):
-        if not qn and _is_one(qd):
-            continue
-        num = _p_add(_p_mul(num, qd), _p_mul(_p_mul(p, qn), den))
-        den = _p_mul(den, qd)
-    return num, den
-
-
-def _add_pairs(a: Pair, b: Pair) -> Pair:
-    """The pair of normalize(Add(a, b)) for the trees of pairs a, b."""
-    (an, ad), (bn, bd) = a, b
-    return _canon(_p_add(_p_mul(an, bd), _p_mul(bn, ad)), _p_mul(ad, bd))
+    it, for polynomials p_k and the trees of the pairs q_k."""
+    acc = _ZERO_PAIR
+    for p, q in zip(polys, pairs):
+        acc = _add(acc, _mul((p, _P_ONE), q))
+    return acc
 
 
 def _identity_rows(num: Poly, unknowns: list[str],
@@ -230,11 +219,10 @@ def find_output_pair(spec: SystemSpec, degree: int = 2
 
     def rows(vf: VectorField, minus_one: bool = False) -> list[list[Pair]]:
         # the rows of <dh, vf> (minus 1: Sub(pairing, ONE_E))
-        num, den = _combine(grads, [_ratform(c, atoms)
-                                    for c in vf.components])
+        pair = _combine(grads, [_ratform(c, atoms) for c in vf.components])
         if minus_one:
-            num = _p_add(num, _p_neg(den))
-        return _identity_rows(_canon(num, den)[0], names, states)
+            pair = _sub(pair, _ONE_PAIR)
+        return _identity_rows(_canon(*pair)[0], names, states)
 
     mono_polys = [{m: Fraction(1)} for m in monos]
 
@@ -254,7 +242,7 @@ def find_output_pair(spec: SystemSpec, degree: int = 2
         raise ChainedError(f"no h1 with unit pairing at degree {degree}")
     part1, null1 = sol1
     h1_rest = candidates(itertools.chain(
-        [part1], ([_add_pairs(a, b) for a, b in zip(part1, vec)]
+        [part1], ([_canon(*_add(a, b)) for a, b in zip(part1, vec)]
                   for vec in null1[:4])))
     h1_seen = list(itertools.islice(h1_rest, 1))
     if not h1_seen:
@@ -265,7 +253,7 @@ def find_output_pair(spec: SystemSpec, degree: int = 2
                                for r in rs], len(names), denv, atoms)
     null2 = sol2[1] if sol2 is not None else []
     h2_rest = itertools.islice(candidates(itertools.chain(
-        null2, ([_add_pairs(a, b) for a, b in zip(null2[i], null2[j])]
+        null2, ([_canon(*_add(a, b)) for a, b in zip(null2[i], null2[j])]
                 for i in range(len(null2))
                 for j in range(i + 1, len(null2))))), 60)
     h2_seen = list(itertools.islice(h2_rest, 1))

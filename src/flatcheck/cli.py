@@ -111,8 +111,9 @@ class RunConfig:
                 raise ValueError(f"{name} must be finite")
         if self.degree < 1:
             raise ValueError("degree must be at least 1")
-        if self.samples < 1:
-            raise ValueError("samples must be positive")
+        if self.samples < 2:
+            # the check needs two evaluable points; see _check
+            raise ValueError("samples must be at least 2")
 
 
 def _read_entries(path: str) -> dict[str, tuple[int, str]]:

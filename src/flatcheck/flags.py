@@ -128,11 +128,8 @@ def _reference_points(spec: SystemSpec, seed: int = 7,
     rng = np.random.default_rng(seed)
     params = spec.bound_params(seed)
     box = spec.sample_box()
-    pts = []
-    for _ in range(count):
-        coords = [float(rng.uniform(lo, hi)) for lo, hi in box]
-        pts.append(spec.frame.point(coords, params))
-    return pts
+    return [spec.frame.point([float(rng.uniform(lo, hi)) for lo, hi in box],
+                             params) for _ in range(count)]
 
 
 def _lyndon(length: int) -> list[str]:
@@ -191,9 +188,10 @@ def compute_flags(spec: SystemSpec, rank_tol: float = DEFAULT_RANK_TOL,
     levels = [LevelRecord(list(f_cum), [], len(base), len(base), [])]
 
     # Derived flag pool: retained representatives with their level tags.
-    pool: list[tuple[str, VectorField, int]] = [
-        (w, v, 0) for w, v in f_cum]
-    pool_vals: list[np.ndarray] = [v.values(refs) for _, v, _ in pool]
+    pool: list[tuple[str, VectorField, int]] = [(w, v, 0) for w, v in f_cum]
+    # (points, pool, n) values and ranks; a candidate raising one is kept
+    pool_vals = np.stack([v.values(refs) for _, v, _ in pool], axis=1)
+    pool_ranks = _ranks(pool_vals, rank_tol)
     g_cum = [(w, v) for w, v, _ in pool]
 
     for k in range(1, depth + 1):
@@ -205,11 +203,9 @@ def compute_flags(spec: SystemSpec, rank_tol: float = DEFAULT_RANK_TOL,
             if v is not None:
                 f_cum.append((word, v))
 
-        candidates = []
-        for i in range(len(pool)):
-            for j in range(i + 1, len(pool)):
-                if max(pool[i][2], pool[j][2]) == k - 1:
-                    candidates.append((i, j))
+        candidates = [(i, j) for i in range(len(pool))
+                      for j in range(i + 1, len(pool))
+                      if max(pool[i][2], pool[j][2]) == k - 1]
         q_count = len(candidates)
         dropped: list[str] = []
         for i, j in candidates:
@@ -217,17 +213,12 @@ def compute_flags(spec: SystemSpec, rank_tol: float = DEFAULT_RANK_TOL,
             if br is None:
                 dropped.append(word)
                 continue
-            br_vals = br.values(refs)
-            adds_rank = False
-            for r in range(len(refs)):
-                cur = np.array([pv[r] for pv in pool_vals])
-                cand = np.vstack([cur, br_vals[r]])
-                if _rank(cand, rank_tol) > _rank(cur, rank_tol):
-                    adds_rank = True
-                    break
-            if adds_rank:
+            cand_vals = np.concatenate(
+                [pool_vals, br.values(refs)[:, None]], axis=1)
+            cand_ranks = _ranks(cand_vals, rank_tol)
+            if (cand_ranks > pool_ranks).any():
                 pool.append((word, br, k))
-                pool_vals.append(br_vals)
+                pool_vals, pool_ranks = cand_vals, cand_ranks
             else:
                 dropped.append(word)
         g_cum = [(w, v) for w, v, _ in pool]

@@ -23,30 +23,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .symx import (
-    ZERO,
-    EvalError,
-    Add,
-    Call,
-    Div,
-    Expr,
-    Frame,
-    Mul,
-    Point,
-    Pow,
-    Sub,
-    Sym,
-    compile_fn,
-    compile_fns,
-    diff,
-    evaluator,
-    free_symbols,
-    linear_decompose,
-    normalize,
-    parse,
-    point_rows,
-    subst,
-)
+from .symx import (ZERO, EvalError, Add, Call, Div, Expr, Frame, Mul, Point,
+                   Pow, Sub, Sym, compile_fn, compile_fns, diff, evaluator,
+                   free_symbols, linear_decompose, normalize, parse,
+                   point_rows, subst)
+from .symx import _ZERO_PAIR, _add, _dpair, _from_pair, _mul, _ratform
 from .diffgeo import VectorField
 from .chained import Chart
 from .triangular import TriangularRealization
@@ -487,13 +468,13 @@ def _jet_name(base: str, order: int) -> str:
 
 
 def _total_derivative(e: Expr, succ: dict[str, Expr]) -> Expr:
-    acc: Expr | None = None
-    for s in sorted(free_symbols(e)):
-        if s not in succ:
-            continue
-        term = diff(e, s) * succ[s]
-        acc = term if acc is None else acc + term
-    return normalize(acc) if acc is not None else ZERO
+    """normalize(diff(e, s)*succ[s] + ...) over e's symbols s in succ,
+    sorted, folded on pairs as in diffgeo; 0 when there are none."""
+    atoms: dict[str, Expr] = {}
+    acc = _ZERO_PAIR  # _add returns the first term as it is
+    for s in sorted(free_symbols(e).intersection(succ)):
+        acc = _add(acc, _mul(_dpair(e, s, atoms), _ratform(succ[s], atoms)))
+    return _from_pair(acc, atoms)
 
 
 @dataclass(frozen=True)
@@ -679,13 +660,8 @@ def reconstruct(real: TriangularRealization, flat: FlatSignal) -> Trajectory:
         for m in range(need + 1):
             known = sorted(free_symbols(e) - set(params)
                            - {_jet_name(w, m)})
-            cols = []
-            for s in known:
-                base, _, ord_s = s.rpartition("_d")
-                k = int(ord_s)
-                col = (w_jets[k] if base == w
-                       else jets[base][k])
-                cols.append(col)
+            cols = [(w_jets if base == w else jets[base])[int(k)]
+                    for base, _, k in (s.rpartition("_d") for s in known)]
             order = [_jet_name(w, m)] + known
             if m == 0:
                 target = jets[zs[i - 1]][1]

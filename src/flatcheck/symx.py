@@ -499,26 +499,12 @@ def diff(e: Expr, v: str) -> Expr:
 
     The result is a raw tree; callers normalize when a canonical form
     is needed. When e carries a pair and has no kernel atom, so does
-    the result: the pair _ratform computes by walking it, taken from
-    e's pair (N, D) by polynomial differentiation. That is (dN, 1)
-    when D is 1, else (dN*D - N*dD, D^2), unreduced as the walk leaves
-    it. normalize's trees are a polynomial tree or one Div of two, and
-    so are their derivatives, which is what makes those the walk's
-    pairs (see the "Normal form" notes).
+    the result: the pair _ratform computes by walking it (_pair_diff).
     """
     out = _diff(e, v)
-    stored = e._pair
-    if stored is not None:
-        num, den, atoms = stored
-        if not any(isinstance(a, Call) for a in atoms.values()):
-            dnum = _p_diff(num, v)
-            if _is_one(den):
-                pair = (dnum, _P_ONE, atoms)
-            else:
-                pair = (_p_add(_p_mul(dnum, den),
-                               _p_neg(_p_mul(num, _p_diff(den, v)))),
-                        _p_mul(den, den), atoms)
-            object.__setattr__(out, "_pair", pair)
+    pair = _pair_diff(e, v)
+    if pair is not None:
+        object.__setattr__(out, "_pair", (*pair, e._pair[2]))
     return out
 
 
@@ -564,22 +550,33 @@ def _diff(e: Expr, v: str) -> Expr:
 # strings like "sin(x1)" whose arguments are already canonical.
 #
 # _ratform cross-multiplies by the denominators in every Add, Sub, Mul
-# and Div, and almost every denominator is the unit polynomial. _p_mul
-# returns the other operand as it is when one operand is the unit (the
-# same polynomial, since c*1 == c and m*() == m), so those products cost
-# nothing. The helpers never mutate their arguments, which is what makes
-# sharing the operand safe.
+# and Div (the rules _add, _sub, _mul, _div), and almost every
+# denominator is the unit polynomial. _p_mul returns the other operand
+# as it is when one operand is the unit (the same polynomial, since
+# c*1 == c and m*() == m), and _add and _sub do so for a zero ({}, 1),
+# so those cost nothing. The helpers never mutate their arguments,
+# which is what makes sharing safe.
 #
 # A tree that normalize returns carries the pair it was built from, as
 # (num, den, atoms) in its private _pair, atoms naming every atom the
 # pair uses; so does a tree that diff builds from one with no kernel
-# atom (see diff). The invariant: a stored pair is exactly what
+# atom (_pair_diff). The invariant: a stored pair is exactly what
 # _ratform computes by walking the tree, up to the order of the dict
 # entries, which nothing reads. _ratform returns it instead of walking,
 # so normal forms are not expanded again each time they enter a sum or
 # product. Leaves carry none, and stored pairs share their dicts with
 # each other and with _ratform's results, so no helper may mutate a
 # pair it is given.
+#
+# So normalize of arithmetic on normal forms needs no tree: the rules
+# applied to the operands' _ratform pairs (_dpair for a diff) in the
+# order _ratform walks the tree, then _from_pair, give the same pair
+# and tree. A sum folds left from ZERO, as `acc = acc + term` builds
+# it; a term may be left out only when its pair is ({}, 1): a zero over
+# D still multiplies the sum's denominator by D. Each result gets its
+# own atoms dict, as in normalize, so no kernel atom of another sends
+# its diff down the walk. diffgeo, the elimination below and chained's
+# output-pair search are built this way.
 # ---------------------------------------------------------------------------
 
 Mono = tuple[tuple[str, int], ...]
@@ -666,7 +663,37 @@ def _p_pow(p: Poly, k: int) -> Poly:
     return out
 
 
-def _ratform(e: Expr, atoms: dict[str, Expr]) -> tuple[Poly, Poly]:
+def _add(a: Pair, b: Pair) -> Pair:
+    (pa, qa), (pb, qb) = a, b
+    if not pb and _is_one(qb):
+        return a
+    if not pa and _is_one(qa):
+        return b
+    return _p_add(_p_mul(pa, qb), _p_mul(pb, qa)), _p_mul(qa, qb)
+
+
+def _sub(a: Pair, b: Pair) -> Pair:
+    (pa, qa), (pb, qb) = a, b
+    if not pb and _is_one(qb):
+        return a
+    return _p_add(_p_mul(pa, qb), _p_neg(_p_mul(pb, qa))), _p_mul(qa, qb)
+
+
+def _mul(a: Pair, b: Pair) -> Pair:
+    return _p_mul(a[0], b[0]), _p_mul(a[1], b[1])
+
+
+def _div(a: Pair, b: Pair) -> Pair:
+    (pa, qa), (pb, qb) = a, b
+    if not pb:
+        raise SymxError("division by an identically zero expression")
+    return _p_mul(pa, qb), _p_mul(qa, pb)
+
+
+_RULES = {Add: _add, Sub: _sub, Mul: _mul, Div: _div}
+
+
+def _ratform(e: Expr, atoms: dict[str, Expr]) -> Pair:
     if isinstance(e, Const):
         return ({(): e.value} if e.value else {}), _P_ONE
     if isinstance(e, Sym):
@@ -678,32 +705,13 @@ def _ratform(e: Expr, atoms: dict[str, Expr]) -> tuple[Poly, Poly]:
         for key, a in used.items():
             atoms.setdefault(key, a)
         return num, den
-    if isinstance(e, Add):
-        pa, qa = _ratform(e.a, atoms)
-        pb, qb = _ratform(e.b, atoms)
-        return _p_add(_p_mul(pa, qb), _p_mul(pb, qa)), _p_mul(qa, qb)
-    if isinstance(e, Sub):
-        pa, qa = _ratform(e.a, atoms)
-        pb, qb = _ratform(e.b, atoms)
-        return _p_add(_p_mul(pa, qb), _p_neg(_p_mul(pb, qa))), _p_mul(qa, qb)
-    if isinstance(e, Mul):
-        pa, qa = _ratform(e.a, atoms)
-        pb, qb = _ratform(e.b, atoms)
-        return _p_mul(pa, pb), _p_mul(qa, qb)
-    if isinstance(e, Div):
-        pa, qa = _ratform(e.a, atoms)
-        pb, qb = _ratform(e.b, atoms)
-        if not pb:
-            raise SymxError("division by an identically zero expression")
-        return _p_mul(pa, qb), _p_mul(qa, pb)
+    rule = _RULES.get(type(e))
+    if rule is not None:
+        return rule(_ratform(e.a, atoms), _ratform(e.b, atoms))
     if isinstance(e, Pow):
         p, q = _ratform(e.base, atoms)
-        k = e.exp
-        if k >= 0:
-            return _p_pow(p, k), _p_pow(q, k)
-        if not p:
-            raise SymxError("division by an identically zero expression")
-        return _p_pow(q, -k), _p_pow(p, -k)
+        pair = _p_pow(p, abs(e.exp)), _p_pow(q, abs(e.exp))
+        return pair if e.exp >= 0 else _div(_ONE_PAIR, pair)
     if isinstance(e, Call):
         if e.fn not in FUNCTIONS:
             raise SymxError(f"unknown function '{e.fn}'")
@@ -712,6 +720,36 @@ def _ratform(e: Expr, atoms: dict[str, Expr]) -> tuple[Poly, Poly]:
         atoms.setdefault(key, Call(e.fn, arg))
         return {((key, 1),): Fraction(1)}, _P_ONE
     raise TypeError(f"not an Expr: {e!r}")
+
+
+def _pair_diff(e: Expr, v: str) -> Pair | None:
+    """The pair _ratform gives walking diff(e, v), from e's stored pair
+    (N, D): (dN, 1) when D is 1, else (dN*D - N*dD, D^2), unreduced as
+    the walk leaves it (normalize's trees and their derivatives are a
+    polynomial tree or one Div of two); None when e has no pair or a
+    kernel atom."""
+    if e._pair is None or any(isinstance(a, Call)
+                              for a in e._pair[2].values()):
+        return None
+    num, den, _ = e._pair
+    dnum = _p_diff(num, v)
+    if _is_one(den):
+        return dnum, _P_ONE
+    return (_p_add(_p_mul(dnum, den), _p_neg(_p_mul(num, _p_diff(den, v)))),
+            _p_mul(den, den))
+
+
+def _dpair(e: Expr, v: str, atoms: dict[str, Expr]) -> Pair:
+    """_ratform(diff(e, v), atoms), without building diff's tree for a
+    constant, a symbol, or when _pair_diff gives the pair."""
+    if isinstance(e, (Const, Sym)):
+        return _ONE_PAIR if getattr(e, "name", None) == v else _ZERO_PAIR
+    pair = _pair_diff(e, v)
+    if pair is None:
+        return _ratform(diff(e, v), atoms)
+    for key, a in e._pair[2].items():
+        atoms.setdefault(key, a)
+    return pair
 
 
 def _content(p: Poly) -> dict[str, int]:
@@ -836,6 +874,16 @@ def _pair_to_expr(num: Poly, den: Poly, atoms: dict[str, Expr]) -> Expr:
     return Div(num_e, _poly_to_expr(den, atoms))
 
 
+def _from_pair(pair: Pair, atoms: dict[str, Expr]) -> Expr:
+    """normalize's tree, and its stored pair, for a pair _ratform would
+    give over atoms."""
+    num, den = _canon(*pair)
+    out = _pair_to_expr(num, den, atoms)
+    if not isinstance(out, (Const, Sym, Call)):
+        object.__setattr__(out, "_pair", (num, den, atoms))
+    return out
+
+
 def normalize(e: Expr) -> Expr:
     """Expanded rational normal form.
 
@@ -847,16 +895,14 @@ def normalize(e: Expr) -> Expr:
     "Normal form" notes), unless it is a single atom or constant.
     """
     atoms: dict[str, Expr] = {}
-    num, den = _canon(*_ratform(e, atoms))
-    out = _pair_to_expr(num, den, atoms)
-    if not isinstance(out, (Const, Sym, Call)):
-        object.__setattr__(out, "_pair", (num, den, atoms))
-    return out
+    return _from_pair(_ratform(e, atoms), atoms)
 
 
 def is_zero(e: Expr) -> bool:
-    """Exact zero test on the rational normal form."""
-    return normalize(e) == ZERO
+    """Exact zero test on the rational normal form; read off the stored
+    pair (an empty numerator) when e carries one."""
+    stored = getattr(e, "_pair", None)
+    return normalize(e) == ZERO if stored is None else not stored[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1195,14 +1241,9 @@ def _pivot_row(rows: list[list[Pair]], col: int, start: int, ref_env,
 
 def _update(piv: Pair, e: Pair, a: Pair, b: Pair) -> Pair:
     """The pair of normalize(Sub(Mul(piv, a), Mul(e, b)))."""
-    (an, ad), (bn, bd) = a, b
-    if not an and not bn:
+    if not a[0] and not b[0]:
         return _ZERO_PAIR
-    (pn, pd), (en, ed) = piv, e
-    pad, ebd = _p_mul(pd, ad), _p_mul(ed, bd)
-    num = _p_add(_p_mul(_p_mul(pn, an), ebd),
-                 _p_neg(_p_mul(_p_mul(en, bn), pad)))
-    return _canon(num, _p_mul(pad, ebd))
+    return _canon(*_sub(_mul(piv, a), _mul(e, b)))
 
 
 def _eliminate(rows: list[list[Pair]], ref_env,
@@ -1231,8 +1272,7 @@ def _eliminate(rows: list[list[Pair]], ref_env,
 
 def _solution_pair(x: Pair, p: Pair) -> Pair:
     """The pair of normalize(Div(Mul(Const(-1), x), p))."""
-    (xn, xd), (pn, pd) = x, p
-    return _canon(_p_mul(_p_neg(xn), pd), _p_mul(xd, pn))
+    return _canon(*_div((_p_neg(x[0]), x[1]), p))
 
 
 def _null_pairs(rows: list[list[Pair]], pivots: list[int],

@@ -15,23 +15,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .symx import (
-    ONE_E,
-    ZERO,
-    Const,
-    Expr,
-    Frame,
-    Point,
-    Sym,
-    diff,
-    evaluable_rows,
-    free_symbols,
-    is_zero,
-    normalize,
-    point_rows,
-    rref_exprs,
-    to_str,
-)
+from .symx import (ONE_E, ZERO, Const, Expr, Frame, Point, Sym, diff,
+                   evaluable_rows, free_symbols, is_zero, normalize,
+                   point_rows, rref_exprs, to_str)
 from .diffgeo import VectorField, lie_derivative_fn
 from .flags import SystemSpec, _reference_points
 from .chained import Chart, FeedbackMatrix

@@ -185,6 +185,19 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "flatcheck: error:" in err
 
 
+@pytest.mark.parametrize("samples", ["1", "0"])
+def test_main_too_few_samples_is_a_named_error(capsys, samples):
+    # one sample could never give the two evaluable points the check
+    # needs, so it ended inconclusive with a false reason
+    spec = str(SPEC_DIR / "example1.spec")
+    for command in ("check", "transform", "verify", "simulate"):
+        assert main([command, spec, "--samples", samples]) == 2, command
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "flatcheck: error: samples must be at least 2\n"
+    assert main(["check", spec, "--samples", "2"]) == 0
+
+
 @pytest.mark.parametrize("box", ["-inf inf", "-1 1e400", "-1e308 1e308"])
 def test_main_non_finite_box_is_a_named_error(tmp_path, capsys, box):
     # sampling such a box overflowed inside numpy before it was refused

@@ -1,19 +1,23 @@
 import copy
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 from fractions import Fraction
 
-from flatcheck.symx import (Add, Const, Frame, Mul, Sub, is_zero, normalize,
-                            parse)
-from flatcheck.diffgeo import (ChartError, OneForm, VectorField, basis_vector,
-                               exterior_derivative_fn,
+from flatcheck import symx
+from flatcheck.symx import (Add, Call, Const, Div, Frame, Mul, ONE_E, Sub,
+                            Sym, ZERO, is_zero, normalize, parse, pow_expr,
+                            to_str)
+from flatcheck.diffgeo import (ChartError, OneForm, TwoForm, VectorField,
+                               basis_vector, exterior_derivative_fn,
                                exterior_derivative_1form, interior_product,
                                lie_bracket, lie_derivative_fn,
                                lie_derivative_1form, wedge)
 from flatcheck.harness import _total_derivative
 
+import diffgeo_reference as ref
 import systems
 
 FR3 = Frame("x", ("x1", "x2", "x3"), ())
@@ -219,3 +223,153 @@ def test_mixed_frames_rejected():
     Y = VectorField(other, tuple(parse(s, other) for s in ("1", "0", "0")))
     with pytest.raises(ChartError):
         lie_bracket(X, Y)
+
+
+# --- folds on pairs against the tree reference --------------------------------
+
+def _same(got, want):
+    """Structurally equal, printed alike, with the same stored pair."""
+    assert got == want
+    assert to_str(got) == to_str(want)
+    if want._pair is None:
+        assert got._pair is None
+    else:
+        assert got._pair[:2] == want._pair[:2]
+        assert set(got._pair[2]) == set(want._pair[2])
+
+
+def _same_all(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        _same(g, w)
+
+
+def _same_two_forms(got, want):
+    assert list(got.coefficients) == list(want.coefficients)
+    _same_all(list(got.coefficients.values()),
+              list(want.coefficients.values()))
+
+
+def _check_against_reference(X, Y, h, c):
+    """Every operation folded on pairs, against its tree reference."""
+    w1 = OneForm(FR3, X.components)
+    w2 = OneForm(FR3, Y.components)
+    _same_all(lie_bracket(X, Y).components,
+              ref.lie_bracket(X, Y).components)
+    _same(lie_derivative_fn(X, h), ref.lie_derivative_fn(X, h))
+    _same_all(exterior_derivative_fn(h, FR3).coefficients,
+              ref.exterior_derivative_fn(h, FR3).coefficients)
+    d1 = exterior_derivative_1form(w1)
+    _same_two_forms(d1, ref.exterior_derivative_1form(w1))
+    _same_two_forms(wedge(w1, w2), ref.wedge(w1, w2))
+    _same(interior_product(X, w2), ref.interior_product(X, w2))
+    # a raw two-form too: coefficients with no stored pair, and one
+    # that is zero without being ZERO
+    raw = TwoForm(FR3, {(0, 1): h, (0, 2): Sub(Sym("x1"), Sym("x1")),
+                        (1, 2): c})
+    for two in (d1, raw):
+        _same_all(interior_product(Y, two).coefficients,
+                  ref.interior_product(Y, two).coefficients)
+        for i in range(3):
+            for j in range(3):
+                _same(two.coefficient(i, j), ref.coefficient(two, i, j))
+    _same_all((X + Y).components, ref.add_fields(X, Y).components)
+    _same_all(X.scale(c).components, ref.scale(X, c).components)
+    _same_all((w1 + w2).coefficients, ref.add_forms(w1, w2).coefficients)
+    for succ in ({"x1": Y.components[0], "x3": c},
+                 dict(zip(FR3.states, X.components)), {}):
+        _same(_total_derivative(h, succ), ref.total_derivative(h, succ))
+    for e in (*X.components, h, lie_derivative_fn(Y, h)):
+        assert is_zero(e) == ref.is_zero(e)
+
+
+_x = [Sym(s) for s in FR3.states]
+_coef = st.sampled_from([Fraction(k) for k in (-3, -2, -1, 1, 2, 3)]
+                        + [Fraction(1, 2), Fraction(-5, 3)])
+_poly_tree = st.lists(
+    st.tuples(_coef, st.integers(0, 2), st.integers(0, 1),
+              st.integers(0, 1)).map(
+        lambda t: Mul(Const(t[0]), reduce(Mul, (
+            pow_expr(x, k) for x, k in zip(_x, t[1:]))))),
+    min_size=1, max_size=2).map(lambda terms: reduce(Add, terms))
+_leaf = st.one_of(st.sampled_from(_x),
+                  st.sampled_from([ZERO, ONE_E, Const(Fraction(-2, 3))]))
+_rational = st.tuples(_poly_tree, st.sampled_from(
+    [P("x1^2 + 1"), P("x2 + 3"), P("2*x1*x3 - 5")])).map(lambda t: Div(*t))
+_kernel = st.tuples(st.sampled_from(["sin", "exp"]), _poly_tree,
+                    _poly_tree).map(
+    lambda t: Add(Mul(Call(t[0], t[1]), t[2]), Sym("x3")))
+# each as built, with no stored pair, or as its normal form
+_component = st.one_of(_leaf, _poly_tree, _rational, _kernel).flatmap(
+    lambda e: st.sampled_from([e, normalize(e)]))
+_field = st.tuples(_component, _component, _component).map(
+    lambda cs: VectorField(FR3, cs))
+
+
+@given(_field, _field, _component, _component)
+@settings(max_examples=60, deadline=None)
+def test_folds_match_tree_reference(X, Y, h, c):
+    _check_against_reference(X, Y, h, c)
+
+
+def test_zero_numerator_over_a_denominator_is_kept():
+    # d/dx2 of 1/(x1^2 + 1) is 0 over (x1^2 + 1)^2 unreduced; left out
+    # of the sum, the result would have other factors and print
+    # differently
+    Y = VectorField(FR3, tuple(normalize(P(s)) for s in
+                               ("1/(x1^2 + 1)", "x2/(x1^2 + 1)", "x3")))
+    h = normalize(P("1/(x1^2 + 1)"))
+    for X in (VF("2", "0", "0"), VF("0", "3", "-1"), VF("1", "1", "1")):
+        _check_against_reference(X, Y, h, Const(Fraction(5)))
+        _check_against_reference(Y, X, h, ZERO)
+    # the two zero terms each multiply in (x1^2 + 1)^2; with them left
+    # out the denominator would be (x1^2 + 1)^2 alone
+    assert to_str(lie_derivative_fn(VF("2", "3", "0"), h)) == (
+        "(-4*x1^9 - 16*x1^7 - 24*x1^5 - 16*x1^3 - 4*x1)/(x1^12 + 6*x1^10"
+        " + 15*x1^8 + 20*x1^6 + 15*x1^4 + 6*x1^2 + 1)")
+
+
+def test_components_with_no_stored_pair_match_reference():
+    X = VF("x1*x2 + 3", "x2/(x1 + 2)", "x3^2 - x1")
+    Y = VF("x2", "(x1 + x3)^2", "1/(x2^2 + 1)")
+    assert all(x._pair is None for x in (*X.components, *Y.components))
+    _check_against_reference(X, Y, P("x1*x2/(x3^2 + 1)"), P("x2 - 1"))
+
+
+@pytest.mark.parametrize("normal", [False, True])
+def test_kernel_atoms_fall_back_to_the_walk(normal):
+    wrap = normalize if normal else (lambda e: e)
+    X = VectorField(FR3, tuple(wrap(P(s)) for s in
+                               ("sin(x1)*x2", "x3/(x1^2 + 1)", "exp(x2)")))
+    Y = VectorField(FR3, tuple(wrap(P(s)) for s in
+                               ("x2", "cos(x3) + x1", "x1*x2")))
+    h = wrap(P("x2*exp(x3) - sin(x1)/(x2^2 + 1)"))
+    _check_against_reference(X, Y, h, wrap(P("sqrt(x1^2 + 1)")))
+
+
+def test_folds_on_normal_forms_build_no_tree(monkeypatch):
+    # the point of the folds: normal forms with no kernel atom enter
+    # with their stored pairs and nothing is normalized or
+    # differentiated as a tree
+    def refuse(*args):
+        raise AssertionError("tree built")
+
+    X = VectorField(FR3, tuple(normalize(P(s)) for s in
+                               ("x2/(x1^2 + 1)", "x1*x3 - 1", "x2^2")))
+    Y = VectorField(FR3, (Sym("x3"), ONE_E, normalize(P("x1*x2 + x3"))))
+    h = normalize(P("x1*x2^2/(x3^2 + 1) + x3"))
+    zero = symx.diff(normalize(P("x1^2/(x2 + 1)")), "x3")
+    assert zero._pair is not None
+    monkeypatch.setattr(symx, "normalize", refuse)
+    monkeypatch.setattr(symx, "diff", refuse)
+    w = exterior_derivative_fn(h, FR3)
+    lie_derivative_1form(X, w + OneForm(FR3, X.components))
+    lie_bracket(X, Y)
+    lie_derivative_fn(Y, h)
+    _total_derivative(h, dict(zip(FR3.states, Y.components)))
+    wedge(w, w)
+    B = X.scale(h) + lie_bracket(X, Y)
+    # the zero test reads a stored pair
+    assert all(b._pair is not None for b in B.components)
+    assert not B.is_zero()
+    assert is_zero(zero) and zero != ZERO

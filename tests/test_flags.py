@@ -167,6 +167,63 @@ def test_lyndon_flags_match_left_normed_reference(name):
         [flags_reference.dims_at(ref, q) for q in pts]
 
 
+def _vanishing_at_first_reference_point():
+    """n = 4 system whose bracket [g1,g2] = (0, 0, x1 - r, 0) vanishes
+    exactly at the first reference point (x1 = r there) and nowhere
+    else among them."""
+    fr = Frame("x", ("x1", "x2", "x3", "x4"), ())
+    zero = Const(Fraction(0))
+    probe = SystemSpec(fr, *[basis_vector(fr, i) for i in range(3)])
+    r = Const(Fraction(flags._reference_points(probe)[0].coords[0]))
+    x1 = parse("x1", fr)
+    g2 = VectorField(fr, (zero, parse("1", fr),
+                          (x1 - r) * (x1 - r) * Fraction(1, 2), zero))
+    return SystemSpec(fr, VectorField(fr, (zero,) * 4), basis_vector(fr, 0),
+                      g2)
+
+
+def test_q_candidate_raising_the_rank_at_one_reference_point_is_kept():
+    spec = _vanishing_at_first_reference_point()
+    refs = flags._reference_points(spec)
+    br = diffgeo.lie_bracket(spec.g1, spec.g2)
+    assert br.values(refs)[0].tolist() == [0.0] * 4
+    assert np.all(br.values(refs)[1:, 2] != 0.0)
+    table = compute_flags(spec)
+    ref = flags_reference.compute_flags(spec)
+    assert [w for w, _ in table.levels[1].g_generators] == \
+        ["g1", "g2", "[g1,g2]"]
+    for lv, rv in zip(table.levels, ref.levels, strict=True):
+        assert [w for w, _ in lv.g_generators] == \
+            [w for w, _ in rv.g_generators]
+        assert lv.q_dropped_words == rv.q_dropped_words
+
+
+@pytest.mark.parametrize("name", ["chained6", "example1", "involutive"])
+def test_q_candidates_are_ranked_in_one_stacked_call_each(monkeypatch,
+                                                           name):
+    # one call for the pool, then one per nonzero candidate over all
+    # five reference points; the pool's ranks are not recomputed
+    shapes = []
+    real = flags._ranks
+
+    def spy(stack, tol):
+        shapes.append(stack.shape)
+        return real(stack, tol)
+
+    def per_point(*args):
+        raise AssertionError("ranked one point at a time")
+
+    monkeypatch.setattr(flags, "_ranks", spy)
+    monkeypatch.setattr(flags, "_rank", per_point)
+    table = compute_flags(_FLAG_SYSTEMS[name]())
+    levels = table.levels[1:]
+    kept = sum(lv.q_word_count - len(lv.q_dropped_words) for lv in levels)
+    assert 1 + kept <= len(shapes) <= 1 + sum(lv.q_word_count
+                                              for lv in levels)
+    assert all(shape[0] == 5 for shape in shapes)
+    assert shapes[0][1] == len(table.levels[0].g_generators)
+
+
 def test_each_bracket_is_built_once(monkeypatch):
     pairs = []
     real = flags.lie_bracket

@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 
 # (points, rows, n): generator rows of F_k/G_k and lam, the stacked
-# [lam; P dlam^T] of cauchy_space up to n = 8 (5 + 5*8 = 45 rows), and
-# the A and C bases.
+# [lam; P dlam^T] of cauchy_space up to n = 8 (5 + 5*8 = 45 rows), the
+# A and C bases, and the Q pool plus a candidate at the five reference
+# points of compute_flags.
 SHAPES = [(100, 2, 4), (100, 9, 6), (100, 42, 8), (40, 3, 6), (100, 1, 8),
-          (100, 5, 8), (100, 45, 8), (100, 27, 6), (100, 2, 8), (100, 7, 8)]
+          (100, 5, 8), (100, 45, 8), (100, 27, 6), (100, 2, 8), (100, 7, 8),
+          (5, 3, 4), (5, 7, 8)]
 
 
 def _stack(shape, seed):

@@ -401,6 +401,39 @@ def test_ratform_of_normal_form_is_the_canonical_pair(e):
     assert _ratform(normalize(e), {}) == want
 
 
+@given(_rational(kernels=True), st.booleans(),
+       st.sampled_from(["x1", "x2", "x3"]))
+@settings(max_examples=150, deadline=None)
+@example(P("x1"), False, "x1")
+@example(P("2/3"), False, "x1")
+@example(P("1/(x1^2 + 1)"), True, "x2")
+@example(P("sin(x1)*x2"), True, "x1")
+def test_dpair_is_the_walk_of_diffs_tree(e, normal, v):
+    # with or without a stored pair, a kernel atom or none, and on
+    # the leaves it answers directly
+    try:
+        e = normalize(e) if normal else e
+        want_atoms = {}
+        want = _ratform(diff(e, v), want_atoms)
+    except SymxError:
+        return
+    atoms = {}
+    assert symx._dpair(e, v, atoms) == want
+    assert set(atoms) == set(want_atoms)
+
+
+def test_is_zero_reads_a_stored_pair(monkeypatch):
+    zero = diff(normalize(P("x1^2/(x2 + 1)")), "x3")
+    one = normalize(P("x1/(x2 + 1)"))
+    assert zero._pair[0] == {} and zero != ZERO
+
+    def refuse(e):
+        raise AssertionError("normalized")
+
+    monkeypatch.setattr(symx, "normalize", refuse)
+    assert is_zero(zero) and not is_zero(one)
+
+
 def _same_or_both_fail(e, env, fns):
     try:
         want = symx_reference.eval_at(e, env, fns)

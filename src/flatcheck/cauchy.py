@@ -7,11 +7,13 @@ symbolic elimination, the pointwise Cauchy characteristic space
 its annihilator C_q (the retracting space), and the containment
 L_f(lam^i)|_q in C_q that the flatness test requires.
 
-The exterior derivatives d(lam^i) are symbolic and built once per
-level, with the annihilator; A_q and C_q are numeric and only evaluate
-them, each in one batch over a block of points, before each
-linear-algebra step runs as one LAPACK call over the block. The
-containment check tries an exact route first:
+The exterior derivatives d(lam^i) and the Lie derivatives L_f(lam^i)
+are symbolic. Consecutive levels share most of their generators, so
+one check builds one form per distinct generator tree, with its d and
+L_f, and evaluates each of them once, in one batch over all points.
+A_q and C_q are numeric: each level takes one stacked pass over all
+points, each linear-algebra step one LAPACK call. The containment
+check tries an exact route first:
 when the sampled C_q all equal the span of a fixed subset of
 coordinate differentials, membership reduces to symbolic vanishing of
 the complementary coefficients.
@@ -25,13 +27,10 @@ import numpy as np
 
 from .diffgeo import (OneForm, TwoForm, exterior_derivative_1form,
                       lie_derivative_1form, values_in_point_order)
-from .flags import FlagTable, SystemSpec, _rank, _ranks
+from .flags import FlagTable, SystemSpec, _ranks
 from .symx import Point, SymxError, is_zero, nullspace_exprs
 
 DEFAULT_PROJ_TOL = 1e-8
-# Points per stacked call in cauchy_space: bounds the full SVD factors
-# held at once.
-_BLOCK = 32
 
 
 class AnnihilatorError(SymxError):
@@ -82,21 +81,29 @@ def span_residual(v: np.ndarray, basis: np.ndarray) -> float:
 
 def _nullspaces(stack: np.ndarray, tol: float) -> list[np.ndarray]:
     """Numeric nullspace basis (rows) of every matrix in a
-    (points, rows, n) stack, by one full SVD call; an empty matrix
-    gives the identity."""
-    _, s, vt = np.linalg.svd(stack)
+    (points, rows, n) stack, by one SVD call; an empty matrix gives the
+    identity. With at least n rows the reduced SVD already has the
+    whole n x n Vt, and its s and Vt are the full SVD's bit for bit
+    (tests/test_stacked_lapack.py); with fewer rows only the full SVD
+    has the nullspace rows of Vt."""
+    _, s, vt = np.linalg.svd(
+        stack, full_matrices=stack.shape[1] < stack.shape[2])
     ranks = np.sum(s > tol * s[:, :1], axis=1)
     return [v[r:] for v, r in zip(vt, ranks)]
 
 
-def annihilator(table: FlagTable, k: int,
-                ref_points: list[Point]) -> Codistribution:
+def annihilator(table: FlagTable, k: int, ref_points: list[Point],
+                forms: dict[OneForm, tuple[OneForm, TwoForm]] | None = None
+                ) -> Codistribution:
     """Symbolic one-forms spanning the annihilator of G_k.
 
     Valid levels are 1 <= k <= n-3 (the drift test's range). Pivots of
     the symbolic elimination are chosen by magnitude at the first
     reference point; dim G_k = 2+k is required at the reference points,
-    ranked with the tolerance the table was built with.
+    ranked with the tolerance the table was built with. forms, when
+    given, maps each generator tree met before (structural equality) to
+    the OneForm and d built for it then, which are reused; new trees
+    are added.
     """
     spec = table.spec
     n = spec.n
@@ -107,12 +114,13 @@ def annihilator(table: FlagTable, k: int,
     vals, first = values_in_point_order([v for _, v in gens], ref_points)
     # the rank check at each point before the failing one comes first
     ranked = len(ref_points) if first is None else first[0]
-    for p in range(ranked):
-        mat = np.array([v[p] for v in vals])
-        if _rank(mat, table.rank_tol) != 2 + k:
-            raise AnnihilatorError(
-                f"rank of G_{k} is not {2 + k} at reference point "
-                f"{tuple(ref_points[p].coords)}")
+    ranks = _ranks(np.stack([v[:ranked] for v in vals], axis=1),
+                   table.rank_tol)
+    low = np.flatnonzero(ranks != 2 + k)
+    if low.size:
+        raise AnnihilatorError(
+            f"rank of G_{k} is not {2 + k} at reference point "
+            f"{tuple(ref_points[low[0]].coords)}")
     if first is not None:
         raise first[2]
     rows = [list(v.components) for _, v in gens]
@@ -120,31 +128,33 @@ def annihilator(table: FlagTable, k: int,
     if len(basis) != n - 2 - k:
         raise AnnihilatorError(
             f"expected {n - 2 - k} annihilator generators, got {len(basis)}")
-    forms = tuple(OneForm(spec.frame, tuple(b)) for b in basis)
-    return Codistribution(
-        forms, tuple(exterior_derivative_1form(w) for w in forms))
+    if forms is None:
+        forms = {}
+    pairs = []
+    for b in basis:
+        w = OneForm(spec.frame, tuple(b))
+        pair = forms.get(w)
+        if pair is None:
+            pair = forms[w] = (w, exterior_derivative_1form(w))
+        pairs.append(pair)
+    generators, differentials = zip(*pairs)
+    return Codistribution(generators, differentials)
 
 
 def cauchy_space(cod: Codistribution, points: list[Point],
-                 tol: float = DEFAULT_PROJ_TOL) -> list[CharacteristicSpaces]:
-    """A and C at each point, by stacked numeric linear algebra.
+                 tol: float = DEFAULT_PROJ_TOL,
+                 memo: dict | None = None) -> list[CharacteristicSpaces]:
+    """A and C at each point, by one stacked pass over all points.
 
     A is the nullspace of [generator values; projected i_X d(lam)
     rows]; C is the annihilator of A. The first error in point order
     raises: an evaluation error, or dependent generators at a point.
+    memo is values_in_point_order's, for these points.
     """
-    spaces: list[CharacteristicSpaces] = []
-    for start in range(0, len(points), _BLOCK):
-        spaces += _cauchy_block(cod, points[start:start + _BLOCK], tol)
-    return spaces
-
-
-def _cauchy_block(cod: Codistribution, points: list[Point],
-                  tol: float) -> list[CharacteristicSpaces]:
     n = cod.frame.n
     m = len(cod.generators)
     vals, first = values_in_point_order(
-        cod.generators + cod.differentials, points)
+        cod.generators + cod.differentials, points, memo)
     # at each point the generators come first, then their rank check,
     # then the differentials
     ranked = len(points) if first is None else first[0] + (first[1] >= m)
@@ -169,7 +179,7 @@ def _cauchy_block(cod: Codistribution, points: list[Point],
     # rows X with (X^T dmat) P = 0, i.e. (P dmat^T) X = 0
     rows = (proj[:, None] @ dlam.swapaxes(2, 3)).reshape(len(points), -1, n)
     a_bases = _nullspaces(np.concatenate([omega, rows], axis=1), tol)
-    # C: one more stacked SVD per dim A among the block's points
+    # C: one more stacked SVD per dim A among the points
     c_bases: dict[int, np.ndarray] = {}
     for dim in {len(a) for a in a_bases}:
         idx = [p for p, a in enumerate(a_bases) if len(a) == dim]
@@ -203,18 +213,25 @@ def check_condition2(spec: SystemSpec, table: FlagTable,
     empty). Each level reports the exact symbolic route when the
     retracting spaces form a constant coordinate coframe, and numeric
     projection residuals otherwise; failures are report content.
+    A generator tree that several levels share is built once, with its
+    d and L_f, and each of them is evaluated once.
     """
     n = spec.n
     if n <= 3:
         return {"verdict": "vacuous", "levels": [],
                 "reason": f"no levels in range 1..{n - 3}"}
+    forms: dict[OneForm, tuple[OneForm, TwoForm]] = {}
+    lie: dict[int, OneForm] = {}  # id of a form in forms -> L_f of it
+    memo: dict = {}
     levels = []
     all_pass = True
     for k in range(1, n - 2):
-        cod = annihilator(table, k, points[:5])
-        lf = [lie_derivative_1form(spec.f, w, dw)
-              for w, dw in zip(cod.generators, cod.differentials)]
-        spaces = cauchy_space(cod, points, tol)
+        cod = annihilator(table, k, points[:5], forms)
+        for w, dw in zip(cod.generators, cod.differentials):
+            if id(w) not in lie:
+                lie[id(w)] = lie_derivative_1form(spec.f, w, dw)
+        lf = [lie[id(w)] for w in cod.generators]
+        spaces = cauchy_space(cod, points, tol, memo)
         entry: dict = {"k": k,
                        "dim_A": spaces[0].dim_a, "dim_C": spaces[0].dim_c,
                        "generators": [[str(c) for c in w.coefficients]
@@ -232,7 +249,7 @@ def check_condition2(spec: SystemSpec, table: FlagTable,
             entry["max_residual"] = 0.0
             entry["residuals"] = [0.0] * len(points)
         else:
-            lf_vals, first = values_in_point_order(lf, points)
+            lf_vals, first = values_in_point_order(lf, points, memo)
             if first is not None:
                 raise first[2]
             residuals = [max([0.0] + [span_residual(v[p], sp_q.c_basis)

@@ -163,24 +163,40 @@ def _values(obj, points: Sequence[Point]) -> np.ndarray:
     return obj.evaluator(*point_rows(points))
 
 
-def values_in_point_order(objs: Sequence, points: Sequence[Point]
+def values_in_point_order(objs: Sequence, points: Sequence[Point],
+                          memo: dict | None = None
                           ) -> tuple[list[np.ndarray],
                                      tuple[int, int, EvalError] | None]:
     """The values of each field or form at points, one batch each, and
     the failure that evaluating point by point (at each point, objs in
     order) meets first, as (row, index into objs, EvalError), or None.
     Where an object fails, its entry holds the rows before its failure.
+
+    memo, when given, keeps each object's batch (its values, or the
+    EvalError with a row it raised) by id, so an object is evaluated
+    once over calls that pass the same memo and the same points. An
+    entry holds its object, so no other object can take its id.
     """
     vals, first = [], None
     for i, obj in enumerate(objs):
-        try:
-            vals.append(obj.values(points))
-        except EvalError as exc:
-            if exc.row is None:
-                raise
-            vals.append(exc.done)
-            if first is None or exc.row < first[0]:
-                first = (exc.row, i, exc)
+        hit = None if memo is None else memo.get(id(obj))
+        if hit is not None:
+            out = hit[1]
+        else:
+            try:
+                out = obj.values(points)
+            except EvalError as exc:
+                if exc.row is None:
+                    raise
+                out = exc
+            if memo is not None:
+                memo[id(obj)] = (obj, out)
+        if isinstance(out, EvalError):
+            vals.append(out.done)
+            if first is None or out.row < first[0]:
+                first = (out.row, i, out)
+        else:
+            vals.append(out)
     return vals, first
 
 

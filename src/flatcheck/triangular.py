@@ -176,7 +176,7 @@ def extract_triangular(spec: SystemSpec, chart: Chart,
     fhat = _hat_drift(spec, fb)
     points = _reference_points(spec, seed=seed, count=25)
     for label, idx in (("n", n - 1), ("n-1", n - 2)):
-        e = normalize(lie_derivative_fn(fhat, chart.forward[idx]))
+        e = lie_derivative_fn(fhat, chart.forward[idx])
         if not is_zero(e):
             q, val = _witness(e, points)
             raise TriangularError(
@@ -185,7 +185,7 @@ def extract_triangular(spec: SystemSpec, chart: Chart,
                 f"(|value| = {val:.3e} at x = "
                 f"{tuple(round(c, 4) for c in q.coords)})")
 
-    phis_x = tuple(normalize(lie_derivative_fn(fhat, chart.forward[i]))
+    phis_x = tuple(lie_derivative_fn(fhat, chart.forward[i])
                    for i in range(n - 2))
     ds = _z_derivatives(phis_x, chart)
     for i, j in _forbidden_pairs(n):

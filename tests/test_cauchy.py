@@ -7,9 +7,11 @@ from flatcheck.symx import EvalError, eval_at
 from flatcheck.cauchy import (AnnihilatorError, CharacteristicSpaces,
                               _constant_coordinate_pattern, annihilator,
                               cauchy_space, check_condition2, span_residual)
-from flatcheck.diffgeo import OneForm, TwoForm, exterior_derivative_1form
-from flatcheck.flags import _rank, compute_flags
+from flatcheck.diffgeo import (OneForm, TwoForm, VectorField,
+                               exterior_derivative_1form, lie_derivative_1form)
+from flatcheck.flags import _rank, _ranks, compute_flags
 
+import cauchy_reference
 import systems
 
 
@@ -78,15 +80,57 @@ def test_annihilator_kills_the_flag():
 def test_annihilator_ranks_with_the_table_tolerance(monkeypatch):
     spec = systems.chained(5)
     table = compute_flags(spec, rank_tol=1e-6)
-    tols = []
+    calls = []
 
-    def spy(mat, tol):
-        tols.append(tol)
-        return _rank(mat, tol)
+    def spy(stack, tol):
+        calls.append((stack.shape, tol))
+        return _ranks(stack, tol)
 
-    monkeypatch.setattr(flatcheck.cauchy, "_rank", spy)
+    monkeypatch.setattr(flatcheck.cauchy, "_ranks", spy)
     annihilator(table, 1, _points(spec, 3))
-    assert tols == [1e-6] * 3
+    # one call over the (points, generators, n) stack of G_1
+    assert calls == [((3, 3, spec.n), 1e-6)]
+
+
+@pytest.mark.parametrize("case", [
+    # (points where G_1 loses rank, point where a generator fails to
+    # evaluate, the point whose error wins, which error)
+    ((1, 2), None, 1, "rank"),
+    ((2,), 1, 1, "eval"),
+    ((1,), 1, 1, "eval"),
+    ((0, 3), 2, 0, "rank"),
+])
+def test_annihilator_raises_at_the_first_failing_reference_point(
+        monkeypatch, case):
+    low, bad, first, kind = case
+    spec = systems.chained(5)
+    table = compute_flags(spec)
+    pts = _points(spec, 4)
+
+    def ranks(stack, tol):
+        out = _ranks(stack, tol)
+        out[[p for p in low if p < len(out)]] = 0
+        return out
+
+    real = VectorField.values
+
+    def values(self, points):
+        out = real(self, points)
+        if bad is not None and len(points) > bad:
+            raise EvalError(f"field fails at point {bad}", bad, out[:bad])
+        return out
+
+    monkeypatch.setattr(flatcheck.cauchy, "_ranks", ranks)
+    monkeypatch.setattr(VectorField, "values", values)
+    if kind == "rank":
+        err = AnnihilatorError
+        msg = (f"rank of G_1 is not 3 at reference point "
+               f"{tuple(pts[first].coords)}")
+    else:
+        err, msg = EvalError, f"field fails at point {first}"
+    with pytest.raises(err) as info:
+        annihilator(table, 1, pts)
+    assert str(info.value) == msg
 
 
 def test_annihilator_rejects_out_of_range_level():
@@ -130,8 +174,7 @@ _CAUCHY_SYSTEMS = {
 def test_cauchy_space_matches_reference(name):
     spec = _CAUCHY_SYSTEMS[name]()
     table = compute_flags(spec)
-    # more points than one stacked block, so a block boundary is crossed
-    pts = _points(spec, 2 * flatcheck.cauchy._BLOCK + 5)
+    pts = _points(spec, 69)
     for k in range(1, spec.n - 2):
         cod = annihilator(table, k, pts[:5])
         assert cod.differentials == tuple(
@@ -170,7 +213,7 @@ def test_cauchy_space_reuses_the_differentials(monkeypatch):
     for cod in cods:
         cauchy_space(cod, pts)
     assert calls == []
-    # each differential is evaluated in one batch over the block
+    # each differential is evaluated in one batch over all points
     assert batches == [(id(dw), len(pts)) for cod in cods
                        for dw in cod.differentials]
     # the counter does see annihilator build them, one per generator
@@ -203,25 +246,46 @@ def test_condition2_perturbed_drift_fails():
     assert lv["max_residual"] > 1e-3
 
 
-@pytest.mark.parametrize("name", ["example1", "chained6"])
+@pytest.mark.parametrize("name", ["example1", "chained6", "chained8"])
 def test_condition2_builds_each_differential_once(monkeypatch, name):
-    spec = systems.example1() if name == "example1" else systems.chained(6)
+    spec = (systems.example1() if name == "example1"
+            else systems.chained(int(name[len("chained"):])))
     table = compute_flags(spec)
     pts = _points(spec, 6)
     want = check_condition2(spec, table, pts)
-    calls = []
+    distinct = {w for k in range(1, spec.n - 2)
+                for w in annihilator(table, k, pts[:5]).generators}
+    calls, lie_calls, batches = [], [], []
 
     def counting(w):
         calls.append(w)
         return exterior_derivative_1form(w)
 
+    def counting_lie(f, w, dw=None):
+        lie_calls.append(w)
+        return lie_derivative_1form(f, w, dw)
+
     monkeypatch.setattr(flatcheck.cauchy, "exterior_derivative_1form",
                         counting)
     monkeypatch.setattr(flatcheck.diffgeo, "exterior_derivative_1form",
                         counting)
+    monkeypatch.setattr(flatcheck.cauchy, "lie_derivative_1form",
+                        counting_lie)
+    for cls in (OneForm, TwoForm):
+        def counting_values(self, points, real=cls.values):
+            batches.append(self)
+            return real(self, points)
+
+        monkeypatch.setattr(cls, "values", counting_values)
     assert check_condition2(spec, table, pts) == want
-    # one d(lam) per annihilator generator, over all levels
-    assert len(calls) == sum(spec.n - 2 - k for k in range(1, spec.n - 2))
+    # one d(lam) and one L_f lam per distinct generator tree, over all
+    # levels, each evaluated at most once
+    assert len(calls) == len(lie_calls) == len(distinct)
+    assert set(calls) == set(lie_calls) == distinct
+    assert len({id(b) for b in batches}) == len(batches)
+    if name == "chained8":
+        # levels 2..5 only repeat level 1's five generators
+        assert len(distinct) == 5
 
 
 def _pattern_reference(spaces):
@@ -307,7 +371,7 @@ def _failing_at(monkeypatch, pts, dependent=(), bad_eval=(), bad_d=()):
     ((4,), (), (2,), 2, "differential"),
     # at one point the rank check comes before the differentials
     ((3,), (), (3,), 3, "dependent"),
-    # the second block's errors come after the first block's
+    # late points: the reference's blocks of 32 put these in its second
     ((40,), (), (36,), 36, "differential"),
     ((36,), (40,), (), 36, "dependent"),
 ])
@@ -316,7 +380,6 @@ def test_condition2_first_error_in_point_order_wins(monkeypatch, case):
     spec = systems.chained(6)
     table = compute_flags(spec)
     pts = _points(spec, 45)
-    assert flatcheck.cauchy._BLOCK <= 36
     _failing_at(monkeypatch, pts, dependent, bad_eval, bad_d)
     if kind == "dependent":
         err = AnnihilatorError
@@ -327,3 +390,58 @@ def test_condition2_first_error_in_point_order_wins(monkeypatch, case):
     with pytest.raises(err) as info:
         check_condition2(spec, table, pts)
     assert str(info.value) == msg
+
+
+@pytest.mark.parametrize("where", ["generator", "differential"])
+def test_condition2_shared_form_error_matches_reference(monkeypatch, where):
+    # a generator tree of both level 1 and level 2 fails at one point,
+    # and a level-1-only form at a later one
+    spec = systems.chained(6)
+    table = compute_flags(spec)
+    pts = _points(spec, 45)
+    level1, level2 = (annihilator(table, k, pts[:5]) for k in (1, 2))
+    shared = next(w for w in level1.generators if w in level2.generators)
+    alone = next(w for w in level1.generators
+                 if w not in level2.generators)
+    bad = [(shared, 30), (alone, 31)]
+    if where == "differential":
+        bad = [(exterior_derivative_1form(w), p) for w, p in bad]
+    where_at = {q.coords: i for i, q in enumerate(pts)}
+    cls = OneForm if where == "generator" else TwoForm
+    real = cls.values
+
+    def fake_values(self, points):
+        out = real(self, points)
+        fail = next((p for form, p in bad if form == self), None)
+        for row, q in enumerate(points):
+            if where_at.get(q.coords) == fail:
+                raise EvalError(f"{where} fails at point {fail}", row,
+                                out[:row])
+        return out
+
+    monkeypatch.setattr(cls, "values", fake_values)
+    errors = []
+    for check in (check_condition2, cauchy_reference.check_condition2):
+        with pytest.raises(EvalError) as info:
+            check(spec, table, pts)
+        errors.append(str(info.value))
+    assert errors == [f"{where} fails at point 30"] * 2
+
+
+@pytest.mark.parametrize("name", sorted(_CAUCHY_SYSTEMS))
+def test_condition2_matches_the_blocked_reference(name):
+    spec = _CAUCHY_SYSTEMS[name]()
+    table = compute_flags(spec)
+    # more points than the reference's blocks of 32, so it crosses two
+    # block boundaries
+    pts = _points(spec, 69)
+    for k in range(1, spec.n - 2):
+        cod = annihilator(table, k, pts[:5])
+        got = cauchy_space(cod, pts)
+        want = cauchy_reference.cauchy_space(cod, pts)
+        assert len(got) == len(want) == len(pts)
+        for sp, ref in zip(got, want):
+            assert np.array_equal(sp.a_basis, ref.a_basis)
+            assert np.array_equal(sp.c_basis, ref.c_basis)
+    assert check_condition2(spec, table, pts) == \
+        cauchy_reference.check_condition2(spec, table, pts)

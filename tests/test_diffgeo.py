@@ -14,7 +14,8 @@ from flatcheck.diffgeo import (ChartError, OneForm, TwoForm, VectorField,
                                basis_vector, exterior_derivative_fn,
                                exterior_derivative_1form, interior_product,
                                lie_bracket, lie_derivative_fn,
-                               lie_derivative_1form, wedge)
+                               lie_derivative_1form, values_in_point_order,
+                               wedge)
 from flatcheck.harness import _total_derivative
 
 import diffgeo_reference as ref
@@ -373,3 +374,30 @@ def test_folds_on_normal_forms_build_no_tree(monkeypatch):
     assert all(b._pair is not None for b in B.components)
     assert not B.is_zero()
     assert is_zero(zero) and zero != ZERO
+
+
+def test_values_in_point_order_memo_evaluates_each_object_once(monkeypatch):
+    w = OneForm(FR3, (P("1/x1"), P("x2"), ONE_E))
+    v = VF("x1", "1/(x2 - 1)", "0")
+    pts = [FR3.point(c) for c in ((1.0, 2.0, 0.0), (2.0, 0.0, 0.0),
+                                  (0.0, 3.0, 0.0), (1.0, 1.0, 0.0))]
+    calls = []
+    for cls in (OneForm, VectorField):
+        def counting(self, points, real=cls.values):
+            calls.append(self)
+            return real(self, points)
+
+        monkeypatch.setattr(cls, "values", counting)
+
+    def outcome(vals, first):
+        return [a.tolist() for a in vals], first[:2], str(first[2])
+
+    memo = {}
+    for objs in ([w, v], [v, w, v], [v]):
+        want = outcome(*values_in_point_order(objs, pts))
+        assert outcome(*values_in_point_order(objs, pts, memo)) == want
+    # w fails at x1 = 0 (row 2), v at x2 = 1 (row 3)
+    assert want[1] == (3, 0)
+    assert outcome(*values_in_point_order([v, w], pts, memo))[1] == (2, 1)
+    # the unmemoized calls evaluated 2 + 3 + 1 objects, the memo 2
+    assert len(calls) == 6 + 2

@@ -4,8 +4,10 @@ Both flatness conditions run one numpy.linalg call over a stack of
 points where a per-point loop would run one call per point, and the
 reports must not change by a bit. That holds only while numpy's
 stacked svd, pinv and matmul give each matrix exactly what the call
-on that matrix alone gives. Should a numpy or LAPACK build break
-this, these tests fail instead of reports drifting silently.
+on that matrix alone gives, and while the reduced SVD that cauchy
+uses for stacks of at least n rows gives the full SVD's s and Vt.
+Should a numpy or LAPACK build break this, these tests fail instead
+of reports drifting silently.
 """
 
 import numpy as np
@@ -39,6 +41,23 @@ def test_stacked_svd_matches_per_matrix(shape):
         assert np.array_equal(u[p], u1)
         assert np.array_equal(s[p], s1)
         assert np.array_equal(vt[p], vt1)
+
+
+# [lam; P dlam^T] of cauchy_space for m = 1..n-3 generators, n = 4..8
+LAM_SHAPES = [(100, m * (n + 1), n) for n in range(4, 9)
+              for m in range(1, n - 2)]
+
+
+@pytest.mark.parametrize("shape", sorted(
+    {s for s in SHAPES if s[1] >= s[2]} | set(LAM_SHAPES)))
+def test_reduced_svd_matches_full_svd(shape):
+    # cauchy's nullspaces of stacks with at least n rows use the
+    # reduced SVD, whose Vt is then the whole n x n Vt
+    stack = _stack(shape, 4)
+    _, s_full, vt_full = np.linalg.svd(stack)
+    _, s, vt = np.linalg.svd(stack, full_matrices=False)
+    assert np.array_equal(s, s_full)
+    assert np.array_equal(vt, vt_full)
 
 
 @pytest.mark.parametrize("shape", SHAPES)

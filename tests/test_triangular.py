@@ -145,9 +145,26 @@ def _case(name):
         spec = getattr(systems, name)()
     if "example1" in name:
         chart, fb = build_chart(systems.example1_chart(spec), spec)
+    elif name == "cubic4":
+        chart, fb = build_chart(systems.cubic4_chart(spec), spec)
     else:
         _, chart, fb = find_output_pair(spec)
     return spec, chart, drift_feedback(spec, chart, fb)
+
+
+@pytest.mark.parametrize("name", ["example1", "motor", "chained4",
+                                  "chained5", "chained6", "chained7",
+                                  "chained8", "cubic4"])
+def test_drift_rows_need_no_normalize(name):
+    # extract_triangular takes <dz_i, fhat> as lie_derivative_fn builds
+    # it: that is already normalize's tree, with the same stored pair
+    spec, chart, fb = _case(name)
+    fhat = _hat_drift(spec, fb)
+    for z in chart.forward:
+        bare = lie_derivative_fn(fhat, z)
+        again = normalize(bare)
+        assert bare == again
+        assert getattr(bare, "_pair", None) == getattr(again, "_pair", None)
 
 
 @pytest.mark.parametrize("name", ["example1", "perturbed_example1",

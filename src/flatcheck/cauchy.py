@@ -93,8 +93,8 @@ def _nullspaces(stack: np.ndarray, tol: float) -> list[np.ndarray]:
 
 
 def annihilator(table: FlagTable, k: int, ref_points: list[Point],
-                forms: dict[OneForm, tuple[OneForm, TwoForm]] | None = None
-                ) -> Codistribution:
+                forms: dict[OneForm, tuple[OneForm, TwoForm]] | None = None,
+                memo: dict | None = None) -> Codistribution:
     """Symbolic one-forms spanning the annihilator of G_k.
 
     Valid levels are 1 <= k <= n-3 (the drift test's range). Pivots of
@@ -103,7 +103,8 @@ def annihilator(table: FlagTable, k: int, ref_points: list[Point],
     ranked with the tolerance the table was built with. forms, when
     given, maps each generator tree met before (structural equality) to
     the OneForm and d built for it then, which are reused; new trees
-    are added.
+    are added. memo is values_in_point_order's, for ref_points, so a
+    field that several levels share is evaluated there once.
     """
     spec = table.spec
     n = spec.n
@@ -111,7 +112,8 @@ def annihilator(table: FlagTable, k: int, ref_points: list[Point],
         raise AnnihilatorError(
             f"level {k} outside the valid range 1..{n - 3} for n={n}")
     gens = table.levels[k].g_generators
-    vals, first = values_in_point_order([v for _, v in gens], ref_points)
+    vals, first = values_in_point_order([v for _, v in gens], ref_points,
+                                        memo)
     # the rank check at each point before the failing one comes first
     ranked = len(ref_points) if first is None else first[0]
     ranks = _ranks(np.stack([v[:ranked] for v in vals], axis=1),
@@ -214,7 +216,8 @@ def check_condition2(spec: SystemSpec, table: FlagTable,
     retracting spaces form a constant coordinate coframe, and numeric
     projection residuals otherwise; failures are report content.
     A generator tree that several levels share is built once, with its
-    d and L_f, and each of them is evaluated once.
+    d and L_f, and each of them is evaluated once; so is each G_k
+    field at the reference points.
     """
     n = spec.n
     if n <= 3:
@@ -223,10 +226,11 @@ def check_condition2(spec: SystemSpec, table: FlagTable,
     forms: dict[OneForm, tuple[OneForm, TwoForm]] = {}
     lie: dict[int, OneForm] = {}  # id of a form in forms -> L_f of it
     memo: dict = {}
+    ref_memo: dict = {}  # memo's twin for points[:5]
     levels = []
     all_pass = True
     for k in range(1, n - 2):
-        cod = annihilator(table, k, points[:5], forms)
+        cod = annihilator(table, k, points[:5], forms, ref_memo)
         for w, dw in zip(cod.generators, cod.differentials):
             if id(w) not in lie:
                 lie[id(w)] = lie_derivative_1form(spec.f, w, dw)

@@ -132,7 +132,7 @@ def _ansatz_gradient(names: list[str], monos: list[Mono],
                 if k > 1:
                     powers[x] = k - 1
                 powers[name] = 1
-                grad[tuple(sorted(powers.items()))] = Fraction(k)
+                grad[tuple(sorted(powers.items()))] = k
         grads.append(grad)
     return grads
 
@@ -224,7 +224,7 @@ def find_output_pair(spec: SystemSpec, degree: int = 2
             pair = _sub(pair, _ONE_PAIR)
         return _identity_rows(_canon(*pair)[0], names, states)
 
-    mono_polys = [{m: Fraction(1)} for m in monos]
+    mono_polys = [{m: 1} for m in monos]
 
     def candidates(coeff_vectors) -> Iterator[Expr]:
         for coeffs in coeff_vectors:

@@ -118,11 +118,6 @@ def _ranks(stack: np.ndarray, tol: float) -> np.ndarray:
     return np.sum(s > tol * s[:, :1], axis=1)
 
 
-def _rank(mat: np.ndarray, tol: float) -> int:
-    """The one-matrix case of _ranks."""
-    return int(_ranks(mat[None], tol)[0])
-
-
 def _reference_points(spec: SystemSpec, seed: int = 7,
                       count: int = 5) -> list[Point]:
     rng = np.random.default_rng(seed)

@@ -544,10 +544,18 @@ def _diff(e: Expr, v: str) -> Expr:
 # ---------------------------------------------------------------------------
 # Normal form
 #
-# A polynomial is a dict {monomial: Fraction} where a monomial is a
+# A polynomial is a dict {monomial: coefficient} where a monomial is a
 # sorted tuple of (atom key, exponent) pairs; the empty tuple is the
 # constant monomial. Atom keys are symbol names or rendered kernel
 # strings like "sin(x1)" whose arguments are already canonical.
+#
+# A coefficient is a Python int when it is integral, and a Fraction
+# only when its denominator is not 1, so almost all of the arithmetic
+# below runs on ints, in C. Every helper keeps that: a sum, product or
+# scaling that a Fraction went into is turned back into its int when
+# integral (_coef). int / int is a float, so every division of
+# coefficients goes through Fraction (_canon, _constant_ratio). Trees
+# never see the difference: Const holds a Fraction either way.
 #
 # _ratform cross-multiplies by the denominators in every Add, Sub, Mul
 # and Div (the rules _add, _sub, _mul, _div), and almost every
@@ -580,12 +588,17 @@ def _diff(e: Expr, v: str) -> Expr:
 # ---------------------------------------------------------------------------
 
 Mono = tuple[tuple[str, int], ...]
-Poly = dict[Mono, Fraction]
+Poly = dict[Mono, int | Fraction]  # see the "Normal form" notes
 Pair = tuple[Poly, Poly]  # numerator, denominator
 
-_P_ONE: Poly = {(): Fraction(1)}
+_P_ONE: Poly = {(): 1}
 _ZERO_PAIR: Pair = ({}, _P_ONE)
 _ONE_PAIR: Pair = (_P_ONE, _P_ONE)
+
+
+def _coef(c: int | Fraction) -> int | Fraction:
+    """c as a coefficient: its int when it is integral."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def _mono_mul(m1: Mono, m2: Mono) -> Mono:
@@ -604,6 +617,8 @@ def _p_add(p: Poly, q: Poly) -> Poly:
     for m, c in q.items():
         nc = out.get(m)
         nc = c if nc is None else nc + c
+        if type(nc) is Fraction:
+            nc = _coef(nc)
         if nc:
             out[m] = nc
         else:
@@ -626,6 +641,8 @@ def _p_mul(p: Poly, q: Poly) -> Poly:
             m = _mono_mul(m1, m2)
             nc = out.get(m)
             nc = c1 * c2 if nc is None else nc + c1 * c2
+            if type(nc) is Fraction:
+                nc = _coef(nc)
             if nc:
                 out[m] = nc
             else:
@@ -633,10 +650,10 @@ def _p_mul(p: Poly, q: Poly) -> Poly:
     return out
 
 
-def _p_scale(p: Poly, c: Fraction) -> Poly:
+def _p_scale(p: Poly, c: int | Fraction) -> Poly:
     if not c:
         return {}
-    return {m: v * c for m, v in p.items()}
+    return {m: _coef(v * c) for m, v in p.items()}
 
 
 def _p_diff(p: Poly, v: str) -> Poly:
@@ -647,7 +664,7 @@ def _p_diff(p: Poly, v: str) -> Poly:
         for i, (a, k) in enumerate(m):
             if a == v:
                 rest = ((v, k - 1),) if k > 1 else ()
-                out[m[:i] + rest + m[i + 1:]] = c * k
+                out[m[:i] + rest + m[i + 1:]] = _coef(c * k)
                 break
     return out
 
@@ -695,10 +712,10 @@ _RULES = {Add: _add, Sub: _sub, Mul: _mul, Div: _div}
 
 def _ratform(e: Expr, atoms: dict[str, Expr]) -> Pair:
     if isinstance(e, Const):
-        return ({(): e.value} if e.value else {}), _P_ONE
+        return ({(): _coef(e.value)} if e.value else {}), _P_ONE
     if isinstance(e, Sym):
         atoms.setdefault(e.name, e)
-        return {((e.name, 1),): Fraction(1)}, _P_ONE
+        return {((e.name, 1),): 1}, _P_ONE
     stored = getattr(e, "_pair", None)  # TypeError below for a non-Expr
     if stored is not None:
         num, den, used = stored
@@ -718,7 +735,7 @@ def _ratform(e: Expr, atoms: dict[str, Expr]) -> Pair:
         arg = normalize(e.arg)
         key = f"{e.fn}({to_str(arg)})"
         atoms.setdefault(key, Call(e.fn, arg))
-        return {((key, 1),): Fraction(1)}, _P_ONE
+        return {((key, 1),): 1}, _P_ONE
     raise TypeError(f"not an Expr: {e!r}")
 
 
@@ -795,21 +812,22 @@ def _cancel_content(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     return strip(num), strip(den)
 
 
-def _constant_ratio(num: Poly, den: Poly) -> Fraction | None:
+def _constant_ratio(num: Poly, den: Poly) -> int | Fraction | None:
     """Return c when num == c * den termwise, else None. Cheap stand-in
-    for the p/p reductions a full gcd would give."""
+    for the p/p reductions a full gcd would give. The terms are
+    compared by cross-multiplication, so ints stay ints."""
     if len(num) != len(den):
         return None
-    ratio: Fraction | None = None
+    first = None
     for mono, c in num.items():
         d = den.get(mono)
         if d is None:
             return None
-        if ratio is None:
-            ratio = c / d
-        elif c != ratio * d:
+        if first is None:
+            first = c, d
+        elif c * first[1] != first[0] * d:
             return None
-    return ratio
+    return None if first is None else _coef(Fraction(first[0]) / first[1])
 
 
 def _poly_to_expr(p: Poly, atoms: dict[str, Expr]) -> Expr:
@@ -861,8 +879,9 @@ def _canon(num: Poly, den: Poly) -> Pair:
         return {(): ratio}, _P_ONE
     lc = den[max(den, key=_mono_key)]
     if lc != 1:
-        num = _p_scale(num, 1 / lc)
-        den = _p_scale(den, 1 / lc)
+        inv = Fraction(1) / lc
+        num = _p_scale(num, inv)
+        den = _p_scale(den, inv)
     return num, den
 
 

@@ -11,8 +11,15 @@ import numpy as np
 from flatcheck import flags
 from flatcheck.diffgeo import VectorField, lie_bracket
 from flatcheck.flags import (DEFAULT_RANK_TOL, FlagTable, LevelRecord,
-                             SystemSpec, _rank, _reference_points)
+                             SystemSpec, _reference_points)
 from flatcheck.symx import Point, SymxError, ZERO, normalize
+
+
+def rank(mat: np.ndarray, tol: float) -> int:
+    """Numeric rank of one matrix, by its own SVD: the count of singular
+    values above tol times the largest, as flags._ranks counts them."""
+    s = np.linalg.svd(mat, compute_uv=False)
+    return int(np.sum(s > tol * s[:1]))
 
 
 def compute_flags(spec: SystemSpec, rank_tol: float = DEFAULT_RANK_TOL,
@@ -74,7 +81,7 @@ def compute_flags(spec: SystemSpec, rank_tol: float = DEFAULT_RANK_TOL,
             for r in range(len(refs)):
                 cur = np.array([pv[r] for pv in pool_vals])
                 cand = np.vstack([cur, br_vals[r]])
-                if _rank(cand, rank_tol) > _rank(cur, rank_tol):
+                if rank(cand, rank_tol) > rank(cur, rank_tol):
                     adds_rank = True
                     break
             if adds_rank:
@@ -98,8 +105,8 @@ def dims_at(table: FlagTable, q: Point,
     for rec in table.levels:
         fm = np.array([v.values([q])[0] for _, v in rec.f_generators])
         gm = np.array([v.values([q])[0] for _, v in rec.g_generators])
-        dims_f.append(_rank(fm, tol))
-        dims_g.append(_rank(gm, tol))
+        dims_f.append(rank(fm, tol))
+        dims_g.append(rank(gm, tol))
     return dims_f, dims_g
 
 

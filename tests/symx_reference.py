@@ -2,10 +2,11 @@
 
 Reference implementations that tests compare the library against:
 
-- the polynomial product that multiplies every pair of terms, even when
-  one operand is the unit polynomial, and the normalize built on it,
-  kept to show that the unit-operand shortcut in `symx._p_mul` changes
-  no normal form;
+- the polynomial arithmetic with every coefficient a Fraction, whose
+  product multiplies every pair of terms, even when one operand is the
+  unit polynomial, and the normalize built on it, kept to show that
+  neither the unit-operand shortcut in `symx._p_mul` nor its int
+  coefficients change a normal form;
 - the recursive tree walker that evaluated expressions before every
   evaluation went through generated code, kept to show that the
   generated code computes the same floats and raises EvalError at the
@@ -28,12 +29,34 @@ import numpy as np
 
 from flatcheck.symx import (Add, Call, Const, Div, EvalError, FUNCTIONS, Mul,
                             ONE_E, PivotError, Pow, Sub, Sym, SymxError,
-                            ZERO, _P_ONE, _cancel_content, _constant_ratio,
-                            _mono_key, _mono_mul, _p_add, _p_neg, _p_scale,
+                            ZERO, _cancel_content, _mono_key, _mono_mul,
                             _poly_to_expr, compile_fns,
                             eval_at as lib_eval_at, evaluator,
                             free_symbols, is_zero, linear_decompose,
                             polynomial_terms, to_str)
+
+
+ONE = {(): Fraction(1)}
+
+
+def frac(p):
+    """p with every coefficient a Fraction."""
+    return {m: Fraction(c) for m, c in p.items()}
+
+
+def p_add(p, q):
+    out = frac(p)
+    for m, c in q.items():
+        nc = out.get(m, Fraction(0)) + c
+        if nc:
+            out[m] = nc
+        else:
+            out.pop(m, None)
+    return out
+
+
+def p_neg(p):
+    return {m: -Fraction(c) for m, c in p.items()}
 
 
 def p_mul(p, q):
@@ -41,7 +64,7 @@ def p_mul(p, q):
     for m1, c1 in p.items():
         for m2, c2 in q.items():
             m = _mono_mul(m1, m2)
-            nc = out.get(m, Fraction(0)) + c1 * c2
+            nc = out.get(m, Fraction(0)) + Fraction(c1) * c2
             if nc:
                 out[m] = nc
             else:
@@ -50,7 +73,7 @@ def p_mul(p, q):
 
 
 def p_pow(p, k):
-    out = dict(_P_ONE)
+    out = dict(ONE)
     base = p
     while k:
         if k & 1:
@@ -60,30 +83,72 @@ def p_pow(p, k):
     return out
 
 
+def p_scale(p, c):
+    return {m: Fraction(v) * c for m, v in p.items()} if c else {}
+
+
+def constant_ratio(num, den):
+    if len(num) != len(den):
+        return None
+    ratio = None
+    for mono, c in num.items():
+        d = den.get(mono)
+        if d is None:
+            return None
+        if ratio is None:
+            ratio = Fraction(c) / d
+        elif c != ratio * d:
+            return None
+    return ratio
+
+
+def add(a, b):
+    (pa, qa), (pb, qb) = a, b
+    return p_add(p_mul(pa, qb), p_mul(pb, qa)), p_mul(qa, qb)
+
+
+def sub(a, b):
+    (pa, qa), (pb, qb) = a, b
+    return p_add(p_mul(pa, qb), p_neg(p_mul(pb, qa))), p_mul(qa, qb)
+
+
+def mul(a, b):
+    return p_mul(a[0], b[0]), p_mul(a[1], b[1])
+
+
+def div(a, b):
+    (pa, qa), (pb, qb) = a, b
+    if not pb:
+        raise SymxError("division by an identically zero expression")
+    return p_mul(pa, qb), p_mul(qa, pb)
+
+
+def canon(num, den):
+    """The pair behind normalize's tree, every step on Fractions."""
+    if not num:
+        return {}, dict(ONE)
+    num, den = _cancel_content(frac(num), frac(den))
+    ratio = constant_ratio(num, den)
+    if ratio is not None:
+        return {(): ratio}, dict(ONE)
+    lc = den[max(den, key=_mono_key)]
+    if lc != 1:
+        num = p_scale(num, 1 / lc)
+        den = p_scale(den, 1 / lc)
+    return num, den
+
+
+_RULES = {Add: add, Sub: sub, Mul: mul, Div: div}
+
+
 def ratform(e, atoms):
     if isinstance(e, Const):
-        return ({(): e.value} if e.value else {}), dict(_P_ONE)
+        return ({(): e.value} if e.value else {}), dict(ONE)
     if isinstance(e, Sym):
         atoms.setdefault(e.name, e)
-        return {((e.name, 1),): Fraction(1)}, dict(_P_ONE)
-    if isinstance(e, Add):
-        pa, qa = ratform(e.a, atoms)
-        pb, qb = ratform(e.b, atoms)
-        return _p_add(p_mul(pa, qb), p_mul(pb, qa)), p_mul(qa, qb)
-    if isinstance(e, Sub):
-        pa, qa = ratform(e.a, atoms)
-        pb, qb = ratform(e.b, atoms)
-        return _p_add(p_mul(pa, qb), _p_neg(p_mul(pb, qa))), p_mul(qa, qb)
-    if isinstance(e, Mul):
-        pa, qa = ratform(e.a, atoms)
-        pb, qb = ratform(e.b, atoms)
-        return p_mul(pa, pb), p_mul(qa, qb)
-    if isinstance(e, Div):
-        pa, qa = ratform(e.a, atoms)
-        pb, qb = ratform(e.b, atoms)
-        if not pb:
-            raise SymxError("division by an identically zero expression")
-        return p_mul(pa, qb), p_mul(qa, pb)
+        return {((e.name, 1),): Fraction(1)}, dict(ONE)
+    if type(e) in _RULES:
+        return _RULES[type(e)](ratform(e.a, atoms), ratform(e.b, atoms))
     if isinstance(e, Pow):
         p, q = ratform(e.base, atoms)
         k = e.exp
@@ -98,26 +163,15 @@ def ratform(e, atoms):
         arg = normalize(e.arg)
         key = f"{e.fn}({to_str(arg)})"
         atoms.setdefault(key, Call(e.fn, arg))
-        return {((key, 1),): Fraction(1)}, dict(_P_ONE)
+        return {((key, 1),): Fraction(1)}, dict(ONE)
     raise TypeError(f"not an Expr: {e!r}")
 
 
 def normalize(e):
     atoms = {}
-    num, den = ratform(e, atoms)
-    if not num:
-        return ZERO
-    num, den = _cancel_content(num, den)
-    ratio = _constant_ratio(num, den)
-    if ratio is not None:
-        return Const(ratio)
-    lead = max(den, key=_mono_key)
-    lc = den[lead]
-    if lc != 1:
-        num = _p_scale(num, 1 / lc)
-        den = _p_scale(den, 1 / lc)
+    num, den = canon(*ratform(e, atoms))
     num_e = _poly_to_expr(num, atoms)
-    if den == _P_ONE:
+    if den == ONE:
         return num_e
     return Div(num_e, _poly_to_expr(den, atoms))
 

@@ -9,9 +9,10 @@ from flatcheck.cauchy import (AnnihilatorError, CharacteristicSpaces,
                               cauchy_space, check_condition2, span_residual)
 from flatcheck.diffgeo import (OneForm, TwoForm, VectorField,
                                exterior_derivative_1form, lie_derivative_1form)
-from flatcheck.flags import _rank, _ranks, compute_flags
+from flatcheck.flags import _ranks, compute_flags
 
 import cauchy_reference
+import flags_reference
 import systems
 
 
@@ -40,7 +41,7 @@ def _reference_cauchy_space(cod, q, tol=1e-8):
     were stacked."""
     n = cod.frame.n
     omega = np.array([w.values([q])[0] for w in cod.generators])
-    assert _rank(omega, tol) == omega.shape[0]
+    assert flags_reference.rank(omega, tol) == omega.shape[0]
     proj = np.eye(n) - omega.T @ np.linalg.pinv(omega.T)
     blocks = [omega]
     for w in cod.generators:
@@ -286,6 +287,31 @@ def test_condition2_builds_each_differential_once(monkeypatch, name):
     if name == "chained8":
         # levels 2..5 only repeat level 1's five generators
         assert len(distinct) == 5
+
+
+@pytest.mark.parametrize("name", ["example1", "chained6", "chained8"])
+def test_condition2_evaluates_each_flag_field_once(monkeypatch, name):
+    spec = (systems.example1() if name == "example1"
+            else systems.chained(int(name[len("chained"):])))
+    table = compute_flags(spec)
+    pts = _points(spec, 6)
+    want = check_condition2(spec, table, pts)
+    calls = []
+    real = VectorField.values
+
+    def counting(self, points):
+        calls.append((id(self), len(points)))
+        return real(self, points)
+
+    monkeypatch.setattr(VectorField, "values", counting)
+    assert check_condition2(spec, table, pts) == want
+    # one batch at the five reference points per distinct G_k field,
+    # though level k holds every field of level k-1
+    fields = {id(v) for k in range(1, spec.n - 2)
+              for _, v in table.levels[k].g_generators}
+    assert sorted(calls) == sorted((f, 5) for f in fields)
+    if name == "chained8":
+        assert len(fields) == 7
 
 
 def _pattern_reference(spaces):

@@ -202,7 +202,8 @@ def test_q_candidate_raising_the_rank_at_one_reference_point_is_kept():
 def test_q_candidates_are_ranked_in_one_stacked_call_each(monkeypatch,
                                                            name):
     # one call for the pool, then one per nonzero candidate over all
-    # five reference points; the pool's ranks are not recomputed
+    # five reference points (none ranks one point at a time); the
+    # pool's ranks are not recomputed
     shapes = []
     real = flags._ranks
 
@@ -210,11 +211,7 @@ def test_q_candidates_are_ranked_in_one_stacked_call_each(monkeypatch,
         shapes.append(stack.shape)
         return real(stack, tol)
 
-    def per_point(*args):
-        raise AssertionError("ranked one point at a time")
-
     monkeypatch.setattr(flags, "_ranks", spy)
-    monkeypatch.setattr(flags, "_rank", per_point)
     table = compute_flags(_FLAG_SYSTEMS[name]())
     levels = table.levels[1:]
     kept = sum(lv.q_word_count - len(lv.q_dropped_words) for lv in levels)
@@ -272,9 +269,10 @@ def test_ranks_of_a_stack():
                       np.array([[1.0, 0.0, 0.0], [0.0, 1e-8, 0.0]])])
     assert flags._ranks(stack, 1e-9).tolist() == [0, 2, 1, 1, 2]
     assert flags._ranks(np.zeros((4, 0, 3)), 1e-9).tolist() == [0] * 4
-    assert flags._rank(full, 1e-9) == 2
-    assert type(flags._rank(full, 1e-9)) is int
-    assert flags._rank(np.zeros((2, 3)), 1e-9) == 0
+    assert flags._ranks(full[None], 1e-9).tolist() == [2]
+    assert flags._ranks(np.zeros((1, 2, 3)), 1e-9).tolist() == [0]
+    # each rank agrees with the one-matrix reference
+    assert [flags_reference.rank(m, 1e-9) for m in stack] == [0, 2, 1, 1, 2]
 
 
 _STACKED_SYSTEMS = {

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from flatcheck import symx
+from flatcheck.cli import main
 from flatcheck.symx import (Add, Call, Const, Div, EvalError, Frame, Mul,
                             ParseError, PivotError, Pow, Sub, Sym, SymxError,
                             ZERO, _canon, _ratform, compile_fn, compile_fns,
@@ -18,6 +19,7 @@ from flatcheck.symx import (Add, Call, Const, Div, EvalError, Frame, Mul,
                             solve_affine_exprs, subst, to_str)
 
 import symx_reference
+from conftest import SPEC_DIR
 from symx_reference import UnsampleableDomainError, equiv
 
 FR = Frame("x", ("x1", "x2", "x3"), ())
@@ -197,6 +199,70 @@ def _long_sum(draw):
 @settings(max_examples=20, deadline=None)
 def test_normalize_of_long_sums_matches_reference_product(e):
     assert _same_tree(normalize(e), symx_reference.normalize(e))
+
+
+# --- coefficients: ints where integral ----------------------------------------
+
+_mixed_coef = st.one_of(st.integers(-3, 3).filter(bool),
+                        st.sampled_from([Fraction(1, 2), Fraction(-1, 2),
+                                         Fraction(2, 3), Fraction(3, 2),
+                                         Fraction(-5, 4),
+                                         Fraction(10) ** 30 / 3]))
+_mixed_poly = st.dictionaries(
+    st.sampled_from([(), (("x1", 1),), (("x2", 1),), (("x1", 2),),
+                     (("x1", 1), ("x2", 1))]), _mixed_coef, max_size=4)
+_mixed_pair = st.tuples(_mixed_poly, _mixed_poly.filter(bool))
+
+
+def _tidy(*polys):
+    """Every coefficient an int, or a Fraction whose denominator is
+    not 1; never a float."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for p in polys for c in p.values())
+
+
+@given(_mixed_pair, _mixed_pair)
+@settings(max_examples=300, deadline=None)
+@example(({(): Fraction(1, 2)}, {(): 1}), ({(): 2}, {(): Fraction(3, 2)}))
+@example(({(): Fraction(1, 2)}, {(): 1}), ({(): Fraction(1, 2)}, {(): 1}))
+def test_int_coefficients_match_the_fraction_reference(a, b):
+    ref = symx_reference
+    results = [(symx._p_mul(a[0], b[0]), ref.p_mul(a[0], b[0])),
+               (symx._add(a, b), ref.add(a, b)),
+               (symx._sub(a, b), ref.sub(a, b)),
+               (symx._canon(*a), ref.canon(*a)),
+               (symx._canon(*symx._mul(a, b)), ref.canon(*ref.mul(a, b)))]
+    if b[0]:
+        results.append((symx._div(a, b), ref.div(a, b)))
+        results.append((symx._canon(*symx._div(a, b)),
+                        ref.canon(*ref.div(a, b))))
+    else:
+        with pytest.raises(SymxError):
+            symx._div(a, b)
+    for got, want in results:
+        assert got == want
+        assert _tidy(*(got if isinstance(got, tuple) else (got,)))
+
+
+def test_every_stored_pair_has_int_coefficients(monkeypatch, tmp_path):
+    # every pair a tree stores comes from _canon (_from_pair) or from
+    # _pair_diff (diff), both looked up in symx when called
+    pairs = []
+    for name in ("_canon", "_pair_diff"):
+        def recording(*args, real=getattr(symx, name)):
+            out = real(*args)
+            if out is not None:
+                pairs.append(out)
+            return out
+
+        monkeypatch.setattr(symx, name, recording)
+    specs = [SPEC_DIR / f"{s}.spec" for s in ("example1", "motor", "chained4")]
+    specs.append(SPEC_DIR.parent / "tests" / "cubic4.spec")
+    for spec in specs:
+        for command in ("check", "transform"):
+            main([command, str(spec), "--json", str(tmp_path / "r.json")])
+    assert len(pairs) > 1000
+    assert all(_tidy(*pair) for pair in pairs)
 
 
 # --- differentiation --------------------------------------------------------

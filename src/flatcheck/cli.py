@@ -403,7 +403,6 @@ def _construction_section(real, source: str) -> dict:
         "beta": [[to_str(b) for b in row] for row in fb.beta],
         "alpha": [to_str(a) for a in fb.alpha],
         "alpha_bar": [to_str(a) for a in drift_components(spec, chart)],
-        "dependence_mode": "symbolic",
         "flat_output": {
             "y": [to_str(fo["y"][0]), to_str(fo["y"][1])],
             "flat_indices": list(fo["flat_indices"]),

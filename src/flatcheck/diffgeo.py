@@ -10,23 +10,21 @@ implemented.
 All objects carry the Frame they live in; mixing charts raises
 ChartError instead of producing silently wrong coordinates.
 
-Each coefficient is normalize's tree for the sum its formula spells
-out from ZERO; the sum is folded on pairs, never built (see symx's
-"Normal form" notes), so each tree comes with its stored pair.
+Each coefficient is symx.fold of the terms its formula spells out:
+normalize's tree for their sum from ZERO, with its stored pair, folded
+on the operands' pairs without building the sum as a tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .symx import (Const, EvalError, Expr, Frame, ONE_E, Point, SymxError,
-                   ZERO, _ZERO_PAIR, _add, _dpair, _from_pair, _mul,
-                   _ratform, _sub, is_zero, point_rows)
+from .symx import (EvalError, Expr, Frame, ONE_E, Point, SymxError, ZERO,
+                   fold, is_zero, point_rows)
 
 
 class ChartError(SymxError):
@@ -58,12 +56,12 @@ class VectorField:
     def __add__(self, other: "VectorField") -> "VectorField":
         _same_chart(self, other)
         return VectorField(self.frame, tuple(
-            _binary(_add, a, b)
+            fold(((1, None, a, None), (1, None, b, None)))
             for a, b in zip(self.components, other.components)))
 
     def scale(self, c: Expr) -> "VectorField":
         return VectorField(self.frame, tuple(
-            _binary(_mul, c, x) for x in self.components))
+            fold(((1, c, x, None),)) for x in self.components))
 
     def is_zero(self) -> bool:
         return all(map(is_zero, self.components))
@@ -104,7 +102,7 @@ class OneForm:
     def __add__(self, other: "OneForm") -> "OneForm":
         _same_chart(self, other)
         return OneForm(self.frame, tuple(
-            _binary(_add, a, b)
+            fold(((1, None, a, None), (1, None, b, None)))
             for a, b in zip(self.coefficients, other.coefficients)))
 
     @cached_property
@@ -138,8 +136,7 @@ class TwoForm:
             return ZERO
         if i < j:
             return self.coefficients.get((i, j), ZERO)
-        c = self.coefficients.get((j, i), ZERO)
-        return ZERO if c == ZERO else _binary(_mul, Const(Fraction(-1)), c)
+        return fold(((-1, None, self.coefficients.get((j, i), ZERO), None),))
 
     @cached_property
     def evaluator(self):
@@ -150,12 +147,6 @@ class TwoForm:
     def values(self, points: Sequence[Point]) -> np.ndarray:
         """As VectorField.values, over the stored coefficients."""
         return _values(self, points)
-
-
-def _binary(rule, a: Expr, b: Expr) -> Expr:
-    """normalize(Add(a, b)) for rule symx._add, and so on."""
-    atoms: dict[str, Expr] = {}
-    return _from_pair(rule(_ratform(a, atoms), _ratform(b, atoms)), atoms)
 
 
 def _values(obj, points: Sequence[Point]) -> np.ndarray:
@@ -218,65 +209,48 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
         return hit[1]
     frame = _same_chart(X, Y)
     xs, ys = X.components, Y.components
-    comps = []
-    for i in range(frame.n):
-        atoms: dict[str, Expr] = {}
-        acc = _ZERO_PAIR
-        for j, xj in enumerate(frame.states):
-            acc = _sub(_add(acc, _mul(_ratform(xs[j], atoms),
-                                      _dpair(ys[i], xj, atoms))),
-                       _mul(_ratform(ys[j], atoms), _dpair(xs[i], xj, atoms)))
-        comps.append(_from_pair(acc, atoms))
-    bracket = VectorField(frame, tuple(comps))
+    bracket = VectorField(frame, tuple(
+        fold(t for j, xj in enumerate(frame.states)
+             for t in ((1, xs[j], ys[i], xj), (-1, ys[j], xs[i], xj)))
+        for i in range(frame.n)))
     X._brackets[id(Y)] = (Y, bracket)
     return bracket
 
 
 def lie_derivative_fn(X: VectorField, h: Expr) -> Expr:
     """L_X h = sum_j X_j dh/dx_j, normalized."""
-    atoms: dict[str, Expr] = {}
-    acc = _ZERO_PAIR
-    for j, xj in enumerate(X.frame.states):
-        acc = _add(acc, _mul(_ratform(X.components[j], atoms),
-                             _dpair(h, xj, atoms)))
-    return _from_pair(acc, atoms)
-
-
-def _normal_diff(h: Expr, x: str) -> Expr:
-    """normalize(diff(h, x))."""
-    atoms: dict[str, Expr] = {}
-    return _from_pair(_dpair(h, x, atoms), atoms)
+    return fold((1, X.components[j], h, xj)
+                for j, xj in enumerate(X.frame.states))
 
 
 def exterior_derivative_fn(h: Expr, frame: Frame) -> OneForm:
     """dh, with coefficients dh/dx_i."""
-    return OneForm(frame, tuple(_normal_diff(h, x) for x in frame.states))
+    return OneForm(frame, tuple(fold(((1, None, h, x),))
+                                for x in frame.states))
 
 
 def exterior_derivative_1form(w: OneForm) -> TwoForm:
     """d(sum a_i dx_i), coefficient (i<j) equal to da_j/dx_i - da_i/dx_j."""
     a, xs = w.coefficients, w.frame.states
-    return _two_form(w.frame, lambda i, j, atoms: _sub(
-        _dpair(a[j], xs[i], atoms), _dpair(a[i], xs[j], atoms)))
+    return _two_form(w.frame, lambda i, j: (
+        (1, None, a[j], xs[i]), (-1, None, a[i], xs[j])))
 
 
 def wedge(a: OneForm, b: OneForm) -> TwoForm:
     """a ^ b with (i<j) coefficient a_i b_j - a_j b_i."""
     p, q = a.coefficients, b.coefficients
-    return _two_form(_same_chart(a, b), lambda i, j, atoms: _sub(
-        _mul(_ratform(p[i], atoms), _ratform(q[j], atoms)),
-        _mul(_ratform(p[j], atoms), _ratform(q[i], atoms))))
+    return _two_form(_same_chart(a, b), lambda i, j: (
+        (1, p[i], q[j], None), (-1, p[j], q[i], None)))
 
 
-def _two_form(frame: Frame, coefficient) -> TwoForm:
-    """The two-form of the nonzero pairs coefficient(i, j, atoms)."""
+def _two_form(frame: Frame, terms) -> TwoForm:
+    """The two-form of the nonzero folds of terms(i, j), i < j."""
     coeffs: dict[tuple[int, int], Expr] = {}
     for i in range(frame.n):
         for j in range(i + 1, frame.n):
-            atoms: dict[str, Expr] = {}
-            num, den = coefficient(i, j, atoms)
-            if num:
-                coeffs[(i, j)] = _from_pair((num, den), atoms)
+            c = fold(terms(i, j))
+            if c != ZERO:
+                coeffs[(i, j)] = c
     return TwoForm(frame, coeffs)
 
 
@@ -285,20 +259,12 @@ def interior_product(X: VectorField, w: "OneForm | TwoForm"):
     sum_i X_i w_{ij}; for a one-form gives the pairing <w, X>."""
     frame = _same_chart(X, w)
     if isinstance(w, OneForm):
-        return _pairing(zip(X.components, w.coefficients))
+        return fold((1, x, c, None)
+                    for x, c in zip(X.components, w.coefficients))
     return OneForm(frame, tuple(
-        _pairing((x, c) for x, c in zip(X.components, (
+        fold((1, x, c, None) for x, c in zip(X.components, (
             w.coefficient(i, j) for i in range(frame.n))) if c != ZERO)
         for j in range(frame.n)))
-
-
-def _pairing(terms: Iterable[tuple[Expr, Expr]]) -> Expr:
-    """normalize(ZERO + a_0*b_0 + a_1*b_1 + ...) over the terms (a, b)."""
-    atoms: dict[str, Expr] = {}
-    acc = _ZERO_PAIR
-    for a, b in terms:
-        acc = _add(acc, _mul(_ratform(a, atoms), _ratform(b, atoms)))
-    return _from_pair(acc, atoms)
 
 
 def lie_derivative_1form(X: VectorField, w: OneForm,

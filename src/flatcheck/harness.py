@@ -24,10 +24,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .symx import (ZERO, EvalError, Add, Call, Div, Expr, Frame, Mul, Point,
-                   Pow, Sub, Sym, compile_fn, compile_fns, diff, evaluator,
+                   Pow, Sub, Sym, compile_fn, compile_fns, evaluator, fold,
                    free_symbols, linear_decompose, normalize, parse,
                    point_rows, subst)
-from .symx import _ZERO_PAIR, _add, _dpair, _from_pair, _mul, _ratform
 from .diffgeo import VectorField
 from .chained import Chart
 from .triangular import TriangularRealization
@@ -100,12 +99,13 @@ class VSignal:
     def jets(self, which: int, depth: int) -> list[Expr]:
         """d^k v_which / dt^k for k = 0..depth, each normalized.
 
-        Normalizing after every diff keeps each step's input small: an
-        unnormalized tree grows about tenfold per order.
+        Each order is folded from the normal form of the one before, so
+        each step's input stays small: a raw diff tree grows about
+        tenfold per order.
         """
         out = [normalize((self.v1, self.v2)[which - 1])]
         for _ in range(depth):
-            out.append(normalize(diff(out[-1], "t")))
+            out.append(fold(((1, None, out[-1], "t"),)))
         return out
 
 
@@ -468,13 +468,10 @@ def _jet_name(base: str, order: int) -> str:
 
 
 def _total_derivative(e: Expr, succ: dict[str, Expr]) -> Expr:
-    """normalize(diff(e, s)*succ[s] + ...) over e's symbols s in succ,
-    sorted, folded on pairs as in diffgeo; 0 when there are none."""
-    atoms: dict[str, Expr] = {}
-    acc = _ZERO_PAIR  # _add returns the first term as it is
-    for s in sorted(free_symbols(e).intersection(succ)):
-        acc = _add(acc, _mul(_dpair(e, s, atoms), _ratform(succ[s], atoms)))
-    return _from_pair(acc, atoms)
+    """The fold of the terms succ[s] * de/ds over e's symbols s in
+    succ, sorted: normalize of their sum, 0 when there are none."""
+    return fold((1, succ[s], e, s)
+                for s in sorted(free_symbols(e).intersection(succ)))
 
 
 @dataclass(frozen=True)
@@ -666,7 +663,7 @@ def reconstruct(real: TriangularRealization, flat: FlatSignal) -> Trajectory:
             if m == 0:
                 target = jets[zs[i - 1]][1]
                 Ffn = compile_fn(normalize(e), order, params)
-                dFfn = compile_fn(normalize(diff(e, _jet_name(w, 0))),
+                dFfn = compile_fn(fold(((1, None, e, _jet_name(w, 0)),)),
                                   order, params)
 
                 def F(vcols, _f=Ffn, _tg=target):

@@ -497,36 +497,28 @@ def parse(text: str, frame: Frame) -> Expr:
 def diff(e: Expr, v: str) -> Expr:
     """Exact partial derivative with respect to the symbol v.
 
-    The result is a raw tree; callers normalize when a canonical form
-    is needed. When e carries a pair and has no kernel atom, so does
-    the result: the pair _ratform computes by walking it (_pair_diff).
+    The result is a raw tree with no stored pair; fold gives the normal
+    form of a derivative, without building this tree for a normal form
+    with no kernel atom.
     """
-    out = _diff(e, v)
-    pair = _pair_diff(e, v)
-    if pair is not None:
-        object.__setattr__(out, "_pair", (*pair, e._pair[2]))
-    return out
-
-
-def _diff(e: Expr, v: str) -> Expr:
     if isinstance(e, Const):
         return ZERO
     if isinstance(e, Sym):
         return ONE_E if e.name == v else ZERO
     if isinstance(e, Add):
-        return Add(_diff(e.a, v), _diff(e.b, v))
+        return Add(diff(e.a, v), diff(e.b, v))
     if isinstance(e, Sub):
-        return Sub(_diff(e.a, v), _diff(e.b, v))
+        return Sub(diff(e.a, v), diff(e.b, v))
     if isinstance(e, Mul):
-        return Add(Mul(_diff(e.a, v), e.b), Mul(e.a, _diff(e.b, v)))
+        return Add(Mul(diff(e.a, v), e.b), Mul(e.a, diff(e.b, v)))
     if isinstance(e, Div):
-        num = Sub(Mul(_diff(e.a, v), e.b), Mul(e.a, _diff(e.b, v)))
+        num = Sub(Mul(diff(e.a, v), e.b), Mul(e.a, diff(e.b, v)))
         return Div(num, Pow(e.b, 2))
     if isinstance(e, Pow):
-        dbase = _diff(e.base, v)
+        dbase = diff(e.base, v)
         return Mul(Mul(Const(Fraction(e.exp)), pow_expr(e.base, e.exp - 1)), dbase)
     if isinstance(e, Call):
-        darg = _diff(e.arg, v)
+        darg = diff(e.arg, v)
         if e.fn == "sin":
             outer = Call("cos", e.arg)
         elif e.fn == "cos":
@@ -567,24 +559,18 @@ def _diff(e: Expr, v: str) -> Expr:
 #
 # A tree that normalize returns carries the pair it was built from, as
 # (num, den, atoms) in its private _pair, atoms naming every atom the
-# pair uses; so does a tree that diff builds from one with no kernel
-# atom (_pair_diff). The invariant: a stored pair is exactly what
-# _ratform computes by walking the tree, up to the order of the dict
-# entries, which nothing reads. _ratform returns it instead of walking,
-# so normal forms are not expanded again each time they enter a sum or
+# pair uses. The invariant: a stored pair is exactly what _ratform
+# computes by walking the tree, up to the order of the dict entries,
+# which nothing reads. _ratform returns it instead of walking, so
+# normal forms are not expanded again each time they enter a sum or
 # product. Leaves carry none, and stored pairs share their dicts with
 # each other and with _ratform's results, so no helper may mutate a
 # pair it is given.
 #
-# So normalize of arithmetic on normal forms needs no tree: the rules
-# applied to the operands' _ratform pairs (_dpair for a diff) in the
-# order _ratform walks the tree, then _from_pair, give the same pair
-# and tree. A sum folds left from ZERO, as `acc = acc + term` builds
-# it; a term may be left out only when its pair is ({}, 1): a zero over
-# D still multiplies the sum's denominator by D. Each result gets its
-# own atoms dict, as in normalize, so no kernel atom of another sends
-# its diff down the walk. diffgeo, the elimination below and chained's
-# output-pair search are built this way.
+# So normalize of arithmetic on normal forms needs no tree: fold
+# applies the rules to the operands' pairs and builds only the
+# result's tree. The elimination below and chained's output-pair
+# search work on pairs the same way.
 # ---------------------------------------------------------------------------
 
 Mono = tuple[tuple[str, int], ...]
@@ -758,7 +744,8 @@ def _pair_diff(e: Expr, v: str) -> Pair | None:
 
 def _dpair(e: Expr, v: str, atoms: dict[str, Expr]) -> Pair:
     """_ratform(diff(e, v), atoms), without building diff's tree for a
-    constant, a symbol, or when _pair_diff gives the pair."""
+    constant, a symbol, or when _pair_diff gives the pair; then it adds
+    all of e's stored atoms, a superset of those the walk would add."""
     if isinstance(e, (Const, Sym)):
         return _ONE_PAIR if getattr(e, "name", None) == v else _ZERO_PAIR
     pair = _pair_diff(e, v)
@@ -915,6 +902,37 @@ def normalize(e: Expr) -> Expr:
     """
     atoms: dict[str, Expr] = {}
     return _from_pair(_ratform(e, atoms), atoms)
+
+
+def fold(terms: Iterable[tuple[int, Expr | None, Expr, str | None]]
+         ) -> Expr:
+    """normalize(ZERO ± t1 ± t2 ...), tree and stored pair alike,
+    folded on pairs: no tree of the sum is built, nor of a derivative
+    of a normal form with no kernel atom (_dpair).
+
+    Each term (sign, a, e, v) is sign * a * de/dv, as the tree
+    Mul(a, diff(e, v)); a is None for no coefficient, v None for no
+    derivative, and a sign > 0 adds the term, any other subtracts it.
+    The rules, which make the result exactly normalize's:
+    - fold left from ZERO in the given order, as `acc = acc ± term`
+      builds the sum, with each operand's _ratform pair (_dpair for a
+      derivative) taken in the order _ratform walks the tree;
+    - leave a term out only when its pair is exactly ({}, 1): a zero
+      over D still multiplies the sum's denominator by D;
+    - use a fresh atoms dict, as normalize does, so that no kernel
+      atom of another result sends this one's derivatives down the
+      walk;
+    - finish with _from_pair (a zero numerator gives ZERO).
+    """
+    atoms: dict[str, Expr] = {}
+    acc = _ZERO_PAIR
+    for sign, a, e, v in terms:
+        c = None if a is None else _ratform(a, atoms)
+        pair = _ratform(e, atoms) if v is None else _dpair(e, v, atoms)
+        if c is not None:
+            pair = _mul(c, pair)
+        acc = _add(acc, pair) if sign > 0 else _sub(acc, pair)
+    return _from_pair(acc, atoms)
 
 
 def is_zero(e: Expr) -> bool:

@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .symx import (ONE_E, ZERO, Const, Expr, Frame, Point, Sym, diff,
-                   evaluable_rows, free_symbols, is_zero, normalize,
+from .symx import (ONE_E, ZERO, Const, Expr, Frame, Point, Sym,
+                   evaluable_rows, fold, free_symbols, is_zero, normalize,
                    point_rows, rref_exprs, to_str)
 from .diffgeo import VectorField, lie_derivative_fn
 from .flags import SystemSpec, _reference_points
@@ -123,7 +123,7 @@ def _coordinate_fields(chart: Chart) -> list[list[Expr]]:
     """
     states = chart.x_frame.states
     n = len(states)
-    aug = [[diff(z, s) for s in states]
+    aug = [[fold(((1, None, z, s),)) for s in states]
            + [ONE_E if r == j else ZERO for j in range(1, n - 1)]
            for r, z in enumerate(chart.forward)]
     rows, _ = rref_exprs(aug)
@@ -142,11 +142,10 @@ def _z_derivatives(phis_x: tuple[Expr, ...], chart: Chart
     fields = _coordinate_fields(chart)
     out = {}
     for i, phi in enumerate(phis_x, start=1):
-        grad = [normalize(diff(phi, s)) for s in states]
+        grad = [fold(((1, None, phi, s),)) for s in states]
         for j in range(i + 1, n):
-            out[i, j] = normalize(sum(
-                (g * c for g, c in zip(grad, fields[j - 2]) if c != ZERO),
-                ZERO))
+            out[i, j] = fold((1, g, c, None)
+                             for g, c in zip(grad, fields[j - 2]) if c != ZERO)
     return out
 
 
@@ -205,7 +204,8 @@ def extract_triangular(spec: SystemSpec, chart: Chart,
         v1 = Sym("v1")
         zs = chart.z_frame.states
         regularity = tuple(
-            normalize(v1 + diff(phis[i], zs[i + 1])) for i in range(n - 2))
+            fold(((1, None, v1, None), (1, None, phis[i], zs[i + 1])))
+            for i in range(n - 2))
 
     return TriangularRealization(system=spec, chart=chart, feedback=fb,
                                  phis=phis, phis_x=phis_x, dphis_x=dphis_x,

@@ -19,7 +19,8 @@ Reference implementations that tests compare the library against:
   kept to show that elimination on (num, den) pairs returns the same
   trees and raises PivotError on the same inputs.
 
-And `equiv`, a probabilistic equivalence test only tests use.
+And two checks only tests use: `equiv`, a probabilistic equivalence
+test, and `same_tree`, structural equality without recursion.
 """
 
 import math
@@ -402,4 +403,27 @@ def equiv(a, b, trials=50, seed=0, tol=1e-9):
         if not abs(va - vb) <= tol * (1.0 + abs(va)):
             return False
         accepted += 1
+    return True
+
+
+def same_tree(a, b) -> bool:
+    """Structural equality without recursion: a normal form of a long
+    sum can be a chain deeper than the recursion limit."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, (Add, Sub, Mul, Div)):
+            stack += [(x.a, y.a), (x.b, y.b)]
+        elif isinstance(x, Pow):
+            if x.exp != y.exp:
+                return False
+            stack.append((x.base, y.base))
+        elif isinstance(x, Call):
+            if x.fn != y.fn:
+                return False
+            stack.append((x.arg, y.arg))
+        elif x != y:
+            return False
     return True

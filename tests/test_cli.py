@@ -348,7 +348,7 @@ def test_transform_cubic4_needs_no_inverse(tmp_path):
                  "30", "--json", str(out)]) == 0
     sec = json.loads(out.read_text())["construction"]
     assert sec["inverse"] is None
-    assert sec["dependence_mode"] == "symbolic"
+    assert "dependence_mode" not in sec
     assert sec["flat_output"]["regularity_x"] == ["u1", "u1"]
     assert sec["flat_output"]["regularity_z"] is None
     assert len(sec["phi_x"]) == 2 and "phi" not in sec

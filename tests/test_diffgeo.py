@@ -20,6 +20,7 @@ from flatcheck.harness import _total_derivative
 
 import diffgeo_reference as ref
 import systems
+from symx_reference import same_tree
 
 FR3 = Frame("x", ("x1", "x2", "x3"), ())
 
@@ -229,14 +230,18 @@ def test_mixed_frames_rejected():
 # --- folds on pairs against the tree reference --------------------------------
 
 def _same(got, want):
-    """Structurally equal, printed alike, with the same stored pair."""
-    assert got == want
+    """Structurally equal, printed alike, with the same stored pair.
+    Both name every atom of the pair; a fold's atoms are all of its
+    operands', so they may be more than the reference's walk of raw diff
+    trees finds, never fewer."""
+    assert same_tree(got, want)
     assert to_str(got) == to_str(want)
     if want._pair is None:
         assert got._pair is None
     else:
         assert got._pair[:2] == want._pair[:2]
-        assert set(got._pair[2]) == set(want._pair[2])
+        used = {a for poly in want._pair[:2] for mono in poly for a, _ in mono}
+        assert used <= set(want._pair[2]) <= set(got._pair[2])
 
 
 def _same_all(got, want):
@@ -330,6 +335,17 @@ def test_zero_numerator_over_a_denominator_is_kept():
         " + 15*x1^8 + 20*x1^6 + 15*x1^4 + 6*x1^2 + 1)")
 
 
+def test_fold_atoms_may_exceed_the_walks():
+    # x3 drops out of every derivative of h, so the reference's walk of
+    # the raw diff trees never meets it; the fold takes h's atoms
+    X = VF("x1^2", "0", "0")
+    h = normalize(P("x1*x2 + x3"))
+    got = lie_derivative_fn(X, h)
+    assert set(got._pair[2]) == {"x1", "x2", "x3"}
+    assert set(ref.lie_derivative_fn(X, h)._pair[2]) == {"x1", "x2"}
+    _check_against_reference(X, VF("x2", "0", "x1"), h, ONE_E)
+
+
 def test_components_with_no_stored_pair_match_reference():
     X = VF("x1*x2 + 3", "x2/(x1 + 2)", "x3^2 - x1")
     Y = VF("x2", "(x1 + x3)^2", "1/(x2^2 + 1)")
@@ -359,8 +375,7 @@ def test_folds_on_normal_forms_build_no_tree(monkeypatch):
                                ("x2/(x1^2 + 1)", "x1*x3 - 1", "x2^2")))
     Y = VectorField(FR3, (Sym("x3"), ONE_E, normalize(P("x1*x2 + x3"))))
     h = normalize(P("x1*x2^2/(x3^2 + 1) + x3"))
-    zero = symx.diff(normalize(P("x1^2/(x2 + 1)")), "x3")
-    assert zero._pair is not None
+    q = normalize(P("x1^2/(x2 + 1)"))
     monkeypatch.setattr(symx, "normalize", refuse)
     monkeypatch.setattr(symx, "diff", refuse)
     w = exterior_derivative_fn(h, FR3)
@@ -373,7 +388,9 @@ def test_folds_on_normal_forms_build_no_tree(monkeypatch):
     # the zero test reads a stored pair
     assert all(b._pair is not None for b in B.components)
     assert not B.is_zero()
-    assert is_zero(zero) and zero != ZERO
+    # a vanishing derivative folds to ZERO itself, zero over a
+    # denominator included
+    assert symx.fold([(1, None, q, "x3"), (-1, h, q, "x3")]) is ZERO
 
 
 def test_values_in_point_order_memo_evaluates_each_object_once(monkeypatch):

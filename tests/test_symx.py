@@ -12,7 +12,7 @@ from flatcheck.cli import main
 from flatcheck.symx import (Add, Call, Const, Div, EvalError, Frame, Mul,
                             ParseError, PivotError, Pow, Sub, Sym, SymxError,
                             ZERO, _canon, _ratform, compile_fn, compile_fns,
-                            diff, eval_at,
+                            diff, eval_at, fold,
                             evaluator, free_symbols, is_zero,
                             linear_decompose, normalize, nullspace_exprs,
                             parse, polynomial_terms, pow_expr, rref_exprs,
@@ -145,29 +145,6 @@ _small = st.recursive(_leaf, lambda s: st.tuples(s, s).flatmap(_combine),
                       max_leaves=3)
 
 
-def _same_tree(a, b) -> bool:
-    """Structural equality without recursion: a normal form of a long
-    sum can be a chain deeper than the recursion limit."""
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if type(x) is not type(y):
-            return False
-        if isinstance(x, (Add, Sub, Mul, Div)):
-            stack += [(x.a, y.a), (x.b, y.b)]
-        elif isinstance(x, Pow):
-            if x.exp != y.exp:
-                return False
-            stack.append((x.base, y.base))
-        elif isinstance(x, Call):
-            if x.fn != y.fn:
-                return False
-            stack.append((x.arg, y.arg))
-        elif x != y:
-            return False
-    return True
-
-
 @st.composite
 def _long_sum(draw):
     """A chain of 20-40 terms: products, quotients, negative powers, sin
@@ -198,7 +175,8 @@ def _long_sum(draw):
 @given(_long_sum())
 @settings(max_examples=20, deadline=None)
 def test_normalize_of_long_sums_matches_reference_product(e):
-    assert _same_tree(normalize(e), symx_reference.normalize(e))
+    assert symx_reference.same_tree(normalize(e),
+                                     symx_reference.normalize(e))
 
 
 # --- coefficients: ints where integral ----------------------------------------
@@ -245,8 +223,9 @@ def test_int_coefficients_match_the_fraction_reference(a, b):
 
 
 def test_every_stored_pair_has_int_coefficients(monkeypatch, tmp_path):
-    # every pair a tree stores comes from _canon (_from_pair) or from
-    # _pair_diff (diff), both looked up in symx when called
+    # every pair a tree stores comes from _canon (_from_pair), and the
+    # derivative pairs folded into them from _pair_diff; both are looked
+    # up in symx when called
     pairs = []
     for name in ("_canon", "_pair_diff"):
         def recording(*args, real=getattr(symx, name)):
@@ -315,19 +294,26 @@ def _walked(e):
     return _ratform(_bare(e), {})
 
 
+def _assert_folds_diff(got, h, v):
+    # got, the fold of the derivative term de/dv of h, is normalize's
+    # tree of diff's, and stores the pair walking diff's tree gives
+    raw = diff(_bare(h), v)
+    want = normalize(raw)
+    assert got == want and to_str(got) == to_str(want)
+    if isinstance(got, (Const, Sym)):
+        assert got._pair is None
+    else:
+        assert got._pair[:2] == _canon(*_walked(raw))
+
+
 def _assert_diff_pairs_exact(h):
-    # h is a normal form; the pairs stored on its first and second
-    # derivatives must be what walking those trees gives
+    # h is a normal form; so are the folds of its first and second
+    # derivatives
     for v in FR.states:
-        d = diff(h, v)
-        assert d._pair is not None
-        assert d._pair[:2] == _walked(d)
-        assert to_str(normalize(d)) == to_str(normalize(diff(_bare(h), v)))
+        d = fold([(1, None, h, v)])
+        _assert_folds_diff(d, h, v)
         for w in FR.states:
-            dd = diff(d, w)
-            assert dd._pair[:2] == _walked(dd)
-            assert to_str(normalize(dd)) == to_str(
-                normalize(diff(_bare(d), w)))
+            _assert_folds_diff(fold([(1, None, d, w)]), d, w)
 
 
 @given(_poly, _poly, st.booleans())
@@ -485,19 +471,71 @@ def test_dpair_is_the_walk_of_diffs_tree(e, normal, v):
         return
     atoms = {}
     assert symx._dpair(e, v, atoms) == want
-    assert set(atoms) == set(want_atoms)
+    # all of e's stored atoms: a superset of the walk's, which names
+    # every atom of the pair
+    used = {a for poly in want for mono in poly for a, _ in mono}
+    assert set(atoms) >= set(want_atoms) >= used
+
+
+# operands of a fold: built trees with rational and kernel atoms, and
+# parsed ones; each as it is or as its normal form
+_operand = st.tuples(st.one_of(
+    _rational(kernels=True),
+    st.sampled_from([P("sin(x1)*x2 + x3/(x1^2 + 1)"), P("x2*exp(x3) - x1"),
+                     P("(x1 + x2)^2/(3*x3^2 + 2)"), P("x1*x2^2 - 1/2")])),
+    st.booleans())
+_fold_term = st.tuples(st.sampled_from([1, -1]), st.none() | _operand,
+                       _operand, st.none() | st.sampled_from(FR.states))
+
+
+@given(st.lists(_fold_term, max_size=4))
+@settings(max_examples=200, deadline=None)
+@example([(1, (P("1/(x1^2 + 1)"), True), (P("x1/(x2 + 1)"), True), "x3")])
+@example([(-1, None, (P("sin(x1)*x2"), True), "x1"),
+          (1, (P("x3"), False), (P("1/(x2 + 1)"), True), None)])
+def test_fold_is_normalize_of_the_tree_its_terms_spell(drawn):
+    try:
+        terms = [(sign, None if a is None else normalize(a[0]) if a[1]
+                  else a[0], normalize(e[0]) if e[1] else e[0], v)
+                 for sign, a, e, v in drawn]
+    except SymxError:
+        return
+    tree = ZERO
+    for sign, a, e, v in terms:
+        t = e if v is None else diff(e, v)
+        t = t if a is None else Mul(a, t)
+        tree = Add(tree, t) if sign > 0 else Sub(tree, t)
+    try:
+        want = normalize(tree)
+    except SymxError:
+        with pytest.raises(SymxError):
+            fold(terms)
+        return
+    got = fold(terms)
+    assert symx_reference.same_tree(got, want)
+    assert to_str(got) == to_str(want)
+    if isinstance(got, (Const, Sym, Call)):
+        assert got._pair is None
+    else:
+        # the pair of the tree walked with no stored pair inside
+        assert got._pair[:2] == _canon(*_walked(tree))
+        used = {a for poly in got._pair[:2] for mono in poly for a, _ in mono}
+        assert used <= set(got._pair[2])
 
 
 def test_is_zero_reads_a_stored_pair(monkeypatch):
-    zero = diff(normalize(P("x1^2/(x2 + 1)")), "x3")
+    # a normal-form zero, a derivative fold's included, is the ZERO
+    # constant, so every stored pair is nonzero
+    zero = fold([(1, None, normalize(P("x1^2/(x2 + 1)")), "x3")])
     one = normalize(P("x1/(x2 + 1)"))
-    assert zero._pair[0] == {} and zero != ZERO
+    assert zero is ZERO and is_zero(zero)
+    assert one._pair[0]
 
     def refuse(e):
         raise AssertionError("normalized")
 
     monkeypatch.setattr(symx, "normalize", refuse)
-    assert is_zero(zero) and not is_zero(one)
+    assert not is_zero(one)
 
 
 def _same_or_both_fail(e, env, fns):

@@ -561,11 +561,12 @@ def diff(e: Expr, v: str) -> Expr:
 # (num, den, atoms) in its private _pair, atoms naming every atom the
 # pair uses. The invariant: a stored pair is exactly what _ratform
 # computes by walking the tree, up to the order of the dict entries,
-# which nothing reads. _ratform returns it instead of walking, so
-# normal forms are not expanded again each time they enter a sum or
-# product. Leaves carry none, and stored pairs share their dicts with
-# each other and with _ratform's results, so no helper may mutate a
-# pair it is given.
+# which nothing reads. A stored pair is never zero: a zero normal form
+# is the constant ZERO, which carries none. _ratform returns the pair
+# instead of walking, so normal forms are not expanded again each time
+# they enter a sum or product. Leaves carry none, and stored pairs
+# share their dicts with each other and with _ratform's results, so no
+# helper may mutate a pair it is given.
 #
 # So normalize of arithmetic on normal forms needs no tree: fold
 # applies the rules to the operands' pairs and builds only the
@@ -936,10 +937,9 @@ def fold(terms: Iterable[tuple[int, Expr | None, Expr, str | None]]
 
 
 def is_zero(e: Expr) -> bool:
-    """Exact zero test on the rational normal form; read off the stored
-    pair (an empty numerator) when e carries one."""
-    stored = getattr(e, "_pair", None)
-    return normalize(e) == ZERO if stored is None else not stored[0]
+    """Exact zero test on the rational normal form; a tree that carries
+    a stored pair is a nonzero normal form, not normalized again."""
+    return getattr(e, "_pair", None) is None and normalize(e) == ZERO
 
 
 # ---------------------------------------------------------------------------

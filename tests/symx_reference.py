@@ -19,8 +19,9 @@ Reference implementations that tests compare the library against:
   kept to show that elimination on (num, den) pairs returns the same
   trees and raises PivotError on the same inputs.
 
-And two checks only tests use: `equiv`, a probabilistic equivalence
-test, and `same_tree`, structural equality without recursion.
+And checks only tests use: `equiv`, a probabilistic equivalence test,
+`same_tree`, structural equality without recursion, and `fold_atoms`,
+the atoms a fold's stored pair names.
 """
 
 import math
@@ -31,7 +32,7 @@ import numpy as np
 from flatcheck.symx import (Add, Call, Const, Div, EvalError, FUNCTIONS, Mul,
                             ONE_E, PivotError, Pow, Sub, Sym, SymxError,
                             ZERO, _cancel_content, _mono_key, _mono_mul,
-                            _poly_to_expr, compile_fns,
+                            _poly_to_expr, _ratform, compile_fns, diff,
                             eval_at as lib_eval_at, evaluator,
                             free_symbols, is_zero, linear_decompose,
                             polynomial_terms, to_str)
@@ -427,3 +428,27 @@ def same_tree(a, b) -> bool:
         elif x != y:
             return False
     return True
+
+
+def fold_atoms(terms) -> dict:
+    """The atoms symx.fold(terms) stores: exactly those of its operands.
+    For each term (sign, a, e, v), the atoms _ratform reads off a, and
+    off e when v is None; for a derivative, none for a constant or a
+    symbol, all of e's stored atoms when e's pair has no kernel atom
+    (the derivative's pair is taken from it), and otherwise those of
+    the walk of diff(e, v)'s tree. A walk of the raw diff trees can
+    find fewer: an atom that drops out of every derivative."""
+    atoms = {}
+    for _, a, e, v in terms:
+        if a is not None:
+            _ratform(a, atoms)
+        if v is None:
+            _ratform(e, atoms)
+        elif isinstance(e, (Const, Sym)):
+            continue
+        elif e._pair is not None and not any(
+                isinstance(x, Call) for x in e._pair[2].values()):
+            atoms.update(e._pair[2])
+        else:
+            _ratform(diff(e, v), atoms)
+    return atoms

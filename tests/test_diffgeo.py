@@ -230,18 +230,14 @@ def test_mixed_frames_rejected():
 # --- folds on pairs against the tree reference --------------------------------
 
 def _same(got, want):
-    """Structurally equal, printed alike, with the same stored pair.
-    Both name every atom of the pair; a fold's atoms are all of its
-    operands', so they may be more than the reference's walk of raw diff
-    trees finds, never fewer."""
+    """Structurally equal, printed alike, with the same stored pair."""
     assert same_tree(got, want)
     assert to_str(got) == to_str(want)
     if want._pair is None:
         assert got._pair is None
     else:
         assert got._pair[:2] == want._pair[:2]
-        used = {a for poly in want._pair[:2] for mono in poly for a, _ in mono}
-        assert used <= set(want._pair[2]) <= set(got._pair[2])
+        assert set(got._pair[2]) == set(want._pair[2])
 
 
 def _same_all(got, want):
@@ -336,13 +332,16 @@ def test_zero_numerator_over_a_denominator_is_kept():
 
 
 def test_fold_atoms_may_exceed_the_walks():
-    # x3 drops out of every derivative of h, so the reference's walk of
-    # the raw diff trees never meets it; the fold takes h's atoms
+    # x3 drops out of every derivative of h, so a walk of the raw diff
+    # trees never meets it; the fold takes h's atoms
     X = VF("x1^2", "0", "0")
     h = normalize(P("x1*x2 + x3"))
     got = lie_derivative_fn(X, h)
     assert set(got._pair[2]) == {"x1", "x2", "x3"}
-    assert set(ref.lie_derivative_fn(X, h)._pair[2]) == {"x1", "x2"}
+    tree = ZERO
+    for xj, a in zip(FR3.states, X.components):
+        tree = Add(tree, Mul(a, symx.diff(h, xj)))
+    assert set(normalize(tree)._pair[2]) == {"x1", "x2"}
     _check_against_reference(X, VF("x2", "0", "x1"), h, ONE_E)
 
 

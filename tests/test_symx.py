@@ -471,10 +471,11 @@ def test_dpair_is_the_walk_of_diffs_tree(e, normal, v):
         return
     atoms = {}
     assert symx._dpair(e, v, atoms) == want
-    # all of e's stored atoms: a superset of the walk's, which names
-    # every atom of the pair
+    # the walk's atoms, or all of e's stored atoms where its pair gives
+    # the derivative's; either names every atom of the pair
+    assert set(atoms) == set(symx_reference.fold_atoms([(1, None, e, v)]))
     used = {a for poly in want for mono in poly for a, _ in mono}
-    assert set(atoms) >= set(want_atoms) >= used
+    assert set(want_atoms) >= used and set(atoms) >= set(want_atoms)
 
 
 # operands of a fold: built trees with rational and kernel atoms, and
@@ -519,8 +520,15 @@ def test_fold_is_normalize_of_the_tree_its_terms_spell(drawn):
     else:
         # the pair of the tree walked with no stored pair inside
         assert got._pair[:2] == _canon(*_walked(tree))
+        # a fresh atoms dict naming exactly the operands' atoms, which
+        # name every atom of the pair
+        assert set(got._pair[2]) == set(symx_reference.fold_atoms(terms))
         used = {a for poly in got._pair[:2] for mono in poly for a, _ in mono}
         assert used <= set(got._pair[2])
+        assert got._pair[0]  # a stored pair is never zero
+        assert all(got._pair[2] is not x._pair[2]
+                   for _, a, e, _ in terms for x in (a, e)
+                   if x is not None and x._pair is not None)
 
 
 def test_is_zero_reads_a_stored_pair(monkeypatch):

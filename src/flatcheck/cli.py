@@ -275,6 +275,57 @@ def load_spec(path: str) -> SystemSpec:
 
 # --- report record ---------------------------------------------------------
 
+def _float_text(x: float) -> str:
+    """A float as json spells it."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+_escape = json.encoder.encode_basestring_ascii
+_SCALAR_TEXT = {str: _escape, int: int.__repr__, float: _float_text,
+                bool: lambda b: "true" if b else "false",
+                type(None): lambda _: "null"}
+
+
+def _json_text(x, indent: str) -> str:
+    """json.dumps(x, indent=2, sort_keys=True) at the given indent, for
+    x built of exact dicts with str keys, lists, tuples and the scalars
+    of _SCALAR_TEXT; TypeError for anything else. A list of one scalar
+    type is written by one join over a C-level map."""
+    kind = type(x)
+    text = _SCALAR_TEXT.get(kind)
+    if text is not None:
+        return text(x)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if kind is dict:
+        if not x:
+            return "{}"
+        body = sep.join([_escape(k) + ": " + _json_text(x[k], inner)
+                         for k in sorted(x)])
+        return "{\n" + inner + body + "\n" + indent + "}"
+    if kind is not list and kind is not tuple:
+        raise TypeError(f"not written directly: {kind.__name__}")
+    if not x:
+        return "[]"
+    kinds = set(map(type, x))
+    text = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+    if text is _float_text:
+        body = sep.join(map(float.__repr__, x))
+        if "n" in body:  # nan or inf
+            body = sep.join(map(text, x))
+    elif text is not None:
+        body = sep.join(map(text, x))
+    else:
+        body = sep.join([_json_text(v, inner) for v in x])
+    return "[\n" + inner + body + "\n" + indent + "]"
+
+
 @dataclass
 class CheckReport:
     """One record, rendered as text for people and JSON for machines."""
@@ -282,7 +333,13 @@ class CheckReport:
     data: dict
 
     def to_json(self) -> str:
-        return json.dumps(self.data, indent=2, sort_keys=True) + "\n"
+        """json.dumps(data, indent=2, sort_keys=True) and a newline."""
+        try:
+            text = _json_text(self.data, "")
+        except (TypeError, RecursionError):
+            # not plain data, or a cycle: json writes it or raises its error
+            text = json.dumps(self.data, indent=2, sort_keys=True)
+        return text + "\n"
 
     def render(self) -> str:
         return _render(self.data)

@@ -234,7 +234,9 @@ def dims_at(table: FlagTable, points: list[Point]
     sit in both flags), so each distinct bracket word is evaluated once,
     over all points in one batch; the evaluation error raised is the
     first one point by point, in level order at each point. Each
-    level's matrices are then ranked over all points with one SVD call.
+    distinct word list is then ranked over all points with one SVD
+    call: where F_k and G_k have the same words, as they mostly do when
+    condition 1 holds, they share it.
     """
     fields: dict[str, VectorField] = {}
     for rec in table.levels:
@@ -244,10 +246,14 @@ def dims_at(table: FlagTable, points: list[Point]
     if first is not None:
         raise first[2]
     vals = dict(zip(fields, batches))
+    memo: dict[tuple[str, ...], list[int]] = {}
 
     def ranks(gens: list[tuple[str, VectorField]]) -> list[int]:
-        return _ranks(np.stack([vals[w] for w, _ in gens], axis=1),
-                      table.rank_tol).tolist()
+        words = tuple(w for w, _ in gens)
+        if words not in memo:
+            memo[words] = _ranks(np.stack([vals[w] for w in words], axis=1),
+                                 table.rank_tol).tolist()
+        return memo[words]
 
     dims = [(ranks(rec.f_generators), ranks(rec.g_generators))
             for rec in table.levels]

@@ -554,8 +554,12 @@ def diff(e: Expr, v: str) -> Expr:
 # denominator is the unit polynomial. _p_mul returns the other operand
 # as it is when one operand is the unit (the same polynomial, since
 # c*1 == c and m*() == m), and _add and _sub do so for a zero ({}, 1),
-# so those cost nothing. The helpers never mutate their arguments,
-# which is what makes sharing safe.
+# so those cost nothing. fold goes further: a term whose pair is known
+# to be ({}, 1) before it is formed (a zero coefficient or operand, all
+# denominators units; see fold) is never multiplied out, and a zero
+# derivative of a constant, a symbol or a polynomial stored pair is
+# not even computed. The helpers never mutate their arguments, which
+# is what makes sharing safe.
 #
 # A tree that normalize returns carries the pair it was built from, as
 # (num, den, atoms) in its private _pair, atoms naming every atom the
@@ -589,10 +593,40 @@ def _coef(c: int | Fraction) -> int | Fraction:
 
 
 def _mono_mul(m1: Mono, m2: Mono) -> Mono:
-    d = dict(m1)
-    for a, k in m2:
-        d[a] = d.get(a, 0) + k
-    return tuple(sorted(d.items()))
+    """The product of two monomials: a merge of the sorted tuples, with
+    the exponents of a shared atom added; an empty operand returns the
+    other."""
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    out = []
+    i1, i2 = iter(m1), iter(m2)
+    x, y = next(i1), next(i2)
+    while True:
+        a, b = x[0], y[0]
+        if a == b:
+            out.append((a, x[1] + y[1]))
+            x, y = next(i1, None), next(i2, None)
+            if x is None or y is None:
+                break
+        elif a < b:
+            out.append(x)
+            x = next(i1, None)
+            if x is None:
+                break
+        else:
+            out.append(y)
+            y = next(i2, None)
+            if y is None:
+                break
+    if x is not None:
+        out.append(x)
+        out += i1
+    if y is not None:
+        out.append(y)
+        out += i2
+    return tuple(out)
 
 
 def _mono_key(m: Mono):
@@ -757,6 +791,25 @@ def _dpair(e: Expr, v: str, atoms: dict[str, Expr]) -> Pair:
     return pair
 
 
+def _dzero(e: Expr, v: str, atoms: dict[str, Expr]) -> bool | None:
+    """Whether _dpair(e, v, atoms) is ({}, 1), when its denominator is
+    known to be the unit without computing it: for a constant, a
+    symbol, or a stored pair with a unit denominator and no kernel
+    atom (a zero then when v is none of its atoms). It adds the atoms
+    _dpair adds; None, adding none, for any other e."""
+    if isinstance(e, Const):
+        return True
+    if isinstance(e, Sym):
+        return e.name != v
+    stored = e._pair
+    if (stored is None or not _is_one(stored[1])
+            or any(isinstance(a, Call) for a in stored[2].values())):
+        return None
+    for key, a in stored[2].items():
+        atoms.setdefault(key, a)
+    return v not in stored[2]
+
+
 def _content(p: Poly) -> dict[str, int]:
     it = iter(p)
     first = next(it, None)
@@ -919,7 +972,13 @@ def fold(terms: Iterable[tuple[int, Expr | None, Expr, str | None]]
       builds the sum, with each operand's _ratform pair (_dpair for a
       derivative) taken in the order _ratform walks the tree;
     - leave a term out only when its pair is exactly ({}, 1): a zero
-      over D still multiplies the sum's denominator by D;
+      over D still multiplies the sum's denominator by D. It is known
+      to be, without multiplying, when the coefficient's and the
+      operand's denominators are units and one of the two numerators
+      is empty; for a derivative, that is known without computing it
+      when e is a constant, a symbol, or a stored pair with a unit
+      denominator and no kernel atom (_dzero). A term left out still
+      adds the atoms its operands' pairs would;
     - use a fresh atoms dict, as normalize does, so that no kernel
       atom of another result sends this one's derivatives down the
       walk;
@@ -929,7 +988,16 @@ def fold(terms: Iterable[tuple[int, Expr | None, Expr, str | None]]
     acc = _ZERO_PAIR
     for sign, a, e, v in terms:
         c = None if a is None else _ratform(a, atoms)
-        pair = _ratform(e, atoms) if v is None else _dpair(e, v, atoms)
+        pair = _ratform(e, atoms) if v is None else None
+        if c is None or _is_one(c[1]):
+            if pair is None:
+                zero = _dzero(e, v, atoms)
+            else:
+                zero = not pair[0] if _is_one(pair[1]) else None
+            if zero is not None and (zero or c is not None and not c[0]):
+                continue
+        if pair is None:
+            pair = _dpair(e, v, atoms)
         if c is not None:
             pair = _mul(c, pair)
         acc = _add(acc, pair) if sign > 0 else _sub(acc, pair)

@@ -4,9 +4,10 @@ Reference implementations that tests compare the library against:
 
 - the polynomial arithmetic with every coefficient a Fraction, whose
   product multiplies every pair of terms, even when one operand is the
-  unit polynomial, and the normalize built on it, kept to show that
-  neither the unit-operand shortcut in `symx._p_mul` nor its int
-  coefficients change a normal form;
+  unit polynomial, and multiplies monomials through a dict and a sort,
+  and the normalize built on it, kept to show that neither the
+  unit-operand shortcut in `symx._p_mul`, nor its int coefficients,
+  nor `symx._mono_mul`'s merge change a normal form;
 - the recursive tree walker that evaluated expressions before every
   evaluation went through generated code, kept to show that the
   generated code computes the same floats and raises EvalError at the
@@ -20,8 +21,9 @@ Reference implementations that tests compare the library against:
   trees and raises PivotError on the same inputs.
 
 And checks only tests use: `equiv`, a probabilistic equivalence test,
-`same_tree`, structural equality without recursion, and `fold_atoms`,
-the atoms a fold's stored pair names.
+`same_tree`, structural equality without recursion, `fold_atoms`, the
+atoms a fold's stored pair names, and `fold`, what `symx.fold` gives
+by building the tree its terms spell and normalizing it here.
 """
 
 import math
@@ -31,8 +33,7 @@ import numpy as np
 
 from flatcheck.symx import (Add, Call, Const, Div, EvalError, FUNCTIONS, Mul,
                             ONE_E, PivotError, Pow, Sub, Sym, SymxError,
-                            ZERO, _cancel_content, _mono_key, _mono_mul,
-                            _poly_to_expr, _ratform, compile_fns, diff,
+                            ZERO, _cancel_content, _mono_key, _poly_to_expr, _ratform, compile_fns, diff,
                             eval_at as lib_eval_at, evaluator,
                             free_symbols, is_zero, linear_decompose,
                             polynomial_terms, to_str)
@@ -44,6 +45,14 @@ ONE = {(): Fraction(1)}
 def frac(p):
     """p with every coefficient a Fraction."""
     return {m: Fraction(c) for m, c in p.items()}
+
+
+def mono_mul(m1, m2):
+    """The product of two monomials, through a dict and a sort."""
+    d = dict(m1)
+    for a, k in m2:
+        d[a] = d.get(a, 0) + k
+    return tuple(sorted(d.items()))
 
 
 def p_add(p, q):
@@ -65,7 +74,7 @@ def p_mul(p, q):
     out = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
-            m = _mono_mul(m1, m2)
+            m = mono_mul(m1, m2)
             nc = out.get(m, Fraction(0)) + Fraction(c1) * c2
             if nc:
                 out[m] = nc
@@ -452,3 +461,16 @@ def fold_atoms(terms) -> dict:
         else:
             _ratform(diff(e, v), atoms)
     return atoms
+
+
+def fold(terms):
+    """(tree, pair, atoms) of symx.fold(terms): normalize of the tree
+    the terms spell, every term in it, the canonical pair of that tree's
+    walk, and fold_atoms(terms)."""
+    terms = list(terms)
+    tree = ZERO
+    for sign, a, e, v in terms:
+        t = e if v is None else diff(e, v)
+        t = t if a is None else Mul(a, t)
+        tree = Add(tree, t) if sign > 0 else Sub(tree, t)
+    return normalize(tree), canon(*ratform(tree, {})), fold_atoms(terms)

@@ -1,15 +1,18 @@
 import json
+import math
 from pathlib import Path
 
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+import hypothesis.strategies as st
 
 from flatcheck.symx import Frame, Sub, is_zero, parse
-from flatcheck.cli import (BRACKET_FD_TOL, RunConfig, SpecFileError,
-                           _bracket_oracle, _sample_points, load_spec, main,
-                           run)
+from flatcheck.cli import (BRACKET_FD_TOL, CheckReport, RunConfig,
+                           SpecFileError, _bracket_oracle, _json_text,
+                           _sample_points, load_spec, main, run)
 from flatcheck.diffgeo import lie_bracket
 from flatcheck.harness import SampleBox
 
@@ -553,3 +556,62 @@ def test_commands_are_prefixes(name):
     assert verify["construction"] == transform["construction"]
     assert (verify["verification"]["chained_form"]
             == transform["verification"]["chained_form"])
+
+
+# --- the report writer -------------------------------------------------------
+
+_json_string = st.text() | st.sampled_from(
+    ['"', "\\", "\n\t\r\b\f", "\x00\x1f\x7f", "\u2028", "é", "\U0001f600",
+     "\ud800", "/"])
+_json_scalar = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=2 ** 63) | st.integers(max_value=-2 ** 63),
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0,
+                                  5e-324, 1e16, 1.7976931348623157e308]),
+    _json_string)
+_json_value = st.recursive(
+    _json_scalar | st.lists(st.floats()) | st.lists(st.integers())
+    | st.lists(_json_string) | st.lists(st.booleans()) | st.lists(st.none()),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(_json_string, kids, max_size=4),
+    max_leaves=25)
+
+
+@given(_json_value)
+@settings(max_examples=400, deadline=None)
+@example({"a": [1.0, math.nan, -0.0, math.inf], "b": {}, "c": [], "d": ()})
+@example([[1, 2.5, "x", None, True], (1, (2,)), {"k": {"k": [False]}}])
+@example({"é": "\u2028", "": 2 ** 70, "\n": -(2 ** 64)})
+def test_report_writer_is_json_dumps(x):
+    want = json.dumps(x, indent=2, sort_keys=True) + "\n"
+    # written directly, not by falling back to json.dumps
+    assert _json_text(x, "") + "\n" == want
+    assert CheckReport(x).to_json() == want
+
+
+@pytest.mark.parametrize("x", [
+    {"a": np.float64(0.1)}, [1.0, np.float64(2.5)], {"a": {1: "x", 2: [1.5]}},
+    {"a": {True: None, False: 1}}, {1: "x"}])
+def test_report_writer_falls_back_to_json_dumps(x):
+    with pytest.raises(TypeError):
+        _json_text(x, "")
+    assert CheckReport(x).to_json() == \
+        json.dumps(x, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("x", [{"a": object()}, [1, {2, 3}],
+                               {"a": np.int64(1)}, {1: "x", "b": 2}])
+def test_report_writer_raises_what_json_dumps_raises(x):
+    with pytest.raises(TypeError) as want:
+        json.dumps(x, indent=2, sort_keys=True)
+    with pytest.raises(TypeError) as got:
+        CheckReport(x).to_json()
+    assert str(got.value) == str(want.value)
+
+
+def test_report_writer_reports_a_cycle_as_json_dumps_does():
+    x = [1.0]
+    x.append({"x": x})
+    with pytest.raises(ValueError, match="Circular reference"):
+        CheckReport({"a": x}).to_json()

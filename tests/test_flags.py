@@ -261,6 +261,29 @@ def test_dims_at_evaluates_each_generator_once(monkeypatch, name):
                                    for v in words.values())
 
 
+@pytest.mark.parametrize("name, levels", [("chained6", 5), ("example1", 3)])
+def test_dims_at_ranks_each_word_list_once(monkeypatch, name, levels):
+    spec = _FLAG_SYSTEMS[name]()
+    table = compute_flags(spec)
+    # F_k = G_k at every level of both, so the ranks of one SVD call
+    # serve both flags
+    assert len(table.levels) == levels
+    assert all([w for w, _ in lv.f_generators] ==
+               [w for w, _ in lv.g_generators] for lv in table.levels)
+    stacks = []
+    real = flags._ranks
+
+    def spy(stack, tol):
+        stacks.append(stack.shape)
+        return real(stack, tol)
+
+    monkeypatch.setattr(flags, "_ranks", spy)
+    points = _points(spec, 4)
+    dims = dims_at(table, points)
+    assert len(stacks) == levels
+    assert all(df == dg for df, dg in dims)
+
+
 def test_ranks_of_a_stack():
     full = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
     stack = np.stack([np.zeros((2, 3)), full,

@@ -222,6 +222,26 @@ def test_int_coefficients_match_the_fraction_reference(a, b):
         assert _tidy(*(got if isinstance(got, tuple) else (got,)))
 
 
+_mono = st.dictionaries(st.sampled_from(["cos(x2)", "sin(x1)", "x1", "x10",
+                                         "x2", "x3"]),
+                        st.integers(1, 4)).map(lambda d: tuple(sorted(d.items())))
+
+
+@given(_mono, _mono)
+@settings(max_examples=300, deadline=None)
+@example((), ())
+@example((("x1", 1),), ())
+@example((("x1", 1),), (("x1", 2),))
+@example((("x1", 1), ("x3", 2)), (("x10", 1), ("x2", 1)))
+@example((("sin(x1)", 1), ("x2", 1)), (("x1", 3), ("x2", 1), ("x3", 1)))
+def test_mono_mul_merge_is_the_dict_product(m1, m2):
+    # shared, disjoint and empty monomials alike
+    got = symx._mono_mul(m1, m2)
+    assert type(got) is tuple
+    assert got == symx_reference.mono_mul(m1, m2)
+    assert got == symx._mono_mul(m2, m1)
+
+
 def test_every_stored_pair_has_int_coefficients(monkeypatch, tmp_path):
     # every pair a tree stores comes from _canon (_from_pair), and the
     # derivative pairs folded into them from _pair_diff; both are looked
@@ -529,6 +549,74 @@ def test_fold_is_normalize_of_the_tree_its_terms_spell(drawn):
         assert all(got._pair[2] is not x._pair[2]
                    for _, a, e, _ in terms for x in (a, e)
                    if x is not None and x._pair is not None)
+
+
+# the operand kinds the zero-term skip of fold tells apart: constants
+# and symbols, stored pairs with a unit denominator (the last has x2
+# among its atoms but not in its pair), with a non-unit one, and with
+# kernel atoms, and a raw tree
+_SKIP_OPERANDS = [ZERO, P("3/2"), P("x1"), P("x3"),
+                  normalize(P("x1*x2 - x3^2")), normalize(P("2*x1^2")),
+                  fold([(1, None, normalize(P("x1*x2 + x1*x3 + x3")), "x3")]),
+                  normalize(P("x1/(x2^2 + 1)")), normalize(P("(x1 + 1)/(3*x3)")),
+                  normalize(P("sin(x1)*x2 + x3")), normalize(P("exp(x2) - x1")),
+                  P("x1*x3 - x3*x1")]
+# coefficients: none, zeros over the unit and over a non-unit, nonzero
+_SKIP_COEFS = [None, ZERO, P("x2 - x2"), P("0/(x1 + 2)"), P("2"),
+               normalize(P("x2^2 + x1")), normalize(P("1/(x3^2 + 1)"))]
+_skip_term = st.tuples(st.sampled_from([1, -1]),
+                       st.sampled_from(_SKIP_COEFS),
+                       st.sampled_from(_SKIP_OPERANDS),
+                       st.sampled_from([None, "x1", "x2", "x3"]))
+
+
+@given(st.lists(_skip_term, min_size=1, max_size=5))
+@settings(max_examples=300, deadline=None)
+@example([(1, ZERO, normalize(P("x1/(x2^2 + 1)")), "x3")])
+@example([(-1, P("0/(x1 + 2)"), P("x1"), "x1"),
+          (1, None, normalize(P("sin(x1)*x2 + x3")), "x2")])
+@example([(1, None, normalize(P("2*x1^2")), "x1"),
+          (-1, ZERO, normalize(P("x1*x2 - x3^2")), "x2")])
+def test_fold_skips_zero_terms_exactly(terms):
+    # terms whose pair is ({}, 1) are left out before they are formed;
+    # the fold is still the reference's, tree, pair and atoms alike
+    want_tree, want_pair, want_atoms = symx_reference.fold(terms)
+    got = fold(terms)
+    assert symx_reference.same_tree(got, want_tree)
+    assert to_str(got) == to_str(want_tree)
+    if isinstance(got, (Const, Sym, Call)):
+        assert got._pair is None
+    else:
+        assert got._pair[:2] == want_pair
+        assert set(got._pair[2]) == set(want_atoms)
+
+
+def test_fold_computes_no_derivative_it_skips(monkeypatch):
+    calls = []
+    real = symx._dpair
+
+    def counting(e, v, atoms):
+        calls.append((e, v))
+        return real(e, v, atoms)
+
+    monkeypatch.setattr(symx, "_dpair", counting)
+    unit = normalize(P("x1*x2 - x3^2"))
+    rational = normalize(P("x1/(x2^2 + 1)"))
+    kernel = normalize(P("sin(x1)*x2 + x3"))
+    # a zero coefficient, or a zero derivative, over unit denominators
+    for term in [(1, ZERO, unit, "x1"), (1, ZERO, P("x1"), "x1"),
+                 (-1, P("x2 - x2"), P("5"), "x2"), (1, None, unit, "y"),
+                 (1, P("x3"), P("x1"), "x2"), (1, None, P("7"), "x1")]:
+        assert fold([term]) is ZERO
+    assert calls == []
+    # a zero over a non-unit denominator is still formed: it multiplies
+    # the sum's denominator
+    assert fold([(1, None, rational, "x3")]) is ZERO
+    assert calls == [(rational, "x3")]
+    # so are a zero coefficient over a non-unit denominator, and the
+    # derivatives of trees with a kernel atom
+    fold([(1, P("0/(x1 + 2)"), unit, "x1"), (1, ZERO, kernel, "x1")])
+    assert calls[1:] == [(unit, "x1"), (kernel, "x1")]
 
 
 def test_is_zero_reads_a_stored_pair(monkeypatch):

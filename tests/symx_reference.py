@@ -33,7 +33,8 @@ import numpy as np
 
 from flatcheck.symx import (Add, Call, Const, Div, EvalError, FUNCTIONS, Mul,
                             ONE_E, PivotError, Pow, Sub, Sym, SymxError,
-                            ZERO, _cancel_content, _mono_key, _poly_to_expr, _ratform, compile_fns, diff,
+                            ZERO, _cancel_content, _mono_key, _poly_to_expr,
+                            _ratform, compile_fns, diff,
                             eval_at as lib_eval_at, evaluator,
                             free_symbols, is_zero, linear_decompose,
                             polynomial_terms, to_str)

@@ -222,9 +222,9 @@ def test_int_coefficients_match_the_fraction_reference(a, b):
         assert _tidy(*(got if isinstance(got, tuple) else (got,)))
 
 
-_mono = st.dictionaries(st.sampled_from(["cos(x2)", "sin(x1)", "x1", "x10",
-                                         "x2", "x3"]),
-                        st.integers(1, 4)).map(lambda d: tuple(sorted(d.items())))
+_mono = st.dictionaries(
+    st.sampled_from(["cos(x2)", "sin(x1)", "x1", "x10", "x2", "x3"]),
+    st.integers(1, 4)).map(lambda d: tuple(sorted(d.items())))
 
 
 @given(_mono, _mono)
@@ -555,12 +555,13 @@ def test_fold_is_normalize_of_the_tree_its_terms_spell(drawn):
 # and symbols, stored pairs with a unit denominator (the last has x2
 # among its atoms but not in its pair), with a non-unit one, and with
 # kernel atoms, and a raw tree
-_SKIP_OPERANDS = [ZERO, P("3/2"), P("x1"), P("x3"),
-                  normalize(P("x1*x2 - x3^2")), normalize(P("2*x1^2")),
-                  fold([(1, None, normalize(P("x1*x2 + x1*x3 + x3")), "x3")]),
-                  normalize(P("x1/(x2^2 + 1)")), normalize(P("(x1 + 1)/(3*x3)")),
-                  normalize(P("sin(x1)*x2 + x3")), normalize(P("exp(x2) - x1")),
-                  P("x1*x3 - x3*x1")]
+_SKIP_OPERANDS = [
+    ZERO, P("3/2"), P("x1"), P("x3"),
+    normalize(P("x1*x2 - x3^2")), normalize(P("2*x1^2")),
+    fold([(1, None, normalize(P("x1*x2 + x1*x3 + x3")), "x3")]),
+    normalize(P("x1/(x2^2 + 1)")), normalize(P("(x1 + 1)/(3*x3)")),
+    normalize(P("sin(x1)*x2 + x3")), normalize(P("exp(x2) - x1")),
+    P("x1*x3 - x3*x1")]
 # coefficients: none, zeros over the unit and over a non-unit, nonzero
 _SKIP_COEFS = [None, ZERO, P("x2 - x2"), P("0/(x1 + 2)"), P("2"),
                normalize(P("x2^2 + x1")), normalize(P("1/(x3^2 + 1)"))]

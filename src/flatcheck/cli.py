@@ -26,6 +26,7 @@ two views cannot drift apart.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -314,7 +315,12 @@ def _json_text(x, indent: str) -> str:
     if not x:
         return "[]"
     kinds = set(map(type, x))
-    text = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is dict and len(x) > 1:
+        body = _table_text(x, inner)
+        if body is not None:
+            return "[\n" + inner + body + "\n" + indent + "]"
+    text = _SCALAR_TEXT.get(kind)
     if text is _float_text:
         body = sep.join(map(float.__repr__, x))
         if "n" in body:  # nan or inf
@@ -324,6 +330,62 @@ def _json_text(x, indent: str) -> str:
     else:
         body = sep.join([_json_text(v, inner) for v in x])
     return "[\n" + inner + body + "\n" + indent + "]"
+
+
+def _table_text(rows: list, indent: str) -> str | None:
+    """The items of a list of dicts at the given indent, as _json_text
+    writes them, by one template and one %: for dicts with one set of
+    str keys, where each key's values are all exact finite floats, all
+    exact ints, all bools, or all lists of one length of exact finite
+    floats or of exact ints. None for any other list."""
+    first = rows[0].keys()
+    if not first or not all(type(k) is str for k in first):
+        return None
+    for row in rows:
+        if row.keys() != first:
+            return None
+    inner = indent + "  "
+    deep = inner + "  "
+    fields, columns = [], []
+    for key in sorted(first):
+        col = [row[key] for row in rows]
+        kinds = set(map(type, col))
+        if len(kinds) != 1:
+            return None
+        kind = kinds.pop()
+        if kind is bool:
+            col = zip(map(_SCALAR_TEXT[bool], col))
+            spec = "%s"
+        elif kind is float or kind is int:
+            if kind is float and not math.isfinite(sum(col)):
+                return None  # nan or inf somewhere, or a sum past the max
+            col = zip(col)
+            spec = "%r" if kind is float else "%d"
+        elif kind is list:
+            lengths = set(map(len, col))
+            if len(lengths) != 1:
+                return None
+            length = lengths.pop()
+            flat = list(itertools.chain.from_iterable(col))
+            kinds = set(map(type, flat))
+            if kinds == {float}:
+                if not math.isfinite(sum(flat)):
+                    return None
+                one = "%r"
+            elif kinds == {int}:
+                one = "%d"
+            elif length:
+                return None
+            spec = ("[\n" + deep + (",\n" + deep).join([one] * length)
+                    + "\n" + inner + "]") if length else "[]"
+        else:
+            return None
+        fields.append(_escape(key).replace("%", "%%") + ": " + spec)
+        columns.append(col)
+    item = "{\n" + inner + (",\n" + inner).join(fields) + "\n" + indent + "}"
+    values = tuple(itertools.chain.from_iterable(
+        itertools.chain.from_iterable(zip(*columns))))
+    return (",\n" + indent).join([item] * len(rows)) % values
 
 
 @dataclass
@@ -743,20 +805,34 @@ def _render(d: dict) -> str:
 
 # --- entry point -----------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+_COMMANDS = (("check", "run the two flag conditions over a sampled box"),
+             ("transform", "construct chart, feedback, and the triangular "
+                           "form"),
+             ("verify", "run the numeric oracle suite on the constructed "
+                        "form"),
+             ("simulate", "simulate the closed loop and write trajectory "
+                          "CSV"))
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser. When command names one of _COMMANDS,
+    only that subcommand is built: an argv that starts with it parses
+    to the same namespace, text and exit as with all four, since its
+    usage spells the full command list. Any other command (none, -h,
+    an unknown one) gets all four, for the help and the errors that
+    list them."""
+    names = [name for name, _ in _COMMANDS]
+    only = command in names
     ap = argparse.ArgumentParser(
         prog="flatcheck",
         description="Decide and construct flat triangular forms for "
                     "two-input control-affine systems.")
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, doc in (("check", "run the two flag conditions over a "
-                                "sampled box"),
-                      ("transform", "construct chart, feedback, and the "
-                                    "triangular form"),
-                      ("verify", "run the numeric oracle suite on the "
-                                 "constructed form"),
-                      ("simulate", "simulate the closed loop and write "
-                                   "trajectory CSV")):
+    sub = ap.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(names) + "}" if only else None)
+    for name, doc in _COMMANDS:
+        if only and name != command:
+            continue
         # an option left out stays out of the namespace, so main's
         # RunConfig(**vars(args)) takes its default from RunConfig
         p = sub.add_parser(name, help=doc,
@@ -788,7 +864,8 @@ def _exit_code(data: dict) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         cfg = RunConfig(**vars(args))
         report = run(cfg)

@@ -630,6 +630,9 @@ def reconstruct(real: TriangularRealization, flat: FlatSignal) -> Trajectory:
     params = _bound_all_params(real, {})
     t = flat.t
     npts = len(t)
+    # levels and derivative orders repeat functions (a constant
+    # coefficient, say): each distinct one compiles once per call
+    memo: dict = {}
 
     # jets[name][m] is the m-th derivative column of that variable
     jets: dict[str, list[np.ndarray]] = {
@@ -662,9 +665,9 @@ def reconstruct(real: TriangularRealization, flat: FlatSignal) -> Trajectory:
             order = [_jet_name(w, m)] + known
             if m == 0:
                 target = jets[zs[i - 1]][1]
-                Ffn = compile_fn(normalize(e), order, params)
+                Ffn = compile_fn(normalize(e), order, params, memo)
                 dFfn = compile_fn(fold(((1, None, e, _jet_name(w, 0)),)),
-                                  order, params)
+                                  order, params, memo)
 
                 def F(vcols, _f=Ffn, _tg=target):
                     return _f(vcols) - _tg
@@ -672,8 +675,8 @@ def reconstruct(real: TriangularRealization, flat: FlatSignal) -> Trajectory:
                 w_jets.append(_newton_grid(F, dFfn, cols, npts, i, t))
             else:
                 coeffs, rest = _affine_split(e, _jet_name(w, m))
-                cfn = compile_fn(coeffs, order, params)
-                rfn = compile_fn(rest, order, params)
+                cfn = compile_fn(coeffs, order, params, memo)
+                rfn = compile_fn(rest, order, params, memo)
                 zero = np.zeros(npts)
                 cval = cfn([zero] + cols)
                 rval = rfn([zero] + cols)

@@ -118,58 +118,117 @@ class Expr:
     # "Normal form" notes below
     _pair = None
 
+    # a node's fields: the one that is not a node, if any, and the
+    # child nodes
+    _scalar: str | None = None
+    _children: tuple[str, ...] = ()
+
     def __str__(self):
         return to_str(self)
 
+    # Equality is structural: same class, same fields (the stored pair
+    # takes no part). It and the hash walk the tree with a stack, not
+    # by recursion, so a normal form of a long sum, a chain deeper
+    # than the recursion limit, compares and hashes too.
 
-@dataclass(frozen=True, repr=True)
+    def __eq__(self, other):
+        if not isinstance(other, Expr):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            x, y = stack.pop()
+            if x is y:
+                continue
+            cls = type(x)
+            if type(y) is not cls:
+                return False
+            dx, dy = x.__dict__, y.__dict__
+            if cls._scalar is not None and dx[cls._scalar] != dy[cls._scalar]:
+                return False
+            stack += [(dx[k], dy[k]) for k in cls._children]
+        return True
+
+    def __hash__(self):
+        """Each node keeps its hash once computed (as _hash)."""
+        stack = [self]
+        while stack:
+            n = stack[-1]
+            d = n.__dict__
+            if "_hash" in d:
+                stack.pop()
+                continue
+            cls = type(n)
+            kids = [d[k] for k in cls._children]
+            todo = [k for k in kids if "_hash" not in k.__dict__]
+            if todo:
+                stack += todo
+                continue
+            stack.pop()
+            object.__setattr__(n, "_hash", hash((
+                cls.__name__, d.get(cls._scalar),
+                *[k.__dict__["_hash"] for k in kids])))
+        return self.__dict__["_hash"]
+
+
+# eq=False: the nodes take Expr's equality and hash
+@dataclass(frozen=True, eq=False)
 class Const(Expr):
     value: Fraction
+    _scalar = "value"
 
     def __post_init__(self):
         if not isinstance(self.value, Fraction):
             object.__setattr__(self, "value", Fraction(self.value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sym(Expr):
     name: str
+    _scalar = "name"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Add(Expr):
     a: Expr
     b: Expr
+    _children = ("a", "b")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sub(Expr):
     a: Expr
     b: Expr
+    _children = ("a", "b")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mul(Expr):
     a: Expr
     b: Expr
+    _children = ("a", "b")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Div(Expr):
     a: Expr
     b: Expr
+    _children = ("a", "b")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pow(Expr):
     base: Expr
     exp: int
+    _scalar = "exp"
+    _children = ("base",)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Call(Expr):
     fn: str
     arg: Expr
+    _scalar = "fn"
+    _children = ("arg",)
 
 
 ZERO = Const(Fraction(0))
@@ -1041,10 +1100,14 @@ def _literal(x: float) -> str:
 def _generate(exprs: Sequence[Expr], order: Sequence[str],
               consts: Mapping[str, float] | None,
               lets: Sequence[tuple[str, Expr]], single: bool,
-              carry: int | None = None) -> tuple[Callable, bool]:
+              carry: int | None = None,
+              memo: dict | None = None) -> tuple[Callable, bool]:
     """The generated function, and whether it calls a kernel; with
     carry, the loop form of compile_fns (carry = 0: fn(rows, out),
-    nothing carried)."""
+    nothing carried). memo maps generated source to that pair: a
+    source already in it is not compiled again. Its owner keeps it for
+    one computation (a reconstruct call, an elimination), so no
+    function outlives the work that made it."""
     consts = dict(consts or {})
     args = [f"_v{i}" for i in range(len(order))]
     names = dict(zip(order, args))
@@ -1106,10 +1169,16 @@ def _generate(exprs: Sequence[Expr], order: Sequence[str],
         lines.append(f"{ind}out.append({tup})")
     else:
         lines.append(f"{ind}return {outs[0] if single else tup}")
+    src = "\n".join(lines)
+    if memo is not None and src in memo:
+        return memo[src]
     scope = dict(_KERNELS)
-    exec("\n".join(lines), scope)  # noqa: S102 (generated from trusted trees)
+    exec(src, scope)  # noqa: S102 (generated from trusted trees)
     # popped, so that the function and its globals form no reference cycle
-    return scope.pop("_fn"), kernels
+    out = scope.pop("_fn"), kernels
+    if memo is not None:
+        memo[src] = out
+    return out
 
 
 def compile_fns(exprs: Sequence[Expr], order: Sequence[str],
@@ -1141,14 +1210,22 @@ def compile_fns(exprs: Sequence[Expr], order: Sequence[str],
 
 
 def compile_fn(e: Expr, order: Sequence[str],
-               consts: Mapping[str, float] | None = None) -> Callable:
+               consts: Mapping[str, float] | None = None,
+               memo: dict | None = None) -> Callable:
     """The one-expression case of compile_fns: returns the value, not
-    a tuple."""
-    return _generate((e,), order, consts, (), single=True)[0]
+    a tuple.
+
+    memo, a dict its caller keeps for one computation and passes to
+    each call, makes every distinct function compile once in it: a
+    call whose generated source is already in memo returns that
+    function.
+    """
+    return _generate((e,), order, consts, (), True, None, memo)[0]
 
 
 def evaluator(exprs: Sequence[Expr], order: Sequence[str],
-              consts: Mapping[str, float] | None = None
+              consts: Mapping[str, float] | None = None,
+              memo: dict | None = None
               ) -> Callable[[Iterable[Sequence[float]]], np.ndarray]:
     """compile_fns for evaluation at a batch of points, under the error
     contract.
@@ -1163,9 +1240,9 @@ def evaluator(exprs: Sequence[Expr], order: Sequence[str],
     non-finite value; numpy's kernels raise instead of warning, so
     nothing reaches stderr. The error's row is that row's index and its
     done the values of the rows before it, so a caller that skips
-    failures resumes at the row after it.
+    failures resumes at the row after it. memo as in compile_fn.
     """
-    fn, kernels = _generate(exprs, order, consts, (), False, carry=0)
+    fn, kernels = _generate(exprs, order, consts, (), False, 0, memo)
     width = len(exprs)
 
     def evaluate(rows: Iterable[Sequence[float]]) -> np.ndarray:
@@ -1313,7 +1390,7 @@ def _pairs_in(matrix: Sequence[Sequence[Expr]],
 
 
 def _pivot_row(rows: list[list[Pair]], col: int, start: int, ref_env,
-               atoms: dict[str, Expr]):
+               atoms: dict[str, Expr], memo: dict):
     cands = [i for i in range(start, len(rows)) if rows[i][col][0]]
     if not cands or ref_env is None:
         return cands[0] if cands else None
@@ -1325,7 +1402,7 @@ def _pivot_row(rows: list[list[Pair]], col: int, start: int, ref_env,
     else:
         entries = [_pair_to_expr(*p, atoms) for p in pairs]
         try:
-            mags = np.abs(evaluator(entries, tuple(ref_env))(
+            mags = np.abs(evaluator(entries, tuple(ref_env), memo=memo)(
                 [list(ref_env.values())])[0]).tolist()
         except EvalError:
             # an entry that fails at the reference point counts as zero
@@ -1355,11 +1432,14 @@ def _eliminate(rows: list[list[Pair]], ref_env,
                atoms: dict[str, Expr]) -> list[int]:
     """Reduce rows in place; returns the pivot columns."""
     pivots: list[int] = []
+    # a later pivot search can meet the candidate entries of an earlier
+    # one again; each distinct evaluator compiles once per elimination
+    memo: dict = {}
     r = 0
     for c in range(len(rows[0])):
         if r >= len(rows):
             break
-        i = _pivot_row(rows, c, r, ref_env, atoms)
+        i = _pivot_row(rows, c, r, ref_env, atoms, memo)
         if i is None:
             continue
         rows[r], rows[i] = rows[i], rows[r]

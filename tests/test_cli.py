@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 from pathlib import Path
@@ -11,8 +12,9 @@ import hypothesis.strategies as st
 
 from flatcheck.symx import Frame, Sub, is_zero, parse
 from flatcheck.cli import (BRACKET_FD_TOL, CheckReport, RunConfig,
-                           SpecFileError, _bracket_oracle, _json_text,
-                           _sample_points, load_spec, main, run)
+                           SpecFileError, _bracket_oracle, _build_parser,
+                           _json_text, _sample_points, _table_text,
+                           load_spec, main, run)
 from flatcheck.diffgeo import lie_bracket
 from flatcheck.harness import SampleBox
 
@@ -615,3 +617,164 @@ def test_report_writer_reports_a_cycle_as_json_dumps_does():
     x.append({"x": x})
     with pytest.raises(ValueError, match="Circular reference"):
         CheckReport({"a": x}).to_json()
+
+
+# --- a table written by one template -----------------------------------------
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_int = st.integers() | st.integers(min_value=2 ** 63) | st.integers(
+    max_value=-2 ** 63)
+_odd_value = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 1.7976931348623157e308, -0.0, 5e-324,
+     2 ** 64, -(2 ** 70), True, False, None, "%s \"%d\"\n", [1.0], [1, 2, 3],
+     [1.0, 2], [math.nan, 1.0], [], {}]) | _finite.map(np.float64)
+_odd_element = st.sampled_from(
+    [math.nan, math.inf, -math.inf, True, 1, 1.5, 2 ** 64, "x", None,
+     np.float64(0.5)])
+_table_key = _json_string | st.sampled_from(["%", "%s", "%%d", "pass"])
+
+
+@st.composite
+def _tables(draw):
+    """Two or more dicts on one key set. In a clean table each column
+    is of one kind (a float, int or bool, or a float or int list of
+    one length); otherwise a column may be of any values or have one
+    value, or one list element, spoilt, and one row may have another
+    key set."""
+    n = draw(st.integers(2, 5))
+    keys = draw(st.lists(_table_key, max_size=4, unique=True))
+    clean = draw(st.booleans())
+    cols = []
+    for _ in keys:
+        kind = draw(st.sampled_from(["float", "int", "bool", "floats",
+                                     "ints"] + ([] if clean else ["any"])))
+        if kind in ("floats", "ints"):
+            length = draw(st.integers(0, 3))
+            elem = _finite if kind == "floats" else _int
+            col = [draw(st.lists(elem, min_size=length, max_size=length))
+                   for _ in range(n)]
+            if not clean and length and draw(st.booleans()):
+                i, j = draw(st.integers(0, n - 1)), draw(
+                    st.integers(0, length - 1))
+                col[i][j] = draw(_odd_element)
+        else:
+            elem = {"float": _finite, "int": _int, "bool": st.booleans(),
+                    "any": _json_value}[kind]
+            col = [draw(elem) for _ in range(n)]
+        if not clean and draw(st.booleans()):
+            col[draw(st.integers(0, n - 1))] = draw(_odd_value)
+        cols.append(col)
+    rows = [dict(zip(keys, vals)) for vals in zip(*cols)] or [{}] * n
+    if not clean and draw(st.integers(0, 2)) == 0:
+        row = draw(st.integers(0, n - 1))
+        rows[row] = dict(rows[row], extra=1.5)
+    return rows
+
+
+@given(_tables())
+@settings(max_examples=400, deadline=None)
+@example([{"coords": [0.5, -0.0], "dim_F": [2, 3], "pass": True},
+          {"coords": [5e-324, 1e16], "dim_F": [2, 2 ** 70], "pass": False}])
+@example([{"a%s": 1.7976931348623157e308}, {"a%s": 1.7976931348623157e308}])
+@example([{"x": [1.0, math.nan]}, {"x": [1.0, 2.0]}])
+@example([{"x": np.float64(1.5)}, {"x": 2.5}])
+@example([{"x": np.float64(1.5)}, {"x": np.float64(2.5)}])
+@example([{"x": [0.5, True]}, {"x": [1.5, 2.5]}])
+@example([{"x": [0.5, np.float64(2.5)]}, {"x": [1.5, 2.5]}])
+@example([{"x": [1, True]}, {"x": [2, 3]}])
+@example([{"x": []}, {"x": []}])
+@example([{}, {}])
+def test_table_writer_is_json_dumps(rows):
+    for x in (rows, {"per_point": rows, "n": len(rows)}):
+        assert CheckReport(x).to_json() == \
+            json.dumps(x, indent=2, sort_keys=True) + "\n"
+
+
+def test_table_writer_takes_the_report_tables():
+    data = run(RunConfig(str(SPEC_DIR / "chained4.spec"), "check")).data
+    rows = data["condition1"]["per_point"]
+    assert _table_text(rows, "    ") is not None
+    assert _table_text([{"x": 1.0}, {"x": -0.0}], "") is not None
+    for spoilt in (math.nan, math.inf, np.float64(1.0), 1, [1.0]):
+        assert _table_text([{"x": 1.0}, {"x": spoilt}], "") is None
+    assert _table_text([{"x": [1.0]}, {"x": [1.0, 2.0]}], "") is None
+    assert _table_text([{"x": 1}, {"y": 1}], "") is None
+
+
+# --- the parser of one command ----------------------------------------------
+
+_USAGE_CASES = (
+    [["--help"], ["-h"], [], ["bogus"], ["bogus", "--help"], ["check"],
+     ["check", "a.spec", "b.spec"], ["check", "a.spec", "--seed"],
+     ["check", "a.spec", "--force"], ["check", "a.spec", "--samples", "1"],
+     ["simulate", "a.spec", "--dt", "abc"], ["--seed", "1", "check", "a"]]
+    + [[c, "--help"] for c in COMMANDS]
+    + [[c, "a.spec", "--bogus"] for c in COMMANDS])
+_VALID_ARGVS = (
+    [[c, "a.spec"] for c in COMMANDS]
+    + [["transform", "a.spec", "--force", "--seed", "3", "--degree", "1"],
+       ["verify", "a.spec", "--rank-tol", "1e-6", "--proj-tol", "1e-7",
+        "--horizon", "2", "--force"],
+       ["simulate", "a.spec", "--dt", "1e-4", "--out", "o.csv", "--json",
+        "o.json", "--samples", "20"],
+       ["check", "--sam", "5", "a.spec"]])
+
+
+def _parse(parser, argv, capsys):
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    out, err = capsys.readouterr()
+    return result, out, err
+
+
+@pytest.mark.parametrize("argv", _USAGE_CASES + _VALID_ARGVS, ids=" ".join)
+def test_command_parser_is_the_full_parser(argv, capsys):
+    """The parser main builds for argv, which may hold only its
+    command's subparser, parses, prints and exits as the full one."""
+    full = _parse(_build_parser(), argv, capsys)
+    assert _parse(_build_parser(argv[0] if argv else None), argv,
+                  capsys) == full
+    if argv in _VALID_ARGVS:
+        assert full[0]["command"] == argv[0] and full[1:] == ("", "")
+
+
+def test_command_parser_holds_one_subcommand():
+    for command in COMMANDS:
+        sub = _build_parser(command)._subparsers._group_actions[0]
+        assert list(sub.choices) == [command]
+    for command in (None, "bogus", "-h"):
+        sub = _build_parser(command)._subparsers._group_actions[0]
+        assert list(sub.choices) == list(COMMANDS)
+
+
+def test_main_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    """No parser, compiled function or memo stays in cli's or symx's
+    module state from one main() call to the next."""
+    from flatcheck import cli, symx
+    monkeypatch.chdir(tmp_path)
+
+    def state():
+        return {(mod.__name__, k): (id(v), len(v) if isinstance(
+                    v, (dict, list, set)) else None)
+                for mod in (cli, symx) for k, v in vars(mod).items()}
+    def held(v, depth=3):
+        """Is v, or a value in a container v holds, a parser or a
+        generated function?"""
+        if isinstance(v, argparse.ArgumentParser) or getattr(
+                getattr(v, "__code__", None), "co_filename", "") == "<string>":
+            return True
+        if depth and isinstance(v, (dict, list, tuple, set)):
+            items = v.values() if isinstance(v, dict) else v
+            return any(held(x, depth - 1) for x in items)
+        return False
+    spec = str(SPEC_DIR / "chained4.spec")
+    main(["simulate", spec, "--dt", "1e-2"])
+    before = state()
+    main(["verify", spec, "--dt", "1e-2"])
+    main(["check", str(SPEC_DIR / "motor.spec")])
+    capsys.readouterr()
+    assert state() == before
+    assert not [k for mod in (cli, symx) for k, v in vars(mod).items()
+                if held(v)]

@@ -525,6 +525,25 @@ def test_reconstruct_round_trip_same_run(chained4_real, example1_real):
             assert np.max(np.abs(a - b)) < 1e-9
 
 
+def test_reconstruct_compiles_each_function_once(chained6_real,
+                                                 monkeypatch):
+    from flatcheck import symx
+    v = VSignal.from_strings("1 + sin(2*t)/4", "sin(t)/2")
+    z0 = chained6_real.chart.z_frame.point(REFERENCE_Z0["chained6"])
+    traj = simulate(chained6_real, z0, v, T=0.1, dt=1e-2)
+    flat = FlatSignal.from_trajectory(chained6_real, traj, v)
+    sources = []
+
+    def counting_exec(src, scope):
+        sources.append(src)
+        exec(src, scope)  # noqa: S102
+    monkeypatch.setattr(symx, "exec", counting_exec, raising=False)
+    back = reconstruct(chained6_real, flat)
+    # a constant coefficient recurs across levels and orders
+    assert len(sources) == len(set(sources))
+    assert np.max(np.abs(back.z - traj.z)) < 1e-9
+
+
 def test_reconstruct_requires_full_stacks(chained4_real):
     t = np.linspace(0.0, 1.0, 11)
     shallow = FlatSignal(t=t, y1_jets=np.zeros((11, 2)),

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ import hypothesis.strategies as st
 
 from flatcheck import symx
 from flatcheck.cli import main
+from flatcheck.diffgeo import OneForm
 from flatcheck.symx import (Add, Call, Const, Div, EvalError, Frame, Mul,
                             ParseError, PivotError, Pow, Sub, Sym, SymxError,
                             ZERO, _canon, _ratform, compile_fn, compile_fns,
@@ -1022,3 +1025,119 @@ def test_pow_expr_negative_power():
 def test_to_str_printer_golden():
     assert to_str(normalize(P("1/(2*x1)"))) == "(1/2)/x1"
     assert to_str(normalize(P("(x1 + 1)^2"))) == "x1^2 + 2*x1 + 1"
+
+
+# --- equality and hashing ----------------------------------------------------
+
+def _fields_key(e):
+    """Class name and fields, nodes by their own keys: what structural
+    equality compares, by recursion (for small trees)."""
+    return (type(e).__name__,) + tuple(
+        _fields_key(v) if isinstance(v, symx.Expr) else v
+        for v in (getattr(e, f.name) for f in dataclasses.fields(e)))
+
+
+_eq_leaf = st.sampled_from([Sym("x1"), Sym("x2"), Const(Fraction(1)),
+                            Const(Fraction(-1, 2))])
+_eq_tree = st.recursive(
+    _eq_leaf,
+    lambda s: st.one_of(
+        st.tuples(st.sampled_from([Add, Sub, Mul, Div]), s, s).map(
+            lambda t: t[0](t[1], t[2])),
+        st.tuples(s, st.integers(2, 3)).map(lambda t: Pow(*t)),
+        st.tuples(st.sampled_from(["sin", "exp"]), s).map(
+            lambda t: Call(*t))),
+    max_leaves=6)
+
+
+@given(_eq_tree, _eq_tree)
+@settings(max_examples=300, deadline=None)
+@example(Div(Sym("x1"), Sub(Sym("x1"), Sym("x1"))), Sym("x1"))
+def test_equality_is_same_class_same_fields(a, b):
+    assert (a == b) == (_fields_key(a) == _fields_key(b))
+    assert (a != b) == (not a == b)
+    copy = subst(a, {})  # the same tree, built anew
+    assert copy == a and hash(copy) == hash(a)
+    if a == b:
+        assert hash(a) == hash(b)
+    # the stored pair takes no part
+    try:
+        n = normalize(a)
+    except SymxError:  # a division by zero
+        return
+    assert n == subst(n, {}) and hash(n) == hash(subst(n, {}))
+
+
+def test_equality_other_types():
+    assert Sym("x1") != "x1" and Const(Fraction(1)) != 1
+    assert Add(Sym("x1"), Sym("x2")) != Sub(Sym("x1"), Sym("x2"))
+    assert Call("sin", Sym("x1")) != Call("cos", Sym("x1"))
+    assert Pow(Sym("x1"), 2) != Pow(Sym("x1"), 3)
+
+
+def _balanced_sum(terms):
+    while len(terms) > 1:
+        terms = [Add(*terms[i:i + 2]) if i + 1 < len(terms) else terms[i]
+                 for i in range(0, len(terms), 2)]
+    return terms[0]
+
+
+def test_long_normal_forms_compare_and_hash():
+    x1, x2 = Sym("x1"), Sym("x2")
+    terms = [Mul(Pow(x1, i + 1), Pow(x2, j + 1))
+             for i in range(100) for j in range(100)]
+    a = normalize(_balanced_sum(terms))
+    b = normalize(_balanced_sum(terms[::-1]))
+    fewer = normalize(_balanced_sum(terms[1:]))
+    depth, n = 0, a
+    while isinstance(n, Add):
+        depth, n = depth + 1, n.a
+    assert depth == 9999 > sys.getrecursionlimit()
+    assert a is not b and a == b and not a != b
+    assert a != fewer and fewer != a
+    assert hash(a) == hash(b)
+    assert {a: 1}[b] == 1 and b in {a} and fewer not in {a}
+    frame = Frame("f", ("x1", "x2"))
+    form, same = OneForm(frame, (a, ZERO)), OneForm(frame, (b, ZERO))
+    assert form == same and hash(form) == hash(same)
+    assert {form: 1}[same] == 1
+
+
+# --- compile memo ------------------------------------------------------------
+
+@pytest.fixture
+def compiled(monkeypatch):
+    """The sources symx compiles, in order."""
+    sources = []
+
+    def counting_exec(src, scope):
+        sources.append(src)
+        exec(src, scope)  # noqa: S102
+    monkeypatch.setattr(symx, "exec", counting_exec, raising=False)
+    return sources
+
+
+def test_memo_compiles_each_source_once(compiled):
+    memo = {}
+    e = P("x1*x2 + 1")
+    f = compile_fn(e, ("x1", "x2"), memo=memo)
+    # names enter the source by position, so these are the same source
+    assert compile_fn(P("x2*x3 + 1"), ("x2", "x3"), memo=memo) is f
+    assert len(compiled) == 1 and f((2.0, 3.0)) == 7.0
+    assert compile_fn(e, ("x1", "x2"), {"x3": 1.0}, memo=memo) is f
+    assert compile_fn(e, ("x1",), {"x2": 2.0}, memo=memo) is not f
+    assert compile_fn(e, ("x1", "x2")) is not f  # no memo: compiled anew
+    assert len(compiled) == 3
+    ev = evaluator([e], ("x1", "x2"), memo=memo)
+    again = evaluator([e], ("x1", "x2"), memo=memo)
+    assert len(compiled) == 4
+    assert np.array_equal(ev([(2.0, 3.0)]), again([(2.0, 3.0)]))
+
+
+def test_elimination_compiles_each_pivot_search_once(compiled):
+    # column 1's one candidate is column 0's again: one evaluator
+    x1 = P("x1")
+    rows, pivots = rref_exprs([[x1, ZERO], [ZERO, x1]], {"x1": 0.5})
+    assert pivots == [0, 1] and len(compiled) == 1
+    rref_exprs([[x1, ZERO], [ZERO, x1]], {"x1": 0.5})
+    assert len(compiled) == 2  # the memo ended with the elimination

@@ -16,8 +16,13 @@ workloads (bench/run.py), cubic4 check, transform and verify,
 disguised4 check and transform --force, perturbed_example1 check and
 transform --force, and involutive check.
 
-Prints one line per op and seed that differs, naming what differs, and
-exits 1 if any does, else 0.
+Then the usage cases, each run once per tree, compare the exit code,
+stdout and stderr of the command-line parser's help and errors: the
+top-level --help, each command's --help, no arguments, an unknown
+command, a missing spec, an unknown option, --samples 1 and --dt abc.
+
+Prints one line per op and seed, or usage case, that differs, naming
+what differs, and exits 1 if any does, else 0.
 """
 
 from __future__ import annotations
@@ -47,6 +52,14 @@ def ops() -> list[run.Op]:
         if op not in out:
             out.append(op)
     return out
+
+
+def usage_cases() -> list[list[str]]:
+    """The argvs of the usage cases of the module docstring."""
+    return ([["--help"]] + [[c, "--help"] for c in run.COMMANDS]
+            + [[], ["bogus"], ["check"], ["check", "example1.spec", "--bogus"],
+               ["check", "example1.spec", "--samples", "1"],
+               ["simulate", "example1.spec", "--dt", "abc"]])
 
 
 def write_specs(work: Path, ops_: list[run.Op]) -> None:
@@ -103,22 +116,24 @@ def main(argv: list[str]) -> int:
         for work in works:
             work.mkdir()
             write_specs(work, todo)
-        for op in todo:
-            for seed in (0, 7):
-                argv_ = op.argv(seed, "out")
-                procs = [subprocess.Popen(
-                    [sys.executable, "-m", "flatcheck.cli", *argv_],
-                    cwd=work, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                    env=dict(os.environ, PYTHONPATH=tree))
-                    for tree, work in zip(trees, works)]
-                base, head = (_outputs(p, w) for p, w in zip(procs, works))
-                for what in base:
-                    if base[what] != head[what]:
-                        differ += 1
-                        where = (f" at {_first_difference(base[what], head[what])}"
-                                 if what == "json" else "")
-                        print(f"{op.name} --seed {seed}: {what} differs{where}")
-    print(f"{len(todo)} ops at seeds 0 and 7: "
+        runs = [(f"{op.name} --seed {seed}", op.argv(seed, "out"))
+                for op in todo for seed in (0, 7)]
+        cases = usage_cases()
+        runs += [("usage: " + " ".join(["flatcheck", *a]), a) for a in cases]
+        for label, argv_ in runs:
+            procs = [subprocess.Popen(
+                [sys.executable, "-m", "flatcheck.cli", *argv_],
+                cwd=work, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONPATH=tree))
+                for tree, work in zip(trees, works)]
+            base, head = (_outputs(p, w) for p, w in zip(procs, works))
+            for what in base:
+                if base[what] != head[what]:
+                    differ += 1
+                    where = (f" at {_first_difference(base[what], head[what])}"
+                             if what == "json" else "")
+                    print(f"{label}: {what} differs{where}")
+    print(f"{len(todo)} ops at seeds 0 and 7, {len(cases)} usage cases: "
           f"{'identical' if not differ else f'{differ} differences'}")
     return 1 if differ else 0
 

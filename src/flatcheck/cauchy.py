@@ -12,8 +12,10 @@ are symbolic. Consecutive levels share most of their generators, so
 one check builds one form per distinct generator tree, with its d and
 L_f, and evaluates each of them once, in one batch over all points.
 A_q and C_q are numeric: each level takes one stacked pass over all
-points, each linear-algebra step one LAPACK call. The containment
-check tries an exact route first:
+points and two SVDs, of the generator values (their rank check and
+the projector P) and of [lam; P d(lam)^T], whose Vt holds A_q and, in
+its other rows, an orthonormal C_q. The containment check tries an
+exact route first:
 when the sampled C_q all equal the span of a fixed subset of
 coordinate differentials, membership reduces to symbolic vanishing of
 the complementary coefficients.
@@ -54,7 +56,8 @@ class Codistribution:
 
 @dataclass
 class CharacteristicSpaces:
-    """Pointwise bases of A (vectors) and C (covectors) at one point."""
+    """Pointwise bases of A (vectors) and C (covectors) at one point:
+    complementary rows of one SVD's Vt, so both are orthonormal."""
 
     a_basis: np.ndarray  # dim_A x n, rows are tangent vectors
     c_basis: np.ndarray  # dim_C x n, rows are covectors
@@ -66,30 +69,6 @@ class CharacteristicSpaces:
     @property
     def dim_c(self) -> int:
         return self.c_basis.shape[0]
-
-
-def span_residual(v: np.ndarray, basis: np.ndarray) -> float:
-    """Relative least-squares residual of v against the row span."""
-    nv = float(np.linalg.norm(v))
-    if nv == 0.0:
-        return 0.0
-    if basis.size == 0:
-        return 1.0
-    coef, *_ = np.linalg.lstsq(basis.T, v, rcond=None)
-    return float(np.linalg.norm(v - basis.T @ coef)) / nv
-
-
-def _nullspaces(stack: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Numeric nullspace basis (rows) of every matrix in a
-    (points, rows, n) stack, by one SVD call; an empty matrix gives the
-    identity. With at least n rows the reduced SVD already has the
-    whole n x n Vt, and its s and Vt are the full SVD's bit for bit
-    (tests/test_stacked_lapack.py); with fewer rows only the full SVD
-    has the nullspace rows of Vt."""
-    _, s, vt = np.linalg.svd(
-        stack, full_matrices=stack.shape[1] < stack.shape[2])
-    ranks = np.sum(s > tol * s[:, :1], axis=1)
-    return [v[r:] for v, r in zip(vt, ranks)]
 
 
 def annihilator(table: FlagTable, k: int, ref_points: list[Point],
@@ -161,7 +140,9 @@ def cauchy_space(cod: Codistribution, points: list[Point],
     # then the differentials
     ranked = len(points) if first is None else first[0] + (first[1] >= m)
     omega = np.stack([v[:ranked] for v in vals[:m]], axis=1)
-    dependent = np.flatnonzero(_ranks(omega, tol) != m)
+    # the rows of w span span{lam^i_q} orthonormally
+    _, s, w = np.linalg.svd(omega, full_matrices=False)
+    dependent = np.flatnonzero(np.sum(s > tol * s[:, :1], axis=1) != m)
     if dependent.size:
         raise AnnihilatorError(
             "annihilator generators dependent at "
@@ -176,19 +157,15 @@ def cauchy_space(cod: Codistribution, points: list[Point],
             dlam[:, i, r, c] = dv
             dlam[:, i, c, r] = np.negative(dv)
     # projector onto the orthogonal complement of span{lam^i_q}
-    omega_t = omega.swapaxes(1, 2)
-    proj = np.eye(n) - omega_t @ np.linalg.pinv(omega_t)
+    proj = np.eye(n) - w.swapaxes(1, 2) @ w
     # rows X with (X^T dmat) P = 0, i.e. (P dmat^T) X = 0
     rows = (proj[:, None] @ dlam.swapaxes(2, 3)).reshape(len(points), -1, n)
-    a_bases = _nullspaces(np.concatenate([omega, rows], axis=1), tol)
-    # C: one more stacked SVD per dim A among the points
-    c_bases: dict[int, np.ndarray] = {}
-    for dim in {len(a) for a in a_bases}:
-        idx = [p for p, a in enumerate(a_bases) if len(a) == dim]
-        c_bases.update(zip(idx, _nullspaces(
-            np.stack([a_bases[p] for p in idx]), tol)))
-    return [CharacteristicSpaces(a, c_bases[p])
-            for p, a in enumerate(a_bases)]
+    stack = np.concatenate([omega, rows], axis=1)
+    # with at least n rows the reduced SVD already has the whole n x n
+    # Vt; with fewer only the full SVD has its nullspace rows
+    _, s, vt = np.linalg.svd(stack, full_matrices=stack.shape[1] < n)
+    ranks = np.sum(s > tol * s[:, :1], axis=1)
+    return [CharacteristicSpaces(v[r:], v[:r]) for v, r in zip(vt, ranks)]
 
 
 def _constant_coordinate_pattern(spaces: list[CharacteristicSpaces]
@@ -196,14 +173,32 @@ def _constant_coordinate_pattern(spaces: list[CharacteristicSpaces]
     """Indices S when every C_q equals span{dx_j : j in S}, else None."""
     if len({sp.dim_c for sp in spaces}) != 1:
         return None
-    b = np.stack([sp.c_basis for sp in spaces]).swapaxes(1, 2)
-    proj = b @ np.linalg.pinv(b)
+    b = np.stack([sp.c_basis for sp in spaces])
+    proj = b.swapaxes(1, 2) @ b  # the rows of b are orthonormal
     keep = np.diagonal(proj, axis1=1, axis2=2) > 0.5
     model = keep[:, :, None] * np.eye(proj.shape[1])
     if np.any(np.max(np.abs(proj - model), axis=(1, 2)) > 1e-6) \
             or np.any(keep != keep[0]):
         return None
     return [int(j) for j in np.flatnonzero(keep[0])]
+
+
+def _residuals(values: list[np.ndarray],
+               spaces: list[CharacteristicSpaces]) -> list[float]:
+    """Per point, the largest |v - (v C^T) C| / |v| over the forms'
+    values v (0.0 for v = 0, 1.0 for an empty C), in one stacked pass
+    with each orthonormal C padded to n rows by zero rows."""
+    v = np.stack(values)
+    n = v.shape[2]
+    c = np.zeros((len(spaces), n, n))
+    for p, sp in enumerate(spaces):
+        c[p, :sp.dim_c] = sp.c_basis
+    off = v - ((v[:, :, None] @ c.swapaxes(1, 2)) @ c)[:, :, 0]
+    nv = np.linalg.norm(v, axis=2)
+    rel = np.divide(np.linalg.norm(off, axis=2), nv,
+                    out=np.zeros_like(nv), where=nv != 0.0)
+    rel[(nv != 0.0) & (np.array([sp.dim_c for sp in spaces]) == 0)] = 1.0
+    return rel.max(axis=0, initial=0.0).tolist()
 
 
 def check_condition2(spec: SystemSpec, table: FlagTable,
@@ -256,9 +251,7 @@ def check_condition2(spec: SystemSpec, table: FlagTable,
             lf_vals, first = values_in_point_order(lf, points, memo)
             if first is not None:
                 raise first[2]
-            residuals = [max([0.0] + [span_residual(v[p], sp_q.c_basis)
-                                      for v in lf_vals])
-                         for p, sp_q in enumerate(spaces)]
+            residuals = _residuals(lf_vals, spaces)
             entry["method"] = "numeric"
             entry["residuals"] = residuals
             entry["max_residual"] = max(residuals)

@@ -17,6 +17,7 @@ state, so it is evaluated once at the grid's stage times and passed in.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -353,7 +354,9 @@ def _integrate(step: Callable, stages: np.ndarray, y0: Sequence[float],
                 except (ZeroDivisionError, OverflowError):
                     step([tuple(map(np.float64, rows[len(out) - 1]))],
                          tuple(map(np.float64, out[-1][:n])), out)
-            block = np.array(out[1:], dtype=float)
+            width = len(out[1])
+            block = np.fromiter(itertools.chain.from_iterable(out[1:]), float,
+                                (len(out) - 1) * width).reshape(-1, width)
             low = np.abs(block[:, n:]) < reg_threshold
             bad = ~np.isfinite(block[:, :n]).all(axis=1)
             bad[last - start:] = False

@@ -711,6 +711,8 @@ def _p_neg(p: Poly) -> Poly:
 
 
 def _p_mul(p: Poly, q: Poly) -> Poly:
+    if not p or not q:
+        return {}
     if len(q) == 1 and q.get(()) == 1:
         return p
     if len(p) == 1 and p.get(()) == 1:
@@ -773,6 +775,8 @@ def _sub(a: Pair, b: Pair) -> Pair:
     (pa, qa), (pb, qb) = a, b
     if not pb and _is_one(qb):
         return a
+    if not pa and _is_one(qa):
+        return _p_neg(pb), qb
     return _p_add(_p_mul(pa, qb), _p_neg(_p_mul(pb, qa))), _p_mul(qa, qb)
 
 

@@ -1,23 +1,106 @@
 """Reference condition 2: every level builds and evaluates its own
-forms, and A and C are computed in blocks of 32 points, each step one
-full SVD per block.
+forms, and A and C are computed in blocks of 32 points.
 
-Kept to show that `flatcheck.cauchy`, which runs one stacked pass per
-level and builds and evaluates each distinct generator once per
-check, gives the same bases bit for bit, the same reports and the
+`cauchy_space` and `check_condition2` take the two SVDs per level of
+`flatcheck.cauchy` one block at a time, and the residuals one block at
+a time. Kept to show that `flatcheck.cauchy`, which runs one stacked
+pass per level and builds and evaluates each distinct generator once
+per check, gives the same bases bit for bit, the same reports and the
 same first error.
+
+`two_step_cauchy_space` is the construction `flatcheck.cauchy` used
+before: a rank SVD and a pinv of the generator values, the full SVD of
+[lam; P dlam^T] for A, and one more SVD for C as the nullspace of A.
+Kept to show that the two SVDs give the same spaces. `span_residual`
+is the least-squares residual that the numeric route used, one point
+and one form at a time.
 """
 
 import numpy as np
 
 from flatcheck.cauchy import (AnnihilatorError, CharacteristicSpaces,
                               DEFAULT_PROJ_TOL, _constant_coordinate_pattern,
-                              annihilator, span_residual)
+                              annihilator)
 from flatcheck.diffgeo import lie_derivative_1form, values_in_point_order
 from flatcheck.flags import _ranks
 from flatcheck.symx import is_zero
 
 BLOCK = 32
+
+
+def span_residual(v, basis):
+    """Relative least-squares residual of v against the row span."""
+    nv = float(np.linalg.norm(v))
+    if nv == 0.0:
+        return 0.0
+    if basis.size == 0:
+        return 1.0
+    coef, *_ = np.linalg.lstsq(basis.T, v, rcond=None)
+    return float(np.linalg.norm(v - basis.T @ coef)) / nv
+
+
+def _blocks(points):
+    return [points[start:start + BLOCK]
+            for start in range(0, len(points), BLOCK)]
+
+
+def _omega(cod, points):
+    """The values of the generators and differentials, the generator
+    values stacked up to the first error's rank check, and that
+    error."""
+    m = len(cod.generators)
+    vals, first = values_in_point_order(
+        cod.generators + cod.differentials, points)
+    ranked = len(points) if first is None else first[0] + (first[1] >= m)
+    return vals, np.stack([v[:ranked] for v in vals[:m]], axis=1), first
+
+
+def _raise_first(points, dependent, first):
+    """Dependent generators at a point come before an evaluation error
+    at a later point."""
+    if dependent.size:
+        raise AnnihilatorError(
+            "annihilator generators dependent at "
+            f"{tuple(points[dependent[0]].coords)}")
+    if first is not None:
+        raise first[2]
+
+
+def _dlam(cod, vals, count):
+    """d(lam^i) as antisymmetric n x n matrices."""
+    n = cod.frame.n
+    m = len(cod.generators)
+    dlam = np.zeros((count, m, n, n))
+    for i, (dw, dv) in enumerate(zip(cod.differentials, vals[m:])):
+        if dw.coefficients:
+            r, c = zip(*dw.coefficients)
+            dlam[:, i, r, c] = dv
+            dlam[:, i, c, r] = np.negative(dv)
+    return dlam
+
+
+def cauchy_space(cod, points, tol=DEFAULT_PROJ_TOL):
+    """A and C at each point by the two SVDs, a block at a time."""
+    spaces = []
+    for block in _blocks(points):
+        spaces += _two_svd_block(cod, block, tol)
+    return spaces
+
+
+def _two_svd_block(cod, points, tol):
+    n = cod.frame.n
+    m = len(cod.generators)
+    vals, omega, first = _omega(cod, points)
+    _, s, w = np.linalg.svd(omega, full_matrices=False)
+    _raise_first(points, np.flatnonzero(
+        np.sum(s > tol * s[:, :1], axis=1) != m), first)
+    dlam = _dlam(cod, vals, len(points))
+    proj = np.eye(n) - w.swapaxes(1, 2) @ w
+    rows = (proj[:, None] @ dlam.swapaxes(2, 3)).reshape(len(points), -1, n)
+    stack = np.concatenate([omega, rows], axis=1)
+    _, s, vt = np.linalg.svd(stack, full_matrices=stack.shape[1] < n)
+    ranks = np.sum(s > tol * s[:, :1], axis=1)
+    return [CharacteristicSpaces(v[r:], v[:r]) for v, r in zip(vt, ranks)]
 
 
 def _nullspaces(stack, tol):
@@ -28,34 +111,21 @@ def _nullspaces(stack, tol):
     return [v[r:] for v, r in zip(vt, ranks)]
 
 
-def cauchy_space(cod, points, tol=DEFAULT_PROJ_TOL):
-    """A and C at each point, a block of points at a time."""
+def two_step_cauchy_space(cod, points, tol=DEFAULT_PROJ_TOL):
+    """A and C at each point by the earlier construction, a block at a
+    time."""
     spaces = []
-    for start in range(0, len(points), BLOCK):
-        spaces += _cauchy_block(cod, points[start:start + BLOCK], tol)
+    for block in _blocks(points):
+        spaces += _two_step_block(cod, block, tol)
     return spaces
 
 
-def _cauchy_block(cod, points, tol):
+def _two_step_block(cod, points, tol):
     n = cod.frame.n
     m = len(cod.generators)
-    vals, first = values_in_point_order(
-        cod.generators + cod.differentials, points)
-    ranked = len(points) if first is None else first[0] + (first[1] >= m)
-    omega = np.stack([v[:ranked] for v in vals[:m]], axis=1)
-    dependent = np.flatnonzero(_ranks(omega, tol) != m)
-    if dependent.size:
-        raise AnnihilatorError(
-            "annihilator generators dependent at "
-            f"{tuple(points[dependent[0]].coords)}")
-    if first is not None:
-        raise first[2]
-    dlam = np.zeros((len(points), m, n, n))
-    for i, (dw, dv) in enumerate(zip(cod.differentials, vals[m:])):
-        if dw.coefficients:
-            r, c = zip(*dw.coefficients)
-            dlam[:, i, r, c] = dv
-            dlam[:, i, c, r] = np.negative(dv)
+    vals, omega, first = _omega(cod, points)
+    _raise_first(points, np.flatnonzero(_ranks(omega, tol) != m), first)
+    dlam = _dlam(cod, vals, len(points))
     omega_t = omega.swapaxes(1, 2)
     proj = np.eye(n) - omega_t @ np.linalg.pinv(omega_t)
     rows = (proj[:, None] @ dlam.swapaxes(2, 3)).reshape(len(points), -1, n)
@@ -67,6 +137,34 @@ def _cauchy_block(cod, points, tol):
             np.stack([a_bases[p] for p in idx]), tol)))
     return [CharacteristicSpaces(a, c_bases[p])
             for p, a in enumerate(a_bases)]
+
+
+def residuals(values, spaces):
+    """Per point, the largest relative residual of the values against
+    C, a block of points at a time: |v - (v C^T) C| / |v| with C padded
+    to n zero rows, 0.0 for v = 0, 1.0 for an empty C."""
+    out = []
+    for start in range(0, len(spaces), BLOCK):
+        sps = spaces[start:start + BLOCK]
+        v = np.stack([val[start:start + BLOCK] for val in values])
+        n = v.shape[2]
+        c = np.zeros((len(sps), n, n))
+        for p, sp in enumerate(sps):
+            c[p, :sp.dim_c] = sp.c_basis
+        off = v - ((v[:, :, None] @ c.swapaxes(1, 2)) @ c)[:, :, 0]
+        nv = np.linalg.norm(v, axis=2)
+        res = np.linalg.norm(off, axis=2)
+        for p, sp in enumerate(sps):
+            per = [0.0]
+            for g in range(len(values)):
+                if nv[g, p] == 0.0:
+                    per.append(0.0)
+                elif sp.dim_c == 0:
+                    per.append(1.0)
+                else:
+                    per.append(float(res[g, p] / nv[g, p]))
+            out.append(max(per))
+    return out
 
 
 def check_condition2(spec, table, points, tol=DEFAULT_PROJ_TOL):
@@ -102,13 +200,11 @@ def check_condition2(spec, table, points, tol=DEFAULT_PROJ_TOL):
             lf_vals, first = values_in_point_order(lf, points)
             if first is not None:
                 raise first[2]
-            residuals = [max([0.0] + [span_residual(v[p], sp_q.c_basis)
-                                      for v in lf_vals])
-                         for p, sp_q in enumerate(spaces)]
+            res = residuals(lf_vals, spaces)
             entry["method"] = "numeric"
-            entry["residuals"] = residuals
-            entry["max_residual"] = max(residuals)
-            entry["pass"] = all(r <= tol for r in residuals)
+            entry["residuals"] = res
+            entry["max_residual"] = max(res)
+            entry["pass"] = all(r <= tol for r in res)
         all_pass = all_pass and entry["pass"]
         levels.append(entry)
     return {"verdict": "pass" if all_pass else "fail", "levels": levels}

@@ -1,12 +1,15 @@
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import flatcheck.cauchy
 import flatcheck.diffgeo
 from flatcheck.symx import EvalError, eval_at
 from flatcheck.cauchy import (AnnihilatorError, CharacteristicSpaces,
-                              _constant_coordinate_pattern, annihilator,
-                              cauchy_space, check_condition2, span_residual)
+                              _constant_coordinate_pattern, _residuals,
+                              annihilator, cauchy_space, check_condition2)
 from flatcheck.diffgeo import (OneForm, TwoForm, VectorField,
                                exterior_derivative_1form, lie_derivative_1form)
 from flatcheck.flags import _ranks, compute_flags
@@ -14,6 +17,7 @@ from flatcheck.flags import _ranks, compute_flags
 import cauchy_reference
 import flags_reference
 import systems
+from cauchy_reference import span_residual
 
 
 def _points(spec, count, seed=9):
@@ -24,37 +28,30 @@ def _points(spec, count, seed=9):
         for _ in range(count)]
 
 
-def _nullspace_numeric(mat, n, tol):
-    """Nullspace basis (rows) of one matrix, by its own full SVD."""
-    if mat.size == 0:
-        return np.eye(n)
-    _, s, vt = np.linalg.svd(mat)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > tol * smax)) if smax > 0.0 else 0
-    return vt[rank:]
-
-
 def _reference_cauchy_space(cod, q, tol=1e-8):
     """A and C at one point, each step its own LAPACK call, with d(lam)
-    rebuilt from the generators, the way it was computed before the
-    codistribution carried its differentials and before the points
-    were stacked."""
+    rebuilt from the generators rather than taken from the
+    codistribution: an orthonormal basis W of span{lam} from the SVD of
+    the generator values, then the SVD of [lam; (I - W^T W) dlam^T],
+    whose Vt holds C in its first rank rows and A in the rest."""
     n = cod.frame.n
     omega = np.array([w.values([q])[0] for w in cod.generators])
     assert flags_reference.rank(omega, tol) == omega.shape[0]
-    proj = np.eye(n) - omega.T @ np.linalg.pinv(omega.T)
+    _, _, w = np.linalg.svd(omega, full_matrices=False)
+    proj = np.eye(n) - w.T @ w
     blocks = [omega]
-    for w in cod.generators:
-        dw = exterior_derivative_1form(w)
+    for lam in cod.generators:
+        dw = exterior_derivative_1form(lam)
         dmat = np.zeros((n, n))
         for (i, j), c in dw.coefficients.items():
             val = eval_at(c, q)
             dmat[i, j] = val
             dmat[j, i] = -val
         blocks.append(proj @ dmat.T)
-    a_basis = _nullspace_numeric(np.vstack(blocks), n, tol)
-    c_basis = _nullspace_numeric(a_basis, n, tol)
-    return CharacteristicSpaces(a_basis, c_basis)
+    stack = np.vstack(blocks)
+    _, s, vt = np.linalg.svd(stack, full_matrices=stack.shape[0] < n)
+    rank = int(np.sum(s > tol * s[0]))
+    return CharacteristicSpaces(vt[rank:], vt[:rank])
 
 
 def test_span_residual_basics():
@@ -471,3 +468,122 @@ def test_condition2_matches_the_blocked_reference(name):
             assert np.array_equal(sp.c_basis, ref.c_basis)
     assert check_condition2(spec, table, pts) == \
         cauchy_reference.check_condition2(spec, table, pts)
+
+
+def _projector(basis):
+    """Orthogonal projector onto the row span of basis."""
+    return basis.T @ np.linalg.pinv(basis.T)
+
+
+@pytest.mark.parametrize("name", sorted(_CAUCHY_SYSTEMS))
+def test_two_svds_span_the_two_step_spaces(name):
+    # A and C from one SVD are rotated bases of the spaces that the
+    # earlier construction (pinv projector, A from a full SVD, C as the
+    # nullspace of A) gave
+    spec = _CAUCHY_SYSTEMS[name]()
+    table = compute_flags(spec)
+    pts = _points(spec, 69)
+    for k in range(1, spec.n - 2):
+        cod = annihilator(table, k, pts[:5])
+        got = cauchy_space(cod, pts)
+        want = cauchy_reference.two_step_cauchy_space(cod, pts)
+        for sp, ref in zip(got, want, strict=True):
+            assert (sp.dim_a, sp.dim_c) == (ref.dim_a, ref.dim_c)
+            for a, b in ((sp.a_basis, ref.a_basis),
+                         (sp.c_basis, ref.c_basis)):
+                assert np.max(np.abs(_projector(a) - _projector(b)),
+                              initial=0.0) <= 1e-10
+
+
+@pytest.mark.parametrize("name", sorted(_CAUCHY_SYSTEMS))
+def test_characteristic_bases_are_orthonormal(name):
+    spec = _CAUCHY_SYSTEMS[name]()
+    table = compute_flags(spec)
+    pts = _points(spec, 40)
+    n = spec.n
+    for k in range(1, n - 2):
+        for sp in cauchy_space(annihilator(table, k, pts[:5]), pts):
+            assert sp.dim_a + sp.dim_c == n
+            c, a = sp.c_basis, sp.a_basis
+            assert np.max(np.abs(c @ c.T - np.eye(sp.dim_c)),
+                          initial=0.0) <= 1e-12
+            assert np.max(np.abs(a @ a.T - np.eye(sp.dim_a)),
+                          initial=0.0) <= 1e-12
+            assert np.max(np.abs(a @ c.T), initial=0.0) <= 1e-12
+
+
+@st.composite
+def _residual_cases(draw):
+    """Values of a few forms at a few points, and an orthonormal C of
+    any dimension 0..n at each point; the values are zero, in C, near C
+    or anywhere, at several scales."""
+    n = draw(st.integers(2, 8))
+    count = draw(st.integers(1, 5))
+    forms = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spaces = []
+    for _ in range(count):
+        dim = draw(st.integers(0, n))
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        spaces.append(CharacteristicSpaces(q.T[dim:], q.T[:dim]))
+    values = np.zeros((forms, count, n))
+    for g in range(forms):
+        for p, sp in enumerate(spaces):
+            kind = draw(st.sampled_from(["zero", "in", "near", "any"]))
+            scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+            if kind == "any":
+                values[g, p] = scale * rng.standard_normal(n)
+            elif kind != "zero":
+                values[g, p] = scale * (rng.standard_normal(sp.dim_c)
+                                        @ sp.c_basis)
+                if kind == "near":
+                    values[g, p] += scale * 1e-9 * rng.standard_normal(n)
+    return list(values), spaces
+
+
+@settings(max_examples=300, deadline=None)
+@given(_residual_cases())
+def test_batched_residuals_match_least_squares(case):
+    values, spaces = case
+    got = _residuals(values, spaces)
+    want = [max([0.0] + [span_residual(v[p], sp.c_basis) for v in values])
+            for p, sp in enumerate(spaces)]
+    assert all(type(r) is float for r in got)
+    assert len(got) == len(want)
+    for p, (r, ref) in enumerate(zip(got, want)):
+        assert abs(r - ref) <= 1e-12
+        if spaces[p].dim_c == 0 or not any(v[p].any() for v in values):
+            assert r == ref  # 1.0 against an empty C, 0.0 for v = 0
+
+
+@pytest.mark.parametrize("name", sorted(_CAUCHY_SYSTEMS))
+def test_condition2_makes_two_svds_per_level(monkeypatch, name):
+    spec = _CAUCHY_SYSTEMS[name]()
+    table = compute_flags(spec)
+    pts = _points(spec, 20)
+    want = check_condition2(spec, table, pts)
+    calls = []
+    for fn in ("svd", "pinv", "lstsq"):
+        def spy(*args, real=getattr(np.linalg, fn), fn=fn, **kwargs):
+            calls.append((fn, sys._getframe(1).f_globals["__name__"]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, fn, spy)
+    real_space = flatcheck.cauchy.cauchy_space
+
+    def marking(*args, **kwargs):
+        calls.append(("level", None))
+        return real_space(*args, **kwargs)
+
+    monkeypatch.setattr(flatcheck.cauchy, "cauchy_space", marking)
+    assert check_condition2(spec, table, pts) == want
+    per_level = [[]]
+    for fn, caller in calls:
+        if fn == "level":
+            per_level.append([])
+        elif caller == "flatcheck.cauchy" or fn != "svd":
+            per_level[-1].append(fn)
+    # before the first level only annihilator's rank check (in flags)
+    assert per_level[0] == []
+    assert len(per_level) - 1 == spec.n - 3
+    assert per_level[1:] == [["svd", "svd"]] * (spec.n - 3)

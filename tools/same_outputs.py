@@ -22,7 +22,9 @@ top-level --help, each command's --help, no arguments, an unknown
 command, a missing spec, an unknown option, --samples 1 and --dt abc.
 
 Prints one line per op and seed, or usage case, that differs, naming
-what differs, and exits 1 if any does, else 0.
+what differs (for a JSON report, the path of its first difference,
+and where that is a number, the base and head values and head minus
+base), and exits 1 if any does, else 0.
 """
 
 from __future__ import annotations
@@ -84,7 +86,8 @@ def _outputs(proc: subprocess.Popen, work: Path) -> dict:
 
 
 def _first_difference(a, b, path: str = "") -> str:
-    """The path of the first key or index where a and b differ."""
+    """The path of the first key or index where a and b differ, and,
+    where that is two numbers, both and their difference."""
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(a.keys() | b.keys()):
             if key not in a or key not in b:
@@ -95,6 +98,9 @@ def _first_difference(a, b, path: str = "") -> str:
         for i, (x, y) in enumerate(zip(a, b)):
             if x != y:
                 return _first_difference(x, y, f"{path}[{i}]")
+    elif all(isinstance(x, (int, float)) and not isinstance(x, bool)
+             for x in (a, b)):
+        return f"{path or '.'}: {a!r} against {b!r}, difference {b - a!r}"
     return path or "."
 
 

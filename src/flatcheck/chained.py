@@ -8,10 +8,11 @@ beta that turns (g1, g2) into the chained pair
   ghat1 = (z2, ..., z_{n-1}, 0, 1),  ghat2 = (0, ..., 0, 1, 0).
 
 The search is an undetermined-coefficient ansatz over polynomial
-monomials solved as a linear system over the parameter field, built
-and solved on the normal form's polynomial pairs; every candidate is
-accepted only after the chained structure is re-verified on the
-transformed fields, so the Delta recipe never has to be trusted. That
+monomials solved as a linear system over the parameter field. symx's
+Ansatz builds and solves that system and gives each candidate h as a
+normal-form tree; this module handles no (num, den) pair. Every
+candidate is accepted only after the chained structure is re-verified
+on the transformed fields, so the Delta recipe never has to be trusted. That
 check is exact and runs in x-coordinates: the chained pattern is
 pushed through the chart, so it needs no inverse chart.
 """
@@ -28,12 +29,10 @@ import numpy as np
 
 from .diffgeo import VectorField, lie_bracket, lie_derivative_fn
 from .flags import SystemSpec, _reference_points
-from .symx import (Const, Div, Expr, Frame, Mono, Mul, Pair, Point, Poly,
-                   Sub, Sym, SymxError, ZERO, ONE_E, diff, free_symbols,
+from .symx import (Ansatz, Const, Div, Expr, Frame, Mul, Point, Sub, Sym,
+                   SymxError, ZERO, ONE_E, diff, free_symbols,
                    linear_decompose, normalize, point_rows,
-                   polynomial_terms, solve_affine_pairs, subst)
-from .symx import (_ONE_PAIR, _P_ONE, _ZERO_PAIR, _add, _canon, _mono_key,
-                   _mul, _pair_to_expr, _ratform, _split_terms, _sub)
+                   polynomial_terms, subst)
 
 JACOBIAN_TOL = 1e-8
 
@@ -101,7 +100,8 @@ def _delta_chains(spec: SystemSpec) -> tuple[list[VectorField], list[VectorField
     return ads, ads[:-1]
 
 
-def _monomials(states: tuple[str, ...], degree: int) -> list[Mono]:
+def _monomials(states: tuple[str, ...], degree: int
+               ) -> list[tuple[tuple[str, int], ...]]:
     out = []
     for d in range(1, degree + 1):
         for combo in itertools.combinations_with_replacement(states, d):
@@ -110,76 +110,6 @@ def _monomials(states: tuple[str, ...], degree: int) -> list[Mono]:
                 mono[s] = mono.get(s, 0) + 1
             out.append(tuple(sorted(mono.items())))
     return out
-
-
-# The search runs on the (num, den) pairs of symx's normal form. Each
-# pair below is the one _canon(*_ratform(tree)) gives for the tree that
-# builds the same sum out of Add and Mul nodes, left-nested from ZERO:
-# the ansatz sum(c_k * m_k), its gradient, the pairings <dh, X> and the
-# candidates h. So every printed h is the tree normalize would give.
-
-def _ansatz_gradient(names: list[str], monos: list[Mono],
-                     states: tuple[str, ...]) -> list[Poly]:
-    """d/dx of the ansatz sum(c_k * m_k) for each state x, as
-    polynomials; each c_k is its own atom, so no two terms meet."""
-    grads = []
-    for x in states:
-        grad: Poly = {}
-        for name, mono in zip(names, monos):
-            powers = dict(mono)
-            k = powers.pop(x, 0)
-            if k:
-                if k > 1:
-                    powers[x] = k - 1
-                powers[name] = 1
-                grad[tuple(sorted(powers.items()))] = k
-        grads.append(grad)
-    return grads
-
-
-def _combine(polys: list[Poly], pairs: list[Pair]) -> Pair:
-    """(num, den) of ZERO + p_0*q_0 + p_1*q_1 + ... as _ratform builds
-    it, for polynomials p_k and the trees of the pairs q_k."""
-    acc = _ZERO_PAIR
-    for p, q in zip(polys, pairs):
-        acc = _add(acc, _mul((p, _P_ONE), q))
-    return acc
-
-
-def _identity_rows(num: Poly, unknowns: list[str],
-                   states: tuple[str, ...]) -> list[list[Pair]]:
-    """Rows [A | -b] forcing num = 0 identically in the states.
-
-    num must be affine in the unknowns. It is split by monomials in the
-    states and the unknowns, and each state monomial contributes the
-    row that makes its coefficient vanish: the unknowns' coefficients
-    against the terms free of them (-b, since A x + (-b) = 0). The
-    rows come in the graded order of their state monomials.
-    """
-    index = {u: k for k, u in enumerate(unknowns)}
-    rows: dict[Mono, list[Pair]] = {}
-    for mono, coeff in _split_terms(num, {*states, *unknowns}).items():
-        key = tuple((a, k) for a, k in mono if a not in index)
-        row = rows.setdefault(key, [_ZERO_PAIR] * (len(unknowns) + 1))
-        linear = [(a, k) for a, k in mono if a in index]
-        if not linear:
-            row[-1] = (coeff, _P_ONE)
-        elif len(linear) == 1 and linear[0][1] == 1:
-            row[index[linear[0][0]]] = (coeff, _P_ONE)
-        else:
-            raise SymxError("expression is not affine in the unknowns")
-    return [rows[key] for key in sorted(rows, key=_mono_key)]
-
-
-def _ansatz_names(frame: Frame, count: int) -> list[str]:
-    taken = frame.declared()
-    names, i = [], 0
-    while len(names) < count:
-        cand = f"c{i}_"
-        if cand not in taken:
-            names.append(cand)
-        i += 1
-    return names
 
 
 def _min_term(e: Expr, states) -> tuple[tuple, Expr]:
@@ -208,54 +138,39 @@ def find_output_pair(spec: SystemSpec, degree: int = 2
     candidate at this degree verifies.
     """
     ref_points = _reference_points(spec)
-    frame = spec.frame
-    states = frame.states
+    states = spec.frame.states
     delta1, delta2 = _delta_chains(spec)
-    monos = _monomials(states, degree)
-    names = _ansatz_names(frame, len(monos))
+    ansatz = Ansatz(_monomials(states, degree), states)
     denv = ref_points[0].env()
-    atoms: dict[str, Expr] = {x: Sym(x) for x in states}
-    grads = _ansatz_gradient(names, monos, states)
 
-    def rows(vf: VectorField, minus_one: bool = False) -> list[list[Pair]]:
-        # the rows of <dh, vf> (minus 1: Sub(pairing, ONE_E))
-        pair = _combine(grads, [_ratform(c, atoms) for c in vf.components])
-        if minus_one:
-            pair = _sub(pair, _ONE_PAIR)
-        return _identity_rows(_canon(*pair)[0], names, states)
-
-    mono_polys = [{m: 1} for m in monos]
-
-    def candidates(coeff_vectors) -> Iterator[Expr]:
-        for coeffs in coeff_vectors:
-            num, den = _canon(*_combine(mono_polys, coeffs))
-            if num:
-                yield _pair_to_expr(num, den, atoms)
+    def candidates(vector_sums) -> Iterator[Expr]:
+        for vectors in vector_sums:
+            h = ansatz.expr(*vectors)
+            if h != ZERO:
+                yield h
 
     # h1: <dh1, X> = 0 on Delta_1 and L_{g1}h1 = 1; Delta_2 is a
     # prefix of Delta_1, so its rows are shared
-    delta_rows = [rows(X) for X in delta1]
-    unit_rows = rows(spec.g1, minus_one=True)
-    sol1 = solve_affine_pairs([r for rs in delta_rows + [unit_rows]
-                               for r in rs], len(names), denv, atoms)
+    delta_rows = [ansatz.rows(X.components) for X in delta1]
+    unit_rows = ansatz.rows(spec.g1.components, 1)
+    sol1 = ansatz.solve([r for rs in delta_rows + [unit_rows] for r in rs],
+                        denv)
     if sol1 is None:
         raise ChainedError(f"no h1 with unit pairing at degree {degree}")
     part1, null1 = sol1
     h1_rest = candidates(itertools.chain(
-        [part1], ([_canon(*_add(a, b)) for a, b in zip(part1, vec)]
-                  for vec in null1[:4])))
+        [(part1,)], ((part1, vec) for vec in null1[:4])))
     h1_seen = list(itertools.islice(h1_rest, 1))
     if not h1_seen:
         raise ChainedError(f"h1 solution space trivial at degree {degree}")
 
     # h2: <dh2, X> = 0 on Delta_2, any nonzero solution
-    sol2 = solve_affine_pairs([r for rs in delta_rows[:len(delta2)]
-                               for r in rs], len(names), denv, atoms)
+    sol2 = ansatz.solve([r for rs in delta_rows[:len(delta2)] for r in rs],
+                        denv)
     null2 = sol2[1] if sol2 is not None else []
     h2_rest = itertools.islice(candidates(itertools.chain(
-        null2, ([_canon(*_add(a, b)) for a, b in zip(null2[i], null2[j])]
-                for i in range(len(null2))
-                for j in range(i + 1, len(null2))))), 60)
+        itertools.combinations(null2, 1),
+        itertools.combinations(null2, 2))), 60)
     h2_seen = list(itertools.islice(h2_rest, 1))
     if not h2_seen:
         raise ChainedError(

@@ -233,6 +233,9 @@ def _load(path: str) -> tuple[SystemSpec, SimSetup]:
             except ValueError:
                 raise SpecFileError(f"{path}:{lineno}: param_values entry "
                                     f"'{tok}' is not numeric")
+            if not math.isfinite(param_values[name]):
+                raise SpecFileError(f"{path}:{lineno}: param_values entry "
+                                    f"'{tok}' is not finite")
 
     z0 = None
     if "z0" in entries:
@@ -246,6 +249,9 @@ def _load(path: str) -> tuple[SystemSpec, SimSetup]:
         except ValueError:
             raise SpecFileError(f"{path}:{lineno}: z0 coordinates must "
                                 f"be numeric")
+        if not all(map(math.isfinite, z0)):
+            raise SpecFileError(f"{path}:{lineno}: z0 coordinates must "
+                                f"be finite")
     v1 = v2 = None
     for key in ("v1", "v2"):
         if key in entries:

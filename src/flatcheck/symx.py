@@ -27,9 +27,15 @@ normal form's (numerator, denominator) polynomial pairs, and every
 entry equals normalize of the tree the update stands for.
 rref_exprs, nullspace_exprs and solve_affine_exprs take and return
 trees: each entry is converted in once and each result out once.
-solve_affine_pairs, their common core, takes and returns pairs, so a
-caller that builds its system as pairs (the output-pair search in
-chained) never builds the trees at all.
+Ansatz solves for the coefficients of h = sum(c_k * m_k), over given
+state monomials, that make <dh, X> equal a given value identically in
+the states (chained's output-pair search): it builds and solves those
+conditions on pairs, and returns only trees.
+
+Only this module handles pairs: every other module reaches the normal
+form through trees and the public functions (normalize, fold, the
+linear algebra and Ansatz), and imports neither an underscore name nor
+the pair types Poly, Pair and Mono.
 """
 
 from __future__ import annotations
@@ -633,8 +639,8 @@ def diff(e: Expr, v: str) -> Expr:
 #
 # So normalize of arithmetic on normal forms needs no tree: fold
 # applies the rules to the operands' pairs and builds only the
-# result's tree. The elimination below and chained's output-pair
-# search work on pairs the same way.
+# result's tree. The elimination below and Ansatz work on pairs the
+# same way.
 # ---------------------------------------------------------------------------
 
 Mono = tuple[tuple[str, int], ...]
@@ -1353,10 +1359,11 @@ def to_str(e: Expr) -> str:
 # Entries are (num, den) Poly pairs inside. The tree interface
 # (rref_exprs, nullspace_exprs, solve_affine_exprs) converts each entry
 # once on the way in, by _ratform and _canon, into the pair behind its
-# normal form, and each result once on the way out. solve_affine_pairs
-# is entered with pairs and returns pairs. Either way trees are built
-# inside only for the pivot candidates of a column that must be
-# evaluated.
+# normal form, and each result once on the way out. Ansatz builds its
+# rows as pairs and enters _solve_affine_pairs with them, and its
+# callers hold the rows and solutions without looking inside; no pair
+# leaves this module. Either way trees are built inside only for the
+# pivot candidates of a column that must be evaluated.
 #
 # Elimination is fraction-free: row i becomes piv*row_i - e*pivot_row,
 # e being row i's entry in the pivot column, so polynomial entries stay
@@ -1515,10 +1522,10 @@ def nullspace_exprs(matrix: Sequence[Sequence[Expr]],
             for v in _null_pairs(rows, pivots, len(matrix[0]))]
 
 
-def solve_affine_pairs(rows: Sequence[list[Pair]], ncols: int,
-                       ref_env: Mapping[str, float] | None,
-                       atoms: dict[str, Expr]
-                       ) -> tuple[list[Pair], list[list[Pair]]] | None:
+def _solve_affine_pairs(rows: Sequence[list[Pair]], ncols: int,
+                        ref_env: Mapping[str, float] | None,
+                        atoms: dict[str, Expr]
+                        ) -> tuple[list[Pair], list[list[Pair]]] | None:
     """solve_affine_exprs on pairs: rows are [A | -b], ncols + 1 pairs
     each, every one as _canon gives it, over atoms (which must name
     every atom in them). rows itself is left as it is.
@@ -1552,7 +1559,7 @@ def solve_affine_exprs(matrix: Sequence[Sequence[Expr]],
     atoms: dict[str, Expr] = {}
     rows = _pairs_in([list(row) + [Mul(Const(Fraction(-1)), rhs[i])]
                       for i, row in enumerate(matrix)], atoms)
-    sol = solve_affine_pairs(rows, len(matrix[0]), ref_env, atoms)
+    sol = _solve_affine_pairs(rows, len(matrix[0]), ref_env, atoms)
     if sol is None:
         return None
     part, null = sol
@@ -1598,6 +1605,31 @@ def _split_terms(num: Poly, split: set[str]) -> dict[Mono, Poly]:
     return groups
 
 
+def _identity_rows(num: Poly, unknowns: list[str],
+                   states: tuple[str, ...]) -> list[list[Pair]]:
+    """Rows [A | -b] forcing num = 0 identically in the states.
+
+    num must be affine in the unknowns. It is split by monomials in the
+    states and the unknowns, and each state monomial contributes the
+    row that makes its coefficient vanish: the unknowns' coefficients
+    against the terms free of them (-b, since A x + (-b) = 0). The
+    rows come in the graded order of their state monomials.
+    """
+    index = {u: k for k, u in enumerate(unknowns)}
+    rows: dict[Mono, list[Pair]] = {}
+    for mono, coeff in _split_terms(num, {*states, *unknowns}).items():
+        key = tuple((a, k) for a, k in mono if a not in index)
+        row = rows.setdefault(key, [_ZERO_PAIR] * (len(unknowns) + 1))
+        linear = [(a, k) for a, k in mono if a in index]
+        if not linear:
+            row[-1] = (coeff, _P_ONE)
+        elif len(linear) == 1 and linear[0][1] == 1:
+            row[index[linear[0][0]]] = (coeff, _P_ONE)
+        else:
+            raise SymxError("expression is not affine in the unknowns")
+    return [rows[key] for key in sorted(rows, key=_mono_key)]
+
+
 def polynomial_terms(e: Expr, split_on: Iterable[str]
                      ) -> dict[Mono, Expr]:
     """Group a polynomial expression by monomials in the given symbols.
@@ -1621,3 +1653,74 @@ def polynomial_terms(e: Expr, split_on: Iterable[str]
             ce = normalize(Div(ce, den_e))
         out[key] = ce
     return out
+
+
+# ---------------------------------------------------------------------------
+# Undetermined coefficients
+#
+# An Ansatz solves linear conditions on h = sum(c_k * m_k), for
+# monomials m_k in the states, identically in the states, with the c_k
+# in the field of the other atoms (parameters and kernels). It works on
+# pairs, as the elimination above does, and no caller sees one: each
+# pair is the one _canon(*_ratform(tree)) gives for the tree that
+# builds the same sum out of Add and Mul nodes, left-nested from ZERO:
+# the ansatz, its gradient, the pairings <dh, X> and the candidates h.
+# So every h it returns is the tree normalize would give. The unknowns
+# are the atoms @c0, @c1, ..., names the parser cannot produce, so they
+# meet no declared name.
+# ---------------------------------------------------------------------------
+
+class Ansatz:
+    """h = sum(c_k * m_k) with unknown coefficients c_k, for monomials
+    m_k in the states, each a sorted tuple of (state, exponent) pairs.
+
+    rows gives the linear conditions on the c_k for one identity, solve
+    solves a list of them and expr gives h for a solution. Rows and
+    coefficient vectors are opaque: lists to concatenate, pick from and
+    hand back.
+    """
+
+    def __init__(self, monomials: Sequence[Mono], states: Sequence[str]):
+        self._states = tuple(states)
+        self._unknowns = [f"@c{k}" for k in range(len(monomials))]
+        self._monomials = [{m: 1} for m in monomials]
+        h = {_mono_mul(((c, 1),), m): 1
+             for c, m in zip(self._unknowns, monomials)}
+        self._grads = [_p_diff(h, x) for x in self._states]
+        self._atoms: dict[str, Expr] = {x: Sym(x) for x in self._states}
+
+    @staticmethod
+    def _sum(polys: Sequence[Poly], pairs: Sequence[Pair]) -> Pair:
+        """ZERO + p_0*q_0 + p_1*q_1 + ..., for polynomials p_k."""
+        acc = _ZERO_PAIR
+        for p, q in zip(polys, pairs):
+            acc = _add(acc, _mul((p, _P_ONE), q))
+        return acc
+
+    def rows(self, components: Sequence[Expr], value=0) -> list[list[Pair]]:
+        """The conditions for <dh, X> = value identically in the
+        states, where X has these components and value is an Expr or a
+        number."""
+        pairs = [_ratform(c, self._atoms) for c in components]
+        pair = self._sum(self._grads, pairs)
+        if value:
+            pair = _sub(pair, _ratform(_coerce(value), self._atoms))
+        return _identity_rows(_canon(*pair)[0], self._unknowns, self._states)
+
+    def solve(self, rows: Sequence[list[Pair]],
+              ref_env: Mapping[str, float] | None
+              ) -> tuple[list[Pair], list[list[Pair]]] | None:
+        """The particular coefficient vector (free coordinates 0) and
+        the null vectors of the rows, with pivots picked at ref_env;
+        None when the rows are inconsistent."""
+        return _solve_affine_pairs(rows, len(self._unknowns), ref_env,
+                                   self._atoms)
+
+    def expr(self, *vectors: list[Pair]) -> Expr:
+        """normalize's tree of h for the entrywise sum of the
+        coefficient vectors; ZERO when that h vanishes."""
+        coeffs = vectors[0]
+        for v in vectors[1:]:
+            coeffs = [_canon(*_add(a, b)) for a, b in zip(coeffs, v)]
+        return _pair_to_expr(*_canon(*self._sum(self._monomials, coeffs)),
+                             self._atoms)

@@ -351,7 +351,7 @@ def solve_affine_exprs(matrix, rhs, ref_env=None):
 
 
 def identity_rows(e, unknowns, states):
-    """chained._identity_rows by way of polynomial_terms and
+    """symx._identity_rows by way of polynomial_terms and
     linear_decompose on the normalized numerator's tree."""
     num = normalize(e)
     if isinstance(num, Div):

@@ -3,21 +3,16 @@ import pytest
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings
-import hypothesis.strategies as st
 
-from flatcheck import symx
-from flatcheck.symx import (ZERO, Add, Call, Const, Div, Frame, Mul, Sub, Sym,
-                            diff, is_zero, normalize, parse, subst, to_str)
-from flatcheck.diffgeo import VectorField, basis_vector, lie_bracket
+from flatcheck.symx import (ZERO, Const, Div, Mul, Sub, Sym, is_zero,
+                            normalize, parse, subst, to_str)
+from flatcheck.diffgeo import basis_vector
 from flatcheck.flags import SystemSpec
-from flatcheck.chained import (ChainedError, FeedbackMatrix,
-                               _ansatz_gradient, _combine, _identity_rows,
-                               _monomials, _replay, build_chart, control_pair,
-                               find_output_pair, verify_chained)
+from flatcheck.chained import (ChainedError, FeedbackMatrix, _replay,
+                               build_chart, control_pair, find_output_pair,
+                               verify_chained)
 
 import chained_reference
-import symx_reference
 import systems
 from conftest import realize
 from symx_reference import equiv
@@ -38,85 +33,6 @@ def test_output_pair_motor_matches_references(motor_spec):
     fr = motor_spec.frame
     assert equiv(pair.h1, parse(systems.MOTOR_H1, fr))
     assert equiv(pair.h2, parse(systems.MOTOR_H2, fr))
-
-
-_coeff = st.recursive(
-    st.one_of(st.integers(-2, 2).map(lambda k: Const(Fraction(k))),
-              st.sampled_from([Sym("x1"), Sym("x2"), Sym("p"),
-                               Call("sin", Sym("x1"))])),
-    lambda s: st.tuples(s, s).flatmap(lambda t: st.sampled_from(
-        [Add(*t), Sub(*t), Mul(*t),
-         Div(t[0], Add(Mul(t[1], t[1]), Const(Fraction(1))))])),
-    max_leaves=4)
-
-
-@given(st.lists(_coeff, min_size=4, max_size=4))
-@settings(max_examples=100, deadline=None)
-def test_identity_rows_match_tree_route(parts):
-    # e = A0*c0_ + A1*c1_ + A2*c2_ + B, affine in the unknowns, with a
-    # parameter, a sin atom and denominators in the coefficients. The
-    # rows [A | -b] built on pairs are, as trees, the tree route's rows
-    # with -b appended, and each pair is the one its tree converts in as
-    unknowns = ["c0_", "c1_", "c2_"]
-    e = parts[3]
-    for u, a in zip(unknowns, parts):
-        e = Add(e, Mul(a, Sym(u)))
-    atoms = {}
-    num, _ = symx._canon(*symx._ratform(e, atoms))
-    rows = _identity_rows(num, unknowns, ("x1", "x2"))
-    got = [[symx._pair_to_expr(*p, atoms) for p in row] for row in rows]
-    want = [row + [normalize(Mul(Const(Fraction(-1)), rhs))] for row, rhs
-            in symx_reference.identity_rows(e, unknowns, ("x1", "x2"))]
-    assert got == want
-    for row, trees in zip(rows, got):
-        for p, tree in zip(row, trees):
-            assert symx._canon(*symx._ratform(tree, {})) == p
-
-
-def _spec_fields(spec):
-    return spec.frame, (spec.g1, spec.g2, lie_bracket(spec.g1, spec.g2))
-
-
-def _denominator_fields():
-    # components sharing a denominator, a parameter and a kernel: the
-    # sum must still cross-multiply by every denominator
-    fr = Frame("x", ("x1", "x2", "x3"), ("p",))
-    fields = [("x1/(1 + x2^2)", "x2/(1 + x2^2)", "p/x3"),
-              ("0", "sin(x1)/(1 + x2^2)", "1/(p*x3)")]
-    return fr, [VectorField(fr, tuple(parse(c, fr) for c in comps))
-                for comps in fields]
-
-
-@pytest.mark.parametrize("build", [
-    lambda: _spec_fields(systems.chained(5)),
-    lambda: _spec_fields(systems.motor()),
-    lambda: _spec_fields(systems.involutive()), _denominator_fields],
-    ids=["chained5", "motor", "involutive", "denominators"])
-def test_pairings_match_tree_route(build):
-    # <dh, X> for the ansatz h, built on pairs, is the pair of the tree
-    # sum ZERO + dh/dx_1*X_1 + ... that normalize would read
-    frame, fields = build()
-    states = frame.states
-    monos = _monomials(states, 2)
-    names = [f"c{k}_" for k in range(len(monos))]
-    ansatz = ZERO
-    for nm, mono in zip(names, monos):
-        term = Sym(nm)
-        for x, k in mono:
-            term = Mul(term, Sym(x) ** k)
-        ansatz = Add(ansatz, term)
-    grads = _ansatz_gradient(names, monos, states)
-    for x, grad in zip(states, grads):
-        assert (grad, symx._P_ONE) == symx._canon(
-            *symx._ratform(diff(ansatz, x), {}))
-    for vf in fields:
-        tree = ZERO
-        for x, comp in zip(states, vf.components):
-            tree = Add(tree, Mul(normalize(diff(ansatz, x)), comp))
-        atoms = {}
-        got = _combine(grads, [symx._ratform(c, atoms)
-                               for c in vf.components])
-        assert got == symx._ratform(tree, {})
 
 
 def test_replay_draws_once_and_repeats():
@@ -143,20 +59,36 @@ OUTPUT_PAIRS = {
     "chained6": ("x6", "x1"), "chained7": ("x7", "x1"),
     "chained8": ("x8", "x1"),
     "motor": ("L*x2/(M*R)", "(-M*n_p*x2*x3 + J*M*R*x1)/(J*L)"),
+    # accepted at the second h2 candidate
+    "disguised4": ("x4", "(1/2)*x2^2 + x1"),
 }
+
+
+def _system(name):
+    if name.startswith("chained"):
+        return systems.chained(int(name[len("chained"):]))
+    return getattr(systems, name)()
 
 
 @pytest.mark.parametrize("name", OUTPUT_PAIRS)
 def test_output_pair_golden(name):
-    spec = (systems.motor() if name == "motor"
-            else systems.chained(int(name[len("chained"):])))
-    pair, _, _ = find_output_pair(spec, degree=2)
+    pair, _, _ = find_output_pair(_system(name), degree=2)
     assert (to_str(pair.h1), to_str(pair.h2)) == OUTPUT_PAIRS[name]
 
 
 def test_output_pair_search_fails_cleanly():
     with pytest.raises(ChainedError, match="degree"):
         find_output_pair(systems.motor(), degree=1)
+
+
+@pytest.mark.parametrize("name, message", [
+    ("example1", "no h1 with unit pairing at degree 2"),
+    # each of 5 h1 candidates is tried with each of 45 h2 candidates
+    ("involutive", "no output pair verified at degree 2")])
+def test_output_pair_search_errors(name, message):
+    with pytest.raises(ChainedError) as err:
+        find_output_pair(_system(name), degree=2)
+    assert str(err.value) == message
 
 
 def test_build_chart_from_user_chart(example1_spec):

@@ -213,6 +213,30 @@ def test_main_non_finite_box_is_a_named_error(tmp_path, capsys, box):
         assert "is not of finite width" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("key, values, message", [
+    # J = inf gave a wrong condition-1 fail, J = nan an inconclusive check
+    ("param_values", ["J=inf L=0.5 M=0.2 R=1.0 T_L=0.05 n_p=2.0",
+                      "J=0.1 L=0.5 M=0.2 R=nan T_L=0.05 n_p=2.0"],
+     "param_values entry '{}' is not finite"),
+    # z0 = nan, 0, 0 stopped simulate at a non-finite state at t = dt
+    ("z0", ["nan, 0, 0", "0.2, -inf, 0.05"], "z0 coordinates must be finite"),
+], ids=["param_values", "z0"])
+def test_main_non_finite_spec_value_is_a_named_error(tmp_path, capsys, key,
+                                                     values, message):
+    lines = (SPEC_DIR / "motor.spec").read_text().splitlines(keepends=True)
+    lineno = next(i for i, line in enumerate(lines, 1)
+                  if line.startswith(f"{key} = "))
+    for value in values:
+        lines[lineno - 1] = f"{key} = {value}\n"
+        path = _write(tmp_path, "".join(lines))
+        bad = next((t for t in value.split() if "inf" in t or "nan" in t))
+        want = message.format(bad)
+        for command in ("check", "transform", "verify", "simulate"):
+            assert main([command, path, "--samples", "5"]) == 2, command
+            err = capsys.readouterr().err
+            assert err == f"flatcheck: error: {path}:{lineno}: {want}\n"
+
+
 @pytest.mark.parametrize("option", ["--rank-tol", "--proj-tol", "--dt",
                                     "--horizon"])
 def test_main_non_finite_setting_is_a_named_error(capsys, option):

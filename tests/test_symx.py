@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import sys
 import warnings
@@ -11,7 +12,8 @@ import hypothesis.strategies as st
 
 from flatcheck import symx
 from flatcheck.cli import main
-from flatcheck.diffgeo import OneForm
+from flatcheck.chained import _monomials
+from flatcheck.diffgeo import OneForm, VectorField, lie_bracket
 from flatcheck.symx import (Add, Call, Const, Div, EvalError, Frame, Mul,
                             ParseError, PivotError, Pow, Sub, Sym, SymxError,
                             ZERO, _canon, _ratform, compile_fn, compile_fns,
@@ -22,6 +24,7 @@ from flatcheck.symx import (Add, Call, Const, Div, EvalError, Frame, Mul,
                             solve_affine_exprs, subst, to_str)
 
 import symx_reference
+import systems
 from conftest import SPEC_DIR
 from symx_reference import UnsampleableDomainError, equiv
 
@@ -1015,6 +1018,131 @@ def test_polynomial_terms_groups_by_monomial():
     assert (("x1", 2),) in keys and (("x1", 1),) in keys and () in keys
     assert is_zero(Sub(terms[(("x1", 2),)], P("3*x2")))
     assert is_zero(Sub(terms[()], P("5")))
+
+
+# --- the ansatz on pairs against the tree route --------------------------------
+
+_ansatz_coeff = st.recursive(
+    st.one_of(st.integers(-2, 2).map(lambda k: Const(Fraction(k))),
+              st.sampled_from([Sym("x1"), Sym("x2"), Sym("p"),
+                               Call("sin", Sym("x1"))])),
+    lambda s: st.tuples(s, s).flatmap(lambda t: st.sampled_from(
+        [Add(*t), Sub(*t), Mul(*t),
+         Div(t[0], Add(Mul(t[1], t[1]), Const(Fraction(1))))])),
+    max_leaves=4)
+
+
+def _ansatz_tree(ansatz, monos):
+    """The tree ZERO + c_0*m_0 + c_1*m_1 + ... of the ansatz."""
+    h = ZERO
+    for c, mono in zip(ansatz._unknowns, monos):
+        term = Sym(c)
+        for x, k in mono:
+            term = Mul(term, Sym(x) ** k)
+        h = Add(h, term)
+    return h
+
+
+def _pairing_tree(h, states, components):
+    """The tree ZERO + dh/dx_1*X_1 + ... of <dh, X>."""
+    tree = ZERO
+    for x, comp in zip(states, components):
+        tree = Add(tree, Mul(normalize(diff(h, x)), comp))
+    return tree
+
+
+def _rows_match_tree_route(ansatz, rows, e, states):
+    # the rows [A | -b] built on pairs are, as trees, the tree route's
+    # rows of e with -b appended, and each pair is the one its tree
+    # converts in as
+    got = [[symx._pair_to_expr(*p, ansatz._atoms) for p in row]
+           for row in rows]
+    want = [row + [normalize(Mul(Const(Fraction(-1)), rhs))] for row, rhs
+            in symx_reference.identity_rows(e, ansatz._unknowns, states)]
+    assert got == want
+    for row, trees in zip(rows, got):
+        for p, tree in zip(row, trees):
+            assert symx._canon(*symx._ratform(tree, {})) == p
+
+
+@given(st.lists(_ansatz_coeff, min_size=4, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_ansatz_rows_match_tree_route(parts):
+    # <dh, X> = value for h = c0*x1 + c1*x2 + c2*x3, X = parts[:3] and
+    # value = parts[3]: affine in the unknowns, with a parameter, a sin
+    # atom and denominators in the coefficients
+    states = ("x1", "x2", "x3")
+    monos = [((x, 1),) for x in states]
+    ansatz = symx.Ansatz(monos, states)
+    e = Sub(_pairing_tree(_ansatz_tree(ansatz, monos), states, parts[:3]),
+            parts[3])
+    _rows_match_tree_route(ansatz, ansatz.rows(parts[:3], parts[3]), e,
+                           states)
+
+
+def _spec_fields(spec):
+    return spec.frame, (spec.g1, spec.g2, lie_bracket(spec.g1, spec.g2))
+
+
+def _denominator_fields():
+    # components sharing a denominator, a parameter and a kernel: the
+    # sum must still cross-multiply by every denominator
+    fr = Frame("x", ("x1", "x2", "x3"), ("p",))
+    fields = [("x1/(1 + x2^2)", "x2/(1 + x2^2)", "p/x3"),
+              ("0", "sin(x1)/(1 + x2^2)", "1/(p*x3)")]
+    return fr, [VectorField(fr, tuple(parse(c, fr) for c in comps))
+                for comps in fields]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _spec_fields(systems.chained(5)),
+    lambda: _spec_fields(systems.motor()),
+    lambda: _spec_fields(systems.involutive()), _denominator_fields],
+    ids=["chained5", "motor", "involutive", "denominators"])
+def test_ansatz_pairings_match_tree_route(build):
+    # the gradient of the ansatz h and <dh, X>, built on pairs, are the
+    # pairs of the trees diff(h, x) and ZERO + dh/dx_1*X_1 + ... that
+    # normalize would read, and the rows of <dh, X> = 0 and of
+    # <dh, X> = 1 are the tree route's
+    frame, fields = build()
+    states = frame.states
+    monos = _monomials(states, 2)
+    ansatz = symx.Ansatz(monos, states)
+    h = _ansatz_tree(ansatz, monos)
+    for x, grad in zip(states, ansatz._grads):
+        assert (grad, symx._P_ONE) == symx._canon(
+            *symx._ratform(diff(h, x), {}))
+    for vf in fields:
+        tree = _pairing_tree(h, states, vf.components)
+        got = ansatz._sum(ansatz._grads, [symx._ratform(c, {})
+                                          for c in vf.components])
+        assert got == symx._ratform(tree, {})
+        for value in (0, 1):
+            _rows_match_tree_route(ansatz, ansatz.rows(vf.components, value),
+                                   Sub(tree, Const(Fraction(value))), states)
+
+
+def test_ansatz_expr_is_normalize_of_the_sum():
+    # h for one coefficient vector, and for the entrywise sum of two, is
+    # normalize of the tree ZERO + a_0*m_0 + ..., each a_k the sum's tree
+    spec = systems.motor()
+    states = spec.frame.states
+    monos = _monomials(states, 2)
+    ansatz = symx.Ansatz(monos, states)
+    delta_rows = ansatz.rows(spec.g2.components)
+    part, _ = ansatz.solve(delta_rows + ansatz.rows(spec.g1.components, 1),
+                           None)
+    _, null = ansatz.solve(delta_rows, None)
+    assert len(null) == 3
+    for vectors in ((part,), (null[2],), (null[0], null[2]), (part, null[1])):
+        coeffs = [normalize(functools.reduce(
+            Add, [symx._pair_to_expr(*v[k], ansatz._atoms) for v in vectors]))
+            for k in range(len(monos))]
+        tree = ZERO
+        for a, mono in zip(coeffs, monos):
+            tree = Add(tree, Mul(a, symx._poly_to_expr({mono: 1}, {
+                x: Sym(x) for x in states})))
+        assert ansatz.expr(*vectors) == normalize(tree)
 
 
 def test_pow_expr_negative_power():

@@ -22,9 +22,10 @@ top-level --help, each command's --help, no arguments, an unknown
 command, a missing spec, an unknown option, --samples 1 and --dt abc.
 
 Prints one line per op and seed, or usage case, that differs, naming
-what differs (for a JSON report, the path of its first difference,
-and where that is a number, the base and head values and head minus
-base), and exits 1 if any does, else 0.
+what differs, and exits 1 if any does, else 0. For a JSON report that
+line counts the differing leaves and gives the largest |head - base|
+over the numeric ones; one line per differing leaf follows, with its
+path, the base and head values and, for two numbers, head minus base.
 """
 
 from __future__ import annotations
@@ -85,23 +86,55 @@ def _outputs(proc: subprocess.Popen, work: Path) -> dict:
             "stderr": stderr, "json": data, "csv": table}
 
 
-def _first_difference(a, b, path: str = "") -> str:
-    """The path of the first key or index where a and b differ, and,
-    where that is two numbers, both and their difference."""
+class _Absent:
+    """The value, on one side, of a key that only the other has."""
+
+    def __repr__(self):
+        return "absent"
+
+
+_ABSENT = _Absent()
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _differing_leaves(a, b, path: str = "") -> list[tuple[str, object, object]]:
+    """(path, base, head) of every leaf where a and b differ. A key only
+    one side has is a leaf, absent on the other, and so are two lists
+    of different lengths."""
     if isinstance(a, dict) and isinstance(b, dict):
-        for key in sorted(a.keys() | b.keys()):
-            if key not in a or key not in b:
-                return f"{path}.{key}"
-            if a[key] != b[key]:
-                return _first_difference(a[key], b[key], f"{path}.{key}")
-    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
-        for i, (x, y) in enumerate(zip(a, b)):
-            if x != y:
-                return _first_difference(x, y, f"{path}[{i}]")
-    elif all(isinstance(x, (int, float)) and not isinstance(x, bool)
-             for x in (a, b)):
-        return f"{path or '.'}: {a!r} against {b!r}, difference {b - a!r}"
-    return path or "."
+        return [leaf for key in sorted(a.keys() | b.keys())
+                for leaf in _differing_leaves(a.get(key, _ABSENT),
+                                              b.get(key, _ABSENT),
+                                              f"{path}.{key}")]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [leaf for i, (x, y) in enumerate(zip(a, b))
+                for leaf in _differing_leaves(x, y, f"{path}[{i}]")]
+    same = a == b or a != a and b != b  # NaN matches NaN
+    return [] if same else [(path or ".", a, b)]
+
+
+def _json_lines(label: str, base, head) -> list[str]:
+    """How many leaves differ and the largest |head - base| of the
+    numeric ones (NaN above all), then one line per leaf: its path,
+    both values and, for two numbers, head minus base. No lines when
+    no leaf differs."""
+    leaves = _differing_leaves(base, head)
+    if not leaves:
+        return []
+    diffs = [abs(b - a) for _, a, b in leaves
+             if _is_number(a) and _is_number(b)]
+    largest = (f", largest |difference| "
+               f"{max(diffs, key=lambda d: (d != d, d))!r}" if diffs else "")
+    lines = [f"{label}: json differs at {len(leaves)} "
+             f"{'leaf' if len(leaves) == 1 else 'leaves'}{largest}"]
+    for path, a, b in leaves:
+        diff = (f", difference {b - a!r}" if _is_number(a) and _is_number(b)
+                else "")
+        lines.append(f"  {path}: base {a!r}, head {b!r}{diff}")
+    return lines
 
 
 def main(argv: list[str]) -> int:
@@ -134,11 +167,14 @@ def main(argv: list[str]) -> int:
                 for tree, work in zip(trees, works)]
             base, head = (_outputs(p, w) for p, w in zip(procs, works))
             for what in base:
-                if base[what] != head[what]:
+                if what == "json":
+                    lines = _json_lines(label, base[what], head[what])
+                else:
+                    lines = ([f"{label}: {what} differs"]
+                             if base[what] != head[what] else [])
+                if lines:
                     differ += 1
-                    where = (f" at {_first_difference(base[what], head[what])}"
-                             if what == "json" else "")
-                    print(f"{label}: {what} differs{where}")
+                    print("\n".join(lines))
     print(f"{len(todo)} ops at seeds 0 and 7, {len(cases)} usage cases: "
           f"{'identical' if not differ else f'{differ} differences'}")
     return 1 if differ else 0

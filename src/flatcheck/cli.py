@@ -40,8 +40,8 @@ from . import __version__
 from .symx import (EvalError, ParseError, Frame, SymxError, compile_fns,
                    evaluable_rows, to_str)
 from .diffgeo import VectorField, lie_bracket
-from .flags import (DEFAULT_RANK_TOL, SystemSpec, check_condition1,
-                    compute_flags)
+from .flags import (DEFAULT_RANK_TOL, SystemSpec, check_box_interval,
+                    check_condition1, compute_flags)
 from .cauchy import DEFAULT_PROJ_TOL, check_condition2
 from .chained import (ChainedError, FeedbackMatrix, build_chart,
                       find_output_pair, verify_chained)
@@ -214,6 +214,10 @@ def _load(path: str) -> tuple[SystemSpec, SimSetup]:
                 raise SpecFileError(
                     f"{path}:{lineno}: box interval {i + 1} must be "
                     f"'lo hi', got '{pair}'")
+            try:
+                check_box_interval(lo, hi)
+            except ValueError as e:
+                raise SpecFileError(f"{path}:{lineno}: {e}")
             box_list.append((lo, hi))
         box = tuple(box_list)
 

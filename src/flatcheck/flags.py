@@ -35,6 +35,15 @@ from .symx import Expr, Frame, Point
 DEFAULT_RANK_TOL = 1e-9
 
 
+def check_box_interval(lo: float, hi: float) -> None:
+    """Raise ValueError unless [lo, hi] can be sampled: a finite width,
+    so finite bounds, and lo < hi."""
+    if not math.isfinite(hi - lo):  # also an infinite bound
+        raise ValueError(f"box interval [{lo}, {hi}] is not of finite width")
+    if not lo < hi:
+        raise ValueError(f"empty box interval [{lo}, {hi}]")
+
+
 @dataclass
 class SystemSpec:
     """A two-input control-affine system dx/dt = f + g1 u1 + g2 u2."""
@@ -56,13 +65,8 @@ class SystemSpec:
                 raise ValueError("f, g1, g2 must share the system chart")
         if self.g1.is_zero() and self.g2.is_zero():
             raise ValueError("g1 and g2 are both identically zero")
-        if self.box is not None:
-            for lo, hi in self.box:
-                if not math.isfinite(hi - lo):  # also an infinite bound
-                    raise ValueError(f"box interval [{lo}, {hi}] is not "
-                                     "of finite width")
-                if not lo < hi:
-                    raise ValueError(f"empty box interval [{lo}, {hi}]")
+        for lo, hi in self.box or ():
+            check_box_interval(lo, hi)
 
     @property
     def n(self) -> int:

@@ -6,13 +6,27 @@ loop integrations in x- and z-coordinates, and reconstruction of the
 full state and input history from the flat output alone.
 
 Fixed-step RK4 throughout; no adaptive solver, so runs are bit-
-reproducible. Each integration runs on generated code: one loop that
-takes a block of RK4 steps per call, with the state in local variables.
-Each step evaluates the feedback u = alpha + beta v, every right-hand-
-side row and, in z, the regularity r_i on plain floats, unrolled over
-the components, with the float operations of the textbook step on
-component arrays in their order. The input v does not depend on the
-state, so it is evaluated once at the grid's stage times and passed in.
+reproducible. Every integration does the float operations of the
+textbook step on component arrays, in their order, on the stage trees
+of one construction: the feedback u = alpha + beta v, every right-hand-
+side row and, in z, the regularity r_i. The input v does not depend on
+the state, so it is evaluated once at the grid's stage times and
+passed in.
+
+A run whose rows read each other, directly or through u, without a
+cycle (both runs of every chained system) is integrated column by
+column: state by state, each read before it is needed, over a block of
+grid rows at a time. A state's k1..k4 are numpy expressions in the
+columns of the states it reads, and its history is the running sum of
+its increments (np.add.accumulate, which adds in sequence). Every value
+is the step loop's: + - * / are IEEE on arrays as on floats, and
+numpy's sin, cos, exp and sqrt give an array the bits they give each
+float (tests/test_array_floats.py guards both). A run with a cycle (a
+state that reads itself, as in example1 and motor) cannot be summed
+over time, and a run with a power takes the loop too, since numpy's
+array ** does not always round as Python's float ** does. The loop
+takes a block of RK4 steps per generated call, with the state in local
+variables, on plain floats, unrolled over the components.
 """
 
 from __future__ import annotations
@@ -111,7 +125,7 @@ class VSignal:
 
 
 # rows held as Python floats at once: the steps of one generated call
-# in _integrate, and the rows of one write in Trajectory.to_csv. Bounds
+# in _loop_blocks, and the rows of one write in Trajectory.to_csv. Bounds
 # the memory of a long run
 _BLOCK = 256
 
@@ -217,20 +231,20 @@ _V1, _V2, _U1, _U2 = Sym("@v1"), Sym("@v2"), Sym("@u1"), Sym("@u2")
 # them: h, then v1 and v2 at t, t + h/2 and t + h (RK4 stages 0, 1, 3)
 _STAGE_ARGS = (_H.name, "@v1.0", "@v2.0", "@v1.1", "@v2.1", "@v1.3", "@v2.3")
 
+# grid rows per block of a run integrated column by column: bounds its
+# columns as _BLOCK bounds the rows of a stepped run
+_COLUMN_BLOCK = 4096
 
-def _rk4_step(states: Sequence[str], lets: Sequence[tuple[str, Expr]],
-              rows: Sequence[Expr], starts: Sequence[Expr],
-              params: dict[str, float]) -> Callable:
-    """Classic RK4 steps of dy/dt = rows as one generated loop,
-    unrolled over the components.
 
-    rows are expressions in the states, the inputs "@v1", "@v2" at the
-    stage time, and the names lets binds, in order, before them; starts
-    are expressions in the same names. The loop is compile_fns' loop
-    form fn(stages, y, out): for each row of stages, the row _stages
-    gives for a step (h, then v1 and v2 at t, at t + h/2 and at t + h),
-    it appends (*y(t + h), *starts at (t, y)) to out and steps on from
-    y(t + h). The steps do not evaluate v themselves. Their float
+@dataclass(frozen=True)
+class _Rk4:
+    """The trees of one classic RK4 step of dy/dt = rows, which both
+    ways of integrating a run (_integrate) evaluate.
+
+    binds are (name, expression) pairs, each in the names before it, the
+    states and _STAGE_ARGS: the stage values of the states and of the
+    lets, and the k of each row at each stage. incs[i] is the increment
+    of state i and starts the start expressions at (t, y). The float
     operations are those of the textbook step on component arrays,
 
         k1 = f(t, y)                  k2 = f(t + h/2, y + (h/2) k1)
@@ -238,8 +252,23 @@ def _rk4_step(states: Sequence[str], lets: Sequence[tuple[str, Expr]],
         y(t + h) = y + (h/6) (((k1 + 2 k2) + 2 k3) + k4),
 
     in that order, so a run gives the same floats bit for bit. Stages 2
-    and 3 share their time and with it the values of v.
+    and 3 share their time and with it the values of v. order is
+    _column_order of the run.
     """
+
+    states: tuple[str, ...]
+    binds: tuple[tuple[str, Expr], ...]
+    incs: tuple[Expr, ...]
+    starts: tuple[Expr, ...]
+    order: tuple[int, ...] | None
+
+
+def _rk4(states: Sequence[str], lets: Sequence[tuple[str, Expr]],
+         rows: Sequence[Expr], starts: Sequence[Expr]) -> _Rk4:
+    """The RK4 trees of dy/dt = rows. rows are expressions in the
+    states, the inputs "@v1", "@v2" at the stage time, and the names
+    lets binds, in order, before them; starts are expressions in the
+    same names."""
     binds: list[tuple[str, Expr]] = [(_HALF.name, _H / 2)]
     ks: list[list[Expr]] = []
     env: dict[str, Expr] = {}
@@ -258,17 +287,61 @@ def _rk4_step(states: Sequence[str], lets: Sequence[tuple[str, Expr]],
             binds.append((f"{name}.{s}", subst(e, env)))
             env[name] = Sym(f"{name}.{s}")
         if s == 0:
-            at_start = [subst(e, env) for e in starts]
+            at_start = tuple(subst(e, env) for e in starts)
         ks.append([])
         for i, row in enumerate(rows):
             binds.append((f"@k{s}.{i}", subst(row, env)))
             ks[-1].append(Sym(f"@k{s}.{i}"))
     binds.append((_SIXTH.name, _H / 6))
     k1, k2, k3, k4 = ks
-    outs = [Sym(y) + _SIXTH * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i])
-            for i, y in enumerate(states)]
-    return compile_fns(outs + at_start, _STAGE_ARGS + tuple(states), params,
-                       binds, carry=len(states))
+    incs = tuple(_SIXTH * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i])
+                 for i in range(len(states)))
+    return _Rk4(tuple(states), tuple(binds), incs, at_start,
+                _column_order(states, lets, rows, starts))
+
+
+def _column_order(states: Sequence[str], lets: Sequence[tuple[str, Expr]],
+                  rows: Sequence[Expr], starts: Sequence[Expr]
+                  ) -> tuple[int, ...] | None:
+    """An order of the states in which each row reads, directly or
+    through the lets, only states before it; None when the rows read
+    each other in a cycle (a state that reads itself, say), or when a
+    row, let or start has a power, which numpy's array ** does not
+    always round as Python's float ** does."""
+    if _has_power(*rows, *(e for _, e in lets), *starts):
+        return None
+    index = {y: i for i, y in enumerate(states)}
+    via: dict[str, set[int]] = {}  # the states each let reads
+
+    def reads(e: Expr) -> set[int]:
+        out: set[int] = set()
+        for s in free_symbols(e):
+            out |= {index[s]} if s in index else via.get(s, set())
+        return out
+
+    for name, e in lets:
+        via[name] = reads(e)
+    need = [reads(row) for row in rows]
+    order: list[int] = []
+    while len(order) < len(states):
+        ready = [i for i in range(len(states))
+                 if i not in order and need[i].issubset(order)]
+        if not ready:
+            return None
+        order += ready
+    return tuple(order)
+
+
+def _rk4_step(run: _Rk4, params: dict[str, float]) -> Callable:
+    """The steps of run as one generated loop, unrolled over the
+    components: compile_fns' loop form fn(stages, y, out). For each
+    row of stages, the row _stages gives for a step (h, then v1 and v2
+    at t, at t + h/2 and at t + h), it appends (*y(t + h), *starts at
+    (t, y)) to out and steps on from y(t + h). The steps do not
+    evaluate v themselves."""
+    outs = [Sym(y) + d for y, d in zip(run.states, run.incs)]
+    return compile_fns(outs + list(run.starts), _STAGE_ARGS + run.states,
+                       params, run.binds, carry=len(run.states))
 
 
 def _numpy_call(fn: Callable, args: tuple) -> tuple:
@@ -322,41 +395,125 @@ def _stages(v: VSignal, t: np.ndarray) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _integrate(step: Callable, stages: np.ndarray, y0: Sequence[float],
-               t: np.ndarray, reg_threshold: float = 0.0
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step RK4 over the grid t with a loop from _rk4_step on
-    the rows of _stages, one generated call per block of _BLOCK steps.
+def _loop_blocks(run: _Rk4, params: dict[str, float], stages: np.ndarray,
+                 y0: Sequence[float], t: np.ndarray):
+    """Steps run over the grid t with the loop _rk4_step gives, one
+    generated call per block of _BLOCK steps, and yields (start, block)
+    for each: block row k holds y(t + h) and the starts of the step from
+    node start + k.
 
     A step that raises ZeroDivisionError or OverflowError on Python
     floats is rerun alone on numpy scalars, which give inf or nan
-    instead, and the block goes on after it. Each finished block is
-    checked in node order: at node k, an extra value of the step from
-    k (an r_i, in the z-run) with absolute value below reg_threshold
-    raises RegularityError, then a non-finite y[k+1] raises
-    HarnessError. Returns the state history and, one row per node,
-    the extra values the step returns after the state; the last node's
-    come from a zero-length step.
+    instead, and the block goes on after it.
+    """
+    step = _rk4_step(run, params)
+    n = len(y0)
+    out = [tuple(y0)]
+    for start in range(0, len(t), _BLOCK):
+        rows = stages[start:start + _BLOCK].tolist()
+        # out[0] is the row before the block, so out[-1][:n] is the
+        # state the next step starts from
+        out = [out[-1]]
+        while len(out) <= len(rows):
+            try:
+                step(rows[len(out) - 1:], out[-1][:n], out)
+            except (ZeroDivisionError, OverflowError):
+                step([tuple(map(np.float64, rows[len(out) - 1]))],
+                     tuple(map(np.float64, out[-1][:n])), out)
+        width = len(out[1])
+        yield start, np.fromiter(itertools.chain.from_iterable(out[1:]),
+                                 float, (len(out) - 1) * width
+                                 ).reshape(-1, width)
+
+
+def _column_plan(run: _Rk4, params: dict[str, float]) -> list[tuple]:
+    """The calls of a column-wise run, one per state in run.order, then
+    one for the starts: (fn, inputs, names, i). fn, compiled once in
+    array mode, maps the columns of the names inputs to the columns of
+    the binds names, which no call before computed, then to those of
+    state i's increment or, where i is None, of the starts."""
+    uses = {name: free_symbols(e) for name, e in run.binds}
+    known = set(_STAGE_ARGS)
+    plan = []
+    for i, outs in ([(i, [run.incs[i]]) for i in run.order]
+                    + [(None, list(run.starts))]):
+        used = set().union(*map(free_symbols, outs))
+        stack = list(used)
+        need: set[str] = set()
+        while stack:
+            s = stack.pop()
+            if s in uses and s not in known | need:
+                need.add(s)
+                used |= uses[s]
+                stack += uses[s]
+        lets = [(name, e) for name, e in run.binds if name in need]
+        inputs = sorted(used & known)
+        plan.append((compile_fns([Sym(name) for name, _ in lets] + outs,
+                                 inputs, params, lets),
+                     inputs, [name for name, _ in lets], i))
+        known |= need
+        if i is not None:
+            known.add(run.states[i])
+    return plan
+
+
+def _column_blocks(run: _Rk4, params: dict[str, float], stages: np.ndarray,
+                   y0: Sequence[float], t: np.ndarray):
+    """_loop_blocks' blocks for a run with a column order, in blocks of
+    _COLUMN_BLOCK grid rows: each state is integrated over the whole
+    block before the states that read it.
+
+    Its k1..k4 come from the columns of the stage values it reads, by
+    the trees the loop evaluates, and its history is the running sum
+    of its increments from the state carried into the block, by
+    np.add.accumulate, which adds in the loop's sequence. + - * / are
+    IEEE on arrays as on floats, and numpy's kernels give an array the
+    bits they give each float, so every value is the loop's; where the
+    loop reruns a step on numpy scalars, the arrays give its inf or nan
+    directly.
+    """
+    plan = _column_plan(run, params)
+    y = list(y0)
+    after: list = [None] * len(y)
+    for start in range(0, len(t), _COLUMN_BLOCK):
+        rows = stages[start:start + _COLUMN_BLOCK]
+        shape = rows.shape[:1]
+        cols = dict(zip(_STAGE_ARGS, np.ascontiguousarray(rows.T)))
+        for fn, inputs, names, i in plan:
+            vals = [c if np.shape(c) == shape else np.broadcast_to(c, shape)
+                    for c in fn([cols[a] for a in inputs])]
+            cols.update(zip(names, vals))
+            if i is None:
+                starts = vals[len(names):]
+            else:
+                acc = np.add.accumulate(np.concatenate(([y[i]], vals[-1])))
+                # the nodes of the block, then the state after each step
+                cols[run.states[i]], after[i] = acc[:-1], acc[1:]
+                y[i] = acc[-1]
+        yield start, np.column_stack(after + starts)
+
+
+def _integrate(run: _Rk4, params: dict[str, float], stages: np.ndarray,
+               y0: Sequence[float], t: np.ndarray, reg_threshold: float = 0.0
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-step RK4 of run over the grid t, on the rows of _stages:
+    column by column (_column_blocks) when run has a column order,
+    stepped (_loop_blocks) otherwise, with the same floats either way.
+
+    Each block is checked in node order: at node k, a start value of
+    the step from k (an r_i, in the z-run) with absolute value below
+    reg_threshold raises RegularityError, then a non-finite y[k+1]
+    raises HarnessError. Returns the state history and, one row per
+    node, the start values; the last node's come from a zero-length
+    step.
     """
     n = len(y0)
     last = len(t) - 1
-    blocks, out = [], [tuple(y0)]
+    blocks = []
+    integrate = _loop_blocks if run.order is None else _column_blocks
     # divergence surfaces as the non-finite check, not as numpy warnings
     with np.errstate(all="ignore"):
-        for start in range(0, len(t), _BLOCK):
-            rows = stages[start:start + _BLOCK].tolist()
-            # out[0] is the row before the block, so out[-1][:n] is the
-            # state the next step starts from
-            out = [out[-1]]
-            while len(out) <= len(rows):
-                try:
-                    step(rows[len(out) - 1:], out[-1][:n], out)
-                except (ZeroDivisionError, OverflowError):
-                    step([tuple(map(np.float64, rows[len(out) - 1]))],
-                         tuple(map(np.float64, out[-1][:n])), out)
-            width = len(out[1])
-            block = np.fromiter(itertools.chain.from_iterable(out[1:]), float,
-                                (len(out) - 1) * width).reshape(-1, width)
+        for start, block in integrate(run, params, stages, y0, t):
             low = np.abs(block[:, n:]) < reg_threshold
             bad = ~np.isfinite(block[:, :n]).all(axis=1)
             bad[last - start:] = False
@@ -428,6 +585,11 @@ def simulate(real: TriangularRealization, z0: Point, v: VSignal,
     Aborts with RegularityError the moment any |r_i| at a grid node
     drops below reg_threshold: past that point reconstruction from the
     flat output is ill-posed, so the run would not mean anything.
+
+    Each run is integrated column by column when its rows read each
+    other without a cycle and nothing in it is a power, and step by
+    step otherwise; the trajectory, its failures and their messages
+    are the same floats and words either way.
     """
     if real.phis is None:
         raise HarnessError("simulate needs z-coordinate drift rows "
@@ -440,11 +602,12 @@ def simulate(real: TriangularRealization, z0: Point, v: VSignal,
     rows_z = [real.phis[i] + Sym(zs[i + 1]) * _V1 for i in range(n - 2)]
     # each step returns the r_i at its start
     regs = [subst(r, {"v1": _V1}) for r in real.regularity]
-    step_z = _rk4_step(zs, (), rows_z + [_V2, _V1], regs, params)
+    run_z = _rk4(zs, (), rows_z + [_V2, _V1], regs)
 
     t = _grid(T, dt)
     stages = _stages(v, t)
-    ztraj, rvals = _integrate(step_z, stages, z0.coords, t, reg_threshold)
+    ztraj, rvals = _integrate(run_z, params, stages, z0.coords, t,
+                              reg_threshold)
     # the least |r_i| over the nodes, where it is not nan
     min_reg = np.fmin.reduce(np.abs(rvals), axis=None, initial=math.inf)
 
@@ -455,9 +618,9 @@ def simulate(real: TriangularRealization, z0: Point, v: VSignal,
     rows_x = [f + g1 * _U1 + g2 * _U2 for f, g1, g2 in
               zip(sys_.f.components, sys_.g1.components, sys_.g2.components)]
     # each step returns u at its start, the zero-length one u at the end
-    step_x = _rk4_step(xs, tuple(zip((_U1.name, _U2.name), _inputs(real))),
-                       rows_x, (_U1, _U2), params)
-    xtraj, uvals = _integrate(step_x, stages, x0, t)
+    run_x = _rk4(xs, tuple(zip((_U1.name, _U2.name), _inputs(real))),
+                 rows_x, (_U1, _U2))
+    xtraj, uvals = _integrate(run_x, params, stages, x0, t)
 
     return Trajectory(t=t, z=ztraj, x=xtraj, v=stages[:, 1:3].copy(),
                       u=uvals, meta={"min_abs_regularity": float(min_reg),

@@ -213,6 +213,24 @@ def test_main_non_finite_box_is_a_named_error(tmp_path, capsys, box):
         assert "is not of finite width" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("box, message", [
+    ("-inf inf", "box interval [-inf, inf] is not of finite width"),
+    ("-1 1e400", "box interval [-1.0, inf] is not of finite width"),
+    ("1 -1", "empty box interval [1.0, -1.0]"),
+    ("0.5 0.5", "empty box interval [0.5, 0.5]")])
+def test_bad_box_interval_names_its_line(tmp_path, capsys, box, message):
+    # every other bad spec value names path:line; the box did not
+    text = BASE + "# a comment\n" + f"box = -1 1, {box}, -1 1, -1 1\n"
+    path = _write(tmp_path, text)
+    line = len(text.splitlines())
+    with pytest.raises(SpecFileError) as exc:
+        load_spec(path)
+    assert str(exc.value) == f"{path}:{line}: {message}"
+    assert main(["check", path]) == 2
+    assert capsys.readouterr().err == f"flatcheck: error: {path}:{line}: " \
+                                      f"{message}\n"
+
+
 @pytest.mark.parametrize("key, values, message", [
     # J = inf gave a wrong condition-1 fail, J = nan an inconclusive check
     ("param_values", ["J=inf L=0.5 M=0.2 R=1.0 T_L=0.05 n_p=2.0",

@@ -6,16 +6,17 @@ import pytest
 
 from flatcheck.symx import EvalError, Frame, compile_fn, normalize, parse
 from flatcheck.diffgeo import VectorField, lie_bracket
+from flatcheck import harness
 from flatcheck.harness import (FlatSignal, HarnessError, RegularityError,
                                SampleBox, T_FRAME, Trajectory, VSignal,
-                               _BLOCK, _grid, _newton_grid, _stages,
-                               fd_bracket, reconstruct, simulate)
-from flatcheck.cli import _bracket_oracle
+                               _BLOCK, _COLUMN_BLOCK, _grid, _newton_grid,
+                               _stages, fd_bracket, reconstruct, simulate)
+from flatcheck.cli import _bracket_oracle, load_spec
 from flatcheck.triangular import extract_triangular
 
 import harness_reference
 import systems
-from conftest import realize
+from conftest import SPEC_DIR, realize
 
 
 def test_fd_bracket_second_order_convergence():
@@ -237,9 +238,57 @@ def chained6_real():
     return realize(systems.chained(6))
 
 
+@pytest.fixture(scope="module")
+def chained8_real():
+    return realize(systems.chained(8))
+
+
+# chained4 with an acyclic drift that has a kernel and a division, and
+# no power in its rows or regularity: both runs go column by column
+KERNEL4_DRIFT = "x2*sin(x4)/exp(x4)"
+
+
+@pytest.fixture(scope="module")
+def kernel4_real():
+    return _drift_real(KERNEL4_DRIFT)
+
+
 REFERENCE_Z0 = {"example1": [0.1, 0.1, 0.0, 0.1], "motor": [0.2, 0.1, 0.05],
                 "chained4": [0.1, 0.2, 0.3, 0.4],
-                "chained6": [0.1, 0.2, 0.3, 0.4, -0.1, 0.2]}
+                "chained6": [0.1, 0.2, 0.3, 0.4, -0.1, 0.2],
+                "chained8": [0.1, 0.2, 0.3, 0.4, -0.1, 0.2, -0.3, 0.5],
+                "kernel4": [0.1, 0.2, 0.3, 0.4]}
+
+
+def _spy_paths(monkeypatch) -> list:
+    """The column orders the dispatcher gives, one per closed-loop run
+    from here on (None: the run is stepped)."""
+    seen = []
+    decide = harness._column_order
+
+    def spy(*args):
+        seen.append(decide(*args))
+        return seen[-1]
+    monkeypatch.setattr(harness, "_column_order", spy)
+    return seen
+
+
+def _force_loop(monkeypatch):
+    monkeypatch.setattr(harness, "_column_order", lambda *args: None)
+
+
+@pytest.mark.parametrize("name, column_wise", [
+    ("chained4", True), ("example1", False), ("motor", False)])
+def test_bundled_spec_integration_paths(monkeypatch, name, column_wise):
+    # chained4's rows form a cascade; example1's z1' = z1*z4 + z2*v1 and
+    # motor's rows read their own states
+    spec = load_spec(str(SPEC_DIR / f"{name}.spec"))
+    real = realize(spec, spec.chart_exprs)
+    paths = _spy_paths(monkeypatch)
+    simulate(real, real.chart.z_frame.point(REFERENCE_Z0[name]),
+             VSignal.from_strings("1 + sin(2*t)/4", "sin(t)/2"),
+             T=0.1, dt=1e-2)
+    assert [p is not None for p in paths] == [column_wise] * 2
 
 
 @pytest.mark.parametrize("name, steps", [
@@ -371,6 +420,29 @@ MID_BLOCK_FAILURES = {
 }
 
 
+@pytest.mark.parametrize("name", ["chained8", "kernel4"])
+@pytest.mark.parametrize("steps", [_COLUMN_BLOCK - 1, _COLUMN_BLOCK,
+                                   _COLUMN_BLOCK + 1])
+def test_column_runs_match_reference_and_loop(request, monkeypatch, name,
+                                              steps):
+    # one column block, then a block with only the zero-length step
+    # from the last node, or with one step before it
+    real = request.getfixturevalue(f"{name}_real")
+    v = VSignal.from_strings("1 + sin(2*t)/4", "sin(t)/2")
+    z0 = real.chart.z_frame.point(REFERENCE_Z0[name])
+    paths = _spy_paths(monkeypatch)
+    got = simulate(real, z0, v, T=1.0, dt=1 / steps)
+    assert [p is not None for p in paths] == [True, True]
+    want = harness_reference.simulate(real, z0, v, T=1.0, dt=1 / steps)
+    _force_loop(monkeypatch)
+    loop = simulate(real, z0, v, T=1.0, dt=1 / steps)
+    assert len(got.t) == steps + 1
+    for f in ("t", "z", "x", "v", "u"):
+        assert np.array_equal(getattr(got, f), getattr(want, f)), f
+        assert np.array_equal(getattr(got, f), getattr(loop, f)), f
+    assert got.meta == want.meta == loop.meta
+
+
 @pytest.mark.parametrize("case", MID_BLOCK_FAILURES)
 def test_simulate_mid_block_failure_matches_reference(case):
     drift, z0, dt, threshold, kind, node = MID_BLOCK_FAILURES[case]
@@ -385,6 +457,43 @@ def test_simulate_mid_block_failure_matches_reference(case):
         assert str(exc) == f"non-finite state at t = {t[node]:.6g}"
         node -= 1  # made by the step from the node before
     assert node % _BLOCK != 0
+
+
+# Failures of runs integrated column by column, with v = (1, 0) and
+# dt = _DYADIC, so z4 = z4(0) + t exactly. The first and the last are
+# in the second column block.
+ACYCLIC_FAILURES = {
+    # r_1 = v1 + z4 = (k - 4500) dt at node k
+    "regularity": ("x2*x4", [0, 0, 0, -1 - 4500 * _DYADIC], 20.0,
+                   RegularityError, 4500),
+    # the step from node 4296 is the first to take exp past 709.78, at
+    # its second stage, z4 = 693 + 4296.5 dt, and y[4297] is inf; the
+    # 1/8 keeps the sum of the k's finite until then
+    "non-finite-exp": ("exp(x4)/8", [0, 0, 0, 693], 20.0, HarnessError,
+                       4297),
+    # k4 of the step from node 299 is sin(0)/0: on floats it raises, the
+    # loop reruns the step on numpy scalars, and y[300] is nan
+    "zero-over-zero": ("sin(x4)/x4", [0, 0, 0, -300 * _DYADIC], 2.0,
+                       HarnessError, 300),
+}
+
+
+@pytest.mark.parametrize("case", ACYCLIC_FAILURES)
+def test_column_run_failure_matches_reference_and_loop(monkeypatch, case):
+    drift, z0, T, kind, node = ACYCLIC_FAILURES[case]
+    real = _drift_real(drift)
+    v = VSignal.from_strings("1", "0")
+    paths = _spy_paths(monkeypatch)
+    exc = _same_failure(real, z0, v, T=T, dt=_DYADIC)
+    assert paths[0] is not None  # the z-run, which failed
+    t = _grid(T, _DYADIC)
+    assert type(exc) is kind
+    if kind is RegularityError:
+        assert exc.t == t[node]
+    else:
+        assert str(exc) == f"non-finite state at t = {t[node]:.6g}"
+    _force_loop(monkeypatch)
+    _same_failure(real, z0, v, T=T, dt=_DYADIC)
 
 
 def test_simulate_zero_division_mid_block_goes_on():

@@ -3,6 +3,8 @@
 import sys
 from pathlib import Path
 
+from flatcheck.harness import _COLUMN_BLOCK
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
@@ -53,3 +55,14 @@ def test_same_outputs_lists_every_differing_leaf():
         "  .e: base 0, head absent",
         "  .f: base absent, head 0"]
     assert same_outputs._json_lines("op", base, dict(base)) == []
+
+
+def test_same_outputs_ops_cover_long_column_runs():
+    # beyond the benchmark's ops: a simulate of chained8 and a verify of
+    # chained6 over more than one block of columns (50,000 steps)
+    ops = same_outputs.ops()
+    assert len(ops) == len(set(ops)) == 33
+    for op in (same_outputs.run.Op("simulate", "chained8", ("--dt", "1e-4")),
+               same_outputs.run.Op("verify", "chained6", ("--dt", "2e-5"))):
+        assert op in ops
+    assert round(1 / 2e-5) > _COLUMN_BLOCK

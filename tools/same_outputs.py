@@ -14,7 +14,10 @@ simulate's CSV.
 The ops: every op of the benchmark's specs, symbolic-n and roundtrip
 workloads (bench/run.py), cubic4 check, transform and verify,
 disguised4 check and transform --force, perturbed_example1 check and
-transform --force, and involutive check.
+transform --force, involutive check, simulate chained8 --dt 1e-4, and
+verify chained6 --dt 2e-5. The last two are closed-loop runs that
+harness integrates column by column, the second over more than one
+block of columns.
 
 Then the usage cases, each run once per tree, compare the exit code,
 stdout and stderr of the command-line parser's help and errors: the
@@ -48,7 +51,9 @@ def ops() -> list[run.Op]:
     extra = [run.Op(c, "cubic4") for c in ("check", "transform", "verify")]
     extra += [run.Op(c, s, x) for s in ("disguised4", "perturbed_example1")
               for c, x in (("check", ()), ("transform", ("--force",)))]
-    extra.append(run.Op("check", "involutive"))
+    extra += [run.Op("check", "involutive"),
+              run.Op("simulate", "chained8", ("--dt", "1e-4")),
+              run.Op("verify", "chained6", ("--dt", "2e-5"))]
     out: list[run.Op] = []
     for op in [op for w in ("specs", "symbolic-n", "roundtrip")
                for op in run.WORKLOADS[w]] + extra:

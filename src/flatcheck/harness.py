@@ -630,7 +630,11 @@ def simulate(real: TriangularRealization, z0: Point, v: VSignal,
 # --- flat-output reconstruction -------------------------------------
 
 def _jet_name(base: str, order: int) -> str:
-    return f"{base}_d{order}"
+    """The name of base's jet of that order. It ends in '.', which no
+    identifier holds and which sorts below every identifier character,
+    so it meets no parameter name and orders against them as base
+    does."""
+    return f"{base}_d{order}."
 
 
 def _total_derivative(e: Expr, succ: dict[str, Expr]) -> Expr:
@@ -809,25 +813,31 @@ def reconstruct(real: TriangularRealization, flat: FlatSignal) -> Trajectory:
 
     for i in range(1, n - 1):      # level i solves for z_{i+1}
         need = n - 1 - i           # highest derivative order required
+        # the unknown's jets have base w; until renamed to its order-0
+        # jet it is "w.", with _jet_name's suffix, so no parameter is it
         w = "w"
+        unknown = Sym(w + ".")
         base_syms = [zs[j] for j in range(i)] + [zs[n - 1], "v1"]
-        rhs = normalize(
-            subst(real.phis[i - 1], {zs[i]: Sym(w)}) + Sym(w) * Sym("v1"))
+        rhs = normalize(subst(real.phis[i - 1], {zs[i]: unknown})
+                        + unknown * Sym("v1"))
 
         # rewrite base symbols at jet order 0, set up the successor map
-        ren = {s: Sym(_jet_name(s, 0)) for s in base_syms + [w]}
+        # and each jet's (base, order)
+        ren = {s: Sym(_jet_name(s, 0)) for s in base_syms}
+        ren[unknown.name] = Sym(_jet_name(w, 0))
         e = subst(rhs, ren)
-        succ = {}
+        succ, jet_of = {}, {}
         for s in base_syms + [w]:
             for k in range(need + 2):
                 succ[_jet_name(s, k)] = Sym(_jet_name(s, k + 1))
+                jet_of[_jet_name(s, k)] = s, k
 
         w_jets: list[np.ndarray] = []
         for m in range(need + 1):
             known = sorted(free_symbols(e) - set(params)
                            - {_jet_name(w, m)})
-            cols = [(w_jets if base == w else jets[base])[int(k)]
-                    for base, _, k in (s.rpartition("_d") for s in known)]
+            cols = [(w_jets if base == w else jets[base])[k]
+                    for base, k in map(jet_of.__getitem__, known)]
             order = [_jet_name(w, m)] + known
             if m == 0:
                 target = jets[zs[i - 1]][1]

@@ -32,6 +32,13 @@ state monomials, that make <dh, X> equal a given value identically in
 the states (chained's output-pair search): it builds and solves those
 conditions on pairs, and returns only trees.
 
+Every normal form this module returns (from normalize, fold, the
+linear algebra, linear_decompose, polynomial_terms and Ansatz.expr)
+leaves through one exit, _from_pair, and carries its pair, so a later
+fold or diff of it reads the pair instead of walking the tree again.
+Trees without a pair come only from the parser, subst, diff and the
+operators.
+
 Only this module handles pairs: every other module reaches the normal
 form through trees and the public functions (normalize, fold, the
 linear algebra and Ansatz), and imports neither an underscore name nor
@@ -626,9 +633,10 @@ def diff(e: Expr, v: str) -> Expr:
 # not even computed. The helpers never mutate their arguments, which
 # is what makes sharing safe.
 #
-# A tree that normalize returns carries the pair it was built from, as
-# (num, den, atoms) in its private _pair, atoms naming every atom the
-# pair uses. The invariant: a stored pair is exactly what _ratform
+# A normal form this module returns carries the pair it was built from,
+# as (num, den, atoms) in its private _pair, atoms naming every atom
+# the pair uses (and possibly more); _from_pair, the one exit, stores
+# it. The invariant: a stored pair is exactly what _ratform
 # computes by walking the tree, up to the order of the dict entries,
 # which nothing reads. A stored pair is never zero: a zero normal form
 # is the constant ZERO, which carries none. _ratform returns the pair
@@ -639,8 +647,9 @@ def diff(e: Expr, v: str) -> Expr:
 #
 # So normalize of arithmetic on normal forms needs no tree: fold
 # applies the rules to the operands' pairs and builds only the
-# result's tree. The elimination below and Ansatz work on pairs the
-# same way.
+# result's tree. The elimination below, linear_decompose,
+# polynomial_terms and Ansatz work on pairs the same way, and their
+# results leave through _from_pair too.
 # ---------------------------------------------------------------------------
 
 Mono = tuple[tuple[str, int], ...]
@@ -778,12 +787,7 @@ def _add(a: Pair, b: Pair) -> Pair:
 
 
 def _sub(a: Pair, b: Pair) -> Pair:
-    (pa, qa), (pb, qb) = a, b
-    if not pb and _is_one(qb):
-        return a
-    if not pa and _is_one(qa):
-        return _p_neg(pb), qb
-    return _p_add(_p_mul(pa, qb), _p_neg(_p_mul(pb, qa))), _p_mul(qa, qb)
+    return _add(a, (_p_neg(b[0]), b[1]))
 
 
 def _mul(a: Pair, b: Pair) -> Pair:
@@ -1005,7 +1009,8 @@ def _pair_to_expr(num: Poly, den: Poly, atoms: dict[str, Expr]) -> Expr:
 
 def _from_pair(pair: Pair, atoms: dict[str, Expr]) -> Expr:
     """normalize's tree, and its stored pair, for a pair _ratform would
-    give over atoms."""
+    give over atoms: the one exit of every normal form this module
+    returns."""
     num, den = _canon(*pair)
     out = _pair_to_expr(num, den, atoms)
     if not isinstance(out, (Const, Sym, Call)):
@@ -1357,13 +1362,15 @@ def to_str(e: Expr) -> str:
 # Linear algebra over the rational-function field
 #
 # Entries are (num, den) Poly pairs inside. The tree interface
-# (rref_exprs, nullspace_exprs, solve_affine_exprs) converts each entry
-# once on the way in, by _ratform and _canon, into the pair behind its
-# normal form, and each result once on the way out. Ansatz builds its
-# rows as pairs and enters _solve_affine_pairs with them, and its
-# callers hold the rows and solutions without looking inside; no pair
-# leaves this module. Either way trees are built inside only for the
-# pivot candidates of a column that must be evaluated.
+# (rref_exprs, solve_affine_exprs, and nullspace_exprs, which is
+# solve_affine_exprs for b = 0) converts each entry once on the way in,
+# by _ratform and _canon, into the pair behind its normal form, and
+# each result once on the way out, through _from_pair, so it keeps its
+# pair. Ansatz builds its rows as pairs and enters _solve_affine_pairs
+# with them, and its callers hold the rows and solutions without
+# looking inside; no pair leaves this module but as a tree's stored
+# pair. Either way trees are built inside only for the pivot candidates
+# of a column that must be evaluated, and for the results.
 #
 # Elimination is fraction-free: row i becomes piv*row_i - e*pivot_row,
 # e being row i's entry in the pivot column, so polynomial entries stay
@@ -1411,7 +1418,7 @@ def _pivot_row(rows: list[list[Pair]], col: int, start: int, ref_env,
         # constants: the floats an evaluator's literals would hold
         mags = [abs(float(num[()])) for num, _ in pairs]
     else:
-        entries = [_pair_to_expr(*p, atoms) for p in pairs]
+        entries = [_from_pair(p, atoms) for p in pairs]
         try:
             mags = np.abs(evaluator(entries, tuple(ref_env), memo=memo)(
                 [list(ref_env.values())])[0]).tolist()
@@ -1486,7 +1493,7 @@ def _null_pairs(rows: list[list[Pair]], pivots: list[int],
 
 
 def _exprs(pairs: Sequence[Pair], atoms: dict[str, Expr]) -> list[Expr]:
-    return [_pair_to_expr(*x, atoms) for x in pairs]
+    return [_from_pair(x, atoms) for x in pairs]
 
 
 def rref_exprs(matrix: Sequence[Sequence[Expr]],
@@ -1511,15 +1518,11 @@ def nullspace_exprs(matrix: Sequence[Sequence[Expr]],
     """Basis of the right nullspace, one vector per free column.
 
     The free coordinate of each basis vector is 1; the others are
-    rational functions, normalized.
+    rational functions, normalized. It is solve_affine_exprs's basis
+    for b = 0: no pivot search finds a candidate in the zero column, so
+    the elimination takes A's pivots.
     """
-    if not matrix:
-        return []
-    atoms: dict[str, Expr] = {}
-    rows = _pairs_in(matrix, atoms)
-    pivots = _eliminate(rows, ref_env, atoms)
-    return [_exprs(v, atoms)
-            for v in _null_pairs(rows, pivots, len(matrix[0]))]
+    return solve_affine_exprs(matrix, [ZERO] * len(matrix), ref_env)[1]
 
 
 def _solve_affine_pairs(rows: Sequence[list[Pair]], ncols: int,
@@ -1588,9 +1591,9 @@ def linear_decompose(e: Expr, unknowns: Sequence[str]
     for key in groups:
         if key and (len(key) > 1 or key[0][0] in kernels or key[0][1] > 1):
             raise SymxError("expression is not affine in the unknowns")
-    coeffs = {u: _pair_to_expr(*_canon(groups[((u, 1),)], den), atoms)
+    coeffs = {u: _from_pair((groups[((u, 1),)], den), atoms)
               for u in unknowns if ((u, 1),) in groups}
-    rest = _pair_to_expr(*_canon(groups.get((), {}), den), atoms)
+    rest = _from_pair((groups.get((), {}), den), atoms)
     return coeffs, rest
 
 
@@ -1634,10 +1637,11 @@ def polynomial_terms(e: Expr, split_on: Iterable[str]
                      ) -> dict[Mono, Expr]:
     """Group a polynomial expression by monomials in the given symbols.
 
-    The expression must normalize to a polynomial whose denominator is
-    free of the split symbols. Returns {monomial in split symbols:
-    coefficient Expr over the remaining atoms}, with monomials as
-    sorted (name, exponent) tuples.
+    The expression's denominator must be free of the split symbols.
+    Returns {monomial in split symbols: coefficient Expr over the
+    remaining atoms}, with monomials as sorted (name, exponent) tuples;
+    each coefficient is the normal form of its numerator terms over the
+    denominator, as linear_decompose reads them.
     """
     split = set(split_on)
     atoms: dict[str, Expr] = {}
@@ -1645,14 +1649,8 @@ def polynomial_terms(e: Expr, split_on: Iterable[str]
     for m in den:
         if any(a in split for a, _ in m):
             raise SymxError("denominator involves split symbols")
-    den_e = _poly_to_expr(den, atoms) if den != _P_ONE else None
-    out: dict[Mono, Expr] = {}
-    for key, poly in _split_terms(num, split).items():
-        ce = _poly_to_expr(poly, atoms)
-        if den_e is not None:
-            ce = normalize(Div(ce, den_e))
-        out[key] = ce
-    return out
+    return {key: _from_pair((poly, den), atoms)
+            for key, poly in _split_terms(num, split).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -1665,9 +1663,9 @@ def polynomial_terms(e: Expr, split_on: Iterable[str]
 # pair is the one _canon(*_ratform(tree)) gives for the tree that
 # builds the same sum out of Add and Mul nodes, left-nested from ZERO:
 # the ansatz, its gradient, the pairings <dh, X> and the candidates h.
-# So every h it returns is the tree normalize would give. The unknowns
-# are the atoms @c0, @c1, ..., names the parser cannot produce, so they
-# meet no declared name.
+# So every h it returns is the tree normalize would give, with its
+# pair. The unknowns are the atoms @c0, @c1, ..., names the parser
+# cannot produce, so they meet no declared name.
 # ---------------------------------------------------------------------------
 
 class Ansatz:
@@ -1722,5 +1720,7 @@ class Ansatz:
         coeffs = vectors[0]
         for v in vectors[1:]:
             coeffs = [_canon(*_add(a, b)) for a, b in zip(coeffs, v)]
-        return _pair_to_expr(*_canon(*self._sum(self._monomials, coeffs)),
-                             self._atoms)
+        # a copy: rows() adds to self._atoms, and a stored dict stays as
+        # it was stored
+        return _from_pair(self._sum(self._monomials, coeffs),
+                          dict(self._atoms))

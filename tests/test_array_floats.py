@@ -25,6 +25,24 @@ def _bits(a):
     return np.asarray(a, dtype=float).view(np.uint64)
 
 
+def _same_sums(got, want):
+    """got is want bit for bit at every entry where want is not NaN,
+    and NaN at exactly want's NaN positions.
+
+    A NaN's sign is not compared. The reference loop's Python float +
+    gives a NaN whose sign depends on whether CPython takes its
+    specialized add or its generic one, and a tracer (sys.settrace, as
+    coverage tools and debuggers install) switches it to the generic
+    one: (-nan) + (+nan) gives -nan untraced and +nan traced. No output
+    reads a NaN's sign: a non-finite state raises HarnessError, %.17g
+    prints nan for both signs and the report writer NaN.
+    """
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(_bits(got[~nan]), _bits(want[~nan]))
+
+
 def _mixed(size, seed, special=True):
     """Normals spread over magnitudes 1e-20..1e20, with the special
     values scattered among them."""
@@ -39,6 +57,8 @@ def _mixed(size, seed, special=True):
 @pytest.mark.parametrize("size", [1, 2, 3, 7, 8, 9, 64, 257, 4097])
 @pytest.mark.parametrize("special", [False, True])
 def test_accumulate_is_the_sequential_sum(size, special):
+    """np.add.accumulate is the loop's running sum, bit for bit but for
+    the sign of a NaN (see _same_sums), traced or not."""
     # the first entry plays the state carried into a block, the others
     # the increments of the steps
     for seed in range(5):
@@ -49,10 +69,12 @@ def test_accumulate_is_the_sequential_sum(size, special):
             want.append(acc)
         with np.errstate(all="ignore"):
             got = np.add.accumulate(x)
-        assert np.array_equal(_bits(got), _bits(want))
+        _same_sums(got, want)
 
 
 def test_accumulate_keeps_signed_zeros_and_non_finite_values():
+    """Signed zeros, inf and NaN positions as the loop gives them; a
+    NaN's sign as in _same_sums."""
     x = np.array([-0.0, -0.0, 0.0, -0.0, 1e308, 1e308, -np.inf, 1.0,
                   np.nan, 2.0])
     with np.errstate(all="ignore"):
@@ -61,7 +83,7 @@ def test_accumulate_keeps_signed_zeros_and_non_finite_values():
     for v in x.tolist():
         acc = v if acc is None else acc + v
         want.append(acc)
-    assert np.array_equal(_bits(got), _bits(want))
+    _same_sums(got, want)
     assert np.signbit(got[1]) and not np.signbit(got[2])
 
 

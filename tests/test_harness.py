@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import types
 
 import numpy as np
@@ -11,7 +12,7 @@ from flatcheck.harness import (FlatSignal, HarnessError, RegularityError,
                                SampleBox, T_FRAME, Trajectory, VSignal,
                                _BLOCK, _COLUMN_BLOCK, _grid, _newton_grid,
                                _stages, fd_bracket, reconstruct, simulate)
-from flatcheck.cli import _bracket_oracle, load_spec
+from flatcheck.cli import _bracket_oracle, load_spec, main
 from flatcheck.triangular import extract_triangular
 
 import harness_reference
@@ -679,3 +680,30 @@ def test_reconstruct_regularity_guard(chained4_real):
     with pytest.raises(RegularityError) as exc:
         reconstruct(chained4_real, flat)
     assert exc.value.index == 1
+
+
+COLLISION_SPEC = """\
+n = 4
+states = x1 x2 x3 x4
+params = {p}
+param_values = {p}=0.5
+f = {p}*x1*x4, 0, 0, 0
+g1 = x2, x3, 0, 1
+g2 = 0, 0, 1, 0
+box = -1 1, -1 1, -1 1, -1 1
+z0 = 0.1, 0.2, 0.3, 0.4
+v1 = 1 + sin(2*t)/4
+v2 = sin(t)/2
+"""
+
+
+def test_reconstruct_names_meet_no_parameter(tmp_path):
+    # a parameter spelled like reconstruct's unknown ("w") or like a jet
+    # of reconstruct or from_trajectory ("v1_d0", "z1_d0") is neither
+    # merged with nor shadowed by it; "k" is the plain case
+    for p in ("w", "v1_d0", "z1_d0", "k"):
+        spec, report = tmp_path / f"{p}.spec", tmp_path / f"{p}.json"
+        spec.write_text(COLLISION_SPEC.format(p=p))
+        assert main(["verify", str(spec), "--json", str(report)]) == 0, p
+        rt = json.loads(report.read_text())["verification"]["round_trip"]
+        assert rt["pass"] and rt["max_rel_overall"] < 1e-12, (p, rt)

@@ -13,7 +13,8 @@ import hypothesis.strategies as st
 from flatcheck import symx
 from flatcheck.cli import main
 from flatcheck.chained import _monomials
-from flatcheck.diffgeo import OneForm, VectorField, lie_bracket
+from flatcheck.diffgeo import (OneForm, VectorField,
+                               exterior_derivative_1form, lie_bracket)
 from flatcheck.symx import (Add, Call, Const, Div, EvalError, Frame, Mul,
                             ParseError, PivotError, Pow, Sub, Sym, SymxError,
                             ZERO, _canon, _ratform, compile_fn, compile_fns,
@@ -1143,6 +1144,128 @@ def test_ansatz_expr_is_normalize_of_the_sum():
             tree = Add(tree, Mul(a, symx._poly_to_expr({mono: 1}, {
                 x: Sym(x) for x in states})))
         assert ansatz.expr(*vectors) == normalize(tree)
+
+
+# --- every normal form symx returns carries its pair ---------------------------
+
+def _carries_its_pair(e):
+    """e carries the pair a walk of its tree gives: none for an atom or
+    a constant, else a stored pair equal to _canon of the walk of a
+    pair-less copy, with atoms naming every atom it uses."""
+    if isinstance(e, (Const, Sym, Call)):
+        assert e._pair is None
+        return
+    assert e._pair is not None
+    num, den, atoms = e._pair
+    copy = subst(e, {})  # the same tree, built anew with no pair
+    assert copy._pair is None
+    assert (num, den) == _canon(*_ratform(copy, {}))
+    assert {a for p in (num, den) for m in p for a, _ in m} <= set(atoms)
+
+
+@given(_la_system(), _la_env)
+@example((_SIN_P, [Sym("x2"), Const(Fraction(1))]), _LA_ENV)
+@settings(max_examples=100, deadline=None)
+def test_linear_algebra_results_carry_their_pairs(system, env):
+    matrix, rhs = system
+
+    def solved():
+        sol = solve_affine_exprs(matrix, rhs, env)
+        return [] if sol is None else [sol[0], *sol[1]]
+
+    for solve in (lambda: rref_exprs(matrix, env)[0],
+                  lambda: nullspace_exprs(matrix, env), solved):
+        try:
+            vectors = solve()
+        except PivotError:
+            continue
+        for x in (x for v in vectors for x in v):
+            _carries_its_pair(x)
+
+
+@given(st.lists(_la_entry, min_size=3, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_decompositions_carry_their_pairs(parts):
+    # a, b and c hold x1, x2, p and sin(x1), with denominators in x1 and
+    # x2: a*u1 + b*u2 + c is affine in u1 and u2, and a*x3^2 + b*x3 + c
+    # has no x3 in a denominator
+    a, b, c = parts
+    u1, u2, x3 = Sym("u1"), Sym("u2"), Sym("x3")
+    try:
+        coeffs, rest = linear_decompose(
+            Add(Add(Mul(a, u1), Mul(b, u2)), c), ["u1", "u2"])
+        terms = polynomial_terms(
+            Add(Add(Mul(a, Pow(x3, 2)), Mul(b, x3)), c), ["x3"])
+    except SymxError:  # a division by an identically zero entry
+        return
+    for x in [*coeffs.values(), rest, *terms.values()]:
+        _carries_its_pair(x)
+
+
+def test_ansatz_candidates_carry_their_pairs():
+    spec = systems.motor()
+    states = spec.frame.states
+    ansatz = symx.Ansatz(_monomials(states, 2), states)
+    delta_rows = ansatz.rows(spec.g2.components)
+    part, _ = ansatz.solve(delta_rows + ansatz.rows(spec.g1.components, 1),
+                           None)
+    _, null = ansatz.solve(delta_rows, None)
+    for vectors in ((part,), (null[2],), (null[0], null[2]), (part, null[1])):
+        _carries_its_pair(ansatz.expr(*vectors))
+
+
+@pytest.mark.parametrize("matrix", [
+    [[ZERO, P("x1"), P("x2")], [ZERO, P("2*x1"), P("2*x2")]],
+    [[P("x1 - x1"), ZERO]],
+    [[P("x2"), P("1/x1"), P("sin(x1)")], [P("x1*x2"), P("1"), ZERO]],
+    _SIN_P],
+    ids=["zero-column", "zero-matrix", "rational", "kernel"])
+def test_nullspace_is_the_tree_routes_on_degenerate_systems(matrix):
+    # the zero column b = 0 adds takes no pivot, whatever the reference
+    # point
+    for env in (None, {"x1": 0.5, "x2": 2.0, "p": 1.5}):
+        assert (nullspace_exprs(matrix, env)
+                == symx_reference.nullspace_exprs(matrix, env))
+
+
+def _old_sub(a, b):
+    """_sub's pair as a rule of its own: a - b cross-multiplied, with
+    a zero operand returned as it is (b negated)."""
+    (pa, qa), (pb, qb) = a, b
+    if not pb and symx._is_one(qb):
+        return a
+    if not pa and symx._is_one(qa):
+        return symx._p_neg(pb), qb
+    return (symx._p_add(symx._p_mul(pa, qb),
+                        symx._p_neg(symx._p_mul(pb, qa))),
+            symx._p_mul(qa, qb))
+
+
+@given(_la_entry, _la_entry)
+@example(ZERO, P("x1/(x1^2 + 1)"))
+@example(P("x2 + 1"), ZERO)
+@settings(max_examples=200, deadline=None)
+def test_sub_gives_the_old_rules_pair(a, b):
+    try:
+        pa, pb = _ratform(a, {}), _ratform(b, {})
+    except SymxError:
+        return
+    got, want = symx._sub(pa, pb), _old_sub(pa, pb)
+    assert [list(p.items()) for p in got] == [list(p.items()) for p in want]
+
+
+def test_exterior_derivative_of_an_annihilator_needs_no_diff(monkeypatch):
+    # a null vector of a polynomial system carries its pair, so d of the
+    # one-form it spells folds on pairs alone
+    def refuse(e, v):
+        raise AssertionError("diff called")
+
+    matrix = [[P("x2"), P("-x1"), P("x1*x3")], [P("1"), P("x3^2"), P("x2")]]
+    basis = nullspace_exprs(matrix, {"x1": 0.5, "x2": 2.0, "x3": -1.0})
+    assert len(basis) == 1
+    monkeypatch.setattr(symx, "diff", refuse)
+    dw = exterior_derivative_1form(OneForm(FR, tuple(basis[0])))
+    assert not all(is_zero(c) for c in dw.coefficients.values())
 
 
 def test_pow_expr_negative_power():

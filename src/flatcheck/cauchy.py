@@ -1,8 +1,9 @@
 """Annihilators of the derived flag and the drift containment test.
 
 For the derived flag level G_k (valid levels 1 <= k <= n-3) this
-module computes the codistribution of one-forms annihilating it by
-symbolic elimination, the pointwise Cauchy characteristic space
+module computes the one-forms lam^i annihilating it by symbolic
+elimination, each with d(lam^i) as a (form, d) pair, the pointwise
+Cauchy characteristic space
   A_q = {X : <lam^i, X> = 0 and i_X d(lam^i) in span{lam^j} at q},
 its annihilator C_q (the retracting space), and the containment
 L_f(lam^i)|_q in C_q that the flatness test requires.
@@ -13,17 +14,16 @@ one check builds one form per distinct generator tree, with its d and
 L_f, and evaluates each of them once, in one batch over all points.
 A_q and C_q are numeric: each level takes one stacked pass over all
 points and two SVDs, of the generator values (their rank check and
-the projector P) and of [lam; P d(lam)^T], whose Vt holds A_q and, in
-its other rows, an orthonormal C_q. The containment check tries an
-exact route first:
-when the sampled C_q all equal the span of a fixed subset of
-coordinate differentials, membership reduces to symbolic vanishing of
-the complementary coefficients.
+the projector P) and of [lam; P d(lam)^T]. That SVD's stacked Vt and
+the rank r at each point are the result: the first r rows of Vt are
+an orthonormal C_q, the other n - r an orthonormal A_q. The
+containment check tries an exact route first: when the sampled C_q
+all equal the span of a fixed subset of coordinate differentials,
+membership reduces to symbolic vanishing of the complementary
+coefficients.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,42 +39,12 @@ class AnnihilatorError(SymxError):
     """The requested annihilator cannot be built at this level."""
 
 
-@dataclass(frozen=True)
-class Codistribution:
-    """Symbolic generators of (G_k)^perp.
-
-    differentials[i] is d(generators[i]).
-    """
-
-    generators: tuple[OneForm, ...]
-    differentials: tuple[TwoForm, ...]
-
-    @property
-    def frame(self):
-        return self.generators[0].frame
-
-
-@dataclass
-class CharacteristicSpaces:
-    """Pointwise bases of A (vectors) and C (covectors) at one point:
-    complementary rows of one SVD's Vt, so both are orthonormal."""
-
-    a_basis: np.ndarray  # dim_A x n, rows are tangent vectors
-    c_basis: np.ndarray  # dim_C x n, rows are covectors
-
-    @property
-    def dim_a(self) -> int:
-        return self.a_basis.shape[0]
-
-    @property
-    def dim_c(self) -> int:
-        return self.c_basis.shape[0]
-
-
 def annihilator(table: FlagTable, k: int, ref_points: list[Point],
                 forms: dict[OneForm, tuple[OneForm, TwoForm]] | None = None,
-                memo: dict | None = None) -> Codistribution:
-    """Symbolic one-forms spanning the annihilator of G_k.
+                memo: dict | None = None
+                ) -> list[tuple[OneForm, TwoForm]]:
+    """Symbolic one-forms spanning the annihilator of G_k, each with
+    its exterior derivative: a list of (lam^i, d(lam^i)) pairs.
 
     Valid levels are 1 <= k <= n-3 (the drift test's range). Pivots of
     the symbolic elimination are chosen by magnitude at the first
@@ -118,24 +88,28 @@ def annihilator(table: FlagTable, k: int, ref_points: list[Point],
         if pair is None:
             pair = forms[w] = (w, exterior_derivative_1form(w))
         pairs.append(pair)
-    generators, differentials = zip(*pairs)
-    return Codistribution(generators, differentials)
+    return pairs
 
 
-def cauchy_space(cod: Codistribution, points: list[Point],
+def cauchy_space(pairs: list[tuple[OneForm, TwoForm]], points: list[Point],
                  tol: float = DEFAULT_PROJ_TOL,
-                 memo: dict | None = None) -> list[CharacteristicSpaces]:
+                 memo: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     """A and C at each point, by one stacked pass over all points.
 
-    A is the nullspace of [generator values; projected i_X d(lam)
-    rows]; C is the annihilator of A. The first error in point order
-    raises: an evaluation error, or dependent generators at a point.
-    memo is values_in_point_order's, for these points.
+    Returns the (points, n, n) Vt of the SVD of [generator values;
+    projected i_X d(lam) rows] and the rank r of that stack at each
+    point: at point p, vt[p, r:] is an orthonormal basis of A (its
+    nullspace, rows are tangent vectors) and vt[p, :r] one of C, the
+    annihilator of A (rows are covectors). So dim A is n - r and dim C
+    is r. The first error in point order raises: an evaluation error,
+    or dependent generators at a point. memo is values_in_point_order's,
+    for these points.
     """
-    n = cod.frame.n
-    m = len(cod.generators)
-    vals, first = values_in_point_order(
-        cod.generators + cod.differentials, points, memo)
+    generators, differentials = zip(*pairs)
+    n = generators[0].frame.n
+    m = len(pairs)
+    vals, first = values_in_point_order(generators + differentials, points,
+                                        memo)
     # at each point the generators come first, then their rank check,
     # then the differentials
     ranked = len(points) if first is None else first[0] + (first[1] >= m)
@@ -151,7 +125,7 @@ def cauchy_space(cod: Codistribution, points: list[Point],
         raise first[2]
     # d(lam^i) as antisymmetric n x n matrices
     dlam = np.zeros((len(points), m, n, n))
-    for i, (dw, dv) in enumerate(zip(cod.differentials, vals[m:])):
+    for i, (dw, dv) in enumerate(zip(differentials, vals[m:])):
         if dw.coefficients:
             r, c = zip(*dw.coefficients)
             dlam[:, i, r, c] = dv
@@ -164,16 +138,16 @@ def cauchy_space(cod: Codistribution, points: list[Point],
     # with at least n rows the reduced SVD already has the whole n x n
     # Vt; with fewer only the full SVD has its nullspace rows
     _, s, vt = np.linalg.svd(stack, full_matrices=stack.shape[1] < n)
-    ranks = np.sum(s > tol * s[:, :1], axis=1)
-    return [CharacteristicSpaces(v[r:], v[:r]) for v, r in zip(vt, ranks)]
+    return vt, np.sum(s > tol * s[:, :1], axis=1)
 
 
-def _constant_coordinate_pattern(spaces: list[CharacteristicSpaces]
+def _constant_coordinate_pattern(vt: np.ndarray, ranks: np.ndarray
                                  ) -> list[int] | None:
-    """Indices S when every C_q equals span{dx_j : j in S}, else None."""
-    if len({sp.dim_c for sp in spaces}) != 1:
+    """Indices S when every C_q (cauchy_space's vt[p, :r]) equals
+    span{dx_j : j in S}, else None."""
+    if np.any(ranks != ranks[0]):
         return None
-    b = np.stack([sp.c_basis for sp in spaces])
+    b = vt[:, :ranks[0]]
     proj = b.swapaxes(1, 2) @ b  # the rows of b are orthonormal
     keep = np.diagonal(proj, axis1=1, axis2=2) > 0.5
     model = keep[:, :, None] * np.eye(proj.shape[1])
@@ -183,21 +157,20 @@ def _constant_coordinate_pattern(spaces: list[CharacteristicSpaces]
     return [int(j) for j in np.flatnonzero(keep[0])]
 
 
-def _residuals(values: list[np.ndarray],
-               spaces: list[CharacteristicSpaces]) -> list[float]:
+def _residuals(values: list[np.ndarray], vt: np.ndarray,
+               ranks: np.ndarray) -> list[float]:
     """Per point, the largest |v - (v C^T) C| / |v| over the forms'
-    values v (0.0 for v = 0, 1.0 for an empty C), in one stacked pass
-    with each orthonormal C padded to n rows by zero rows."""
+    values v (0.0 for v = 0, 1.0 for an empty C), in one stacked pass,
+    with each orthonormal C (cauchy_space's vt[p, :r]) padded to n rows
+    by zero rows."""
     v = np.stack(values)
-    n = v.shape[2]
-    c = np.zeros((len(spaces), n, n))
-    for p, sp in enumerate(spaces):
-        c[p, :sp.dim_c] = sp.c_basis
+    c = np.where(np.arange(vt.shape[1])[:, None] < ranks[:, None, None],
+                 vt, 0.0)
     off = v - ((v[:, :, None] @ c.swapaxes(1, 2)) @ c)[:, :, 0]
     nv = np.linalg.norm(v, axis=2)
     rel = np.divide(np.linalg.norm(off, axis=2), nv,
                     out=np.zeros_like(nv), where=nv != 0.0)
-    rel[(nv != 0.0) & (np.array([sp.dim_c for sp in spaces]) == 0)] = 1.0
+    rel[(nv != 0.0) & (ranks == 0)] = 1.0
     return rel.max(axis=0, initial=0.0).tolist()
 
 
@@ -225,17 +198,17 @@ def check_condition2(spec: SystemSpec, table: FlagTable,
     levels = []
     all_pass = True
     for k in range(1, n - 2):
-        cod = annihilator(table, k, points[:5], forms, ref_memo)
-        for w, dw in zip(cod.generators, cod.differentials):
+        pairs = annihilator(table, k, points[:5], forms, ref_memo)
+        for w, dw in pairs:
             if id(w) not in lie:
                 lie[id(w)] = lie_derivative_1form(spec.f, w, dw)
-        lf = [lie[id(w)] for w in cod.generators]
-        spaces = cauchy_space(cod, points, tol, memo)
-        entry: dict = {"k": k,
-                       "dim_A": spaces[0].dim_a, "dim_C": spaces[0].dim_c,
+        lf = [lie[id(w)] for w, _ in pairs]
+        vt, ranks = cauchy_space(pairs, points, tol, memo)
+        r = int(ranks[0])
+        entry: dict = {"k": k, "dim_A": n - r, "dim_C": r,
                        "generators": [[str(c) for c in w.coefficients]
-                                      for w in cod.generators]}
-        pattern = _constant_coordinate_pattern(spaces)
+                                      for w, _ in pairs]}
+        pattern = _constant_coordinate_pattern(vt, ranks)
         symbolic_ok = None
         if pattern is not None:
             complement = [j for j in range(n) if j not in pattern]
@@ -251,7 +224,7 @@ def check_condition2(spec: SystemSpec, table: FlagTable,
             lf_vals, first = values_in_point_order(lf, points, memo)
             if first is not None:
                 raise first[2]
-            residuals = _residuals(lf_vals, spaces)
+            residuals = _residuals(lf_vals, vt, ranks)
             entry["method"] = "numeric"
             entry["residuals"] = residuals
             entry["max_residual"] = max(residuals)

@@ -6,6 +6,9 @@ Delta_2 (same list up to ad^{n-3}), builds the chart
 z = (h2, L_{g1}h2, ..., L_{g1}^{n-2}h2, h1) and the feedback matrix
 beta that turns (g1, g2) into the chained pair
   ghat1 = (z2, ..., z_{n-1}, 0, 1),  ghat2 = (0, ..., 0, 1, 0).
+build_chart takes the forward map as a tuple, whether a user chart or
+the chain of a found pair; the search returns the chart, whose first
+component is h2 and last is h1.
 
 The search is an undetermined-coefficient ansatz over polynomial
 monomials solved as a linear system over the parameter field. symx's
@@ -39,14 +42,6 @@ JACOBIAN_TOL = 1e-8
 
 class ChainedError(SymxError):
     """Chart or output-pair construction failed."""
-
-
-@dataclass(frozen=True)
-class OutputPair:
-    """Solved output functions."""
-
-    h1: Expr
-    h2: Expr
 
 
 @dataclass(frozen=True)
@@ -128,14 +123,15 @@ def _replay(seen: list, rest: Iterator) -> Iterator:
 
 
 def find_output_pair(spec: SystemSpec, degree: int = 2
-                     ) -> tuple[OutputPair, Chart, FeedbackMatrix]:
+                     ) -> tuple[Chart, FeedbackMatrix]:
     """Search for (h1, h2) by undetermined coefficients up to degree.
 
-    Candidates are tried in a deterministic order and each one must
-    pass build_chart + verify_chained; the first that does is returned
-    with the chart and feedback it was verified with. Candidates are
-    built as the search reaches them. Raises ChainedError when no
-    candidate at this degree verifies.
+    Candidates are tried in a deterministic order; each pair gives the
+    chart z = (h2, L_g1 h2, ..., L_g1^(n-2) h2, h1), which must pass
+    build_chart + verify_chained. The first that does is returned with
+    the feedback it was verified with, so h2 is chart.forward[0] and h1
+    chart.forward[-1]. Candidates are built as the search reaches them.
+    Raises ChainedError when no candidate at this degree verifies.
     """
     ref_points = _reference_points(spec)
     states = spec.frame.states
@@ -181,13 +177,15 @@ def find_output_pair(spec: SystemSpec, degree: int = 2
         for h2 in _replay(h2_seen, h2_rest):
             _, k2 = _min_term(h2, states)
             scale = normalize(Div(ONE_E, Mul(k1, k2)))
-            pair = OutputPair(h1, normalize(Mul(scale, h2)))
+            zs = [normalize(Mul(scale, h2))]
+            for _ in range(spec.n - 2):
+                zs.append(lie_derivative_fn(spec.g1, zs[-1]))
             try:
-                chart, fb = build_chart(pair, spec, ref_points)
+                chart, fb = build_chart((*zs, h1), spec, ref_points)
             except ChainedError:
                 continue
             if verify_chained(chart, fb, spec)["pass"]:
-                return pair, chart, fb
+                return chart, fb
     raise ChainedError(f"no output pair verified at degree {degree}")
 
 
@@ -235,12 +233,12 @@ def _invert_sequential(forward: tuple[Expr, ...], x_frame: Frame,
     return tuple(solved[x] for x in x_frame.states)
 
 
-def build_chart(source: "OutputPair | tuple[Expr, ...]",
-                spec: SystemSpec,
+def build_chart(source: tuple[Expr, ...], spec: SystemSpec,
                 ref_points: list[Point] | None = None
                 ) -> tuple[Chart, FeedbackMatrix]:
-    """Chart from an output pair (or user-supplied forward map) plus
-    the feedback matrix that normalizes the last two coordinate rates.
+    """Chart from a forward map z = phi(x) (a user chart, or the chain
+    of an output pair) plus the feedback matrix that normalizes the
+    last two coordinate rates.
 
     beta is the inverse of the pairing N = [[L_{g1}z_n, L_{g2}z_n],
     [L_{g1}z_{n-1}, L_{g2}z_{n-1}]], so that <dz_n, ghat1> = 1,
@@ -250,14 +248,7 @@ def build_chart(source: "OutputPair | tuple[Expr, ...]",
         ref_points = _reference_points(spec)
     frame = spec.frame
     n = frame.n
-    if isinstance(source, OutputPair):
-        zs = [normalize(source.h2)]
-        for _ in range(n - 2):
-            zs.append(lie_derivative_fn(spec.g1, zs[-1]))
-        zs.append(normalize(source.h1))
-        forward = tuple(zs)
-    else:
-        forward = tuple(normalize(e) for e in source)
+    forward = tuple(normalize(e) for e in source)
     if len(forward) != n:
         raise ChainedError(f"chart has {len(forward)} components, need {n}")
 

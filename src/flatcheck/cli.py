@@ -37,18 +37,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .symx import (EvalError, ParseError, Frame, SymxError, compile_fns,
-                   evaluable_rows, to_str)
+from .symx import (FUNCTIONS, EvalError, ParseError, Frame, SymxError,
+                   compile_fns, evaluable_rows, to_str)
 from .diffgeo import VectorField, lie_bracket
-from .flags import (DEFAULT_RANK_TOL, SystemSpec, check_box_interval,
-                    check_condition1, compute_flags)
+from .flags import (DEFAULT_RANK_TOL, SampleBox, SystemSpec,
+                    check_box_interval, check_condition1, compute_flags)
 from .cauchy import DEFAULT_PROJ_TOL, check_condition2
 from .chained import (ChainedError, FeedbackMatrix, build_chart,
                       find_output_pair, verify_chained)
 from .triangular import (TriangularError, drift_components, drift_feedback,
                          extract_triangular, flat_output)
 from .harness import (DEFAULT_REG_THRESHOLD, FlatSignal, HarnessError,
-                      RegularityError, SampleBox, T_FRAME, VSignal,
+                      RegularityError, T_FRAME, VSignal,
                       fd_bracket, reconstruct, simulate)
 
 BRACKET_FD_TOL = 1e-5
@@ -81,11 +81,11 @@ def _write_file(path: str, write) -> None:
 
 @dataclass(frozen=True)
 class SimSetup:
-    """Optional simulation start and inputs read from the spec file."""
+    """The optional simulation start and the inputs read from the spec
+    file, v1 and v2 parsed (_V1_DEFAULT and _V2_DEFAULT when absent)."""
 
-    z0: tuple[float, ...] | None = None
-    v1: str | None = None
-    v2: str | None = None
+    z0: tuple[float, ...] | None
+    v: VSignal
 
 
 @dataclass(frozen=True)
@@ -160,6 +160,22 @@ def _parse_exprs(frame: Frame, path: str, key: str,
     return tuple(out)
 
 
+def _check_names(path: str, entry: tuple[int, str], kind: str
+                 ) -> tuple[str, ...]:
+    """The names of a states or params entry, each an ASCII identifier
+    (the expression parser's rule) that is no function name."""
+    lineno, value = entry
+    names = tuple(value.split())
+    for name in names:
+        if not (name.isascii() and name.isidentifier()):
+            raise SpecFileError(f"{path}:{lineno}: {kind} name '{name}' "
+                                f"is not an identifier")
+        if name in FUNCTIONS:
+            raise SpecFileError(f"{path}:{lineno}: {kind} name '{name}' "
+                                f"shadows a function name")
+    return names
+
+
 def _load(path: str) -> tuple[SystemSpec, SimSetup]:
     entries = _read_entries(path)
     for key in _REQUIRED_KEYS:
@@ -173,14 +189,13 @@ def _load(path: str) -> tuple[SystemSpec, SimSetup]:
         raise SpecFileError(f"{path}:{lineno}: n must be an integer, "
                             f"got '{value}'")
 
-    lineno, value = entries["states"]
-    states = tuple(value.split())
+    states = _check_names(path, entries["states"], "state")
     if len(states) != n:
-        raise SpecFileError(f"{path}:{lineno}: {len(states)} states "
-                            f"declared but n = {n}")
+        raise SpecFileError(f"{path}:{entries['states'][0]}: {len(states)} "
+                            f"states declared but n = {n}")
     params: tuple[str, ...] = ()
     if "params" in entries:
-        params = tuple(entries["params"][1].split())
+        params = _check_names(path, entries["params"], "parameter")
     names = states + params
     if len(set(names)) != len(names):
         raise SpecFileError(f"{path}: states/params contain a repeated name")
@@ -232,6 +247,9 @@ def _load(path: str) -> tuple[SystemSpec, SimSetup]:
             if name not in params:
                 raise SpecFileError(f"{path}:{lineno}: param_values names "
                                     f"undeclared parameter '{name}'")
+            if name in param_values:
+                raise SpecFileError(f"{path}:{lineno}: param_values names "
+                                    f"parameter '{name}' twice")
             try:
                 param_values[name] = float(num)
             except ValueError:
@@ -256,18 +274,13 @@ def _load(path: str) -> tuple[SystemSpec, SimSetup]:
         if not all(map(math.isfinite, z0)):
             raise SpecFileError(f"{path}:{lineno}: z0 coordinates must "
                                 f"be finite")
-    v1 = v2 = None
-    for key in ("v1", "v2"):
-        if key in entries:
-            lineno, value = entries[key]
-            try:
-                T_FRAME.parse(value)
-            except (ParseError, SymxError) as e:
-                raise SpecFileError(f"{path}:{lineno}: {key}: {e}")
-            if key == "v1":
-                v1 = value
-            else:
-                v2 = value
+    v = []
+    for key, default in (("v1", _V1_DEFAULT), ("v2", _V2_DEFAULT)):
+        lineno, value = entries.get(key, (0, default))  # defaults parse
+        try:
+            v.append(T_FRAME.parse(value))
+        except (ParseError, SymxError) as e:
+            raise SpecFileError(f"{path}:{lineno}: {key}: {e}")
 
     try:
         spec = SystemSpec(frame=frame, f=f, g1=g1, g2=g2,
@@ -276,7 +289,7 @@ def _load(path: str) -> tuple[SystemSpec, SimSetup]:
                           box=box)
     except ValueError as e:
         raise SpecFileError(f"{path}: {e}")
-    return spec, SimSetup(z0=z0, v1=v1, v2=v2)
+    return spec, SimSetup(z0, VSignal(*v))
 
 
 def load_spec(path: str) -> SystemSpec:
@@ -507,7 +520,7 @@ def _construct(data: dict, spec: SystemSpec, cfg: RunConfig):
         chart, fb = build_chart(spec.chart_exprs, spec)
         source = "user chart"
     else:
-        _, chart, fb = find_output_pair(spec, degree=cfg.degree)
+        chart, fb = find_output_pair(spec, degree=cfg.degree)
         source = f"output-pair search at degree {cfg.degree}"
     if spec.beta_exprs is not None:
         fb = FeedbackMatrix(beta=spec.beta_exprs, alpha=fb.alpha)
@@ -593,8 +606,7 @@ def _resolve_sim(real, sim: SimSetup):
         q = spec.frame.point(center, params)
         coords = [float(c) for c in chart.forward_values(q)]
         z0 = chart.z_frame.point(coords, params)
-    v = VSignal.from_strings(sim.v1 or _V1_DEFAULT, sim.v2 or _V2_DEFAULT)
-    return z0, v
+    return z0, sim.v
 
 
 def _simulation_sections(real, traj, v, cfg: RunConfig):

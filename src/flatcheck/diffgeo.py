@@ -69,14 +69,14 @@ class VectorField:
     @cached_property
     def evaluator(self):
         """Compiled components, built on first use: Frame.evaluator's
-        (coords, params) -> (points, n) array, with symx's batch
-        evaluation contract."""
+        (coords, params) -> (points, n) array, under its error
+        contract."""
         return self.frame.evaluator(self.components)
 
     def values(self, points: Sequence[Point]) -> np.ndarray:
         """The components at each point, as a (points, n) array from
         one batched call; the first failing point raises EvalError with
-        its row (symx.evaluator)."""
+        its row (Frame.evaluator's contract)."""
         return _values(self, points)
 
     @cached_property

@@ -44,6 +44,35 @@ def check_box_interval(lo: float, hi: float) -> None:
         raise ValueError(f"empty box interval [{lo}, {hi}]")
 
 
+@dataclass(frozen=True)
+class SampleBox:
+    """Seeded uniform sampler over a coordinate box: `count` points,
+    deterministic for a fixed seed."""
+
+    bounds: tuple[tuple[float, float], ...]
+    count: int
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.count < 1:
+            raise ValueError("sample count must be positive")
+        for lo, hi in self.bounds:
+            check_box_interval(lo, hi)
+
+    def points(self, frame: Frame,
+               params: dict[str, float] | None = None) -> list[Point]:
+        """The points, drawn in one call: row by row, the same floats
+        as one scalar draw per coordinate. They share one bindings
+        dict."""
+        if len(self.bounds) != frame.n:
+            raise ValueError("box dimension does not match the frame")
+        lows, highs = np.array(self.bounds, dtype=float).reshape(-1, 2).T
+        rows = np.random.default_rng(self.seed).uniform(
+            lows, highs, size=(self.count, frame.n))
+        bindings = dict(params or {})
+        return [Point(frame, tuple(row), bindings) for row in rows.tolist()]
+
+
 @dataclass
 class SystemSpec:
     """A two-input control-affine system dx/dt = f + g1 u1 + g2 u2."""
@@ -124,11 +153,8 @@ def _ranks(stack: np.ndarray, tol: float) -> np.ndarray:
 
 def _reference_points(spec: SystemSpec, seed: int = 7,
                       count: int = 5) -> list[Point]:
-    rng = np.random.default_rng(seed)
-    params = spec.bound_params(seed)
-    box = spec.sample_box()
-    return [spec.frame.point([float(rng.uniform(lo, hi)) for lo, hi in box],
-                             params) for _ in range(count)]
+    return SampleBox(spec.sample_box(), count, seed).points(
+        spec.frame, spec.bound_params(seed))
 
 
 def _lyndon(length: int) -> list[str]:

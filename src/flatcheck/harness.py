@@ -39,11 +39,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .symx import (ZERO, EvalError, Add, Call, Div, Expr, Frame, Mul, Point,
-                   Pow, Sub, Sym, compile_fn, compile_fns, evaluator, fold,
+                   Pow, Sub, Sym, compile_fn, compile_fns, fold,
                    free_symbols, linear_decompose, normalize, parse,
                    point_rows, subst)
 from .diffgeo import VectorField
 from .chained import Chart
+from .flags import SampleBox  # noqa: F401  (re-exported)
 from .triangular import TriangularRealization
 
 DEFAULT_REG_THRESHOLD = 1e-3
@@ -63,36 +64,6 @@ class RegularityError(HarnessError):
         super().__init__(msg)
         self.t = t
         self.index = index
-
-
-@dataclass(frozen=True)
-class SampleBox:
-    """Seeded uniform sampler over a coordinate box: `count` points,
-    deterministic for a fixed seed."""
-
-    bounds: tuple[tuple[float, float], ...]
-    count: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("sample count must be positive")
-        for lo, hi in self.bounds:
-            if not lo < hi:
-                raise ValueError(f"empty box interval [{lo}, {hi}]")
-
-    def points(self, frame: Frame,
-               params: dict[str, float] | None = None) -> list[Point]:
-        """The points, drawn in one call: row by row, the same floats
-        as one scalar draw per coordinate. They share one bindings
-        dict."""
-        if len(self.bounds) != frame.n:
-            raise ValueError("box dimension does not match the frame")
-        lows, highs = np.array(self.bounds, dtype=float).reshape(-1, 2).T
-        rows = np.random.default_rng(self.seed).uniform(
-            lows, highs, size=(self.count, frame.n))
-        bindings = dict(params or {})
-        return [Point(frame, tuple(row), bindings) for row in rows.tolist()]
 
 
 @dataclass(frozen=True)
@@ -611,7 +582,8 @@ def simulate(real: TriangularRealization, z0: Point, v: VSignal,
     # the least |r_i| over the nodes, where it is not nan
     min_reg = np.fmin.reduce(np.abs(rvals), axis=None, initial=math.inf)
 
-    x0 = evaluator(chart.inverse, zs, params)([z0.coords])[0].tolist()
+    to_x = chart.z_frame.evaluator(chart.inverse)
+    x0 = to_x([z0.coords], params)[0].tolist()
 
     sys_ = real.system
     xs = chart.x_frame.states

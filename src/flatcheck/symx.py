@@ -15,12 +15,12 @@ of the algebra.
 
 Numeric evaluation has one path: trees are compiled to Python source
 (compile_fns, compile_fn) that computes in floats with Python's
-operators and numpy's sin, cos, exp and sqrt. evaluator (and
-Frame.evaluator over a chart) compiles it as one loop over a batch of
-points, one row each, on Python floats, under one error contract:
-division by zero, overflow, domain errors and non-finite values raise
-EvalError naming the first failing row. A single point is a one-row
-batch; eval_at is that case for one expression.
+operators and numpy's sin, cos, exp and sqrt. Frame.evaluator compiles
+it as one loop over a batch of points of a chart, one row each, on
+Python floats, under one error contract: division by zero, overflow,
+domain errors and non-finite values raise EvalError naming the first
+failing row. A single point is a one-row batch; eval_at is that case
+for one expression.
 
 Linear algebra over the rational-function field eliminates on the
 normal form's (numerator, denominator) polynomial pairs, and every
@@ -69,9 +69,9 @@ class ParseError(SymxError):
 
 class EvalError(SymxError):
     """Numeric evaluation failed: unbound symbol, division by zero or
-    a domain/overflow error. From a batch (evaluator), row is the index
-    of the first failing row and done the values of the rows before
-    it; both are None otherwise."""
+    a domain/overflow error. From a batch (Frame.evaluator), row is
+    the index of the first failing row and done the values of the rows
+    before it; both are None otherwise."""
 
     def __init__(self, message: str, row: int | None = None,
                  done: "np.ndarray | None" = None):
@@ -344,13 +344,27 @@ class Frame:
     def evaluator(self, exprs: Sequence[Expr]
                   ) -> Callable[[np.ndarray | list, Mapping[str, float]],
                                 np.ndarray]:
-        """symx.evaluator over this chart: the function takes the state
-        coordinates of a batch of points, one row each (a float array,
-        or a list of rows of Python floats as point_rows gives), and
-        the parameter bindings they share, and returns the (points,
-        expressions) array of values under evaluator's contract. Only
-        the parameters the expressions use must be bound; a missing one
-        fails the first row.
+        """compile_fns for evaluation at a batch of points of this
+        chart, under the error contract.
+
+        The function takes the state coordinates of the points, one row
+        each (a float array, or a list of rows of Python floats as
+        point_rows gives), and the parameter bindings they share, and
+        returns the (points, expressions) array of the values. Only the
+        parameters the expressions use must be bound; a missing one
+        fails the first row. One generated loop evaluates every row on
+        Python floats in tree order, so each value is the float
+        evaluating that row alone gives; a single point is a one-row
+        batch, and a parameter gives the floats its value inlined as a
+        literal would.
+
+        The contract: the first failing row raises EvalError, for a
+        division by zero, an overflow, a kernel's domain error (sqrt of
+        a negative, say) or a non-finite value; numpy's kernels raise
+        instead of warning, so nothing reaches stderr. The error's row
+        is that row's index and its done the values of the rows before
+        it, so a caller that skips failures resumes at the row after it
+        (evaluable_rows).
         """
         used = frozenset().union(*map(free_symbols, exprs))
         params = tuple(p for p in self.params if p in used)
@@ -1212,7 +1226,7 @@ def compile_fns(exprs: Sequence[Expr], order: Sequence[str],
     scalars, gives the same floats as evaluating each tree on its own.
     It has no error contract of its own: on Python floats a division by
     zero raises ZeroDivisionError, on arrays it gives inf or nan.
-    evaluator adds the contract.
+    Frame.evaluator adds the contract.
 
     With carry = c > 0 it is a loop instead: fn(rows, y, out), where y
     gives the last c names of order and each row of rows the others.
@@ -1238,39 +1252,10 @@ def compile_fn(e: Expr, order: Sequence[str],
     return _generate((e,), order, consts, (), True, None, memo)[0]
 
 
-def evaluator(exprs: Sequence[Expr], order: Sequence[str],
-              consts: Mapping[str, float] | None = None,
-              memo: dict | None = None
-              ) -> Callable[[Iterable[Sequence[float]]], np.ndarray]:
-    """compile_fns for evaluation at a batch of points, under the error
-    contract.
-
-    The function takes rows, one per point, each with one value per
-    name in order (converted to float64), and returns the (rows,
-    expressions) array of the values. One generated loop evaluates
-    every row on Python floats in tree order, so each value is the
-    float evaluating that row alone gives; a single point is a one-row
-    batch. The first failing row raises EvalError: division by zero,
-    overflow, a kernel's domain error (sqrt of a negative, say) or a
-    non-finite value; numpy's kernels raise instead of warning, so
-    nothing reaches stderr. The error's row is that row's index and its
-    done the values of the rows before it, so a caller that skips
-    failures resumes at the row after it. memo as in compile_fn.
-    """
-    fn, kernels = _generate(exprs, order, consts, (), False, 0, memo)
-    width = len(exprs)
-
-    def evaluate(rows: Iterable[Sequence[float]]) -> np.ndarray:
-        rows = np.asarray(rows, dtype=float)
-        return _run_batch(fn, kernels, rows.tolist(), width)
-
-    return evaluate
-
-
 def _run_batch(fn: Callable, kernels: bool, rows: list,
                width: int) -> np.ndarray:
     """One call of a carry-0 loop over rows of Python floats, under
-    evaluator's contract."""
+    Frame.evaluator's contract."""
     out: list[tuple[float, ...]] = []
     error = None
     try:
@@ -1294,9 +1279,9 @@ def _run_batch(fn: Callable, kernels: bool, rows: list,
 
 def evaluable_rows(evaluate: Callable[[Sequence], np.ndarray],
                    rows: Sequence) -> tuple[list[int], np.ndarray]:
-    """A batch function under evaluator's contract over rows, resuming
-    after each failing row: the indices of the rows that evaluate, and
-    their values."""
+    """A batch function under Frame.evaluator's contract over rows,
+    resuming after each failing row: the indices of the rows that
+    evaluate, and their values."""
     kept, parts, start = [], [], 0
     while True:
         try:
@@ -1314,12 +1299,22 @@ def evaluable_rows(evaluate: Callable[[Sequence], np.ndarray],
 
 def eval_at(e: Expr, at: "Point | Mapping[str, float]") -> float:
     """Evaluate one expression at a point (or a plain symbol-to-value
-    mapping): the one-expression, one-row case of evaluator, for
+    mapping): the one-expression, one-row case of Frame.evaluator, for
     one-off sites. Deterministic for fixed bindings; errors as in
-    evaluator, and an unbound symbol raises EvalError too.
+    Frame.evaluator, and an unbound symbol raises EvalError too.
     """
     env = at.env() if isinstance(at, Point) else at
-    return float(evaluator((e,), tuple(env))([list(env.values())])[0, 0])
+    return float(_values_at((e,), env)[0])
+
+
+def _values_at(exprs: Sequence[Expr], env: Mapping[str, float],
+               memo: dict | None = None) -> np.ndarray:
+    """The values of exprs at one symbol-to-value mapping: a one-row
+    batch under Frame.evaluator's contract, its names in env's order.
+    memo as in compile_fn."""
+    fn, kernels = _generate(exprs, tuple(env), None, (), False, 0, memo)
+    row = np.asarray([list(env.values())], dtype=float).tolist()
+    return _run_batch(fn, kernels, row, len(exprs))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1415,13 +1410,12 @@ def _pivot_row(rows: list[list[Pair]], col: int, start: int, ref_env,
     pairs = [rows[i][col] for i in cands]
     if all(_is_one(den) and () in num and len(num) == 1
            for num, den in pairs):
-        # constants: the floats an evaluator's literals would hold
+        # constants: the floats the generated literals would hold
         mags = [abs(float(num[()])) for num, _ in pairs]
     else:
         entries = [_from_pair(p, atoms) for p in pairs]
         try:
-            mags = np.abs(evaluator(entries, tuple(ref_env), memo=memo)(
-                [list(ref_env.values())])[0]).tolist()
+            mags = np.abs(_values_at(entries, ref_env, memo)).tolist()
         except EvalError:
             # an entry that fails at the reference point counts as zero
             mags = []
@@ -1451,7 +1445,7 @@ def _eliminate(rows: list[list[Pair]], ref_env,
     """Reduce rows in place; returns the pivot columns."""
     pivots: list[int] = []
     # a later pivot search can meet the candidate entries of an earlier
-    # one again; each distinct evaluator compiles once per elimination
+    # one again; each distinct function compiles once per elimination
     memo: dict = {}
     r = 0
     for c in range(len(rows[0])):

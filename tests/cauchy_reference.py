@@ -6,7 +6,10 @@ forms, and A and C are computed in blocks of 32 points.
 a time. Kept to show that `flatcheck.cauchy`, which runs one stacked
 pass per level and builds and evaluates each distinct generator once
 per check, gives the same bases bit for bit, the same reports and the
-same first error.
+same first error. Here A and C are kept per point, as an (A, C) pair
+of row bases; `flatcheck.cauchy.cauchy_space` returns them stacked, as
+one Vt per point and the rank r that splits it (C is vt[p, :r] and A
+vt[p, r:]). `stacked` turns the pairs into that form.
 
 `two_step_cauchy_space` is the construction `flatcheck.cauchy` used
 before: a rank SVD and a pinv of the generator values, the full SVD of
@@ -18,9 +21,8 @@ and one form at a time.
 
 import numpy as np
 
-from flatcheck.cauchy import (AnnihilatorError, CharacteristicSpaces,
-                              DEFAULT_PROJ_TOL, _constant_coordinate_pattern,
-                              annihilator)
+from flatcheck.cauchy import (AnnihilatorError, DEFAULT_PROJ_TOL,
+                              _constant_coordinate_pattern, annihilator)
 from flatcheck.diffgeo import lie_derivative_1form, values_in_point_order
 from flatcheck.flags import _ranks
 from flatcheck.symx import is_zero
@@ -44,13 +46,20 @@ def _blocks(points):
             for start in range(0, len(points), BLOCK)]
 
 
-def _omega(cod, points):
+def stacked(spaces):
+    """Per-point (A, C) pairs as cauchy_space's (vt, ranks): at each
+    point the rows of C, then those of A, and the count of C's rows."""
+    vt = np.stack([np.vstack([c, a]) for a, c in spaces])
+    return vt, np.array([len(c) for _, c in spaces])
+
+
+def _omega(pairs, points):
     """The values of the generators and differentials, the generator
     values stacked up to the first error's rank check, and that
     error."""
-    m = len(cod.generators)
+    m = len(pairs)
     vals, first = values_in_point_order(
-        cod.generators + cod.differentials, points)
+        [w for w, _ in pairs] + [d for _, d in pairs], points)
     ranked = len(points) if first is None else first[0] + (first[1] >= m)
     return vals, np.stack([v[:ranked] for v in vals[:m]], axis=1), first
 
@@ -66,12 +75,12 @@ def _raise_first(points, dependent, first):
         raise first[2]
 
 
-def _dlam(cod, vals, count):
+def _dlam(pairs, vals, count):
     """d(lam^i) as antisymmetric n x n matrices."""
-    n = cod.frame.n
-    m = len(cod.generators)
+    n = pairs[0][0].frame.n
+    m = len(pairs)
     dlam = np.zeros((count, m, n, n))
-    for i, (dw, dv) in enumerate(zip(cod.differentials, vals[m:])):
+    for i, ((_, dw), dv) in enumerate(zip(pairs, vals[m:])):
         if dw.coefficients:
             r, c = zip(*dw.coefficients)
             dlam[:, i, r, c] = dv
@@ -79,28 +88,28 @@ def _dlam(cod, vals, count):
     return dlam
 
 
-def cauchy_space(cod, points, tol=DEFAULT_PROJ_TOL):
-    """A and C at each point by the two SVDs, a block at a time."""
+def cauchy_space(pairs, points, tol=DEFAULT_PROJ_TOL):
+    """(A, C) at each point by the two SVDs, a block at a time."""
     spaces = []
     for block in _blocks(points):
-        spaces += _two_svd_block(cod, block, tol)
+        spaces += _two_svd_block(pairs, block, tol)
     return spaces
 
 
-def _two_svd_block(cod, points, tol):
-    n = cod.frame.n
-    m = len(cod.generators)
-    vals, omega, first = _omega(cod, points)
+def _two_svd_block(pairs, points, tol):
+    n = pairs[0][0].frame.n
+    m = len(pairs)
+    vals, omega, first = _omega(pairs, points)
     _, s, w = np.linalg.svd(omega, full_matrices=False)
     _raise_first(points, np.flatnonzero(
         np.sum(s > tol * s[:, :1], axis=1) != m), first)
-    dlam = _dlam(cod, vals, len(points))
+    dlam = _dlam(pairs, vals, len(points))
     proj = np.eye(n) - w.swapaxes(1, 2) @ w
     rows = (proj[:, None] @ dlam.swapaxes(2, 3)).reshape(len(points), -1, n)
     stack = np.concatenate([omega, rows], axis=1)
     _, s, vt = np.linalg.svd(stack, full_matrices=stack.shape[1] < n)
     ranks = np.sum(s > tol * s[:, :1], axis=1)
-    return [CharacteristicSpaces(v[r:], v[:r]) for v, r in zip(vt, ranks)]
+    return [(v[r:], v[:r]) for v, r in zip(vt, ranks)]
 
 
 def _nullspaces(stack, tol):
@@ -111,21 +120,21 @@ def _nullspaces(stack, tol):
     return [v[r:] for v, r in zip(vt, ranks)]
 
 
-def two_step_cauchy_space(cod, points, tol=DEFAULT_PROJ_TOL):
-    """A and C at each point by the earlier construction, a block at a
+def two_step_cauchy_space(pairs, points, tol=DEFAULT_PROJ_TOL):
+    """(A, C) at each point by the earlier construction, a block at a
     time."""
     spaces = []
     for block in _blocks(points):
-        spaces += _two_step_block(cod, block, tol)
+        spaces += _two_step_block(pairs, block, tol)
     return spaces
 
 
-def _two_step_block(cod, points, tol):
-    n = cod.frame.n
-    m = len(cod.generators)
-    vals, omega, first = _omega(cod, points)
+def _two_step_block(pairs, points, tol):
+    n = pairs[0][0].frame.n
+    m = len(pairs)
+    vals, omega, first = _omega(pairs, points)
     _raise_first(points, np.flatnonzero(_ranks(omega, tol) != m), first)
-    dlam = _dlam(cod, vals, len(points))
+    dlam = _dlam(pairs, vals, len(points))
     omega_t = omega.swapaxes(1, 2)
     proj = np.eye(n) - omega_t @ np.linalg.pinv(omega_t)
     rows = (proj[:, None] @ dlam.swapaxes(2, 3)).reshape(len(points), -1, n)
@@ -135,31 +144,31 @@ def _two_step_block(cod, points, tol):
         idx = [p for p, a in enumerate(a_bases) if len(a) == dim]
         c_bases.update(zip(idx, _nullspaces(
             np.stack([a_bases[p] for p in idx]), tol)))
-    return [CharacteristicSpaces(a, c_bases[p])
-            for p, a in enumerate(a_bases)]
+    return [(a, c_bases[p]) for p, a in enumerate(a_bases)]
 
 
 def residuals(values, spaces):
     """Per point, the largest relative residual of the values against
-    C, a block of points at a time: |v - (v C^T) C| / |v| with C padded
-    to n zero rows, 0.0 for v = 0, 1.0 for an empty C."""
+    C, a block of points at a time, for (A, C) pairs: |v - (v C^T) C| /
+    |v| with C padded to n zero rows, 0.0 for v = 0, 1.0 for an empty
+    C."""
     out = []
     for start in range(0, len(spaces), BLOCK):
         sps = spaces[start:start + BLOCK]
         v = np.stack([val[start:start + BLOCK] for val in values])
         n = v.shape[2]
         c = np.zeros((len(sps), n, n))
-        for p, sp in enumerate(sps):
-            c[p, :sp.dim_c] = sp.c_basis
+        for p, (_, basis) in enumerate(sps):
+            c[p, :len(basis)] = basis
         off = v - ((v[:, :, None] @ c.swapaxes(1, 2)) @ c)[:, :, 0]
         nv = np.linalg.norm(v, axis=2)
         res = np.linalg.norm(off, axis=2)
-        for p, sp in enumerate(sps):
+        for p, (_, basis) in enumerate(sps):
             per = [0.0]
             for g in range(len(values)):
                 if nv[g, p] == 0.0:
                     per.append(0.0)
-                elif sp.dim_c == 0:
+                elif len(basis) == 0:
                     per.append(1.0)
                 else:
                     per.append(float(res[g, p] / nv[g, p]))
@@ -177,14 +186,14 @@ def check_condition2(spec, table, points, tol=DEFAULT_PROJ_TOL):
     levels = []
     all_pass = True
     for k in range(1, n - 2):
-        cod = annihilator(table, k, points[:5])
-        lf = [lie_derivative_1form(spec.f, w, dw)
-              for w, dw in zip(cod.generators, cod.differentials)]
-        spaces = cauchy_space(cod, points, tol)
-        entry = {"k": k, "dim_A": spaces[0].dim_a, "dim_C": spaces[0].dim_c,
+        pairs = annihilator(table, k, points[:5])
+        lf = [lie_derivative_1form(spec.f, w, dw) for w, dw in pairs]
+        spaces = cauchy_space(pairs, points, tol)
+        entry = {"k": k, "dim_A": len(spaces[0][0]),
+                 "dim_C": len(spaces[0][1]),
                  "generators": [[str(c) for c in w.coefficients]
-                                for w in cod.generators]}
-        pattern = _constant_coordinate_pattern(spaces)
+                                for w, _ in pairs]}
+        pattern = _constant_coordinate_pattern(*stacked(spaces))
         symbolic_ok = None
         if pattern is not None:
             complement = [j for j in range(n) if j not in pattern]

@@ -15,7 +15,7 @@ def realize(spec, chart_exprs=None, degree=2):
     if chart_exprs is not None:
         chart, fb = build_chart(chart_exprs, spec)
     else:
-        _, chart, fb = find_output_pair(spec, degree=degree)
+        chart, fb = find_output_pair(spec, degree=degree)
     fb = drift_feedback(spec, chart, fb)
     return extract_triangular(spec, chart, fb)
 

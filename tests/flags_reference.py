@@ -3,7 +3,8 @@ word, and each Q word bracketed on its own.
 
 Kept to show that the Lyndon P words of `flatcheck.flags` span the
 same F_k and leave G_k as it was. `feedback_flags` lives here because
-only tests use it.
+only tests use it. `reference_points` is the scalar draw the reference
+points came from before `flatcheck.flags` drew them through SampleBox.
 """
 
 import numpy as np
@@ -20,6 +21,17 @@ def rank(mat: np.ndarray, tol: float) -> int:
     values above tol times the largest, as flags._ranks counts them."""
     s = np.linalg.svd(mat, compute_uv=False)
     return int(np.sum(s > tol * s[:1]))
+
+
+def reference_points(spec: SystemSpec, seed: int = 7,
+                     count: int = 5) -> list[Point]:
+    """flags._reference_points by one scalar rng.uniform(lo, hi) per
+    coordinate, point by point."""
+    rng = np.random.default_rng(seed)
+    params = spec.bound_params(seed)
+    box = spec.sample_box()
+    return [spec.frame.point([float(rng.uniform(lo, hi)) for lo, hi in box],
+                             params) for _ in range(count)]
 
 
 def compute_flags(spec: SystemSpec, rank_tol: float = DEFAULT_RANK_TOL,

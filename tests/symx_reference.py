@@ -35,9 +35,8 @@ from flatcheck.symx import (Add, Call, Const, Div, EvalError, FUNCTIONS, Mul,
                             ONE_E, PivotError, Pow, Sub, Sym, SymxError,
                             ZERO, _cancel_content, _mono_key, _poly_to_expr,
                             _ratform, compile_fns, diff,
-                            eval_at as lib_eval_at, evaluator,
-                            free_symbols, is_zero, linear_decompose,
-                            polynomial_terms, to_str)
+                            eval_at as lib_eval_at, free_symbols, is_zero,
+                            linear_decompose, polynomial_terms, to_str)
 
 
 ONE = {(): Fraction(1)}
@@ -243,7 +242,7 @@ def eval_raw(e, env, fns=MATH_FNS):
 
 def evaluate_point(exprs, order, row, consts=None):
     """The values at one point under the evaluation contract, computed
-    the way evaluator did before it took batches: one plain compile_fns
+    the way symx evaluated before it took batches: one plain compile_fns
     call on the row as Python floats, numpy's kernels raising, then the
     finiteness check."""
     fn = compile_fns(exprs, order, consts)
@@ -273,9 +272,8 @@ def pivot_row(rows, col, start, ref_env, tol=1e-12):
         return cands[0] if cands else None
     entries = [rows[i][col] for i in cands]
     try:
-        mags = [abs(x) for x in
-                evaluator(entries, tuple(ref_env))(
-                    [list(ref_env.values())])[0].tolist()]
+        mags = [abs(x) for x in evaluate_point(entries, tuple(ref_env),
+                                               ref_env.values())]
     except EvalError:
         mags = []
         for entry in entries:

@@ -89,7 +89,7 @@ def test_acceptance_2_motor_output_pair_search(gate, motor_spec):
         t0 = time.perf_counter()
         spec = motor_spec
         fr = spec.frame
-        pair, chart, fb = find_output_pair(spec, degree=2)
+        chart, fb = find_output_pair(spec, degree=2)
         fb = drift_feedback(spec, chart, fb)
         real = extract_triangular(spec, chart, fb)
 
@@ -139,16 +139,17 @@ def test_acceptance_4_chained_flags_and_spaces(gate):
                 assert pp["dim_F"] == [2 + k for k in range(n - 1)]
                 assert pp["dim_G"] == [2 + k for k in range(n - 1)]
             for k in range(1, n - 2):
-                cod = annihilator(table, k, pts[:5])
+                pairs = annihilator(table, k, pts[:5])
                 keep = list(range(n - 1 - k)) + [n - 1]
-                spaces = cauchy_space(cod, pts)
-                assert len(spaces) == len(pts)
-                for sp in spaces:
-                    assert sp.dim_a == k and sp.dim_c == n - k
+                vt, ranks = cauchy_space(pairs, pts)
+                assert len(vt) == len(ranks) == len(pts)
+                for v, r in zip(vt, ranks):
+                    # dim A = n - r, dim C = r; C is vt[p, :r]
+                    assert n - r == k and r == n - k
                     for j in keep:
                         e = np.zeros(n)
                         e[j] = 1.0
-                        assert span_residual(e, sp.c_basis) <= 1e-10
+                        assert span_residual(e, v[:r]) <= 1e-10
 
 
 def test_acceptance_5_negative_controls(gate):
@@ -175,14 +176,16 @@ def test_acceptance_5_negative_controls(gate):
         assert sum(r > 1e-3 for r in resid) >= 0.9 * len(resid)
         # independent confirmation: appending the transported form to the
         # retracting basis raises its numeric rank at the same points
-        cod = annihilator(table, 1, pts2[:5])
-        lf = [lie_derivative_1form(pert.f, w) for w in cod.generators]
+        pairs = annihilator(table, 1, pts2[:5])
+        lf = [lie_derivative_1form(pert.f, w) for w, _ in pairs]
         jumps = 0
-        for q, sp in zip(pts2, cauchy_space(cod, pts2), strict=True):
-            base = np.linalg.matrix_rank(sp.c_basis, tol=1e-8)
+        vt, ranks = cauchy_space(pairs, pts2)
+        for q, v, rank in zip(pts2, vt, ranks, strict=True):
+            retract = v[:rank]  # the retracting space C at q
+            base = np.linalg.matrix_rank(retract, tol=1e-8)
             rows = [np.array([eval_at(c, q) for c in w.coefficients])
                     for w in lf]
-            if any(np.linalg.matrix_rank(np.vstack([sp.c_basis, r]),
+            if any(np.linalg.matrix_rank(np.vstack([retract, r]),
                                          tol=1e-8) == base + 1
                    for r in rows):
                 jumps += 1

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 import flatcheck.cauchy
 import flatcheck.diffgeo
 from flatcheck.symx import EvalError, eval_at
-from flatcheck.cauchy import (AnnihilatorError, CharacteristicSpaces,
-                              _constant_coordinate_pattern, _residuals,
-                              annihilator, cauchy_space, check_condition2)
+from flatcheck.cauchy import (AnnihilatorError, _constant_coordinate_pattern,
+                              _residuals, annihilator, cauchy_space,
+                              check_condition2)
 from flatcheck.diffgeo import (OneForm, TwoForm, VectorField,
                                exterior_derivative_1form, lie_derivative_1form)
 from flatcheck.flags import _ranks, compute_flags
@@ -17,7 +17,7 @@ from flatcheck.flags import _ranks, compute_flags
 import cauchy_reference
 import flags_reference
 import systems
-from cauchy_reference import span_residual
+from cauchy_reference import span_residual, stacked
 
 
 def _points(spec, count, seed=9):
@@ -28,19 +28,20 @@ def _points(spec, count, seed=9):
         for _ in range(count)]
 
 
-def _reference_cauchy_space(cod, q, tol=1e-8):
-    """A and C at one point, each step its own LAPACK call, with d(lam)
-    rebuilt from the generators rather than taken from the
-    codistribution: an orthonormal basis W of span{lam} from the SVD of
-    the generator values, then the SVD of [lam; (I - W^T W) dlam^T],
-    whose Vt holds C in its first rank rows and A in the rest."""
-    n = cod.frame.n
-    omega = np.array([w.values([q])[0] for w in cod.generators])
+def _reference_cauchy_space(pairs, q, tol=1e-8):
+    """(A, C) at one point, each step its own LAPACK call, with d(lam)
+    rebuilt from the generators rather than taken from the pairs: an
+    orthonormal basis W of span{lam} from the SVD of the generator
+    values, then the SVD of [lam; (I - W^T W) dlam^T], whose Vt holds C
+    in its first rank rows and A in the rest."""
+    generators = [w for w, _ in pairs]
+    n = generators[0].frame.n
+    omega = np.array([w.values([q])[0] for w in generators])
     assert flags_reference.rank(omega, tol) == omega.shape[0]
     _, _, w = np.linalg.svd(omega, full_matrices=False)
     proj = np.eye(n) - w.T @ w
     blocks = [omega]
-    for lam in cod.generators:
+    for lam in generators:
         dw = exterior_derivative_1form(lam)
         dmat = np.zeros((n, n))
         for (i, j), c in dw.coefficients.items():
@@ -51,7 +52,7 @@ def _reference_cauchy_space(cod, q, tol=1e-8):
     stack = np.vstack(blocks)
     _, s, vt = np.linalg.svd(stack, full_matrices=stack.shape[0] < n)
     rank = int(np.sum(s > tol * s[0]))
-    return CharacteristicSpaces(vt[rank:], vt[:rank])
+    return vt[rank:], vt[:rank]
 
 
 def test_span_residual_basics():
@@ -66,10 +67,10 @@ def test_annihilator_kills_the_flag():
     table = compute_flags(spec)
     pts = _points(spec, 6)
     for k in range(1, spec.n - 2):
-        cod = annihilator(table, k, pts[:3])
-        assert len(cod.generators) == spec.n - 2 - k
+        pairs = annihilator(table, k, pts[:3])
+        assert len(pairs) == spec.n - 2 - k
         for q in pts:
-            for w in cod.generators:
+            for w, _ in pairs:
                 wv = np.array([eval_at(c, q) for c in w.coefficients])
                 for _, vf in table.levels[k].g_generators:
                     assert abs(wv @ vf.values([q])[0]) < 1e-9
@@ -145,19 +146,19 @@ def test_characteristic_space_dims_and_span(n):
     table = compute_flags(spec)
     pts = _points(spec, 8)
     for k in range(1, n - 2):
-        cod = annihilator(table, k, pts[:3])
+        pairs = annihilator(table, k, pts[:3])
         # C should be spanned by the first n-1-k coordinate covectors
         # plus the last one
         keep = list(range(n - 1 - k)) + [n - 1]
-        spaces = cauchy_space(cod, pts)
-        assert len(spaces) == len(pts)
-        for sp in spaces:
-            assert sp.dim_a == k
-            assert sp.dim_c == n - k
+        vt, ranks = cauchy_space(pairs, pts)
+        assert vt.shape == (len(pts), n, n) and ranks.shape == (len(pts),)
+        for v, r in zip(vt, ranks):
+            assert n - r == k  # dim A
+            assert r == n - k  # dim C
             for i in keep:
                 e = np.zeros(n)
                 e[i] = 1.0
-                assert span_residual(e, sp.c_basis) <= 1e-10
+                assert span_residual(e, v[:r]) <= 1e-10
 
 
 _CAUCHY_SYSTEMS = {
@@ -174,22 +175,23 @@ def test_cauchy_space_matches_reference(name):
     table = compute_flags(spec)
     pts = _points(spec, 69)
     for k in range(1, spec.n - 2):
-        cod = annihilator(table, k, pts[:5])
-        assert cod.differentials == tuple(
-            exterior_derivative_1form(w) for w in cod.generators)
-        got = cauchy_space(cod, pts)
-        assert len(got) == len(pts)
-        for sp, q in zip(got, pts):
-            want = _reference_cauchy_space(cod, q)
-            assert np.array_equal(sp.a_basis, want.a_basis)
-            assert np.array_equal(sp.c_basis, want.c_basis)
+        pairs = annihilator(table, k, pts[:5])
+        assert [d for _, d in pairs] == [
+            exterior_derivative_1form(w) for w, _ in pairs]
+        vt, ranks = cauchy_space(pairs, pts)
+        assert len(vt) == len(ranks) == len(pts)
+        for p, q in enumerate(pts):
+            a, c = _reference_cauchy_space(pairs, q)
+            r = ranks[p]
+            assert np.array_equal(vt[p, r:], a)
+            assert np.array_equal(vt[p, :r], c)
 
 
 def test_cauchy_space_reuses_the_differentials(monkeypatch):
     spec = systems.chained(5)
     table = compute_flags(spec)
     pts = _points(spec, 4)
-    cods = [annihilator(table, k, pts[:3]) for k in range(1, spec.n - 2)]
+    levels = [annihilator(table, k, pts[:3]) for k in range(1, spec.n - 2)]
     calls = []
 
     def counting(w):
@@ -208,15 +210,15 @@ def test_cauchy_space_reuses_the_differentials(monkeypatch):
         return values(self, points)
 
     monkeypatch.setattr(TwoForm, "values", counting_values)
-    for cod in cods:
-        cauchy_space(cod, pts)
+    for pairs in levels:
+        cauchy_space(pairs, pts)
     assert calls == []
     # each differential is evaluated in one batch over all points
-    assert batches == [(id(dw), len(pts)) for cod in cods
-                       for dw in cod.differentials]
+    assert batches == [(id(dw), len(pts)) for pairs in levels
+                       for _, dw in pairs]
     # the counter does see annihilator build them, one per generator
-    cod = annihilator(table, 1, pts[:3])
-    assert len(calls) == len(cod.generators) == spec.n - 3
+    pairs = annihilator(table, 1, pts[:3])
+    assert len(calls) == len(pairs) == spec.n - 3
 
 
 def test_condition2_example1_passes(example1_spec):
@@ -252,7 +254,7 @@ def test_condition2_builds_each_differential_once(monkeypatch, name):
     pts = _points(spec, 6)
     want = check_condition2(spec, table, pts)
     distinct = {w for k in range(1, spec.n - 2)
-                for w in annihilator(table, k, pts[:5]).generators}
+                for w, _ in annihilator(table, k, pts[:5])}
     calls, lie_calls, batches = [], [], []
 
     def counting(w):
@@ -312,10 +314,10 @@ def test_condition2_evaluates_each_flag_field_once(monkeypatch, name):
 
 
 def _pattern_reference(spaces):
-    """_constant_coordinate_pattern one point at a time."""
+    """_constant_coordinate_pattern one point at a time, over (A, C)
+    pairs."""
     pattern = None
-    for sp in spaces:
-        b = sp.c_basis
+    for _, b in spaces:
         proj = b.T @ np.linalg.pinv(b.T)
         diag = np.diagonal(proj)
         s = [j for j in range(proj.shape[0]) if diag[j] > 0.5]
@@ -337,26 +339,27 @@ def test_constant_coordinate_pattern_matches_reference(name):
     table = compute_flags(spec)
     pts = _points(spec, 20)
     for k in range(1, spec.n - 2):
-        spaces = cauchy_space(annihilator(table, k, pts[:5]), pts)
-        got = _constant_coordinate_pattern(spaces)
-        assert got == _pattern_reference(spaces)
+        vt, ranks = cauchy_space(annihilator(table, k, pts[:5]), pts)
+        got = _constant_coordinate_pattern(vt, ranks)
+        assert got == _pattern_reference(
+            [(v[r:], v[:r]) for v, r in zip(vt, ranks)])
         assert got is None or all(type(j) is int for j in got)
     n = spec.n
     keep = list(range(n - 2)) + [n - 1]
-    coords = CharacteristicSpaces(np.eye(n)[[n - 2]], np.eye(n)[keep])
-    assert _constant_coordinate_pattern([coords] * 3) == keep
+    coords = (np.eye(n)[[n - 2]], np.eye(n)[keep])
+    assert _constant_coordinate_pattern(*stacked([coords] * 3)) == keep
     rotated = np.eye(n)[keep]
     rotated[0] = (rotated[0] + np.eye(n)[n - 2]) / np.sqrt(2.0)
-    tilted = CharacteristicSpaces(np.eye(n)[[n - 2]], rotated)
-    assert _constant_coordinate_pattern([coords, tilted]) is None
+    tilted = (np.eye(n)[[n - 2]], rotated)
+    assert _constant_coordinate_pattern(*stacked([coords, tilted])) is None
 
 
 def test_constant_coordinate_pattern_needs_one_dimension():
     n = 4
-    two = CharacteristicSpaces(np.eye(n)[[2, 3]], np.eye(n)[[0, 1]])
-    three = CharacteristicSpaces(np.eye(n)[[3]], np.eye(n)[[0, 1, 2]])
-    assert _constant_coordinate_pattern([two, two]) == [0, 1]
-    assert _constant_coordinate_pattern([two, three]) is None
+    two = (np.eye(n)[[2, 3]], np.eye(n)[[0, 1]])
+    three = (np.eye(n)[[3]], np.eye(n)[[0, 1, 2]])
+    assert _constant_coordinate_pattern(*stacked([two, two])) == [0, 1]
+    assert _constant_coordinate_pattern(*stacked([two, three])) is None
 
 
 def _failing_at(monkeypatch, pts, dependent=(), bad_eval=(), bad_d=()):
@@ -422,10 +425,10 @@ def test_condition2_shared_form_error_matches_reference(monkeypatch, where):
     spec = systems.chained(6)
     table = compute_flags(spec)
     pts = _points(spec, 45)
-    level1, level2 = (annihilator(table, k, pts[:5]) for k in (1, 2))
-    shared = next(w for w in level1.generators if w in level2.generators)
-    alone = next(w for w in level1.generators
-                 if w not in level2.generators)
+    level1, level2 = ([w for w, _ in annihilator(table, k, pts[:5])]
+                      for k in (1, 2))
+    shared = next(w for w in level1 if w in level2)
+    alone = next(w for w in level1 if w not in level2)
     bad = [(shared, 30), (alone, 31)]
     if where == "differential":
         bad = [(exterior_derivative_1form(w), p) for w, p in bad]
@@ -459,13 +462,13 @@ def test_condition2_matches_the_blocked_reference(name):
     # block boundaries
     pts = _points(spec, 69)
     for k in range(1, spec.n - 2):
-        cod = annihilator(table, k, pts[:5])
-        got = cauchy_space(cod, pts)
-        want = cauchy_reference.cauchy_space(cod, pts)
-        assert len(got) == len(want) == len(pts)
-        for sp, ref in zip(got, want):
-            assert np.array_equal(sp.a_basis, ref.a_basis)
-            assert np.array_equal(sp.c_basis, ref.c_basis)
+        pairs = annihilator(table, k, pts[:5])
+        vt, ranks = cauchy_space(pairs, pts)
+        want = cauchy_reference.cauchy_space(pairs, pts)
+        assert len(vt) == len(ranks) == len(want) == len(pts)
+        for v, r, (a, c) in zip(vt, ranks, want):
+            assert np.array_equal(v[r:], a)
+            assert np.array_equal(v[:r], c)
     assert check_condition2(spec, table, pts) == \
         cauchy_reference.check_condition2(spec, table, pts)
 
@@ -484,13 +487,12 @@ def test_two_svds_span_the_two_step_spaces(name):
     table = compute_flags(spec)
     pts = _points(spec, 69)
     for k in range(1, spec.n - 2):
-        cod = annihilator(table, k, pts[:5])
-        got = cauchy_space(cod, pts)
-        want = cauchy_reference.two_step_cauchy_space(cod, pts)
-        for sp, ref in zip(got, want, strict=True):
-            assert (sp.dim_a, sp.dim_c) == (ref.dim_a, ref.dim_c)
-            for a, b in ((sp.a_basis, ref.a_basis),
-                         (sp.c_basis, ref.c_basis)):
+        pairs = annihilator(table, k, pts[:5])
+        vt, ranks = cauchy_space(pairs, pts)
+        want = cauchy_reference.two_step_cauchy_space(pairs, pts)
+        for v, r, (ref_a, ref_c) in zip(vt, ranks, want, strict=True):
+            assert (len(v) - r, r) == (len(ref_a), len(ref_c))
+            for a, b in ((v[r:], ref_a), (v[:r], ref_c)):
                 assert np.max(np.abs(_projector(a) - _projector(b)),
                               initial=0.0) <= 1e-10
 
@@ -502,12 +504,13 @@ def test_characteristic_bases_are_orthonormal(name):
     pts = _points(spec, 40)
     n = spec.n
     for k in range(1, n - 2):
-        for sp in cauchy_space(annihilator(table, k, pts[:5]), pts):
-            assert sp.dim_a + sp.dim_c == n
-            c, a = sp.c_basis, sp.a_basis
-            assert np.max(np.abs(c @ c.T - np.eye(sp.dim_c)),
+        vt, ranks = cauchy_space(annihilator(table, k, pts[:5]), pts)
+        assert vt.shape[1:] == (n, n)
+        for v, r in zip(vt, ranks):
+            c, a = v[:r], v[r:]
+            assert np.max(np.abs(c @ c.T - np.eye(r)),
                           initial=0.0) <= 1e-12
-            assert np.max(np.abs(a @ a.T - np.eye(sp.dim_a)),
+            assert np.max(np.abs(a @ a.T - np.eye(n - r)),
                           initial=0.0) <= 1e-12
             assert np.max(np.abs(a @ c.T), initial=0.0) <= 1e-12
 
@@ -515,8 +518,9 @@ def test_characteristic_bases_are_orthonormal(name):
 @st.composite
 def _residual_cases(draw):
     """Values of a few forms at a few points, and an orthonormal C of
-    any dimension 0..n at each point; the values are zero, in C, near C
-    or anywhere, at several scales."""
+    any dimension 0..n at each point, with its complement A, as (A, C)
+    pairs; the values are zero, in C, near C or anywhere, at several
+    scales."""
     n = draw(st.integers(2, 8))
     count = draw(st.integers(1, 5))
     forms = draw(st.integers(1, 3))
@@ -525,17 +529,16 @@ def _residual_cases(draw):
     for _ in range(count):
         dim = draw(st.integers(0, n))
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        spaces.append(CharacteristicSpaces(q.T[dim:], q.T[:dim]))
+        spaces.append((q.T[dim:], q.T[:dim]))
     values = np.zeros((forms, count, n))
     for g in range(forms):
-        for p, sp in enumerate(spaces):
+        for p, (_, c) in enumerate(spaces):
             kind = draw(st.sampled_from(["zero", "in", "near", "any"]))
             scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
             if kind == "any":
                 values[g, p] = scale * rng.standard_normal(n)
             elif kind != "zero":
-                values[g, p] = scale * (rng.standard_normal(sp.dim_c)
-                                        @ sp.c_basis)
+                values[g, p] = scale * (rng.standard_normal(len(c)) @ c)
                 if kind == "near":
                     values[g, p] += scale * 1e-9 * rng.standard_normal(n)
     return list(values), spaces
@@ -545,14 +548,14 @@ def _residual_cases(draw):
 @given(_residual_cases())
 def test_batched_residuals_match_least_squares(case):
     values, spaces = case
-    got = _residuals(values, spaces)
-    want = [max([0.0] + [span_residual(v[p], sp.c_basis) for v in values])
-            for p, sp in enumerate(spaces)]
+    got = _residuals(values, *stacked(spaces))
+    want = [max([0.0] + [span_residual(v[p], c) for v in values])
+            for p, (_, c) in enumerate(spaces)]
     assert all(type(r) is float for r in got)
     assert len(got) == len(want)
     for p, (r, ref) in enumerate(zip(got, want)):
         assert abs(r - ref) <= 1e-12
-        if spaces[p].dim_c == 0 or not any(v[p].any() for v in values):
+        if len(spaces[p][1]) == 0 or not any(v[p].any() for v in values):
             assert r == ref  # 1.0 against an empty C, 0.0 for v = 0
 
 

@@ -6,7 +6,7 @@ import numpy as np
 
 from flatcheck.symx import (ZERO, Const, Div, Mul, Sub, Sym, is_zero,
                             normalize, parse, subst, to_str)
-from flatcheck.diffgeo import basis_vector
+from flatcheck.diffgeo import basis_vector, lie_derivative_fn
 from flatcheck.flags import SystemSpec
 from flatcheck.chained import (ChainedError, FeedbackMatrix, _replay,
                                build_chart, control_pair, find_output_pair,
@@ -19,20 +19,33 @@ from symx_reference import equiv
 
 
 def test_output_pair_chained_is_identity_candidates(chained4_spec):
-    pair, chart, fb = find_output_pair(chained4_spec, degree=2)
+    chart, fb = find_output_pair(chained4_spec, degree=2)
     fr = chained4_spec.frame
-    assert is_zero(Sub(pair.h2, parse("x1", fr)))
-    assert is_zero(Sub(pair.h1, parse("x4", fr)))
-    # the chart and feedback returned are the ones built from the pair
-    built, built_fb = build_chart(pair, chained4_spec)
+    assert is_zero(Sub(chart.forward[0], parse("x1", fr)))
+    assert is_zero(Sub(chart.forward[-1], parse("x4", fr)))
+    # the chart and feedback returned are the ones built from the chain
+    built, built_fb = build_chart(chart.forward, chained4_spec)
     assert chart == built and fb == built_fb
 
 
 def test_output_pair_motor_matches_references(motor_spec):
-    pair, _, _ = find_output_pair(motor_spec, degree=2)
+    chart, _ = find_output_pair(motor_spec, degree=2)
     fr = motor_spec.frame
-    assert equiv(pair.h1, parse(systems.MOTOR_H1, fr))
-    assert equiv(pair.h2, parse(systems.MOTOR_H2, fr))
+    assert equiv(chart.forward[-1], parse(systems.MOTOR_H1, fr))
+    assert equiv(chart.forward[0], parse(systems.MOTOR_H2, fr))
+
+
+@pytest.mark.parametrize("name", ["chained4", "motor"])
+def test_output_pair_chart_is_the_lie_chain(name):
+    # z = (h2, L_g1 h2, ..., L_g1^(n-2) h2, h1), with L_g1 h1 = 1
+    spec = _system(name)
+    chart, _ = find_output_pair(spec, degree=2)
+    h2, h1 = chart.forward[0], chart.forward[-1]
+    chain = [h2]
+    for _ in range(spec.n - 2):
+        chain.append(lie_derivative_fn(spec.g1, chain[-1]))
+    assert chart.forward == (*chain, h1)
+    assert to_str(lie_derivative_fn(spec.g1, h1)) == "1"
 
 
 def test_replay_draws_once_and_repeats():
@@ -72,8 +85,9 @@ def _system(name):
 
 @pytest.mark.parametrize("name", OUTPUT_PAIRS)
 def test_output_pair_golden(name):
-    pair, _, _ = find_output_pair(_system(name), degree=2)
-    assert (to_str(pair.h1), to_str(pair.h2)) == OUTPUT_PAIRS[name]
+    chart, _ = find_output_pair(_system(name), degree=2)
+    assert (to_str(chart.forward[-1]), to_str(chart.forward[0])) == \
+        OUTPUT_PAIRS[name]
 
 
 def test_output_pair_search_fails_cleanly():
@@ -106,7 +120,7 @@ def test_build_chart_from_user_chart(example1_spec):
 
 
 def test_build_chart_motor_scaling(motor_spec):
-    _, chart, fb = find_output_pair(motor_spec)
+    chart, fb = find_output_pair(motor_spec)
     fr = motor_spec.frame
     assert equiv(chart.forward[0], parse(systems.MOTOR_H2, fr))
     assert equiv(chart.forward[1], parse(systems.MOTOR_Z2, fr))

@@ -255,6 +255,56 @@ def test_main_non_finite_spec_value_is_a_named_error(tmp_path, capsys, key,
             assert err == f"flatcheck: error: {path}:{lineno}: {want}\n"
 
 
+def _with_line(spec_name, key, value):
+    """The lines of a bundled spec with the line of key set to value,
+    and that line's number."""
+    lines = (SPEC_DIR / spec_name).read_text().splitlines(keepends=True)
+    lineno = next(i for i, line in enumerate(lines, 1)
+                  if line.startswith(f"{key} = "))
+    lines[lineno - 1] = f"{key} = {value}\n"
+    return "".join(lines), lineno
+
+
+@pytest.mark.parametrize("spec_name, key, value, message", [
+    # the state met the output-pair search's unknown '@c0': check
+    # passed and transform failed with "expression is not affine in
+    # the unknowns"
+    ("chained4.spec", "states", "x1 x2 x3 @c0",
+     "state name '@c0' is not an identifier"),
+    # parsed as the constant 2 wherever f, g1 or g2 wrote it
+    ("chained4.spec", "states", "x1 x2 x3 2",
+     "state name '2' is not an identifier"),
+    # refused with no path or line
+    ("chained4.spec", "states", "x1 x2 x3 sin",
+     "state name 'sin' shadows a function name"),
+    ("motor.spec", "params", "J L M R T.L n_p",
+     "parameter name 'T.L' is not an identifier"),
+    ("motor.spec", "params", "J L M R exp n_p",
+     "parameter name 'exp' shadows a function name"),
+    # the last value won
+    ("motor.spec", "param_values", "J=0.1 L=0.5 M=0.2 R=1.0 T_L=0.05 "
+     "n_p=2.0 J=0.2", "param_values names parameter 'J' twice"),
+], ids=["at-name", "number", "function", "param-dot", "param-function",
+        "repeated-param-value"])
+def test_bad_names_are_named_errors_with_their_line(tmp_path, capsys,
+                                                    spec_name, key, value,
+                                                    message):
+    text, lineno = _with_line(spec_name, key, value)
+    path = _write(tmp_path, text)
+    for command in ("check", "transform", "verify", "simulate"):
+        assert main([command, path, "--samples", "5"]) == 2, command
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"flatcheck: error: {path}:{lineno}: {message}\n"
+
+
+def test_identifier_state_names_transform(tmp_path):
+    # the name the '@c0' case wanted, as an identifier
+    text, _ = _with_line("chained4.spec", "states", "x1 x2 x3 c0")
+    path = _write(tmp_path, text)
+    assert main(["transform", path, "--samples", "5"]) == 0
+
+
 @pytest.mark.parametrize("option", ["--rank-tol", "--proj-tol", "--dt",
                                     "--horizon"])
 def test_main_non_finite_setting_is_a_named_error(capsys, option):

@@ -7,11 +7,13 @@ from fractions import Fraction
 from flatcheck.symx import Const, EvalError, Frame, SymxError, parse
 from flatcheck.diffgeo import VectorField, basis_vector
 from flatcheck import diffgeo, flags
+from flatcheck.cli import load_spec
 from flatcheck.flags import (SystemSpec, _lyndon, check_condition1,
                              compute_flags, dims_at)
 
 import flags_reference
 import systems
+from conftest import SPEC_DIR
 from flags_reference import feedback_flags
 
 
@@ -165,6 +167,22 @@ def test_lyndon_flags_match_left_normed_reference(name):
     pts = _points(spec, 50, seed=17)
     assert dims_at(table, pts) == \
         [flags_reference.dims_at(ref, q) for q in pts]
+
+
+@pytest.mark.parametrize("name", ["example1", "motor", "chained4"])
+@pytest.mark.parametrize("seed", [0, 7, 19])
+@pytest.mark.parametrize("count", [5, 25])
+def test_reference_points_are_the_scalar_draw(name, seed, count):
+    # drawn through SampleBox, the floats of one scalar draw per
+    # coordinate, with the same bindings
+    spec = load_spec(str(SPEC_DIR / f"{name}.spec"))
+    got = flags._reference_points(spec, seed=seed, count=count)
+    want = flags_reference.reference_points(spec, seed=seed, count=count)
+    assert len(got) == count
+    assert [[c.hex() for c in q.coords] for q in got] == \
+        [[c.hex() for c in q.coords] for q in want]
+    assert all(q.frame is spec.frame and q.params == w.params
+               for q, w in zip(got, want))
 
 
 def _vanishing_at_first_reference_point():

@@ -18,8 +18,7 @@ from flatcheck.diffgeo import (OneForm, VectorField,
 from flatcheck.symx import (Add, Call, Const, Div, EvalError, Frame, Mul,
                             ParseError, PivotError, Pow, Sub, Sym, SymxError,
                             ZERO, _canon, _ratform, compile_fn, compile_fns,
-                            diff, eval_at, fold,
-                            evaluator, free_symbols, is_zero,
+                            diff, eval_at, fold, free_symbols, is_zero,
                             linear_decompose, normalize, nullspace_exprs,
                             parse, polynomial_terms, pow_expr, rref_exprs,
                             solve_affine_exprs, subst, to_str)
@@ -674,7 +673,7 @@ def test_eval_errors_raise_eval_error_silently(text, x1):
         with pytest.raises(EvalError):
             eval_at(P(text), {"x1": x1})
         with pytest.raises(EvalError) as info:
-            evaluator([P("x1"), P(text)], ("x1",))([[0.5], [x1]])
+            _X1.evaluator([P("x1"), P(text)])([[0.5], [x1]], {})
         assert info.value.row == 1
         assert info.value.done.tolist() == [[0.5, eval_at(P(text),
                                                           {"x1": 0.5})]]
@@ -721,6 +720,15 @@ def _assert_batch_contract(evaluate, rows, want, width):
 
 
 _PFR = Frame("x", ("x1", "x2"), ("a",))
+# a as a state: its value in each row
+_AFR = Frame("x", ("x1", "x2", "a"))
+_X1 = Frame("x", ("x1",))
+
+
+def _unbound(fn):
+    """A Frame.evaluator function as a function of its rows alone."""
+    return lambda rows: fn(rows, {})
+
 _batch_tree = st.recursive(
     st.one_of(_num.map(Const), st.sampled_from([Sym("x1"), Sym("x2"),
                                                 Sym("a")])),
@@ -739,12 +747,13 @@ _batch_tree = st.recursive(
        _value)
 @settings(max_examples=300, deadline=None)
 def test_batch_matches_point_by_point(exprs, coords, a):
-    # symx.evaluator with the parameter in each row, and Frame.evaluator
-    # with it bound once for the batch
+    # Frame.evaluator with the parameter as a state, its value in each
+    # row, and with it bound once for the batch
     order = ("x1", "x2", "a")
     rows = [(x1, x2, a) for x1, x2 in coords]
     want = _point_by_point(exprs, order, rows)
-    _assert_batch_contract(evaluator(exprs, order), rows, want, len(exprs))
+    _assert_batch_contract(_unbound(_AFR.evaluator(exprs)), rows, want,
+                           len(exprs))
     fn = _PFR.evaluator(exprs)
     _assert_batch_contract(lambda c: fn(c, {"a": a}), coords, want,
                            len(exprs))
@@ -761,7 +770,7 @@ def test_batch_matches_point_by_point(exprs, coords, a):
 def test_batch_failure_kinds(text, bad, message):
     # the failing row sits between good rows; the rows after it come
     # out the same when a caller resumes
-    fn = evaluator([P("x1 + 1"), P(text)], ("x1",))
+    fn = _unbound(_X1.evaluator([P("x1 + 1"), P(text)]))
     rows = [[0.5], [2.0], [bad], [3.0], [bad], [0.25]]
     want = _point_by_point([P("x1 + 1"), P(text)], ("x1",), rows)
     assert want[2] == want[4] == message
@@ -775,12 +784,12 @@ def test_batch_non_finite_row_before_a_raising_row_comes_first():
     rows = [[1.0], [1e200], [0.0], [2.0]]
     want = _point_by_point(exprs, ("x1",), rows)
     assert want[1:3] == ["non-finite value", "float division by zero"]
-    _assert_batch_contract(evaluator(exprs, ("x1",)), rows, want, 2)
+    _assert_batch_contract(_unbound(_X1.evaluator(exprs)), rows, want, 2)
 
 
 def test_batch_of_no_rows_and_of_no_expressions():
-    assert evaluator([P("1/x1")], ("x1",))([]).shape == (0, 1)
-    assert evaluator([], ("x1",))([[1.0], [2.0]]).shape == (2, 0)
+    assert _X1.evaluator([P("1/x1")])([], {}).shape == (0, 1)
+    assert _X1.evaluator([])([[1.0], [2.0]], {}).shape == (2, 0)
     fn = _PFR.evaluator([parse("a*x1", _PFR)])
     assert fn([], {}).shape == (0, 1)  # nothing to bind for no rows
     with pytest.raises(EvalError, match="unbound symbol 'a'") as info:
@@ -875,7 +884,7 @@ def test_pivot_on_constant_column_compiles_nothing(monkeypatch):
 
     matrix = [[P("1"), P("2")], [P("-3"), P("1/2")]]
     want = symx_reference.rref_exprs(matrix, {"x1": 0.5})
-    monkeypatch.setattr(symx, "evaluator", no_compiling)
+    monkeypatch.setattr(symx, "_generate", no_compiling)
     assert rref_exprs(matrix, {"x1": 0.5}) == want
     # -3 has the larger magnitude, so its row was the first pivot row
     # (picking the 1 would have left 13/2 here)
@@ -1379,14 +1388,16 @@ def test_memo_compiles_each_source_once(compiled):
     assert compile_fn(e, ("x1",), {"x2": 2.0}, memo=memo) is not f
     assert compile_fn(e, ("x1", "x2")) is not f  # no memo: compiled anew
     assert len(compiled) == 3
-    ev = evaluator([e], ("x1", "x2"), memo=memo)
-    again = evaluator([e], ("x1", "x2"), memo=memo)
+    # the pivot search's one-row evaluation takes the memo too
+    env = {"x1": 2.0, "x2": 3.0}
+    ev = symx._values_at([e], env, memo)
+    again = symx._values_at([e], env, memo)
     assert len(compiled) == 4
-    assert np.array_equal(ev([(2.0, 3.0)]), again([(2.0, 3.0)]))
+    assert np.array_equal(ev, again) and ev.tolist() == [7.0]
 
 
 def test_elimination_compiles_each_pivot_search_once(compiled):
-    # column 1's one candidate is column 0's again: one evaluator
+    # column 1's one candidate is column 0's again: one compiled loop
     x1 = P("x1")
     rows, pivots = rref_exprs([[x1, ZERO], [ZERO, x1]], {"x1": 0.5})
     assert pivots == [0, 1] and len(compiled) == 1

@@ -148,7 +148,7 @@ def _case(name):
     elif name == "cubic4":
         chart, fb = build_chart(systems.cubic4_chart(spec), spec)
     else:
-        _, chart, fb = find_output_pair(spec)
+        chart, fb = find_output_pair(spec)
     return spec, chart, drift_feedback(spec, chart, fb)
 
 

@@ -40,8 +40,7 @@ class AnnihilatorError(SymxError):
 
 
 def annihilator(table: FlagTable, k: int, ref_points: list[Point],
-                forms: dict[OneForm, tuple[OneForm, TwoForm]] | None = None,
-                memo: dict | None = None
+                forms: dict[OneForm, tuple[OneForm, TwoForm]] | None = None
                 ) -> list[tuple[OneForm, TwoForm]]:
     """Symbolic one-forms spanning the annihilator of G_k, each with
     its exterior derivative: a list of (lam^i, d(lam^i)) pairs.
@@ -52,8 +51,8 @@ def annihilator(table: FlagTable, k: int, ref_points: list[Point],
     ranked with the tolerance the table was built with. forms, when
     given, maps each generator tree met before (structural equality) to
     the OneForm and d built for it then, which are reused; new trees
-    are added. memo is values_in_point_order's, for ref_points, so a
-    field that several levels share is evaluated there once.
+    are added. A field that several levels share keeps its values at
+    ref_points, so it is evaluated there once.
     """
     spec = table.spec
     n = spec.n
@@ -61,8 +60,7 @@ def annihilator(table: FlagTable, k: int, ref_points: list[Point],
         raise AnnihilatorError(
             f"level {k} outside the valid range 1..{n - 3} for n={n}")
     gens = table.levels[k].g_generators
-    vals, first = values_in_point_order([v for _, v in gens], ref_points,
-                                        memo)
+    vals, first = values_in_point_order([v for _, v in gens], ref_points)
     # the rank check at each point before the failing one comes first
     ranked = len(ref_points) if first is None else first[0]
     ranks = _ranks(np.stack([v[:ranked] for v in vals], axis=1),
@@ -92,8 +90,8 @@ def annihilator(table: FlagTable, k: int, ref_points: list[Point],
 
 
 def cauchy_space(pairs: list[tuple[OneForm, TwoForm]], points: list[Point],
-                 tol: float = DEFAULT_PROJ_TOL,
-                 memo: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+                 tol: float = DEFAULT_PROJ_TOL
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """A and C at each point, by one stacked pass over all points.
 
     Returns the (points, n, n) Vt of the SVD of [generator values;
@@ -102,14 +100,13 @@ def cauchy_space(pairs: list[tuple[OneForm, TwoForm]], points: list[Point],
     nullspace, rows are tangent vectors) and vt[p, :r] one of C, the
     annihilator of A (rows are covectors). So dim A is n - r and dim C
     is r. The first error in point order raises: an evaluation error,
-    or dependent generators at a point. memo is values_in_point_order's,
-    for these points.
+    or dependent generators at a point. A form that an earlier call
+    met keeps its values at these points, so it is evaluated once.
     """
     generators, differentials = zip(*pairs)
     n = generators[0].frame.n
     m = len(pairs)
-    vals, first = values_in_point_order(generators + differentials, points,
-                                        memo)
+    vals, first = values_in_point_order(generators + differentials, points)
     # at each point the generators come first, then their rank check,
     # then the differentials
     ranked = len(points) if first is None else first[0] + (first[1] >= m)
@@ -193,17 +190,15 @@ def check_condition2(spec: SystemSpec, table: FlagTable,
                 "reason": f"no levels in range 1..{n - 3}"}
     forms: dict[OneForm, tuple[OneForm, TwoForm]] = {}
     lie: dict[int, OneForm] = {}  # id of a form in forms -> L_f of it
-    memo: dict = {}
-    ref_memo: dict = {}  # memo's twin for points[:5]
     levels = []
     all_pass = True
     for k in range(1, n - 2):
-        pairs = annihilator(table, k, points[:5], forms, ref_memo)
+        pairs = annihilator(table, k, points[:5], forms)
         for w, dw in pairs:
             if id(w) not in lie:
                 lie[id(w)] = lie_derivative_1form(spec.f, w, dw)
         lf = [lie[id(w)] for w, _ in pairs]
-        vt, ranks = cauchy_space(pairs, points, tol, memo)
+        vt, ranks = cauchy_space(pairs, points, tol)
         r = int(ranks[0])
         entry: dict = {"k": k, "dim_A": n - r, "dim_C": r,
                        "generators": [[str(c) for c in w.coefficients]
@@ -221,7 +216,7 @@ def check_condition2(spec: SystemSpec, table: FlagTable,
             entry["max_residual"] = 0.0
             entry["residuals"] = [0.0] * len(points)
         else:
-            lf_vals, first = values_in_point_order(lf, points, memo)
+            lf_vals, first = values_in_point_order(lf, points)
             if first is not None:
                 raise first[2]
             residuals = _residuals(lf_vals, vt, ranks)

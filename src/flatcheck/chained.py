@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -60,15 +59,12 @@ class Chart:
         mapping = dict(zip(self.x_frame.states, self.inverse))
         return normalize(subst(e, mapping))
 
-    @cached_property
-    def _forward_fn(self):
-        return self.x_frame.evaluator(self.forward)
-
     def forward_values(self, q: Point) -> np.ndarray:
         if q.frame != self.x_frame:
             raise ChainedError(f"point in chart '{q.frame.name}', chart "
                                f"maps from '{self.x_frame.name}'")
-        return self._forward_fn([q.coords], q.params)[0]
+        evaluate = self.x_frame.evaluator(self.forward)
+        return evaluate([q.coords], q.params)[0]
 
 
 @dataclass(frozen=True)

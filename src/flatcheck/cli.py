@@ -38,7 +38,7 @@ import numpy as np
 
 from . import __version__
 from .symx import (FUNCTIONS, EvalError, ParseError, Frame, SymxError,
-                   compile_fns, evaluable_rows, to_str)
+                   compile_fns, compile_scope, evaluable_rows, to_str)
 from .diffgeo import VectorField, lie_bracket
 from .flags import (DEFAULT_RANK_TOL, SampleBox, SystemSpec,
                     check_box_interval, check_condition1, compute_flags)
@@ -48,7 +48,7 @@ from .chained import (ChainedError, FeedbackMatrix, build_chart,
 from .triangular import (TriangularError, drift_components, drift_feedback,
                          extract_triangular, flat_output)
 from .harness import (DEFAULT_REG_THRESHOLD, FlatSignal, HarnessError,
-                      RegularityError, T_FRAME, VSignal,
+                      RegularityError, Stencil, T_FRAME, VSignal,
                       fd_bracket, reconstruct, simulate)
 
 BRACKET_FD_TOL = 1e-5
@@ -160,19 +160,23 @@ def _parse_exprs(frame: Frame, path: str, key: str,
     return tuple(out)
 
 
-def _check_names(path: str, entry: tuple[int, str], kind: str
-                 ) -> tuple[str, ...]:
+def _check_names(path: str, entry: tuple[int, str], kind: str,
+                 taken: dict[str, str]) -> tuple[str, ...]:
     """The names of a states or params entry, each an ASCII identifier
-    (the expression parser's rule) that is no function name."""
+    (the expression parser's rule) that is no function name and no key
+    of taken. taken maps each name no entry may declare to the reason,
+    and each name declared is added to it, so none is declared twice."""
     lineno, value = entry
     names = tuple(value.split())
     for name in names:
-        if not (name.isascii() and name.isidentifier()):
+        why = ("is not an identifier"
+               if not (name.isascii() and name.isidentifier())
+               else "shadows a function name" if name in FUNCTIONS
+               else taken.get(name))
+        if why:
             raise SpecFileError(f"{path}:{lineno}: {kind} name '{name}' "
-                                f"is not an identifier")
-        if name in FUNCTIONS:
-            raise SpecFileError(f"{path}:{lineno}: {kind} name '{name}' "
-                                f"shadows a function name")
+                                f"{why}")
+        taken[name] = "is a repeated name"
     return names
 
 
@@ -189,21 +193,29 @@ def _load(path: str) -> tuple[SystemSpec, SimSetup]:
         raise SpecFileError(f"{path}:{lineno}: n must be an integer, "
                             f"got '{value}'")
 
-    states = _check_names(path, entries["states"], "state")
+    if n < 2:
+        raise SpecFileError(f"{path}:{lineno}: need at least two states")
+    # the x-chart with inputs takes u1 and u2; the z-chart, which keeps
+    # the parameters, takes z1..zn, and v1 with them
+    taken = {u: "is reserved for an input" for u in ("u1", "u2")}
+    states = _check_names(path, entries["states"], "state", taken)
     if len(states) != n:
         raise SpecFileError(f"{path}:{entries['states'][0]}: {len(states)} "
                             f"states declared but n = {n}")
+    taken.update({f"z{i}": "is reserved for a transformed coordinate"
+                  for i in range(1, n + 1)},
+                 v1="is reserved for the first transformed input")
     params: tuple[str, ...] = ()
     if "params" in entries:
-        params = _check_names(path, entries["params"], "parameter")
-    names = states + params
-    if len(set(names)) != len(names):
-        raise SpecFileError(f"{path}: states/params contain a repeated name")
+        params = _check_names(path, entries["params"], "parameter", taken)
     frame = Frame(Path(path).stem, states, params)
 
     f = VectorField(frame, _parse_exprs(frame, path, "f", entries["f"], n))
     g1 = VectorField(frame, _parse_exprs(frame, path, "g1", entries["g1"], n))
     g2 = VectorField(frame, _parse_exprs(frame, path, "g2", entries["g2"], n))
+    if g1.is_zero() and g2.is_zero():
+        raise SpecFileError(f"{path}:{entries['g2'][0]}: g1 and g2 are "
+                            f"both identically zero")
 
     chart_exprs = None
     if "chart" in entries:
@@ -468,7 +480,7 @@ def _sample_points(spec: SystemSpec, cfg: RunConfig):
     box = SampleBox(spec.sample_box(), cfg.samples, seed=cfg.seed)
     good = box.points(spec.frame, spec.param_values)
     for vf in (spec.f, spec.g1, spec.g2):
-        kept, _ = evaluable_rows(vf.values, good)
+        kept, _ = evaluable_rows(vf.cached_values, good)
         good = [good[i] for i in kept]
     return good, box.count - len(good)
 
@@ -573,19 +585,19 @@ def _bracket_oracle(spec: SystemSpec, points) -> dict:
              (spec.g1, b1, b2, "[g1,[g1,g2]]"),
              (spec.g2, b1, b3, "[g2,[g1,g2]]"))
     # g1, g2 and b1 each enter two cases, and b1 is also the first
-    # case's exact bracket: one memo keeps every field's values and
-    # Jacobians at the points across the cases
-    memo: dict = {}
+    # case's exact bracket: each field keeps its values at the points
+    # and on the one stencil across the cases
+    stencil = Stencil(points)
     worst = 0.0
     per = []
     for X, Y, sym, label in cases:
         try:
-            exact = memo[id(sym), "value"] = sym.values(points)
+            exact = sym.cached_values(points)
         except EvalError as exc:
             # a stencil failure at or before that point comes first
             fd_bracket(X, Y, points[:exc.row + 1])
             raise
-        fd = fd_bracket(X, Y, points, memo=memo)
+        fd = stencil.bracket(X, Y)
         scale = np.maximum(1.0, np.max(np.abs(exact), axis=1))
         # per point as a Python max from 0.0, which skips a nan error
         errs = np.max(np.abs(fd - exact), axis=1) / scale
@@ -664,6 +676,7 @@ def _verify_into(data, real, sim, cfg, points):
 
 # --- the run ---------------------------------------------------------------
 
+@compile_scope()
 def run(cfg: RunConfig) -> CheckReport:
     """Load the spec and carry it through check, construction and
     verification, stopping after the stage cfg.command names.
@@ -671,7 +684,8 @@ def run(cfg: RunConfig) -> CheckReport:
     check, transform and verify are prefixes of that sequence; a failed
     or inconclusive check stops the two that construct unless
     cfg.force. simulate skips the check, verifies, and writes the
-    trajectory CSV.
+    trajectory CSV. The run is one compile_scope(): each distinct
+    generated function compiles once in it.
     """
     spec, sim = _load(cfg.spec_path)
     # parameters without a value are drawn here, once for every stage

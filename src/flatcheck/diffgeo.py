@@ -40,8 +40,44 @@ def _same_chart(*objs) -> Frame:
     return frame
 
 
+class _Evaluated:
+    """A field or form that keeps what it compiles and evaluates: its
+    evaluator, built on first use, and cached_values' outcomes."""
+
+    def _values(self, exprs, points: Sequence[Point]) -> np.ndarray:
+        """exprs, the object's, at points: one call of its evaluator
+        (Frame.evaluator's function of exprs), compiled on the first."""
+        _same_chart(self, *points)
+        evaluate = vars(self).get("_evaluate")
+        if evaluate is None:
+            evaluate = vars(self)["_evaluate"] = self.frame.evaluator(exprs)
+        return evaluate(*point_rows(points))
+
+    def cached_values(self, points: Sequence[Point]) -> np.ndarray:
+        """values(points), evaluated on the first call for these points
+        only: a later call returns the same array, made read-only, or
+        raises the same EvalError, its done made read-only. The outcome
+        is kept by the identities of the points, with the points, so
+        none can give its id to another point meanwhile."""
+        kept = vars(self).setdefault("_evaluated", {})
+        key = tuple(map(id, points))
+        hit = kept.get(key)
+        if hit is None:
+            try:
+                out = self.values(points)
+                out.flags.writeable = False
+            except EvalError as exc:
+                out = exc
+                if exc.done is not None:
+                    exc.done.flags.writeable = False
+            hit = kept[key] = tuple(points), out
+        if isinstance(hit[1], EvalError):
+            raise hit[1].with_traceback(None)
+        return hit[1]
+
+
 @dataclass(frozen=True)
-class VectorField:
+class VectorField(_Evaluated):
     """Column of n component expressions in a frame."""
 
     frame: Frame
@@ -66,18 +102,12 @@ class VectorField:
     def is_zero(self) -> bool:
         return all(map(is_zero, self.components))
 
-    @cached_property
-    def evaluator(self):
-        """Compiled components, built on first use: Frame.evaluator's
-        (coords, params) -> (points, n) array, under its error
-        contract."""
-        return self.frame.evaluator(self.components)
-
     def values(self, points: Sequence[Point]) -> np.ndarray:
         """The components at each point, as a (points, n) array from
         one batched call; the first failing point raises EvalError with
-        its row (Frame.evaluator's contract)."""
-        return _values(self, points)
+        its row (Frame.evaluator's contract). cached_values keeps the
+        outcome."""
+        return self._values(self.components, points)
 
     @cached_property
     def _brackets(self) -> dict[int, tuple["VectorField", "VectorField"]]:
@@ -87,7 +117,7 @@ class VectorField:
 
 
 @dataclass(frozen=True)
-class OneForm:
+class OneForm(_Evaluated):
     """Row of n coefficient expressions, coefficient i multiplying dx_i."""
 
     frame: Frame
@@ -105,18 +135,13 @@ class OneForm:
             fold(((1, None, a, None), (1, None, b, None)))
             for a, b in zip(self.coefficients, other.coefficients)))
 
-    @cached_property
-    def evaluator(self):
-        """As VectorField.evaluator, over the coefficients."""
-        return self.frame.evaluator(self.coefficients)
-
     def values(self, points: Sequence[Point]) -> np.ndarray:
         """As VectorField.values, over the coefficients."""
-        return _values(self, points)
+        return self._values(self.coefficients, points)
 
 
 @dataclass(frozen=True)
-class TwoForm:
+class TwoForm(_Evaluated):
     """Coefficients indexed by strictly increasing pairs i < j.
 
     Absent pairs are zero. coefficient(i, j) extends antisymmetrically.
@@ -138,56 +163,32 @@ class TwoForm:
             return self.coefficients.get((i, j), ZERO)
         return fold(((-1, None, self.coefficients.get((j, i), ZERO), None),))
 
-    @cached_property
-    def evaluator(self):
-        """As VectorField.evaluator, over the stored coefficients in
-        the order of the coefficients dict."""
-        return self.frame.evaluator(tuple(self.coefficients.values()))
-
     def values(self, points: Sequence[Point]) -> np.ndarray:
-        """As VectorField.values, over the stored coefficients."""
-        return _values(self, points)
+        """As VectorField.values, over the stored coefficients in the
+        order of the coefficients dict."""
+        return self._values(tuple(self.coefficients.values()), points)
 
 
-def _values(obj, points: Sequence[Point]) -> np.ndarray:
-    _same_chart(obj, *points)
-    return obj.evaluator(*point_rows(points))
-
-
-def values_in_point_order(objs: Sequence, points: Sequence[Point],
-                          memo: dict | None = None
+def values_in_point_order(objs: Sequence, points: Sequence[Point]
                           ) -> tuple[list[np.ndarray],
                                      tuple[int, int, EvalError] | None]:
     """The values of each field or form at points, one batch each, and
     the failure that evaluating point by point (at each point, objs in
     order) meets first, as (row, index into objs, EvalError), or None.
     Where an object fails, its entry holds the rows before its failure.
-
-    memo, when given, keeps each object's batch (its values, or the
-    EvalError with a row it raised) by id, so an object is evaluated
-    once over calls that pass the same memo and the same points. An
-    entry holds its object, so no other object can take its id.
+    Each object keeps its outcome at points (cached_values), so a later
+    call with the same points evaluates nothing again.
     """
     vals, first = [], None
     for i, obj in enumerate(objs):
-        hit = None if memo is None else memo.get(id(obj))
-        if hit is not None:
-            out = hit[1]
-        else:
-            try:
-                out = obj.values(points)
-            except EvalError as exc:
-                if exc.row is None:
-                    raise
-                out = exc
-            if memo is not None:
-                memo[id(obj)] = (obj, out)
-        if isinstance(out, EvalError):
-            vals.append(out.done)
-            if first is None or out.row < first[0]:
-                first = (out.row, i, out)
-        else:
-            vals.append(out)
+        try:
+            vals.append(obj.cached_values(points))
+        except EvalError as exc:
+            if exc.row is None:
+                raise
+            vals.append(exc.done)
+            if first is None or exc.row < first[0]:
+                first = (exc.row, i, exc)
     return vals, first
 
 

@@ -39,9 +39,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .symx import (ZERO, EvalError, Add, Call, Div, Expr, Frame, Mul, Point,
-                   Pow, Sub, Sym, compile_fn, compile_fns, fold,
-                   free_symbols, linear_decompose, normalize, parse,
-                   point_rows, subst)
+                   Pow, Sub, Sym, compile_fn, compile_fns, compile_scope,
+                   fold, free_symbols, linear_decompose, normalize, parse,
+                   subst)
 from .diffgeo import VectorField
 from .chained import Chart
 from .flags import SampleBox  # noqa: F401  (re-exported)
@@ -131,68 +131,66 @@ class Trajectory:
                 fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
+class Stencil:
+    """Sample points and the central-difference stencil around them.
+
+    shifted holds, for each coordinate j in turn, the point lists
+    q + h e_j and q - h e_j over the points q. Fields keep their values
+    per point list (cached_values), so the brackets taken on one
+    Stencil evaluate each field at the points and on the stencil once.
+    """
+
+    def __init__(self, points: Sequence[Point], h: float = DEFAULT_FD_STEP):
+        self.points, self.h = list(points), h
+        base = np.array([q.coords for q in self.points], dtype=float)
+        # base + (-h e_j) is base - h e_j: a float subtraction adds the
+        # negation. With no points base has shape (0,), and no stencil
+        self.shifted = [[Point(q.frame, tuple(c), q.params)
+                         for q, c in zip(self.points, (base + e).tolist())]
+                        for d in np.eye(base.shape[-1]) * h for e in (d, -d)]
+
+    def bracket(self, X: VectorField, Y: VectorField) -> np.ndarray:
+        """fd_bracket(X, Y) at the points, on this stencil."""
+        if X.frame is not Y.frame and X.frame.name != Y.frame.name:
+            raise HarnessError("bracket operands live in different charts")
+        if not self.points:
+            return np.zeros((0, X.frame.n))
+        m = len(self.shifted)
+        # J_Y, X, J_X, Y: the order a failure at one point ranks in
+        calls = ([(Y, q) for q in self.shifted] + [(X, self.points)]
+                 + [(X, q) for q in self.shifted] + [(Y, self.points)])
+        vals, first = [], None  # first: (row, at, error) of the earliest
+        for F, points in calls:
+            try:
+                vals.append(F.cached_values(points))
+            except EvalError as exc:  # the first row at which F fails here
+                if first is None or exc.row < first[0]:
+                    at = tuple(map(float, points[exc.row].coords))
+                    first = (exc.row, at, exc)
+        if first is not None:
+            _, at, exc = first
+            raise HarnessError(f"evaluation failure in the stencil at {at}: "
+                               f"{exc}") from exc
+        JY, JX = (np.stack([(p - q) / (2 * self.h)
+                            for p, q in zip(cols[::2], cols[1::2])], axis=2)
+                  for cols in (vals[:m], vals[m + 1:-1]))
+        return (np.matmul(JY, vals[m][:, :, None])
+                - np.matmul(JX, vals[-1][:, :, None]))[:, :, 0]
+
+
 def fd_bracket(X: VectorField, Y: VectorField, points: Sequence[Point],
-               h: float = DEFAULT_FD_STEP,
-               memo: dict | None = None) -> np.ndarray:
+               h: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Central-difference [X, Y] at each point: row p is
     J_Y(q_p) X(q_p) - J_X(q_p) Y(q_p), as a (points, n) array.
 
     Each field's values come from one batched call over all points, and
-    each Jacobian column from two (base + h e_j and base - h e_j). memo,
-    one dict per point list and step h, keeps them by field, so
-    brackets that share a field evaluate it once; its (id(F), "value")
-    entry may also be filled by the caller with F.values(points). The
+    each Jacobian column from two (base + h e_j and base - h e_j); the
+    fields keep them, and brackets taken on one Stencil share them. The
     HarnessError raised is the stencil failure that the point-by-point
     order meets first: points in turn, and at each J_Y column by
     column, X, J_X, Y.
     """
-    if X.frame is not Y.frame and X.frame.name != Y.frame.name:
-        raise HarnessError("bracket operands live in different charts")
-    n = X.frame.n
-    coords, params = point_rows(points)
-    base = np.array(coords, dtype=float).reshape(len(points), n)
-    memo = {} if memo is None else memo
-    first = None  # (row, at, error) of the earliest failure
-
-    def vals(F: VectorField, coords: np.ndarray) -> np.ndarray | None:
-        nonlocal first
-        try:
-            return F.evaluator(coords, params)
-        except EvalError as exc:  # the first row at which F fails here
-            if first is None or exc.row < first[0]:
-                first = (exc.row, tuple(coords[exc.row].tolist()), exc)
-            return None
-
-    def value(F: VectorField) -> np.ndarray | None:
-        # keyed by identity: hashing a field hashes its whole trees
-        key = (id(F), "value")
-        if key not in memo:
-            v = vals(F, base)
-            if v is None:
-                return None
-            memo[key] = v
-        return memo[key]
-
-    def jac(F: VectorField) -> np.ndarray | None:
-        key = (id(F), "jac")
-        if key not in memo:
-            # every column, as a later one may fail at an earlier point
-            cols = [(vals(F, base + e), vals(F, base - e))
-                    for e in np.eye(n) * h]
-            if any(v is None for col in cols for v in col):
-                return None
-            memo[key] = np.stack([(p - m) / (2 * h) for p, m in cols],
-                                 axis=2)
-        return memo[key]
-
-    parts = jac(Y), value(X), jac(X), value(Y)
-    if first is not None:
-        _, at, exc = first
-        raise HarnessError(f"evaluation failure in the stencil at {at}: "
-                           f"{exc}") from exc
-    JY, vX, JX, vY = parts
-    return (np.matmul(JY, vX[:, :, None])
-            - np.matmul(JX, vY[:, :, None]))[:, :, 0]
+    return Stencil(points, h).bracket(X, Y)
 
 
 # Names the generated closed-loop code binds; none is a spec identifier.
@@ -749,6 +747,7 @@ def _bisect_expanding(fn, center: float, level: int, tj: float) -> float:
     return 0.5 * (a + b)
 
 
+@compile_scope()
 def reconstruct(real: TriangularRealization, flat: FlatSignal) -> Trajectory:
     """Recover the full state and inputs from the flat output alone.
 
@@ -758,7 +757,9 @@ def reconstruct(real: TriangularRealization, flat: FlatSignal) -> Trajectory:
     r_i for each higher derivative order), ending with v2 = dz_{n-1}.
     Raises RegularityError where some |r_i| is below
     DEFAULT_REG_THRESHOLD. The x/u history comes through the inverse
-    chart, which exists whenever the z-drift rows do.
+    chart, which exists whenever the z-drift rows do. Levels and
+    derivative orders repeat functions (a constant coefficient, say),
+    so the call is one compile_scope().
     """
     if real.phis is None:
         raise HarnessError("reconstruction needs z-coordinate drift rows")
@@ -772,9 +773,6 @@ def reconstruct(real: TriangularRealization, flat: FlatSignal) -> Trajectory:
     params = _bound_all_params(real, {})
     t = flat.t
     npts = len(t)
-    # levels and derivative orders repeat functions (a constant
-    # coefficient, say): each distinct one compiles once per call
-    memo: dict = {}
 
     # jets[name][m] is the m-th derivative column of that variable
     jets: dict[str, list[np.ndarray]] = {
@@ -813,9 +811,9 @@ def reconstruct(real: TriangularRealization, flat: FlatSignal) -> Trajectory:
             order = [_jet_name(w, m)] + known
             if m == 0:
                 target = jets[zs[i - 1]][1]
-                Ffn = compile_fn(normalize(e), order, params, memo)
+                Ffn = compile_fn(normalize(e), order, params)
                 dFfn = compile_fn(fold(((1, None, e, _jet_name(w, 0)),)),
-                                  order, params, memo)
+                                  order, params)
 
                 def F(vcols, _f=Ffn, _tg=target):
                     return _f(vcols) - _tg
@@ -823,8 +821,8 @@ def reconstruct(real: TriangularRealization, flat: FlatSignal) -> Trajectory:
                 w_jets.append(_newton_grid(F, dFfn, cols, npts, i, t))
             else:
                 coeffs, rest = _affine_split(e, _jet_name(w, m))
-                cfn = compile_fn(coeffs, order, params, memo)
-                rfn = compile_fn(rest, order, params, memo)
+                cfn = compile_fn(coeffs, order, params)
+                rfn = compile_fn(rest, order, params)
                 zero = np.zeros(npts)
                 cval = cfn([zero] + cols)
                 rval = rfn([zero] + cols)

@@ -22,6 +22,14 @@ domain errors and non-finite values raise EvalError naming the first
 failing row. A single point is a one-row batch; eval_at is that case
 for one expression.
 
+Caching follows one rule: an object keeps what it evaluates (diffgeo's
+fields and forms keep their values per point set), and a command keeps
+what it compiles. Generated functions are kept by source for one
+compile_scope(), which a command (cli.run), an elimination and a
+reconstruction open; an inner entry reuses the open scope, so each
+distinct source compiles once in it, and nothing is kept once the
+outermost scope closes.
+
 Linear algebra over the rational-function field eliminates on the
 normal form's (numerator, denominator) polynomial pairs, and every
 entry equals normalize of the tree the update stands for.
@@ -48,6 +56,8 @@ the pair types Poly, Pair and Mono.
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -1126,17 +1136,35 @@ def _literal(x: float) -> str:
     return f"({x!r})" if x < 0 else repr(x)
 
 
+# generated source -> (function, calls a kernel), for the compile_scope()
+# open in this context (thread or task); unset outside one
+_compiled: ContextVar[dict] = ContextVar("_compiled")
+
+
+@contextmanager
+def compile_scope():
+    """Within the block (or the call, as a decorator), a source already
+    compiled is not compiled again: _generate returns the function it
+    made for it. An entry inside an open scope reuses that scope, and
+    the outermost exit drops it, so no function outlives the work that
+    opened it (a command, an elimination, a reconstruction). Outside a
+    scope every call compiles. A scope belongs to the thread or task
+    that opened it."""
+    token = _compiled.set(_compiled.get({}))
+    try:
+        yield
+    finally:
+        _compiled.reset(token)
+
+
 def _generate(exprs: Sequence[Expr], order: Sequence[str],
               consts: Mapping[str, float] | None,
               lets: Sequence[tuple[str, Expr]], single: bool,
-              carry: int | None = None,
-              memo: dict | None = None) -> tuple[Callable, bool]:
+              carry: int | None = None) -> tuple[Callable, bool]:
     """The generated function, and whether it calls a kernel; with
     carry, the loop form of compile_fns (carry = 0: fn(rows, out),
-    nothing carried). memo maps generated source to that pair: a
-    source already in it is not compiled again. Its owner keeps it for
-    one computation (a reconstruct call, an elimination), so no
-    function outlives the work that made it."""
+    nothing carried). Inside compile_scope() each distinct source
+    compiles once."""
     consts = dict(consts or {})
     args = [f"_v{i}" for i in range(len(order))]
     names = dict(zip(order, args))
@@ -1199,15 +1227,13 @@ def _generate(exprs: Sequence[Expr], order: Sequence[str],
     else:
         lines.append(f"{ind}return {outs[0] if single else tup}")
     src = "\n".join(lines)
-    if memo is not None and src in memo:
-        return memo[src]
-    scope = dict(_KERNELS)
-    exec(src, scope)  # noqa: S102 (generated from trusted trees)
-    # popped, so that the function and its globals form no reference cycle
-    out = scope.pop("_fn"), kernels
-    if memo is not None:
-        memo[src] = out
-    return out
+    kept = _compiled.get({})
+    if src not in kept:
+        scope = dict(_KERNELS)
+        exec(src, scope)  # noqa: S102 (generated from trusted trees)
+        # popped, so that the function and its globals form no cycle
+        kept[src] = scope.pop("_fn"), kernels
+    return kept[src]
 
 
 def compile_fns(exprs: Sequence[Expr], order: Sequence[str],
@@ -1239,17 +1265,11 @@ def compile_fns(exprs: Sequence[Expr], order: Sequence[str],
 
 
 def compile_fn(e: Expr, order: Sequence[str],
-               consts: Mapping[str, float] | None = None,
-               memo: dict | None = None) -> Callable:
+               consts: Mapping[str, float] | None = None) -> Callable:
     """The one-expression case of compile_fns: returns the value, not
-    a tuple.
-
-    memo, a dict its caller keeps for one computation and passes to
-    each call, makes every distinct function compile once in it: a
-    call whose generated source is already in memo returns that
-    function.
-    """
-    return _generate((e,), order, consts, (), True, None, memo)[0]
+    a tuple. Inside compile_scope() a call whose generated source was
+    compiled before returns that function."""
+    return _generate((e,), order, consts, (), True)[0]
 
 
 def _run_batch(fn: Callable, kernels: bool, rows: list,
@@ -1307,12 +1327,11 @@ def eval_at(e: Expr, at: "Point | Mapping[str, float]") -> float:
     return float(_values_at((e,), env)[0])
 
 
-def _values_at(exprs: Sequence[Expr], env: Mapping[str, float],
-               memo: dict | None = None) -> np.ndarray:
+def _values_at(exprs: Sequence[Expr], env: Mapping[str, float]
+               ) -> np.ndarray:
     """The values of exprs at one symbol-to-value mapping: a one-row
-    batch under Frame.evaluator's contract, its names in env's order.
-    memo as in compile_fn."""
-    fn, kernels = _generate(exprs, tuple(env), None, (), False, 0, memo)
+    batch under Frame.evaluator's contract, its names in env's order."""
+    fn, kernels = _generate(exprs, tuple(env), None, (), False, 0)
     row = np.asarray([list(env.values())], dtype=float).tolist()
     return _run_batch(fn, kernels, row, len(exprs))[0]
 
@@ -1403,7 +1422,7 @@ def _pairs_in(matrix: Sequence[Sequence[Expr]],
 
 
 def _pivot_row(rows: list[list[Pair]], col: int, start: int, ref_env,
-               atoms: dict[str, Expr], memo: dict):
+               atoms: dict[str, Expr]):
     cands = [i for i in range(start, len(rows)) if rows[i][col][0]]
     if not cands or ref_env is None:
         return cands[0] if cands else None
@@ -1415,7 +1434,7 @@ def _pivot_row(rows: list[list[Pair]], col: int, start: int, ref_env,
     else:
         entries = [_from_pair(p, atoms) for p in pairs]
         try:
-            mags = np.abs(_values_at(entries, ref_env, memo)).tolist()
+            mags = np.abs(_values_at(entries, ref_env)).tolist()
         except EvalError:
             # an entry that fails at the reference point counts as zero
             mags = []
@@ -1440,18 +1459,18 @@ def _update(piv: Pair, e: Pair, a: Pair, b: Pair) -> Pair:
     return _canon(*_sub(_mul(piv, a), _mul(e, b)))
 
 
+@compile_scope()
 def _eliminate(rows: list[list[Pair]], ref_env,
                atoms: dict[str, Expr]) -> list[int]:
-    """Reduce rows in place; returns the pivot columns."""
+    """Reduce rows in place; returns the pivot columns. A later pivot
+    search can meet the candidate entries of an earlier one again, so
+    the elimination is one compile_scope()."""
     pivots: list[int] = []
-    # a later pivot search can meet the candidate entries of an earlier
-    # one again; each distinct function compiles once per elimination
-    memo: dict = {}
     r = 0
     for c in range(len(rows[0])):
         if r >= len(rows):
             break
-        i = _pivot_row(rows, c, r, ref_env, atoms, memo)
+        i = _pivot_row(rows, c, r, ref_env, atoms)
         if i is None:
             continue
         rows[r], rows[i] = rows[i], rows[r]

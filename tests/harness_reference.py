@@ -196,7 +196,7 @@ def fd_bracket(X, Y, q, h=DEFAULT_FD_STEP):
     def vals(F, coords):
         at = coords.tolist()
         try:
-            return F.evaluator([at], q.params)[0]
+            return F.frame.evaluator(F.components)([at], q.params)[0]
         except EvalError as exc:
             raise HarnessError(
                 f"evaluation failure in the stencil at {tuple(at)}: "

@@ -294,7 +294,8 @@ def test_condition2_evaluates_each_flag_field_once(monkeypatch, name):
             else systems.chained(int(name[len("chained"):])))
     table = compute_flags(spec)
     pts = _points(spec, 6)
-    want = check_condition2(spec, table, pts)
+    # at points of their own: the fields keep their values per points
+    want = check_condition2(spec, table, _points(spec, 6))
     calls = []
     real = VectorField.values
 

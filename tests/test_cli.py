@@ -1,4 +1,5 @@
 import argparse
+import importlib.util
 import json
 import math
 from pathlib import Path
@@ -105,6 +106,37 @@ def test_load_spec_rejects_malformed(tmp_path, mutate, match):
     path = _write(tmp_path, mutate(BASE))
     with pytest.raises(SpecFileError, match=match):
         load_spec(path)
+
+
+@pytest.mark.parametrize("text,line,message", [
+    # names the z-chart, the regularity chart or the x-chart with inputs
+    # would take a second time
+    (BASE + "params = z2\n", 6,
+     "parameter name 'z2' is reserved for a transformed coordinate"),
+    (BASE + "params = a v1\n", 6,
+     "parameter name 'v1' is reserved for the first transformed input"),
+    (BASE.replace("x3 x4", "x3 u1"), 2,
+     "state name 'u1' is reserved for an input"),
+    (BASE + "params = u2\n", 6,
+     "parameter name 'u2' is reserved for an input"),
+    (BASE.replace("x3 x4", "x3 x3"), 2,
+     "state name 'x3' is a repeated name"),
+    (BASE + "params = a x1\n", 6,
+     "parameter name 'x1' is a repeated name"),
+    (BASE.replace("g1 = x2, x3, 0, 1", "g1 = 0, 0, 0, 0")
+     .replace("g2 = 0, 0, 1, 0", "g2 = 0, 0, 0, x1 - x1"), 5,
+     "g1 and g2 are both identically zero"),
+    ("n = 1\nstates = x1\nf = 0\ng1 = 1\ng2 = 0\n", 1,
+     "need at least two states"),
+], ids=["param-z2", "param-v1", "state-u1", "param-u2", "repeated-state",
+        "param-repeats-state", "zero-inputs", "one-state"])
+def test_spec_name_errors_give_their_line(tmp_path, capsys, text, line,
+                                          message):
+    path = _write(tmp_path, text)
+    for command in COMMANDS:
+        assert main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert err == f"flatcheck: error: {path}:{line}: {message}\n"
 
 
 def test_load_spec_missing_file(tmp_path):
@@ -870,3 +902,39 @@ def test_main_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
     assert state() == before
     assert not [k for mod in (cli, symx) for k, v in vars(mod).items()
                 if held(v)]
+    # the run's compile scope closed with it: the same command compiles
+    # the same sources again
+    assert symx._compiled.get(None) is None
+    runs = []
+    for _ in range(2):
+        sources = []
+
+        def counting_exec(src, scope):
+            sources.append(src)
+            exec(src, scope)  # noqa: S102
+        monkeypatch.setattr(symx, "exec", counting_exec, raising=False)
+        main(["check", str(SPEC_DIR / "motor.spec")])
+        runs.append(sources)
+    capsys.readouterr()
+    assert runs[0] and runs[0] == runs[1]
+
+
+def test_simulate_chained7_compiles_each_source_once(tmp_path, capsys,
+                                                    monkeypatch):
+    from flatcheck import symx
+    # the benchmark's generated chained7 spec
+    path = Path(__file__).resolve().parent.parent / "bench" / "systems.py"
+    loader = importlib.util.spec_from_file_location("bench_systems", path)
+    bench_systems = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(bench_systems)
+    spec = _write(tmp_path, bench_systems.chained(7), "chained7.spec")
+    monkeypatch.chdir(tmp_path)
+    sources = []
+
+    def counting_exec(src, scope):
+        sources.append(src)
+        exec(src, scope)  # noqa: S102
+    monkeypatch.setattr(symx, "exec", counting_exec, raising=False)
+    assert main(["simulate", spec, "--seed", "0"]) == 0
+    capsys.readouterr()
+    assert sources and len(sources) == len(set(sources))

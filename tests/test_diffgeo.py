@@ -7,9 +7,9 @@ import hypothesis.strategies as st
 from fractions import Fraction
 
 from flatcheck import symx
-from flatcheck.symx import (Add, Call, Const, Div, Frame, Mul, ONE_E, Sub,
-                            Sym, ZERO, is_zero, normalize, parse, pow_expr,
-                            to_str)
+from flatcheck.symx import (Add, Call, Const, Div, EvalError, Frame, Mul,
+                            ONE_E, Sub, Sym, ZERO, is_zero, normalize, parse,
+                            pow_expr, to_str)
 from flatcheck.diffgeo import (ChartError, OneForm, TwoForm, VectorField,
                                basis_vector, exterior_derivative_fn,
                                exterior_derivative_1form, interior_product,
@@ -392,7 +392,7 @@ def test_folds_on_normal_forms_build_no_tree(monkeypatch):
     assert symx.fold([(1, None, q, "x3"), (-1, h, q, "x3")]) is ZERO
 
 
-def test_values_in_point_order_memo_evaluates_each_object_once(monkeypatch):
+def test_values_in_point_order_evaluates_each_object_once(monkeypatch):
     w = OneForm(FR3, (P("1/x1"), P("x2"), ONE_E))
     v = VF("x1", "1/(x2 - 1)", "0")
     pts = [FR3.point(c) for c in ((1.0, 2.0, 0.0), (2.0, 0.0, 0.0),
@@ -408,12 +408,45 @@ def test_values_in_point_order_memo_evaluates_each_object_once(monkeypatch):
     def outcome(vals, first):
         return [a.tolist() for a in vals], first[:2], str(first[2])
 
-    memo = {}
     for objs in ([w, v], [v, w, v], [v]):
-        want = outcome(*values_in_point_order(objs, pts))
-        assert outcome(*values_in_point_order(objs, pts, memo)) == want
+        # twins of the objects keep nothing yet
+        fresh = [VectorField(o.frame, o.components)
+                 if isinstance(o, VectorField)
+                 else OneForm(o.frame, o.coefficients) for o in objs]
+        want = outcome(*values_in_point_order(fresh, pts))
+        assert outcome(*values_in_point_order(objs, pts)) == want
     # w fails at x1 = 0 (row 2), v at x2 = 1 (row 3)
     assert want[1] == (3, 0)
-    assert outcome(*values_in_point_order([v, w], pts, memo))[1] == (2, 1)
-    # the unmemoized calls evaluated 2 + 3 + 1 objects, the memo 2
+    assert outcome(*values_in_point_order([v, w], pts))[1] == (2, 1)
+    # the twins evaluated 2 + 3 + 1 objects, the kept objects 2
     assert len(calls) == 6 + 2
+
+
+def test_cached_values_keep_an_eval_error():
+    v = VF("x1", "1/(x2 - 1)", "0")
+    pts = [FR3.point(c) for c in ((1.0, 2.0, 0.0), (2.0, 0.0, 0.0),
+                                  (1.0, 1.0, 0.0), (3.0, 3.0, 0.0))]
+    with pytest.raises(EvalError) as first:
+        v.cached_values(pts)
+    # another list of the same points: the same error, not evaluated
+    with pytest.raises(EvalError) as again:
+        v.cached_values(list(pts))
+    assert again.value is first.value
+    assert again.value.row == 2 and str(again.value) == str(first.value)
+    assert again.value.done.tolist() == v.values(pts[:2]).tolist()
+    assert not again.value.done.flags.writeable
+
+
+def test_cached_values_are_read_only():
+    w = TwoForm(FR3, {(0, 1): P("x1*x3"), (1, 2): P("x2 + 1")})
+    pts = [FR3.point(c) for c in ((1.0, 2.0, 3.0), (2.0, 0.0, 1.0))]
+    vals = w.cached_values(pts)
+    assert w.cached_values(pts[:]) is vals
+    assert vals.tolist() == [[3.0, 3.0], [2.0, 1.0]]
+    with pytest.raises(ValueError, match="read-only"):
+        vals[0, 0] = 0.0
+    # values itself evaluates on every call, into a new writable array
+    fresh = w.values(pts)
+    assert fresh is not vals and fresh.flags.writeable
+    # other points are another entry
+    assert w.cached_values(pts[:1]).tolist() == [[3.0, 3.0]]

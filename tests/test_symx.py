@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import sys
+import threading
 import warnings
 from fractions import Fraction
 
@@ -1363,7 +1364,7 @@ def test_long_normal_forms_compare_and_hash():
     assert {form: 1}[same] == 1
 
 
-# --- compile memo ------------------------------------------------------------
+# --- compile scope -----------------------------------------------------------
 
 @pytest.fixture
 def compiled(monkeypatch):
@@ -1377,23 +1378,58 @@ def compiled(monkeypatch):
     return sources
 
 
-def test_memo_compiles_each_source_once(compiled):
-    memo = {}
+def test_compile_scope_compiles_each_source_once(compiled):
     e = P("x1*x2 + 1")
-    f = compile_fn(e, ("x1", "x2"), memo=memo)
-    # names enter the source by position, so these are the same source
-    assert compile_fn(P("x2*x3 + 1"), ("x2", "x3"), memo=memo) is f
-    assert len(compiled) == 1 and f((2.0, 3.0)) == 7.0
-    assert compile_fn(e, ("x1", "x2"), {"x3": 1.0}, memo=memo) is f
-    assert compile_fn(e, ("x1",), {"x2": 2.0}, memo=memo) is not f
-    assert compile_fn(e, ("x1", "x2")) is not f  # no memo: compiled anew
+    with symx.compile_scope():
+        f = compile_fn(e, ("x1", "x2"))
+        # names enter the source by position, so these are the same source
+        assert compile_fn(P("x2*x3 + 1"), ("x2", "x3")) is f
+        assert len(compiled) == 1 and f((2.0, 3.0)) == 7.0
+        assert compile_fn(e, ("x1", "x2"), {"x3": 1.0}) is f
+        assert compile_fn(e, ("x1",), {"x2": 2.0}) is not f
+    assert compile_fn(e, ("x1", "x2")) is not f  # no scope: compiled anew
     assert len(compiled) == 3
-    # the pivot search's one-row evaluation takes the memo too
+    # the pivot search's one-row evaluation compiles in the scope too
     env = {"x1": 2.0, "x2": 3.0}
-    ev = symx._values_at([e], env, memo)
-    again = symx._values_at([e], env, memo)
+    with symx.compile_scope():
+        ev = symx._values_at([e], env)
+        again = symx._values_at([e], env)
     assert len(compiled) == 4
     assert np.array_equal(ev, again) and ev.tolist() == [7.0]
+
+
+def test_nested_compile_scope_reuses_the_outer_one(compiled):
+    e = P("x1*x2 + 1")
+    with symx.compile_scope():
+        f = compile_fn(e, ("x1", "x2"))
+        with symx.compile_scope():
+            assert compile_fn(e, ("x1", "x2")) is f
+            g = compile_fn(e, ("x1",), {"x2": 2.0})
+        # the inner exit kept what was compiled in it
+        assert compile_fn(e, ("x1",), {"x2": 2.0}) is g
+        # an elimination opens a scope of its own, inside this one
+        x1 = P("x1")
+        rref_exprs([[x1, ZERO], [ZERO, x1]], {"x1": 0.5})
+        rref_exprs([[x1, ZERO], [ZERO, x1]], {"x1": 0.5})
+        assert len(compiled) == 3
+    # the outermost exit emptied it
+    assert symx._compiled.get(None) is None
+    assert compile_fn(e, ("x1", "x2")) is not f and len(compiled) == 4
+
+
+def test_compile_scope_belongs_to_its_thread(compiled):
+    e = P("x1 + 1")
+    with symx.compile_scope():
+        f = compile_fn(e, ("x1",))
+        other = []
+        t = threading.Thread(
+            target=lambda: other.append(compile_fn(e, ("x1",))))
+        t.start()
+        t.join(timeout=30)
+        assert not t.is_alive()
+        # the thread opened no scope, so it compiled its own
+        assert other[0] is not f and compile_fn(e, ("x1",)) is f
+    assert len(compiled) == 2
 
 
 def test_elimination_compiles_each_pivot_search_once(compiled):

@@ -30,7 +30,7 @@ import numpy as np
 from .diffgeo import (OneForm, TwoForm, exterior_derivative_1form,
                       lie_derivative_1form, values_in_point_order)
 from .flags import FlagTable, SystemSpec, _ranks
-from .symx import Point, SymxError, is_zero, nullspace_exprs
+from .symx import Points, SymxError, is_zero, nullspace_exprs
 
 DEFAULT_PROJ_TOL = 1e-8
 
@@ -39,7 +39,7 @@ class AnnihilatorError(SymxError):
     """The requested annihilator cannot be built at this level."""
 
 
-def annihilator(table: FlagTable, k: int, ref_points: list[Point],
+def annihilator(table: FlagTable, k: int, ref_points: Points,
                 forms: dict[OneForm, tuple[OneForm, TwoForm]] | None = None
                 ) -> list[tuple[OneForm, TwoForm]]:
     """Symbolic one-forms spanning the annihilator of G_k, each with
@@ -69,11 +69,11 @@ def annihilator(table: FlagTable, k: int, ref_points: list[Point],
     if low.size:
         raise AnnihilatorError(
             f"rank of G_{k} is not {2 + k} at reference point "
-            f"{tuple(ref_points[low[0]].coords)}")
+            f"{ref_points.coords[low[0]]}")
     if first is not None:
         raise first[2]
     rows = [list(v.components) for _, v in gens]
-    basis = nullspace_exprs(rows, ref_points[0].env())
+    basis = nullspace_exprs(rows, ref_points.env(0))
     if len(basis) != n - 2 - k:
         raise AnnihilatorError(
             f"expected {n - 2 - k} annihilator generators, got {len(basis)}")
@@ -89,7 +89,7 @@ def annihilator(table: FlagTable, k: int, ref_points: list[Point],
     return pairs
 
 
-def cauchy_space(pairs: list[tuple[OneForm, TwoForm]], points: list[Point],
+def cauchy_space(pairs: list[tuple[OneForm, TwoForm]], points: Points,
                  tol: float = DEFAULT_PROJ_TOL
                  ) -> tuple[np.ndarray, np.ndarray]:
     """A and C at each point, by one stacked pass over all points.
@@ -117,7 +117,7 @@ def cauchy_space(pairs: list[tuple[OneForm, TwoForm]], points: list[Point],
     if dependent.size:
         raise AnnihilatorError(
             "annihilator generators dependent at "
-            f"{tuple(points[dependent[0]].coords)}")
+            f"{points.coords[dependent[0]]}")
     if first is not None:
         raise first[2]
     # d(lam^i) as antisymmetric n x n matrices
@@ -172,7 +172,7 @@ def _residuals(values: list[np.ndarray], vt: np.ndarray,
 
 
 def check_condition2(spec: SystemSpec, table: FlagTable,
-                     points: list[Point],
+                     points: Points,
                      tol: float = DEFAULT_PROJ_TOL) -> dict:
     """Containment of L_f(lam) in the retracting space, per level.
 
@@ -192,8 +192,9 @@ def check_condition2(spec: SystemSpec, table: FlagTable,
     lie: dict[int, OneForm] = {}  # id of a form in forms -> L_f of it
     levels = []
     all_pass = True
+    refs = points[:5]  # one set, at which each G_k field keeps its values
     for k in range(1, n - 2):
-        pairs = annihilator(table, k, points[:5], forms)
+        pairs = annihilator(table, k, refs, forms)
         for w, dw in pairs:
             if id(w) not in lie:
                 lie[id(w)] = lie_derivative_1form(spec.f, w, dw)

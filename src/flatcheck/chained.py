@@ -31,10 +31,9 @@ import numpy as np
 
 from .diffgeo import VectorField, lie_bracket, lie_derivative_fn
 from .flags import SystemSpec, _reference_points
-from .symx import (Ansatz, Const, Div, Expr, Frame, Mul, Point, Sub, Sym,
+from .symx import (Ansatz, Const, Div, Expr, Frame, Mul, Points, Sub, Sym,
                    SymxError, ZERO, ONE_E, diff, free_symbols,
-                   linear_decompose, normalize, point_rows,
-                   polynomial_terms, subst)
+                   linear_decompose, normalize, polynomial_terms, subst)
 
 JACOBIAN_TOL = 1e-8
 
@@ -59,12 +58,13 @@ class Chart:
         mapping = dict(zip(self.x_frame.states, self.inverse))
         return normalize(subst(e, mapping))
 
-    def forward_values(self, q: Point) -> np.ndarray:
-        if q.frame != self.x_frame:
-            raise ChainedError(f"point in chart '{q.frame.name}', chart "
-                               f"maps from '{self.x_frame.name}'")
+    def forward_values(self, points: Points) -> np.ndarray:
+        """z = phi(x) at each of the points, as a (points, n) array."""
+        if points.frame != self.x_frame:
+            raise ChainedError(f"point in chart '{points.frame.name}', "
+                               f"chart maps from '{self.x_frame.name}'")
         evaluate = self.x_frame.evaluator(self.forward)
-        return evaluate([q.coords], q.params)[0]
+        return evaluate(points.coords, points.params)
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,7 @@ def find_output_pair(spec: SystemSpec, degree: int = 2
     states = spec.frame.states
     delta1, delta2 = _delta_chains(spec)
     ansatz = Ansatz(_monomials(states, degree), states)
-    denv = ref_points[0].env()
+    denv = ref_points.env(0)
 
     def candidates(vector_sums) -> Iterator[Expr]:
         for vectors in vector_sums:
@@ -230,7 +230,7 @@ def _invert_sequential(forward: tuple[Expr, ...], x_frame: Frame,
 
 
 def build_chart(source: tuple[Expr, ...], spec: SystemSpec,
-                ref_points: list[Point] | None = None
+                ref_points: Points | None = None
                 ) -> tuple[Chart, FeedbackMatrix]:
     """Chart from a forward map z = phi(x) (a user chart, or the chain
     of an output pair) plus the feedback matrix that normalizes the
@@ -250,7 +250,7 @@ def build_chart(source: tuple[Expr, ...], spec: SystemSpec,
 
     jac = frame.evaluator([diff(zi, xj) for zi in forward
                            for xj in frame.states])
-    dets = np.linalg.det(jac(*point_rows(ref_points)).reshape(
+    dets = np.linalg.det(jac(ref_points.coords, ref_points.params).reshape(
         -1, n, n)).tolist()
     if all(abs(d) <= JACOBIAN_TOL for d in dets):
         raise ChainedError("chart Jacobian singular at all reference points")

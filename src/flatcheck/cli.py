@@ -37,11 +37,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .symx import (FUNCTIONS, EvalError, ParseError, Frame, SymxError,
-                   compile_fns, compile_scope, evaluable_rows, to_str)
+from .symx import (FUNCTIONS, EvalError, ParseError, Frame, Points,
+                   SymxError, compile_fns, compile_scope, evaluable_rows,
+                   to_str)
 from .diffgeo import VectorField, lie_bracket
-from .flags import (DEFAULT_RANK_TOL, SampleBox, SystemSpec,
-                    check_box_interval, check_condition1, compute_flags)
+from .flags import (DEFAULT_RANK_TOL, SampleBox, SpecFieldError, SystemSpec,
+                    check_condition1, compute_flags)
 from .cauchy import DEFAULT_PROJ_TOL, check_condition2
 from .chained import (ChainedError, FeedbackMatrix, build_chart,
                       find_output_pair, verify_chained)
@@ -193,8 +194,6 @@ def _load(path: str) -> tuple[SystemSpec, SimSetup]:
         raise SpecFileError(f"{path}:{lineno}: n must be an integer, "
                             f"got '{value}'")
 
-    if n < 2:
-        raise SpecFileError(f"{path}:{lineno}: need at least two states")
     # the x-chart with inputs takes u1 and u2; the z-chart, which keeps
     # the parameters, takes z1..zn, and v1 with them
     taken = {u: "is reserved for an input" for u in ("u1", "u2")}
@@ -213,9 +212,6 @@ def _load(path: str) -> tuple[SystemSpec, SimSetup]:
     f = VectorField(frame, _parse_exprs(frame, path, "f", entries["f"], n))
     g1 = VectorField(frame, _parse_exprs(frame, path, "g1", entries["g1"], n))
     g2 = VectorField(frame, _parse_exprs(frame, path, "g2", entries["g2"], n))
-    if g1.is_zero() and g2.is_zero():
-        raise SpecFileError(f"{path}:{entries['g2'][0]}: g1 and g2 are "
-                            f"both identically zero")
 
     chart_exprs = None
     if "chart" in entries:
@@ -241,10 +237,6 @@ def _load(path: str) -> tuple[SystemSpec, SimSetup]:
                 raise SpecFileError(
                     f"{path}:{lineno}: box interval {i + 1} must be "
                     f"'lo hi', got '{pair}'")
-            try:
-                check_box_interval(lo, hi)
-            except ValueError as e:
-                raise SpecFileError(f"{path}:{lineno}: {e}")
             box_list.append((lo, hi))
         box = tuple(box_list)
 
@@ -299,8 +291,9 @@ def _load(path: str) -> tuple[SystemSpec, SimSetup]:
                           param_values=param_values,
                           chart_exprs=chart_exprs, beta_exprs=beta_exprs,
                           box=box)
-    except ValueError as e:
-        raise SpecFileError(f"{path}: {e}")
+    except SpecFieldError as e:
+        # n below 2, g1 and g2 both zero, or a bad box interval
+        raise SpecFileError(f"{path}:{entries[e.field][0]}: {e}")
     return spec, SimSetup(z0, VSignal(*v))
 
 
@@ -481,11 +474,11 @@ def _sample_points(spec: SystemSpec, cfg: RunConfig):
     good = box.points(spec.frame, spec.param_values)
     for vf in (spec.f, spec.g1, spec.g2):
         kept, _ = evaluable_rows(vf.cached_values, good)
-        good = [good[i] for i in kept]
+        good = good[kept]
     return good, box.count - len(good)
 
 
-def _check(data: dict, spec: SystemSpec, cfg: RunConfig) -> list:
+def _check(data: dict, spec: SystemSpec, cfg: RunConfig) -> Points:
     """Sample, run both conditions and fill their sections and verdicts.
     Returns the evaluable sample points, none when too few were."""
     points, rejected = _sample_points(spec, cfg)
@@ -497,7 +490,7 @@ def _check(data: dict, spec: SystemSpec, cfg: RunConfig) -> list:
                                 overall="inconclusive")
         data["condition1"] = {"reason": reason}
         data["condition2"] = {"reason": reason}
-        return []
+        return points[:0]
 
     table = compute_flags(spec, rank_tol=cfg.rank_tol, seed=cfg.seed)
     c1 = check_condition1(spec, points, table=table)
@@ -577,7 +570,7 @@ def _construction_section(real, source: str) -> dict:
 
 # --- verify / simulate -----------------------------------------------------
 
-def _bracket_oracle(spec: SystemSpec, points) -> dict:
+def _bracket_oracle(spec: SystemSpec, points: Points) -> dict:
     b1 = lie_bracket(spec.g1, spec.g2)
     b2 = lie_bracket(spec.g1, b1)
     b3 = lie_bracket(spec.g2, b1)
@@ -616,8 +609,7 @@ def _resolve_sim(real, sim: SimSetup):
     else:
         center = [0.5 * (lo + hi) for lo, hi in spec.sample_box()]
         q = spec.frame.point(center, params)
-        coords = [float(c) for c in chart.forward_values(q)]
-        z0 = chart.z_frame.point(coords, params)
+        z0 = chart.z_frame.point(chart.forward_values(q)[0], params)
     return z0, sim.v
 
 

@@ -23,8 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .symx import (EvalError, Expr, Frame, ONE_E, Point, SymxError, ZERO,
-                   fold, is_zero, point_rows)
+from .symx import (EvalError, Expr, Frame, ONE_E, Points, SymxError, ZERO,
+                   fold, is_zero)
 
 
 class ChartError(SymxError):
@@ -44,23 +44,24 @@ class _Evaluated:
     """A field or form that keeps what it compiles and evaluates: its
     evaluator, built on first use, and cached_values' outcomes."""
 
-    def _values(self, exprs, points: Sequence[Point]) -> np.ndarray:
+    def _values(self, exprs, points: Points) -> np.ndarray:
         """exprs, the object's, at points: one call of its evaluator
         (Frame.evaluator's function of exprs), compiled on the first."""
-        _same_chart(self, *points)
+        _same_chart(self, points)
         evaluate = vars(self).get("_evaluate")
         if evaluate is None:
             evaluate = vars(self)["_evaluate"] = self.frame.evaluator(exprs)
-        return evaluate(*point_rows(points))
+        return evaluate(points.coords, points.params)
 
-    def cached_values(self, points: Sequence[Point]) -> np.ndarray:
-        """values(points), evaluated on the first call for these points
-        only: a later call returns the same array, made read-only, or
-        raises the same EvalError, its done made read-only. The outcome
-        is kept by the identities of the points, with the points, so
-        none can give its id to another point meanwhile."""
+    def cached_values(self, points: Points) -> np.ndarray:
+        """values(points), evaluated on the first call for this point
+        set only: a later call returns the same array, made read-only,
+        or raises the same EvalError, its done made read-only. The
+        outcome is kept by the identity of the set, with the set, so no
+        other set can take its id meanwhile; a selection of every row
+        is the set itself, and finds it."""
         kept = vars(self).setdefault("_evaluated", {})
-        key = tuple(map(id, points))
+        key = id(points)
         hit = kept.get(key)
         if hit is None:
             try:
@@ -70,7 +71,7 @@ class _Evaluated:
                 out = exc
                 if exc.done is not None:
                     exc.done.flags.writeable = False
-            hit = kept[key] = tuple(points), out
+            hit = kept[key] = points, out
         if isinstance(hit[1], EvalError):
             raise hit[1].with_traceback(None)
         return hit[1]
@@ -102,7 +103,7 @@ class VectorField(_Evaluated):
     def is_zero(self) -> bool:
         return all(map(is_zero, self.components))
 
-    def values(self, points: Sequence[Point]) -> np.ndarray:
+    def values(self, points: Points) -> np.ndarray:
         """The components at each point, as a (points, n) array from
         one batched call; the first failing point raises EvalError with
         its row (Frame.evaluator's contract). cached_values keeps the
@@ -135,7 +136,7 @@ class OneForm(_Evaluated):
             fold(((1, None, a, None), (1, None, b, None)))
             for a, b in zip(self.coefficients, other.coefficients)))
 
-    def values(self, points: Sequence[Point]) -> np.ndarray:
+    def values(self, points: Points) -> np.ndarray:
         """As VectorField.values, over the coefficients."""
         return self._values(self.coefficients, points)
 
@@ -163,13 +164,13 @@ class TwoForm(_Evaluated):
             return self.coefficients.get((i, j), ZERO)
         return fold(((-1, None, self.coefficients.get((j, i), ZERO), None),))
 
-    def values(self, points: Sequence[Point]) -> np.ndarray:
+    def values(self, points: Points) -> np.ndarray:
         """As VectorField.values, over the stored coefficients in the
         order of the coefficients dict."""
         return self._values(tuple(self.coefficients.values()), points)
 
 
-def values_in_point_order(objs: Sequence, points: Sequence[Point]
+def values_in_point_order(objs: Sequence, points: Points
                           ) -> tuple[list[np.ndarray],
                                      tuple[int, int, EvalError] | None]:
     """The values of each field or form at points, one batch each, and

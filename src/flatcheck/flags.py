@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diffgeo import VectorField, lie_bracket, values_in_point_order
-from .symx import Expr, Frame, Point
+from .symx import Expr, Frame, Points
 
 DEFAULT_RANK_TOL = 1e-9
 
@@ -60,17 +60,25 @@ class SampleBox:
             check_box_interval(lo, hi)
 
     def points(self, frame: Frame,
-               params: dict[str, float] | None = None) -> list[Point]:
-        """The points, drawn in one call: row by row, the same floats
-        as one scalar draw per coordinate. They share one bindings
-        dict."""
+               params: dict[str, float] | None = None) -> Points:
+        """The points as one set, drawn in one call: row by row, the
+        same floats as one scalar draw per coordinate."""
         if len(self.bounds) != frame.n:
             raise ValueError("box dimension does not match the frame")
         lows, highs = np.array(self.bounds, dtype=float).reshape(-1, 2).T
         rows = np.random.default_rng(self.seed).uniform(
             lows, highs, size=(self.count, frame.n))
-        bindings = dict(params or {})
-        return [Point(frame, tuple(row), bindings) for row in rows.tolist()]
+        return Points(frame, tuple(map(tuple, rows.tolist())),
+                      dict(params or {}))
+
+
+class SpecFieldError(ValueError):
+    """A SystemSpec field breaks an invariant; field names the spec
+    file key it comes from ("n", "g2" or "box")."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass
@@ -88,14 +96,17 @@ class SystemSpec:
 
     def __post_init__(self):
         if self.frame.n < 2:
-            raise ValueError("need at least two states")
+            raise SpecFieldError("n", "need at least two states")
         for vf in (self.f, self.g1, self.g2):
             if vf.frame != self.frame:
                 raise ValueError("f, g1, g2 must share the system chart")
         if self.g1.is_zero() and self.g2.is_zero():
-            raise ValueError("g1 and g2 are both identically zero")
+            raise SpecFieldError("g2", "g1 and g2 are both identically zero")
         for lo, hi in self.box or ():
-            check_box_interval(lo, hi)
+            try:
+                check_box_interval(lo, hi)
+            except ValueError as exc:
+                raise SpecFieldError("box", str(exc)) from None
 
     @property
     def n(self) -> int:
@@ -113,9 +124,6 @@ class SystemSpec:
             for p in missing:
                 out[p] = float(rng.uniform(0.5, 1.5))
         return out
-
-    def point(self, coords, seed: int = 0) -> Point:
-        return self.frame.point(coords, self.bound_params(seed))
 
 
 @dataclass
@@ -152,7 +160,7 @@ def _ranks(stack: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _reference_points(spec: SystemSpec, seed: int = 7,
-                      count: int = 5) -> list[Point]:
+                      count: int = 5) -> Points:
     return SampleBox(spec.sample_box(), count, seed).points(
         spec.frame, spec.bound_params(seed))
 
@@ -255,7 +263,7 @@ def compute_flags(spec: SystemSpec, rank_tol: float = DEFAULT_RANK_TOL,
     return FlagTable(spec, levels, rank_tol)
 
 
-def dims_at(table: FlagTable, points: list[Point]
+def dims_at(table: FlagTable, points: Points
             ) -> list[tuple[list[int], list[int]]]:
     """Numeric ranks (dim F_k, dim G_k) of the generator matrices at
     each point, with the table's rank tolerance.
@@ -291,7 +299,7 @@ def dims_at(table: FlagTable, points: list[Point]
             for p in range(len(points))]
 
 
-def check_condition1(spec: SystemSpec, points: list[Point],
+def check_condition1(spec: SystemSpec, points: Points,
                      table: FlagTable | None = None) -> dict:
     """Rank condition dim F_k(q) = dim G_k(q) = 2 + k at every point.
 
@@ -306,10 +314,10 @@ def check_condition1(spec: SystemSpec, points: list[Point],
     expected = [2 + k for k in range(len(table.levels))]
     per_point = []
     first_failure = None
-    for idx, (q, (df, dg)) in enumerate(zip(points,
+    for idx, (q, (df, dg)) in enumerate(zip(points.coords,
                                             dims_at(table, points))):
         ok = df == expected and dg == expected
-        per_point.append({"coords": [float(c) for c in q.coords],
+        per_point.append({"coords": list(q),
                           "dim_F": df, "dim_G": dg, "pass": ok})
         if not ok and first_failure is None:
             bad_k = next(k for k in range(len(expected))

@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .symx import (ZERO, EvalError, Add, Call, Div, Expr, Frame, Mul, Point,
+from .symx import (ZERO, EvalError, Add, Call, Div, Expr, Frame, Mul, Points,
                    Pow, Sub, Sym, compile_fn, compile_fns, compile_scope,
                    fold, free_symbols, linear_decompose, normalize, parse,
                    subst)
@@ -132,21 +132,23 @@ class Trajectory:
 
 
 class Stencil:
-    """Sample points and the central-difference stencil around them.
+    """A point set and the central-difference stencil around it.
 
-    shifted holds, for each coordinate j in turn, the point lists
-    q + h e_j and q - h e_j over the points q. Fields keep their values
-    per point list (cached_values), so the brackets taken on one
-    Stencil evaluate each field at the points and on the stencil once.
+    shifted holds 2n point sets: for each coordinate j in turn, the
+    rows q + h e_j and the rows q - h e_j over the rows q of points,
+    with their bindings. Fields keep their values per point set
+    (cached_values), so the brackets taken on one Stencil evaluate each
+    field at the points and on each shifted set once.
     """
 
-    def __init__(self, points: Sequence[Point], h: float = DEFAULT_FD_STEP):
-        self.points, self.h = list(points), h
-        base = np.array([q.coords for q in self.points], dtype=float)
+    def __init__(self, points: Points, h: float = DEFAULT_FD_STEP):
+        self.points, self.h = points, h
+        base = np.array(points.coords, dtype=float)
         # base + (-h e_j) is base - h e_j: a float subtraction adds the
         # negation. With no points base has shape (0,), and no stencil
-        self.shifted = [[Point(q.frame, tuple(c), q.params)
-                         for q, c in zip(self.points, (base + e).tolist())]
+        self.shifted = [Points(points.frame,
+                               tuple(map(tuple, (base + e).tolist())),
+                               points.params)
                         for d in np.eye(base.shape[-1]) * h for e in (d, -d)]
 
     def bracket(self, X: VectorField, Y: VectorField) -> np.ndarray:
@@ -165,8 +167,7 @@ class Stencil:
                 vals.append(F.cached_values(points))
             except EvalError as exc:  # the first row at which F fails here
                 if first is None or exc.row < first[0]:
-                    at = tuple(map(float, points[exc.row].coords))
-                    first = (exc.row, at, exc)
+                    first = (exc.row, points.coords[exc.row], exc)
         if first is not None:
             _, at, exc = first
             raise HarnessError(f"evaluation failure in the stencil at {at}: "
@@ -178,17 +179,17 @@ class Stencil:
                 - np.matmul(JX, vals[-1][:, :, None]))[:, :, 0]
 
 
-def fd_bracket(X: VectorField, Y: VectorField, points: Sequence[Point],
+def fd_bracket(X: VectorField, Y: VectorField, points: Points,
                h: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Central-difference [X, Y] at each point: row p is
     J_Y(q_p) X(q_p) - J_X(q_p) Y(q_p), as a (points, n) array.
 
-    Each field's values come from one batched call over all points, and
-    each Jacobian column from two (base + h e_j and base - h e_j); the
-    fields keep them, and brackets taken on one Stencil share them. The
-    HarnessError raised is the stencil failure that the point-by-point
-    order meets first: points in turn, and at each J_Y column by
-    column, X, J_X, Y.
+    Each field's values come from one batched call over the point set,
+    and each Jacobian column from two, over the shifted sets
+    base + h e_j and base - h e_j; the fields keep them per set, and
+    brackets taken on one Stencil share them. The HarnessError raised
+    is the stencil failure that the point-by-point order meets first:
+    points in turn, and at each J_Y column by column, X, J_X, Y.
     """
     return Stencil(points, h).bracket(X, Y)
 
@@ -543,13 +544,14 @@ def _x_from_z(chart: Chart, z: np.ndarray,
     return _columns(fn, [z[:, j] for j in range(z.shape[1])])
 
 
-def simulate(real: TriangularRealization, z0: Point, v: VSignal,
+def simulate(real: TriangularRealization, z0: Points, v: VSignal,
              T: float, dt: float,
              reg_threshold: float = DEFAULT_REG_THRESHOLD) -> Trajectory:
-    """Integrate the closed loop twice: the triangular z-dynamics, and
-    the original x-dynamics under u = alpha + beta v from the matched
-    initial state. Both histories land in the returned Trajectory, so
-    any disagreement through the chart is visible to the caller.
+    """Integrate the closed loop twice from z0, a one-row point set of
+    the z-chart: the triangular z-dynamics, and the original x-dynamics
+    under u = alpha + beta v from the matched initial state. Both
+    histories land in the returned Trajectory, so any disagreement
+    through the chart is visible to the caller.
 
     Aborts with RegularityError the moment any |r_i| at a grid node
     drops below reg_threshold: past that point reconstruction from the
@@ -566,6 +568,7 @@ def simulate(real: TriangularRealization, z0: Point, v: VSignal,
     n = real.n
     chart = real.chart
     params = _bound_all_params(real, dict(z0.params))
+    (start,) = z0.coords
     zs = chart.z_frame.states
 
     rows_z = [real.phis[i] + Sym(zs[i + 1]) * _V1 for i in range(n - 2)]
@@ -575,13 +578,13 @@ def simulate(real: TriangularRealization, z0: Point, v: VSignal,
 
     t = _grid(T, dt)
     stages = _stages(v, t)
-    ztraj, rvals = _integrate(run_z, params, stages, z0.coords, t,
+    ztraj, rvals = _integrate(run_z, params, stages, start, t,
                               reg_threshold)
     # the least |r_i| over the nodes, where it is not nan
     min_reg = np.fmin.reduce(np.abs(rvals), axis=None, initial=math.inf)
 
     to_x = chart.z_frame.evaluator(chart.inverse)
-    x0 = to_x([z0.coords], params)[0].tolist()
+    x0 = to_x(z0.coords, params)[0].tolist()
 
     sys_ = real.system
     xs = chart.x_frame.states

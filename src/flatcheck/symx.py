@@ -16,11 +16,16 @@ of the algebra.
 Numeric evaluation has one path: trees are compiled to Python source
 (compile_fns, compile_fn) that computes in floats with Python's
 operators and numpy's sin, cos, exp and sqrt. Frame.evaluator compiles
-it as one loop over a batch of points of a chart, one row each, on
-Python floats, under one error contract: division by zero, overflow,
-domain errors and non-finite values raise EvalError naming the first
-failing row. A single point is a one-row batch; eval_at is that case
-for one expression.
+it as one loop over the rows of a batch of points, on Python floats,
+under one error contract: division by zero, overflow, domain errors
+and non-finite values raise EvalError naming the first failing row.
+
+A batch of points is one object, Points: its frame, its coordinate
+rows as tuples of Python floats, and the one bindings dict all rows
+share. A single point is a one-row set (Frame.point), and selecting
+every row of a set gives the set itself, so a value kept for a set is
+found again under a selection that drops nothing. eval_at is the
+one-expression, one-row case at a symbol-to-value mapping.
 
 Caching follows one rule: an object keeps what it evaluates (diffgeo's
 fields and forms keep their values per point set), and a command keeps
@@ -347,9 +352,10 @@ class Frame:
         return parse(text, self)
 
     def point(self, coords: Sequence[float],
-              params: Mapping[str, float] | None = None) -> "Point":
-        return Point(self, tuple(float(c) for c in coords),
-                     dict(params or {}))
+              params: Mapping[str, float] | None = None) -> "Points":
+        """The one-row set of the point coords, with the bindings."""
+        return Points(self, (tuple(float(c) for c in coords),),
+                      dict(params or {}))
 
     def evaluator(self, exprs: Sequence[Expr]
                   ) -> Callable[[np.ndarray | list, Mapping[str, float]],
@@ -358,10 +364,10 @@ class Frame:
         chart, under the error contract.
 
         The function takes the state coordinates of the points, one row
-        each (a float array, or a list of rows of Python floats as
-        point_rows gives), and the parameter bindings they share, and
-        returns the (points, expressions) array of the values. Only the
-        parameters the expressions use must be bound; a missing one
+        each (a float array, or rows of Python floats: a Points set's
+        coords), and the parameter bindings they share (its params),
+        and returns the (points, expressions) array of the values. Only
+        the parameters the expressions use must be bound; a missing one
         fails the first row. One generated loop evaluates every row on
         Python floats in tree order, so each value is the float
         evaluating that row alone gives; a single point is a one-row
@@ -397,37 +403,42 @@ class Frame:
         return evaluate
 
 
-def point_rows(points: Sequence["Point"]
-               ) -> tuple[list[tuple[float, ...]], Mapping[str, float]]:
-    """The coordinates of points, one tuple each, and the parameter
-    bindings they all share: the arguments of a Frame.evaluator
-    function. Points that bind different parameter values raise
-    ValueError."""
-    if not points:
-        return [], {}
-    params = points[0].params
-    for q in points:
-        if q.params is not params and q.params != params:
-            raise ValueError("points in one batch bind different "
-                             "parameter values")
-    return [q.coords for q in points], params
-
-
 @dataclass(frozen=True, eq=False)
-class Point:
-    """Coordinate values in a frame plus parameter bindings."""
+class Points:
+    """A batch of points of a frame: the state coordinates, one row of
+    Python floats each (what Frame.evaluator runs on), and the one set
+    of parameter bindings every row shares. A single point is a
+    one-row set. Sets compare by identity, which is what diffgeo's
+    cached values are kept by."""
 
     frame: Frame
-    coords: tuple[float, ...]
+    coords: tuple[tuple[float, ...], ...]
     params: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(self.coords) != self.frame.n:
-            raise ValueError(f"point has {len(self.coords)} coordinates, "
-                             f"frame '{self.frame.name}' has {self.frame.n}")
+        n = self.frame.n
+        for row in self.coords:
+            if len(row) != n:
+                raise ValueError(f"point has {len(row)} coordinates, "
+                                 f"frame '{self.frame.name}' has {n}")
 
-    def env(self) -> dict[str, float]:
-        e = dict(zip(self.frame.states, self.coords))
+    def __len__(self) -> int:
+        return len(self.coords)
+
+    def __getitem__(self, rows: slice | Sequence[int]) -> "Points":
+        """The rows a slice or a sequence of indices selects, in that
+        order, with the same bindings. Selecting every row in order
+        gives this set itself."""
+        if isinstance(rows, slice):
+            rows = range(len(self.coords))[rows]
+        if list(rows) == list(range(len(self.coords))):
+            return self
+        return Points(self.frame, tuple(self.coords[i] for i in rows),
+                      self.params)
+
+    def env(self, i: int) -> dict[str, float]:
+        """Row i's coordinates by state name, and the bindings."""
+        e = dict(zip(self.frame.states, self.coords[i]))
         e.update(self.params)
         return e
 
@@ -1317,13 +1328,13 @@ def evaluable_rows(evaluate: Callable[[Sequence], np.ndarray],
             return kept, np.concatenate(parts)
 
 
-def eval_at(e: Expr, at: "Point | Mapping[str, float]") -> float:
-    """Evaluate one expression at a point (or a plain symbol-to-value
-    mapping): the one-expression, one-row case of Frame.evaluator, for
-    one-off sites. Deterministic for fixed bindings; errors as in
-    Frame.evaluator, and an unbound symbol raises EvalError too.
+def eval_at(e: Expr, env: Mapping[str, float]) -> float:
+    """Evaluate one expression at a symbol-to-value mapping (a row's
+    Points.env, say): the one-expression, one-row case of
+    Frame.evaluator, for one-off sites. Deterministic for fixed
+    bindings; errors as in Frame.evaluator, and an unbound symbol
+    raises EvalError too.
     """
-    env = at.env() if isinstance(at, Point) else at
     return float(_values_at((e,), env)[0])
 
 

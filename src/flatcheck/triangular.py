@@ -15,9 +15,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .symx import (ONE_E, ZERO, Const, Expr, Frame, Point, Sym,
+from .symx import (ONE_E, ZERO, Const, Expr, Frame, Points, Sym,
                    evaluable_rows, fold, free_symbols, is_zero, normalize,
-                   point_rows, rref_exprs, to_str)
+                   rref_exprs, to_str)
 from .diffgeo import VectorField, lie_derivative_fn
 from .flags import SystemSpec, _reference_points
 from .chained import Chart, FeedbackMatrix
@@ -95,15 +95,16 @@ def _hat_drift(spec: SystemSpec, fb: FeedbackMatrix) -> VectorField:
     return VectorField(spec.frame, comps)
 
 
-def _witness(e: Expr, points: list[Point]) -> tuple[Point, float]:
-    """Sample point where |e| (an x-expression) is largest."""
-    fn = points[0].frame.evaluator((e,))
-    coords, params = point_rows(points)
-    kept, vals = evaluable_rows(lambda rows: fn(rows, params), coords)
-    best, best_val = points[0], 0.0
+def _witness(e: Expr, points: Points) -> tuple[tuple[float, ...], float]:
+    """The coordinates of the sample point where |e| (an x-expression)
+    is largest, and |e| there."""
+    fn = points.frame.evaluator((e,))
+    kept, vals = evaluable_rows(lambda rows: fn(rows, points.params),
+                                points.coords)
+    best, best_val = points.coords[0], 0.0
     for i, v in zip(kept, np.abs(vals[:, 0]).tolist()):
         if v > best_val:
-            best, best_val = points[i], v
+            best, best_val = points.coords[i], v
     return best, best_val
 
 
@@ -182,7 +183,7 @@ def extract_triangular(spec: SystemSpec, chart: Chart,
                 f"drift cancellation failed in row {label}: "
                 f"<dz_{label}, fhat> = {to_str(e)} "
                 f"(|value| = {val:.3e} at x = "
-                f"{tuple(round(c, 4) for c in q.coords)})")
+                f"{tuple(round(c, 4) for c in q)})")
 
     phis_x = tuple(lie_derivative_fn(fhat, chart.forward[i])
                    for i in range(n - 2))
@@ -194,7 +195,7 @@ def extract_triangular(spec: SystemSpec, chart: Chart,
             raise TriangularError(
                 f"triangular structure violated: dphi_{i}/dz_{j} = "
                 f"{to_str(d)} != 0 (|value| = {val:.3e} at x = "
-                f"{tuple(round(c, 4) for c in q.coords)})")
+                f"{tuple(round(c, 4) for c in q)})")
     dphis_x = tuple(ds[i, i + 1] for i in range(1, n - 1))
 
     phis = rf = regularity = None

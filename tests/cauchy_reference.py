@@ -70,7 +70,7 @@ def _raise_first(points, dependent, first):
     if dependent.size:
         raise AnnihilatorError(
             "annihilator generators dependent at "
-            f"{tuple(points[dependent[0]].coords)}")
+            f"{points.coords[dependent[0]]}")
     if first is not None:
         raise first[2]
 

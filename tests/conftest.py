@@ -10,6 +10,12 @@ import systems
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 
 
+def each_point(points):
+    """The rows of a point set, each as a one-row set of its own, for
+    references that evaluate point by point."""
+    return [points[[i]] for i in range(len(points))]
+
+
 def realize(spec, chart_exprs=None, degree=2):
     """Full construction pipeline, shared by fixtures and tests."""
     if chart_exprs is not None:

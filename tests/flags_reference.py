@@ -13,7 +13,9 @@ from flatcheck import flags
 from flatcheck.diffgeo import VectorField, lie_bracket
 from flatcheck.flags import (DEFAULT_RANK_TOL, FlagTable, LevelRecord,
                              SystemSpec, _reference_points)
-from flatcheck.symx import Point, SymxError, ZERO, normalize
+from flatcheck.symx import Points, SymxError, ZERO, normalize
+
+from conftest import each_point
 
 
 def rank(mat: np.ndarray, tol: float) -> int:
@@ -24,14 +26,15 @@ def rank(mat: np.ndarray, tol: float) -> int:
 
 
 def reference_points(spec: SystemSpec, seed: int = 7,
-                     count: int = 5) -> list[Point]:
+                     count: int = 5) -> Points:
     """flags._reference_points by one scalar rng.uniform(lo, hi) per
     coordinate, point by point."""
     rng = np.random.default_rng(seed)
     params = spec.bound_params(seed)
     box = spec.sample_box()
-    return [spec.frame.point([float(rng.uniform(lo, hi)) for lo, hi in box],
-                             params) for _ in range(count)]
+    return Points(spec.frame, tuple(
+        tuple(float(rng.uniform(lo, hi)) for lo, hi in box)
+        for _ in range(count)), params)
 
 
 def compute_flags(spec: SystemSpec, rank_tol: float = DEFAULT_RANK_TOL,
@@ -50,7 +53,7 @@ def compute_flags(spec: SystemSpec, rank_tol: float = DEFAULT_RANK_TOL,
     base = [("g1", spec.g1), ("g2", spec.g2)]
 
     def values(vf: VectorField) -> list[np.ndarray]:
-        return [vf.values([q])[0] for q in refs]
+        return [vf.values(q)[0] for q in each_point(refs)]
 
     # Lie flag: left-iterated bracket words, kept unpruned.
     p_level = list(base)
@@ -110,13 +113,14 @@ def compute_flags(spec: SystemSpec, rank_tol: float = DEFAULT_RANK_TOL,
     return FlagTable(spec, levels, rank_tol)
 
 
-def dims_at(table: FlagTable, q: Point,
+def dims_at(table: FlagTable, q: Points,
             tol: float = DEFAULT_RANK_TOL) -> tuple[list[int], list[int]]:
-    """Numeric ranks of the F_k and G_k generator matrices at q."""
+    """Numeric ranks of the F_k and G_k generator matrices at q, a
+    one-row point set."""
     dims_f, dims_g = [], []
     for rec in table.levels:
-        fm = np.array([v.values([q])[0] for _, v in rec.f_generators])
-        gm = np.array([v.values([q])[0] for _, v in rec.g_generators])
+        fm = np.array([v.values(q)[0] for _, v in rec.f_generators])
+        gm = np.array([v.values(q)[0] for _, v in rec.g_generators])
         dims_f.append(rank(fm, tol))
         dims_g.append(rank(gm, tol))
     return dims_f, dims_g

@@ -1,9 +1,10 @@
 """Reference implementations the generated harness code is checked
 against: closed-loop stepping with numpy component arrays and one
 compiled lambda per expression, the csv.writer trajectory export,
-flat-output jets with each v(t) derivative taken from scratch, and the
+flat-output jets with each v(t) derivative taken from scratch, the
 bracket oracle with every case computing its own stencils, one point
-at a time.
+at a time, and the stencil's shifted points built one point object
+per row.
 
 simulate here performs the same float operations, in the same order,
 as flatcheck.harness.simulate, so the two must agree bit for bit;
@@ -20,7 +21,10 @@ from flatcheck.harness import (DEFAULT_FD_STEP, FlatSignal, HarnessError,
                                RegularityError, Trajectory,
                                _bound_all_params, _grid, _jet_name,
                                _total_derivative)
-from flatcheck.symx import EvalError, Sym, compile_fn, diff, eval_at, normalize
+from flatcheck.symx import (EvalError, Points, Sym, compile_fn, diff, eval_at,
+                            normalize)
+
+from conftest import each_point
 
 
 def rk4(rhs, y0, t, on_node=None):
@@ -79,9 +83,9 @@ def simulate(real, z0, v, T, dt, reg_threshold=1e-3):
                     f"at t = {tk:.6g}", t=tk, index=i + 1)
 
     t = _grid(T, dt)
-    ztraj = rk4(rhs_z, list(z0.coords), t, on_node=monitor)
+    ztraj = rk4(rhs_z, list(z0.coords[0]), t, on_node=monitor)
 
-    env = dict(zip(zs, z0.coords))
+    env = dict(zip(zs, z0.coords[0]))
     env.update(params)
     x0 = [eval_at(c, env) for c in chart.inverse]
 
@@ -185,13 +189,13 @@ def flat_signal(real, traj, v):
 
 
 def fd_bracket(X, Y, q, h=DEFAULT_FD_STEP):
-    """Central-difference [X, Y](q) = J_Y(q) X(q) - J_X(q) Y(q) at one
-    point, every field evaluated as a one-row batch, in the order J_Y,
-    X, J_X, Y and the stencil of J column by column."""
+    """Central-difference [X, Y](q) = J_Y(q) X(q) - J_X(q) Y(q) at the
+    one point of q, every field evaluated as a one-row batch, in the
+    order J_Y, X, J_X, Y and the stencil of J column by column."""
     if X.frame is not Y.frame and X.frame.name != Y.frame.name:
         raise HarnessError("bracket operands live in different charts")
     n = X.frame.n
-    base = np.asarray(q.coords, dtype=float)
+    base = np.asarray(q.coords[0], dtype=float)
 
     def vals(F, coords):
         at = coords.tolist()
@@ -223,9 +227,9 @@ def bracket_errors(spec, points):
     out = []
     for X, Y, B in cases:
         m = 0.0
-        for q in points:
+        for q in each_point(points):
             fd = fd_bracket(X, Y, q)
-            exact = B.values([q])[0]
+            exact = B.values(q)[0]
             scale = max(1.0, float(np.max(np.abs(exact))))
             m = max(m, float(np.max(np.abs(fd - exact))) / scale)
         out.append(m)
@@ -240,3 +244,14 @@ def bracket_section(spec, points, tol):
             "points_checked": len(points),
             "per_bracket": [{"bracket": b, "max_rel_error": m}
                             for b, m in zip(labels, errs)]}
+
+
+def stencil_points(points, h=DEFAULT_FD_STEP):
+    """The shifted points of harness.Stencil(points, h), one object per
+    row: for each coordinate j in turn, a one-row set for each q + h e_j
+    and then for each q - h e_j, over the rows q of points."""
+    rows = each_point(points)
+    base = np.array([q.coords[0] for q in rows], dtype=float)
+    return [[Points(q.frame, (tuple(c),), q.params)
+             for q, c in zip(rows, (base + e).tolist())]
+            for d in np.eye(base.shape[-1]) * h for e in (d, -d)]

@@ -25,7 +25,7 @@ from flatcheck.harness import (FlatSignal, SampleBox, VSignal, fd_bracket,
 from flatcheck.cli import RunConfig, load_spec, run
 
 import systems
-from conftest import SPEC_DIR
+from conftest import SPEC_DIR, each_point
 from symx_reference import equiv
 from cauchy_reference import span_residual
 
@@ -157,10 +157,10 @@ def test_acceptance_5_negative_controls(gate):
         inv = systems.involutive()
         pts = SampleBox(inv.sample_box(), 25, seed=5).points(inv.frame)
         b1 = lie_bracket(inv.g1, inv.g2)
-        for q in pts:
+        for q in each_point(pts):
             stacked = np.column_stack(
-                [inv.g1.values([q])[0], inv.g2.values([q])[0],
-                 b1.values([q])[0]])
+                [inv.g1.values(q)[0], inv.g2.values(q)[0],
+                 b1.values(q)[0]])
             assert np.linalg.matrix_rank(stacked, tol=1e-8) == 2
         c1 = check_condition1(inv, pts)
         assert not c1["pass"]
@@ -180,10 +180,10 @@ def test_acceptance_5_negative_controls(gate):
         lf = [lie_derivative_1form(pert.f, w) for w, _ in pairs]
         jumps = 0
         vt, ranks = cauchy_space(pairs, pts2)
-        for q, v, rank in zip(pts2, vt, ranks, strict=True):
+        for q, v, rank in zip(each_point(pts2), vt, ranks, strict=True):
             retract = v[:rank]  # the retracting space C at q
             base = np.linalg.matrix_rank(retract, tol=1e-8)
-            rows = [np.array([eval_at(c, q) for c in w.coefficients])
+            rows = [np.array([eval_at(c, q.env(0)) for c in w.coefficients])
                     for w in lf]
             if any(np.linalg.matrix_rank(np.vstack([retract, r]),
                                          tol=1e-8) == base + 1
@@ -203,11 +203,11 @@ def test_acceptance_6_cross_validation(gate, example1_spec, motor_spec,
             b1 = lie_bracket(spec.g1, spec.g2)
             b2 = lie_bracket(spec.g1, b1)
             b3 = lie_bracket(spec.g2, b1)
-            for q in pts:
+            for q in each_point(pts):
                 for X, Y, B in ((spec.g1, spec.g2, b1),
                                 (spec.g1, b1, b2), (spec.g2, b1, b3)):
-                    sym = B.values([q])[0]
-                    fd = fd_bracket(X, Y, [q])[0]
+                    sym = B.values(q)[0]
+                    fd = fd_bracket(X, Y, q)[0]
                     scale = max(1.0, float(np.max(np.abs(sym))))
                     assert np.max(np.abs(fd - sym)) / scale <= 1e-5
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import flatcheck.cauchy
 import flatcheck.diffgeo
-from flatcheck.symx import EvalError, eval_at
+from flatcheck.symx import EvalError, Points, eval_at
 from flatcheck.cauchy import (AnnihilatorError, _constant_coordinate_pattern,
                               _residuals, annihilator, cauchy_space,
                               check_condition2)
@@ -18,25 +18,26 @@ import cauchy_reference
 import flags_reference
 import systems
 from cauchy_reference import span_residual, stacked
+from conftest import each_point
 
 
 def _points(spec, count, seed=9):
     rng = np.random.default_rng(seed)
     params = spec.bound_params(seed)
-    return [spec.frame.point(
-        [float(rng.uniform(lo, hi)) for lo, hi in spec.sample_box()], params)
-        for _ in range(count)]
+    return Points(spec.frame, tuple(
+        tuple(float(rng.uniform(lo, hi)) for lo, hi in spec.sample_box())
+        for _ in range(count)), params)
 
 
 def _reference_cauchy_space(pairs, q, tol=1e-8):
-    """(A, C) at one point, each step its own LAPACK call, with d(lam)
-    rebuilt from the generators rather than taken from the pairs: an
-    orthonormal basis W of span{lam} from the SVD of the generator
-    values, then the SVD of [lam; (I - W^T W) dlam^T], whose Vt holds C
-    in its first rank rows and A in the rest."""
+    """(A, C) at the one point of q, each step its own LAPACK call,
+    with d(lam) rebuilt from the generators rather than taken from the
+    pairs: an orthonormal basis W of span{lam} from the SVD of the
+    generator values, then the SVD of [lam; (I - W^T W) dlam^T], whose
+    Vt holds C in its first rank rows and A in the rest."""
     generators = [w for w, _ in pairs]
     n = generators[0].frame.n
-    omega = np.array([w.values([q])[0] for w in generators])
+    omega = np.array([w.values(q)[0] for w in generators])
     assert flags_reference.rank(omega, tol) == omega.shape[0]
     _, _, w = np.linalg.svd(omega, full_matrices=False)
     proj = np.eye(n) - w.T @ w
@@ -45,7 +46,7 @@ def _reference_cauchy_space(pairs, q, tol=1e-8):
         dw = exterior_derivative_1form(lam)
         dmat = np.zeros((n, n))
         for (i, j), c in dw.coefficients.items():
-            val = eval_at(c, q)
+            val = eval_at(c, q.env(0))
             dmat[i, j] = val
             dmat[j, i] = -val
         blocks.append(proj @ dmat.T)
@@ -69,11 +70,11 @@ def test_annihilator_kills_the_flag():
     for k in range(1, spec.n - 2):
         pairs = annihilator(table, k, pts[:3])
         assert len(pairs) == spec.n - 2 - k
-        for q in pts:
+        for q in each_point(pts):
             for w, _ in pairs:
-                wv = np.array([eval_at(c, q) for c in w.coefficients])
+                wv = np.array([eval_at(c, q.env(0)) for c in w.coefficients])
                 for _, vf in table.levels[k].g_generators:
-                    assert abs(wv @ vf.values([q])[0]) < 1e-9
+                    assert abs(wv @ vf.values(q)[0]) < 1e-9
 
 
 def test_annihilator_ranks_with_the_table_tolerance(monkeypatch):
@@ -124,7 +125,7 @@ def test_annihilator_raises_at_the_first_failing_reference_point(
     if kind == "rank":
         err = AnnihilatorError
         msg = (f"rank of G_1 is not 3 at reference point "
-               f"{tuple(pts[first].coords)}")
+               f"{pts.coords[first]}")
     else:
         err, msg = EvalError, f"field fails at point {first}"
     with pytest.raises(err) as info:
@@ -180,7 +181,7 @@ def test_cauchy_space_matches_reference(name):
             exterior_derivative_1form(w) for w, _ in pairs]
         vt, ranks = cauchy_space(pairs, pts)
         assert len(vt) == len(ranks) == len(pts)
-        for p, q in enumerate(pts):
+        for p, q in enumerate(each_point(pts)):
             a, c = _reference_cauchy_space(pairs, q)
             r = ranks[p]
             assert np.array_equal(vt[p, r:], a)
@@ -368,15 +369,15 @@ def _failing_at(monkeypatch, pts, dependent=(), bad_eval=(), bad_d=()):
     a generator or differential batch raises EvalError at the first of
     its points indexed by bad_eval or bad_d, with that row and the
     values of the rows before it."""
-    where = {pts[i].coords: i for i in range(len(pts))}
+    where = {q: i for i, q in enumerate(pts.coords)}
 
     def failing(cls, bad, what, zeroed=()):
         real = cls.values
 
         def fake_values(self, points):
             out = real(self, points)
-            for row, q in enumerate(points):
-                idx = where.get(q.coords)
+            for row, q in enumerate(points.coords):
+                idx = where.get(q)
                 if idx in bad:
                     raise EvalError(f"{what} fails at point {idx}", row,
                                     out[:row])
@@ -410,7 +411,7 @@ def test_condition2_first_error_in_point_order_wins(monkeypatch, case):
     _failing_at(monkeypatch, pts, dependent, bad_eval, bad_d)
     if kind == "dependent":
         err = AnnihilatorError
-        msg = f"annihilator generators dependent at {tuple(pts[first].coords)}"
+        msg = f"annihilator generators dependent at {pts.coords[first]}"
     else:
         err = EvalError
         msg = f"{kind} fails at point {first}"
@@ -433,15 +434,15 @@ def test_condition2_shared_form_error_matches_reference(monkeypatch, where):
     bad = [(shared, 30), (alone, 31)]
     if where == "differential":
         bad = [(exterior_derivative_1form(w), p) for w, p in bad]
-    where_at = {q.coords: i for i, q in enumerate(pts)}
+    where_at = {q: i for i, q in enumerate(pts.coords)}
     cls = OneForm if where == "generator" else TwoForm
     real = cls.values
 
     def fake_values(self, points):
         out = real(self, points)
         fail = next((p for form, p in bad if form == self), None)
-        for row, q in enumerate(points):
-            if where_at.get(q.coords) == fail:
+        for row, q in enumerate(points.coords):
+            if where_at.get(q) == fail:
                 raise EvalError(f"{where} fails at point {fail}", row,
                                 out[:row])
         return out

@@ -250,9 +250,10 @@ def test_chart_to_z_requires_inverse(example1_real):
 
 
 def test_forward_values_numeric(example1_spec, example1_real):
-    q = example1_spec.point([0.2, -0.1, 0.4, 0.3])
+    q = example1_spec.frame.point([0.2, -0.1, 0.4, 0.3],
+                                  example1_spec.bound_params(0))
     z = example1_real.chart.forward_values(q)
-    assert np.allclose(z, [0.3, 0.2 ** 2 - 0.1, 0.4, 0.2])
+    assert np.allclose(z, [[0.3, 0.2 ** 2 - 0.1, 0.4, 0.2]])
 
 
 def test_build_chart_identity_for_chained(chained4_real):

@@ -180,7 +180,7 @@ def test_sample_screen_rejects_where_the_drift_is_undefined(tmp_path):
     spec = systems.sqrt4()
     good, count = _sample_points(spec, _cfg(path, samples=100, seed=0))
     assert count == len(systems.SQRT4_REJECTED_ROWS) == 21
-    assert [list(q.coords) for q in good] == kept
+    assert [list(q) for q in good.coords] == kept
     for command in ("check", "verify"):
         rep = run(_cfg(path, command=command, samples=100, seed=0))
         c1 = rep.data["condition1"]

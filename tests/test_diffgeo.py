@@ -8,8 +8,8 @@ from fractions import Fraction
 
 from flatcheck import symx
 from flatcheck.symx import (Add, Call, Const, Div, EvalError, Frame, Mul,
-                            ONE_E, Sub, Sym, ZERO, is_zero, normalize, parse,
-                            pow_expr, to_str)
+                            ONE_E, Points, Sub, Sym, ZERO, is_zero, normalize,
+                            parse, pow_expr, to_str)
 from flatcheck.diffgeo import (ChartError, OneForm, TwoForm, VectorField,
                                basis_vector, exterior_derivative_fn,
                                exterior_derivative_1form, interior_product,
@@ -395,8 +395,8 @@ def test_folds_on_normal_forms_build_no_tree(monkeypatch):
 def test_values_in_point_order_evaluates_each_object_once(monkeypatch):
     w = OneForm(FR3, (P("1/x1"), P("x2"), ONE_E))
     v = VF("x1", "1/(x2 - 1)", "0")
-    pts = [FR3.point(c) for c in ((1.0, 2.0, 0.0), (2.0, 0.0, 0.0),
-                                  (0.0, 3.0, 0.0), (1.0, 1.0, 0.0))]
+    pts = Points(FR3, ((1.0, 2.0, 0.0), (2.0, 0.0, 0.0),
+                       (0.0, 3.0, 0.0), (1.0, 1.0, 0.0)))
     calls = []
     for cls in (OneForm, VectorField):
         def counting(self, points, real=cls.values):
@@ -424,13 +424,13 @@ def test_values_in_point_order_evaluates_each_object_once(monkeypatch):
 
 def test_cached_values_keep_an_eval_error():
     v = VF("x1", "1/(x2 - 1)", "0")
-    pts = [FR3.point(c) for c in ((1.0, 2.0, 0.0), (2.0, 0.0, 0.0),
-                                  (1.0, 1.0, 0.0), (3.0, 3.0, 0.0))]
+    pts = Points(FR3, ((1.0, 2.0, 0.0), (2.0, 0.0, 0.0),
+                       (1.0, 1.0, 0.0), (3.0, 3.0, 0.0)))
     with pytest.raises(EvalError) as first:
         v.cached_values(pts)
-    # another list of the same points: the same error, not evaluated
+    # a selection of every point: the same error, not evaluated
     with pytest.raises(EvalError) as again:
-        v.cached_values(list(pts))
+        v.cached_values(pts[[0, 1, 2, 3]])
     assert again.value is first.value
     assert again.value.row == 2 and str(again.value) == str(first.value)
     assert again.value.done.tolist() == v.values(pts[:2]).tolist()
@@ -439,7 +439,7 @@ def test_cached_values_keep_an_eval_error():
 
 def test_cached_values_are_read_only():
     w = TwoForm(FR3, {(0, 1): P("x1*x3"), (1, 2): P("x2 + 1")})
-    pts = [FR3.point(c) for c in ((1.0, 2.0, 3.0), (2.0, 0.0, 1.0))]
+    pts = Points(FR3, ((1.0, 2.0, 3.0), (2.0, 0.0, 1.0)))
     vals = w.cached_values(pts)
     assert w.cached_values(pts[:]) is vals
     assert vals.tolist() == [[3.0, 3.0], [2.0, 1.0]]
@@ -450,3 +450,37 @@ def test_cached_values_are_read_only():
     assert fresh is not vals and fresh.flags.writeable
     # other points are another entry
     assert w.cached_values(pts[:1]).tolist() == [[3.0, 3.0]]
+
+
+def test_selecting_every_point_gives_the_same_set():
+    v = VF("x1", "x2 + 1", "x3")
+    pts = Points(FR3, ((1.0, 2.0, 3.0), (2.0, 0.0, 1.0), (0.5, 0.5, 0.5)))
+    vals = v.cached_values(pts)
+    for every in (pts[:], pts[0:3], pts[:100], pts[[0, 1, 2]], pts[range(3)]):
+        assert every is pts
+        # so the kept values are found again
+        assert v.cached_values(every) is vals
+
+
+def test_dropping_a_point_gives_a_new_set():
+    v = VF("x1", "x2 + 1", "x3")
+    pts = Points(FR3, ((1.0, 2.0, 3.0), (2.0, 0.0, 1.0), (0.5, 0.5, 0.5)),
+                 {"a": 2.0})
+    vals = v.cached_values(pts)
+    for fewer, rows in ((pts[:2], [0, 1]), (pts[1:], [1, 2]),
+                        (pts[[0, 2]], [0, 2]), (pts[[2, 1, 0]], [2, 1, 0]),
+                        (pts[:0], [])):
+        assert fewer is not pts
+        assert fewer.coords == tuple(pts.coords[i] for i in rows)
+        assert fewer.frame is pts.frame and fewer.params is pts.params
+        got = v.cached_values(fewer)
+        assert got is not vals and got.tolist() == vals[rows].tolist()
+
+
+def test_a_point_is_a_one_row_set():
+    q = FR3.point([1, 2.5, -3], {"a": 1})
+    assert len(q) == 1 and q.coords == ((1.0, 2.5, -3.0),)
+    assert all(type(c) is float for c in q.coords[0])
+    assert q.env(0) == {"x1": 1.0, "x2": 2.5, "x3": -3.0, "a": 1}
+    with pytest.raises(ValueError, match="2 coordinates"):
+        Points(FR3, ((1.0, 2.0, 3.0), (1.0, 2.0)))

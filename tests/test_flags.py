@@ -4,7 +4,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 from fractions import Fraction
 
-from flatcheck.symx import Const, EvalError, Frame, SymxError, parse
+from flatcheck.symx import Const, EvalError, Frame, Points, SymxError, parse
 from flatcheck.diffgeo import VectorField, basis_vector
 from flatcheck import diffgeo, flags
 from flatcheck.cli import load_spec
@@ -13,7 +13,7 @@ from flatcheck.flags import (SystemSpec, _lyndon, check_condition1,
 
 import flags_reference
 import systems
-from conftest import SPEC_DIR
+from conftest import SPEC_DIR, each_point
 from flags_reference import feedback_flags
 
 
@@ -21,9 +21,9 @@ def _points(spec, count, seed=3):
     rng = np.random.default_rng(seed)
     params = spec.bound_params(seed)
     box = spec.sample_box()
-    return [spec.frame.point([float(rng.uniform(lo, hi)) for lo, hi in box],
-                             params)
-            for _ in range(count)]
+    return Points(spec.frame, tuple(
+        tuple(float(rng.uniform(lo, hi)) for lo, hi in box)
+        for _ in range(count)), params)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -51,8 +51,9 @@ def test_involutive_pair_fails_at_k1_everywhere():
 
 def test_dims_at_single_point(chained4_spec):
     table = compute_flags(chained4_spec)
-    q = chained4_spec.point([0.3, -0.2, 0.5, 0.1])
-    assert dims_at(table, [q]) == [([2, 3, 4], [2, 3, 4])]
+    q = chained4_spec.frame.point([0.3, -0.2, 0.5, 0.1],
+                                  chained4_spec.bound_params(0))
+    assert dims_at(table, q) == [([2, 3, 4], [2, 3, 4])]
 
 
 def test_flag_table_depth(motor_spec):
@@ -166,7 +167,7 @@ def test_lyndon_flags_match_left_normed_reference(name):
         assert lv.q_dropped_words == rv.q_dropped_words
     pts = _points(spec, 50, seed=17)
     assert dims_at(table, pts) == \
-        [flags_reference.dims_at(ref, q) for q in pts]
+        [flags_reference.dims_at(ref, q) for q in each_point(pts)]
 
 
 @pytest.mark.parametrize("name", ["example1", "motor", "chained4"])
@@ -179,10 +180,9 @@ def test_reference_points_are_the_scalar_draw(name, seed, count):
     got = flags._reference_points(spec, seed=seed, count=count)
     want = flags_reference.reference_points(spec, seed=seed, count=count)
     assert len(got) == count
-    assert [[c.hex() for c in q.coords] for q in got] == \
-        [[c.hex() for c in q.coords] for q in want]
-    assert all(q.frame is spec.frame and q.params == w.params
-               for q, w in zip(got, want))
+    assert [[c.hex() for c in q] for q in got.coords] == \
+        [[c.hex() for c in q] for q in want.coords]
+    assert got.frame is spec.frame and got.params == want.params
 
 
 def _vanishing_at_first_reference_point():
@@ -192,7 +192,7 @@ def _vanishing_at_first_reference_point():
     fr = Frame("x", ("x1", "x2", "x3", "x4"), ())
     zero = Const(Fraction(0))
     probe = SystemSpec(fr, *[basis_vector(fr, i) for i in range(3)])
-    r = Const(Fraction(flags._reference_points(probe)[0].coords[0]))
+    r = Const(Fraction(flags._reference_points(probe).coords[0][0]))
     x1 = parse("x1", fr)
     g2 = VectorField(fr, (zero, parse("1", fr),
                           (x1 - r) * (x1 - r) * Fraction(1, 2), zero))
@@ -328,7 +328,7 @@ def test_stacked_dims_match_per_point_ranks(name):
     table = compute_flags(spec)
     pts = _points(spec, 40, seed=23)
     got = dims_at(table, pts)
-    assert got == [flags_reference.dims_at(table, q) for q in pts]
+    assert got == [flags_reference.dims_at(table, q) for q in each_point(pts)]
     assert all(type(d) is int for df, dg in got for d in df + dg)
 
 
@@ -344,7 +344,7 @@ def test_dims_at_raises_at_the_first_failing_point(monkeypatch, case):
     spec = systems.chained(6)
     table = compute_flags(spec)
     pts = _points(spec, 8)
-    where = {q.coords: i for i, q in enumerate(pts)}
+    where = {q: i for i, q in enumerate(pts.coords)}
     fields = dict(table.levels[-1].f_generators + table.levels[-1].g_generators)
 
     def word(key):  # a level's newest F word, or the word given
@@ -358,15 +358,15 @@ def test_dims_at_raises_at_the_first_failing_point(monkeypatch, case):
     def failing_values(self, points):
         # a batch fails at its first bad point, with the rows before it
         out = real(self, points)
-        for row, q in enumerate(points):
-            if (id(self), where.get(q.coords)) in bad:
-                raise EvalError(f"{id(self)} fails at point {where[q.coords]}",
+        for row, q in enumerate(points.coords):
+            if (id(self), where.get(q)) in bad:
+                raise EvalError(f"{id(self)} fails at point {where[q]}",
                                 row, out[:row])
         return out
 
     monkeypatch.setattr(diffgeo.VectorField, "values", failing_values)
     with pytest.raises(EvalError) as want:
-        for q in pts:
+        for q in each_point(pts):
             flags_reference.dims_at(table, q)
     with pytest.raises(EvalError) as got:
         dims_at(table, pts)

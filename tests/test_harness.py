@@ -5,7 +5,8 @@ import types
 import numpy as np
 import pytest
 
-from flatcheck.symx import EvalError, Frame, compile_fn, normalize, parse
+from flatcheck.symx import (EvalError, Frame, Points, compile_fn, normalize,
+                            parse)
 from flatcheck.diffgeo import VectorField, lie_bracket
 from flatcheck import harness
 from flatcheck.harness import (FlatSignal, HarnessError, RegularityError,
@@ -17,7 +18,7 @@ from flatcheck.triangular import extract_triangular
 
 import harness_reference
 import systems
-from conftest import SPEC_DIR, realize
+from conftest import SPEC_DIR, each_point, realize
 
 
 def test_fd_bracket_second_order_convergence():
@@ -30,8 +31,8 @@ def test_fd_bracket_second_order_convergence():
     Y = VectorField(fr, (P("x2^4"), P("cos(x1*x2)")))
     q = fr.point([0.3, 0.7])
     exact = lie_bracket(X, Y)
-    ex_vals = np.array([eval_at(c, q) for c in exact.components])
-    errs = [np.max(np.abs(fd_bracket(X, Y, [q], h=h)[0] - ex_vals))
+    ex_vals = np.array([eval_at(c, q.env(0)) for c in exact.components])
+    errs = [np.max(np.abs(fd_bracket(X, Y, q, h=h)[0] - ex_vals))
             for h in (1e-2, 1e-3, 1e-4)]
     assert errs[0] > errs[1] > errs[2]
     assert errs[1] < 0.05 * errs[0]
@@ -43,7 +44,7 @@ def test_fd_bracket_constant_fields_vanish():
     X = VectorField(fr, (P("2"), P("-1")))
     Y = VectorField(fr, (P("1/3"), P("5")))
     q = fr.point([0.7, -1.2])
-    assert np.max(np.abs(fd_bracket(X, Y, [q]))) < 1e-12
+    assert np.max(np.abs(fd_bracket(X, Y, q))) < 1e-12
 
 
 def test_fd_bracket_rejects_mixed_frames():
@@ -52,7 +53,7 @@ def test_fd_bracket_rejects_mixed_frames():
     X = VectorField(fr1, (parse("x2", fr1), parse("0", fr1)))
     Y = VectorField(fr2, (parse("0", fr2), parse("q1", fr2)))
     with pytest.raises(HarnessError, match="different charts"):
-        fd_bracket(X, Y, [fr1.point([1.0, 1.0])])
+        fd_bracket(X, Y, fr1.point([1.0, 1.0]))
 
 
 def test_fd_bracket_reports_stencil_failure():
@@ -60,7 +61,7 @@ def test_fd_bracket_reports_stencil_failure():
     X = VectorField(fr, (parse("sqrt(x1)", fr), parse("0", fr)))
     Y = VectorField(fr, (parse("0", fr), parse("x1", fr)))
     with pytest.raises(HarnessError, match="stencil"):
-        fd_bracket(X, Y, [fr.point([1e-12, 0.0])])
+        fd_bracket(X, Y, fr.point([1e-12, 0.0]))
 
     # Over several points the error is the one the per-point loop meets
     # first: points in turn, at each J_Y, X, J_X, Y. A later stage at an
@@ -75,9 +76,9 @@ def test_fd_bracket_reports_stencil_failure():
             (X, ([1e-6, 0.0], [-1.0, 0.0]), "(-9e-06, 0.0)"),
             (X, ([0.5, 0.0], [-1.0, 0.0]), "(-1.0, 0.0)"),
             (X2, ([0.5, 1e-6], [1e-6, 0.5]), "(0.5, -9e-06)")):
-        pts = [fr.point(c) for c in coords]
+        pts = Points(fr, tuple(map(tuple, coords)))
         with pytest.raises(HarnessError) as ref:
-            for q in pts:
+            for q in each_point(pts):
                 harness_reference.fd_bracket(F, Y, q)
         with pytest.raises(HarnessError) as got:
             fd_bracket(F, Y, pts)
@@ -93,7 +94,7 @@ def test_fd_bracket_reports_stencil_failure():
     g1 = VectorField(fr, (parse("1", fr), parse("0", fr)))
     g2 = VectorField(fr, (parse("0", fr), parse("x2*sqrt(x1)", fr)))
     spec = types.SimpleNamespace(g1=g1, g2=g2)
-    points = [fr.point([1e-5, 1.0]), fr.point([5e-6, 1.0])]
+    points = Points(fr, ((1e-5, 1.0), (5e-6, 1.0)))
     second = r"stencil at \(-5e-06, 1.0\)"
     with pytest.raises(HarnessError, match=second) as ref:
         harness_reference.bracket_errors(spec, points)
@@ -112,8 +113,9 @@ def test_bracket_oracle_exact_bracket_failure_in_point_order():
     g2 = VectorField(fr, (parse("0", fr),
                           parse("sqrt(x1^2 + x2^2) + sqrt(x2 + 1)", fr)))
     spec = types.SimpleNamespace(g1=g1, g2=g2)
-    p0, p1 = fr.point([0.0, 0.0]), fr.point([0.5, -1.0 + 1e-6])
-    for points, kind in (([p0, p1], EvalError), ([p1, p0], HarnessError)):
+    p0, p1 = (0.0, 0.0), (0.5, -1.0 + 1e-6)
+    for rows, kind in (((p0, p1), EvalError), ((p1, p0), HarnessError)):
+        points = Points(fr, rows)
         with pytest.raises(kind) as ref:
             harness_reference.bracket_errors(spec, points)
         with pytest.raises(kind) as got:
@@ -122,16 +124,34 @@ def test_bracket_oracle_exact_bracket_failure_in_point_order():
         assert str(got.value) == str(ref.value)
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("count", [0, 1, 100])
+def test_stencil_shifts_the_floats_of_the_per_row_stencil(n, count):
+    # the 2n shifted sets hold, bit for bit, the rows of the stencil
+    # built one point object per row, with the points' frame and
+    # bindings
+    fr = Frame("x", tuple(f"x{i}" for i in range(1, n + 1)), ("a",))
+    bounds = tuple((-10.0 ** (j % 3), 10.0 ** (j % 4)) for j in range(n))
+    pts = SampleBox(bounds, max(count, 1), seed=n).points(fr, {"a": 0.5})
+    pts = pts[:count]
+    got = harness.Stencil(pts).shifted
+    want = harness_reference.stencil_points(pts)
+    assert len(got) == len(want) == (2 * n if count else 0)
+    assert [[[c.hex() for c in row] for row in s.coords] for s in got] == \
+        [[[c.hex() for c in q.coords[0]] for q in rows] for rows in want]
+    assert all(s.frame is fr and s.params is pts.params for s in got)
+
+
 def test_sample_box_deterministic_and_rejecting():
     fr = Frame("x", ("x1", "x2"), ())
     box = SampleBox(bounds=((-1.0, 1.0), (0.0, 2.0)), count=20, seed=3)
     a = box.points(fr)
     b = box.points(fr)
-    assert [p.coords for p in a] == [p.coords for p in b]
+    assert a.coords == b.coords
     assert len(a) == 20
-    assert all(-1 <= p.coords[0] <= 1 and 0 <= p.coords[1] <= 2 for p in a)
+    assert all(-1 <= p[0] <= 1 and 0 <= p[1] <= 2 for p in a.coords)
     other = SampleBox(bounds=box.bounds, count=20, seed=4).points(fr)
-    assert [p.coords for p in other] != [p.coords for p in a]
+    assert other.coords != a.coords
 
 
 def test_sample_box_draws_one_scalar_per_coordinate():
@@ -146,9 +166,9 @@ def test_sample_box_draws_one_scalar_per_coordinate():
         want = [tuple(float(rng.uniform(lo, hi)) for lo, hi in bounds)
                 for _ in range(40)]
         pts = SampleBox(bounds, 40, seed=seed).points(fr, {"a": 2.0})
-        assert [q.coords for q in pts] == want
-        assert all(type(c) is float for q in pts for c in q.coords)
-        assert all(q.params == {"a": 2.0} and q.frame is fr for q in pts)
+        assert list(pts.coords) == want
+        assert all(type(c) is float for q in pts.coords for c in q)
+        assert pts.params == {"a": 2.0} and pts.frame is fr
 
 
 def test_sample_box_validation():

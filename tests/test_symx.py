@@ -72,7 +72,7 @@ def test_frame_rejects_undeclared():
 def test_point_env_binds_params():
     fr = Frame("m", ("x1",), ("J",))
     q = fr.point([2.0], {"J": 0.5})
-    assert eval_at(parse("J*x1^2", fr), q) == pytest.approx(2.0)
+    assert eval_at(parse("J*x1^2", fr), q.env(0)) == pytest.approx(2.0)
 
 
 # --- normalize --------------------------------------------------------------

@@ -61,8 +61,25 @@ def test_same_outputs_ops_cover_long_column_runs():
     # beyond the benchmark's ops: a simulate of chained8 and a verify of
     # chained6 over more than one block of columns (50,000 steps)
     ops = same_outputs.ops()
-    assert len(ops) == len(set(ops)) == 33
+    assert len(ops) == len(set(ops)) == 36
     for op in (same_outputs.run.Op("simulate", "chained8", ("--dt", "1e-4")),
                same_outputs.run.Op("verify", "chained6", ("--dt", "2e-5"))):
         assert op in ops
     assert round(1 / 2e-5) > _COLUMN_BLOCK
+
+
+def test_same_outputs_ops_reach_point_set_edges(tmp_path):
+    # fewer samples than condition 2's five reference rows, a screen
+    # that drops rows, and an oracle that takes the first 100 rows
+    ops = same_outputs.ops()
+    Op = same_outputs.run.Op
+    for op in (Op("verify", "chained4", ("--samples", "3")),
+               Op("check", "sqrt4"),
+               Op("verify", "example1", ("--samples", "150"))):
+        assert op in ops
+    same_outputs.write_specs(tmp_path, [Op("check", "sqrt4")])
+    text = (tmp_path / "sqrt4.spec").read_text(encoding="utf-8")
+    assert "\nf = 0, 0, 0, sqrt(x1 + 1/2)\n" in text
+    assert text.replace("sqrt(x1 + 1/2)", "0") == \
+        (same_outputs.ROOT / "specs" / "chained4.spec").read_text(
+            encoding="utf-8")

@@ -31,4 +31,4 @@ def check_dependence_z(phis, chart, points) -> None:
         raise TriangularError(
             f"triangular structure violated: dphi_{i}/dz_{j} = "
             f"{to_str(d)} != 0 (|value| = {val:.3e} at x = "
-            f"{tuple(round(c, 4) for c in q.coords)})")
+            f"{tuple(round(c, 4) for c in q)})")

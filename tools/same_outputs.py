@@ -14,10 +14,16 @@ simulate's CSV.
 The ops: every op of the benchmark's specs, symbolic-n and roundtrip
 workloads (bench/run.py), cubic4 check, transform and verify,
 disguised4 check and transform --force, perturbed_example1 check and
-transform --force, involutive check, simulate chained8 --dt 1e-4, and
-verify chained6 --dt 2e-5. The last two are closed-loop runs that
-harness integrates column by column, the second over more than one
-block of columns.
+transform --force, involutive check, simulate chained8 --dt 1e-4,
+verify chained6 --dt 2e-5, verify chained4 --samples 3, check sqrt4
+and verify example1 --samples 150. simulate chained8 and verify
+chained6 are closed-loop runs that harness integrates column by
+column, the second over more than one block of columns. The last three
+reach the edges of a point set: fewer sample rows than the five
+reference rows of condition 2; a sample screen that drops rows (sqrt4
+is chained4 with f = 0, 0, 0, sqrt(x1 + 1/2), which rejects 21 of 100
+samples at seed 0); and a bracket oracle that takes the first 100 of
+its sample rows.
 
 Then the usage cases, each run once per tree, compare the exit code,
 stdout and stderr of the command-line parser's help and errors: the
@@ -53,7 +59,10 @@ def ops() -> list[run.Op]:
               for c, x in (("check", ()), ("transform", ("--force",)))]
     extra += [run.Op("check", "involutive"),
               run.Op("simulate", "chained8", ("--dt", "1e-4")),
-              run.Op("verify", "chained6", ("--dt", "2e-5"))]
+              run.Op("verify", "chained6", ("--dt", "2e-5")),
+              run.Op("verify", "chained4", ("--samples", "3")),
+              run.Op("check", "sqrt4"),
+              run.Op("verify", "example1", ("--samples", "150"))]
     out: list[run.Op] = []
     for op in [op for w in ("specs", "symbolic-n", "roundtrip")
                for op in run.WORKLOADS[w]] + extra:
@@ -71,9 +80,14 @@ def usage_cases() -> list[list[str]]:
 
 
 def write_specs(work: Path, ops_: list[run.Op]) -> None:
-    run.write_inputs(work, [op for op in ops_ if op.system != "cubic4"])
+    run.write_inputs(work, [op for op in ops_
+                            if op.system not in ("cubic4", "sqrt4")])
     (work / "cubic4.spec").write_bytes((ROOT / "tests" / "cubic4.spec")
                                        .read_bytes())
+    chained4 = (ROOT / "specs" / "chained4.spec").read_text(encoding="utf-8")
+    (work / "sqrt4.spec").write_text(
+        chained4.replace("\nf = 0, 0, 0, 0\n",
+                         "\nf = 0, 0, 0, sqrt(x1 + 1/2)\n"), encoding="utf-8")
 
 
 def _outputs(proc: subprocess.Popen, work: Path) -> dict:

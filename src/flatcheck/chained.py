@@ -32,7 +32,7 @@ import numpy as np
 from .diffgeo import VectorField, lie_bracket, lie_derivative_fn
 from .flags import SystemSpec, _reference_points
 from .symx import (Ansatz, Const, Div, Expr, Frame, Mul, Points, Sub, Sym,
-                   SymxError, ZERO, ONE_E, diff, free_symbols,
+                   SymxError, ZERO, ONE_E, fold, free_symbols,
                    linear_decompose, normalize, polynomial_terms, subst)
 
 JACOBIAN_TOL = 1e-8
@@ -248,7 +248,8 @@ def build_chart(source: tuple[Expr, ...], spec: SystemSpec,
     if len(forward) != n:
         raise ChainedError(f"chart has {len(forward)} components, need {n}")
 
-    jac = frame.evaluator([diff(zi, xj) for zi in forward
+    # entries as normal forms: the determinants only meet JACOBIAN_TOL
+    jac = frame.evaluator([fold(((1, None, zi, xj),)) for zi in forward
                            for xj in frame.states])
     dets = np.linalg.det(jac(ref_points.coords, ref_points.params).reshape(
         -1, n, n)).tolist()

@@ -95,9 +95,8 @@ class VSignal:
         return out
 
 
-# rows held as Python floats at once: the steps of one generated call
-# in _loop_blocks, and the rows of one write in Trajectory.to_csv. Bounds
-# the memory of a long run
+# steps of one generated call in _loop_blocks, whose rows it holds as
+# Python floats at once: bounds the memory of a long stepped run
 _BLOCK = 256
 
 
@@ -120,15 +119,175 @@ class Trajectory:
         n = self.n
         header = (["t"] + [f"z{i}" for i in range(1, n + 1)]
                   + [f"x{i}" for i in range(1, n + 1)] + ["v1", "v2", "u1", "u2"])
-        # the bytes csv.writer gives for these fields: no quoting, CRLF
-        line = ",".join(["%.17g"] * len(header)) + "\r\n"
         cols = (self.t, self.z, self.x, self.v, self.u)
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\r\n")
-            for start in range(0, len(self.t), _BLOCK):
-                block = np.column_stack([c[start:start + _BLOCK]
-                                         for c in cols])
-                fh.write(line * len(block) % tuple(block.ravel().tolist()))
+        rows = max(1, _CSV_CELLS // len(header))
+        with open(path, "wb") as fh:
+            fh.write((",".join(header) + "\r\n").encode("ascii"))
+            for start in range(0, len(self.t), rows):
+                fh.write(_csv_rows(np.column_stack(
+                    [c[start:start + rows] for c in cols])))
+
+
+# --- the CSV cells: '%.17g' in numpy blocks ---------------------------
+
+# cells formatted per numpy block in Trajectory.to_csv, _CELL bytes
+# each: bounds the memory of writing a long run
+_CSV_CELLS = 4096
+# the widest '%.17g' field, -d.ddddddddddddddde-308, and a CRLF
+_CELL = 26
+# 10^k for k = 0..21, exact doubles, and their Veltkamp halves
+_POW10 = np.array([float(10 ** k) for k in range(22)])
+# the ASCII digits of 0..9999 as four bytes, read as one uint32, and
+# the trailing zeros of each (4 for 0); 16-bit, so that building them
+# leaves no large temporaries behind in the heap
+_DIGITS4 = (np.arange(10000, dtype=np.uint16)[:, None]
+            // np.array([1000, 100, 10, 1], np.uint16) % 10
+            + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+_ZEROS4 = (np.arange(10000, dtype=np.uint16)[:, None]
+           % np.array([10, 100, 1000, 10000], np.uint16)
+           == 0).sum(1, dtype=np.uint8)
+# _PREFIX[k] selects the first k bytes of a cell
+_PREFIX = np.arange(_CELL) < np.arange(_CELL + 1)[:, None]
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split a = hi + lo, each half with at most 26
+    significant bits, so that products of halves are exact."""
+    c = 134217729.0 * a                 # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _times_pow10(a: np.ndarray, k: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's two-product: p + err is exactly a * 10^k, p the
+    rounded product (no overflow or underflow on the range taken)."""
+    p = a * _POW10[k]
+    ah, al = _split(a)
+    bh, bl = _POW10_HI[k], _POW10_LO[k]
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _below(p: np.ndarray, err: np.ndarray, bound: float) -> np.ndarray:
+    """p + err < bound, exactly, for a double bound and p = fl(p + err)."""
+    return (p < bound) | ((p == bound) & (err < 0))
+
+
+def _exponent_step(p: np.ndarray, err: np.ndarray) -> np.ndarray:
+    """-1, 0 or 1 where p + err, exactly, is below, in or above
+    [10^16, 10^17)."""
+    return (~_below(p, err, 1e17)).astype(np.intp) - _below(p, err, 1e16)
+
+
+def _decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The exponent e and 17 significant digits d of each a in
+    [1e-4, 1e17), as '%.17g' rounds them: d = round-half-even(a *
+    10^(16-e)) in [10^16, 10^17). e is 17, so that '%' writes the cell,
+    where d would carry to 10^17 or the exponent check fails; neither
+    happens on this range, but no digit rests on that."""
+    e = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp)
+    p, err = _times_pow10(a, 16 - e)
+    # log10 rounds: move e one step where a * 10^(16-e) is outside
+    # [10^16, 10^17), and give up where it still is
+    step = _exponent_step(p, err)
+    fix = np.flatnonzero(step)
+    if fix.size:
+        e[fix] += step[fix]
+        p[fix], err[fix] = _times_pow10(a[fix], np.clip(16 - e[fix], 0, 21))
+        lost = fix[_exponent_step(p[fix], err[fix]) != 0]
+        e[lost], p[lost] = 17, 1e16
+    # p >= 2^53 is an even integer, so rounding err rounds p + err
+    d = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    e[d == 10 ** 17] = 17
+    return e, d
+
+
+def _csv_rows(block: np.ndarray) -> bytes:
+    """The CSV rows of a 2-D block: each cell as '%.17g' % float(cell)
+    writes it, commas between cells, CRLF after each row.
+
+    Cells with 1e-4 <= |x| < 1e17 whose 17 digits keep them below 1e17
+    are laid out here: the digits come from _decimal, and each group of
+    one exponent and sign is written with slice copies into its rows
+    after a stable sort on that key. Zeros are '0' and '-0'. Every
+    other cell (smaller, larger, inf, nan) goes through one '%' call."""
+    cols = block.shape[1]
+    x = np.ascontiguousarray(block, dtype=np.float64).ravel()
+    a = np.abs(x)
+    neg = np.signbit(x)
+    out = np.empty((x.size, _CELL), np.uint8)
+    length = np.empty(x.size, np.intp)
+    done = np.zeros(x.size, bool)
+
+    fast = np.flatnonzero((a >= 1e-4) & (a < 1e17))
+    e, d = _decimal(a[fast])
+    kept = e <= 16
+    fast, e, d = fast[kept], e[kept], d[kept]
+    done[fast] = True
+    lead, rest = np.divmod(d, 10 ** 16)
+    upper, lower = np.divmod(rest, 10 ** 8)
+    quads = np.empty((fast.size, 4), np.int64)
+    quads[:, 0], quads[:, 1] = np.divmod(upper, 10 ** 4)
+    quads[:, 2], quads[:, 3] = np.divmod(lower, 10 ** 4)
+    digits = np.empty((fast.size, 17), np.uint8)
+    digits[:, 0] = lead + ord("0")
+    digits[:, 1:] = np.take(_DIGITS4, quads).view(np.uint8)
+    # significant digits: 17 less the trailing zeros of the quads
+    z, zero = np.take(_ZEROS4, quads), quads == 0
+    sig = 17 - (z[:, 3] + zero[:, 3] * (z[:, 2] + zero[:, 2]
+                                        * (z[:, 1] + zero[:, 1] * z[:, 0])))
+    sign = neg[fast]
+    length[fast] = sign + np.where(e < 0, 1 - e + sig,
+                                   np.where(sig <= e + 1, e + 1, sig + 1))
+    key = ((e + 4) * 2 + sign).astype(np.uint8)
+    order = np.argsort(key, kind="stable")
+    digits = np.take(digits, order, axis=0)
+    text = np.empty((fast.size, _CELL), np.uint8)
+    start = 0
+    for g, count in enumerate(np.bincount(key, minlength=42).tolist()):
+        if not count:
+            continue
+        stop = start + count
+        k, s = divmod(g, 2)
+        k -= 4
+        t, dg = text[start:stop], digits[start:stop]
+        t[:, 0] = ord("-")          # a digit overwrites it when s = 0
+        if k < 0:                   # 0.000ddd
+            t[:, s:s + 1 - k] = ord("0")
+            t[:, s + 1] = ord(".")
+            t[:, s + 1 - k:s + 18 - k] = dg
+        else:                       # ddd.ddd, the point cut off at 16
+            t[:, s:s + k + 1] = dg[:, :k + 1]
+            t[:, s + k + 1] = ord(".")
+            t[:, s + k + 2:s + 18] = dg[:, k + 1:]
+        start = stop
+    # each row as one void item, which numpy copies whole
+    cell = np.dtype((np.void, _CELL))
+    out.view(cell)[fast[order], 0] = text.view(cell)[:, 0]
+
+    zeros = np.flatnonzero(a == 0)
+    done[zeros] = True
+    out[zeros, 0] = np.where(neg[zeros], ord("-"), ord("0"))
+    out[zeros, 1] = ord("0")
+    length[zeros] = 1 + neg[zeros]
+
+    rest_i = np.flatnonzero(~done)
+    if rest_i.size:
+        s = "%-24.17g" * rest_i.size % tuple(x[rest_i].tolist())
+        fields = np.frombuffer(s.encode("ascii"), np.uint8).reshape(-1, 24)
+        out[rest_i, :24] = fields
+        length[rest_i] = (fields != ord(" ")).sum(1)
+
+    ends = np.arange(cols - 1, x.size, cols)
+    out[np.arange(x.size), length] = ord(",")
+    out[ends, length[ends]] = ord("\r")
+    out[ends, length[ends] + 1] = ord("\n")
+    length += 1
+    length[ends] += 1
+    return out[np.take(_PREFIX, length, axis=0)].tobytes()
 
 
 class Stencil:
@@ -798,7 +957,7 @@ def reconstruct(real: TriangularRealization, flat: FlatSignal) -> Trajectory:
         # and each jet's (base, order)
         ren = {s: Sym(_jet_name(s, 0)) for s in base_syms}
         ren[unknown.name] = Sym(_jet_name(w, 0))
-        e = subst(rhs, ren)
+        e = normalize(subst(rhs, ren))
         succ, jet_of = {}, {}
         for s in base_syms + [w]:
             for k in range(need + 2):
@@ -814,7 +973,7 @@ def reconstruct(real: TriangularRealization, flat: FlatSignal) -> Trajectory:
             order = [_jet_name(w, m)] + known
             if m == 0:
                 target = jets[zs[i - 1]][1]
-                Ffn = compile_fn(normalize(e), order, params)
+                Ffn = compile_fn(e, order, params)
                 dFfn = compile_fn(fold(((1, None, e, _jet_name(w, 0)),)),
                                   order, params)
 

@@ -4,6 +4,7 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flatcheck.symx import (EvalError, Frame, Points, compile_fn, normalize,
                             parse)
@@ -11,8 +12,9 @@ from flatcheck.diffgeo import VectorField, lie_bracket
 from flatcheck import harness
 from flatcheck.harness import (FlatSignal, HarnessError, RegularityError,
                                SampleBox, T_FRAME, Trajectory, VSignal,
-                               _BLOCK, _COLUMN_BLOCK, _grid, _newton_grid,
-                               _stages, fd_bracket, reconstruct, simulate)
+                               _BLOCK, _COLUMN_BLOCK, _CSV_CELLS, _csv_rows,
+                               _grid, _newton_grid, _stages, fd_bracket,
+                               reconstruct, simulate)
 from flatcheck.cli import _bracket_oracle, load_spec, main
 from flatcheck.triangular import extract_triangular
 
@@ -578,19 +580,88 @@ def test_trajectory_csv_bytes_match_csv_writer(tmp_path, motor_real):
     runs.append(Trajectory(t=np.array([0.0, 0.5, 1.0]), z=odd, x=-odd,
                            v=np.array([[1, 0], [2, -3], [0, 7]]),
                            u=odd[:, :2]))
-    # two full blocks of rows and a partial one
+    # nine columns: two full blocks of rows and a ragged one, with
+    # cells of every exponent from 1e-9 to 1e20 and of both signs
     rng = np.random.default_rng(0)
-    rows = 2 * _BLOCK + 3
+    rows = 2 * (_CSV_CELLS // 9) + 3
+    scale = 10.0 ** rng.integers(-9, 21, size=(rows, 2))
     runs.append(Trajectory(t=np.linspace(0.0, 1.0, rows),
                            z=rng.normal(size=(rows, 2)),
                            x=rng.normal(size=(rows, 2)) * 1e9,
-                           v=rng.normal(size=(rows, 2)),
+                           v=rng.normal(size=(rows, 2)) * scale,
                            u=rng.normal(size=(rows, 2)) * 1e-9))
+    # the edge cells (an even number), two per row, over two blocks
+    edges = _csv_edge_cells()
+    rows = len(edges) // 2
+    runs.append(Trajectory(t=np.arange(rows), z=edges.reshape(rows, 2),
+                           x=-edges.reshape(rows, 2)[::-1],
+                           v=np.zeros((rows, 2)), u=np.ones((rows, 2))))
     for k, traj in enumerate(runs):
         path, ref = tmp_path / f"run{k}.csv", tmp_path / f"ref{k}.csv"
         traj.to_csv(str(path))
         harness_reference.write_csv(traj, str(ref))
         assert path.read_bytes() == ref.read_bytes()
+
+
+def _csv_edge_cells() -> np.ndarray:
+    """Cells where a decimal formatter can go wrong: signed zeros,
+    non-finite values, subnormals and the ends of the doubles, powers
+    of ten with their neighbours, 17-digit ties, and the ends of the
+    range laid out in numpy."""
+    cells = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
+             2.2250738585072014e-308, 1.7976931348623157e308]
+    for k in range(-10, 23):
+        p = float(f"1e{k}")
+        cells += [p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)]
+    # k + 1/4 and k + 3/4 for k in [2^50, 2^51): their 17th digit is a
+    # tie (10k + 2.5, 10k + 7.5), which rounds to even
+    k = np.random.default_rng(3).integers(2 ** 50, 2 ** 51, size=200)
+    cells += (k + 0.25).tolist() + (k + 0.75).tolist()
+    cells += [2.0 ** 50 + 0.25, 2.0 ** 51 - 0.25]
+    below = np.nextafter(1e-4, 0.0)
+    cells += [below, np.nextafter(below, 0.0), 9.9999999999999995e-5,
+              1e17 - 16, 1e17 - 32, 99999999999999992.0,
+              9.9999999999999999e16, 1.0000000000000001e17]
+    cells = np.array(cells)
+    return np.concatenate([cells, -cells])
+
+
+def _percent_rows(block: np.ndarray) -> bytes:
+    """The rows '%.17g' writes for a 2-D block, one conversion per
+    cell of float(cell)."""
+    rows, cols = block.shape
+    line = ",".join(["%.17g"] * cols) + "\r\n"
+    cells = tuple(map(float, block.ravel().tolist()))
+    return (line * rows % cells).encode("ascii")
+
+
+@pytest.mark.parametrize("cols", [1, 3, 13])
+def test_csv_rows_write_the_edge_cells_as_percent_g(cols):
+    cells = _csv_edge_cells()
+    cells = cells[:len(cells) // cols * cols].reshape(-1, cols)
+    assert _csv_rows(cells) == _percent_rows(cells)
+    # an integer-dtype block is written as its floats
+    ints = np.array([[0, -1, 7], [2 ** 53 + 1, -(2 ** 62), 10 ** 17]])
+    assert _csv_rows(ints) == _percent_rows(ints)
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+@settings(max_examples=500, deadline=None)
+def test_csv_rows_match_percent_g(cells):
+    block = np.array([cells])
+    assert _csv_rows(block) == _percent_rows(block)
+
+
+def test_csv_rows_match_percent_g_in_bulk():
+    # 1M seeded doubles: random bit patterns (every exponent) and
+    # normals scaled across the range laid out in numpy
+    rng = np.random.default_rng(11)
+    bits = rng.integers(0, 2 ** 64, size=500_000, dtype=np.uint64)
+    scaled = (rng.normal(size=500_000)
+              * 10.0 ** rng.integers(-6, 19, size=500_000))
+    cells = np.concatenate([bits.view(np.float64), scaled])
+    for block in np.split(cells.reshape(-1, 16), 250):
+        assert _csv_rows(block) == _percent_rows(block)
 
 
 def test_flat_signal_matches_trajectory(chained4_real, example1_real):

@@ -146,6 +146,15 @@ _DIGITS4 = (np.arange(10000, dtype=np.uint16)[:, None]
 _ZEROS4 = (np.arange(10000, dtype=np.uint16)[:, None]
            % np.array([10, 100, 1000, 10000], np.uint16)
            == 0).sum(1, dtype=np.uint8)
+# _SIG[k] is how many of 17 digits are significant, for k = 125 z1 +
+# 25 z2 + 5 z3 + z4, z1..z4 the trailing zeros of their four quads (4
+# for a zero quad): _ZEROS4 of the first digit and the quads, times
+# _SIG_KEY
+_SIG_KEY = np.array([0, 125, 25, 5, 1])
+# _EXPONENT[k] is 'e-' and k in at least two digits, padded to five
+# bytes, as one item: the exponents of the cells below 1e-4, k = 5..308
+_EXPONENT = np.frombuffer(b"e-%-3.2d" * 309 % tuple(range(309)),
+                          np.dtype((np.void, 5)))
 # _PREFIX[k] selects the first k bytes of a cell
 _PREFIX = np.arange(_CELL) < np.arange(_CELL + 1)[:, None]
 
@@ -158,36 +167,74 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, a - hi
 
 
+def _two_product(a: np.ndarray, b: np.ndarray, bh: np.ndarray,
+                 bl: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's two-product: p + err is exactly a * b, p the rounded
+    product, given b's halves bh + bl (no overflow or underflow on the
+    ranges taken)."""
+    p = a * b
+    ah, al = _split(a)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _scaled_pow10() -> tuple[np.ndarray, np.ndarray]:
+    """10^k * 2^-1000 = 5^k * 2^(k-1000) for k = 21..324 as
+    double-doubles hi + lo: hi is 5^k rounded to a double, lo the rest
+    rounded (Python rounds an int to the nearest double), each scaled
+    by 2^(k-1000), which is exact; hi + lo is within 2^-105 of it
+    relatively."""
+    k = np.arange(21, 325)
+    hi, lo = [], []
+    five = 5 ** 21
+    for _ in k:
+        hi.append(float(five))
+        lo.append(float(five - int(hi[-1])))
+        five *= 5
+    return np.ldexp(hi, k - 1000), np.ldexp(lo, k - 1000)
+
+
+def _sig_table() -> np.ndarray:
+    """_SIG: 17 less z4, and less each z before it while the quads
+    after that one are zero."""
+    sig = np.full(625, 17)
+    run = np.ones(625, bool)        # the quads after this one are zero
+    for z in (np.arange(625)[:, None] // _SIG_KEY[:0:-1] % 5).T:
+        sig -= run * z
+        run &= z == 4
+    return sig
+
+
 _POW10_HI, _POW10_LO = _split(_POW10)
+_SIG = _sig_table()
+_SMALL_POW10, _SMALL_POW10_REST = _scaled_pow10()
+_SMALL_POW10_HI, _SMALL_POW10_LO = _split(_SMALL_POW10)
 
 
 def _times_pow10(a: np.ndarray, k: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Dekker's two-product: p + err is exactly a * 10^k, p the
-    rounded product (no overflow or underflow on the range taken)."""
-    p = a * _POW10[k]
-    ah, al = _split(a)
-    bh, bl = _POW10_HI[k], _POW10_LO[k]
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _below(p: np.ndarray, err: np.ndarray, bound: float) -> np.ndarray:
-    """p + err < bound, exactly, for a double bound and p = fl(p + err)."""
-    return (p < bound) | ((p == bound) & (err < 0))
+    """p + err is exactly a * 10^k, p the rounded product, for k in
+    0..21 (no overflow or underflow on the range taken)."""
+    return _two_product(a, _POW10[k], _POW10_HI[k], _POW10_LO[k])
 
 
 def _exponent_step(p: np.ndarray, err: np.ndarray) -> np.ndarray:
-    """-1, 0 or 1 where p + err, exactly, is below, in or above
-    [10^16, 10^17)."""
-    return (~_below(p, err, 1e17)).astype(np.intp) - _below(p, err, 1e16)
+    """-1, 0 or 1 where p + err is below, in or above [10^16, 10^17).
+    Exact for _decimal's exact products, as p - 10^16 and p - 10^17
+    are exact where p + err is near them, and for _small_decimal's,
+    whose error is below 1e-14 and whose products come no nearer to
+    either end than 0.01."""
+    return ((((p - 1e17) + err) >= 0).astype(np.intp)
+            - (((p - 1e16) + err) < 0))
 
 
 def _decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The exponent e and 17 significant digits d of each a in
     [1e-4, 1e17), as '%.17g' rounds them: d = round-half-even(a *
-    10^(16-e)) in [10^16, 10^17). e is 17, so that '%' writes the cell,
-    where d would carry to 10^17 or the exponent check fails; neither
-    happens on this range, but no digit rests on that."""
+    10^(16-e)) in [10^16, 10^17), from an exact product with the exact
+    double 10^(16-e). e is 17, so that '%' writes the cell, where d
+    would carry to 10^17 or the exponent check fails; neither happens
+    on this range, but no digit rests on that. _small_decimal gives the
+    same below 1e-4."""
     e = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp)
     p, err = _times_pow10(a, 16 - e)
     # log10 rounds: move e one step where a * 10^(16-e) is outside
@@ -205,47 +252,85 @@ def _decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e, d
 
 
-def _csv_rows(block: np.ndarray) -> bytes:
-    """The CSV rows of a 2-D block: each cell as '%.17g' % float(cell)
-    writes it, commas between cells, CRLF after each row.
+# how near _small_decimal lets a product come to a half-integer before
+# '%' writes the cell; its p + r is within 1e-14 of the product
+_MARGIN = 1e-9
 
-    Cells with 1e-4 <= |x| < 1e17 whose 17 digits keep them below 1e17
-    are laid out here: the digits come from _decimal, and each group of
-    one exponent and sign is written with slice copies into its rows
-    after a stable sort on that key. Zeros are '0' and '-0'. Every
-    other cell (smaller, larger, inf, nan) goes through one '%' call."""
-    cols = block.shape[1]
-    x = np.ascontiguousarray(block, dtype=np.float64).ravel()
-    a = np.abs(x)
-    neg = np.signbit(x)
-    out = np.empty((x.size, _CELL), np.uint8)
-    length = np.empty(x.size, np.intp)
-    done = np.zeros(x.size, bool)
 
-    fast = np.flatnonzero((a >= 1e-4) & (a < 1e17))
-    e, d = _decimal(a[fast])
-    kept = e <= 16
-    fast, e, d = fast[kept], e[kept], d[kept]
-    done[fast] = True
-    lead, rest = np.divmod(d, 10 ** 16)
-    upper, lower = np.divmod(rest, 10 ** 8)
-    quads = np.empty((fast.size, 4), np.int64)
-    quads[:, 0], quads[:, 1] = np.divmod(upper, 10 ** 4)
-    quads[:, 2], quads[:, 3] = np.divmod(lower, 10 ** 4)
-    digits = np.empty((fast.size, 17), np.uint8)
-    digits[:, 0] = lead + ord("0")
-    digits[:, 1:] = np.take(_DIGITS4, quads).view(np.uint8)
-    # significant digits: 17 less the trailing zeros of the quads
-    z, zero = np.take(_ZEROS4, quads), quads == 0
-    sig = 17 - (z[:, 3] + zero[:, 3] * (z[:, 2] + zero[:, 2]
-                                        * (z[:, 1] + zero[:, 1] * z[:, 0])))
-    sign = neg[fast]
-    length[fast] = sign + np.where(e < 0, 1 - e + sig,
-                                   np.where(sig <= e + 1, e + 1, sig + 1))
+def _small_product(s: np.ndarray, k: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """p + r, within 1e-14 of s * 10^k * 2^-1000 where that is below
+    1.1 * 10^17: p the product by the double-double's hi, rounded, and
+    r the rest. s * hi is p + err exactly (_two_product), r = err + s *
+    lo; the two roundings of r and the double-double's 2^-105 each add
+    at most 3e-15."""
+    i = k - 21
+    p, err = _two_product(s, _SMALL_POW10[i], _SMALL_POW10_HI[i],
+                          _SMALL_POW10_LO[i])
+    return p, err + s * _SMALL_POW10_REST[i]
+
+
+def _small_decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_decimal for a in [2^-1022, 1e-4): e in -308..-5 and d =
+    round-half-even(a * 10^(16-e)) in [10^16, 10^17). 10^(16-e) is no
+    double here, so the product is taken of a * 2^1000, which is exact,
+    and 10^(16-e) * 2^-1000 as a double-double (_small_product). e is
+    17, so that '%' writes the cell, where the product is within
+    _MARGIN of a half-integer, where the exponent check fails or where
+    d would carry to 10^17: no digit rests on a rounding of the
+    product that its error could turn."""
+    s = a * 2.0 ** 1000
+    e = np.clip(np.floor(np.log10(a)), -308, -5).astype(np.intp)
+    p, r = _small_product(s, 16 - e)
+    step = _exponent_step(p, r)
+    fix = np.flatnonzero(step)
+    if fix.size:
+        e[fix] += step[fix]
+        p[fix], r[fix] = _small_product(s[fix],
+                                        np.clip(16 - e[fix], 21, 324))
+        e[fix[_exponent_step(p[fix], r[fix]) != 0]] = 17
+    # p + r in [10^16, 10^17) makes p an even integer; where r is not
+    # near a half, rounding r rounds p + r
+    d = p.astype(np.int64) + np.rint(r).astype(np.int64)
+    e[(np.abs(r - np.floor(r) - 0.5) < _MARGIN) | (d == 10 ** 17)] = 17
+    return e, d
+
+
+def _digits(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 17 ASCII digits of each d in [10^16, 10^17), one row each,
+    and how many of them are significant (trailing zeros dropped)."""
+    # the first digit and four quads of four digits
+    high = d // 10 ** 8
+    quads = np.empty((d.size, 5), np.int32)
+    quads[:, 0] = high // 10 ** 8
+    upper = high - quads[:, 0] * 10 ** 8
+    lower = d - high * 10 ** 8
+    quads[:, 1] = upper // 10 ** 4
+    quads[:, 2] = upper - quads[:, 1] * 10 ** 4
+    quads[:, 3] = lower // 10 ** 4
+    quads[:, 4] = lower - quads[:, 3] * 10 ** 4
+    # '000d' and the quads' digits, from the fourth byte on
+    digits = np.take(_DIGITS4, quads).view(np.uint8)[:, 3:]
+    return digits, np.take(_SIG, np.take(_ZEROS4, quads) @ _SIG_KEY)
+
+
+# each cell row as one void item, which numpy copies whole
+_CELL_ITEM = np.dtype((np.void, _CELL))
+
+
+def _write_fixed(out: np.ndarray, length: np.ndarray, at: np.ndarray,
+                 e: np.ndarray, d: np.ndarray, sign: np.ndarray) -> None:
+    """Lay out the cells at those rows of out, of exponent e in -4..16,
+    digits d and sign, as ddd.ddd or 0.000ddd, and set their lengths.
+    Each group of one exponent and sign is written with slice copies
+    into its rows after a stable sort on that key."""
+    digits, sig = _digits(d)
+    length[at] = sign + np.where(e < 0, 1 - e + sig,
+                                 np.where(sig <= e + 1, e + 1, sig + 1))
     key = ((e + 4) * 2 + sign).astype(np.uint8)
     order = np.argsort(key, kind="stable")
     digits = np.take(digits, order, axis=0)
-    text = np.empty((fast.size, _CELL), np.uint8)
+    text = np.empty((at.size, _CELL), np.uint8)
     start = 0
     for g, count in enumerate(np.bincount(key, minlength=42).tolist()):
         if not count:
@@ -264,9 +349,81 @@ def _csv_rows(block: np.ndarray) -> bytes:
             t[:, s + k + 1] = ord(".")
             t[:, s + k + 2:s + 18] = dg[:, k + 1:]
         start = stop
-    # each row as one void item, which numpy copies whole
-    cell = np.dtype((np.void, _CELL))
-    out.view(cell)[fast[order], 0] = text.view(cell)[:, 0]
+    out.view(_CELL_ITEM)[at[order], 0] = text.view(_CELL_ITEM)[:, 0]
+
+
+def _write_exponential(out: np.ndarray, length: np.ndarray, at: np.ndarray,
+                       e: np.ndarray, d: np.ndarray, sign: np.ndarray
+                       ) -> None:
+    """Lay out the cells at those rows of out, of exponent e in
+    -308..-5, digits d and sign, as d.ddde-XX, and set their lengths.
+
+    Each cell is written as a negative one, '-d.ddd...', its digits at
+    fixed places, and 'e-XX' or 'e-XXX' over the byte after its last
+    significant digit (over the point, when that is the first). A
+    positive cell is the same bytes from the second on, so each cell
+    is copied whole from its row's first or second byte."""
+    digits, sig = _digits(d)
+    m = at.size
+    buf = np.empty(m * _CELL + 1, np.uint8)
+    text = buf[:-1].reshape(m, _CELL)
+    text[:, 0] = ord("-")
+    text[:, 1] = digits[:, 0]
+    text[:, 2] = ord(".")
+    text[:, 3:19] = digits[:, 1:]
+    starts = np.arange(0, m * _CELL, _CELL)
+    ends = starts + 1 + sig + (sig > 1)
+    _items(buf, _EXPONENT.dtype)[ends] = _EXPONENT[-e]
+    length[at] = ends - starts + 3 + (e <= -100) + sign
+    out.view(_CELL_ITEM)[at, 0] = _items(buf, _CELL_ITEM)[starts + 1 - sign]
+
+
+def _items(buf: np.ndarray, item: np.dtype) -> np.ndarray:
+    """The 1-D uint8 buffer as the overlapping items of a void dtype
+    that start at each of its bytes."""
+    return np.ndarray(max(0, buf.size - item.itemsize + 1), item, buf, 0,
+                      (1,))
+
+
+def _percent_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell as '%.17g' writes it, by one '%' call: the fields
+    left-aligned in 24 bytes, one row each, and their lengths. The
+    cells that neither layout writes come here."""
+    s = "%-24.17g" * x.size % tuple(x.tolist())
+    fields = np.frombuffer(s.encode("ascii"), np.uint8).reshape(-1, 24)
+    return fields, (fields != ord(" ")).sum(1)
+
+
+def _csv_rows(block: np.ndarray) -> bytes:
+    """The CSV rows of a 2-D block: each cell as '%.17g' % float(cell)
+    writes it, commas between cells, CRLF after each row.
+
+    Every normal cell below 1e17 whose 17 digits are sure is laid out
+    here: from 1e-4 up, digits from _decimal in fixed-point form
+    (_write_fixed); below 1e-4, from _small_decimal in exponential form
+    (_write_exponential). Zeros are '0' and '-0'. Every other cell
+    (from 1e17 up, inf, nan, subnormal, or sent back by _decimal or
+    _small_decimal) goes through one _percent_cells call."""
+    cols = block.shape[1]
+    x = np.ascontiguousarray(block, dtype=np.float64).ravel()
+    a = np.abs(x)
+    neg = np.signbit(x)
+    out = np.empty((x.size, _CELL), np.uint8)
+    length = np.empty(x.size, np.intp)
+    done = np.zeros(x.size, bool)
+
+    for at, decimal, write in (
+            (np.flatnonzero((a >= 1e-4) & (a < 1e17)), _decimal,
+             _write_fixed),
+            (np.flatnonzero((a >= 2.0 ** -1022) & (a < 1e-4)),
+             _small_decimal, _write_exponential)):
+        if not at.size:     # most blocks have no cell below 1e-4
+            continue
+        e, d = decimal(a[at])
+        kept = e <= 16
+        at = at[kept]
+        done[at] = True
+        write(out, length, at, e[kept], d[kept], neg[at])
 
     zeros = np.flatnonzero(a == 0)
     done[zeros] = True
@@ -274,19 +431,19 @@ def _csv_rows(block: np.ndarray) -> bytes:
     out[zeros, 1] = ord("0")
     length[zeros] = 1 + neg[zeros]
 
-    rest_i = np.flatnonzero(~done)
-    if rest_i.size:
-        s = "%-24.17g" * rest_i.size % tuple(x[rest_i].tolist())
-        fields = np.frombuffer(s.encode("ascii"), np.uint8).reshape(-1, 24)
-        out[rest_i, :24] = fields
-        length[rest_i] = (fields != ord(" ")).sum(1)
+    rest = np.flatnonzero(~done)
+    if rest.size:
+        out[rest, :24], length[rest] = _percent_cells(x[rest])
 
-    ends = np.arange(cols - 1, x.size, cols)
-    out[np.arange(x.size), length] = ord(",")
-    out[ends, length[ends]] = ord("\r")
-    out[ends, length[ends] + 1] = ord("\n")
+    # the byte after each cell, in out read flat; a row ends at every
+    # cols-th cell
+    after = np.arange(0, x.size * _CELL, _CELL) + length
+    flat = out.reshape(-1)
+    flat[after] = ord(",")
+    flat[after[cols - 1::cols]] = ord("\r")
+    flat[after[cols - 1::cols] + 1] = ord("\n")
     length += 1
-    length[ends] += 1
+    length[cols - 1::cols] += 1
     return out[np.take(_PREFIX, length, axis=0)].tobytes()
 
 

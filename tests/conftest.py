@@ -1,3 +1,4 @@
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,16 @@ from flatcheck.triangular import drift_feedback, extract_triangular
 import systems
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
+
+
+@pytest.fixture(scope="session")
+def bench_systems():
+    """bench/systems.py: the benchmark's spec text generators."""
+    path = SPEC_DIR.parent / "bench" / "systems.py"
+    loader = importlib.util.spec_from_file_location("bench_systems", path)
+    module = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(module)
+    return module
 
 
 def each_point(points):

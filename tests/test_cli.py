@@ -1,5 +1,4 @@
 import argparse
-import importlib.util
 import json
 import math
 from pathlib import Path
@@ -920,13 +919,10 @@ def test_main_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
 
 
 def test_simulate_chained7_compiles_each_source_once(tmp_path, capsys,
-                                                    monkeypatch):
+                                                    monkeypatch,
+                                                    bench_systems):
     from flatcheck import symx
     # the benchmark's generated chained7 spec
-    path = Path(__file__).resolve().parent.parent / "bench" / "systems.py"
-    loader = importlib.util.spec_from_file_location("bench_systems", path)
-    bench_systems = importlib.util.module_from_spec(loader)
-    loader.loader.exec_module(bench_systems)
     spec = _write(tmp_path, bench_systems.chained(7), "chained7.spec")
     monkeypatch.chdir(tmp_path)
     sources = []

@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import math
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -606,11 +608,12 @@ def test_trajectory_csv_bytes_match_csv_writer(tmp_path, motor_real):
 def _csv_edge_cells() -> np.ndarray:
     """Cells where a decimal formatter can go wrong: signed zeros,
     non-finite values, subnormals and the ends of the doubles, powers
-    of ten with their neighbours, 17-digit ties, and the ends of the
-    range laid out in numpy."""
+    of ten with their neighbours, 17-digit ties, near ties below 1e-4,
+    and the ends of the ranges laid out in numpy."""
+    tiny = 2.2250738585072014e-308
     cells = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
-             2.2250738585072014e-308, 1.7976931348623157e308]
-    for k in range(-10, 23):
+             tiny, np.nextafter(tiny, 1.0), 1.7976931348623157e308]
+    for k in range(-308, 23):
         p = float(f"1e{k}")
         cells += [p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)]
     # k + 1/4 and k + 3/4 for k in [2^50, 2^51): their 17th digit is a
@@ -618,12 +621,70 @@ def _csv_edge_cells() -> np.ndarray:
     k = np.random.default_rng(3).integers(2 ** 50, 2 ** 51, size=200)
     cells += (k + 0.25).tolist() + (k + 0.75).tolist()
     cells += [2.0 ** 50 + 0.25, 2.0 ** 51 - 0.25]
+    cells += _NEAR_TIES + _OFF_TIES
     below = np.nextafter(1e-4, 0.0)
     cells += [below, np.nextafter(below, 0.0), 9.9999999999999995e-5,
               1e17 - 16, 1e17 - 32, 99999999999999992.0,
               9.9999999999999999e16, 1.0000000000000001e17]
     cells = np.array(cells)
     return np.concatenate([cells, -cells])
+
+
+# Doubles a below 1e-4 whose a * 10^(16-e), e the exponent of their 17
+# digits, lies within 1e-9 of a half-integer (_NEAR_TIES: four exactly
+# on one, then ones within 1e-12 and within 1e-16), and 1.2e-9 to 1.5e-9
+# from one on either side (_OFF_TIES). Found by an exact integer
+# search: with a = M 2^q, M in [2^52, 2^53) and k = 16 - e, a * 10^k
+# is M 5^k / 2^j for j = -(q + k), so its distance to a half-integer
+# is that of M 5^k mod 2^j to 2^(j-1), over 2^j. The least M of a
+# binade with M 5^k mod 2^j in a window about 2^(j-1) comes from a
+# Euclid-like recursion on (5^k, 2^j) (the least x with a x mod m in
+# [l, r] is found from the least y with m y mod a in [-r mod a,
+# -l mod a]); the binades are those of k = 21..24, where exact ties
+# exist, 37, 157, 272 and 324 (2^-1022 up).
+_NEAR_TIES = [float.fromhex(h) for h in (
+    "0x1.02p-15", "0x1.04p-17", "0x1.8p-23", "0x1.8p-24",
+    "0x1.0004940d449ddp-17", "0x1.001dbad856059p-17",
+    "0x1.0005bccf89c36p-23", "0x1.0004e59671601p-23",
+    "0x1.0008893fe057ap-68", "0x1.0004bfbc863dcp-68",
+    "0x1.000c0af5dc766p-468", "0x1.0003b4d26b62ep-468",
+    "0x1.000377864ec70p-848", "0x1.001042cda24d3p-848",
+    "0x1.00150ffd4133fp-1022", "0x1.0006c60738f6fp-1022",
+    "0x1.27ec7877b24bcp-68", "0x1.be1d8351d8eeep-468",
+    "0x1.b5c96cf3d7b19p-848", "0x1.f1e779b0375b3p-1022",
+    "0x1.03dfc78d23608p-1022")]
+_OFF_TIES = [float.fromhex(h) for h in (
+    "0x1.000002800d9abp-17", "0x1.00000672d7832p-17",
+    "0x1.000011bf067e6p-23", "0x1.0000015ad8c77p-23",
+    "0x1.00000bcfe60d4p-68", "0x1.00000dab93757p-68",
+    "0x1.000020422b1e9p-468", "0x1.00000ca2472bep-468",
+    "0x1.0000027bcb0e7p-848", "0x1.000007901752cp-848",
+    "0x1.000033fbdbe3bp-1022", "0x1.000001fe139afp-1022")]
+
+
+def _tie_distance(x: float) -> Fraction:
+    """|x| * 10^(16-e) less 1/2 and the integer below it, exactly, for
+    the e that puts the product in [10^16, 10^17)."""
+    v = abs(Fraction(x)) * Fraction(10) ** (16 - math.floor(
+        math.log10(abs(x))))
+    while v >= 10 ** 17:
+        v /= 10
+    while v < 10 ** 16:
+        v *= 10
+    return v - math.floor(v) - Fraction(1, 2)
+
+
+def _spy_percent(monkeypatch) -> list[float]:
+    """The cells harness._percent_cells is given from now on, in a
+    list that grows as it is called."""
+    sent: list[float] = []
+    percent = harness._percent_cells
+
+    def spy(x):
+        sent.extend(x.tolist())
+        return percent(x)
+    monkeypatch.setattr(harness, "_percent_cells", spy)
+    return sent
 
 
 def _percent_rows(block: np.ndarray) -> bytes:
@@ -654,14 +715,66 @@ def test_csv_rows_match_percent_g(cells):
 
 def test_csv_rows_match_percent_g_in_bulk():
     # 1M seeded doubles: random bit patterns (every exponent) and
-    # normals scaled across the range laid out in numpy
+    # normals scaled across the ranges laid out in numpy, 1e-308 to 1e18
     rng = np.random.default_rng(11)
     bits = rng.integers(0, 2 ** 64, size=500_000, dtype=np.uint64)
     scaled = (rng.normal(size=500_000)
-              * 10.0 ** rng.integers(-6, 19, size=500_000))
+              * 10.0 ** rng.integers(-308, 19, size=500_000))
     cells = np.concatenate([bits.view(np.float64), scaled])
     for block in np.split(cells.reshape(-1, 16), 250):
         assert _csv_rows(block) == _percent_rows(block)
+
+
+def test_scaled_powers_of_ten_are_double_doubles():
+    for k, hi, lo in zip(range(21, 325), harness._SMALL_POW10.tolist(),
+                         harness._SMALL_POW10_REST.tolist()):
+        exact = Fraction(10 ** k, 2 ** 1000)
+        for other in (np.nextafter(hi, 0.0), np.nextafter(hi, np.inf)):
+            assert abs(Fraction(hi) - exact) <= abs(Fraction(other) - exact)
+        assert abs(Fraction(hi) + Fraction(lo) - exact) <= exact / 2 ** 105
+
+
+def test_small_products_keep_off_the_exponent_ends():
+    # the doubles nearest 10^e, e = -308..-4, and so every double below
+    # 1e-4, give products a * 10^(16-e) and a * 10^(17-e) at least 0.01
+    # from 10^16 and 10^17: the exponent step of _small_decimal, whose
+    # products are within 1e-14, is sure
+    for e in range(-308, -3):
+        p = float(f"1e{e}")
+        for a in (np.nextafter(p, 0.0), p, np.nextafter(p, 1.0)):
+            for c in (16, 17):
+                assert abs(Fraction(float(a)) * Fraction(10) ** (c - e)
+                           - 10 ** c) > Fraction(1, 100), (a, c)
+
+
+def test_near_ties_below_1e_4_go_to_percent(monkeypatch):
+    assert all(abs(_tie_distance(a)) < 1e-9 for a in _NEAR_TIES)
+    assert all(1.2e-9 <= abs(_tie_distance(a)) <= 1.5e-9 for a in _OFF_TIES)
+    sent = _spy_percent(monkeypatch)
+    cells = np.array(_NEAR_TIES + _OFF_TIES)
+    block = np.concatenate([cells, -cells]).reshape(-1, 11)
+    assert _csv_rows(block) == _percent_rows(block)
+    # the others are laid out in numpy
+    assert sorted(sent) == sorted(_NEAR_TIES + [-a for a in _NEAR_TIES])
+
+
+def test_percent_path_gets_no_cell_of_the_chained_runs(
+        tmp_path, monkeypatch, capsys, bench_systems):
+    # simulate chained7 at the default dt and chained4 at --dt 1e-4:
+    # their CSVs hold many cells below 1e-4, and '%' would write only
+    # near ties of those; these runs have none
+    sent = _spy_percent(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "chained7.spec").write_text(bench_systems.chained(7))
+    assert main(["simulate", "chained7.spec", "--out", "c7.csv"]) == 0
+    assert main(["simulate", str(SPEC_DIR / "chained4.spec"), "--dt", "1e-4",
+                 "--out", "c4.csv"]) == 0
+    capsys.readouterr()
+    for name in ("c7.csv", "c4.csv"):
+        assert (tmp_path / name).read_bytes().count(b"e-") > 4000
+    assert [x for x in sent
+            if not (abs(x) < 1e-4 and abs(_tie_distance(x)) < 1e-9)] == []
+    assert len(sent) == 0
 
 
 def test_flat_signal_matches_trajectory(chained4_real, example1_real):

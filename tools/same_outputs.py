@@ -18,12 +18,15 @@ transform --force, involutive check, simulate chained8 --dt 1e-4,
 verify chained6 --dt 2e-5, verify chained4 --samples 3, check sqrt4
 and verify example1 --samples 150. simulate chained8 and verify
 chained6 are closed-loop runs that harness integrates column by
-column, the second over more than one block of columns. The last three
-reach the edges of a point set: fewer sample rows than the five
-reference rows of condition 2; a sample screen that drops rows (sqrt4
-is chained4 with f = 0, 0, 0, sqrt(x1 + 1/2), which rejects 21 of 100
-samples at seed 0); and a bracket oracle that takes the first 100 of
-its sample rows.
+column, the second over more than one block of columns. The CSVs of
+simulate chained7 (at the default dt), and of chained4 and chained8
+at --dt 1e-4, carry cells below 1e-4, which the CSV writer lays out
+in exponential form: a quarter, 6% and a third of their cells. The
+last three reach the edges of a point set: fewer sample rows than
+the five reference rows of condition 2; a sample screen that drops
+rows (sqrt4 is chained4 with f = 0, 0, 0, sqrt(x1 + 1/2), which
+rejects 21 of 100 samples at seed 0); and a bracket oracle that takes
+the first 100 of its sample rows.
 
 Then the usage cases, each run once per tree, compare the exit code,
 stdout and stderr of the command-line parser's help and errors: the
